@@ -10,20 +10,12 @@ __version__ = "0.1.0"
 
 from .characteristics import (
     FrozenField,
-    comparison_experiment,
     evolve_transport,
     pushforward,
     solve_characteristics,
     transport_residual,
 )
-from .diagnostics import (
-    DiagnosticsReport,
-    cauchy_convergence,
-    chaos_test,
-    flocking_energy,
-    flocking_rate,
-    weakform_residual,
-)
+from .diagnostics import DiagnosticsReport, flocking_energy
 from .dynamics import (
     NoisePath,
     ParticleEnsemble,
@@ -31,8 +23,6 @@ from .dynamics import (
     TrajectoryRecord,
     coupled_pair,
     simulate,
-    step_euler_ito,
-    step_heun_stratonovich,
 )
 from .kernels import (
     CuckerSmaleParams,
@@ -71,9 +61,6 @@ __all__ = [
     "TestFunction",
     "TrajectoryRecord",
     "Truncation",
-    "cauchy_convergence",
-    "chaos_test",
-    "comparison_experiment",
     "coupled_pair",
     "cucker_smale_kernels",
     "eval_S2",
@@ -81,7 +68,6 @@ __all__ = [
     "evolve_transport",
     "exp_moment",
     "flocking_energy",
-    "flocking_rate",
     "mean_field_B",
     "mean_field_C",
     "mean_field_S",
@@ -89,11 +75,8 @@ __all__ = [
     "pushforward",
     "simulate",
     "solve_characteristics",
-    "step_euler_ito",
-    "step_heun_stratonovich",
     "support_radius",
     "transport_residual",
     "wasserstein",
     "wasserstein_path",
-    "weakform_residual",
 ]

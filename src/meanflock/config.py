@@ -25,6 +25,52 @@ EXPERIMENT_KINDS = (
 )
 
 
+@dataclass(frozen=True)
+class Model:
+    """One catalogued kernel model and the model-parameter keys it reads.
+
+    For generic models ``keys`` lists the kernel builder's arguments in
+    order. ``position_velocity`` marks the Cucker-Smale family, whose states
+    are (x, v) in R^{2 half_dim}.
+    """
+
+    doc: str
+    keys: tuple
+    position_velocity: bool = False
+    individual_noise: bool = False
+    required: tuple = ()
+
+
+_CS = ("half_dim", "lambda", "gamma", "phi_lambda", "phi_gamma")
+_TRUNC = ("trunc_radius", "trunc_margin")
+_B = ("dim", "drift_value")
+_SIGMA = ("dim", "sigma_scale")
+
+MODELS = {
+    "cucker-smale": Model(
+        "flocking drift psi(x-y)(w-v) with optional common noise phi(x-y)(w-v)",
+        _CS, position_velocity=True,
+    ),
+    "cucker-smale-truncated": Model(
+        "cucker-smale with C^2-truncated velocities in the noise term",
+        _CS + _TRUNC, position_velocity=True, required=_TRUNC,
+    ),
+    "cucker-smale-individual": Model(
+        "cucker-smale plus constant individual noise on velocities",
+        _CS + _TRUNC + ("sigma_scale",), position_velocity=True, individual_noise=True,
+    ),
+    "zero": Model("all coefficients zero", ("dim",)),
+    "constant-drift": Model("b(x,y) = drift_value in every coordinate", _B),
+    "linear-drift": Model("b(x,y) = drift_value * x", _B),
+    "linear-common": Model("c(x,y) = drift_value * x, geometric common noise", _B),
+    "constant-common": Model("c(x,y) = drift_value per coordinate, additive common noise", _B),
+    "diag-individual": Model("sigma(x) = sigma_scale * diag(x)", _SIGMA, individual_noise=True),
+    "constant-individual": Model("sigma(x) = sigma_scale * I", _SIGMA, individual_noise=True),
+}
+
+MODEL_KEYS = frozenset(key for model in MODELS.values() for key in model.keys)
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -62,7 +108,8 @@ SCHEMA: dict[str, Key] = {
     for k in [
         Key("experiment", "str", required=True, choices=EXPERIMENT_KINDS,
             help="experiment kind"),
-        Key("model", "str", required=True, help="kernel model name, see `meanflock models`"),
+        Key("model", "str", required=True,
+            help="kernel model name, see `meanflock models`; keys it does not read are rejected"),
         Key("output_dir", "str", required=True, help="artifact directory"),
         # model parameters
         Key("half_dim", "int", default=1, help="d for position-velocity models"),
@@ -93,7 +140,8 @@ SCHEMA: dict[str, Key] = {
         Key("init_scale", "float", default=1.0, help="scale for generic-model states"),
         # Monte-Carlo ensemble
         Key("seeds", "int_list", help="explicit master seeds"),
-        Key("n_seeds", "int", help="derive seeds master_seed .. master_seed+n-1"),
+        Key("n_seeds", "int",
+            help="derive seeds master_seed .. master_seed+n-1; at least 1, weakform at least 16"),
         # diagnostics knobs
         Key("rate_tolerance", "float", default=0.25, help="flocking rate slack"),
         Key("fit_start_fraction", "float", default=0.1),
@@ -103,11 +151,13 @@ SCHEMA: dict[str, Key] = {
         Key("var_band", "float", default=5.0, help="variance-match band in SEs"),
         Key("tf_center", "float", default=0.0, help="test-function center"),
         Key("tf_radius", "float", default=2.0, help="test-function radius/width"),
-        Key("sizes", "int_list", help="decreasing doubled sizes for cauchy"),
+        Key("sizes", "int_list",
+            help="cauchy sizes: at least two, each half the one before, the last >= 1"),
         Key("wasserstein_p", "float", default=2.0),
-        Key("n_list", "int_list", help="system sizes for chaos"),
-        Key("ref_n", "int", help="chaos reference size (default 8x largest)"),
-        Key("n_resamples", "int", default=64),
+        Key("n_list", "int_list",
+            help="chaos system sizes: at least two, strictly increasing, the first > 2"),
+        Key("ref_n", "int", help="chaos reference size > max(n_list) (default 8x largest)"),
+        Key("n_resamples", "int", default=64, help="chaos initial resamples per beta path, >= 32"),
         Key("radius", "float", default=50.0, help="stopping radius for comparison"),
         Key("comparison_shift", "float", default=0.5,
             help="offset applied to the second initial measure"),
@@ -122,6 +172,12 @@ _REQUIRED_BY_KIND = {
     "chaos": ("n_list",),
 }
 
+# kinds whose coupling or transport form is defined for sigma = 0 only
+_COMMON_NOISE_ONLY = ("cauchy", "chaos", "comparison", "transport-check")
+
+# cylinder functions used by the chaos experiment
+CHAOS_R = 2
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -130,9 +186,6 @@ class ExperimentConfig:
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
 
     @property
     def kind(self) -> str:
@@ -176,6 +229,7 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         values[name] = value
 
+    given = set(values)
     for key in SCHEMA.values():
         if key.required and key.name not in values:
             raise ConfigError(f"missing required key '{key.name}'")
@@ -192,7 +246,56 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("field 't_final' must be positive")
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):
         raise ConfigError("trunc_radius and trunc_margin must be given together")
-    return ExperimentConfig(values=values, text=text)
+    cfg = ExperimentConfig(values=values, text=text)
+    _check_model(values, given)
+    _check_experiment(values, len(cfg.seeds()))
+    return cfg
+
+
+def _check_model(values: dict, given: set) -> None:
+    name = values["model"]
+    model = MODELS.get(name)
+    if model is None:
+        raise ConfigError(f"unknown model '{name}'; available: {', '.join(sorted(MODELS))}")
+    unread = sorted(key for key in given & MODEL_KEYS if key not in model.keys)
+    if unread:
+        raise ConfigError(f"model '{name}' does not read {', '.join(unread)}")
+    for key in model.required:
+        if values[key] is None:
+            raise ConfigError(f"model '{name}' requires key '{key}'")
+
+
+def _check_experiment(values: dict, n_seeds: int) -> None:
+    kind, name = values["experiment"], values["model"]
+    model = MODELS[name]
+    if n_seeds < 1:
+        raise ConfigError("at least one seed is required")
+    if kind in _COMMON_NOISE_ONLY and model.individual_noise:
+        raise ConfigError(
+            f"experiment '{kind}' requires a model without individual noise, got '{name}'"
+        )
+    if kind == "flocking" and not model.position_velocity:
+        raise ConfigError(f"experiment 'flocking' requires a cucker-smale model, got '{name}'")
+    if kind == "weakform" and n_seeds < 16:
+        raise ConfigError(f"weakform needs at least 16 seeds, got {n_seeds}")
+    if kind == "cauchy":
+        sizes = values["sizes"]
+        if len(sizes) < 2 or sizes[-1] < 1 or any(a != 2 * b for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError(
+                f"sizes must be two or more positive sizes, each half the one before; got {sizes}"
+            )
+    if kind == "chaos":
+        n_list = values["n_list"]
+        increasing = all(a < b for a, b in zip(n_list, n_list[1:]))
+        if len(n_list) < 2 or n_list[0] <= CHAOS_R or not increasing:
+            raise ConfigError(f"n_list must be two or more strictly increasing sizes above "
+                              f"r = {CHAOS_R}; got {n_list}")
+        if values["n_resamples"] < 32:
+            raise ConfigError(f"chaos needs n_resamples >= 32, got {values['n_resamples']}")
+        if values["ref_n"] is None:
+            values["ref_n"] = 8 * n_list[-1]
+        if values["ref_n"] <= n_list[-1]:
+            raise ConfigError(f"ref_n must exceed every size in n_list, got {values['ref_n']}")
 
 
 def load_config(path) -> ExperimentConfig:

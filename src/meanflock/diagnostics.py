@@ -1,19 +1,27 @@
 """Quantitative certification of the convergence and flocking claims.
 
-Each diagnostic turns one theoretical statement into a Monte-Carlo check
-with explicit tolerances:
+Each experiment kind is one per-seed computation plus one aggregate that
+turns the per-seed results, in seed order, into a report with explicit
+tolerances. The harness runs the per-seed part, possibly across processes;
+this module holds the numerics of both halves:
 
-* ``flocking_rate``: exponential decay of the velocity variance at rate at
-  least 2 (psi_m - 4 ||phi||_inf^2),
-* ``weakform_residual``: the weak-form defect M_psi is a centered martingale
-  whose variance matches its quadratic-variation estimator,
-* ``cauchy_convergence``: E[W_p^p(mu^N, mu^{2N})] decreases in N under the
-  shared-noise coupling,
-* ``chaos_test``: conditionally on the common noise, fixed particles
-  decorrelate and their joint moments factorize.
+* flocking: ``energy_series``, ``observed_position_spread`` and
+  ``mean_velocity_drift`` per seed, ``aggregate_flocking`` checks decay of
+  the velocity variance at rate at least 2 (psi_m - 4 ||phi||_inf^2),
+* weakform: ``weakform_single`` per seed, ``aggregate_weakform`` checks that
+  the weak-form defect M_psi is a centered martingale whose variance
+  matches its quadratic-variation estimator,
+* cauchy: ``cauchy_single`` per seed, ``aggregate_cauchy`` checks that
+  E[W_p^p(mu^N, mu^{2N})] decreases in N under the shared-noise coupling,
+* chaos: ``chaos_beta_path`` per common-noise path, ``aggregate_chaos``
+  checks that the conditional gap to factorized moments decreases in N,
+* ``aggregate_simulate``, ``aggregate_transport`` and
+  ``aggregate_comparison`` report the remaining kinds.
 
-Every report verdict is a pure function of the inputs and the cited
-tolerance, so reruns reproduce reports bitwise.
+Input rules (ensemble sizes, size ladders, sigma = 0) are checked once, by
+``config.parse_config``; the functions here assume valid inputs. Every
+verdict is a pure function of the inputs and the cited tolerance, so reruns
+reproduce reports bitwise.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .dynamics import (
     resample_rng,
     simulate,
 )
-from .errors import DimensionMismatchError, EnsembleSizeError
+from .errors import DimensionMismatchError
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import CylinderFunction, TestFunction
 from .transport import EmpiricalMeasure, wasserstein_path
@@ -191,24 +199,6 @@ def aggregate_flocking(
     return report
 
 
-def flocking_rate(
-    runs: Sequence[TrajectoryRecord],
-    params: CuckerSmaleParams,
-    window: Optional[float] = None,
-    fit_start_fraction: float = 0.1,
-    rate_tolerance: float = 0.25,
-) -> DiagnosticsReport:
-    """Flocking-rate certification over an in-memory ensemble of runs."""
-    if len(runs) < 1:
-        raise EnsembleSizeError("flocking_rate needs at least one run")
-    energies = np.stack([energy_series(run) for run in runs])
-    spreads = [observed_position_spread(run) for run in runs]
-    return aggregate_flocking(
-        runs[0].times, energies, spreads, params, window,
-        fit_start_fraction, rate_tolerance,
-    )
-
-
 def mean_velocity_drift(run: TrajectoryRecord) -> float:
     """max_t |v_bar(t) - v_bar(0)| over the recorded grid."""
     d = run.dim // 2
@@ -319,30 +309,6 @@ def aggregate_weakform(
     return report
 
 
-def weakform_residual(
-    runs: Sequence[TrajectoryRecord],
-    psi: TestFunction,
-    n_checkpoints: int = 8,
-    mean_band: float = 4.0,
-    var_band: float = 5.0,
-) -> DiagnosticsReport:
-    """Martingale certification of the weak-form identity over an ensemble."""
-    if len(runs) < 16:
-        raise EnsembleSizeError(
-            f"weak-form certification needs >= 16 runs, got {len(runs)}"
-        )
-    cfg0 = runs[0].config
-    for run in runs[1:]:
-        if run.config.steps != cfg0.steps or run.config.dt != cfg0.dt:
-            raise ValueError("weak-form runs must share the time grid")
-        if run.kernel is not runs[0].kernel:
-            raise ValueError("weak-form runs must share the kernel")
-    checkpoints = default_checkpoints(cfg0.steps, n_checkpoints)
-    per_run = [weakform_single(run, psi, checkpoints) for run in runs]
-    times = runs[0].times[checkpoints]
-    return aggregate_weakform(per_run, times, mean_band, var_band)
-
-
 # ---------------------------------------------------------------------------
 # Cauchy convergence in N
 # ---------------------------------------------------------------------------
@@ -375,55 +341,6 @@ def cauchy_single(
         big, small = sizes[idx], sizes[idx + 1]
         out[idx] = wasserstein_path(paths[small], paths[big], p=p) ** p
     return out
-
-
-def cauchy_convergence(
-    k: KernelSet,
-    base_init: EmpiricalMeasure,
-    sizes: Sequence[int],
-    cfg: SimConfig,
-    seeds: Sequence[int],
-    p: float = 2.0,
-    resample_init: Optional[Callable[[int], np.ndarray]] = None,
-) -> DiagnosticsReport:
-    """Coupled-noise estimate of E[W_p^p(mu^N, mu^{2N})] along doubling sizes.
-
-    ``sizes`` lists decreasing system sizes with exact ratio 2; the largest
-    must equal the atom count of ``base_init``, whose leading atoms seed the
-    nested subsystems. With ``resample_init`` (seed -> atom block) the base
-    atoms are redrawn per seed, so the estimate also averages over the
-    initial sample; with one fixed draw the quenched initial distances need
-    not be monotone in N. The verdict requires the paired-seed estimate to
-    decrease with N within one standard error.
-    """
-    sizes = [int(n) for n in sizes]
-    if len(sizes) < 2:
-        raise ValueError("need at least two sizes")
-    for a, b in zip(sizes, sizes[1:]):
-        if a != 2 * b:
-            raise ValueError(f"sizes must halve consecutively, got {a} then {b}")
-    if base_init.n != sizes[0]:
-        raise ValueError(
-            f"base measure has {base_init.n} atoms, sizes[0] is {sizes[0]}"
-        )
-    if not base_init.is_uniform():
-        raise ValueError("Cauchy coupling needs a uniform base measure")
-    if k.sigma is not None:
-        raise ValueError("Cauchy coupling is defined for sigma = 0")
-    samples = np.stack(
-        [
-            cauchy_single(
-                k,
-                base_init.atoms if resample_init is None else resample_init(seed),
-                sizes,
-                cfg,
-                seed,
-                p,
-            )
-            for seed in seeds
-        ]
-    )
-    return aggregate_cauchy(samples, sizes, p)
 
 
 def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> DiagnosticsReport:
@@ -504,48 +421,6 @@ def chaos_beta_path(
     return gaps
 
 
-def chaos_test(
-    k: KernelSet,
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
-    phis: Sequence[CylinderFunction],
-    n_list: Sequence[int],
-    cfg: SimConfig,
-    beta_seeds: Sequence[int],
-    ref_n: Optional[int] = None,
-    n_resamples: int = 64,
-) -> DiagnosticsReport:
-    """Conditional propagation of chaos along increasing system sizes.
-
-    For each common-noise seed the conditional expectation given beta is
-    estimated by resampling initial conditions on a fixed beta path; the
-    unobservable limit measure is replaced by a large reference run on the
-    same path. The verdict requires the gap Delta_N to decrease along
-    ``n_list``.
-    """
-    if n_resamples < 32:
-        raise EnsembleSizeError(
-            f"chaos test needs >= 32 initial resamples, got {n_resamples}"
-        )
-    if k.sigma is not None:
-        raise ValueError("chaos test is defined for sigma = 0")
-    n_list = [int(n) for n in n_list]
-    if sorted(n_list) != n_list:
-        raise ValueError("n_list must increase")
-    if ref_n is None:
-        ref_n = 8 * max(n_list)
-    if ref_n <= max(n_list):
-        raise ValueError("reference size must exceed every tested size")
-    if len(phis) >= min(n_list):
-        raise ValueError("marginal count r must be far below the smallest system")
-    per_beta = np.stack(
-        [
-            chaos_beta_path(k, sampler, phis, n_list, cfg, seed, ref_n, n_resamples)
-            for seed in beta_seeds
-        ]
-    )
-    return aggregate_chaos(per_beta, n_list, len(phis), ref_n, n_resamples)
-
-
 def aggregate_chaos(
     per_beta: np.ndarray,
     n_list: Sequence[int],
@@ -581,4 +456,55 @@ def aggregate_chaos(
             float(deltas[idx]),
             bool(deltas[idx + 1] < deltas[idx]),
         )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Simulation, transport identity, comparison
+# ---------------------------------------------------------------------------
+
+
+def aggregate_simulate(
+    seeds: Sequence[int], runs: Sequence[tuple], blowup_norm: float
+) -> DiagnosticsReport:
+    """Final second moment and a finiteness verdict per (times, states, m2) run."""
+    report = DiagnosticsReport(name="simulate")
+    report.metrics["n_runs"] = len(seeds)
+    for seed, (_, states, m2) in zip(seeds, runs):
+        report.metrics[f"final_second_moment_seed={seed}"] = m2
+        report.add_verdict(
+            f"finite_states_seed={seed}",
+            float(np.max(np.abs(states))),
+            blowup_norm,
+            bool(np.all(np.isfinite(states))),
+        )
+    return report
+
+
+def aggregate_transport(
+    seeds: Sequence[int], residuals: Sequence[float], tolerance: float
+) -> DiagnosticsReport:
+    """One transport-identity verdict per seed's residual."""
+    report = DiagnosticsReport(name="transport-check")
+    for seed, res in zip(seeds, residuals):
+        report.metrics[f"residual_seed={seed}"] = float(res)
+        report.add_verdict(
+            f"transport_identity_seed={seed}", float(res), tolerance, res <= tolerance
+        )
+    return report
+
+
+def aggregate_comparison(summaries: dict, blowup_norm: float) -> DiagnosticsReport:
+    """Ratio verdicts from the "full" and "half" shift comparison summaries."""
+    report = DiagnosticsReport(name="comparison")
+    for label, summary in summaries.items():
+        for key, val in summary.items():
+            report.metrics[f"{label}_{key}"] = float(val)
+    full, half = summaries["full"]["ratio"], summaries["half"]["ratio"]
+    report.add_verdict("ratio_finite", full, blowup_norm, bool(np.isfinite(full)))
+    if full > 0:
+        rel = half / full
+        report.add_verdict("ratio_stable_under_halving", float(rel), 1.5, bool(0.5 <= rel <= 1.5))
+    else:
+        report.notes.append("initial distance degenerate; stability check skipped")
     return report

@@ -15,15 +15,14 @@ of different sizes. Coupled-size experiments rely on exactly this.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError
 from .kernels import KernelSet, field_drift_diffusion
-from .transport import EmpiricalMeasure, MeasurePath
+from .transport import MeasurePath
 
 SCHEMES = ("euler_ito", "heun_stratonovich")
 
@@ -70,9 +69,6 @@ class ParticleEnsemble:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure.uniform(self.states)
 
 
 class NoisePath:
@@ -156,7 +152,6 @@ class TrajectoryRecord:
     config: SimConfig
     kernel: KernelSet
     noise: NoisePath
-    particle_ids: np.ndarray
 
     @property
     def n_particles(self) -> int:
@@ -168,20 +163,6 @@ class TrajectoryRecord:
 
     def measure_path(self) -> MeasurePath:
         return MeasurePath(self.times, self.states, self.weights)
-
-    def final_ensemble(self) -> ParticleEnsemble:
-        return ParticleEnsemble(self.states[-1], time=float(self.times[-1]))
-
-    def to_csv(self, path) -> None:
-        """Columnar dump: header t,particle,coord_0..coord_{d-1}."""
-        d = self.dim
-        header = "t,particle," + ",".join(f"coord_{j}" for j in range(d))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header + "\n")
-            for t_idx, t in enumerate(self.times):
-                for p_idx in range(self.n_particles):
-                    coords = ",".join(repr(float(v)) for v in self.states[t_idx, p_idx])
-                    fh.write(f"{float(t)!r},{p_idx},{coords}\n")
 
 
 def _sigma_increment(k: KernelSet, states: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -237,48 +218,6 @@ def _heun_step(
     return new
 
 
-def step_euler_ito(
-    k: KernelSet, ens: ParticleEnsemble, noise: NoisePath, step_index: int,
-    s1_convention: str = "half_both",
-) -> ParticleEnsemble:
-    """One Euler step of the Ito-form system against its own empirical measure."""
-    if step_index >= noise.steps:
-        raise IndexError(f"step {step_index} beyond noise path of {noise.steps} steps")
-    weights = np.full(ens.n, 1.0 / ens.n)
-    db = None
-    if k.sigma is not None:
-        db = noise.individual_matrix(range(ens.n))[:, step_index, :]
-    new = _euler_step(
-        k, ens.states, weights, noise.dt, noise.common_increments[step_index],
-        db, s1_convention,
-    )
-    _check_finite(new, step_index)
-    return ParticleEnsemble(new, time=ens.time + noise.dt)
-
-
-def step_heun_stratonovich(
-    k: KernelSet, ens: ParticleEnsemble, noise: NoisePath, step_index: int
-) -> ParticleEnsemble:
-    """One Heun predictor-corrector step of the circle-form system."""
-    if step_index >= noise.steps:
-        raise IndexError(f"step {step_index} beyond noise path of {noise.steps} steps")
-    weights = np.full(ens.n, 1.0 / ens.n)
-    db = None
-    if k.sigma is not None:
-        db = noise.individual_matrix(range(ens.n))[:, step_index, :]
-    new = _heun_step(
-        k, ens.states, weights, noise.dt, noise.common_increments[step_index], db
-    )
-    _check_finite(new, step_index)
-    return ParticleEnsemble(new, time=ens.time + noise.dt)
-
-
-def _check_finite(states: np.ndarray, step_index: int, bound: float = np.inf):
-    max_norm = float(np.max(np.linalg.norm(states, axis=-1)))
-    if not np.isfinite(max_norm) or max_norm > bound:
-        raise BlowUpError(step_index, max_norm)
-
-
 def simulate(
     k: KernelSet,
     init: ParticleEnsemble,
@@ -329,14 +268,14 @@ def simulate(
         max_norm = float(np.max(np.linalg.norm(states, axis=-1)))
         if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
             partial = TrajectoryRecord(
-                rec_times[:rec].copy(), rec_states[:rec].copy(), w, cfg, k, noise, ids
+                rec_times[:rec].copy(), rec_states[:rec].copy(), w, cfg, k, noise
             )
-            raise BlowUpError(step, max_norm, partial=partial)
+            raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=partial)
         if (step + 1) % cfg.record_stride == 0:
             rec_times[rec] = init.time + (step + 1) * cfg.dt
             rec_states[rec] = states
             rec += 1
-    return TrajectoryRecord(rec_times, rec_states, w, cfg, k, noise, ids)
+    return TrajectoryRecord(rec_times, rec_states, w, cfg, k, noise)
 
 
 def coupled_pair(

@@ -2,7 +2,15 @@
 
 
 class MeanflockError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Errors are rebuilt from their constructor arguments alone when pickled,
+    so they cross the process pool intact; attached objects such as
+    ``BlowUpError.partial`` stay in the process that raised them.
+    """
+
+    def __reduce__(self):
+        return type(self), self.args
 
 
 class DimensionMismatchError(MeanflockError):
@@ -12,12 +20,13 @@ class DimensionMismatchError(MeanflockError):
     """
 
     def __init__(self, argument: str, expected: int, got: int):
+        super().__init__(argument, expected, got)
         self.argument = argument
         self.expected = expected
         self.got = got
-        super().__init__(
-            f"argument '{argument}' has dimension {got}, expected {expected}"
-        )
+
+    def __str__(self):
+        return f"argument '{self.argument}' has dimension {self.got}, expected {self.expected}"
 
 
 class EmptyMeasureError(MeanflockError):
@@ -28,44 +37,51 @@ class SupportCapError(MeanflockError):
     """Exact transport solver refused an instance above the support cap."""
 
     def __init__(self, combined: int, cap: int):
-        super().__init__(
-            f"combined support size {combined} exceeds solver cap {cap}; "
-            "subsample the measures before computing exact distances"
-        )
+        super().__init__(combined, cap)
         self.combined = combined
         self.cap = cap
+
+    def __str__(self):
+        return (
+            f"combined support size {self.combined} exceeds solver cap {self.cap}; "
+            "subsample the measures before computing exact distances"
+        )
 
 
 class MomentOverflowError(MeanflockError):
     """exp-moment evaluation overflowed; reports the offending atom norm."""
 
     def __init__(self, atom_norm: float, alpha: float):
-        super().__init__(
-            f"exp moment overflow: alpha={alpha} with atom norm {atom_norm}"
-        )
+        super().__init__(atom_norm, alpha)
         self.atom_norm = atom_norm
         self.alpha = alpha
+
+    def __str__(self):
+        return f"exp moment overflow: alpha={self.alpha} with atom norm {self.atom_norm}"
 
 
 class BlowUpError(MeanflockError):
     """A simulated state left the configured norm bound or became non-finite.
 
+    ``seed`` is the master seed of the failing run when the raiser knows it.
     ``partial`` holds the trajectory recorded up to the failing step when the
-    simulator had one to attach.
+    simulator had one to attach; it is not pickled.
     """
 
-    def __init__(self, step_index: int, max_norm: float, partial=None):
-        super().__init__(
-            f"state blow-up at step {step_index}: max particle norm {max_norm:.3e}"
-        )
+    def __init__(self, step_index: int, max_norm: float, seed=None, partial=None):
+        super().__init__(step_index, max_norm, seed)
         self.step_index = step_index
         self.max_norm = max_norm
+        self.seed = seed
         self.partial = partial
+
+    def __str__(self):
+        seed = "" if self.seed is None else f" of seed={self.seed}"
+        return (
+            f"state blow-up at step {self.step_index}{seed}: "
+            f"max particle norm {self.max_norm:.3e}"
+        )
 
 
 class ConfigError(MeanflockError):
     """Invalid experiment configuration; message carries field/line context."""
-
-
-class EnsembleSizeError(MeanflockError):
-    """A Monte-Carlo diagnostic was invoked with too few runs or resamples."""

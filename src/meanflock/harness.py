@@ -1,14 +1,18 @@
 """Experiment orchestration: configs in, reports and manifests out.
 
+Every experiment kind is one per-seed worker plus one aggregate, listed in
+``EXPERIMENTS``. ``execute`` maps the worker over the config's seeds with
+``map_jobs`` and hands the results, in seed order, to the aggregate, so
+parallel and serial execution agree exactly. Configs reach ``execute`` only
+through ``config.parse_config``, which checks every input rule; nothing here
+validates again.
+
 Every experiment is reproducible from its manifest: the manifest embeds the
 exact config text, the explicit seed list, and the config hash. Reports hold
 only deterministic content (no wall times), so re-running a manifest
 reproduces ``report.json`` byte for byte regardless of the worker count.
-
-Worker processes rebuild kernels from the plain config mapping, which keeps
-the per-seed work functions picklable; results are aggregated in seed order
-so parallel and serial execution agree exactly. ``MFS_THREADS`` caps the
-worker count.
+Workers rebuild kernels from the plain config mapping, which keeps them
+picklable. ``MFS_THREADS`` caps the worker count.
 """
 
 from __future__ import annotations
@@ -19,19 +23,23 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
-from .characteristics import comparison_experiment, transport_residual
-from .config import ExperimentConfig, load_config, parse_config
+from .characteristics import comparison_seed, comparison_summary, transport_residual
+from .config import CHAOS_R, MODELS, ExperimentConfig, parse_config
 from .diagnostics import (
     DiagnosticsReport,
     aggregate_cauchy,
     aggregate_chaos,
+    aggregate_comparison,
     aggregate_flocking,
+    aggregate_simulate,
+    aggregate_transport,
     aggregate_weakform,
     cauchy_single,
     chaos_beta_path,
@@ -41,31 +49,22 @@ from .diagnostics import (
     observed_position_spread,
     weakform_single,
 )
-from .dynamics import NoisePath, ParticleEnsemble, SimConfig, init_rng, simulate
+from .dynamics import ParticleEnsemble, SimConfig, init_rng, simulate
 from .errors import ConfigError, MeanflockError
 from .kernels import (
+    GENERIC_KERNELS,
     CuckerSmaleParams,
     KernelSet,
     Truncation,
-    constant_common_kernels,
-    constant_drift_kernels,
-    constant_individual_kernels,
-    cucker_smale_individual_kernels,
     cucker_smale_kernels,
-    diag_individual_kernels,
-    linear_common_kernels,
-    linear_drift_kernels,
-    zero_kernels,
+    with_velocity_noise,
 )
 from .testfunctions import CylinderFunction, bump, velocity_bump
-from .transport import EmpiricalMeasure, moments
+from .transport import EmpiricalMeasure, moments, wasserstein
 
 # ---------------------------------------------------------------------------
-# Model registry
+# Models
 # ---------------------------------------------------------------------------
-
-_CS_FAMILY = ("cucker-smale", "cucker-smale-truncated", "cucker-smale-individual")
-
 
 def _cs_params(values: dict) -> CuckerSmaleParams:
     trunc = None
@@ -81,67 +80,26 @@ def _cs_params(values: dict) -> CuckerSmaleParams:
     )
 
 
-MODEL_CATALOG = {
-    "cucker-smale": "flocking drift psi(x-y)(w-v) with optional common noise "
-    "phi(x-y)(w-v); params: half_dim, lambda, gamma, phi_lambda, phi_gamma",
-    "cucker-smale-truncated": "cucker-smale with C^2-truncated velocities in the "
-    "noise term; extra params: trunc_radius, trunc_margin",
-    "cucker-smale-individual": "cucker-smale plus constant individual noise on "
-    "velocities; extra param: sigma_scale",
-    "zero": "all coefficients zero; param: dim",
-    "constant-drift": "b(x,y) = drift_value in every coordinate; params: dim, drift_value",
-    "linear-drift": "b(x,y) = drift_value * x; params: dim, drift_value",
-    "linear-common": "c(x,y) = drift_value * x, geometric common noise; params: dim, drift_value",
-    "constant-common": "c(x,y) = drift_value in every coordinate, additive common "
-    "noise; params: dim, drift_value",
-    "diag-individual": "sigma(x) = sigma_scale * diag(x); params: dim, sigma_scale",
-    "constant-individual": "sigma(x) = sigma_scale * I; params: dim, sigma_scale",
-}
-
-
 def build_kernel(values: dict) -> KernelSet:
-    model = values["model"]
-    if model == "cucker-smale":
-        params = _cs_params(values)
-        return cucker_smale_kernels(
-            CuckerSmaleParams(
-                half_dim=params.half_dim, lam=params.lam, gamma=params.gamma,
-                phi_lam=params.phi_lam, phi_gamma=params.phi_gamma, truncation=None,
-            )
-        )
-    if model == "cucker-smale-truncated":
-        if values.get("trunc_radius") is None:
-            raise ConfigError("cucker-smale-truncated requires trunc_radius and trunc_margin")
-        return cucker_smale_kernels(_cs_params(values))
-    if model == "cucker-smale-individual":
-        return cucker_smale_individual_kernels(_cs_params(values), values["sigma_scale"])
-    if model == "zero":
-        return zero_kernels(values["dim"])
-    if model == "constant-drift":
-        return constant_drift_kernels(values["dim"], values["drift_value"])
-    if model == "linear-drift":
-        return linear_drift_kernels(values["dim"], values["drift_value"])
-    if model == "linear-common":
-        return linear_common_kernels(values["dim"], values["drift_value"])
-    if model == "constant-common":
-        return constant_common_kernels(values["dim"], values["drift_value"])
-    if model == "diag-individual":
-        return diag_individual_kernels(values["dim"], values["sigma_scale"])
-    if model == "constant-individual":
-        return constant_individual_kernels(values["dim"], values["sigma_scale"])
-    raise ConfigError(
-        f"unknown model '{model}'; available: {', '.join(sorted(MODEL_CATALOG))}"
-    )
+    """The kernel of a parsed config's model.
+
+    Generic models take their ``MODELS`` keys as positional arguments, in order.
+    """
+    model = MODELS[values["model"]]
+    if not model.position_velocity:
+        return GENERIC_KERNELS[values["model"]](*(values[key] for key in model.keys))
+    kernel = cucker_smale_kernels(_cs_params(values))
+    if model.individual_noise:
+        kernel = with_velocity_noise(kernel, values["sigma_scale"])
+    return kernel
 
 
 def state_dim(values: dict) -> int:
-    if values["model"] in _CS_FAMILY:
-        return 2 * values["half_dim"]
-    return values["dim"]
+    return 2 * values["half_dim"] if MODELS[values["model"]].position_velocity else values["dim"]
 
 
 def list_models() -> dict[str, str]:
-    return dict(MODEL_CATALOG)
+    return {name: f"{m.doc}; params: {', '.join(m.keys)}" for name, m in MODELS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +110,7 @@ def list_models() -> dict[str, str]:
 def sample_initial_atoms(values: dict, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n i.i.d. initial states following the config's init block."""
     dim = state_dim(values)
-    if values["model"] in _CS_FAMILY:
+    if MODELS[values["model"]].position_velocity:
         d = values["half_dim"]
         scales = np.concatenate(
             [np.full(d, values["init_position_scale"]), np.full(d, values["init_velocity_scale"])]
@@ -179,12 +137,47 @@ def build_sim_config(values: dict, n_particles: Optional[int] = None, seed: Opti
 
 
 def _simulate_for_seed(values: dict, seed: int, record_stride: Optional[int] = None):
-    kernel = build_kernel(values)
     cfg = build_sim_config(values, seed=seed)
     if record_stride is not None:
         cfg = replace(cfg, record_stride=record_stride)
     atoms = sample_initial_atoms(values, init_rng(seed), cfg.n_particles)
-    return kernel, simulate(kernel, ParticleEnsemble(atoms), cfg)
+    return simulate(build_kernel(values), ParticleEnsemble(atoms), cfg)
+
+
+_COMPARISON_FACTORS = {"full": 1.0, "half": 0.5}
+
+
+def _comparison_inits(values: dict) -> tuple[EmpiricalMeasure, list[EmpiricalMeasure]]:
+    """Initial measure a and its shifted copies b, one per _COMPARISON_FACTORS entry."""
+    rng = init_rng(values["master_seed"])
+    atoms = sample_initial_atoms(values, rng, values["n_particles"])
+    # per-atom perturbation: uniform translations are exactly preserved
+    # by difference kernels and would make the ratio check vacuous
+    delta = rng.standard_normal(atoms.shape)
+    delta /= np.sqrt(np.mean(np.sum(delta**2, axis=1)))
+    return EmpiricalMeasure.uniform(atoms), [
+        EmpiricalMeasure.uniform(atoms + factor * values["comparison_shift"] * delta)
+        for factor in _COMPARISON_FACTORS.values()
+    ]
+
+
+def _bump(values: dict, center: float, radius: float):
+    """Bump test function; on velocities only for position-velocity models."""
+    if MODELS[values["model"]].position_velocity:
+        return velocity_bump(center, radius, values["half_dim"])
+    return bump(center, radius, dim=state_dim(values))
+
+
+def _build_cylinder_functions(values: dict) -> list[CylinderFunction]:
+    # CHAOS_R = 2 bounded path observables at distinct grid times
+    t_final = values["t_final"]
+    steps = int(round(t_final / values["dt"]))
+    t_late = round(0.75 * steps) * values["dt"]
+    center, radius = values["tf_center"], values["tf_radius"]
+    return [
+        CylinderFunction(_bump(values, center, radius), t_final),
+        CylinderFunction(_bump(values, center, 1.2 * radius), t_late),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +185,23 @@ def _simulate_for_seed(values: dict, seed: int, record_stride: Optional[int] = N
 # ---------------------------------------------------------------------------
 
 
+def _simulate_worker(args):
+    values, seed = args
+    run = _simulate_for_seed(values, seed)
+    final = run.measure_path().measure_at(run.times.size - 1)
+    return run.times, run.states, float(moments(final, 2.0))
+
+
 def _flocking_worker(args):
     values, seed = args
-    _, run = _simulate_for_seed(values, seed)
+    run = _simulate_for_seed(values, seed)
     return energy_series(run), observed_position_spread(run), mean_velocity_drift(run), run.times
 
 
 def _weakform_worker(args):
     values, seed = args
-    _, run = _simulate_for_seed(values, seed, record_stride=1)
-    psi = _build_test_function(values)
+    run = _simulate_for_seed(values, seed, record_stride=1)
+    psi = _bump(values, values["tf_center"], values["tf_radius"])
     checkpoints = default_checkpoints(run.config.steps, values["n_checkpoints"])
     m, qv = weakform_single(run, psi, checkpoints)
     return m, qv, run.times[checkpoints]
@@ -211,68 +211,107 @@ def _cauchy_worker(args):
     # initial atoms are redrawn per seed so the expectation averages over
     # both the noise and the nested initial sample
     values, seed = args
-    kernel = build_kernel(values)
     sizes = values["sizes"]
     cfg = build_sim_config(values, n_particles=sizes[0])
     base_atoms = sample_initial_atoms(values, init_rng(seed), sizes[0])
+    kernel = build_kernel(values)
     return cauchy_single(kernel, base_atoms, sizes, cfg, seed, values["wasserstein_p"])
 
 
 def _chaos_worker(args):
     values, beta_seed = args
-    kernel = build_kernel(values)
     n_list = values["n_list"]
-    ref_n = values.get("ref_n") or 8 * max(n_list)
     cfg = build_sim_config(values, n_particles=max(n_list))
-    phis = _build_cylinder_functions(values)
-
-    def sampler(rng, n):
-        return sample_initial_atoms(values, rng, n)
-
+    sampler = partial(sample_initial_atoms, values)
     return chaos_beta_path(
-        kernel, sampler, phis, n_list, cfg, beta_seed, ref_n, values["n_resamples"]
+        build_kernel(values), sampler, _build_cylinder_functions(values), n_list, cfg,
+        beta_seed, values["ref_n"], values["n_resamples"],
+    )
+
+
+def _comparison_worker(args):
+    values, seed = args
+    init_a, inits_b = _comparison_inits(values)
+    return comparison_seed(
+        build_kernel(values), init_a, inits_b, build_sim_config(values, seed=seed),
+        values["radius"], values["wasserstein_p"],
     )
 
 
 def _transport_check_worker(args):
     values, seed = args
-    _, run = _simulate_for_seed(values, seed, record_stride=1)
-    return transport_residual(run)
-
-
-def _simulate_worker(args):
-    values, seed = args
-    _, run = _simulate_for_seed(values, seed)
-    final = run.measure_path().measure_at(run.times.size - 1)
-    return run.times, run.states, float(moments(final, 2.0))
-
-
-def _build_test_function(values: dict):
-    if values["model"] in _CS_FAMILY:
-        return velocity_bump(values["tf_center"], values["tf_radius"], values["half_dim"])
-    return bump(values["tf_center"], values["tf_radius"], dim=state_dim(values))
-
-
-def _build_cylinder_functions(values: dict) -> list[CylinderFunction]:
-    # two bounded path observables at distinct grid times (r = 2)
-    t_final = values["t_final"]
-    dt = values["dt"]
-    steps = int(round(t_final / dt))
-    t_late = round(0.75 * steps) * dt
-    center, radius = values["tf_center"], values["tf_radius"]
-    if values["model"] in _CS_FAMILY:
-        d = values["half_dim"]
-        f1 = velocity_bump(center, radius, d)
-        f2 = velocity_bump(center, 1.2 * radius, d)
-    else:
-        dim = state_dim(values)
-        f1 = bump(center, radius, dim=dim)
-        f2 = bump(center, 1.2 * radius, dim=dim)
-    return [CylinderFunction(f1, t_final), CylinderFunction(f2, t_late)]
+    return transport_residual(_simulate_for_seed(values, seed, record_stride=1))
 
 
 # ---------------------------------------------------------------------------
-# Parallel mapping
+# Aggregates: (values, seeds, per-seed results in seed order) -> report
+# ---------------------------------------------------------------------------
+
+
+def _simulate_report(values, seeds, results):
+    return aggregate_simulate(seeds, results, values["blowup_norm"])
+
+
+def _flocking_report(values, seeds, results):
+    energies, spreads, drifts, times = zip(*results)
+    report = aggregate_flocking(
+        times[0],
+        np.stack(energies),
+        spreads,
+        _cs_params(values),
+        window=values["psi_window"],
+        fit_start_fraction=values["fit_start_fraction"],
+        rate_tolerance=values["rate_tolerance"],
+    )
+    report.metrics["max_mean_velocity_drift"] = float(max(drifts))
+    return report
+
+
+def _weakform_report(values, seeds, results):
+    per_run = [(m, qv) for m, qv, _ in results]
+    return aggregate_weakform(
+        per_run, results[0][2], mean_band=values["mean_band"], var_band=values["var_band"]
+    )
+
+
+def _cauchy_report(values, seeds, results):
+    return aggregate_cauchy(np.stack(results), values["sizes"], values["wasserstein_p"])
+
+
+def _chaos_report(values, seeds, results):
+    return aggregate_chaos(
+        np.stack(results), values["n_list"], CHAOS_R, values["ref_n"], values["n_resamples"]
+    )
+
+
+def _comparison_report(values, seeds, results):
+    init_a, inits_b = _comparison_inits(values)
+    p, radius = values["wasserstein_p"], values["radius"]
+    summaries = {}
+    for i, (label, init_b) in enumerate(zip(_COMPARISON_FACTORS, inits_b)):
+        initial_cost = wasserstein(init_a, init_b, p) ** p
+        per_seed = [result[i] for result in results]
+        summaries[label] = comparison_summary(initial_cost, per_seed, radius, p)
+    return aggregate_comparison(summaries, values["blowup_norm"])
+
+
+def _transport_report(values, seeds, results):
+    return aggregate_transport(seeds, results, values["residual_tolerance"])
+
+
+EXPERIMENTS = {
+    "simulate": (_simulate_worker, _simulate_report),
+    "flocking": (_flocking_worker, _flocking_report),
+    "weakform": (_weakform_worker, _weakform_report),
+    "cauchy": (_cauchy_worker, _cauchy_report),
+    "chaos": (_chaos_worker, _chaos_report),
+    "comparison": (_comparison_worker, _comparison_report),
+    "transport-check": (_transport_check_worker, _transport_report),
+}
+
+
+# ---------------------------------------------------------------------------
+# Parallel mapping and execution
 # ---------------------------------------------------------------------------
 
 
@@ -297,142 +336,20 @@ def map_jobs(fn: Callable, jobs: list, workers: Optional[int] = None) -> list:
         return list(pool.map(fn, jobs))
 
 
-# ---------------------------------------------------------------------------
-# Experiment execution
-# ---------------------------------------------------------------------------
-
-
 def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> DiagnosticsReport:
-    """Run one experiment, writing trajectory CSVs when configured."""
-    values = cfg.values
-    kind = cfg.kind
+    """Run one parsed experiment; simulate runs also write trajectory CSVs."""
+    worker, aggregate = EXPERIMENTS[cfg.kind]
     seeds = cfg.seeds()
-    jobs = [(values, seed) for seed in seeds]
-
-    if kind == "simulate":
-        results = map_jobs(_simulate_worker, jobs)
-        report = DiagnosticsReport(name="simulate")
-        report.metrics["n_runs"] = len(seeds)
-        for seed, (times, states, m2) in zip(seeds, results):
-            report.metrics[f"final_second_moment_seed={seed}"] = m2
-            report.add_verdict(
-                f"finite_states_seed={seed}",
-                float(np.max(np.abs(states))),
-                values["blowup_norm"],
-                bool(np.all(np.isfinite(states))),
-            )
-        if output_dir is not None and values.get("write_trajectories", True) is not False:
-            _write_trajectory_csvs(values, seeds, results, output_dir)
-        return report
-
-    if kind == "transport-check":
-        kernel = build_kernel(values)
-        if kernel.sigma is not None:
-            raise ConfigError("transport-check requires a common-noise-only model")
-        residuals = map_jobs(_transport_check_worker, jobs)
-        report = DiagnosticsReport(name="transport-check")
-        tol = values["residual_tolerance"]
-        for seed, res in zip(seeds, residuals):
-            report.metrics[f"residual_seed={seed}"] = float(res)
-            report.add_verdict(f"transport_identity_seed={seed}", float(res), tol, res <= tol)
-        return report
-
-    if kind == "flocking":
-        results = map_jobs(_flocking_worker, jobs)
-        energies = np.stack([r[0] for r in results])
-        spreads = [r[1] for r in results]
-        drifts = [r[2] for r in results]
-        times = results[0][3]
-        report = aggregate_flocking(
-            times,
-            energies,
-            spreads,
-            _cs_params(values),
-            window=values.get("psi_window"),
-            fit_start_fraction=values["fit_start_fraction"],
-            rate_tolerance=values["rate_tolerance"],
-        )
-        report.metrics["max_mean_velocity_drift"] = float(max(drifts))
-        return report
-
-    if kind == "weakform":
-        if len(seeds) < 16:
-            raise ConfigError("weakform needs at least 16 seeds")
-        results = map_jobs(_weakform_worker, jobs)
-        per_run = [(m, qv) for m, qv, _ in results]
-        times = results[0][2]
-        return aggregate_weakform(
-            per_run, times, mean_band=values["mean_band"], var_band=values["var_band"]
-        )
-
-    if kind == "cauchy":
-        sizes = values["sizes"]
-        for a, b in zip(sizes, sizes[1:]):
-            if a != 2 * b:
-                raise ConfigError(f"sizes must halve consecutively, got {a} then {b}")
-        kernel = build_kernel(values)
-        if kernel.sigma is not None:
-            raise ConfigError("cauchy requires a common-noise-only model")
-        samples = np.stack(map_jobs(_cauchy_worker, jobs))
-        return aggregate_cauchy(samples, sizes, values["wasserstein_p"])
-
-    if kind == "chaos":
-        kernel = build_kernel(values)
-        if kernel.sigma is not None:
-            raise ConfigError("chaos requires a common-noise-only model")
-        n_list = values["n_list"]
-        if sorted(n_list) != list(n_list):
-            raise ConfigError("n_list must increase")
-        ref_n = values.get("ref_n") or 8 * max(n_list)
-        per_beta = np.stack(map_jobs(_chaos_worker, jobs))
-        return aggregate_chaos(per_beta, n_list, 2, ref_n, values["n_resamples"])
-
-    if kind == "comparison":
-        kernel = build_kernel(values)
-        if kernel.sigma is not None:
-            raise ConfigError("comparison requires a common-noise-only model")
-        sim_cfg = build_sim_config(values)
-        rng = init_rng(values["master_seed"])
-        atoms = sample_initial_atoms(values, rng, values["n_particles"])
-        init_a = EmpiricalMeasure.uniform(atoms)
-        # per-atom perturbation: uniform translations are exactly preserved
-        # by difference kernels and would make the ratio check vacuous
-        delta = rng.standard_normal(atoms.shape)
-        delta /= np.sqrt(np.mean(np.sum(delta**2, axis=1)))
-        report = DiagnosticsReport(name="comparison")
-        ratios = {}
-        for label, factor in (("full", 1.0), ("half", 0.5)):
-            init_b = EmpiricalMeasure.uniform(
-                atoms + factor * values["comparison_shift"] * delta
-            )
-            result = comparison_experiment(
-                kernel, init_a, init_b, sim_cfg, values["radius"], seeds,
-                p=values["wasserstein_p"],
-            )
-            ratios[label] = result["ratio"]
-            for key, val in result.items():
-                if isinstance(val, bool):
-                    val = float(val)
-                report.metrics[f"{label}_{key}"] = float(val)
-        report.add_verdict(
-            "ratio_finite", ratios["full"], values["blowup_norm"],
-            bool(np.isfinite(ratios["full"])),
-        )
-        if ratios["full"] > 0:
-            rel = ratios["half"] / ratios["full"]
-            report.add_verdict("ratio_stable_under_halving", float(rel), 1.5,
-                               bool(0.5 <= rel <= 1.5))
-        else:
-            report.notes.append("initial distance degenerate; stability check skipped")
-        return report
-
-    raise ConfigError(f"unhandled experiment kind '{kind}'")
+    results = map_jobs(worker, [(cfg.values, seed) for seed in seeds])
+    writes_csv = cfg.kind == "simulate" and cfg["write_trajectories"] is not False
+    if writes_csv and output_dir is not None:
+        _write_trajectory_csvs(seeds, results, output_dir)
+    return aggregate(cfg.values, seeds, results)
 
 
-def _write_trajectory_csvs(values, seeds, results, output_dir: Path):
-    d = state_dim(values)
-    header = "t,particle," + ",".join(f"coord_{j}" for j in range(d))
+def _write_trajectory_csvs(seeds, results, output_dir: Path):
     for seed, (times, states, _) in zip(seeds, results):
+        header = "t,particle," + ",".join(f"coord_{j}" for j in range(states.shape[2]))
         lines = [header]
         for t_idx, t in enumerate(times):
             for p_idx in range(states.shape[1]):
@@ -452,10 +369,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def report_json(report: DiagnosticsReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     """Parse, execute, persist; returns the CLI exit code."""
     started = time.monotonic()
@@ -471,7 +384,9 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     except MeanflockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _atomic_write_text(out_dir / "report.json", report_json(report))
+    _atomic_write_text(
+        out_dir / "report.json", json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    )
     manifest = {
         "code_version": __version__,
         "config_sha256": cfg.sha256(),
@@ -484,15 +399,12 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     _atomic_write_text(
         out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
-    if not report.verdicts:
-        return 0
     return 0 if report.all_pass() else 2
 
 
 def run_from_path(path, output_dir: Optional[str] = None) -> int:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ the integrator cross-validation can demonstrate that this variant is wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,9 +54,6 @@ class KernelSet:
     grad_c_y: Optional[Callable] = None
     sigma: Optional[Callable] = None
     grad_sigma: Optional[Callable] = None
-    assumption_tags: frozenset = frozenset()
-    theta: Optional[float] = None
-    c_bound: Optional[float] = None
     name: str = "custom"
     # optional fused pairwise evaluator (c, grad_c_x, grad_c_y) sharing
     # intermediate arrays; must agree bitwise with the separate closures
@@ -252,15 +249,9 @@ class Truncation:
         cp = np.where(inside, (-30.0 / self.margin) * uc * uc * one_m * one_m, 0.0)
         return chi, cp
 
-    def chi(self, s: np.ndarray) -> np.ndarray:
-        return self.chi_both(s)[0]
-
-    def chi_prime(self, s: np.ndarray) -> np.ndarray:
-        return self.chi_both(s)[1]
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         s = np.sqrt(np.einsum("...k,...k->...", v, v))
-        return v * self.chi(s)[..., None]
+        return v * self.chi_both(s)[0][..., None]
 
     def jacobian(self, v: np.ndarray) -> np.ndarray:
         """(d R_i / d v_j) = chi(s) delta_ij + chi'(s)/s v_i v_j."""
@@ -304,10 +295,6 @@ class CuckerSmaleParams:
 
     def psi(self, r_sq: np.ndarray) -> np.ndarray:
         return _rational_weight(self.lam, self.gamma, r_sq)
-
-    def psi_prime_over(self, r_sq: np.ndarray) -> np.ndarray:
-        """d psi / d(r^2), used by position Jacobians."""
-        return _rational_weight(-self.gamma * self.lam, self.gamma + 1.0, r_sq)
 
     def phi(self, r_sq: np.ndarray) -> np.ndarray:
         return _rational_weight(self.phi_lam, self.phi_gamma, r_sq)
@@ -392,54 +379,36 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     def grad_c_y(z1, z2):
         return c_pair(z1, z2, grads=True)[2]
 
-    tags = {"sublinear", "locally_lipschitz", "common_noise_only"}
-    c_bound = None
-    if has_noise and trunc is not None:
-        tags.add("bounded_c")
-        c_bound = p.phi_lam * (trunc.radius + trunc.margin)
     return KernelSet(
         dim=dim,
         b=b,
         c=c if has_noise else None,
         grad_c_x=grad_c_x if has_noise else None,
         grad_c_y=grad_c_y if has_noise else None,
-        assumption_tags=frozenset(tags),
-        theta=0.0,
-        c_bound=c_bound,
         name="cucker-smale" + ("-truncated" if trunc is not None else ""),
         c_pair=c_pair if has_noise else None,
     )
 
 
-def cucker_smale_individual_kernels(
-    p: CuckerSmaleParams, sigma_v: float
-) -> KernelSet:
-    """Flocking kernels plus constant individual noise sigma_v on velocities."""
-    base = cucker_smale_kernels(p)
-    d = p.half_dim
-    dim = 2 * d
-    diag = np.zeros((dim, dim))
-    diag[d:, d:] = sigma_v * np.eye(d)
+def _constant_sigma(matrix: np.ndarray) -> dict:
+    """KernelSet fields for sigma(x) = matrix at every x (grad sigma = 0)."""
+    dim = matrix.shape[0]
 
     def sigma(x):
-        return np.broadcast_to(diag, x.shape[:-1] + (dim, dim))
+        return np.broadcast_to(matrix, x.shape[:-1] + (dim, dim))
 
     def grad_sigma(x):
         return np.zeros(x.shape[:-1] + (dim, dim, dim))
 
-    return KernelSet(
-        dim=dim,
-        b=base.b,
-        c=base.c,
-        grad_c_x=base.grad_c_x,
-        grad_c_y=base.grad_c_y,
-        sigma=sigma,
-        grad_sigma=grad_sigma,
-        assumption_tags=frozenset({"sublinear", "locally_lipschitz"}),
-        theta=0.0,
-        name="cucker-smale-individual",
-        c_pair=base.c_pair,
-    )
+    return {"sigma": sigma, "grad_sigma": grad_sigma}
+
+
+def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
+    """A position-velocity kernel plus constant individual noise sigma_v on velocities."""
+    d = base.dim // 2
+    diag = np.zeros((base.dim, base.dim))
+    diag[d:, d:] = sigma_v * np.eye(d)
+    return replace(base, name=base.name + "-individual", **_constant_sigma(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +417,7 @@ def cucker_smale_individual_kernels(
 
 
 def zero_kernels(dim: int) -> KernelSet:
-    return KernelSet(dim=dim, name="zero", assumption_tags=frozenset({"sublinear"}))
+    return KernelSet(dim=dim, name="zero")
 
 
 def constant_drift_kernels(dim: int, drift) -> KernelSet:
@@ -458,12 +427,7 @@ def constant_drift_kernels(dim: int, drift) -> KernelSet:
         shape = np.broadcast_shapes(x.shape, y.shape)
         return np.broadcast_to(b0, shape)
 
-    return KernelSet(
-        dim=dim,
-        b=b,
-        name="constant-drift",
-        assumption_tags=frozenset({"sublinear", "bounded_c"}),
-    )
+    return KernelSet(dim=dim, b=b, name="constant-drift")
 
 
 def linear_drift_kernels(dim: int, rate: float = 1.0) -> KernelSet:
@@ -494,8 +458,6 @@ def constant_common_kernels(dim: int, value) -> KernelSet:
         grad_c_x=grad_zero,
         grad_c_y=grad_zero,
         name="constant-common",
-        assumption_tags=frozenset({"sublinear", "bounded_c", "common_noise_only"}),
-        c_bound=float(np.linalg.norm(c0)),
     )
 
 
@@ -522,7 +484,6 @@ def linear_common_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         grad_c_x=grad_c_x,
         grad_c_y=grad_c_y,
         name="linear-common",
-        assumption_tags=frozenset({"sublinear", "common_noise_only"}),
     )
 
 
@@ -546,24 +507,21 @@ def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         sigma=sigma,
         grad_sigma=grad_sigma,
         name="diag-individual",
-        assumption_tags=frozenset({"sublinear"}),
     )
 
 
 def constant_individual_kernels(dim: int, scale: float = 1.0) -> KernelSet:
     """sigma(x) = scale * I, additive individual noise."""
-    eye = np.eye(dim)
+    return KernelSet(dim=dim, name="constant-individual", **_constant_sigma(scale * np.eye(dim)))
 
-    def sigma(x):
-        return np.broadcast_to(scale * eye, x.shape[:-1] + (dim, dim))
 
-    def grad_sigma(x):
-        return np.zeros(x.shape[:-1] + (dim, dim, dim))
-
-    return KernelSet(
-        dim=dim,
-        sigma=sigma,
-        grad_sigma=grad_sigma,
-        name="constant-individual",
-        assumption_tags=frozenset({"sublinear", "bounded_c"}),
-    )
+# builders of the generic test kernels, keyed by model name
+GENERIC_KERNELS = {
+    "zero": zero_kernels,
+    "constant-drift": constant_drift_kernels,
+    "linear-drift": linear_drift_kernels,
+    "linear-common": linear_common_kernels,
+    "constant-common": constant_common_kernels,
+    "diag-individual": diag_individual_kernels,
+    "constant-individual": constant_individual_kernels,
+}

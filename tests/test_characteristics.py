@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from meanflock.characteristics import (
     FrozenField,
-    comparison_experiment,
+    comparison_seed,
+    comparison_summary,
     evolve_transport,
     pushforward,
     solve_characteristics,
@@ -17,7 +20,7 @@ from meanflock.kernels import (
     cucker_smale_kernels,
     zero_kernels,
 )
-from meanflock.transport import EmpiricalMeasure
+from meanflock.transport import EmpiricalMeasure, wasserstein
 
 
 def noisy_cs():
@@ -168,7 +171,9 @@ class TestComparisonExperiment:
 
     def test_identical_inits_zero_and_flagged(self):
         mu = EmpiricalMeasure.uniform(self.atoms)
-        out = comparison_experiment(self.kernel, mu, mu, self.cfg, 50.0, [0, 1])
+        per_seed = [comparison_seed(self.kernel, mu, [mu], self.cfg, 50.0)[0]]
+        assert per_seed == [(0.0, False)]
+        out = comparison_summary(0.0, per_seed, 50.0)
         assert out["estimate"] == 0.0
         assert out["ratio"] == 0.0
         assert out["degenerate_initial_distance"]
@@ -176,16 +181,28 @@ class TestComparisonExperiment:
     def test_small_radius_stops_immediately(self):
         mu = EmpiricalMeasure.uniform(self.atoms)
         nu = EmpiricalMeasure.uniform(self.atoms + 0.2)
-        out = comparison_experiment(self.kernel, mu, nu, self.cfg, 1e-6, [0, 1])
+        per_seed = comparison_seed(self.kernel, mu, [nu, nu], self.cfg, 1e-6)
+        assert per_seed == [(0.0, True), (0.0, True)]
+        out = comparison_summary(wasserstein(mu, nu, 2) ** 2, per_seed, 1e-6)
         assert out["estimate"] == 0.0
         assert out["stopped_runs"] == 2
 
     def test_ratio_finite_positive(self):
         mu = EmpiricalMeasure.uniform(self.atoms)
         nu = EmpiricalMeasure.uniform(self.atoms + 0.1)
-        out = comparison_experiment(self.kernel, mu, nu, self.cfg, 50.0, range(8))
+        per_seed = [
+            comparison_seed(self.kernel, mu, [nu], replace(self.cfg, master_seed=seed), 50.0)[0]
+            for seed in range(8)
+        ]
+        out = comparison_summary(wasserstein(mu, nu, 2) ** 2, per_seed, 50.0)
         assert np.isfinite(out["ratio"])
         assert out["ratio"] > 0
+        assert out["stderr"] > 0
+
+    def test_individual_noise_rejected(self):
+        mu = EmpiricalMeasure.uniform(self.atoms)
+        with pytest.raises(ValueError, match="sigma"):
+            comparison_seed(constant_individual_kernels(2, 0.1), mu, [mu], self.cfg, 50.0)
 
 
 class TestFlowRegularity:

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from meanflock.cli import main
 from meanflock.config import parse_config, schema_lines
 from meanflock.errors import ConfigError
 
@@ -83,3 +86,69 @@ def test_schema_lines_cover_all_keys():
     text = "\n".join(schema_lines())
     for key in ("experiment", "sizes", "n_list", "tf_radius"):
         assert key in text
+
+
+REJECTED = {
+    "unknown-model": ("simulate", "model = nonsense", "unknown model 'nonsense'; available: constant-common"),
+    "weakform-3-seeds": ("weakform", "model = zero\nn_seeds = 3", "weakform needs at least 16 seeds, got 3"),
+    "chaos-decreasing": ("chaos", "model = zero\nn_list = 16, 8", "n_list must be two or more strictly increasing"),
+    "chaos-single-size": ("chaos", "model = zero\nn_list = 8", "n_list must be two or more"),
+    "chaos-r-marginals": (
+        "chaos", "model = zero\nn_list = 2, 4\nref_n = 64", "sizes above r = 2; got [2, 4]"
+    ),
+    "chaos-ref-n": ("chaos", "model = zero\nn_list = 4, 8\nref_n = 8", "ref_n must exceed every size"),
+    "chaos-resamples": (
+        "chaos", "model = zero\nn_list = 4, 8\nn_resamples = 4", "chaos needs n_resamples >= 32, got 4"
+    ),
+    "cauchy-single-size": ("cauchy", "model = zero\nsizes = 8", "sizes must be two or more positive sizes"),
+    "cauchy-not-halving": ("cauchy", "model = zero\nsizes = 8, 3", "each half the one before; got [8, 3]"),
+    "cauchy-zero-sizes": ("cauchy", "model = zero\nsizes = 0, 0", "positive sizes"),
+    "cauchy-individual": (
+        "cauchy", "model = cucker-smale-individual\nsizes = 8, 4",
+        "experiment 'cauchy' requires a model without individual noise",
+    ),
+    "chaos-individual": (
+        "chaos", "model = diag-individual\nn_list = 4, 8", "'chaos' requires a model without individual"
+    ),
+    "comparison-individual": (
+        "comparison", "model = constant-individual", "'comparison' requires a model without individual"
+    ),
+    "transport-individual": (
+        "transport-check", "model = cucker-smale-individual", "'transport-check' requires a model without"
+    ),
+    "flocking-generic": ("flocking", "model = zero", "experiment 'flocking' requires a cucker-smale model"),
+    "unread-trunc": (
+        "simulate", "model = cucker-smale\ntrunc_radius = 1\ntrunc_margin = 1",
+        "model 'cucker-smale' does not read trunc_margin, trunc_radius",
+    ),
+    "unread-phi": ("simulate", "model = zero\nphi_lambda = 0.3", "model 'zero' does not read phi_lambda"),
+    "truncated-needs-radius": (
+        "simulate", "model = cucker-smale-truncated", "model 'cucker-smale-truncated' requires key 'trunc_radius'"
+    ),
+    "no-seeds": ("simulate", "model = zero\nn_seeds = 0", "at least one seed"),
+}
+
+
+@pytest.mark.parametrize("kind, lines, message", REJECTED.values(), ids=REJECTED.keys())
+def test_rule_violations_rejected(tmp_path, capsys, kind, lines, message):
+    text = f"experiment = {kind}\noutput_dir = {tmp_path / 'out'}\n{lines}\n"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert main(["run", str(cfg)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_defaults_are_not_explicit_model_keys():
+    # dim, sigma_scale etc. have defaults; only keys written in the file count
+    assert parse_config(BASE).values["dim"] == 1
+    assert parse_config(BASE.replace("cucker-smale", "cucker-smale-truncated")
+                        + "trunc_radius = 1\ntrunc_margin = 1\n")["trunc_radius"] == 1.0
+
+
+def test_chaos_ref_n_defaults_to_eight_times_largest():
+    text = BASE.replace("transport-check", "chaos") + "n_list = 4, 8\n"
+    assert parse_config(text)["ref_n"] == 64

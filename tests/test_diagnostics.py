@@ -1,19 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
 from meanflock.diagnostics import (
     DiagnosticsReport,
-    cauchy_convergence,
-    chaos_test,
+    aggregate_cauchy,
+    aggregate_chaos,
+    aggregate_weakform,
+    cauchy_single,
+    chaos_beta_path,
     default_checkpoints,
     flocking_energy,
-    flocking_rate,
     mean_velocity_drift,
-    weakform_residual,
     weakform_single,
 )
 from meanflock.dynamics import ParticleEnsemble, SimConfig, simulate
-from meanflock.errors import DimensionMismatchError, EnsembleSizeError
+from meanflock.errors import DimensionMismatchError
+from meanflock.harness import run_from_text
 from meanflock.kernels import (
     CuckerSmaleParams,
     constant_common_kernels,
@@ -22,7 +26,7 @@ from meanflock.kernels import (
     zero_kernels,
 )
 from meanflock.testfunctions import CylinderFunction, bump, constant, velocity_bump
-from meanflock.transport import EmpiricalMeasure, wasserstein, wasserstein_path
+from meanflock.transport import EmpiricalMeasure, wasserstein
 
 
 def cs_kernel(**kw):
@@ -41,6 +45,26 @@ def run_ensemble(kernel, n, cfg_kw, seeds, init_scale=(1.0, 1.0)):
         cfg = SimConfig(n_particles=n, dim=kernel.dim, master_seed=seed, **cfg_kw)
         runs.append(simulate(kernel, ParticleEnsemble(atoms), cfg))
     return runs
+
+
+def run_config(tmp_path, body):
+    """(exit code, report or None) of one harness run of a config body."""
+    out = tmp_path / "out"
+    code = run_from_text(body + f"output_dir = {out}\n")
+    report = out / "report.json"
+    return code, json.loads(report.read_text()) if report.exists() else None
+
+
+def flocking_config(**keys):
+    base = dict(experiment="flocking", model="cucker-smale", half_dim=1, gamma=0.0)
+    return "".join(f"{k} = {v}\n" for k, v in dict(base, **keys).items())
+
+
+def assert_rejected(tmp_path, capsys, body, message):
+    code, report = run_config(tmp_path, body)
+    assert code == 1
+    assert report is None and not (tmp_path / "out").exists()
+    assert message in capsys.readouterr().err
 
 
 class TestFlockingEnergy:
@@ -76,21 +100,21 @@ class TestFlockingEnergy:
 
 
 class TestFlockingRate:
-    def test_deterministic_two_particle_rate(self):
+    def test_deterministic_two_particle_rate(self, tmp_path):
         # gamma = 0 makes the deviation ODE linear: E_t = E_0 exp(-2 lam t)
-        kernel = cs_kernel(lam=1.0, gamma=0.0)
-        runs = run_ensemble(kernel, 2, dict(t_final=2.0, dt=0.001), seeds=[0])
-        report = flocking_rate(runs, CuckerSmaleParams(half_dim=1, lam=1.0, gamma=0.0))
-        assert report.metrics["rate_bound"] == pytest.approx(2.0)
-        assert report.metrics["fitted_rate"] == pytest.approx(2.0, rel=0.02)
-        assert report.all_pass()
+        code, report = run_config(
+            tmp_path, flocking_config(n_particles=2, t_final=2.0, dt=0.001, master_seed=0)
+        )
+        assert code == 0
+        assert report["metrics"]["rate_bound"] == pytest.approx(2.0)
+        assert report["metrics"]["fitted_rate"] == pytest.approx(2.0, rel=0.02)
+        assert [v["pass"] for v in report["verdicts"]] == [True]
 
-    def test_rate_bound_arithmetic(self):
-        params = CuckerSmaleParams(half_dim=1, lam=1.0, gamma=0.0, phi_lam=0.2)
-        kernel = cucker_smale_kernels(params)
-        runs = run_ensemble(kernel, 8, dict(t_final=1.0, dt=0.01), seeds=range(4))
-        report = flocking_rate(runs, params)
-        assert report.metrics["rate_bound"] == pytest.approx(1.68)
+    def test_rate_bound_arithmetic(self, tmp_path):
+        _, report = run_config(
+            tmp_path, flocking_config(phi_lambda=0.2, n_particles=8, n_seeds=4)
+        )
+        assert report["metrics"]["rate_bound"] == pytest.approx(1.68)
 
     def test_already_flocked_stays_flocked(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.4, phi_gamma=1.0)
@@ -102,13 +126,13 @@ class TestFlockingRate:
 
         assert np.max(energy_series(run)) <= 1e-24
 
-    def test_bound_not_applicable(self):
-        params = CuckerSmaleParams(half_dim=1, lam=0.2, gamma=0.0, phi_lam=0.9)
-        kernel = cucker_smale_kernels(params)
-        runs = run_ensemble(kernel, 4, dict(t_final=0.5, dt=0.01), seeds=[0])
-        report = flocking_rate(runs, params)
-        assert not report.verdicts
-        assert any("not applicable" in note for note in report.notes)
+    def test_bound_not_applicable(self, tmp_path):
+        code, report = run_config(
+            tmp_path, flocking_config(**{"lambda": 0.2}, phi_lambda=0.9, n_particles=4, t_final=0.5)
+        )
+        assert code == 0
+        assert not report["verdicts"]
+        assert any("not applicable" in note for note in report["notes"])
 
     def test_mean_velocity_drift_metric(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.3, phi_gamma=1.0)
@@ -117,11 +141,9 @@ class TestFlockingRate:
 
 
 class TestWeakform:
-    def test_requires_enough_runs(self):
-        kernel = zero_kernels(2)
-        runs = run_ensemble(kernel, 2, dict(t_final=0.1, dt=0.05), seeds=range(3))
-        with pytest.raises(EnsembleSizeError):
-            weakform_residual(runs, bump(0.0, 1.0, dim=2))
+    def test_requires_enough_runs(self, tmp_path, capsys):
+        body = "experiment = weakform\nmodel = zero\ndim = 2\nn_seeds = 3\n"
+        assert_rejected(tmp_path, capsys, body, "at least 16 seeds")
 
     def test_constant_test_function_exact_zero(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.4, phi_gamma=1.0)
@@ -157,15 +179,12 @@ class TestWeakform:
     def test_martingale_bands_with_individual_noise(self):
         kernel = constant_individual_kernels(1, 0.4)
         runs = run_ensemble(kernel, 16, dict(t_final=0.25, dt=0.0125), seeds=range(24))
-        report = weakform_residual(runs, bump(0.0, 2.0, dim=1))
+        checks = default_checkpoints(runs[0].config.steps)
+        psi = bump(0.0, 2.0, dim=1)
+        per_run = [weakform_single(run, psi, checks) for run in runs]
+        report = aggregate_weakform(per_run, runs[0].times[checks])
+        assert len(report.verdicts) == 16
         assert report.all_pass()
-
-    def test_mismatched_grids_rejected(self):
-        kernel = zero_kernels(1)
-        runs_a = run_ensemble(kernel, 2, dict(t_final=0.1, dt=0.05), seeds=range(8))
-        runs_b = run_ensemble(kernel, 2, dict(t_final=0.1, dt=0.025), seeds=range(8))
-        with pytest.raises(ValueError, match="grid"):
-            weakform_residual(runs_a + runs_b, bump(0.0, 1.0, dim=1))
 
 
 class TestCauchy:
@@ -176,76 +195,61 @@ class TestCauchy:
         rng = np.random.default_rng(0)
         base = rng.normal(size=(8, 1))
         cfg = SimConfig(n_particles=8, dim=1, t_final=0.25, dt=0.05)
-        report = cauchy_convergence(
-            kernel, EmpiricalMeasure.uniform(base), [8, 4, 2], cfg, seeds=[0, 1]
-        )
+        sizes = [8, 4, 2]
+        samples = np.stack([cauchy_single(kernel, base, sizes, cfg, seed, 2.0) for seed in (0, 1)])
+        report = aggregate_cauchy(samples, sizes, 2.0)
         w42 = wasserstein(
             EmpiricalMeasure.uniform(base[:4]), EmpiricalMeasure.uniform(base[:8]), 2
         )
         assert report.metrics["distance_N=4"] == pytest.approx(w42**2, abs=1e-12)
 
-    def test_degenerate_sizes_rejected(self):
-        kernel = constant_common_kernels(1, 1.0)
-        base = EmpiricalMeasure.uniform(np.zeros((4, 1)))
-        cfg = SimConfig(n_particles=4, dim=1, t_final=0.1, dt=0.05)
-        with pytest.raises(ValueError, match="halve"):
-            cauchy_convergence(kernel, base, [4, 4], cfg, seeds=[0])
-        with pytest.raises(ValueError, match="halve"):
-            cauchy_convergence(kernel, base, [4, 3], cfg, seeds=[0])
+    def test_degenerate_sizes_rejected(self, tmp_path, capsys):
+        for sizes in ("4, 4", "4, 3"):
+            body = f"experiment = cauchy\nmodel = constant-common\nsizes = {sizes}\n"
+            assert_rejected(tmp_path, capsys, body, "each half the one before")
 
-    def test_individual_noise_rejected(self):
-        kernel = constant_individual_kernels(1, 0.1)
-        base = EmpiricalMeasure.uniform(np.zeros((4, 1)))
-        cfg = SimConfig(n_particles=4, dim=1, t_final=0.1, dt=0.05)
-        with pytest.raises(ValueError, match="sigma"):
-            cauchy_convergence(kernel, base, [4, 2], cfg, seeds=[0])
+    def test_individual_noise_rejected(self, tmp_path, capsys):
+        body = "experiment = cauchy\nmodel = constant-individual\nsizes = 4, 2\n"
+        assert_rejected(tmp_path, capsys, body, "without individual noise")
 
 
 class TestChaos:
     def _sampler(self, rng, n):
         return rng.uniform(-1.0, 1.0, size=(n, 2))
 
+    def _report(self, phis, n_list, cfg, beta_seeds, ref_n, n_resamples):
+        per_beta = np.stack([
+            chaos_beta_path(zero_kernels(2), self._sampler, phis, n_list, cfg, seed, ref_n, n_resamples)
+            for seed in beta_seeds
+        ])
+        return aggregate_chaos(per_beta, n_list, len(phis), ref_n, n_resamples)
+
     def test_zero_interaction_gap_small(self):
         # frozen particles: conditional independence is exact, the gap is
         # pure Monte-Carlo noise
-        kernel = zero_kernels(2)
         cfg = SimConfig(n_particles=16, dim=2, t_final=0.125, dt=0.0625)
         phis = [
             CylinderFunction(bump(0.0, 1.5, dim=2), 0.125),
             CylinderFunction(bump(0.5, 1.5, dim=2), 0.0625),
         ]
-        report = chaos_test(
-            kernel, self._sampler, phis, [8, 16], cfg,
-            beta_seeds=[0, 1], ref_n=64, n_resamples=48,
-        )
+        report = self._report(phis, [8, 16], cfg, [0, 1], ref_n=64, n_resamples=48)
         for n in (8, 16):
             assert report.metrics[f"delta_N={n}"] <= 0.12
 
     def test_single_marginal(self):
-        kernel = zero_kernels(2)
         cfg = SimConfig(n_particles=8, dim=2, t_final=0.125, dt=0.0625)
         phis = [CylinderFunction(bump(0.0, 1.5, dim=2), 0.125)]
-        report = chaos_test(
-            kernel, self._sampler, phis, [4, 8], cfg,
-            beta_seeds=[0], ref_n=64, n_resamples=32,
-        )
+        report = self._report(phis, [4, 8], cfg, [0], ref_n=64, n_resamples=32)
         assert report.metrics["r"] == 1
+        assert len(report.verdicts) == 1
 
-    def test_too_few_resamples_rejected(self):
-        kernel = zero_kernels(2)
-        cfg = SimConfig(n_particles=8, dim=2, t_final=0.125, dt=0.0625)
-        phis = [CylinderFunction(bump(0.0, 1.0, dim=2), 0.125)]
-        with pytest.raises(EnsembleSizeError):
-            chaos_test(kernel, self._sampler, phis, [8], cfg,
-                       beta_seeds=[0], ref_n=64, n_resamples=16)
+    def test_too_few_resamples_rejected(self, tmp_path, capsys):
+        body = "experiment = chaos\nmodel = zero\nn_list = 4, 8\nn_resamples = 16\n"
+        assert_rejected(tmp_path, capsys, body, "n_resamples >= 32")
 
-    def test_reference_must_exceed_tested_sizes(self):
-        kernel = zero_kernels(2)
-        cfg = SimConfig(n_particles=8, dim=2, t_final=0.125, dt=0.0625)
-        phis = [CylinderFunction(bump(0.0, 1.0, dim=2), 0.125)]
-        with pytest.raises(ValueError, match="reference"):
-            chaos_test(kernel, self._sampler, phis, [8], cfg,
-                       beta_seeds=[0], ref_n=8, n_resamples=32)
+    def test_reference_must_exceed_tested_sizes(self, tmp_path, capsys):
+        body = "experiment = chaos\nmodel = zero\nn_list = 4, 8\nref_n = 8\n"
+        assert_rejected(tmp_path, capsys, body, "ref_n must exceed")
 
 
 class TestReport:

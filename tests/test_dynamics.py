@@ -7,10 +7,9 @@ from meanflock.dynamics import (
     SimConfig,
     coupled_pair,
     simulate,
-    step_euler_ito,
-    step_heun_stratonovich,
 )
 from meanflock.errors import BlowUpError
+from meanflock.harness import _write_trajectory_csvs
 from meanflock.kernels import (
     CuckerSmaleParams,
     Truncation,
@@ -25,6 +24,12 @@ from meanflock.kernels import (
 
 def cs_kernel(**kw):
     return cucker_smale_kernels(CuckerSmaleParams(half_dim=1, **kw))
+
+
+def one_step(k, states, dt, scheme="euler_ito"):
+    init = ParticleEnsemble(np.asarray(states, dtype=float))
+    cfg = SimConfig(n_particles=init.n, dim=init.dim, t_final=dt, dt=dt, scheme=scheme)
+    return simulate(k, init, cfg).states[-1]
 
 
 class TestNoisePath:
@@ -77,42 +82,32 @@ class TestSimConfig:
 class TestSteps:
     def test_zero_kernel_identity(self):
         k = zero_kernels(2)
-        ens = ParticleEnsemble(np.array([[1.0, -2.0], [0.5, 0.0]]))
-        noise = NoisePath(0, 0.1, 1, 2)
-        out = step_euler_ito(k, ens, noise, 0)
-        np.testing.assert_array_equal(out.states, ens.states)
-        out_h = step_heun_stratonovich(k, ens, noise, 0)
-        np.testing.assert_array_equal(out_h.states, ens.states)
+        states = np.array([[1.0, -2.0], [0.5, 0.0]])
+        np.testing.assert_array_equal(one_step(k, states, 0.1), states)
+        np.testing.assert_array_equal(one_step(k, states, 0.1, "heun_stratonovich"), states)
 
     def test_constant_drift_translation(self):
         k = constant_drift_kernels(2, [1.0, -3.0])
-        ens = ParticleEnsemble(np.zeros((3, 2)))
-        noise = NoisePath(0, 0.1, 1, 2)
-        out = step_euler_ito(k, ens, noise, 0)
-        np.testing.assert_allclose(out.states, np.tile([0.1, -0.3], (3, 1)))
+        out = one_step(k, np.zeros((3, 2)), 0.1)
+        np.testing.assert_allclose(out, np.tile([0.1, -0.3], (3, 1)))
 
     def test_cs_hand_computed_step(self):
         # one Euler step with dt = 1/2 moves the velocities toward the mean,
         # self-interaction included in the 1/N sum
         k = cs_kernel(lam=1.0, gamma=0.0)
-        ens = ParticleEnsemble(np.array([[0.0, 0.0], [0.0, 2.0]]))
-        noise = NoisePath(0, 0.5, 1, 2)
-        out = step_euler_ito(k, ens, noise, 0)
-        np.testing.assert_allclose(out.states, [[0.0, 0.5], [1.0, 1.5]])
+        out = one_step(k, [[0.0, 0.0], [0.0, 2.0]], 0.5)
+        np.testing.assert_allclose(out, [[0.0, 0.5], [1.0, 1.5]])
 
     def test_heun_trapezoidal_ode(self):
         k = linear_drift_kernels(1)
-        ens = ParticleEnsemble(np.array([[1.0]]))
-        noise = NoisePath(0, 0.1, 1, 1)
-        out = step_heun_stratonovich(k, ens, noise, 0)
-        np.testing.assert_allclose(out.states, [[1.105]])
+        out = one_step(k, [[1.0]], 0.1, "heun_stratonovich")
+        np.testing.assert_allclose(out, [[1.105]])
 
     def test_step_beyond_noise_rejected(self):
         k = zero_kernels(1)
-        ens = ParticleEnsemble(np.zeros((1, 1)))
-        noise = NoisePath(0, 0.1, 2, 1)
-        with pytest.raises(IndexError):
-            step_euler_ito(k, ens, noise, 2)
+        cfg = SimConfig(n_particles=1, dim=1, t_final=0.3, dt=0.1)
+        with pytest.raises(ValueError, match="noise path"):
+            simulate(k, ParticleEnsemble(np.zeros((1, 1))), cfg, noise=NoisePath(0, 0.1, 2, 1))
 
 
 class TestSimulate:
@@ -157,6 +152,7 @@ class TestSimulate:
         with pytest.raises(BlowUpError) as err:
             simulate(k, init, cfg)
         assert err.value.step_index >= 1
+        assert "seed=0" in str(err.value)
         assert err.value.partial is not None
         assert err.value.partial.states.shape[0] >= 1
 
@@ -298,9 +294,8 @@ class TestCoupledPair:
         init = ParticleEnsemble(np.array([[1.5, -0.25]]))
         cfg = SimConfig(n_particles=1, dim=2, t_final=0.2, dt=0.1, master_seed=0)
         run = simulate(kernel, init, cfg)
-        path = tmp_path / "run_0.csv"
-        run.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        _write_trajectory_csvs([0], [(run.times, run.states, 0.0)], tmp_path)
+        lines = (tmp_path / "run_0.csv").read_text().strip().splitlines()
         assert lines[0] == "t,particle,coord_0,coord_1"
         assert lines[1] == "0.0,0,1.5,-0.25"
         assert len(lines) == 1 + 3 * 1

@@ -1,22 +1,32 @@
+import importlib.util
 import json
-import os
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from meanflock import characteristics, harness
 from meanflock.cli import main
-from meanflock.config import parse_config
-from meanflock.errors import ConfigError
+from meanflock.config import EXPERIMENT_KINDS, MODELS, parse_config
+from meanflock.errors import (
+    BlowUpError,
+    ConfigError,
+    DimensionMismatchError,
+    MomentOverflowError,
+    SupportCapError,
+)
 from meanflock.harness import (
+    EXPERIMENTS,
     build_kernel,
-    execute,
     list_models,
     rerun_manifest,
-    run_from_path,
     run_from_text,
     sample_initial_atoms,
 )
 from meanflock.dynamics import init_rng
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def transport_check_text(out_dir, n=4):
@@ -46,22 +56,23 @@ class TestCatalog:
         assert list_models() == list_models()
 
     def test_unknown_model_lists_catalog(self):
-        values = parse_config(
-            "experiment = simulate\nmodel = zero\noutput_dir = /tmp/x\n"
-        ).values
-        values["model"] = "nonsense"
         with pytest.raises(ConfigError, match="cucker-smale"):
-            build_kernel(values)
+            parse_config("experiment = simulate\nmodel = nonsense\noutput_dir = /tmp/x\n")
 
     def test_each_model_builds(self):
-        base = parse_config(
-            "experiment = simulate\nmodel = zero\noutput_dir = /tmp/x\n"
-            "trunc_radius = 1.0\ntrunc_margin = 1.0\nphi_lambda = 0.3\n"
-        ).values
-        for name in list_models():
-            values = dict(base, model=name)
+        explicit = {"trunc_radius": "1.0", "trunc_margin": "1.0", "phi_lambda": "0.3"}
+        for name, model in MODELS.items():
+            keys = "".join(f"{k} = {v}\n" for k, v in explicit.items() if k in model.keys)
+            values = parse_config(
+                f"experiment = simulate\nmodel = {name}\noutput_dir = /tmp/x\n{keys}"
+            ).values
             kernel = build_kernel(values)
-            assert kernel.dim >= 1
+            assert kernel.dim == harness.state_dim(values)
+            assert (kernel.sigma is not None) == model.individual_noise
+        assert set(list_models()) == set(MODELS)
+
+    def test_every_kind_has_a_pipeline(self):
+        assert set(EXPERIMENTS) == set(EXPERIMENT_KINDS)
 
 
 class TestInitialConditions:
@@ -141,7 +152,7 @@ output_dir = {tmp_path}
 """
         assert run_from_text(text) == 2
 
-    def test_blowup_exit_1(self, tmp_path, capsys):
+    def test_blowup_exit_1(self, tmp_path, capsys, monkeypatch):
         text = f"""
 experiment = simulate
 model = linear-drift
@@ -151,10 +162,26 @@ n_particles = 1
 t_final = 2.0
 dt = 0.1
 blowup_norm = 10.0
+n_seeds = 2
 output_dir = {tmp_path}
 """
+        monkeypatch.setenv("MFS_THREADS", "2")
         assert run_from_text(text) == 1
-        assert "blow-up" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "blow-up" in err
+        assert "seed=" in err
+
+    @pytest.mark.parametrize(
+        "error",
+        [BlowUpError(3, 12.0, seed=5, partial=lambda: None), SupportCapError(10, 4),
+         DimensionMismatchError("x", 2, 3), MomentOverflowError(800.0, 1.0)],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_errors_survive_pickling(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert getattr(copy, "partial", None) is None
 
     def test_rerun_manifest_bitwise(self, tmp_path):
         first = tmp_path / "a"
@@ -284,6 +311,29 @@ output_dir = {tmp_path}
         assert "full_ratio" in report["metrics"]
         assert "half_ratio" in report["metrics"]
 
+    def test_comparison_simulates_each_path_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = characteristics.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(characteristics, "simulate", counting)
+        monkeypatch.setenv("MFS_THREADS", "1")
+        text = f"""
+experiment = comparison
+model = cucker-smale
+phi_lambda = 0.4
+n_particles = 4
+t_final = 0.25
+dt = 0.0625
+n_seeds = 2
+output_dir = {tmp_path}
+"""
+        assert run_from_text(text) == 0
+        assert len(calls) == 3 * 2  # path a, full shift, half shift per seed
+
     def test_chaos_kind(self, tmp_path):
         text = f"""
 experiment = chaos
@@ -311,3 +361,31 @@ output_dir = {tmp_path}
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["metrics"]["ref_n"] == 32
         assert report["metrics"]["r"] == 2
+
+
+class TestBenchmarkBindings:
+    """The benchmark patches these names; a rename must fail here, not in bench/."""
+
+    def test_tracing_finds_every_binding(self):
+        from meanflock import diagnostics, dynamics, transport
+
+        spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        original = dynamics.field_drift_diffusion
+        with tracing.installed(tracing.Tracer("t")):
+            assert dynamics.field_drift_diffusion.__wrapped__ is original
+        assert dynamics.field_drift_diffusion is original
+        for name in ("execute", "run_from_text", "parse_config", "transport_residual"):
+            assert callable(getattr(harness, name))
+        for name in tracing.DIAGNOSTICS + ("simulate",):
+            assert callable(getattr(diagnostics, name))
+        assert callable(dynamics.field_drift_diffusion) and callable(dynamics.NoisePath)
+        assert callable(characteristics.solve_characteristics)
+        assert callable(characteristics.transport_residual)
+        for name in ("wasserstein", "wasserstein_path", "path_sup_distances"):
+            assert callable(getattr(transport, name))
+
+    def test_bench_configs_parse(self):
+        for path in sorted((BENCH / "configs").glob("*.cfg")):
+            assert parse_config(path.read_text()).kind

@@ -204,11 +204,11 @@ class TestCuckerSmaleBuilder:
             truncation=Truncation(2.0, 1.0),
         )
         k = cucker_smale_kernels(p)
-        assert "bounded_c" in k.assumption_tags
+        bound = p.phi_lam * (p.truncation.radius + p.truncation.margin)
         rng = np.random.default_rng(0)
         for _ in range(100):
             z1, z2 = rng.uniform(-10, 10, size=(2, 2))
-            assert np.linalg.norm(k.c(z1, z2)) <= k.c_bound + 1e-12
+            assert np.linalg.norm(k.c(z1, z2)) <= bound + 1e-12
 
     def test_fused_pair_matches_separate_closures(self):
         p = CuckerSmaleParams(
