@@ -21,7 +21,6 @@ from .dynamics import (
     ParticleEnsemble,
     SimConfig,
     TrajectoryRecord,
-    coupled_pair,
     simulate,
 )
 from .kernels import (
@@ -61,7 +60,6 @@ __all__ = [
     "TestFunction",
     "TrajectoryRecord",
     "Truncation",
-    "coupled_pair",
     "cucker_smale_kernels",
     "eval_S2",
     "eval_s1",

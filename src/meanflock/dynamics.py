@@ -15,7 +15,7 @@ of different sizes. Coupled-size experiments rely on exactly this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -276,31 +276,3 @@ def simulate(
             rec_states[rec] = states
             rec += 1
     return TrajectoryRecord(rec_times, rec_states, w, cfg, k, noise)
-
-
-def coupled_pair(
-    k: KernelSet,
-    init_big: ParticleEnsemble,
-    cfg: SimConfig,
-    subsample: Sequence[int],
-) -> tuple[TrajectoryRecord, TrajectoryRecord]:
-    """Simulate the full system and the subsampled system on shared noise.
-
-    Both runs see the same common increments; a particle retained in the
-    small system keeps the individual increments of its identity in the big
-    one. This realizes the coupling behind Cauchy-in-N comparisons.
-    """
-    subsample = np.asarray(subsample, dtype=int)
-    if subsample.size < 1:
-        raise ValueError("subsample must keep at least one particle")
-    if np.unique(subsample).size != subsample.size:
-        raise ValueError("subsample indices must be distinct")
-    if subsample.min() < 0 or subsample.max() >= init_big.n:
-        raise ValueError("subsample indices out of range")
-    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, cfg.dim)
-    big_cfg = replace(cfg, n_particles=init_big.n)
-    big = simulate(k, init_big, big_cfg, noise=noise)
-    init_small = ParticleEnsemble(init_big.states[subsample], time=init_big.time)
-    small_cfg = replace(cfg, n_particles=subsample.size)
-    small = simulate(k, init_small, small_cfg, noise=noise, particle_ids=subsample)
-    return big, small

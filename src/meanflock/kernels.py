@@ -2,20 +2,25 @@
 
 A :class:`KernelSet` bundles the pair drift ``b(x, y)``, the common-noise
 coefficient ``c(x, y)`` (scalar driving noise), the individual-noise
-coefficient ``sigma(x)``, and the analytic Jacobians of ``c`` and ``sigma``.
-Every evaluator is vectorized: inputs broadcast over leading axes, so a full
-pairwise table is one call with shapes ``(n, 1, d)`` against ``(1, m, d)``.
+coefficient ``sigma(x)``, and the analytic derivatives the Ito correction
+needs. Every evaluator is vectorized: inputs broadcast over leading axes, so
+a full pairwise table is one call with shapes ``(n, 1, d)`` against
+``(1, m, d)``.
 
-Jacobian conventions:
+Derivative contract:
 
-* ``grad_c_x(x, y)[..., i, j] = d c_i / d x_j`` and likewise ``grad_c_y``,
+* ``dc(x, y, ex, ey) = grad_x c(x,y) ex + grad_y c(x,y) ey``, the derivative
+  of ``c`` along the direction ``(ex, ey)``; it broadcasts over all four
+  arguments like ``c`` does over two,
 * ``grad_sigma(x)[..., i, l, k] = d sigma_{i,l} / d x_k``.
 
 The corrective drift converting circle (Stratonovich) dynamics to their Ito
-form is built from ``s1(x, y, z) = 1/2 (grad_x c(x,y) c(x,z)
-+ grad_y c(x,y) c(y,z))`` and ``S2(x) = 1/2 Tr(grad sigma sigma^T)``.
-``s1_convention="paper_literal"`` drops the 1/2 on s1 entirely; it exists so
-the integrator cross-validation can demonstrate that this variant is wrong.
+form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))`` and
+``S2(x) = 1/2 Tr(grad sigma sigma^T)``; averaged over the measure, s1 is the
+derivative of c along the common field, S1[mu](q) = 1/2 sum_j w_j
+dc(q, y_j, C[mu](q), C[mu](y_j)). ``s1_convention="paper_literal"`` drops
+the 1/2 on s1 entirely; it exists so the integrator cross-validation can
+demonstrate that this variant is wrong.
 """
 
 from __future__ import annotations
@@ -42,28 +47,25 @@ class KernelSet:
     """Coefficients of one interacting-particle model over R^dim.
 
     ``c``/``sigma`` set to None mean identically zero and let the simulator
-    skip the corresponding work. When ``c`` is present both of its Jacobians
-    must be supplied; same for ``sigma``. Jacobians are analytic by contract,
-    finite differences are reserved for test oracles.
+    skip the corresponding work. When ``c`` is present its directional
+    derivative ``dc(x, y, ex, ey)`` must be supplied (see the module
+    docstring); when ``sigma`` is present, ``grad_sigma``. Derivatives are
+    analytic by contract, finite differences are reserved for test oracles.
     """
 
     dim: int
     b: Optional[Callable] = None
     c: Optional[Callable] = None
-    grad_c_x: Optional[Callable] = None
-    grad_c_y: Optional[Callable] = None
+    dc: Optional[Callable] = None
     sigma: Optional[Callable] = None
     grad_sigma: Optional[Callable] = None
     name: str = "custom"
-    # optional fused pairwise evaluator (c, grad_c_x, grad_c_y) sharing
-    # intermediate arrays; must agree bitwise with the separate closures
-    c_pair: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("kernel dimension must be >= 1")
-        if self.c is not None and (self.grad_c_x is None or self.grad_c_y is None):
-            raise ValueError("kernel with common noise needs grad_c_x and grad_c_y")
+        if self.c is not None and self.dc is None:
+            raise ValueError("kernel with common noise needs dc")
         if self.sigma is not None and self.grad_sigma is None:
             raise ValueError("kernel with individual noise needs grad_sigma")
 
@@ -83,9 +85,7 @@ def eval_s1(k: KernelSet, x, y, z, s1_convention: str = "half_both") -> np.ndarr
     if k.c is None:
         shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
         return np.zeros(shape)
-    t1 = np.einsum("...ij,...j->...i", k.grad_c_x(x, y), k.c(x, z))
-    t2 = np.einsum("...ij,...j->...i", k.grad_c_y(x, y), k.c(y, z))
-    return factor * (t1 + t2)
+    return factor * k.dc(x, y, k.c(x, z), k.c(y, z))
 
 
 def eval_S2(k: KernelSet, x) -> np.ndarray:
@@ -139,16 +139,11 @@ def mean_field_S(
     if k.c is None:
         return out
     factor = _s1_factor(s1_convention)
-    w = mu.weights
-    c_q = np.einsum("j,...jd->...d", w, k.c(x[..., None, :], mu.atoms))
-    c_atoms = np.einsum(
-        "j,mjd->md", w, k.c(mu.atoms[:, None, :], mu.atoms[None, :, :])
-    )
-    gx = k.grad_c_x(x[..., None, :], mu.atoms)
-    gy = k.grad_c_y(x[..., None, :], mu.atoms)
-    term1 = np.einsum("j,...jik,...k->...i", w, gx, c_q)
-    term2 = np.einsum("j,...jik,jk->...i", w, gy, c_atoms)
-    return out + factor * (term1 + term2)
+    w, atoms = mu.weights, mu.atoms
+    c_q = np.einsum("j,...jd->...d", w, k.c(x[..., None, :], atoms))
+    c_atoms = np.einsum("j,mjd->md", w, k.c(atoms[:, None, :], atoms[None, :, :]))
+    s1 = k.dc(x[..., None, :], atoms, c_q[..., None, :], c_atoms)
+    return out + factor * np.einsum("j,...jd->...d", w, s1)
 
 
 def field_drift_diffusion(
@@ -176,30 +171,15 @@ def field_drift_diffusion(
         drift += np.einsum("j,mjd->md", weights, k.b(q, a))
     common = None
     if k.c is not None:
+        common = np.einsum("j,mjd->md", weights, k.c(q, a))
         if include_correction:
-            factor = _s1_factor(s1_convention)
-            if k.c_pair is not None:
-                c_qa, gx, gy = k.c_pair(q, a, grads=True)
-            else:
-                c_qa = k.c(q, a)
-                gx = k.grad_c_x(q, a)
-                gy = k.grad_c_y(q, a)
-            common = np.einsum("j,mjd->md", weights, c_qa)
+            # C[mu] at the atoms; the stepper queries the atoms themselves
             if queries is atoms:
                 c_atoms = common
             else:
-                aa = (
-                    k.c_pair(atoms[:, None, :], atoms[None, :, :], grads=False)[0]
-                    if k.c_pair is not None
-                    else k.c(atoms[:, None, :], atoms[None, :, :])
-                )
-                c_atoms = np.einsum("j,mjd->md", weights, aa)
-            term1 = np.einsum("j,mjik,mk->mi", weights, gx, common)
-            term2 = np.einsum("j,mjik,jk->mi", weights, gy, c_atoms)
-            drift += factor * (term1 + term2)
-        else:
-            c_qa = k.c_pair(q, a, grads=False)[0] if k.c_pair is not None else k.c(q, a)
-            common = np.einsum("j,mjd->md", weights, c_qa)
+                c_atoms = np.einsum("j,mjd->md", weights, k.c(atoms[:, None, :], a))
+            s1 = k.dc(q, a, common[:, None, :], c_atoms[None, :, :])
+            drift += _s1_factor(s1_convention) * np.einsum("j,mjd->md", weights, s1)
     if k.sigma is not None and include_correction:
         drift += eval_S2(k, queries)
     return drift, common
@@ -253,14 +233,17 @@ class Truncation:
         s = np.sqrt(np.einsum("...k,...k->...", v, v))
         return v * self.chi_both(s)[0][..., None]
 
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """(d R_i / d v_j) = chi(s) delta_ij + chi'(s)/s v_i v_j."""
-        d = v.shape[-1]
+    def chi_ratio(self, v: np.ndarray):
+        """(chi(s), chi'(s)/s) at s = |v|, the two scalars of the Jacobian."""
         s = np.sqrt(np.einsum("...k,...k->...", v, v))
         chi, cp = self.chi_both(s)
         # chi' vanishes identically for s <= radius, so the ratio is safe
-        ratio = np.where(s > 0, cp / np.where(s > 0, s, 1.0), 0.0)
-        eye = np.eye(d)
+        return chi, np.where(s > 0, cp / np.where(s > 0, s, 1.0), 0.0)
+
+    def jacobian(self, v: np.ndarray) -> np.ndarray:
+        """(d R_i / d v_j) = chi(s) delta_ij + chi'(s)/s v_i v_j."""
+        chi, ratio = self.chi_ratio(v)
+        eye = np.eye(v.shape[-1])
         return chi[..., None, None] * eye + ratio[..., None, None] * (
             v[..., :, None] * v[..., None, :]
         )
@@ -331,62 +314,51 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     has_noise = p.phi_lam > 0.0
     trunc = p.truncation
 
-    def c_pair(z1, z2, grads: bool):
-        """(c, grad_c_x, grad_c_y) with r, u, phi and the truncation shared."""
+    def pair(z1, z2):
+        """r = x - y, u = w - v, |r|^2, phi(|r|^2), R(u) and, with a
+        truncation, (chi, chi'/s) at |u| (both None without one)."""
         x, v = split(z1)
         y, w = split(z2)
         r = x - y
         u = w - v
         r_sq = np.einsum("...k,...k->...", r, r)
         phi = p.phi(r_sq)
-        if trunc is not None:
-            s = np.sqrt(np.einsum("...k,...k->...", u, u))
-            chi, cp = trunc.chi_both(s)
-            ru = u * chi[..., None]
-        else:
-            ru = u
-        shape = np.broadcast_shapes(z1.shape, z2.shape)[:-1]
-        c_val = np.zeros(shape + (dim,))
-        c_val[..., d:] = phi[..., None] * ru
-        if not grads:
-            return c_val, None, None
-        dphi = p.phi_prime_over(r_sq)
-        if trunc is not None:
-            ratio = np.where(s > 0, cp / np.where(s > 0, s, 1.0), 0.0)
-            jac_u = chi[..., None, None] * np.eye(d) + ratio[..., None, None] * (
-                u[..., :, None] * u[..., None, :]
-            )
-        else:
-            jac_u = np.broadcast_to(np.eye(d), shape + (d, d))
-        # velocity rows, position columns: +- phi'(r^2) * 2 r_j * R_i(u)
-        pos_block = 2.0 * dphi[..., None, None] * ru[..., :, None] * r[..., None, :]
-        # velocity rows, velocity columns: +- phi * dR_i/du_j
-        vel_block = phi[..., None, None] * jac_u
-        gx = np.zeros(shape + (dim, dim))
-        gx[..., d:, :d] = pos_block
-        gx[..., d:, d:] = -vel_block
-        gy = np.zeros(shape + (dim, dim))
-        gy[..., d:, :d] = -pos_block
-        gy[..., d:, d:] = vel_block
-        return c_val, gx, gy
+        if trunc is None:
+            return r, u, r_sq, phi, u, None, None
+        chi, ratio = trunc.chi_ratio(u)
+        return r, u, r_sq, phi, u * chi[..., None], chi, ratio
 
     def c(z1, z2):
-        return c_pair(z1, z2, grads=False)[0]
+        _, _, _, phi, ru, _, _ = pair(z1, z2)
+        out = np.zeros(phi.shape + (dim,))
+        out[..., d:] = phi[..., None] * ru
+        return out
 
-    def grad_c_x(z1, z2):
-        return c_pair(z1, z2, grads=True)[1]
-
-    def grad_c_y(z1, z2):
-        return c_pair(z1, z2, grads=True)[2]
+    def dc(z1, z2, e1, e2):
+        """(0, 2 phi'(|r|^2) (r . dr) R(u) + phi J_R(u) du) along the
+        direction dr = e1_x - e2_x, du = e2_v - e1_v."""
+        r, u, r_sq, phi, ru, chi, ratio = pair(z1, z2)
+        ex, ev = split(e1)
+        ey, ew = split(e2)
+        dr = ex - ey
+        du = ew - ev
+        r_dr = np.einsum("...k,...k->...", r, dr)
+        if chi is None:
+            jdu = du
+        else:
+            u_du = np.einsum("...k,...k->...", u, du)
+            jdu = chi[..., None] * du + (ratio * u_du)[..., None] * u
+        vel = (2.0 * p.phi_prime_over(r_sq) * r_dr)[..., None] * ru + phi[..., None] * jdu
+        out = np.zeros(vel.shape[:-1] + (dim,))
+        out[..., d:] = vel
+        return out
 
     return KernelSet(
         dim=dim,
         b=b,
         c=c if has_noise else None,
-        grad_c_x=grad_c_x if has_noise else None,
-        grad_c_y=grad_c_y if has_noise else None,
+        dc=dc if has_noise else None,
         name="cucker-smale" + ("-truncated" if trunc is not None else ""),
-        c_pair=c_pair if has_noise else None,
     )
 
 
@@ -448,17 +420,10 @@ def constant_common_kernels(dim: int, value) -> KernelSet:
         shape = np.broadcast_shapes(x.shape, y.shape)
         return np.broadcast_to(c0, shape)
 
-    def grad_zero(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
-        return np.zeros(shape + (dim, dim))
+    def dc(x, y, ex, ey):
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape, ex.shape, ey.shape))
 
-    return KernelSet(
-        dim=dim,
-        c=c,
-        grad_c_x=grad_zero,
-        grad_c_y=grad_zero,
-        name="constant-common",
-    )
+    return KernelSet(dim=dim, c=c, dc=dc, name="constant-common")
 
 
 def linear_common_kernels(dim: int, rate: float = 1.0) -> KernelSet:
@@ -468,23 +433,11 @@ def linear_common_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         shape = np.broadcast_shapes(x.shape, y.shape)
         return rate * np.broadcast_to(x, shape)
 
-    eye = np.eye(dim)
+    def dc(x, y, ex, ey):
+        shape = np.broadcast_shapes(x.shape, y.shape, ex.shape, ey.shape)
+        return rate * np.broadcast_to(ex, shape)
 
-    def grad_c_x(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
-        return np.broadcast_to(rate * eye, shape + (dim, dim))
-
-    def grad_c_y(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)[:-1]
-        return np.zeros(shape + (dim, dim))
-
-    return KernelSet(
-        dim=dim,
-        c=c,
-        grad_c_x=grad_c_x,
-        grad_c_y=grad_c_y,
-        name="linear-common",
-    )
+    return KernelSet(dim=dim, c=c, dc=dc, name="linear-common")
 
 
 def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:

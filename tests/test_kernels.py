@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from meanflock.errors import DimensionMismatchError
 from meanflock.kernels import (
+    S1_CONVENTIONS,
     CuckerSmaleParams,
-    KernelSet,
     Truncation,
+    constant_common_kernels,
     constant_drift_kernels,
     cucker_smale_kernels,
     diag_individual_kernels,
@@ -38,8 +39,6 @@ class TestEvalS1:
         np.testing.assert_allclose(out, [0.0, 2.0], atol=1e-14)
 
     def test_constant_c_vanishes(self):
-        from meanflock.kernels import constant_common_kernels
-
         k = constant_common_kernels(2, [0.3, -1.2])
         rng = np.random.default_rng(1)
         x, y, z = rng.normal(size=(3, 2))
@@ -210,20 +209,6 @@ class TestCuckerSmaleBuilder:
             z1, z2 = rng.uniform(-10, 10, size=(2, 2))
             assert np.linalg.norm(k.c(z1, z2)) <= bound + 1e-12
 
-    def test_fused_pair_matches_separate_closures(self):
-        p = CuckerSmaleParams(
-            half_dim=2, lam=1.0, gamma=1.0, phi_lam=0.6, phi_gamma=0.5,
-            truncation=Truncation(1.5, 0.7),
-        )
-        k = cucker_smale_kernels(p)
-        rng = np.random.default_rng(5)
-        z1 = rng.normal(size=(3, 1, 4))
-        z2 = rng.normal(size=(1, 4, 4))
-        c_val, gx, gy = k.c_pair(z1, z2, grads=True)
-        np.testing.assert_array_equal(c_val, k.c(z1, z2))
-        np.testing.assert_array_equal(gx, k.grad_c_x(z1, z2))
-        np.testing.assert_array_equal(gy, k.grad_c_y(z1, z2))
-
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -246,8 +231,10 @@ def test_cs_interaction_antisymmetry(states):
     assert abs(total) < 1e-10 * max(1.0, np.abs(z).sum())
 
 
+TRUNC = Truncation(radius=2.0, margin=1.0)
+
+
 def _registered_kernels():
-    trunc = Truncation(radius=2.0, margin=1.0)
     return [
         cucker_smale_kernels(
             CuckerSmaleParams(half_dim=1, lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
@@ -255,47 +242,109 @@ def _registered_kernels():
         cucker_smale_kernels(
             CuckerSmaleParams(
                 half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3,
-                truncation=trunc,
+                truncation=TRUNC,
             )
         ),
         linear_common_kernels(2, rate=0.7),
+        constant_common_kernels(3, [0.3, -1.2, 0.5]),
         diag_individual_kernels(3, rate=0.5),
     ]
 
 
+def _pair_points(kernel, rng):
+    x = rng.uniform(-5, 5, size=kernel.dim)
+    y = rng.uniform(-5, 5, size=kernel.dim)
+    if kernel.name == "cucker-smale-truncated" and rng.uniform() < 0.5:
+        # |w - v| strictly inside the band (radius, radius + margin), where
+        # chi' is nonzero
+        d = kernel.dim // 2
+        u = rng.normal(size=d)
+        s = rng.uniform(TRUNC.radius + 0.05, TRUNC.radius + TRUNC.margin - 0.05)
+        y[d:] = x[d:] + s * u / np.linalg.norm(u)
+    return x, y
+
+
 @pytest.mark.parametrize("kernel", _registered_kernels(), ids=lambda k: k.name)
 def test_jacobians_match_finite_differences(kernel):
+    # dc against a central difference of c along a random direction (ex, ey);
+    # grad_sigma against the full finite-difference Jacobian
     rng = np.random.default_rng(42)
-    for _ in range(25):
-        x = rng.uniform(-5, 5, size=kernel.dim)
-        y = rng.uniform(-5, 5, size=kernel.dim)
+    in_band = 0
+    for _ in range(40):
+        x, y = _pair_points(kernel, rng)
         if kernel.c is not None:
-            assert rel_close(
-                kernel.grad_c_x(x, y), fd_jacobian(lambda u: kernel.c(u, y), x),
-                1e-4, floor=1e-5,
-            )
-            assert rel_close(
-                kernel.grad_c_y(x, y), fd_jacobian(lambda u: kernel.c(x, u), y),
-                1e-4, floor=1e-5,
-            )
+            ex, ey = rng.normal(size=(2, kernel.dim))
+            h = 1e-5
+            fd = (kernel.c(x + h * ex, y + h * ey) - kernel.c(x - h * ex, y - h * ey)) / (2 * h)
+            assert rel_close(kernel.dc(x, y, ex, ey), fd, 1e-4, floor=1e-5)
+        if kernel.name == "cucker-smale-truncated":
+            s = np.linalg.norm(y[2:] - x[2:])
+            in_band += TRUNC.radius < s < TRUNC.radius + TRUNC.margin
         if kernel.sigma is not None:
             fd = fd_jacobian(lambda u: kernel.sigma(u).ravel(), x).reshape(
                 kernel.dim, kernel.dim, kernel.dim
             )
             assert rel_close(kernel.grad_sigma(x), fd, 1e-4, floor=1e-5)
+    if kernel.name == "cucker-smale-truncated":
+        assert in_band >= 10
+
+
+def test_dc_broadcasts_like_c():
+    k = _registered_kernels()[1]  # truncated, half_dim=2
+    rng = np.random.default_rng(5)
+    z1, e1 = rng.normal(size=(2, 3, 1, 4))
+    z2, e2 = rng.normal(size=(2, 1, 5, 4))
+    table = k.dc(z1, z2, e1, e2)
+    assert table.shape == (3, 5, 4)
+    np.testing.assert_array_equal(table[2, 4], k.dc(z1[2, 0], z2[0, 4], e1[2, 0], e2[0, 4]))
+
+
+def _field_kernels():
+    cs = dict(half_dim=1, lam=1.1, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
+    truncated = CuckerSmaleParams(
+        half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3,
+        truncation=Truncation(radius=0.8, margin=1.0),
+    )
+    return [
+        (cucker_smale_kernels(CuckerSmaleParams(**cs)), "half_both"),
+        (cucker_smale_kernels(CuckerSmaleParams(**cs)), "paper_literal"),
+        (cucker_smale_kernels(truncated), "half_both"),
+        (linear_common_kernels(2, rate=0.7), "half_both"),
+    ]
 
 
 def test_field_drift_diffusion_matches_pointwise_ops():
-    k = cucker_smale_kernels(
-        CuckerSmaleParams(half_dim=1, lam=1.1, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
-    )
     rng = np.random.default_rng(9)
-    atoms = rng.normal(size=(6, 2))
-    w = np.full(6, 1.0 / 6)
-    mu = EmpiricalMeasure(atoms, w)
-    queries = rng.normal(size=(4, 2))
-    drift, common = field_drift_diffusion(k, atoms, w, queries)
-    for i, q in enumerate(queries):
-        expected = mean_field_B(k, mu, q) + mean_field_S(k, mu, q)
-        np.testing.assert_allclose(drift[i], expected, atol=1e-13)
-        np.testing.assert_allclose(common[i], mean_field_C(k, mu, q), atol=1e-14)
+    for kernel, convention in _field_kernels():
+        atoms = rng.normal(size=(6, kernel.dim))
+        w = rng.uniform(0.5, 1.0, size=6)
+        w /= w.sum()
+        mu = EmpiricalMeasure(atoms, w)
+        queries = rng.normal(size=(4, kernel.dim))
+        drift, common = field_drift_diffusion(kernel, atoms, w, queries, convention)
+        for i, q in enumerate(queries):
+            s_q = mean_field_S(kernel, mu, q, convention)
+            np.testing.assert_allclose(drift[i], mean_field_B(kernel, mu, q) + s_q, atol=1e-13)
+            np.testing.assert_allclose(common[i], mean_field_C(kernel, mu, q), atol=1e-14)
+            # S1 is the average of s1 over every atom pair
+            s1 = sum(
+                wj * wl * eval_s1(kernel, q, yj, yl, convention)
+                for wj, yj in zip(w, atoms)
+                for wl, yl in zip(w, atoms)
+            )
+            np.testing.assert_allclose(s_q, s1, atol=1e-13)
+
+
+def test_queries_at_atoms_shortcut_changes_no_bit():
+    # the stepper passes the atoms themselves as queries; the characteristics
+    # solver passes other arrays holding the same values. The transport
+    # identity is exact only if both give the same bits.
+    rng = np.random.default_rng(13)
+    for kernel, _ in _field_kernels():
+        x = rng.normal(size=(7, kernel.dim))
+        w = np.full(7, 1.0 / 7)
+        for convention in S1_CONVENTIONS:
+            same = field_drift_diffusion(kernel, x, w, x, convention)
+            copy = field_drift_diffusion(kernel, x, w, x.copy(), convention)
+            for a, b in zip(same, copy):
+                np.testing.assert_array_equal(a, b)
