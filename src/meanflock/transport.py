@@ -4,8 +4,11 @@ Three exact solver routes, selected automatically:
 
 * one-dimensional supports: quantile matching on the merged cumulative
   weights (exact for arbitrary weights),
-* uniform weights with equal atom counts: optimal assignment
-  (``scipy.optimize.linear_sum_assignment``),
+* uniform weights where one atom count divides the other: optimal
+  assignment (``scipy.optimize.linear_sum_assignment``) on the distance
+  matrix with each row of the smaller support repeated m/n times; scaled by
+  m the marginals are integers, so the transportation polytope has integral
+  vertices and its optimum is this assignment,
 * everything else: the transportation LP solved with HiGHS on a sparse
   constraint matrix.
 
@@ -77,7 +80,7 @@ class EmpiricalMeasure:
         return self.atoms.shape[1]
 
     def is_uniform(self) -> bool:
-        return bool(np.max(np.abs(self.weights - 1.0 / self.n)) <= _WEIGHT_TOL)
+        return _is_uniform(self.weights)
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,17 @@ def exp_moment(mu: EmpiricalMeasure, alpha: float) -> float:
     return float(np.sum(mu.weights * np.exp(args)))
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _is_uniform(weights: np.ndarray) -> bool:
+    return bool(np.max(np.abs(weights - 1.0 / weights.size)) <= _WEIGHT_TOL)
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sqrt(_squared_distances(a, b))
 
 
 def _wasserstein_1d(xa, wa, xb, wb, p: float) -> float:
@@ -187,8 +198,9 @@ def _wasserstein_1d(xa, wa, xb, wb, p: float) -> float:
 
 def _assignment_cost(dist: np.ndarray, p: float) -> float:
     """Uniform equal-size W_p^p via exact optimal assignment."""
-    rows, cols = linear_sum_assignment(dist**p)
-    return float(np.sum(dist[rows, cols] ** p) / dist.shape[0])
+    cost = dist**p
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sum(cost[rows, cols]) / dist.shape[0])
 
 
 def _swap_to_canonical(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> bool:
@@ -236,6 +248,24 @@ def _transport_lp_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: floa
     return float(res.fun)
 
 
+def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) -> float:
+    """W_p^p between weights ``wa`` (rows of ``dist``) and ``wb`` (columns).
+
+    Uniform weights where one atom count divides the other take the
+    assignment route, with the smaller support as rows (the LP's canonical
+    orientation for unequal sizes), so swapping the two measures gives the
+    same float; everything else goes to the transport LP.
+    """
+    n, m = dist.shape
+    if not (_is_uniform(wa) and _is_uniform(wb) and max(n, m) % min(n, m) == 0):
+        return _transport_lp_cost(dist, wa, wb, p)
+    if n > m:
+        dist, n, m = dist.T, m, n
+    if m > n:
+        dist = np.repeat(dist, m // n, axis=0)
+    return _assignment_cost(dist, p)
+
+
 def wasserstein(
     mu: EmpiricalMeasure,
     nu: EmpiricalMeasure,
@@ -255,10 +285,7 @@ def wasserstein(
         )
     else:
         dist = _pairwise_distances(mu.atoms, nu.atoms)
-        if mu.n == nu.n and mu.is_uniform() and nu.is_uniform():
-            cost = _assignment_cost(dist, p)
-        else:
-            cost = _transport_lp_cost(dist, mu.weights, nu.weights, p)
+        cost = _transport_cost(dist, mu.weights, nu.weights, p)
     return float(cost ** (1.0 / p))
 
 
@@ -268,8 +295,9 @@ def path_sup_distances(mu: MeasurePath, nu: MeasurePath) -> np.ndarray:
         raise ValueError("measure paths must share an identical time grid")
     out = np.zeros((mu.n_atoms, nu.n_atoms))
     for t in range(mu.n_times):
-        np.maximum(out, _pairwise_distances(mu.states[t], nu.states[t]), out=out)
-    return out
+        np.maximum(out, _squared_distances(mu.states[t], nu.states[t]), out=out)
+    # sqrt is monotone and correctly rounded: the max of the roots, bitwise
+    return np.sqrt(out, out=out)
 
 
 def wasserstein_path(
@@ -280,8 +308,11 @@ def wasserstein_path(
 ) -> float:
     """Exact W_p on path space under the sup-norm ground distance.
 
-    An exact assignment (uniform, equal sizes) or the general transport LP
-    is solved over the sup-over-time distances between trajectories.
+    The ground cost between two trajectories is their sup-over-time
+    distance; the transport problem over these costs takes the same routes
+    as ``wasserstein``: an exact assignment for uniform weights where one
+    atom count divides the other (the Cauchy-in-N coupling of N against 2N
+    atoms), the transport LP otherwise.
     """
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
@@ -291,14 +322,5 @@ def wasserstein_path(
         raise ValueError("measure paths must share an identical time grid")
     if mu.n_atoms + nu.n_atoms > support_cap:
         raise SupportCapError(mu.n_atoms + nu.n_atoms, support_cap)
-    dist = path_sup_distances(mu, nu)
-    uniform = (
-        mu.n_atoms == nu.n_atoms
-        and np.max(np.abs(mu.weights - 1.0 / mu.n_atoms)) <= _WEIGHT_TOL
-        and np.max(np.abs(nu.weights - 1.0 / nu.n_atoms)) <= _WEIGHT_TOL
-    )
-    if uniform:
-        cost = _assignment_cost(dist, p)
-    else:
-        cost = _transport_lp_cost(dist, mu.weights, nu.weights, p)
+    cost = _transport_cost(path_sup_distances(mu, nu), mu.weights, nu.weights, p)
     return float(cost ** (1.0 / p))

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import meanflock.characteristics as characteristics
 from meanflock.characteristics import (
     FrozenField,
     comparison_seed,
@@ -15,12 +16,13 @@ from meanflock.characteristics import (
 from meanflock.dynamics import NoisePath, ParticleEnsemble, SimConfig, simulate
 from meanflock.kernels import (
     CuckerSmaleParams,
+    constant_common_kernels,
     constant_drift_kernels,
     constant_individual_kernels,
     cucker_smale_kernels,
     zero_kernels,
 )
-from meanflock.transport import EmpiricalMeasure, wasserstein
+from meanflock.transport import EmpiricalMeasure, MeasurePath, wasserstein
 
 
 def noisy_cs():
@@ -129,6 +131,26 @@ class TestTransportResidual:
         run = make_run(constant_individual_kernels(1, 0.5), n=2)
         with pytest.raises(ValueError, match="common"):
             transport_residual(run)
+
+    def test_nudged_replay_residual_positive(self, monkeypatch):
+        run = make_run(noisy_cs(), n=4)
+        exact = characteristics.pushforward
+
+        def nudged(frozen, init):
+            path = exact(frozen, init)
+            states = path.states.copy()
+            states[-1, 2, 0] += 1e-9
+            return MeasurePath(path.times, states, path.weights)
+
+        monkeypatch.setattr(characteristics, "pushforward", nudged)
+        # one of four atoms off by 1e-9: sqrt(1/4) * 1e-9
+        assert transport_residual(run) == pytest.approx(0.5e-9, rel=1e-6)
+
+    def test_no_support_cap(self):
+        # 2 x 2100 atoms exceed the transport solvers' support cap of 4096
+        run = make_run(constant_common_kernels(2, [0.3, -0.2]), n=2100, t_final=0.02)
+        assert run.config.steps == 2
+        assert transport_residual(run) == 0.0
 
 
 class TestEvolveTransport:

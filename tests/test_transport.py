@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import meanflock.transport as transport
 from meanflock.errors import (
     DimensionMismatchError,
     MomentOverflowError,
@@ -10,8 +11,11 @@ from meanflock.errors import (
 from meanflock.transport import (
     EmpiricalMeasure,
     MeasurePath,
+    _pairwise_distances,
+    _transport_lp_cost,
     exp_moment,
     moments,
+    path_sup_distances,
     support_radius,
     wasserstein,
     wasserstein_path,
@@ -25,6 +29,12 @@ from helpers import (
 
 def uniform(atoms):
     return EmpiricalMeasure.uniform(np.asarray(atoms, dtype=float))
+
+
+def uniform_path(states):
+    states = np.asarray(states, dtype=float)
+    n = states.shape[1]
+    return MeasurePath(np.arange(states.shape[0], dtype=float), states, np.full(n, 1.0 / n))
 
 
 class TestMeasureValidation:
@@ -90,8 +100,6 @@ class TestWasserstein:
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_1d_fast_path_equals_lp(self):
-        from meanflock.transport import _transport_lp_cost, _pairwise_distances
-
         rng = np.random.default_rng(21)
         for _ in range(30):
             n, m = rng.integers(2, 9, size=2)
@@ -151,6 +159,66 @@ def test_lp_route_symmetric_for_equal_sizes():
             assert wasserstein(mu, nu, 2) == wasserstein(nu, mu, 2)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_divisible_sizes_assignment_equals_lp(p):
+    # n against k*n uniform atoms: the replicated assignment is the LP optimum
+    rng = np.random.default_rng(int(p))
+    for n in range(1, 8):
+        for k in range(1, 5):
+            for d in (2, 3):
+                a = rng.normal(size=(n, d))
+                b = rng.normal(size=(k * n, d))
+                lp = _transport_lp_cost(
+                    _pairwise_distances(a, b), np.full(n, 1.0 / n), np.full(k * n, 1.0 / (k * n)), p
+                )
+                got = wasserstein(uniform(a), uniform(b), p)
+                assert got == pytest.approx(lp ** (1.0 / p), rel=1e-9)
+                pa = uniform_path(rng.normal(size=(3, n, d)))
+                pb = uniform_path(rng.normal(size=(3, k * n, d)))
+                lp = _transport_lp_cost(path_sup_distances(pb, pa), pb.weights, pa.weights, p)
+                got = wasserstein_path(pb, pa, p)
+                assert got == pytest.approx(lp ** (1.0 / p), rel=1e-9)
+
+
+def test_divisible_sizes_symmetric_bitwise():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 8):
+        mu = uniform(rng.normal(size=(n, 2)))
+        nu = uniform(rng.normal(size=(2 * n, 2)))
+        assert wasserstein(mu, nu, 2) == wasserstein(nu, mu, 2)
+        a = uniform_path(rng.normal(size=(4, n, 2)))
+        b = uniform_path(rng.normal(size=(4, 2 * n, 2)))
+        assert wasserstein_path(a, b, 2) == wasserstein_path(b, a, 2)
+
+
+def test_lp_only_where_sizes_do_not_divide(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("transport LP called")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    rng = np.random.default_rng(13)
+    a = uniform_path(rng.normal(size=(5, 128, 2)))
+    b = uniform_path(rng.normal(size=(5, 256, 2)))
+    assert wasserstein_path(a, b, 2) > 0
+    with pytest.raises(AssertionError, match="LP called"):
+        wasserstein(uniform(rng.normal(size=(4, 2))), uniform(rng.normal(size=(6, 2))), 2)
+    weights = np.array([0.5, 0.25, 0.25])
+    with pytest.raises(AssertionError, match="LP called"):
+        wasserstein(EmpiricalMeasure(rng.normal(size=(3, 2)), weights),
+                    uniform(rng.normal(size=(6, 2))), 2)
+    with pytest.raises(AssertionError, match="LP called"):
+        wasserstein(EmpiricalMeasure(rng.normal(size=(3, 2)), weights),
+                    uniform(rng.normal(size=(3, 2))), 2)
+
+
+def test_path_sup_distances_match_per_step_roots():
+    rng = np.random.default_rng(14)
+    a = uniform_path(rng.normal(size=(7, 9, 3)))
+    b = uniform_path(rng.normal(size=(7, 18, 3)))
+    want = np.max([_pairwise_distances(a.states[t], b.states[t]) for t in range(7)], axis=0)
+    assert np.array_equal(path_sup_distances(a, b), want)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_triangle_inequality(seed):
@@ -207,20 +275,14 @@ class TestMoments:
 
 
 class TestWassersteinPath:
-    def _path(self, states):
-        states = np.asarray(states, dtype=float)
-        times = np.arange(states.shape[0], dtype=float)
-        n = states.shape[1]
-        return MeasurePath(times, states, np.full(n, 1.0 / n))
-
     def test_identical_paths(self):
         rng = np.random.default_rng(2)
-        p = self._path(rng.normal(size=(4, 3, 2)))
+        p = uniform_path(rng.normal(size=(4, 3, 2)))
         assert wasserstein_path(p, p, 2) <= 1e-12
 
     def test_single_atom_sup_distance(self):
-        a = self._path([[[0.0]], [[1.0]], [[0.5]]])
-        b = self._path([[[0.0]], [[3.0]], [[0.5]]])
+        a = uniform_path([[[0.0]], [[1.0]], [[0.5]]])
+        b = uniform_path([[[0.0]], [[3.0]], [[0.5]]])
         assert wasserstein_path(a, b, 2) == pytest.approx(2.0)
 
     def test_two_atom_brute_force(self):
@@ -228,7 +290,7 @@ class TestWassersteinPath:
         for _ in range(20):
             a = rng.normal(size=(3, 2, 2))
             b = rng.normal(size=(3, 2, 2))
-            got = wasserstein_path(self._path(a), self._path(b), 2)
+            got = wasserstein_path(uniform_path(a), uniform_path(b), 2)
             want = brute_force_path_wasserstein_uniform(a, b, 2)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -236,12 +298,12 @@ class TestWassersteinPath:
         rng = np.random.default_rng(9)
         a = rng.normal(size=(4, 5, 2))
         b = rng.normal(size=(4, 5, 2))
-        got = wasserstein_path(self._path(a), self._path(b), 2)
+        got = wasserstein_path(uniform_path(a), uniform_path(b), 2)
         want = brute_force_path_wasserstein_uniform(a, b, 2)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_mismatched_grids_rejected(self):
-        a = self._path(np.zeros((3, 2, 1)))
+        a = uniform_path(np.zeros((3, 2, 1)))
         b = MeasurePath(np.array([0.0, 0.5, 1.0]), np.zeros((3, 2, 1)), np.full(2, 0.5))
         with pytest.raises(ValueError, match="grid"):
             wasserstein_path(a, b, 2)
