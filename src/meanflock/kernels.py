@@ -21,6 +21,19 @@ derivative of c along the common field, S1[mu](q) = 1/2 sum_j w_j
 dc(q, y_j, C[mu](q), C[mu](y_j)). ``s1_convention="paper_literal"`` drops
 the 1/2 on s1 entirely; it exists so the integrator cross-validation can
 demonstrate that this variant is wrong.
+
+Evaluation paths: :func:`field_drift_diffusion` is the one evaluator the
+stepper and the characteristics solver call. A kernel may supply a fused
+``field(atoms, weights, queries, factor) -> (drift, common)`` giving
+B[mu] + factor S1[mu] and C[mu] at once (``factor`` None: no correction);
+the Cucker-Smale builder does, as weighted matrix products over one (m, n)
+distance table. Kernels without it are summed from the pointwise pair
+tables of ``b``, ``c`` and ``dc``. The pointwise closures remain the
+reference: ``mean_field_B/C/S`` and ``eval_s1`` use them, and the tests
+hold the fused field to them. On the field path the direction of dc is
+(C[mu](q), C[mu](y_j)); Cucker-Smale's C has no position block, so the
+position part dr of that direction is 0 and dc's phi' term, which carries
+r . dr, vanishes exactly.
 """
 
 from __future__ import annotations
@@ -51,6 +64,12 @@ class KernelSet:
     derivative ``dc(x, y, ex, ey)`` must be supplied (see the module
     docstring); when ``sigma`` is present, ``grad_sigma``. Derivatives are
     analytic by contract, finite differences are reserved for test oracles.
+
+    ``field`` is optional: a fused evaluator of B[mu] + factor S1[mu] and
+    C[mu] that :func:`field_drift_diffusion` calls in place of the pair
+    sums, supplied by :func:`cucker_smale_kernels`. It must agree with the
+    pointwise ``b``, ``c`` and ``dc``, which stay the reference; S2 is added
+    outside it.
     """
 
     dim: int
@@ -59,6 +78,7 @@ class KernelSet:
     dc: Optional[Callable] = None
     sigma: Optional[Callable] = None
     grad_sigma: Optional[Callable] = None
+    field: Optional[Callable] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -163,6 +183,20 @@ def field_drift_diffusion(
     the particle stepper and the frozen-field characteristics solver, which
     is what makes the discrete transport identity exact.
     """
+    factor = None
+    if include_correction and k.c is not None:
+        factor = _s1_factor(s1_convention)
+    if k.field is not None:
+        drift, common = k.field(atoms, weights, queries, factor)
+    else:
+        drift, common = _pointwise_field(k, atoms, weights, queries, factor)
+    if k.sigma is not None and include_correction:
+        drift += eval_S2(k, queries)
+    return drift, common
+
+
+def _pointwise_field(k: KernelSet, atoms, weights, queries, factor):
+    """B[mu] + factor S1[mu] and C[mu] as weighted sums of pair tables."""
     m = queries.shape[0]
     drift = np.zeros((m, k.dim))
     q = queries[:, None, :]
@@ -172,16 +206,14 @@ def field_drift_diffusion(
     common = None
     if k.c is not None:
         common = np.einsum("j,mjd->md", weights, k.c(q, a))
-        if include_correction:
+        if factor is not None:
             # C[mu] at the atoms; the stepper queries the atoms themselves
             if queries is atoms:
                 c_atoms = common
             else:
                 c_atoms = np.einsum("j,mjd->md", weights, k.c(atoms[:, None, :], a))
             s1 = k.dc(q, a, common[:, None, :], c_atoms[None, :, :])
-            drift += _s1_factor(s1_convention) * np.einsum("j,mjd->md", weights, s1)
-    if k.sigma is not None and include_correction:
-        drift += eval_S2(k, queries)
+            drift += factor * np.einsum("j,mjd->md", weights, s1)
     return drift, common
 
 
@@ -353,11 +385,66 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
         out[..., d:] = vel
         return out
 
+    # The fused field: every pair term is a scalar weight times a velocity
+    # difference, so each mean-field sum is a matrix product over the
+    # (m, n) weight table, sum_j W_qj (v_j - v_q) = (W @ V)_q - (W 1)_q v_q.
+
+    def sq_dist(xq, xa):
+        r = xq[:, None, :] - xa[None, :, :]
+        return np.einsum("mnk,mnk->mn", r, r)
+
+    def pair_sum(weight, va, vq):
+        """sum_j weight_qj (va_j - vq_q) for every query q."""
+        return weight @ va - weight.sum(axis=1)[:, None] * vq
+
+    def noise_weights(r_sq, vq, va, weights):
+        """(w_j phi, w_j phi chi, chi'/s, u = v_j - v_q) on the pair table;
+        without a truncation chi = 1 and the last two are None."""
+        w_phi = weights * p.phi(r_sq)
+        if trunc is None:
+            return w_phi, w_phi, None, None
+        u = va[None, :, :] - vq[:, None, :]
+        chi, ratio = trunc.chi_ratio(u)
+        return w_phi, w_phi * chi, ratio, u
+
+    def field(atoms, weights, queries, factor):
+        """(B[mu] + factor S1[mu], C[mu]) at the queries; factor None skips S1."""
+        xq, vq = split(queries)
+        xa, va = split(atoms)
+        r_sq = sq_dist(xq, xa)
+        drift = np.empty(queries.shape)
+        drift[:, :d] = vq * weights.sum()
+        drift[:, d:] = pair_sum(weights * p.psi(r_sq), va, vq)
+        if not has_noise:
+            return drift, None
+        w_phi, w_c, ratio, u = noise_weights(r_sq, vq, va, weights)
+        cq = pair_sum(w_c, va, vq)
+        common = np.zeros(queries.shape)
+        common[:, d:] = cq
+        if factor is None:
+            return drift, common
+        # C[mu] at the atoms; the stepper queries the atoms themselves
+        if queries is atoms:
+            ca = cq
+        else:
+            ca = pair_sum(noise_weights(sq_dist(xa, xa), va, va, weights)[1], va, va)
+        # S1 = factor sum_j w_j dc(q, y_j, C(q), C(y_j)). C has no position
+        # block, so dr = 0 and dc's phi' term (r . dr) vanishes exactly; what
+        # is left is phi J_R(u) du = phi chi du + phi chi'/s (u . du) u with
+        # du = C_v(y_j) - C_v(q).
+        s1 = pair_sum(w_c, ca, cq)
+        if ratio is not None:
+            du = ca[None, :, :] - cq[:, None, :]
+            s1 += pair_sum(w_phi * ratio * np.einsum("mnk,mnk->mn", u, du), va, vq)
+        drift[:, d:] += factor * s1
+        return drift, common
+
     return KernelSet(
         dim=dim,
         b=b,
         c=c if has_noise else None,
         dc=dc if has_noise else None,
+        field=field,
         name="cucker-smale" + ("-truncated" if trunc is not None else ""),
     )
 

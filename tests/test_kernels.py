@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from meanflock.kernels import (
     mean_field_B,
     mean_field_C,
     mean_field_S,
+    with_velocity_noise,
     zero_kernels,
 )
 from meanflock.transport import EmpiricalMeasure
@@ -299,40 +302,94 @@ def test_dc_broadcasts_like_c():
     np.testing.assert_array_equal(table[2, 4], k.dc(z1[2, 0], z2[0, 4], e1[2, 0], e2[0, 4]))
 
 
+FIELD_TRUNC = Truncation(radius=0.8, margin=1.0)
+
+
 def _field_kernels():
     cs = dict(half_dim=1, lam=1.1, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
+    plain = cucker_smale_kernels(CuckerSmaleParams(**cs))
     truncated = CuckerSmaleParams(
-        half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3,
-        truncation=Truncation(radius=0.8, margin=1.0),
+        half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3, truncation=FIELD_TRUNC,
     )
+    # non-constant sigma on a fused kernel, so S2 is not zero
+    diag = diag_individual_kernels(2, rate=0.5)
     return [
-        (cucker_smale_kernels(CuckerSmaleParams(**cs)), "half_both"),
-        (cucker_smale_kernels(CuckerSmaleParams(**cs)), "paper_literal"),
+        (plain, "half_both"),
+        (plain, "paper_literal"),
         (cucker_smale_kernels(truncated), "half_both"),
+        (cucker_smale_kernels(CuckerSmaleParams(**{**cs, "phi_lam": 0.0})), "half_both"),
+        (with_velocity_noise(plain, 0.3), "half_both"),
+        (replace(plain, sigma=diag.sigma, grad_sigma=diag.grad_sigma), "half_both"),
         (linear_common_kernels(2, rate=0.7), "half_both"),
     ]
 
 
-def test_field_drift_diffusion_matches_pointwise_ops():
-    rng = np.random.default_rng(9)
+def _field_cases(rng):
+    """(kernel, convention, include_correction, atoms, weights, queries)."""
     for kernel, convention in _field_kernels():
         atoms = rng.normal(size=(6, kernel.dim))
         w = rng.uniform(0.5, 1.0, size=6)
-        w /= w.sum()
-        mu = EmpiricalMeasure(atoms, w)
         queries = rng.normal(size=(4, kernel.dim))
-        drift, common = field_drift_diffusion(kernel, atoms, w, queries, convention)
-        for i, q in enumerate(queries):
-            s_q = mean_field_S(kernel, mu, q, convention)
-            np.testing.assert_allclose(drift[i], mean_field_B(kernel, mu, q) + s_q, atol=1e-13)
-            np.testing.assert_allclose(common[i], mean_field_C(kernel, mu, q), atol=1e-14)
-            # S1 is the average of s1 over every atom pair
-            s1 = sum(
-                wj * wl * eval_s1(kernel, q, yj, yl, convention)
-                for wj, yj in zip(w, atoms)
-                for wl, yl in zip(w, atoms)
-            )
-            np.testing.assert_allclose(s_q, s1, atol=1e-13)
+        for correct in (True, False):
+            yield kernel, convention, correct, atoms, w / w.sum(), queries
+    plain = _field_kernels()[0][0]
+    # large enough that the products go through BLAS
+    w = rng.uniform(0.5, 1.0, size=300)
+    atoms, queries = rng.normal(size=(300, 2)), rng.normal(size=(200, 2))
+    yield plain, "half_both", True, atoms, w / w.sum(), queries
+
+
+def test_field_drift_diffusion_matches_pointwise_ops():
+    rng = np.random.default_rng(9)
+    band = np.zeros(3, int)  # truncated pairs below, inside and beyond the band
+    edges = [FIELD_TRUNC.radius, FIELD_TRUNC.radius + FIELD_TRUNC.margin]
+    for kernel, convention, correct, atoms, w, queries in _field_cases(rng):
+        mu = EmpiricalMeasure(atoms, w)
+        drift, common = field_drift_diffusion(kernel, atoms, w, queries, convention, correct)
+        want = mean_field_B(kernel, mu, queries)
+        if correct:
+            want = want + mean_field_S(kernel, mu, queries, convention)
+        np.testing.assert_allclose(drift, want, rtol=0, atol=1e-13)
+        if kernel.c is None:
+            assert common is None
+            continue
+        np.testing.assert_allclose(common, mean_field_C(kernel, mu, queries), rtol=0, atol=1e-14)
+        if kernel.dim == 4:
+            s = np.linalg.norm(atoms[None, :, 2:] - queries[:, None, 2:], axis=-1)
+            band += np.bincount(np.digitize(s.ravel(), edges), minlength=3)
+        if not correct or atoms.shape[0] > 6:
+            continue
+        # S1 is the average of s1 over every atom pair
+        s_q = mean_field_S(kernel, mu, queries, convention) - eval_S2(kernel, queries)
+        s1 = sum(
+            wj * wl * eval_s1(kernel, queries, yj, yl, convention)
+            for wj, yj in zip(w, atoms)
+            for wl, yl in zip(w, atoms)
+        )
+        np.testing.assert_allclose(s_q, s1, atol=1e-13)
+    assert band.min() > 0, band
+
+
+def _raise(*args):
+    raise AssertionError("pointwise closure called on the field path")
+
+
+def test_cucker_smale_field_calls_no_pointwise_closure():
+    # the pointwise b, c and dc are reference oracles; the production path
+    # must go through the fused field
+    rng = np.random.default_rng(21)
+    for kernel, _ in _field_kernels():
+        if kernel.field is None:
+            continue
+        guarded = replace(kernel, b=_raise, c=kernel.c and _raise, dc=kernel.dc and _raise)
+        x = rng.normal(size=(9, kernel.dim))
+        w = np.full(9, 1.0 / 9)
+        for queries in (x, rng.normal(size=(5, kernel.dim))):
+            for correct in (True, False):
+                want = field_drift_diffusion(kernel, x, w, queries, include_correction=correct)
+                got = field_drift_diffusion(guarded, x, w, queries, include_correction=correct)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
 
 
 def test_queries_at_atoms_shortcut_changes_no_bit():
@@ -341,10 +398,11 @@ def test_queries_at_atoms_shortcut_changes_no_bit():
     # identity is exact only if both give the same bits.
     rng = np.random.default_rng(13)
     for kernel, _ in _field_kernels():
-        x = rng.normal(size=(7, kernel.dim))
-        w = np.full(7, 1.0 / 7)
-        for convention in S1_CONVENTIONS:
-            same = field_drift_diffusion(kernel, x, w, x, convention)
-            copy = field_drift_diffusion(kernel, x, w, x.copy(), convention)
-            for a, b in zip(same, copy):
-                np.testing.assert_array_equal(a, b)
+        for n in (7, 300):
+            x = rng.normal(size=(n, kernel.dim))
+            w = np.full(n, 1.0 / n)
+            for convention in S1_CONVENTIONS:
+                same = field_drift_diffusion(kernel, x, w, x, convention)
+                copy = field_drift_diffusion(kernel, x, w, x.copy(), convention)
+                for a, b in zip(same, copy):
+                    np.testing.assert_array_equal(a, b)
