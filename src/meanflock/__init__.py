@@ -38,7 +38,6 @@ from .testfunctions import CylinderFunction, TestFunction
 from .transport import (
     EmpiricalMeasure,
     MeasurePath,
-    exp_moment,
     moments,
     support_radius,
     wasserstein,
@@ -64,7 +63,6 @@ __all__ = [
     "eval_S2",
     "eval_s1",
     "evolve_transport",
-    "exp_moment",
     "flocking_energy",
     "mean_field_B",
     "mean_field_C",

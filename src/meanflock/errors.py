@@ -48,18 +48,6 @@ class SupportCapError(MeanflockError):
         )
 
 
-class MomentOverflowError(MeanflockError):
-    """exp-moment evaluation overflowed; reports the offending atom norm."""
-
-    def __init__(self, atom_norm: float, alpha: float):
-        super().__init__(atom_norm, alpha)
-        self.atom_norm = atom_norm
-        self.alpha = alpha
-
-    def __str__(self):
-        return f"exp moment overflow: alpha={self.alpha} with atom norm {self.atom_norm}"
-
-
 class BlowUpError(MeanflockError):
     """A simulated state left the configured norm bound or became non-finite.
 

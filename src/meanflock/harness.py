@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -327,11 +326,15 @@ def map_jobs(fn: Callable, jobs: list, workers: Optional[int] = None) -> list:
     """Apply fn over jobs, in order, optionally across processes.
 
     Results are collected in job order, so the aggregate is identical for
-    any worker count.
+    any worker count. The process pool (and with it ``multiprocessing``) is
+    imported only when more than one worker runs more than one job; a serial
+    run never loads it.
     """
     workers = worker_count() if workers is None else max(1, workers)
     if workers == 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 

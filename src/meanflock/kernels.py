@@ -251,14 +251,15 @@ class Truncation:
             raise ValueError("truncation radius and margin must be positive")
 
     def chi_both(self, s: np.ndarray):
-        """(chi(s), chi'(s)) in one pass over the transition band."""
-        u = (s - self.radius) / self.margin
-        inside = (u > 0.0) & (u < 1.0)
-        uc = np.where(inside, u, 0.0)
-        core = uc * uc * uc * (10.0 + uc * (-15.0 + 6.0 * uc))
-        chi = np.where(u >= 1.0, 0.0, np.where(inside, 1.0 - core, 1.0))
-        one_m = 1.0 - uc
-        cp = np.where(inside, (-30.0 / self.margin) * uc * uc * one_m * one_m, 0.0)
+        """(chi(s), chi'(s)); the quintic is evaluated on the band entries only."""
+        u = np.asarray((s - self.radius) / self.margin)
+        chi = np.where(u >= 1.0, 0.0, 1.0)
+        cp = np.zeros(u.shape)
+        band = (u > 0.0) & (u < 1.0)
+        ub = u[band]
+        chi[band] = 1.0 - ub * ub * ub * (10.0 + ub * (-15.0 + 6.0 * ub))
+        one_m = 1.0 - ub
+        cp[band] = (-30.0 / self.margin) * ub * ub * one_m * one_m
         return chi, cp
 
     def apply(self, v: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Three exact solver routes, selected automatically:
 
-* one-dimensional supports: quantile matching on the merged cumulative
-  weights (exact for arbitrary weights),
+* one-dimensional supports: the closed form on the merged quantile
+  breakpoints (exact for arbitrary weights, numpy only),
 * uniform weights where one atom count divides the other: optimal
   assignment (``scipy.optimize.linear_sum_assignment``) on the distance
   matrix with each row of the smaller support repeated m/n times; scaled by
@@ -11,6 +11,11 @@ Three exact solver routes, selected automatically:
   vertices and its optimum is this assignment,
 * everything else: the transportation LP solved with HiGHS on a sparse
   constraint matrix.
+
+scipy is imported inside the two solver functions, not with this module:
+importing ``scipy.optimize`` costs more than the rest of the package, and
+most runs solve no assignment. A process pays for it at its first
+assignment or LP solve; later solves find it in ``sys.modules``.
 
 All distances are exact up to solver round-off; there is no entropic or
 sliced approximation anywhere in this module.
@@ -21,21 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyMeasureError,
-    MomentOverflowError,
-    SupportCapError,
-)
+from .errors import DimensionMismatchError, EmptyMeasureError, SupportCapError
 
 DEFAULT_SUPPORT_CAP = 4096
 
 _WEIGHT_TOL = 1e-12
-# exp overflows past ~709 in double precision
-_EXP_ARG_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -140,22 +136,6 @@ def moments(mu: EmpiricalMeasure, q: float) -> float:
     return float(np.sum(mu.weights * norms**q))
 
 
-def exp_moment(mu: EmpiricalMeasure, alpha: float) -> float:
-    """Exponential moment sum_j w_j exp(alpha ||y_j||^2).
-
-    Raises MomentOverflowError (naming the offending atom norm) instead of
-    returning inf.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    sq = np.sum(mu.atoms**2, axis=1)
-    args = alpha * sq
-    worst = int(np.argmax(args))
-    if args[worst] > _EXP_ARG_LIMIT:
-        raise MomentOverflowError(float(np.sqrt(sq[worst])), alpha)
-    return float(np.sum(mu.weights * np.exp(args)))
-
-
 def _is_uniform(weights: np.ndarray) -> bool:
     return bool(np.max(np.abs(weights - 1.0 / weights.size)) <= _WEIGHT_TOL)
 
@@ -169,35 +149,41 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_distances(a, b))
 
 
+def _cumulative_weights(weights: np.ndarray) -> np.ndarray:
+    """Running sums of ``weights``; k/n, correctly rounded, when uniform.
+
+    A running float sum drifts by up to n ulps, so breakpoints that coincide
+    in exact arithmetic (k/n = l/m) would be split by spurious slivers.
+    """
+    n = weights.size
+    return np.arange(1, n + 1) / n if _is_uniform(weights) else np.cumsum(weights)
+
+
 def _wasserstein_1d(xa, wa, xb, wb, p: float) -> float:
-    """Exact 1-d W_p^p by walking the merged quantile partition."""
+    """Exact 1-d W_p^p from the quantile functions on merged breakpoints.
+
+    Both quantile functions are step functions that jump only at cumulative
+    weights, so on each interval (t_{k-1}, t_k] between consecutive merged
+    breakpoints each is constant, equal to its value at t_k (Peyre & Cuturi,
+    Computational Optimal Transport, arXiv:1803.00567, section 2.6):
+    W_p^p = sum_k (t_k - t_{k-1}) |F_a^{-1}(t_k) - F_b^{-1}(t_k)|^p.
+    Coinciding breakpoints give empty intervals, which add nothing.
+    """
     ia = np.argsort(xa, kind="stable")
     ib = np.argsort(xb, kind="stable")
-    xa, wa = xa[ia], wa[ia]
-    xb, wb = xb[ib], wb[ib]
-    i = j = 0
-    ra, rb = wa[0], wb[0]
-    cost = 0.0
-    while True:
-        step = min(ra, rb)
-        cost += step * abs(xa[i] - xb[j]) ** p
-        ra -= step
-        rb -= step
-        if ra <= 0.0:
-            i += 1
-            if i >= xa.size:
-                break
-            ra = wa[i]
-        if rb <= 0.0:
-            j += 1
-            if j >= xb.size:
-                break
-            rb = wb[j]
-    return cost
+    xa, ca = xa[ia], _cumulative_weights(wa[ia])
+    xb, cb = xb[ib], _cumulative_weights(wb[ib])
+    t = np.sort(np.concatenate([ca, cb]))
+    # the two totals may differ in the last bit: clip past-the-end indices
+    qa = xa[np.minimum(np.searchsorted(ca, t), xa.size - 1)]
+    qb = xb[np.minimum(np.searchsorted(cb, t), xb.size - 1)]
+    return float(np.sum(np.diff(t, prepend=0.0) * np.abs(qa - qb) ** p))
 
 
 def _assignment_cost(dist: np.ndarray, p: float) -> float:
     """Uniform equal-size W_p^p via exact optimal assignment."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = dist**p
     rows, cols = linear_sum_assignment(cost)
     return float(np.sum(cost[rows, cols]) / dist.shape[0])
@@ -224,6 +210,9 @@ def _transport_lp_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: floa
     dropped: it is implied by the others because both weight vectors sum
     to 1.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     if _swap_to_canonical(dist, wa, wb):
         dist, wa, wb = dist.T, wb, wa
     n, m = dist.shape

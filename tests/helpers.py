@@ -40,6 +40,22 @@ def rel_close(a, b, rtol, floor=1e-8):
     return np.all(np.abs(a - b) / scale <= rtol)
 
 
+def chi_both_whole_table(radius, margin, s):
+    """Truncation (chi, chi') with the quintic evaluated over the whole table.
+
+    The formula ``Truncation.chi_both`` used before it restricted the quintic
+    to the transition band; the band-only form must match it bit for bit.
+    """
+    u = (s - radius) / margin
+    inside = (u > 0.0) & (u < 1.0)
+    uc = np.where(inside, u, 0.0)
+    core = uc * uc * uc * (10.0 + uc * (-15.0 + 6.0 * uc))
+    chi = np.where(u >= 1.0, 0.0, np.where(inside, 1.0 - core, 1.0))
+    one_m = 1.0 - uc
+    cp = np.where(inside, (-30.0 / margin) * uc * uc * one_m * one_m, 0.0)
+    return chi, cp
+
+
 def brute_force_wasserstein_uniform(a, b, p):
     """Exact W_p between uniform measures by exhausting all assignments."""
     a = np.asarray(a, dtype=float)

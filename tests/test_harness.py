@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,6 @@ from meanflock.errors import (
     BlowUpError,
     ConfigError,
     DimensionMismatchError,
-    MomentOverflowError,
     SupportCapError,
 )
 from meanflock.harness import (
@@ -26,7 +28,8 @@ from meanflock.harness import (
 )
 from meanflock.dynamics import init_rng
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def transport_check_text(out_dir, n=4):
@@ -174,7 +177,7 @@ output_dir = {tmp_path}
     @pytest.mark.parametrize(
         "error",
         [BlowUpError(3, 12.0, seed=5, partial=lambda: None), SupportCapError(10, 4),
-         DimensionMismatchError("x", 2, 3), MomentOverflowError(800.0, 1.0)],
+         DimensionMismatchError("x", 2, 3)],
         ids=lambda e: type(e).__name__,
     )
     def test_errors_survive_pickling(self, error):
@@ -389,3 +392,62 @@ class TestBenchmarkBindings:
     def test_bench_configs_parse(self):
         for path in sorted((BENCH / "configs").glob("*.cfg")):
             assert parse_config(path.read_text()).kind
+
+
+class TestImportBudget:
+    """A run loads scipy and the process pool only when it uses them.
+
+    Each check runs in a fresh interpreter: this process has scipy loaded.
+    """
+
+    PROBE = (
+        "import json, sys\n"
+        "{body}\n"
+        "print(json.dumps({{'scipy': 'scipy' in sys.modules,\n"
+        "                   'pool': 'concurrent.futures.process' in sys.modules}}))\n"
+    )
+
+    def loaded(self, body, cwd):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MFS_THREADS="1")
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(body=body)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    def run_main(self, argv, cwd):
+        return self.loaded(
+            f"from meanflock.cli import main\nassert main({argv!r}) in (0, 2)", cwd
+        )
+
+    def test_import_cli_loads_neither(self, tmp_path):
+        assert self.loaded("import meanflock.cli", tmp_path) == {"scipy": False, "pool": False}
+
+    def test_validate_loads_no_scipy(self, tmp_path):
+        cfg = str(BENCH / "configs" / "transport-n256.cfg")
+        assert not self.run_main(["validate", cfg], tmp_path)["scipy"]
+
+    def test_transport_check_run_loads_no_scipy(self, tmp_path):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(transport_check_text(tmp_path / "ignored", n=16))
+        loaded = self.run_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")], tmp_path)
+        assert (tmp_path / "out" / "report.json").exists()
+        assert loaded == {"scipy": False, "pool": False}
+
+    def test_cauchy_run_loads_scipy(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"""
+experiment = cauchy
+model = cucker-smale
+half_dim = 1
+phi_lambda = 0.5
+phi_gamma = 1.0
+sizes = 8, 4
+t_final = 0.125
+dt = 0.0625
+master_seed = 3
+n_seeds = 2
+output_dir = {tmp_path / "out"}
+""")
+        assert self.run_main(["run", str(cfg)], tmp_path)["scipy"]

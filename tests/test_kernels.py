@@ -25,7 +25,7 @@ from meanflock.kernels import (
 )
 from meanflock.transport import EmpiricalMeasure
 
-from helpers import fd_jacobian, rel_close
+from helpers import chi_both_whole_table, fd_jacobian, rel_close
 
 
 def constant_phi_kernel(phi0):
@@ -182,6 +182,22 @@ class TestCuckerSmaleBuilder:
         np.testing.assert_array_equal(t.apply(np.array([-0.5])), [-0.5])
         np.testing.assert_array_equal(t.apply(np.array([2.0])), [0.0])
         np.testing.assert_array_equal(t.apply(np.array([5.0])), [0.0])
+
+    @pytest.mark.parametrize("radius, margin", [(1.0, 0.5), (0.25, 1.75), (2.0, 2.0**-10)])
+    def test_chi_band_only_bitwise_equal_whole_table(self, radius, margin):
+        rng = np.random.default_rng(12)
+        edges = [0.0, radius / 2, radius, radius + margin, 3 * (radius + margin)]
+        inside = radius + margin * np.array([1e-12, 0.25, 0.5, 0.999, 1 - 1e-16])
+        s = np.concatenate([edges, inside, rng.uniform(0, 2 * (radius + margin), 400)])
+        t = Truncation(radius, margin)
+        u = (s - radius) / margin
+        assert np.any(u == 0.0) and np.any(u == 1.0) and np.any((u > 0) & (u < 1))
+        for table in (s, s.reshape(-1, 5), s[7]):
+            got, want = t.chi_both(table), chi_both_whole_table(radius, margin, table)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_truncation_jacobian_matches_fd(self):
         t = Truncation(radius=1.0, margin=0.5)
