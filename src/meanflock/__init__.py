@@ -15,7 +15,7 @@ from .characteristics import (
     solve_characteristics,
     transport_residual,
 )
-from .diagnostics import DiagnosticsReport, flocking_energy
+from .diagnostics import DiagnosticsReport
 from .dynamics import (
     NoisePath,
     ParticleEnsemble,
@@ -29,10 +29,6 @@ from .kernels import (
     Truncation,
     cucker_smale_kernels,
     eval_S2,
-    eval_s1,
-    mean_field_B,
-    mean_field_C,
-    mean_field_S,
 )
 from .testfunctions import CylinderFunction, TestFunction
 from .transport import (
@@ -61,12 +57,7 @@ __all__ = [
     "Truncation",
     "cucker_smale_kernels",
     "eval_S2",
-    "eval_s1",
     "evolve_transport",
-    "flocking_energy",
-    "mean_field_B",
-    "mean_field_C",
-    "mean_field_S",
     "moments",
     "pushforward",
     "simulate",

@@ -40,10 +40,9 @@ from .dynamics import (
     resample_rng,
     simulate,
 )
-from .errors import DimensionMismatchError
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import CylinderFunction, TestFunction
-from .transport import EmpiricalMeasure, wasserstein_path
+from .transport import wasserstein_path
 
 
 @dataclass(frozen=True)
@@ -101,18 +100,6 @@ class DiagnosticsReport:
 # ---------------------------------------------------------------------------
 # Flocking
 # ---------------------------------------------------------------------------
-
-
-def flocking_energy(mu: EmpiricalMeasure) -> tuple[np.ndarray, float]:
-    """Mean velocity and velocity variance of a position-velocity measure."""
-    if mu.dim % 2 != 0:
-        raise DimensionMismatchError("mu", mu.dim + 1, mu.dim)
-    d = mu.dim // 2
-    v = mu.atoms[:, d:]
-    v_bar = np.einsum("j,jk->k", mu.weights, v)
-    dev = v - v_bar
-    energy = float(np.einsum("j,jk,jk->", mu.weights, dev, dev))
-    return v_bar, energy
 
 
 def energy_series(run: TrajectoryRecord) -> np.ndarray:

@@ -75,9 +75,9 @@ class NoisePath:
     """Discretized driving noise for one master seed.
 
     ``common_increments[k]`` is the shared Delta beta_k ~ N(0, dt).
-    ``individual(i, k)`` is Delta B^i_k in R^d, reproducible from
-    ``(master_seed, i, k)`` alone; streams are materialized lazily per
-    particle and cached.
+    ``individual_matrix(ids)[a, k]`` is Delta B^i_k in R^d for particle
+    i = ids[a], reproducible from ``(master_seed, i, k)`` alone; streams are
+    materialized lazily per particle and cached.
     """
 
     def __init__(self, master_seed: int, dt: float, steps: int, dim: int):
@@ -99,9 +99,6 @@ class NoisePath:
             block = np.sqrt(self.dt) * rng.standard_normal((self.steps, self.dim))
             self._individual_cache[i] = block
         return block
-
-    def individual(self, particle: int, step: int) -> np.ndarray:
-        return self._particle_block(particle)[step]
 
     def individual_matrix(self, particle_ids: Sequence[int]) -> np.ndarray:
         """(n, steps, d) block for a list of particle identities."""

@@ -48,6 +48,25 @@ class SupportCapError(MeanflockError):
         )
 
 
+class UnsupportedTransportError(MeanflockError):
+    """No exact transport route for this pair of measures outside 1-D.
+
+    Only uniform weights where one atom count divides the other have one;
+    every experiment builds such pairs.
+    """
+
+    def __init__(self, n: int, m: int):
+        super().__init__(n, m)
+        self.n = n
+        self.m = m
+
+    def __str__(self):
+        return (
+            f"no exact transport route between {self.n} and {self.m} atoms: outside 1-D "
+            "both measures must be uniform and one atom count must divide the other"
+        )
+
+
 class BlowUpError(MeanflockError):
     """A simulated state left the configured norm bound or became non-finite.
 

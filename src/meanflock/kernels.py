@@ -1,18 +1,20 @@
 """Interaction kernels, their Ito corrective terms, and mean-field fields.
 
-A :class:`KernelSet` bundles the pair drift ``b(x, y)``, the common-noise
-coefficient ``c(x, y)`` (scalar driving noise), the individual-noise
-coefficient ``sigma(x)``, and the analytic derivatives the Ito correction
-needs. Every evaluator is vectorized: inputs broadcast over leading axes, so
-a full pairwise table is one call with shapes ``(n, 1, d)`` against
-``(1, m, d)``.
+A :class:`KernelSet` describes one model through exactly one evaluation
+path for its mean-field sums, plus the individual-noise coefficient
+``sigma(x)`` and its derivative:
 
-Derivative contract:
+* fused: ``field(atoms, weights, queries, factor) -> (drift, common)``
+  gives B[mu] + factor S1[mu] and C[mu] at once (``factor`` None: no
+  correction). The Cucker-Smale builder supplies it, as weighted matrix
+  products over one (m, n) distance table;
+* pointwise: the pair drift ``b(x, y)``, the common-noise coefficient
+  ``c(x, y)`` (scalar driving noise) and its directional derivative
+  ``dc(x, y, ex, ey) = grad_x c(x,y) ex + grad_y c(x,y) ey``, summed over
+  pair tables. The generic test kernels supply these; every closure
+  broadcasts over leading axes like ``c`` does over two arguments.
 
-* ``dc(x, y, ex, ey) = grad_x c(x,y) ex + grad_y c(x,y) ey``, the derivative
-  of ``c`` along the direction ``(ex, ey)``; it broadcasts over all four
-  arguments like ``c`` does over two,
-* ``grad_sigma(x)[..., i, l, k] = d sigma_{i,l} / d x_k``.
+``grad_sigma(x)[..., i, l, k] = d sigma_{i,l} / d x_k`` either way.
 
 The corrective drift converting circle (Stratonovich) dynamics to their Ito
 form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))`` and
@@ -22,18 +24,13 @@ dc(q, y_j, C[mu](q), C[mu](y_j)). ``s1_convention="paper_literal"`` drops
 the 1/2 on s1 entirely; it exists so the integrator cross-validation can
 demonstrate that this variant is wrong.
 
-Evaluation paths: :func:`field_drift_diffusion` is the one evaluator the
-stepper and the characteristics solver call. A kernel may supply a fused
-``field(atoms, weights, queries, factor) -> (drift, common)`` giving
-B[mu] + factor S1[mu] and C[mu] at once (``factor`` None: no correction);
-the Cucker-Smale builder does, as weighted matrix products over one (m, n)
-distance table. Kernels without it are summed from the pointwise pair
-tables of ``b``, ``c`` and ``dc``. The pointwise closures remain the
-reference: ``mean_field_B/C/S`` and ``eval_s1`` use them, and the tests
-hold the fused field to them. On the field path the direction of dc is
-(C[mu](q), C[mu](y_j)); Cucker-Smale's C has no position block, so the
-position part dr of that direction is 0 and dc's phi' term, which carries
-r . dr, vanishes exactly.
+:func:`field_drift_diffusion` is the one evaluator the stepper and the
+characteristics solver call. On the Cucker-Smale field the direction of dc
+is (C[mu](q), C[mu](y_j)); its C has no position block, so the position
+part dr of that direction is 0 and dc's phi' term, which carries r . dr,
+vanishes exactly. Pointwise references of the Cucker-Smale coefficients and
+of the mean-field integrals live with the tests, which hold the fused field
+to them.
 """
 
 from __future__ import annotations
@@ -43,8 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyMeasureError
-from .transport import EmpiricalMeasure
+from .errors import DimensionMismatchError
 
 S1_CONVENTIONS = ("half_both", "paper_literal")
 
@@ -59,17 +55,14 @@ def _s1_factor(convention: str) -> float:
 class KernelSet:
     """Coefficients of one interacting-particle model over R^dim.
 
-    ``c``/``sigma`` set to None mean identically zero and let the simulator
-    skip the corresponding work. When ``c`` is present its directional
-    derivative ``dc(x, y, ex, ey)`` must be supplied (see the module
-    docstring); when ``sigma`` is present, ``grad_sigma``. Derivatives are
-    analytic by contract, finite differences are reserved for test oracles.
-
-    ``field`` is optional: a fused evaluator of B[mu] + factor S1[mu] and
-    C[mu] that :func:`field_drift_diffusion` calls in place of the pair
-    sums, supplied by :func:`cucker_smale_kernels`. It must agree with the
-    pointwise ``b``, ``c`` and ``dc``, which stay the reference; S2 is added
-    outside it.
+    A kernel carries one evaluation path (see the module docstring): either
+    the fused ``field`` or the pointwise ``b``/``c``/``dc``, never both.
+    On the pointwise path ``b``/``c`` set to None mean identically zero and
+    let the simulator skip that work, and ``c`` needs its directional
+    derivative ``dc``. ``sigma`` set to None means no individual noise;
+    otherwise ``grad_sigma`` is required, and S2 is added outside either
+    path. Derivatives are analytic by contract, finite differences are
+    reserved for test oracles.
     """
 
     dim: int
@@ -79,11 +72,12 @@ class KernelSet:
     sigma: Optional[Callable] = None
     grad_sigma: Optional[Callable] = None
     field: Optional[Callable] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("kernel dimension must be >= 1")
+        if self.field is not None and any(f is not None for f in (self.b, self.c, self.dc)):
+            raise ValueError("kernel with a fused field takes no pointwise b, c or dc")
         if self.c is not None and self.dc is None:
             raise ValueError("kernel with common noise needs dc")
         if self.sigma is not None and self.grad_sigma is None:
@@ -96,74 +90,12 @@ class KernelSet:
         return x
 
 
-def eval_s1(k: KernelSet, x, y, z, s1_convention: str = "half_both") -> np.ndarray:
-    """Stratonovich-to-Ito corrective kernel s1(x, y, z)."""
-    factor = _s1_factor(s1_convention)
-    x = k.check_point(x, "x")
-    y = k.check_point(y, "y")
-    z = k.check_point(z, "z")
-    if k.c is None:
-        shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
-        return np.zeros(shape)
-    return factor * k.dc(x, y, k.c(x, z), k.c(y, z))
-
-
 def eval_S2(k: KernelSet, x) -> np.ndarray:
     """Individual-noise corrective drift 1/2 Tr(grad sigma sigma^T) at x."""
     x = k.check_point(x, "x")
     if k.sigma is None:
         return np.zeros(x.shape)
     return 0.5 * np.einsum("...ilk,...kl->...i", k.grad_sigma(x), k.sigma(x))
-
-
-def _require_atoms(mu: EmpiricalMeasure, k: KernelSet):
-    if mu.n == 0:
-        raise EmptyMeasureError("mean-field evaluation against an empty measure")
-    if mu.dim != k.dim:
-        raise DimensionMismatchError("mu", k.dim, mu.dim)
-
-
-def mean_field_B(k: KernelSet, mu: EmpiricalMeasure, x) -> np.ndarray:
-    """Drift field B[mu](x) = sum_j w_j b(x, y_j)."""
-    _require_atoms(mu, k)
-    x = k.check_point(x, "x")
-    if k.b is None:
-        return np.zeros(x.shape)
-    vals = k.b(x[..., None, :], mu.atoms)
-    return np.einsum("j,...jd->...d", mu.weights, vals)
-
-
-def mean_field_C(k: KernelSet, mu: EmpiricalMeasure, x) -> np.ndarray:
-    """Common-noise field C[mu](x) = sum_j w_j c(x, y_j)."""
-    _require_atoms(mu, k)
-    x = k.check_point(x, "x")
-    if k.c is None:
-        return np.zeros(x.shape)
-    vals = k.c(x[..., None, :], mu.atoms)
-    return np.einsum("j,...jd->...d", mu.weights, vals)
-
-
-def mean_field_S(
-    k: KernelSet, mu: EmpiricalMeasure, x, s1_convention: str = "half_both"
-) -> np.ndarray:
-    """Full corrective field S[mu](x) = S1[mu](x) + S2(x).
-
-    The double integral S1[mu](x) = sum_{j,l} w_j w_l s1(x, y_j, y_l)
-    factorizes through C[mu], so one query costs O(n^2) in the atom count
-    (dominated by C[mu] at every atom), not O(n^2) kernel pair evaluations
-    per (j, l).
-    """
-    _require_atoms(mu, k)
-    x = k.check_point(x, "x")
-    out = eval_S2(k, x)
-    if k.c is None:
-        return out
-    factor = _s1_factor(s1_convention)
-    w, atoms = mu.weights, mu.atoms
-    c_q = np.einsum("j,...jd->...d", w, k.c(x[..., None, :], atoms))
-    c_atoms = np.einsum("j,mjd->md", w, k.c(atoms[:, None, :], atoms[None, :, :]))
-    s1 = k.dc(x[..., None, :], atoms, c_q[..., None, :], c_atoms)
-    return out + factor * np.einsum("j,...jd->...d", w, s1)
 
 
 def field_drift_diffusion(
@@ -183,9 +115,7 @@ def field_drift_diffusion(
     the particle stepper and the frozen-field characteristics solver, which
     is what makes the discrete transport identity exact.
     """
-    factor = None
-    if include_correction and k.c is not None:
-        factor = _s1_factor(s1_convention)
+    factor = _s1_factor(s1_convention) if include_correction else None
     if k.field is not None:
         drift, common = k.field(atoms, weights, queries, factor)
     else:
@@ -262,24 +192,12 @@ class Truncation:
         cp[band] = (-30.0 / self.margin) * ub * ub * one_m * one_m
         return chi, cp
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        s = np.sqrt(np.einsum("...k,...k->...", v, v))
-        return v * self.chi_both(s)[0][..., None]
-
     def chi_ratio(self, v: np.ndarray):
         """(chi(s), chi'(s)/s) at s = |v|, the two scalars of the Jacobian."""
         s = np.sqrt(np.einsum("...k,...k->...", v, v))
         chi, cp = self.chi_both(s)
         # chi' vanishes identically for s <= radius, so the ratio is safe
         return chi, np.where(s > 0, cp / np.where(s > 0, s, 1.0), 0.0)
-
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """(d R_i / d v_j) = chi(s) delta_ij + chi'(s)/s v_i v_j."""
-        chi, ratio = self.chi_ratio(v)
-        eye = np.eye(v.shape[-1])
-        return chi[..., None, None] * eye + ratio[..., None, None] * (
-            v[..., :, None] * v[..., None, :]
-        )
 
 
 @dataclass(frozen=True)
@@ -315,9 +233,6 @@ class CuckerSmaleParams:
     def phi(self, r_sq: np.ndarray) -> np.ndarray:
         return _rational_weight(self.phi_lam, self.phi_gamma, r_sq)
 
-    def phi_prime_over(self, r_sq: np.ndarray) -> np.ndarray:
-        return _rational_weight(-self.phi_gamma * self.phi_lam, self.phi_gamma + 1.0, r_sq)
-
     def psi_inf(self, window: float) -> float:
         """inf of psi over |r| <= window (psi decreases in |r|)."""
         return float(self.psi(np.asarray(window) ** 2))
@@ -327,68 +242,20 @@ class CuckerSmaleParams:
 
 
 def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
-    """Flocking KernelSet over R^{2d}: b = (v, psi(x-y)(w-v)), c = (0, phi(x-y) R(w-v))."""
+    """Flocking KernelSet over R^{2d} with b = (v, psi(x-y)(w-v)) and
+    c = (0, phi(x-y) R(w-v)), supplied as one fused ``field``."""
     d = p.half_dim
     dim = 2 * d
 
     def split(z):
         return z[..., :d], z[..., d:]
 
-    def b(z1, z2):
-        x, v = split(z1)
-        y, w = split(z2)
-        r = x - y
-        psi = p.psi(np.einsum("...k,...k->...", r, r))
-        out = np.empty(psi.shape + (dim,))
-        out[..., :d] = v
-        out[..., d:] = psi[..., None] * (w - v)
-        return out
-
     has_noise = p.phi_lam > 0.0
     trunc = p.truncation
 
-    def pair(z1, z2):
-        """r = x - y, u = w - v, |r|^2, phi(|r|^2), R(u) and, with a
-        truncation, (chi, chi'/s) at |u| (both None without one)."""
-        x, v = split(z1)
-        y, w = split(z2)
-        r = x - y
-        u = w - v
-        r_sq = np.einsum("...k,...k->...", r, r)
-        phi = p.phi(r_sq)
-        if trunc is None:
-            return r, u, r_sq, phi, u, None, None
-        chi, ratio = trunc.chi_ratio(u)
-        return r, u, r_sq, phi, u * chi[..., None], chi, ratio
-
-    def c(z1, z2):
-        _, _, _, phi, ru, _, _ = pair(z1, z2)
-        out = np.zeros(phi.shape + (dim,))
-        out[..., d:] = phi[..., None] * ru
-        return out
-
-    def dc(z1, z2, e1, e2):
-        """(0, 2 phi'(|r|^2) (r . dr) R(u) + phi J_R(u) du) along the
-        direction dr = e1_x - e2_x, du = e2_v - e1_v."""
-        r, u, r_sq, phi, ru, chi, ratio = pair(z1, z2)
-        ex, ev = split(e1)
-        ey, ew = split(e2)
-        dr = ex - ey
-        du = ew - ev
-        r_dr = np.einsum("...k,...k->...", r, dr)
-        if chi is None:
-            jdu = du
-        else:
-            u_du = np.einsum("...k,...k->...", u, du)
-            jdu = chi[..., None] * du + (ratio * u_du)[..., None] * u
-        vel = (2.0 * p.phi_prime_over(r_sq) * r_dr)[..., None] * ru + phi[..., None] * jdu
-        out = np.zeros(vel.shape[:-1] + (dim,))
-        out[..., d:] = vel
-        return out
-
-    # The fused field: every pair term is a scalar weight times a velocity
-    # difference, so each mean-field sum is a matrix product over the
-    # (m, n) weight table, sum_j W_qj (v_j - v_q) = (W @ V)_q - (W 1)_q v_q.
+    # Every pair term is a scalar weight times a velocity difference, so
+    # each mean-field sum is a matrix product over the (m, n) weight table,
+    # sum_j W_qj (v_j - v_q) = (W @ V)_q - (W 1)_q v_q.
 
     def sq_dist(xq, xa):
         r = xq[:, None, :] - xa[None, :, :]
@@ -440,14 +307,7 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
         drift[:, d:] += factor * s1
         return drift, common
 
-    return KernelSet(
-        dim=dim,
-        b=b,
-        c=c if has_noise else None,
-        dc=dc if has_noise else None,
-        field=field,
-        name="cucker-smale" + ("-truncated" if trunc is not None else ""),
-    )
+    return KernelSet(dim=dim, field=field)
 
 
 def _constant_sigma(matrix: np.ndarray) -> dict:
@@ -468,7 +328,7 @@ def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
     d = base.dim // 2
     diag = np.zeros((base.dim, base.dim))
     diag[d:, d:] = sigma_v * np.eye(d)
-    return replace(base, name=base.name + "-individual", **_constant_sigma(diag))
+    return replace(base, **_constant_sigma(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +337,7 @@ def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
 
 
 def zero_kernels(dim: int) -> KernelSet:
-    return KernelSet(dim=dim, name="zero")
+    return KernelSet(dim=dim)
 
 
 def constant_drift_kernels(dim: int, drift) -> KernelSet:
@@ -487,7 +347,7 @@ def constant_drift_kernels(dim: int, drift) -> KernelSet:
         shape = np.broadcast_shapes(x.shape, y.shape)
         return np.broadcast_to(b0, shape)
 
-    return KernelSet(dim=dim, b=b, name="constant-drift")
+    return KernelSet(dim=dim, b=b)
 
 
 def linear_drift_kernels(dim: int, rate: float = 1.0) -> KernelSet:
@@ -497,7 +357,7 @@ def linear_drift_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         shape = np.broadcast_shapes(x.shape, y.shape)
         return rate * np.broadcast_to(x, shape)
 
-    return KernelSet(dim=dim, b=b, name="linear-drift")
+    return KernelSet(dim=dim, b=b)
 
 
 def constant_common_kernels(dim: int, value) -> KernelSet:
@@ -511,7 +371,7 @@ def constant_common_kernels(dim: int, value) -> KernelSet:
     def dc(x, y, ex, ey):
         return np.zeros(np.broadcast_shapes(x.shape, y.shape, ex.shape, ey.shape))
 
-    return KernelSet(dim=dim, c=c, dc=dc, name="constant-common")
+    return KernelSet(dim=dim, c=c, dc=dc)
 
 
 def linear_common_kernels(dim: int, rate: float = 1.0) -> KernelSet:
@@ -525,7 +385,7 @@ def linear_common_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         shape = np.broadcast_shapes(x.shape, y.shape, ex.shape, ey.shape)
         return rate * np.broadcast_to(ex, shape)
 
-    return KernelSet(dim=dim, c=c, dc=dc, name="linear-common")
+    return KernelSet(dim=dim, c=c, dc=dc)
 
 
 def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:
@@ -543,17 +403,12 @@ def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         out[..., idx, idx, idx] = rate
         return out
 
-    return KernelSet(
-        dim=dim,
-        sigma=sigma,
-        grad_sigma=grad_sigma,
-        name="diag-individual",
-    )
+    return KernelSet(dim=dim, sigma=sigma, grad_sigma=grad_sigma)
 
 
 def constant_individual_kernels(dim: int, scale: float = 1.0) -> KernelSet:
     """sigma(x) = scale * I, additive individual noise."""
-    return KernelSet(dim=dim, name="constant-individual", **_constant_sigma(scale * np.eye(dim)))
+    return KernelSet(dim=dim, **_constant_sigma(scale * np.eye(dim)))
 
 
 # builders of the generic test kernels, keyed by model name

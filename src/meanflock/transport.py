@@ -1,6 +1,6 @@
 """Empirical measures and exact Wasserstein distances on small supports.
 
-Three exact solver routes, selected automatically:
+Two exact solver routes, selected automatically:
 
 * one-dimensional supports: the closed form on the merged quantile
   breakpoints (exact for arbitrary weights, numpy only),
@@ -8,17 +8,22 @@ Three exact solver routes, selected automatically:
   assignment (``scipy.optimize.linear_sum_assignment``) on the distance
   matrix with each row of the smaller support repeated m/n times; scaled by
   m the marginals are integers, so the transportation polytope has integral
-  vertices and its optimum is this assignment,
-* everything else: the transportation LP solved with HiGHS on a sparse
-  constraint matrix.
+  vertices and its optimum is this assignment.
 
-scipy is imported inside the two solver functions, not with this module:
+Every pair an experiment builds takes one of them: simulated measures are
+uniform, and Cauchy-in-N sizes halve. Any other pair outside 1-D (weighted,
+or 4 against 6 atoms) raises :class:`UnsupportedTransportError` rather than
+falling back to a general transportation LP.
+
+scipy is imported inside the assignment solver, not with this module:
 importing ``scipy.optimize`` costs more than the rest of the package, and
 most runs solve no assignment. A process pays for it at its first
-assignment or LP solve; later solves find it in ``sys.modules``.
+assignment; later solves find it in ``sys.modules``.
 
 All distances are exact up to solver round-off; there is no entropic or
-sliced approximation anywhere in this module.
+sliced approximation anywhere in this module. Measures with more than
+``DEFAULT_SUPPORT_CAP`` atoms combined raise :class:`SupportCapError`
+before any solve.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyMeasureError, SupportCapError
+from .errors import (
+    DimensionMismatchError,
+    EmptyMeasureError,
+    SupportCapError,
+    UnsupportedTransportError,
+)
 
 DEFAULT_SUPPORT_CAP = 4096
 
@@ -74,9 +84,6 @@ class EmpiricalMeasure:
     @property
     def dim(self) -> int:
         return self.atoms.shape[1]
-
-    def is_uniform(self) -> bool:
-        return _is_uniform(self.weights)
 
 
 @dataclass(frozen=True)
@@ -189,65 +196,17 @@ def _assignment_cost(dist: np.ndarray, p: float) -> float:
     return float(np.sum(cost[rows, cols]) / dist.shape[0])
 
 
-def _swap_to_canonical(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> bool:
-    """Whether swapping the two measures gives the canonical LP orientation."""
-    n, m = dist.shape
-    if n != m:
-        return n > m
-    for a, b in ((wa, wb), (dist.ravel(), dist.T.ravel())):
-        differ = np.flatnonzero(a != b)
-        if differ.size:
-            return bool(b[differ[0]] < a[differ[0]])
-    return False
-
-
-def _transport_lp_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) -> float:
-    """General weighted W_p^p through the transportation LP (HiGHS).
-
-    The LP is solved in one canonical orientation, the smaller support as
-    rows (ties broken on the weights, then the distances), so swapping the
-    two measures gives the same float. One column-marginal constraint is
-    dropped: it is implied by the others because both weight vectors sum
-    to 1.
-    """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    if _swap_to_canonical(dist, wa, wb):
-        dist, wa, wb = dist.T, wb, wa
-    n, m = dist.shape
-    cost_vec = (dist**p).ravel()
-    n_rows = n + m - 1
-    row_idx = np.empty(2 * n * m - n, dtype=np.int64)
-    col_idx = np.empty_like(row_idx)
-    # row marginals
-    row_idx[: n * m] = np.repeat(np.arange(n), m)
-    col_idx[: n * m] = np.arange(n * m)
-    # column marginals, last one dropped
-    cols = np.arange(n * m).reshape(n, m)[:, :-1].ravel(order="F")
-    row_idx[n * m :] = n + np.repeat(np.arange(m - 1), n)
-    col_idx[n * m :] = cols
-    a_eq = sparse.coo_matrix(
-        (np.ones(row_idx.size), (row_idx, col_idx)), shape=(n_rows, n * m)
-    ).tocsr()
-    b_eq = np.concatenate([wa, wb[:-1]])
-    res = linprog(cost_vec, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
-
-
 def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) -> float:
     """W_p^p between weights ``wa`` (rows of ``dist``) and ``wb`` (columns).
 
-    Uniform weights where one atom count divides the other take the
-    assignment route, with the smaller support as rows (the LP's canonical
-    orientation for unequal sizes), so swapping the two measures gives the
-    same float; everything else goes to the transport LP.
+    Uniform weights where one atom count divides the other are solved as an
+    assignment with the smaller support as rows, so swapping two measures
+    of unequal size gives the same float; any other pair raises
+    :class:`UnsupportedTransportError`.
     """
     n, m = dist.shape
     if not (_is_uniform(wa) and _is_uniform(wb) and max(n, m) % min(n, m) == 0):
-        return _transport_lp_cost(dist, wa, wb, p)
+        raise UnsupportedTransportError(n, m)
     if n > m:
         dist, n, m = dist.T, m, n
     if m > n:
@@ -255,19 +214,19 @@ def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) 
     return _assignment_cost(dist, p)
 
 
-def wasserstein(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    p: float = 2.0,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> float:
-    """Exact W_p between two finitely supported measures."""
+def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> float:
+    """Exact W_p between two finitely supported measures.
+
+    1-D supports take the closed form for any weights; otherwise both
+    measures must be uniform with one atom count dividing the other
+    (:class:`UnsupportedTransportError` if not).
+    """
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
     if mu.dim != nu.dim:
         raise DimensionMismatchError("nu", mu.dim, nu.dim)
-    if mu.n + nu.n > support_cap:
-        raise SupportCapError(mu.n + nu.n, support_cap)
+    if mu.n + nu.n > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(mu.n + nu.n, DEFAULT_SUPPORT_CAP)
     if mu.dim == 1:
         cost = _wasserstein_1d(
             mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights, p
@@ -289,19 +248,14 @@ def path_sup_distances(mu: MeasurePath, nu: MeasurePath) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def wasserstein_path(
-    mu: MeasurePath,
-    nu: MeasurePath,
-    p: float = 2.0,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> float:
+def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:
     """Exact W_p on path space under the sup-norm ground distance.
 
     The ground cost between two trajectories is their sup-over-time
-    distance; the transport problem over these costs takes the same routes
-    as ``wasserstein``: an exact assignment for uniform weights where one
-    atom count divides the other (the Cauchy-in-N coupling of N against 2N
-    atoms), the transport LP otherwise.
+    distance. The transport problem over these costs is solved as an
+    assignment, which needs uniform weights where one atom count divides
+    the other (the Cauchy-in-N coupling of N against 2N atoms); any other
+    pair raises :class:`UnsupportedTransportError`, whatever the dimension.
     """
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
@@ -309,7 +263,7 @@ def wasserstein_path(
         raise DimensionMismatchError("nu", mu.dim, nu.dim)
     if mu.times.shape != nu.times.shape or not np.array_equal(mu.times, nu.times):
         raise ValueError("measure paths must share an identical time grid")
-    if mu.n_atoms + nu.n_atoms > support_cap:
-        raise SupportCapError(mu.n_atoms + nu.n_atoms, support_cap)
+    if mu.n_atoms + nu.n_atoms > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(mu.n_atoms + nu.n_atoms, DEFAULT_SUPPORT_CAP)
     cost = _transport_cost(path_sup_distances(mu, nu), mu.weights, nu.weights, p)
     return float(cost ** (1.0 / p))

@@ -1,12 +1,20 @@
 """Independent oracles shared by the test modules.
 
-Finite differences and exhaustive enumeration live here, away from the
-package, so the analytic implementations they check can never leak in.
+Finite differences, exhaustive enumeration, the general transportation LP
+and pointwise references of the fused Cucker-Smale field live here, away
+from the package, so the implementations they check can never leak in.
 """
 
 import itertools
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
+
+from meanflock.errors import DimensionMismatchError, EmptyMeasureError
+from meanflock.kernels import KernelSet, eval_S2
+
+S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
 
 
 def fd_jacobian(f, x, h=1e-5):
@@ -54,6 +62,162 @@ def chi_both_whole_table(radius, margin, s):
     one_m = 1.0 - uc
     cp = np.where(inside, (-30.0 / margin) * uc * uc * one_m * one_m, 0.0)
     return chi, cp
+
+
+def truncate(truncation, v):
+    """R(v) = v chi(|v|), with chi from the whole-table formula."""
+    s = np.sqrt(np.einsum("...k,...k->...", v, v))
+    return v * chi_both_whole_table(truncation.radius, truncation.margin, s)[0][..., None]
+
+
+def _rational(amplitude, exponent, r_sq):
+    return amplitude * (1.0 + r_sq) ** (-exponent)
+
+
+def cucker_smale_reference(p):
+    """Pointwise b, c and dc of ``cucker_smale_kernels(p)``.
+
+    b = (v, psi(x-y)(w-v)), c = (0, phi(x-y) R(w-v)) and dc the derivative
+    of c along (ex, ey), each one pair at a time; the fused field must agree
+    with their mean-field sums.
+    """
+    d = p.half_dim
+    dim = 2 * d
+    trunc = p.truncation
+
+    def split(z):
+        return z[..., :d], z[..., d:]
+
+    def b(z1, z2):
+        x, v = split(z1)
+        y, w = split(z2)
+        r = x - y
+        psi = _rational(p.lam, p.gamma, np.einsum("...k,...k->...", r, r))
+        out = np.empty(psi.shape + (dim,))
+        out[..., :d] = v
+        out[..., d:] = psi[..., None] * (w - v)
+        return out
+
+    def pair(z1, z2):
+        """r = x - y, u = w - v, |r|^2, phi(|r|^2), R(u) and, with a
+        truncation, (chi, chi'/s) at s = |u| (both None without one)."""
+        x, v = split(z1)
+        y, w = split(z2)
+        r = x - y
+        u = w - v
+        r_sq = np.einsum("...k,...k->...", r, r)
+        phi = _rational(p.phi_lam, p.phi_gamma, r_sq)
+        if trunc is None:
+            return r, u, r_sq, phi, u, None, None
+        s = np.sqrt(np.einsum("...k,...k->...", u, u))
+        chi, cp = chi_both_whole_table(trunc.radius, trunc.margin, s)
+        ratio = np.where(s > 0, cp / np.where(s > 0, s, 1.0), 0.0)
+        return r, u, r_sq, phi, u * chi[..., None], chi, ratio
+
+    def c(z1, z2):
+        _, _, _, phi, ru, _, _ = pair(z1, z2)
+        out = np.zeros(phi.shape + (dim,))
+        out[..., d:] = phi[..., None] * ru
+        return out
+
+    def dc(z1, z2, e1, e2):
+        """(0, 2 phi'(|r|^2) (r . dr) R(u) + phi J_R(u) du) along the
+        direction dr = e1_x - e2_x, du = e2_v - e1_v, where
+        J_R(u) = chi I + (chi'/s) u u^T."""
+        r, u, r_sq, phi, ru, chi, ratio = pair(z1, z2)
+        ex, ev = split(e1)
+        ey, ew = split(e2)
+        dr = ex - ey
+        du = ew - ev
+        r_dr = np.einsum("...k,...k->...", r, dr)
+        if chi is None:
+            jdu = du
+        else:
+            u_du = np.einsum("...k,...k->...", u, du)
+            jdu = chi[..., None] * du + (ratio * u_du)[..., None] * u
+        phi_prime = _rational(-p.phi_gamma * p.phi_lam, p.phi_gamma + 1.0, r_sq)
+        vel = (2.0 * phi_prime * r_dr)[..., None] * ru + phi[..., None] * jdu
+        out = np.zeros(vel.shape[:-1] + (dim,))
+        out[..., d:] = vel
+        return out
+
+    noisy = p.phi_lam > 0.0
+    return KernelSet(dim=dim, b=b, c=c if noisy else None, dc=dc if noisy else None)
+
+
+def eval_s1(k, x, y, z, s1_convention="half_both"):
+    """Stratonovich-to-Ito corrective kernel s1(x, y, z) of a pointwise kernel."""
+    factor = S1_FACTORS[s1_convention]
+    x = k.check_point(x, "x")
+    y = k.check_point(y, "y")
+    z = k.check_point(z, "z")
+    if k.c is None:
+        return np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
+    return factor * k.dc(x, y, k.c(x, z), k.c(y, z))
+
+
+def _require_atoms(mu, k):
+    if mu.n == 0:
+        raise EmptyMeasureError("mean-field evaluation against an empty measure")
+    if mu.dim != k.dim:
+        raise DimensionMismatchError("mu", k.dim, mu.dim)
+
+
+def mean_field_B(k, mu, x):
+    """Drift field B[mu](x) = sum_j w_j b(x, y_j) of a pointwise kernel."""
+    _require_atoms(mu, k)
+    x = k.check_point(x, "x")
+    if k.b is None:
+        return np.zeros(x.shape)
+    return np.einsum("j,...jd->...d", mu.weights, k.b(x[..., None, :], mu.atoms))
+
+
+def mean_field_C(k, mu, x):
+    """Common-noise field C[mu](x) = sum_j w_j c(x, y_j) of a pointwise kernel."""
+    _require_atoms(mu, k)
+    x = k.check_point(x, "x")
+    if k.c is None:
+        return np.zeros(x.shape)
+    return np.einsum("j,...jd->...d", mu.weights, k.c(x[..., None, :], mu.atoms))
+
+
+def mean_field_S(k, mu, x, s1_convention="half_both"):
+    """Full corrective field S[mu](x) = S1[mu](x) + S2(x) of a pointwise kernel.
+
+    The double integral S1[mu](x) = sum_{j,l} w_j w_l s1(x, y_j, y_l)
+    factorizes through C[mu]: S1[mu](x) = factor sum_j w_j
+    dc(x, y_j, C[mu](x), C[mu](y_j)).
+    """
+    _require_atoms(mu, k)
+    x = k.check_point(x, "x")
+    out = eval_S2(k, x)
+    if k.c is None:
+        return out
+    w, atoms = mu.weights, mu.atoms
+    c_q = np.einsum("j,...jd->...d", w, k.c(x[..., None, :], atoms))
+    c_atoms = np.einsum("j,mjd->md", w, k.c(atoms[:, None, :], atoms[None, :, :]))
+    s1 = k.dc(x[..., None, :], atoms, c_q[..., None, :], c_atoms)
+    return out + S1_FACTORS[s1_convention] * np.einsum("j,...jd->...d", w, s1)
+
+
+def transport_lp_cost(dist, wa, wb, p):
+    """General weighted W_p^p through the transportation LP (HiGHS).
+
+    One column-marginal constraint is dropped: it is implied by the others
+    because both weight vectors sum to 1.
+    """
+    n, m = dist.shape
+    row_idx = np.concatenate([np.repeat(np.arange(n), m), n + np.repeat(np.arange(m - 1), n)])
+    col_idx = np.concatenate(
+        [np.arange(n * m), np.arange(n * m).reshape(n, m)[:, :-1].ravel(order="F")]
+    )
+    a_eq = sparse.csr_matrix(
+        (np.ones(row_idx.size), (row_idx, col_idx)), shape=(n + m - 1, n * m)
+    )
+    b_eq = np.concatenate([wa, wb[:-1]])
+    res = linprog((dist**p).ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def brute_force_wasserstein_uniform(a, b, p):

@@ -11,12 +11,11 @@ from meanflock.diagnostics import (
     cauchy_single,
     chaos_beta_path,
     default_checkpoints,
-    flocking_energy,
+    energy_series,
     mean_velocity_drift,
     weakform_single,
 )
 from meanflock.dynamics import ParticleEnsemble, SimConfig, simulate
-from meanflock.errors import DimensionMismatchError
 from meanflock.harness import run_from_text
 from meanflock.kernels import (
     CuckerSmaleParams,
@@ -67,36 +66,32 @@ def assert_rejected(tmp_path, capsys, body, message):
     assert message in capsys.readouterr().err
 
 
+def still_energy(atoms):
+    """energy_series of a zero-kernel run from ``atoms``; the states stay put."""
+    atoms = np.asarray(atoms, dtype=float)
+    n, dim = atoms.shape
+    cfg = SimConfig(n_particles=n, dim=dim, t_final=0.03, dt=0.01)
+    energies = energy_series(simulate(zero_kernels(dim), ParticleEnsemble(atoms), cfg))
+    assert energies.shape == (4,) and np.all(energies == energies[0])
+    return energies[0]
+
+
 class TestFlockingEnergy:
     def test_symmetric_pair(self):
-        mu = EmpiricalMeasure.uniform([[0.0, -1.0], [0.0, 1.0]])
-        v_bar, energy = flocking_energy(mu)
-        np.testing.assert_array_equal(v_bar, [0.0])
-        assert energy == pytest.approx(1.0)
+        assert still_energy([[0.0, -1.0], [0.0, 1.0]]) == pytest.approx(1.0)
 
     def test_single_particle(self):
-        mu = EmpiricalMeasure.uniform([[1.0, 3.0]])
-        _, energy = flocking_energy(mu)
-        assert energy == 0.0
+        assert still_energy([[1.0, 3.0]]) == 0.0
 
     def test_three_velocities(self):
-        mu = EmpiricalMeasure.uniform([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-        v_bar, energy = flocking_energy(mu)
-        np.testing.assert_allclose(v_bar, [1.0])
-        assert energy == pytest.approx(2.0 / 3.0)
+        assert still_energy([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]) == pytest.approx(2.0 / 3.0)
 
     def test_velocity_translation_invariance(self):
         rng = np.random.default_rng(2)
         atoms = rng.normal(size=(6, 4))
         shifted = atoms.copy()
         shifted[:, 2:] += np.array([3.0, -1.0])
-        _, e0 = flocking_energy(EmpiricalMeasure.uniform(atoms))
-        _, e1 = flocking_energy(EmpiricalMeasure.uniform(shifted))
-        assert e0 == pytest.approx(e1, rel=1e-12)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            flocking_energy(EmpiricalMeasure.uniform([[1.0, 2.0, 3.0]]))
+        assert still_energy(atoms) == pytest.approx(still_energy(shifted), rel=1e-12)
 
 
 class TestFlockingRate:
@@ -122,8 +117,6 @@ class TestFlockingRate:
         atoms[:, 1] = 0.7  # common velocity
         cfg = SimConfig(n_particles=6, dim=2, t_final=1.0, dt=0.01, master_seed=1)
         run = simulate(kernel, ParticleEnsemble(atoms), cfg)
-        from meanflock.diagnostics import energy_series
-
         assert np.max(energy_series(run)) <= 1e-24
 
     def test_bound_not_applicable(self, tmp_path):

@@ -38,7 +38,7 @@ class TestNoisePath:
         a = NoisePath(123, 0.01, 50, 2)
         b = NoisePath(123, 0.01, 50, 2)
         np.testing.assert_array_equal(a.common_increments, b.common_increments)
-        np.testing.assert_array_equal(a.individual(3, 17), b.individual(3, 17))
+        np.testing.assert_array_equal(a.individual_matrix([3]), b.individual_matrix([3]))
 
     def test_particle_identity_independent_of_others(self):
         # particle 5's increments must not depend on which set it is drawn with
@@ -50,7 +50,8 @@ class TestNoisePath:
 
     def test_distinct_particles_distinct_noise(self):
         noise = NoisePath(7, 0.01, 20, 2)
-        assert not np.array_equal(noise.individual(0, 0), noise.individual(1, 0))
+        first = noise.individual_matrix([0, 1])[:, 0]
+        assert not np.array_equal(first[0], first[1])
 
     def test_common_increment_statistics(self):
         steps = 20_000

@@ -17,6 +17,7 @@ from meanflock.errors import (
     ConfigError,
     DimensionMismatchError,
     SupportCapError,
+    UnsupportedTransportError,
 )
 from meanflock.harness import (
     EXPERIMENTS,
@@ -177,7 +178,7 @@ output_dir = {tmp_path}
     @pytest.mark.parametrize(
         "error",
         [BlowUpError(3, 12.0, seed=5, partial=lambda: None), SupportCapError(10, 4),
-         DimensionMismatchError("x", 2, 3)],
+         DimensionMismatchError("x", 2, 3), UnsupportedTransportError(4, 6)],
         ids=lambda e: type(e).__name__,
     )
     def test_errors_survive_pickling(self, error):

@@ -8,28 +8,36 @@ from meanflock.errors import DimensionMismatchError
 from meanflock.kernels import (
     S1_CONVENTIONS,
     CuckerSmaleParams,
+    KernelSet,
     Truncation,
     constant_common_kernels,
     constant_drift_kernels,
     cucker_smale_kernels,
     diag_individual_kernels,
     eval_S2,
-    eval_s1,
     field_drift_diffusion,
     linear_common_kernels,
-    mean_field_B,
-    mean_field_C,
-    mean_field_S,
     with_velocity_noise,
     zero_kernels,
 )
 from meanflock.transport import EmpiricalMeasure
 
-from helpers import chi_both_whole_table, fd_jacobian, rel_close
+from helpers import (
+    chi_both_whole_table,
+    cucker_smale_reference,
+    eval_s1,
+    fd_jacobian,
+    mean_field_B,
+    mean_field_C,
+    mean_field_S,
+    rel_close,
+    truncate,
+)
 
 
 def constant_phi_kernel(phi0):
-    return cucker_smale_kernels(
+    """Pointwise reference of Cucker-Smale with constant psi = 1, phi = phi0."""
+    return cucker_smale_reference(
         CuckerSmaleParams(half_dim=1, lam=1.0, gamma=0.0, phi_lam=phi0, phi_gamma=0.0)
     )
 
@@ -62,9 +70,11 @@ class TestEvalS1:
         np.testing.assert_allclose(lit, 2.0 * half)
 
     def test_unknown_convention(self):
-        k = linear_common_kernels(1)
-        with pytest.raises(ValueError, match="convention"):
-            eval_s1(k, np.zeros(1), np.zeros(1), np.zeros(1), s1_convention="both")
+        x = np.zeros((2, 2))
+        w = np.full(2, 0.5)
+        for k in (linear_common_kernels(2), cucker_smale_kernels(CuckerSmaleParams(half_dim=1))):
+            with pytest.raises(ValueError, match="convention"):
+                field_drift_diffusion(k, x, w, x, s1_convention="both")
 
     def test_dimension_error_names_argument(self):
         k = linear_common_kernels(2)
@@ -91,10 +101,11 @@ class TestEvalS2:
 class TestMeanFields:
     def test_cs_alignment_field(self):
         k = cucker_smale_kernels(CuckerSmaleParams(half_dim=1, lam=1.0, gamma=0.0))
-        mu = EmpiricalMeasure.uniform([[0.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(
-            mean_field_B(k, mu, np.array([0.0, 0.0])), [0.0, 1.0]
+        drift, common = field_drift_diffusion(
+            k, np.array([[0.0, 0.0], [0.0, 2.0]]), np.full(2, 0.5), np.zeros((1, 2))
         )
+        np.testing.assert_allclose(drift, [[0.0, 1.0]])
+        assert common is None
 
     def test_single_atom_is_exact(self):
         k = constant_drift_kernels(2, [0.5, -1.0])
@@ -152,15 +163,15 @@ class TestMeanFields:
         atoms = rng.normal(size=(6, 2))
         w = rng.uniform(0.5, 1.0, size=6)
         w /= w.sum()
-        mu = EmpiricalMeasure(atoms, w)
-        dup = EmpiricalMeasure(
-            np.repeat(atoms, 2, axis=0), np.repeat(w / 2.0, 2)
-        )
-        x = np.array([0.4, 0.1])
-        for field in (mean_field_B, mean_field_C, mean_field_S):
-            a = field(k, mu, x)
-            b = field(k, dup, x)
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+        x = np.array([[0.4, 0.1]])
+        for correct in (True, False):
+            a = field_drift_diffusion(k, atoms, w, x, include_correction=correct)
+            b = field_drift_diffusion(
+                k, np.repeat(atoms, 2, axis=0), np.repeat(w / 2.0, 2), x,
+                include_correction=correct,
+            )
+            for fa, fb in zip(a, b):
+                np.testing.assert_allclose(fa, fb, rtol=0, atol=1e-14)
 
     def test_empty_measure_rejected(self):
         with pytest.raises(Exception):
@@ -178,10 +189,11 @@ class TestCuckerSmaleBuilder:
 
     def test_truncation_identity_then_zero(self):
         t = Truncation(radius=1.0, margin=1.0)
-        np.testing.assert_array_equal(t.apply(np.array([0.7])), [0.7])
-        np.testing.assert_array_equal(t.apply(np.array([-0.5])), [-0.5])
-        np.testing.assert_array_equal(t.apply(np.array([2.0])), [0.0])
-        np.testing.assert_array_equal(t.apply(np.array([5.0])), [0.0])
+        v = np.array([[0.7], [-0.5], [2.0], [5.0]])
+        chi, ratio = t.chi_ratio(v)
+        np.testing.assert_array_equal(chi, [1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(ratio, np.zeros(4))
+        np.testing.assert_array_equal(truncate(t, v), [[0.7], [-0.5], [0.0], [0.0]])
 
     @pytest.mark.parametrize("radius, margin", [(1.0, 0.5), (0.25, 1.75), (2.0, 2.0**-10)])
     def test_chi_band_only_bitwise_equal_whole_table(self, radius, margin):
@@ -200,13 +212,21 @@ class TestCuckerSmaleBuilder:
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_truncation_jacobian_matches_fd(self):
+        # the fused field's J_R(v) = chi I + (chi'/s) v v^T from chi_ratio,
+        # against a finite difference of R(v) = v chi(|v|)
         t = Truncation(radius=1.0, margin=0.5)
         rng = np.random.default_rng(11)
+        in_band = 0
         for _ in range(50):
             v = rng.uniform(-2.0, 2.0, size=2)
-            if abs(np.linalg.norm(v) - 1.0) < 1e-3 or abs(np.linalg.norm(v) - 1.5) < 1e-3:
+            s = np.linalg.norm(v)
+            if abs(s - 1.0) < 1e-3 or abs(s - 1.5) < 1e-3:
                 continue  # kink-free everywhere, but FD degrades at band edges
-            assert rel_close(t.jacobian(v), fd_jacobian(t.apply, v), 1e-4, floor=1e-6)
+            in_band += 1.0 < s < 1.5
+            chi, ratio = t.chi_ratio(v)
+            jac = chi * np.eye(2) + ratio * np.outer(v, v)
+            assert rel_close(jac, fd_jacobian(lambda u: truncate(t, u), v), 1e-4, floor=1e-6)
+        assert in_band >= 5
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -217,6 +237,8 @@ class TestCuckerSmaleBuilder:
             Truncation(radius=0.0, margin=1.0)
 
     def test_bounded_c_tag_and_bound(self):
+        # bounded environmental noise: |C[mu](q)| <= phi_lam (R + margin)
+        # for every probability measure mu, however spread its velocities
         p = CuckerSmaleParams(
             half_dim=1, lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0,
             truncation=Truncation(2.0, 1.0),
@@ -224,9 +246,16 @@ class TestCuckerSmaleBuilder:
         k = cucker_smale_kernels(p)
         bound = p.phi_lam * (p.truncation.radius + p.truncation.margin)
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            z1, z2 = rng.uniform(-10, 10, size=(2, 2))
-            assert np.linalg.norm(k.c(z1, z2)) <= bound + 1e-12
+        for n in (1, 2, 5, 40):
+            for _ in range(25):
+                atoms = rng.uniform(-10, 10, size=(n, 2))
+                w = rng.uniform(0.1, 1.0, size=n)
+                queries = rng.uniform(-10, 10, size=(30, 2))
+                _, common = field_drift_diffusion(k, atoms, w / w.sum(), queries)
+                assert np.all(np.linalg.norm(common, axis=1) <= bound + 1e-12)
+        # at the radius R(u) = u, so one atom gives |C| = phi_lam * radius
+        _, common = field_drift_diffusion(k, np.zeros((1, 2)), np.ones(1), np.array([[0.0, -2.0]]))
+        np.testing.assert_array_equal(common, [[0.0, 1.0]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -252,28 +281,27 @@ def test_cs_interaction_antisymmetry(states):
 
 TRUNC = Truncation(radius=2.0, margin=1.0)
 
+# pointwise kernels whose dc and grad_sigma are checked by finite differences:
+# the Cucker-Smale references the fused field is held to, and generic kernels
+REGISTERED = {
+    "cucker-smale": cucker_smale_reference(
+        CuckerSmaleParams(half_dim=1, lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
+    ),
+    "cucker-smale-truncated": cucker_smale_reference(
+        CuckerSmaleParams(
+            half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3, truncation=TRUNC,
+        )
+    ),
+    "linear-common": linear_common_kernels(2, rate=0.7),
+    "constant-common": constant_common_kernels(3, [0.3, -1.2, 0.5]),
+    "diag-individual": diag_individual_kernels(3, rate=0.5),
+}
 
-def _registered_kernels():
-    return [
-        cucker_smale_kernels(
-            CuckerSmaleParams(half_dim=1, lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
-        ),
-        cucker_smale_kernels(
-            CuckerSmaleParams(
-                half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3,
-                truncation=TRUNC,
-            )
-        ),
-        linear_common_kernels(2, rate=0.7),
-        constant_common_kernels(3, [0.3, -1.2, 0.5]),
-        diag_individual_kernels(3, rate=0.5),
-    ]
 
-
-def _pair_points(kernel, rng):
+def _pair_points(name, kernel, rng):
     x = rng.uniform(-5, 5, size=kernel.dim)
     y = rng.uniform(-5, 5, size=kernel.dim)
-    if kernel.name == "cucker-smale-truncated" and rng.uniform() < 0.5:
+    if name == "cucker-smale-truncated" and rng.uniform() < 0.5:
         # |w - v| strictly inside the band (radius, radius + margin), where
         # chi' is nonzero
         d = kernel.dim // 2
@@ -283,20 +311,21 @@ def _pair_points(kernel, rng):
     return x, y
 
 
-@pytest.mark.parametrize("kernel", _registered_kernels(), ids=lambda k: k.name)
-def test_jacobians_match_finite_differences(kernel):
+@pytest.mark.parametrize("name", list(REGISTERED))
+def test_jacobians_match_finite_differences(name):
     # dc against a central difference of c along a random direction (ex, ey);
     # grad_sigma against the full finite-difference Jacobian
+    kernel = REGISTERED[name]
     rng = np.random.default_rng(42)
     in_band = 0
     for _ in range(40):
-        x, y = _pair_points(kernel, rng)
+        x, y = _pair_points(name, kernel, rng)
         if kernel.c is not None:
             ex, ey = rng.normal(size=(2, kernel.dim))
             h = 1e-5
             fd = (kernel.c(x + h * ex, y + h * ey) - kernel.c(x - h * ex, y - h * ey)) / (2 * h)
             assert rel_close(kernel.dc(x, y, ex, ey), fd, 1e-4, floor=1e-5)
-        if kernel.name == "cucker-smale-truncated":
+        if name == "cucker-smale-truncated":
             s = np.linalg.norm(y[2:] - x[2:])
             in_band += TRUNC.radius < s < TRUNC.radius + TRUNC.margin
         if kernel.sigma is not None:
@@ -304,12 +333,12 @@ def test_jacobians_match_finite_differences(kernel):
                 kernel.dim, kernel.dim, kernel.dim
             )
             assert rel_close(kernel.grad_sigma(x), fd, 1e-4, floor=1e-5)
-    if kernel.name == "cucker-smale-truncated":
+    if name == "cucker-smale-truncated":
         assert in_band >= 10
 
 
 def test_dc_broadcasts_like_c():
-    k = _registered_kernels()[1]  # truncated, half_dim=2
+    k = REGISTERED["cucker-smale-truncated"]  # half_dim=2
     rng = np.random.default_rng(5)
     z1, e1 = rng.normal(size=(2, 3, 1, 4))
     z2, e2 = rng.normal(size=(2, 1, 5, 4))
@@ -322,63 +351,70 @@ FIELD_TRUNC = Truncation(radius=0.8, margin=1.0)
 
 
 def _field_kernels():
+    """(kernel, its pointwise reference, convention)."""
     cs = dict(half_dim=1, lam=1.1, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
-    plain = cucker_smale_kernels(CuckerSmaleParams(**cs))
-    truncated = CuckerSmaleParams(
+
+    def both(params):
+        return cucker_smale_kernels(params), cucker_smale_reference(params)
+
+    plain, plain_ref = both(CuckerSmaleParams(**cs))
+    truncated = both(CuckerSmaleParams(
         half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3, truncation=FIELD_TRUNC,
-    )
+    ))
     # non-constant sigma on a fused kernel, so S2 is not zero
-    diag = diag_individual_kernels(2, rate=0.5)
+    d = diag_individual_kernels(2, rate=0.5)
+    diag = dict(sigma=d.sigma, grad_sigma=d.grad_sigma)
+    linear = linear_common_kernels(2, rate=0.7)
     return [
-        (plain, "half_both"),
-        (plain, "paper_literal"),
-        (cucker_smale_kernels(truncated), "half_both"),
-        (cucker_smale_kernels(CuckerSmaleParams(**{**cs, "phi_lam": 0.0})), "half_both"),
-        (with_velocity_noise(plain, 0.3), "half_both"),
-        (replace(plain, sigma=diag.sigma, grad_sigma=diag.grad_sigma), "half_both"),
-        (linear_common_kernels(2, rate=0.7), "half_both"),
+        (plain, plain_ref, "half_both"),
+        (plain, plain_ref, "paper_literal"),
+        (*truncated, "half_both"),
+        (*both(CuckerSmaleParams(**{**cs, "phi_lam": 0.0})), "half_both"),
+        (with_velocity_noise(plain, 0.3), with_velocity_noise(plain_ref, 0.3), "half_both"),
+        (replace(plain, **diag), replace(plain_ref, **diag), "half_both"),
+        (linear, linear, "half_both"),
     ]
 
 
 def _field_cases(rng):
-    """(kernel, convention, include_correction, atoms, weights, queries)."""
-    for kernel, convention in _field_kernels():
+    """(kernel, reference, convention, include_correction, atoms, weights, queries)."""
+    for kernel, ref, convention in _field_kernels():
         atoms = rng.normal(size=(6, kernel.dim))
         w = rng.uniform(0.5, 1.0, size=6)
         queries = rng.normal(size=(4, kernel.dim))
         for correct in (True, False):
-            yield kernel, convention, correct, atoms, w / w.sum(), queries
-    plain = _field_kernels()[0][0]
+            yield kernel, ref, convention, correct, atoms, w / w.sum(), queries
+    plain, plain_ref, _ = _field_kernels()[0]
     # large enough that the products go through BLAS
     w = rng.uniform(0.5, 1.0, size=300)
     atoms, queries = rng.normal(size=(300, 2)), rng.normal(size=(200, 2))
-    yield plain, "half_both", True, atoms, w / w.sum(), queries
+    yield plain, plain_ref, "half_both", True, atoms, w / w.sum(), queries
 
 
 def test_field_drift_diffusion_matches_pointwise_ops():
     rng = np.random.default_rng(9)
     band = np.zeros(3, int)  # truncated pairs below, inside and beyond the band
     edges = [FIELD_TRUNC.radius, FIELD_TRUNC.radius + FIELD_TRUNC.margin]
-    for kernel, convention, correct, atoms, w, queries in _field_cases(rng):
+    for kernel, ref, convention, correct, atoms, w, queries in _field_cases(rng):
         mu = EmpiricalMeasure(atoms, w)
         drift, common = field_drift_diffusion(kernel, atoms, w, queries, convention, correct)
-        want = mean_field_B(kernel, mu, queries)
+        want = mean_field_B(ref, mu, queries)
         if correct:
-            want = want + mean_field_S(kernel, mu, queries, convention)
+            want = want + mean_field_S(ref, mu, queries, convention)
         np.testing.assert_allclose(drift, want, rtol=0, atol=1e-13)
-        if kernel.c is None:
+        if ref.c is None:
             assert common is None
             continue
-        np.testing.assert_allclose(common, mean_field_C(kernel, mu, queries), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(common, mean_field_C(ref, mu, queries), rtol=0, atol=1e-14)
         if kernel.dim == 4:
             s = np.linalg.norm(atoms[None, :, 2:] - queries[:, None, 2:], axis=-1)
             band += np.bincount(np.digitize(s.ravel(), edges), minlength=3)
         if not correct or atoms.shape[0] > 6:
             continue
         # S1 is the average of s1 over every atom pair
-        s_q = mean_field_S(kernel, mu, queries, convention) - eval_S2(kernel, queries)
+        s_q = mean_field_S(ref, mu, queries, convention) - eval_S2(ref, queries)
         s1 = sum(
-            wj * wl * eval_s1(kernel, queries, yj, yl, convention)
+            wj * wl * eval_s1(ref, queries, yj, yl, convention)
             for wj, yj in zip(w, atoms)
             for wl, yl in zip(w, atoms)
         )
@@ -386,34 +422,24 @@ def test_field_drift_diffusion_matches_pointwise_ops():
     assert band.min() > 0, band
 
 
-def _raise(*args):
-    raise AssertionError("pointwise closure called on the field path")
-
-
 def test_cucker_smale_field_calls_no_pointwise_closure():
-    # the pointwise b, c and dc are reference oracles; the production path
-    # must go through the fused field
-    rng = np.random.default_rng(21)
-    for kernel, _ in _field_kernels():
-        if kernel.field is None:
-            continue
-        guarded = replace(kernel, b=_raise, c=kernel.c and _raise, dc=kernel.dc and _raise)
-        x = rng.normal(size=(9, kernel.dim))
-        w = np.full(9, 1.0 / 9)
-        for queries in (x, rng.normal(size=(5, kernel.dim))):
-            for correct in (True, False):
-                want = field_drift_diffusion(kernel, x, w, queries, include_correction=correct)
-                got = field_drift_diffusion(guarded, x, w, queries, include_correction=correct)
-                for a, b in zip(got, want):
-                    np.testing.assert_array_equal(a, b)
-
-
+    # a kernel carries one evaluation path: the fused field and the
+    # pointwise closures exclude each other
+    fused = [kernel for kernel, _, _ in _field_kernels() if kernel.field is not None]
+    assert len(fused) == 6
+    for kernel in fused:
+        assert (kernel.b, kernel.c, kernel.dc) == (None, None, None)
+    ref = REGISTERED["cucker-smale"]
+    field = fused[0].field
+    for closures in (dict(c=ref.c, dc=ref.dc), dict(b=ref.b), dict(dc=ref.dc)):
+        with pytest.raises(ValueError, match="fused field"):
+            KernelSet(dim=2, field=field, **closures)
 def test_queries_at_atoms_shortcut_changes_no_bit():
     # the stepper passes the atoms themselves as queries; the characteristics
     # solver passes other arrays holding the same values. The transport
     # identity is exact only if both give the same bits.
     rng = np.random.default_rng(13)
-    for kernel, _ in _field_kernels():
+    for kernel, _, _ in _field_kernels():
         for n in (7, 300):
             x = rng.normal(size=(n, kernel.dim))
             w = np.full(n, 1.0 / n)

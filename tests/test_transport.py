@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from meanflock.errors import DimensionMismatchError, SupportCapError
+from meanflock.errors import DimensionMismatchError, SupportCapError, UnsupportedTransportError
 from meanflock.transport import (
+    DEFAULT_SUPPORT_CAP,
     EmpiricalMeasure,
     MeasurePath,
     _pairwise_distances,
-    _transport_lp_cost,
     moments,
     path_sup_distances,
     support_radius,
@@ -19,6 +18,7 @@ from meanflock.transport import (
 from helpers import (
     brute_force_path_wasserstein_uniform,
     brute_force_wasserstein_uniform,
+    transport_lp_cost,
 )
 
 
@@ -72,11 +72,17 @@ class TestWasserstein:
             wasserstein(uniform([[0.0]]), uniform([[0.0, 0.0]]), 2)
 
     def test_support_cap(self):
+        # 2049 against 2048 atoms: the cap is checked before any solve
+        assert DEFAULT_SUPPORT_CAP == 4096
         rng = np.random.default_rng(1)
-        mu = uniform(rng.normal(size=(5, 2)))
-        nu = uniform(rng.normal(size=(5, 2)))
-        with pytest.raises(SupportCapError):
-            wasserstein(mu, nu, 2, support_cap=8)
+        mu = uniform(rng.normal(size=(2049, 2)))
+        nu = uniform(rng.normal(size=(2048, 2)))
+        with pytest.raises(SupportCapError, match="4097 exceeds solver cap 4096"):
+            wasserstein(mu, nu, 2)
+        a = uniform_path(rng.normal(size=(2, 2049, 2)))
+        b = uniform_path(rng.normal(size=(2, 2048, 2)))
+        with pytest.raises(SupportCapError, match="4097"):
+            wasserstein_path(a, b, 2)
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
@@ -106,7 +112,7 @@ class TestWasserstein:
             wb /= wb.sum()
             p = float(rng.choice([1.0, 2.0]))
             fast = wasserstein(EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb), p)
-            lp = _transport_lp_cost(_pairwise_distances(a, b), wa, wb, p) ** (1.0 / p)
+            lp = transport_lp_cost(_pairwise_distances(a, b), wa, wb, p) ** (1.0 / p)
             assert fast == pytest.approx(lp, abs=1e-10)
         # equal uniform sizes (every breakpoint coincides), one-atom measures
         # and 150 against 200 atoms with arbitrary weights
@@ -119,7 +125,7 @@ class TestWasserstein:
             wa, wb = wa / wa.sum(), wb / wb.sum()
             for p in (1.0, 2.0, 3.0):
                 fast = wasserstein(EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb), p)
-                lp = _transport_lp_cost(_pairwise_distances(a, b), wa, wb, p) ** (1.0 / p)
+                lp = transport_lp_cost(_pairwise_distances(a, b), wa, wb, p) ** (1.0 / p)
                 # HiGHS stops within about 1e-9 of the optimal cost
                 assert fast == pytest.approx(lp, rel=1e-7)
         # 1500 against 2000 uniform atoms: replicated to 6000 each, the optimal
@@ -133,48 +139,41 @@ class TestWasserstein:
         assert wasserstein(uniform(a), uniform(a[::-1]), 2) == 0.0
 
     def test_unequal_sizes_lp_route(self):
-        mu = uniform([[0.0, 0.0], [1.0, 0.0]])
-        nu = uniform([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
+        # 2 against 3 atoms: in 1-D the closed form solves any sizes
+        mu = uniform([[0.0], [1.0]])
+        nu = uniform([[0.0], [1.0], [0.5]])
         # optimal plan keeps 1/3 at each matched atom and splits the rest
         got = wasserstein(mu, nu, p=1)
         assert got == pytest.approx(1.0 / 6.0, abs=1e-9)
 
 
+def divisible(sizes):
+    """Sizes rounded down to a chain where each divides the next larger one."""
+    sizes = sorted(sizes)
+    out = [sizes[0]]
+    for n in sizes[1:]:
+        out.append(max(out[-1], n // out[-1] * out[-1]))
+    return out
+
+
+POINTS = st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=6)
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=6),
-    st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=6),
-)
+@given(POINTS, POINTS)
 def test_symmetry(a, b):
+    # 2-D: sizes cut to a divisible pair, the only unequal pairs solved there
+    n, m = divisible([len(a), len(b)])
+    a, b = (a[:n], b[:m]) if len(a) <= len(b) else (a[:m], b[:n])
     mu, nu = uniform(a), uniform(b)
     assert wasserstein(mu, nu, 2) == pytest.approx(wasserstein(nu, mu, 2), abs=1e-12)
 
 
-def test_lp_route_symmetric_bitwise():
-    # 4 against 5 uniform atoms take the LP route; HiGHS solves the two
-    # orientations of this problem to results 2.4e-12 apart
-    a = [[-2.0, 0.0], [3.0, 1e-300], [-2.0, 1e-05], [1.5, 8.418372939058198]]
-    b = [
-        [7.080944505999895, 2.619450303796249],
-        [0.0, 5e-324],
-        [-9.903639851710812, 1e-300],
-        [-8.210398270813357, 1e-05],
-        [6.534956517590469, 1.0],
-    ]
-    mu, nu = uniform(a), uniform(b)
-    assert wasserstein(mu, nu, 2) == wasserstein(nu, mu, 2)
-
-
-def test_lp_route_symmetric_for_equal_sizes():
-    # equal sizes with non-uniform weights: the orientation tie-break
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        x, y = rng.normal(size=(2, 4, 2))
-        wa, wb = rng.uniform(0.1, 1.0, size=(2, 4))
-        for wy in (wb / wb.sum(), wa / wa.sum()):
-            mu = EmpiricalMeasure(x, wa / wa.sum())
-            nu = EmpiricalMeasure(y, wy)
-            assert wasserstein(mu, nu, 2) == wasserstein(nu, mu, 2)
+@settings(max_examples=40, deadline=None)
+@given(POINTS, POINTS)
+def test_symmetry_1d(a, b):
+    mu, nu = uniform([[x] for x, _ in a]), uniform([[x] for x, _ in b])
+    assert wasserstein(mu, nu, 2) == pytest.approx(wasserstein(nu, mu, 2), abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -186,14 +185,14 @@ def test_divisible_sizes_assignment_equals_lp(p):
             for d in (2, 3):
                 a = rng.normal(size=(n, d))
                 b = rng.normal(size=(k * n, d))
-                lp = _transport_lp_cost(
+                lp = transport_lp_cost(
                     _pairwise_distances(a, b), np.full(n, 1.0 / n), np.full(k * n, 1.0 / (k * n)), p
                 )
                 got = wasserstein(uniform(a), uniform(b), p)
                 assert got == pytest.approx(lp ** (1.0 / p), rel=1e-9)
                 pa = uniform_path(rng.normal(size=(3, n, d)))
                 pb = uniform_path(rng.normal(size=(3, k * n, d)))
-                lp = _transport_lp_cost(path_sup_distances(pb, pa), pb.weights, pa.weights, p)
+                lp = transport_lp_cost(path_sup_distances(pb, pa), pb.weights, pa.weights, p)
                 got = wasserstein_path(pb, pa, p)
                 assert got == pytest.approx(lp ** (1.0 / p), rel=1e-9)
 
@@ -209,25 +208,29 @@ def test_divisible_sizes_symmetric_bitwise():
         assert wasserstein_path(a, b, 2) == wasserstein_path(b, a, 2)
 
 
-def test_lp_only_where_sizes_do_not_divide(monkeypatch):
-    def no_lp(*args, **kwargs):
-        raise AssertionError("transport LP called")
-
-    # the solver imports linprog from scipy.optimize at call time
-    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+def test_unsupported_pairs_raise():
     rng = np.random.default_rng(13)
+    weights = np.array([0.5, 0.25, 0.25])
+    pairs = [
+        (uniform(rng.normal(size=(4, 2))), uniform(rng.normal(size=(6, 2))), (4, 6)),
+        (EmpiricalMeasure(rng.normal(size=(3, 2)), weights), uniform(rng.normal(size=(6, 2))),
+         (3, 6)),
+        (EmpiricalMeasure(rng.normal(size=(3, 2)), weights), uniform(rng.normal(size=(3, 2))),
+         (3, 3)),
+    ]
+    for mu, nu, (n, m) in pairs:
+        with pytest.raises(UnsupportedTransportError, match=f"between {n} and {m} atoms"):
+            wasserstein(mu, nu, 2)
+    with pytest.raises(UnsupportedTransportError, match="between 4 and 6 atoms"):
+        wasserstein_path(uniform_path(rng.normal(size=(3, 4, 1))),
+                         uniform_path(rng.normal(size=(3, 6, 1))), 2)
+    # 1-D takes the closed form, whatever the weights and sizes
+    a, b = rng.normal(size=(3, 1)), rng.normal(size=(6, 1))
+    want = transport_lp_cost(_pairwise_distances(a, b), weights, np.full(6, 1 / 6), 2) ** 0.5
+    assert wasserstein(EmpiricalMeasure(a, weights), uniform(b), 2) == pytest.approx(want, rel=1e-7)
     a = uniform_path(rng.normal(size=(5, 128, 2)))
     b = uniform_path(rng.normal(size=(5, 256, 2)))
     assert wasserstein_path(a, b, 2) > 0
-    with pytest.raises(AssertionError, match="LP called"):
-        wasserstein(uniform(rng.normal(size=(4, 2))), uniform(rng.normal(size=(6, 2))), 2)
-    weights = np.array([0.5, 0.25, 0.25])
-    with pytest.raises(AssertionError, match="LP called"):
-        wasserstein(EmpiricalMeasure(rng.normal(size=(3, 2)), weights),
-                    uniform(rng.normal(size=(6, 2))), 2)
-    with pytest.raises(AssertionError, match="LP called"):
-        wasserstein(EmpiricalMeasure(rng.normal(size=(3, 2)), weights),
-                    uniform(rng.normal(size=(3, 2))), 2)
 
 
 def test_path_sup_distances_match_per_step_roots():
@@ -238,16 +241,29 @@ def test_path_sup_distances_match_per_step_roots():
     assert np.array_equal(path_sup_distances(a, b), want)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000))
-def test_triangle_inequality(seed):
+def assert_triangle(seed, dim):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 8, size=3)
-    mu, nu, rho = (uniform(rng.normal(size=(n, 2))) for n in sizes)
+    if dim > 1:
+        sizes = rng.permutation(divisible(sizes))
+    mu, nu, rho = (uniform(rng.normal(size=(n, dim))) for n in sizes)
     d_ab = wasserstein(mu, nu, 2)
     d_bc = wasserstein(nu, rho, 2)
     d_ac = wasserstein(mu, rho, 2)
     assert d_ac <= d_ab + d_bc + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_triangle_inequality(seed):
+    # 2-D: sizes cut to a divisible chain, so every pair has a route
+    assert_triangle(seed, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_triangle_inequality_1d(seed):
+    assert_triangle(seed, 1)
 
 
 @settings(max_examples=25, deadline=None)
