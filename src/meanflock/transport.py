@@ -1,24 +1,19 @@
 """Empirical measures and exact Wasserstein distances on small supports.
 
-Two exact solver routes, selected automatically:
+Two exact solver routes, selected automatically, both in numpy alone:
 
 * one-dimensional supports: the closed form on the merged quantile
-  breakpoints (exact for arbitrary weights, numpy only),
-* uniform weights where one atom count divides the other: optimal
-  assignment (``scipy.optimize.linear_sum_assignment``) on the distance
-  matrix with each row of the smaller support repeated m/n times; scaled by
-  m the marginals are integers, so the transportation polytope has integral
-  vertices and its optimum is this assignment.
+  breakpoints (exact for arbitrary weights),
+* uniform weights where one atom count divides the other: an optimal
+  assignment in which each atom of the smaller support takes m/n atoms of
+  the larger; scaled by m the marginals are integers, so the transportation
+  polytope has integral vertices and its optimum is this assignment. The
+  package solves it itself by shortest augmenting paths (``_assignment``).
 
 Every pair an experiment builds takes one of them: simulated measures are
 uniform, and Cauchy-in-N sizes halve. Any other pair outside 1-D (weighted,
 or 4 against 6 atoms) raises :class:`UnsupportedTransportError` rather than
 falling back to a general transportation LP.
-
-scipy is imported inside the assignment solver, not with this module:
-importing ``scipy.optimize`` costs more than the rest of the package, and
-most runs solve no assignment. A process pays for it at its first
-assignment; later solves find it in ``sys.modules``.
 
 All distances are exact up to solver round-off; there is no entropic or
 sliced approximation anywhere in this module. Measures with more than
@@ -147,9 +142,22 @@ def _is_uniform(weights: np.ndarray) -> bool:
     return bool(np.max(np.abs(weights - 1.0 / weights.size)) <= _WEIGHT_TOL)
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _squared_distances(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, diff: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, m) squared Euclidean distances, added one coordinate at a time.
+
+    ``out`` and ``diff`` are optional (n, m) buffers, for callers in a loop.
+    """
+    out = np.subtract.outer(a[:, 0], b[:, 0], out=out)
+    out *= out
+    if diff is None and a.shape[1] > 1:
+        diff = np.empty_like(out)
+    for k in range(1, a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        diff *= diff
+        out += diff
+    return out
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,13 +195,111 @@ def _wasserstein_1d(xa, wa, xb, wb, p: float) -> float:
     return float(np.sum(np.diff(t, prepend=0.0) * np.abs(qa - qb) ** p))
 
 
-def _assignment_cost(dist: np.ndarray, p: float) -> float:
-    """Uniform equal-size W_p^p via exact optimal assignment."""
-    from scipy.optimize import linear_sum_assignment
+def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
+    """Columns of each row in a least-cost assignment where every row takes k.
 
+    ``cost`` is (n, k*n); the result is an (n, k) array, each row's columns
+    ascending, holding every column once. Successive shortest augmenting
+    paths with dual potentials (Jonker & Volgenant, Computing 38, 1987;
+    Crouse, IEEE Trans. Aerosp. Electron. Syst. 52, 2016), run on rows with
+    capacity k rather than on k copies of each row: copies share one dual,
+    so a Dijkstra search scans each row at most once per augmentation.
+
+    The duals start from a column reduction, v_j = min_i c_ij, and each row
+    takes up to k of the columns whose minimum it holds (the first in
+    column order). Every further unit of row capacity is then filled by one
+    augmentation. Each Dijkstra step scans one row against all columns in
+    a few vector operations and keeps only the path lengths; the path is
+    recovered from the scanned rows once a free column is reached. Among
+    tied minima a step takes a free column if there is one, the first in
+    column order, which ends the search. Without that rule a constant
+    matrix rescans every matched column: quadratic steps where this takes
+    one per augmentation.
+
+    Every entry of ``cost`` must be finite: with a NaN or an infinity the
+    search may never end.
+    """
+    n, m = cost.shape
+    holder = cost.argmin(axis=0)
+    order = np.argsort(holder, kind="stable")
+    held = holder[order]
+    keep = np.arange(m) - np.searchsorted(held, held) < k
+    row4col = [-1] * m
+    cols_of = [[] for _ in range(n)]
+    for j, i in zip(order[keep].tolist(), held[keep].tolist()):
+        row4col[j] = i
+        cols_of[i].append(j)
+    free_cols = np.sort(order[~keep])
+    u = np.zeros(n)
+    v = cost.min(axis=0)
+    # per search: d holds the path lengths to the columns, w is v with the
+    # columns of scanned rows at -inf, so that no later scan reaches them
+    d, w, cand = np.empty(m), np.empty(m), np.empty(m)
+    dist_row = np.zeros(n)
+    reach, when = [0] * n, [0] * n
+    for s in range(n):
+        for _ in range(k - len(cols_of[s])):
+            d.fill(np.inf)
+            np.copyto(w, v)
+            for c in cols_of[s]:
+                w[c] = -np.inf
+            scanned, low, i = [s], 0.0, s
+            dist_row[s] = 0.0
+            while True:
+                np.subtract(cost[i], w, out=cand)
+                cand += low - u.item(i)
+                np.minimum(d, cand, out=d)
+                j = int(d.argmin())
+                low, i = d.item(j), row4col[j]
+                if i >= 0:
+                    tied = d[free_cols]
+                    f = int(tied.argmin())
+                    if tied.item(f) == low:
+                        j, i = int(free_cols[f]), -1
+                if i < 0:
+                    break
+                for c in cols_of[i]:
+                    w[c], d[c] = -np.inf, np.inf
+                # row i was reached through column j, before its own scan
+                reach[i], when[i], dist_row[i] = j, len(scanned), low
+                scanned.append(i)
+            # walk back from the sink: each column on the path came from the
+            # first row, among those scanned before it was reached, whose
+            # scan gave its length (the same sums, so the same floats)
+            rows = np.array(scanned)
+            hops, n_before = [], len(scanned)
+            while True:
+                before = rows[:n_before]
+                lengths = (cost[before, j] - v[j]) + (dist_row[before] - u[before])
+                i = scanned[int(lengths.argmin())]
+                hops.append((i, j))
+                if i == s:
+                    break
+                n_before, j = when[i], reach[i]
+            # dual update: reduced costs stay >= 0, and 0 on the new matching
+            shift = low - dist_row[rows]
+            u[rows] += shift
+            for i, delta in zip(scanned, shift.tolist()):
+                for c in cols_of[i]:
+                    v[c] -= delta
+            free_cols = free_cols[free_cols != hops[0][1]]
+            for i, j in hops:
+                row4col[j] = i
+                cols_of[i].append(j)
+                if i != s:
+                    cols_of[i].remove(reach[i])
+    return np.argsort(row4col, kind="stable").reshape(n, k)
+
+
+def _assignment_cost(dist: np.ndarray, k: int, p: float) -> float:
+    """W_p^p of n uniform atoms (rows of ``dist``) against k*n (columns)."""
     cost = dist**p
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sum(cost[rows, cols]) / dist.shape[0])
+    if not np.all(np.isfinite(cost)):
+        raise ValueError(
+            f"transport cost matrix of shape {cost.shape} has non-finite entries"
+        )
+    cols = _assignment(cost, k)
+    return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / cost.shape[1])
 
 
 def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) -> float:
@@ -202,16 +308,18 @@ def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) 
     Uniform weights where one atom count divides the other are solved as an
     assignment with the smaller support as rows, so swapping two measures
     of unequal size gives the same float; any other pair raises
-    :class:`UnsupportedTransportError`.
+    :class:`UnsupportedTransportError`. Each of the n rows takes k = m/n of
+    the m columns: ``_assignment`` treats a row as k copies sharing one
+    dual, so no replicated (m, m) table is built. It is exact (successive
+    shortest augmenting paths) and, among tied path lengths, ends on a free
+    column, the first in column order.
     """
     n, m = dist.shape
     if not (_is_uniform(wa) and _is_uniform(wb) and max(n, m) % min(n, m) == 0):
         raise UnsupportedTransportError(n, m)
     if n > m:
-        dist, n, m = dist.T, m, n
-    if m > n:
-        dist = np.repeat(dist, m // n, axis=0)
-    return _assignment_cost(dist, p)
+        dist, n, m = np.ascontiguousarray(dist.T), m, n
+    return _assignment_cost(dist, m // n, p)
 
 
 def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> float:
@@ -242,8 +350,10 @@ def path_sup_distances(mu: MeasurePath, nu: MeasurePath) -> np.ndarray:
     if mu.times.shape != nu.times.shape or not np.array_equal(mu.times, nu.times):
         raise ValueError("measure paths must share an identical time grid")
     out = np.zeros((mu.n_atoms, nu.n_atoms))
+    sq, diff = np.empty_like(out), np.empty_like(out)
     for t in range(mu.n_times):
-        np.maximum(out, _squared_distances(mu.states[t], nu.states[t]), out=out)
+        _squared_distances(mu.states[t], nu.states[t], out=sq, diff=diff)
+        np.maximum(out, sq, out=out)
     # sqrt is monotone and correctly rounded: the max of the roots, bitwise
     return np.sqrt(out, out=out)
 

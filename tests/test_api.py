@@ -26,3 +26,19 @@ def test_every_public_name_is_read_in_the_package():
     read = set().union(*map(names_read, modules))
     unread = sorted(set(meanflock.__all__) - read)
     assert not unread, f"in meanflock.__all__ but read nowhere in the package: {unread}"
+
+
+def test_package_imports_no_scipy():
+    """Every solver runs on numpy alone: scipy is a test-only dependency."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in modules
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported in the package: {found}"

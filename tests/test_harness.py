@@ -396,7 +396,7 @@ class TestBenchmarkBindings:
 
 
 class TestImportBudget:
-    """A run loads scipy and the process pool only when it uses them.
+    """A run loads the process pool only when it uses it, and never scipy.
 
     Each check runs in a fresh interpreter: this process has scipy loaded.
     """
@@ -436,7 +436,7 @@ class TestImportBudget:
         assert (tmp_path / "out" / "report.json").exists()
         assert loaded == {"scipy": False, "pool": False}
 
-    def test_cauchy_run_loads_scipy(self, tmp_path):
+    def test_cauchy_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"""
 experiment = cauchy
@@ -451,4 +451,23 @@ master_seed = 3
 n_seeds = 2
 output_dir = {tmp_path / "out"}
 """)
-        assert self.run_main(["run", str(cfg)], tmp_path)["scipy"]
+        assert not self.run_main(["run", str(cfg)], tmp_path)["scipy"]
+        assert (tmp_path / "out" / "report.json").exists()
+
+    def test_comparison_run_loads_no_scipy(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"""
+experiment = comparison
+model = cucker-smale
+half_dim = 1
+phi_lambda = 0.5
+phi_gamma = 1.0
+n_particles = 4
+t_final = 0.125
+dt = 0.0625
+master_seed = 3
+n_seeds = 2
+output_dir = {tmp_path / "out"}
+""")
+        assert not self.run_main(["run", str(cfg)], tmp_path)["scipy"]
+        assert (tmp_path / "out" / "report.json").exists()

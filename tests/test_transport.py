@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from meanflock.errors import DimensionMismatchError, SupportCapError, UnsupportedTransportError
 from meanflock.transport import (
     DEFAULT_SUPPORT_CAP,
     EmpiricalMeasure,
     MeasurePath,
+    _assignment,
+    _assignment_cost,
     _pairwise_distances,
     moments,
     path_sup_distances,
@@ -239,6 +242,83 @@ def test_path_sup_distances_match_per_step_roots():
     b = uniform_path(rng.normal(size=(7, 18, 3)))
     want = np.max([_pairwise_distances(a.states[t], b.states[t]) for t in range(7)], axis=0)
     assert np.array_equal(path_sup_distances(a, b), want)
+
+
+def assert_assignment_matches_scipy(dist, k, p):
+    """The solver against scipy on the rows repeated k times, at rel 1e-12."""
+    n, m = dist.shape
+    cols = _assignment(dist**p, k)
+    # a bijection of the n*k row copies onto the columns
+    assert cols.shape == (n, k)
+    assert np.array_equal(np.sort(cols, axis=None), np.arange(m))
+    repeated = np.repeat(dist**p, k, axis=0)
+    rows, want_cols = linear_sum_assignment(repeated)
+    want = np.sum(repeated[rows, want_cols]) / m
+    assert _assignment_cost(dist, k, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_assignment_matches_scipy(rounded):
+    # rounded atoms sit on a small integer grid: many tied costs
+    rng = np.random.default_rng(31 + rounded)
+    for _ in range(150):
+        n, k, d, p = (int(x) for x in rng.integers([1, 1, 1, 1], [41, 5, 4, 4]))
+        a, b = rng.normal(size=(n, d)), rng.normal(size=(k * n, d))
+        if rounded:
+            a, b = np.round(a), np.round(b)
+        assert_assignment_matches_scipy(_pairwise_distances(a, b), k, p)
+
+
+def test_assignment_matches_scipy_cauchy_shapes():
+    # sup distances between coupled random walks of N and 2N particles
+    rng = np.random.default_rng(32)
+    for n in (32, 64, 128):
+        steps = rng.normal(scale=0.1, size=(21, 2 * n, 2))
+        b = uniform_path(np.cumsum(steps, axis=0))
+        a = uniform_path(b.states[:, :n] + rng.normal(scale=0.05, size=(21, n, 2)))
+        assert_assignment_matches_scipy(path_sup_distances(a, b), 2, 2)
+
+
+class CountedRows(np.ndarray):
+    """Cost matrix that counts the single rows read from it.
+
+    Reductions of it (the column minima) are 1-D views of this class too;
+    they count nothing.
+    """
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if self.ndim == 2 and isinstance(key, (int, np.integer)):
+            CountedRows.reads += 1
+        return np.asarray(self)[key]
+
+
+def test_constant_costs_one_scan_per_augmentation():
+    # every path length ties: the search must end on a free column at once,
+    # not rescan the matched ones (quadratic in n). The column reduction
+    # gives row 0 column 0; each other row then takes one scan.
+    n = 512
+    CountedRows.reads = 0
+    cols = _assignment(np.ones((n, n)).view(CountedRows), 1)
+    assert np.array_equal(cols[:, 0], np.arange(n))
+    assert CountedRows.reads == n - 1
+
+
+def test_non_finite_costs_raise():
+    rng = np.random.default_rng(33)
+    for bad in (np.nan, np.inf):
+        dist = rng.uniform(size=(4, 8))
+        dist[2, 5] = bad
+        with pytest.raises(ValueError, match=r"shape \(4, 8\) has non-finite"):
+            _assignment_cost(dist, 2, 2)
+        states = rng.normal(size=(3, 8, 2))
+        states[1, 3, 0] = bad
+        with pytest.raises(ValueError, match=r"shape \(4, 8\)"):
+            wasserstein_path(uniform_path(rng.normal(size=(3, 4, 2))), uniform_path(states), 2)
+    # finite atoms whose cost overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        wasserstein(uniform([[0.0, 0.0], [1e110, 0.0]]), uniform([[1.0, 1.0], [-1e110, 0.0]]), 3)
 
 
 def assert_triangle(seed, dim):
