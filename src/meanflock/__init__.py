@@ -18,7 +18,6 @@ from .characteristics import (
 from .diagnostics import DiagnosticsReport
 from .dynamics import (
     NoisePath,
-    ParticleEnsemble,
     SimConfig,
     TrajectoryRecord,
     simulate,
@@ -50,7 +49,6 @@ __all__ = [
     "KernelSet",
     "MeasurePath",
     "NoisePath",
-    "ParticleEnsemble",
     "SimConfig",
     "TestFunction",
     "TrajectoryRecord",

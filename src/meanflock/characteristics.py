@@ -3,22 +3,22 @@
 Given a recorded measure path and the common-noise increments that produced
 it, the characteristic of a start point x solves the same Euler recursion as
 the particle system, but with the mean-field coefficients evaluated against
-the frozen path instead of the evolving ensemble. Because the solver shares
-its field-evaluation code with the particle stepper, pushing the initial
+the frozen path instead of the evolving ensemble. The solver advances with
+the particle stepper's own ``dynamics._euler_step``, so pushing the initial
 measure through its own frozen field reproduces the recorded run bit for
-bit: the discrete transport identity.
+bit: the discrete transport identity holds by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import NoisePath, ParticleEnsemble, SimConfig, TrajectoryRecord, simulate
+from .dynamics import NoisePath, SimConfig, TrajectoryRecord, _euler_step, simulate
 from .errors import BlowUpError
-from .kernels import KernelSet, field_drift_diffusion
+from .kernels import KernelSet
 from .transport import EmpiricalMeasure, MeasurePath, support_radius, wasserstein
 
 
@@ -50,9 +50,7 @@ class FrozenField:
 
     @classmethod
     def from_run(cls, run: TrajectoryRecord) -> "FrozenField":
-        """Freeze a recorded run; requires full time resolution."""
-        if run.config.record_stride != 1:
-            raise ValueError("freezing a run requires record_stride == 1")
+        """Freeze a recorded run at every step of its grid."""
         return cls(
             kernel=run.kernel,
             field_path=run.measure_path(),
@@ -66,6 +64,8 @@ class FrozenField:
 def solve_characteristics(f: FrozenField, x0) -> np.ndarray:
     """Euler-Ito characteristics from one or many start points.
 
+    Each step is the particle stepper's ``_euler_step`` with the frozen
+    measure of that step as atoms and the current points as queries.
     Returns the full path array of shape (steps + 1, m, d) for a batch of m
     starts (a single (d,) start is promoted to m = 1).
     """
@@ -82,12 +82,10 @@ def solve_characteristics(f: FrozenField, x0) -> np.ndarray:
     out[0] = x0
     current = x0
     for step in range(f.steps):
-        drift, common = field_drift_diffusion(
-            k, atoms_path[step], weights, current, s1_convention=f.s1_convention
+        current = _euler_step(
+            k, atoms_path[step], weights, current, f.dt, f.common_increments[step],
+            None, f.s1_convention,
         )
-        current = current + f.dt * drift
-        if common is not None:
-            current = current + f.common_increments[step] * common
         max_norm = float(np.max(np.linalg.norm(current, axis=-1)))
         if not np.isfinite(max_norm) or max_norm > f.blowup_norm:
             raise BlowUpError(step, max_norm)
@@ -130,14 +128,7 @@ def evolve_transport(
     """
     if k.sigma is not None:
         raise ValueError("transport form needs sigma = 0")
-    run = simulate(
-        k,
-        ParticleEnsemble(init.atoms),
-        replace(cfg, n_particles=init.n),
-        noise=noise,
-        weights=init.weights,
-    )
-    return run.measure_path()
+    return simulate(k, init.atoms, cfg, noise=noise, weights=init.weights).measure_path()
 
 
 def _stopped_sup_cost(
@@ -175,7 +166,7 @@ def comparison_seed(
     All transport-form solutions share the common noise of
     ``cfg.master_seed``; the path of ``init_a`` is simulated once.
     """
-    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, cfg.dim)
+    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
     path_a = evolve_transport(k, init_a, cfg, noise=noise)
     return [
         _stopped_sup_cost(path_a, evolve_transport(k, init_b, cfg, noise=noise), radius, p)

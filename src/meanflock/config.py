@@ -4,15 +4,20 @@ The format is deliberately primitive so configs diff cleanly and every run
 is auditable: one ``key = value`` pair per line, ``#`` comments, no
 sections, no nesting. Unknown keys, bad types, and missing required keys are
 all rejected before any computation starts, with the offending line quoted.
+Value bounds that a library object already guards (the time grid, the
+Cucker-Smale parameters, the truncation, the state dimension) are checked by
+building that object, so each bound is written once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+from .dynamics import SimConfig
 from .errors import ConfigError
+from .kernels import CuckerSmaleParams, KernelSet, Truncation
 
 EXPERIMENT_KINDS = (
     "simulate",
@@ -131,7 +136,6 @@ SCHEMA: dict[str, Key] = {
         Key("s1_convention", "str", default="half_both",
             choices=("half_both", "paper_literal")),
         Key("master_seed", "int", default=0),
-        Key("record_stride", "int", default=1),
         Key("blowup_norm", "float", default=1e6),
         # initial conditions
         Key("init_kind", "str", default="gaussian", choices=("gaussian", "uniform")),
@@ -240,10 +244,12 @@ def parse_config(text: str) -> ExperimentConfig:
     for needed in _REQUIRED_BY_KIND.get(kind, ()):
         if values.get(needed) is None:
             raise ConfigError(f"experiment '{kind}' requires key '{needed}'")
-    if values["dt"] <= 0:
-        raise ConfigError("field 'dt' must be positive")
     if values["t_final"] <= 0:
         raise ConfigError("field 't_final' must be positive")
+    _guarded(SimConfig, ("t_final", "dt"), values, given)
+    for name in ("n_particles", "wasserstein_p"):
+        if values[name] < 1:
+            raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):
         raise ConfigError("trunc_radius and trunc_margin must be given together")
     cfg = ExperimentConfig(values=values, text=text)
@@ -263,6 +269,26 @@ def _check_model(values: dict, given: set) -> None:
     for key in model.required:
         if values[key] is None:
             raise ConfigError(f"model '{name}' requires key '{key}'")
+    if model.position_velocity:
+        _guarded(CuckerSmaleParams, _CS, values, given)
+    else:
+        _guarded(KernelSet, ("dim",), values, given)
+    if values["trunc_radius"] is not None:
+        _guarded(Truncation, _TRUNC, values, given)
+
+
+def _guarded(build: Callable, keys: tuple, values: dict, given: set) -> None:
+    """Apply the guard of ``build(*values of keys)`` as a config rule.
+
+    Defaults pass every guard, so a rejection is blamed on the keys the
+    config gives.
+    """
+    try:
+        build(*(values[key] for key in keys))
+    except ValueError as exc:
+        named = [key for key in keys if key in given] or list(keys)
+        label = "field" if len(named) == 1 else "fields"
+        raise ConfigError(f"{label} {', '.join(map(repr, named))}: {exc}") from None
 
 
 def _check_experiment(values: dict, n_seeds: int) -> None:

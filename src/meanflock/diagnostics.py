@@ -31,15 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (
-    NoisePath,
-    ParticleEnsemble,
-    SimConfig,
-    TrajectoryRecord,
-    init_rng,
-    resample_rng,
-    simulate,
-)
+from .dynamics import NoisePath, SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import CylinderFunction, TestFunction
 from .transport import wasserstein_path
@@ -208,8 +200,6 @@ def weakform_single(
     the discrete quadratic-variation estimator
     sum_k (<C[mu] . grad psi, mu>^2 + (1/N) <|sigma^T grad psi|^2, mu>) dt.
     """
-    if run.config.record_stride != 1:
-        raise ValueError("weak-form residual needs record_stride == 1")
     k = run.kernel
     cfg = run.config
     states = run.states
@@ -310,19 +300,11 @@ def cauchy_single(
     p: float,
 ) -> np.ndarray:
     """Coupled path distances W_p^p(mu^N, mu^{2N}) for one master seed."""
-    run_cfg = replace(cfg, master_seed=int(seed), n_particles=int(sizes[0]))
-    noise = NoisePath(run_cfg.master_seed, run_cfg.dt, run_cfg.steps, run_cfg.dim)
-    paths = {}
-    for n in sizes:
-        n_cfg = replace(run_cfg, n_particles=int(n))
-        run = simulate(
-            k,
-            ParticleEnsemble(base_atoms[:n]),
-            n_cfg,
-            noise=noise,
-            particle_ids=np.arange(n),
-        )
-        paths[n] = run.measure_path()
+    run_cfg = replace(cfg, master_seed=int(seed))
+    noise = NoisePath(run_cfg.master_seed, run_cfg.dt, run_cfg.steps, k.dim)
+    # nested prefixes of one atom draw under one noise: particle i is the
+    # same particle, driven by the same increments, in every size
+    paths = {n: simulate(k, base_atoms[:n], run_cfg, noise=noise).measure_path() for n in sizes}
     out = np.empty(len(sizes) - 1)
     for idx in range(len(sizes) - 1):
         big, small = sizes[idx], sizes[idx + 1]
@@ -374,12 +356,9 @@ def chaos_beta_path(
     """|E-hat[prod phi | beta] - prod <phi, mu_ref>| for each N at one beta."""
     r = len(phis)
     run_cfg = replace(cfg, master_seed=int(beta_seed))
-    noise = NoisePath(run_cfg.master_seed, run_cfg.dt, run_cfg.steps, run_cfg.dim)
+    noise = NoisePath(run_cfg.master_seed, run_cfg.dt, run_cfg.steps, k.dim)
 
-    ref_atoms = sampler(init_rng(beta_seed), ref_n)
-    ref_run = simulate(
-        k, ParticleEnsemble(ref_atoms), replace(run_cfg, n_particles=ref_n), noise=noise
-    )
+    ref_run = simulate(k, sampler(init_rng(beta_seed), ref_n), run_cfg, noise=noise)
     ref_paths = np.swapaxes(ref_run.states, 0, 1)  # (n_ref, times, d)
     ref_marginals = [
         float(np.mean(phi.apply_path(ref_run.times, ref_paths))) for phi in phis
@@ -392,12 +371,7 @@ def chaos_beta_path(
     for s in range(n_resamples):
         atoms_block = sampler(resample_rng(beta_seed, s), n_max)
         for n_idx, n in enumerate(n_list):
-            run = simulate(
-                k,
-                ParticleEnsemble(atoms_block[:n]),
-                replace(run_cfg, n_particles=int(n)),
-                noise=noise,
-            )
+            run = simulate(k, atoms_block[:n], run_cfg, noise=noise)
             lead = np.swapaxes(run.states[:, :r, :], 0, 1)  # (r, times, d)
             vals = [
                 phi.apply_path(run.times, lead[i]) for i, phi in enumerate(phis)

@@ -11,6 +11,11 @@ Noise is addressed, not streamed: the increment of particle ``i`` at step
 ``k`` is a pure function of ``(master_seed, i, k)`` through per-particle
 Philox streams, so a particle keeps the same noise when embedded in systems
 of different sizes. Coupled-size experiments rely on exactly this.
+
+A trajectory's inputs are the kernel, the (N, d) array of initial states and
+a time grid (``SimConfig``); N and d are read from the states, and every
+grid step is recorded. The Euler-Ito update is one function,
+``_euler_step``, which the frozen-field characteristics solver calls too.
 """
 
 from __future__ import annotations
@@ -45,30 +50,6 @@ def init_rng(master_seed: int) -> np.random.Generator:
 
 def resample_rng(master_seed: int, resample: int) -> np.random.Generator:
     return seeded_rng(master_seed, _STREAM_RESAMPLE, resample)
-
-
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """N particle states in R^d at a common time."""
-
-    states: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        if states.ndim != 2 or states.shape[0] < 1:
-            raise ValueError("states must be a (n, d) array with n >= 1")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("particle states must be finite")
-        object.__setattr__(self, "states", states)
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
 
 
 class NoisePath:
@@ -107,15 +88,12 @@ class NoisePath:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Discretization and reproducibility knobs for one trajectory."""
+    """Time grid, scheme and reproducibility knobs for one trajectory."""
 
-    n_particles: int
-    dim: int
     t_final: float
     dt: float
     scheme: str = "euler_ito"
     master_seed: int = 0
-    record_stride: int = 1
     s1_convention: str = "half_both"
     blowup_norm: float = 1e6
 
@@ -129,10 +107,6 @@ class SimConfig:
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("t_final must be an integer multiple of dt")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if round(steps) % self.record_stride != 0:
-            raise ValueError("record_stride must divide the step count")
 
     @property
     def steps(self) -> int:
@@ -144,7 +118,7 @@ class TrajectoryRecord:
     """Recorded trajectory plus everything needed to replay or freeze it."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_recorded, n, d)
+    states: np.ndarray  # (steps + 1, n, d)
     weights: np.ndarray
     config: SimConfig
     kernel: KernelSet
@@ -168,21 +142,27 @@ def _sigma_increment(k: KernelSet, states: np.ndarray, db: np.ndarray) -> np.nda
 
 def _euler_step(
     k: KernelSet,
-    states: np.ndarray,
+    atoms: np.ndarray,
     weights: np.ndarray,
+    queries: np.ndarray,
     dt: float,
     dbeta: float,
     db: Optional[np.ndarray],
     s1_convention: str,
 ) -> np.ndarray:
+    """One Euler-Ito step of ``queries`` in the field of the measure (atoms, weights).
+
+    The stepper passes its states as both atoms and queries; the
+    characteristics solver passes the frozen measure of the step as atoms.
+    """
     drift, common = field_drift_diffusion(
-        k, states, weights, states, s1_convention=s1_convention
+        k, atoms, weights, queries, s1_convention=s1_convention
     )
-    new = states + dt * drift
+    new = queries + dt * drift
     if common is not None:
         new = new + dbeta * common
     if k.sigma is not None:
-        new = new + _sigma_increment(k, states, db)
+        new = new + _sigma_increment(k, queries, db)
     return new
 
 
@@ -217,59 +197,56 @@ def _heun_step(
 
 def simulate(
     k: KernelSet,
-    init: ParticleEnsemble,
+    states: np.ndarray,
     cfg: SimConfig,
     noise: Optional[NoisePath] = None,
     particle_ids: Optional[Sequence[int]] = None,
     weights: Optional[np.ndarray] = None,
 ) -> TrajectoryRecord:
-    """Integrate the full particle system and record every stride-th state.
+    """Integrate the particle system from ``states`` at t = 0; record every step.
 
-    ``noise`` and ``particle_ids`` exist for coupled runs: passing the noise
-    of a larger system together with the identities of the retained particles
-    drives the subsystem with exactly the increments those particles see in
-    the large system. ``weights`` generalizes the empirical measure away from
-    uniform; the default is the uniform 1/N measure of the ensemble.
+    ``states`` is the finite (N, d) array of initial states, with d the
+    kernel dimension. ``noise`` and ``particle_ids`` exist for coupled runs:
+    passing the noise of a larger system together with the identities of the
+    retained particles drives the subsystem with exactly the increments those
+    particles see in the large system. ``weights`` generalizes the empirical
+    measure away from uniform; the default is the uniform 1/N measure.
     """
-    if init.dim != cfg.dim:
-        raise ValueError(f"ensemble dimension {init.dim} != config dim {cfg.dim}")
-    if init.n != cfg.n_particles:
-        raise ValueError(f"ensemble size {init.n} != config n_particles {cfg.n_particles}")
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[0] < 1:
+        raise ValueError("states must be a (n, d) array with n >= 1")
+    if not np.all(np.isfinite(states)):
+        raise ValueError("particle states must be finite")
+    k.check_point(states, "states")
+    n = states.shape[0]
     if noise is None:
-        noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, cfg.dim)
-    if noise.steps < cfg.steps or abs(noise.dt - cfg.dt) > 0:
-        raise ValueError("noise path incompatible with config grid")
-    ids = np.arange(init.n) if particle_ids is None else np.asarray(particle_ids, int)
-    if ids.shape != (init.n,):
+        noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
+    if noise.steps < cfg.steps or noise.dt != cfg.dt or noise.dim != k.dim:
+        raise ValueError("noise path incompatible with config grid or kernel dimension")
+    ids = np.arange(n) if particle_ids is None else np.asarray(particle_ids, int)
+    if ids.shape != (n,):
         raise ValueError("particle_ids must list one identity per particle")
-    w = np.full(init.n, 1.0 / init.n) if weights is None else np.asarray(weights, float)
+    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float)
 
     db_all = None
     if k.sigma is not None:
         db_all = noise.individual_matrix(ids)
 
-    n_rec = cfg.steps // cfg.record_stride + 1
-    rec_times = np.empty(n_rec)
-    rec_states = np.empty((n_rec, init.n, init.dim))
-    rec_times[0] = init.time
-    rec_states[0] = init.states
-    states = init.states
-    rec = 1
+    times = cfg.dt * np.arange(cfg.steps + 1)
+    path = np.empty((cfg.steps + 1, n, k.dim))
+    path[0] = states
     for step in range(cfg.steps):
         dbeta = noise.common_increments[step]
         db = None if db_all is None else db_all[:, step, :]
         if cfg.scheme == "euler_ito":
-            states = _euler_step(k, states, w, cfg.dt, dbeta, db, cfg.s1_convention)
+            states = _euler_step(k, states, w, states, cfg.dt, dbeta, db, cfg.s1_convention)
         else:
             states = _heun_step(k, states, w, cfg.dt, dbeta, db)
         max_norm = float(np.max(np.linalg.norm(states, axis=-1)))
         if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
             partial = TrajectoryRecord(
-                rec_times[:rec].copy(), rec_states[:rec].copy(), w, cfg, k, noise
+                times[: step + 1].copy(), path[: step + 1].copy(), w, cfg, k, noise
             )
             raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=partial)
-        if (step + 1) % cfg.record_stride == 0:
-            rec_times[rec] = init.time + (step + 1) * cfg.dt
-            rec_states[rec] = states
-            rec += 1
-    return TrajectoryRecord(rec_times, rec_states, w, cfg, k, noise)
+        path[step + 1] = states
+    return TrajectoryRecord(times, path, w, cfg, k, noise)

@@ -7,6 +7,11 @@ parallel and serial execution agree exactly. Configs reach ``execute`` only
 through ``config.parse_config``, which checks every input rule; nothing here
 validates again.
 
+A run's inputs are an (N, d) array of initial states, drawn from the
+config's init block by ``sample_initial_atoms``, and the time grid that
+``build_sim_config`` reads from the config; ``simulate`` takes N and d from
+the states and records every step.
+
 Every experiment is reproducible from its manifest: the manifest embeds the
 exact config text, the explicit seed list, and the config hash. Reports hold
 only deterministic content (no wall times), so re-running a manifest
@@ -21,7 +26,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
@@ -48,7 +52,7 @@ from .diagnostics import (
     observed_position_spread,
     weakform_single,
 )
-from .dynamics import ParticleEnsemble, SimConfig, init_rng, simulate
+from .dynamics import SimConfig, init_rng, simulate
 from .errors import ConfigError, MeanflockError
 from .kernels import (
     GENERIC_KERNELS,
@@ -121,26 +125,22 @@ def sample_initial_atoms(values: dict, rng: np.random.Generator, n: int) -> np.n
     return rng.uniform(-1.0, 1.0, size=(n, dim)) * scales
 
 
-def build_sim_config(values: dict, n_particles: Optional[int] = None, seed: Optional[int] = None) -> SimConfig:
+def build_sim_config(values: dict, seed: Optional[int] = None) -> SimConfig:
+    """The time grid of a parsed config, under ``seed`` if given."""
     return SimConfig(
-        n_particles=n_particles if n_particles is not None else values["n_particles"],
-        dim=state_dim(values),
         t_final=values["t_final"],
         dt=values["dt"],
         scheme=values["scheme"],
         master_seed=seed if seed is not None else values["master_seed"],
-        record_stride=values["record_stride"],
         s1_convention=values["s1_convention"],
         blowup_norm=values["blowup_norm"],
     )
 
 
-def _simulate_for_seed(values: dict, seed: int, record_stride: Optional[int] = None):
-    cfg = build_sim_config(values, seed=seed)
-    if record_stride is not None:
-        cfg = replace(cfg, record_stride=record_stride)
-    atoms = sample_initial_atoms(values, init_rng(seed), cfg.n_particles)
-    return simulate(build_kernel(values), ParticleEnsemble(atoms), cfg)
+def _simulate_for_seed(values: dict, seed: int):
+    """One run of ``n_particles`` states drawn from the init stream of ``seed``."""
+    atoms = sample_initial_atoms(values, init_rng(seed), values["n_particles"])
+    return simulate(build_kernel(values), atoms, build_sim_config(values, seed=seed))
 
 
 _COMPARISON_FACTORS = {"full": 1.0, "half": 0.5}
@@ -199,7 +199,7 @@ def _flocking_worker(args):
 
 def _weakform_worker(args):
     values, seed = args
-    run = _simulate_for_seed(values, seed, record_stride=1)
+    run = _simulate_for_seed(values, seed)
     psi = _bump(values, values["tf_center"], values["tf_radius"])
     checkpoints = default_checkpoints(run.config.steps, values["n_checkpoints"])
     m, qv = weakform_single(run, psi, checkpoints)
@@ -211,20 +211,19 @@ def _cauchy_worker(args):
     # both the noise and the nested initial sample
     values, seed = args
     sizes = values["sizes"]
-    cfg = build_sim_config(values, n_particles=sizes[0])
     base_atoms = sample_initial_atoms(values, init_rng(seed), sizes[0])
-    kernel = build_kernel(values)
-    return cauchy_single(kernel, base_atoms, sizes, cfg, seed, values["wasserstein_p"])
+    return cauchy_single(
+        build_kernel(values), base_atoms, sizes, build_sim_config(values), seed,
+        values["wasserstein_p"],
+    )
 
 
 def _chaos_worker(args):
     values, beta_seed = args
-    n_list = values["n_list"]
-    cfg = build_sim_config(values, n_particles=max(n_list))
     sampler = partial(sample_initial_atoms, values)
     return chaos_beta_path(
-        build_kernel(values), sampler, _build_cylinder_functions(values), n_list, cfg,
-        beta_seed, values["ref_n"], values["n_resamples"],
+        build_kernel(values), sampler, _build_cylinder_functions(values), values["n_list"],
+        build_sim_config(values), beta_seed, values["ref_n"], values["n_resamples"],
     )
 
 
@@ -239,7 +238,7 @@ def _comparison_worker(args):
 
 def _transport_check_worker(args):
     values, seed = args
-    return transport_residual(_simulate_for_seed(values, seed, record_stride=1))
+    return transport_residual(_simulate_for_seed(values, seed))
 
 
 # ---------------------------------------------------------------------------

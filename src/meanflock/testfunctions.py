@@ -22,8 +22,6 @@ class TestFunction:
     eval: Callable
     grad: Callable
     hess: Callable
-    support_radius: float = np.inf
-    name: str = "testfunction"
 
 
 def _quintic_profile(u: np.ndarray):
@@ -72,13 +70,7 @@ def bump(center, radius: float, dim: int | None = None) -> TestFunction:
             2.0 / r_sq
         ) * d1[..., None, None] * eye
 
-    return TestFunction(
-        eval=eval_,
-        grad=grad,
-        hess=hess,
-        support_radius=float(np.linalg.norm(center) + radius),
-        name=f"bump(r={radius})",
-    )
+    return TestFunction(eval=eval_, grad=grad, hess=hess)
 
 
 def velocity_bump(v_center, radius: float, half_dim: int) -> TestFunction:
@@ -104,73 +96,7 @@ def velocity_bump(v_center, radius: float, half_dim: int) -> TestFunction:
         out[..., d:, d:] = inner.hess(z[..., d:])
         return out
 
-    return TestFunction(
-        eval=eval_, grad=grad, hess=hess, support_radius=np.inf,
-        name=f"velocity_bump(r={radius})",
-    )
-
-
-def gaussian(center, width: float, dim: int | None = None) -> TestFunction:
-    """psi(x) = exp(-|x - c|^2 / (2 w^2)); smooth with bounded derivatives."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if dim is not None and center.size == 1 and dim > 1:
-        center = np.full(dim, center[0])
-    d = center.size
-    w_sq = width * width
-
-    def eval_(x):
-        diff = np.asarray(x, dtype=float) - center
-        return np.exp(-np.einsum("...k,...k->...", diff, diff) / (2.0 * w_sq))
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        diff = x - center
-        return eval_(x)[..., None] * (-diff / w_sq)
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        diff = x - center
-        outer = diff[..., :, None] * diff[..., None, :]
-        return eval_(x)[..., None, None] * (outer / w_sq**2 - np.eye(d) / w_sq)
-
-    return TestFunction(
-        eval=eval_, grad=grad, hess=hess, name=f"gaussian(w={width})"
-    )
-
-
-def coordinate(index: int, dim: int) -> TestFunction:
-    """psi(x) = x_index; linear, so the Hessian vanishes."""
-    e = np.zeros(dim)
-    e[index] = 1.0
-
-    def eval_(x):
-        return np.asarray(x, dtype=float)[..., index]
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(e, x.shape).copy()
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (dim,))
-
-    return TestFunction(
-        eval=eval_, grad=grad, hess=hess, name=f"coordinate({index})"
-    )
-
-
-def constant(value: float = 1.0) -> TestFunction:
-    def eval_(x):
-        return np.full(np.asarray(x).shape[:-1], value)
-
-    def grad(x):
-        return np.zeros(np.asarray(x, dtype=float).shape)
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (x.shape[-1],))
-
-    return TestFunction(eval=eval_, grad=grad, hess=hess, name="constant")
+    return TestFunction(eval=eval_, grad=grad, hess=hess)
 
 
 @dataclass(frozen=True)
@@ -179,7 +105,6 @@ class CylinderFunction:
 
     fn: TestFunction
     t: float
-    name: str = "cylinder"
 
     def time_index(self, times: np.ndarray) -> int:
         idx = int(np.argmin(np.abs(times - self.t)))

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
-Finite differences, exhaustive enumeration, the general transportation LP
-and pointwise references of the fused Cucker-Smale field live here, away
-from the package, so the implementations they check can never leak in.
+Finite differences, exhaustive enumeration, the general transportation LP,
+pointwise references of the fused Cucker-Smale field and the test functions
+only tests evaluate live here, away from the package, so the
+implementations they check can never leak in.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from scipy.optimize import linprog
 
 from meanflock.errors import DimensionMismatchError, EmptyMeasureError
 from meanflock.kernels import KernelSet, eval_S2
+from meanflock.testfunctions import TestFunction
 
 S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
 
@@ -244,3 +246,63 @@ def brute_force_path_wasserstein_uniform(a_states, b_states, p):
         )
         best = min(best, np.mean(dist**p))
     return best ** (1.0 / p)
+
+
+def gaussian(center, width: float, dim: int | None = None) -> TestFunction:
+    """psi(x) = exp(-|x - c|^2 / (2 w^2)); smooth with bounded derivatives."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if dim is not None and center.size == 1 and dim > 1:
+        center = np.full(dim, center[0])
+    d = center.size
+    w_sq = width * width
+
+    def eval_(x):
+        diff = np.asarray(x, dtype=float) - center
+        return np.exp(-np.einsum("...k,...k->...", diff, diff) / (2.0 * w_sq))
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        diff = x - center
+        return eval_(x)[..., None] * (-diff / w_sq)
+
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        diff = x - center
+        outer = diff[..., :, None] * diff[..., None, :]
+        return eval_(x)[..., None, None] * (outer / w_sq**2 - np.eye(d) / w_sq)
+
+    return TestFunction(eval=eval_, grad=grad, hess=hess)
+
+
+def coordinate(index: int, dim: int) -> TestFunction:
+    """psi(x) = x_index; linear, so the Hessian vanishes."""
+    e = np.zeros(dim)
+    e[index] = 1.0
+
+    def eval_(x):
+        return np.asarray(x, dtype=float)[..., index]
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(e, x.shape).copy()
+
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape + (dim,))
+
+    return TestFunction(eval=eval_, grad=grad, hess=hess)
+
+
+def constant(value: float = 1.0) -> TestFunction:
+    """psi(x) = value; every derivative vanishes."""
+    def eval_(x):
+        return np.full(np.asarray(x).shape[:-1], value)
+
+    def grad(x):
+        return np.zeros(np.asarray(x, dtype=float).shape)
+
+    def hess(x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape + (x.shape[-1],))
+
+    return TestFunction(eval=eval_, grad=grad, hess=hess)

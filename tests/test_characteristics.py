@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import meanflock.characteristics as characteristics
+import meanflock.dynamics as dynamics
 from meanflock.characteristics import (
     FrozenField,
     comparison_seed,
@@ -13,7 +14,7 @@ from meanflock.characteristics import (
     solve_characteristics,
     transport_residual,
 )
-from meanflock.dynamics import NoisePath, ParticleEnsemble, SimConfig, simulate
+from meanflock.dynamics import SimConfig, simulate
 from meanflock.kernels import (
     CuckerSmaleParams,
     Truncation,
@@ -34,11 +35,8 @@ def noisy_cs():
 
 def make_run(kernel, n=4, seed=11, t_final=0.5, dt=0.01, scheme="euler_ito"):
     rng = np.random.default_rng(seed)
-    init = ParticleEnsemble(rng.normal(size=(n, kernel.dim)))
-    cfg = SimConfig(
-        n_particles=n, dim=kernel.dim, t_final=t_final, dt=dt,
-        master_seed=seed, scheme=scheme,
-    )
+    init = rng.normal(size=(n, kernel.dim))
+    cfg = SimConfig(t_final=t_final, dt=dt, master_seed=seed, scheme=scheme)
     return simulate(kernel, init, cfg)
 
 
@@ -71,15 +69,6 @@ class TestSolveCharacteristics:
         with pytest.raises(ValueError, match="common"):
             FrozenField.from_run(run)
 
-    def test_requires_full_resolution(self):
-        kernel = noisy_cs()
-        rng = np.random.default_rng(3)
-        init = ParticleEnsemble(rng.normal(size=(3, 2)))
-        cfg = SimConfig(n_particles=3, dim=2, t_final=0.5, dt=0.05, record_stride=5)
-        run = simulate(kernel, init, cfg)
-        with pytest.raises(ValueError, match="record_stride"):
-            FrozenField.from_run(run)
-
     def test_grid_mismatch_rejected(self):
         run = make_run(noisy_cs(), n=2)
         with pytest.raises(ValueError, match="grid"):
@@ -97,6 +86,10 @@ class TestPushforward:
         frozen = FrozenField.from_run(run)
         replay = pushforward(frozen, run.measure_path().measure_at(0))
         np.testing.assert_array_equal(replay.states, run.states)
+
+    def test_replay_steps_with_the_stepper_update(self):
+        # the identity above is exact because both loops call one update
+        assert characteristics._euler_step is dynamics._euler_step
 
     def test_single_atom(self):
         run = make_run(noisy_cs(), n=3)
@@ -169,9 +162,9 @@ class TestEvolveTransport:
         kernel = noisy_cs()
         rng = np.random.default_rng(8)
         atoms = rng.normal(size=(4, 2))
-        cfg = SimConfig(n_particles=4, dim=2, t_final=0.3, dt=0.01, master_seed=5)
+        cfg = SimConfig(t_final=0.3, dt=0.01, master_seed=5)
         path = evolve_transport(kernel, EmpiricalMeasure.uniform(atoms), cfg)
-        run = simulate(kernel, ParticleEnsemble(atoms), cfg)
+        run = simulate(kernel, atoms, cfg)
         np.testing.assert_array_equal(path.states, run.states)
 
     def test_weighted_atoms_follow_weighted_field(self):
@@ -179,10 +172,10 @@ class TestEvolveTransport:
         # duplicated uniform triple
         kernel = noisy_cs()
         base = np.array([[0.0, 1.0], [1.0, -1.0]])
-        cfg3 = SimConfig(n_particles=3, dim=2, t_final=0.2, dt=0.01, master_seed=6)
+        cfg3 = SimConfig(t_final=0.2, dt=0.01, master_seed=6)
         tripled = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
         uniform_path = evolve_transport(kernel, EmpiricalMeasure.uniform(tripled), cfg3)
-        cfg2 = SimConfig(n_particles=2, dim=2, t_final=0.2, dt=0.01, master_seed=6)
+        cfg2 = SimConfig(t_final=0.2, dt=0.01, master_seed=6)
         weighted_path = evolve_transport(
             kernel, EmpiricalMeasure(base, np.array([2.0 / 3.0, 1.0 / 3.0])), cfg2
         )
@@ -200,7 +193,7 @@ class TestComparisonExperiment:
         )
         rng = np.random.default_rng(4)
         self.atoms = rng.uniform(-1, 1, size=(8, 2))
-        self.cfg = SimConfig(n_particles=8, dim=2, t_final=0.5, dt=0.05, master_seed=0)
+        self.cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=0)
 
     def test_identical_inits_zero_and_flagged(self):
         mu = EmpiricalMeasure.uniform(self.atoms)

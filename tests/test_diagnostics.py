@@ -15,7 +15,7 @@ from meanflock.diagnostics import (
     mean_velocity_drift,
     weakform_single,
 )
-from meanflock.dynamics import ParticleEnsemble, SimConfig, simulate
+from meanflock.dynamics import SimConfig, simulate
 from meanflock.harness import run_from_text
 from meanflock.kernels import (
     CuckerSmaleParams,
@@ -24,8 +24,10 @@ from meanflock.kernels import (
     cucker_smale_kernels,
     zero_kernels,
 )
-from meanflock.testfunctions import CylinderFunction, bump, constant, velocity_bump
+from meanflock.testfunctions import CylinderFunction, bump, velocity_bump
 from meanflock.transport import EmpiricalMeasure, wasserstein
+
+from helpers import constant
 
 
 def cs_kernel(**kw):
@@ -41,8 +43,8 @@ def run_ensemble(kernel, n, cfg_kw, seeds, init_scale=(1.0, 1.0)):
     for seed in seeds:
         rng = np.random.default_rng(seed + 1000)
         atoms = rng.normal(size=(n, kernel.dim)) * scales
-        cfg = SimConfig(n_particles=n, dim=kernel.dim, master_seed=seed, **cfg_kw)
-        runs.append(simulate(kernel, ParticleEnsemble(atoms), cfg))
+        cfg = SimConfig(master_seed=seed, **cfg_kw)
+        runs.append(simulate(kernel, atoms, cfg))
     return runs
 
 
@@ -69,9 +71,8 @@ def assert_rejected(tmp_path, capsys, body, message):
 def still_energy(atoms):
     """energy_series of a zero-kernel run from ``atoms``; the states stay put."""
     atoms = np.asarray(atoms, dtype=float)
-    n, dim = atoms.shape
-    cfg = SimConfig(n_particles=n, dim=dim, t_final=0.03, dt=0.01)
-    energies = energy_series(simulate(zero_kernels(dim), ParticleEnsemble(atoms), cfg))
+    cfg = SimConfig(t_final=0.03, dt=0.01)
+    energies = energy_series(simulate(zero_kernels(atoms.shape[1]), atoms, cfg))
     assert energies.shape == (4,) and np.all(energies == energies[0])
     return energies[0]
 
@@ -115,8 +116,8 @@ class TestFlockingRate:
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.4, phi_gamma=1.0)
         atoms = np.random.default_rng(0).normal(size=(6, 2))
         atoms[:, 1] = 0.7  # common velocity
-        cfg = SimConfig(n_particles=6, dim=2, t_final=1.0, dt=0.01, master_seed=1)
-        run = simulate(kernel, ParticleEnsemble(atoms), cfg)
+        cfg = SimConfig(t_final=1.0, dt=0.01, master_seed=1)
+        run = simulate(kernel, atoms, cfg)
         assert np.max(energy_series(run)) <= 1e-24
 
     def test_bound_not_applicable(self, tmp_path):
@@ -187,7 +188,7 @@ class TestCauchy:
         kernel = constant_common_kernels(1, 1.0)
         rng = np.random.default_rng(0)
         base = rng.normal(size=(8, 1))
-        cfg = SimConfig(n_particles=8, dim=1, t_final=0.25, dt=0.05)
+        cfg = SimConfig(t_final=0.25, dt=0.05)
         sizes = [8, 4, 2]
         samples = np.stack([cauchy_single(kernel, base, sizes, cfg, seed, 2.0) for seed in (0, 1)])
         report = aggregate_cauchy(samples, sizes, 2.0)
@@ -220,7 +221,7 @@ class TestChaos:
     def test_zero_interaction_gap_small(self):
         # frozen particles: conditional independence is exact, the gap is
         # pure Monte-Carlo noise
-        cfg = SimConfig(n_particles=16, dim=2, t_final=0.125, dt=0.0625)
+        cfg = SimConfig(t_final=0.125, dt=0.0625)
         phis = [
             CylinderFunction(bump(0.0, 1.5, dim=2), 0.125),
             CylinderFunction(bump(0.5, 1.5, dim=2), 0.0625),
@@ -230,7 +231,7 @@ class TestChaos:
             assert report.metrics[f"delta_N={n}"] <= 0.12
 
     def test_single_marginal(self):
-        cfg = SimConfig(n_particles=8, dim=2, t_final=0.125, dt=0.0625)
+        cfg = SimConfig(t_final=0.125, dt=0.0625)
         phis = [CylinderFunction(bump(0.0, 1.5, dim=2), 0.125)]
         report = self._report(phis, [4, 8], cfg, [0], ref_n=64, n_resamples=32)
         assert report.metrics["r"] == 1

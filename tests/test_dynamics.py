@@ -1,15 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from meanflock.dynamics import (
-    NoisePath,
-    ParticleEnsemble,
-    SimConfig,
-    simulate,
-)
-from meanflock.errors import BlowUpError
+from meanflock.dynamics import NoisePath, SimConfig, simulate
+from meanflock.errors import BlowUpError, DimensionMismatchError
 from meanflock.harness import _write_trajectory_csvs
 from meanflock.kernels import (
     CuckerSmaleParams,
@@ -28,9 +21,7 @@ def cs_kernel(**kw):
 
 
 def one_step(k, states, dt, scheme="euler_ito"):
-    init = ParticleEnsemble(np.asarray(states, dtype=float))
-    cfg = SimConfig(n_particles=init.n, dim=init.dim, t_final=dt, dt=dt, scheme=scheme)
-    return simulate(k, init, cfg).states[-1]
+    return simulate(k, states, SimConfig(t_final=dt, dt=dt, scheme=scheme)).states[-1]
 
 
 class TestNoisePath:
@@ -70,15 +61,11 @@ class TestNoisePath:
 class TestSimConfig:
     def test_grid_must_divide(self):
         with pytest.raises(ValueError, match="multiple"):
-            SimConfig(n_particles=1, dim=1, t_final=1.0, dt=0.3)
-
-    def test_stride_must_divide(self):
-        with pytest.raises(ValueError, match="stride"):
-            SimConfig(n_particles=1, dim=1, t_final=1.0, dt=0.1, record_stride=3)
+            SimConfig(t_final=1.0, dt=0.3)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
-            SimConfig(n_particles=1, dim=1, t_final=1.0, dt=0.1, scheme="milstein")
+            SimConfig(t_final=1.0, dt=0.1, scheme="milstein")
 
 
 class TestSteps:
@@ -107,50 +94,69 @@ class TestSteps:
 
     def test_step_beyond_noise_rejected(self):
         k = zero_kernels(1)
-        cfg = SimConfig(n_particles=1, dim=1, t_final=0.3, dt=0.1)
+        cfg = SimConfig(t_final=0.3, dt=0.1)
         with pytest.raises(ValueError, match="noise path"):
-            simulate(k, ParticleEnsemble(np.zeros((1, 1))), cfg, noise=NoisePath(0, 0.1, 2, 1))
+            simulate(k, np.zeros((1, 1)), cfg, noise=NoisePath(0, 0.1, 2, 1))
+
+    def test_noise_of_other_dimension_rejected(self):
+        k = constant_individual_kernels(2, 0.5)
+        cfg = SimConfig(t_final=0.1, dt=0.1)
+        with pytest.raises(ValueError, match="noise path"):
+            simulate(k, np.zeros((1, 2)), cfg, noise=NoisePath(0, 0.1, 1, 1))
+
+
+class TestInitialStates:
+    @pytest.mark.parametrize(
+        "states, error",
+        [
+            (np.zeros((0, 1)), ValueError),
+            (np.zeros(3), ValueError),
+            (np.array([[np.nan]]), ValueError),
+            (np.zeros((2, 2)), DimensionMismatchError),
+        ],
+        ids=["empty", "flat", "nan", "kernel-dim"],
+    )
+    def test_rejected(self, states, error):
+        with pytest.raises(error):
+            simulate(zero_kernels(1), states, SimConfig(t_final=0.1, dt=0.1))
+
+    def test_size_and_dimension_read_from_states(self):
+        run = simulate(zero_kernels(3), np.ones((5, 3)), SimConfig(t_final=0.2, dt=0.1))
+        assert (run.n_particles, run.dim) == (5, 3)
+        np.testing.assert_array_equal(run.times, [0.0, 0.1, 0.2])
+        np.testing.assert_array_equal(run.states, np.ones((3, 5, 3)))
 
 
 class TestSimulate:
     def test_single_particle_free_flight(self):
         # self-interaction alone cannot change the velocity
         k = cs_kernel(lam=1.0, gamma=1.0)
-        init = ParticleEnsemble(np.array([[0.0, 0.75]]))
-        cfg = SimConfig(n_particles=1, dim=2, t_final=1.0, dt=0.05)
+        init = np.array([[0.0, 0.75]])
+        cfg = SimConfig(t_final=1.0, dt=0.05)
         run = simulate(k, init, cfg)
         np.testing.assert_allclose(run.states[:, 0, 1], 0.75, atol=1e-14)
         np.testing.assert_allclose(run.states[:, 0, 0], 0.75 * run.times, atol=1e-12)
 
     def test_zero_steps(self):
         k = zero_kernels(1)
-        init = ParticleEnsemble(np.array([[2.0]]))
-        cfg = SimConfig(n_particles=1, dim=1, t_final=0.0, dt=0.1)
+        init = np.array([[2.0]])
+        cfg = SimConfig(t_final=0.0, dt=0.1)
         run = simulate(k, init, cfg)
         assert run.times.shape == (1,)
-        np.testing.assert_array_equal(run.states[0], init.states)
+        np.testing.assert_array_equal(run.states[0], init)
 
     def test_replay_bitwise(self):
         k = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
-        init = ParticleEnsemble(np.random.default_rng(5).normal(size=(6, 2)))
-        cfg = SimConfig(n_particles=6, dim=2, t_final=0.4, dt=0.01, master_seed=17)
+        init = np.random.default_rng(5).normal(size=(6, 2))
+        cfg = SimConfig(t_final=0.4, dt=0.01, master_seed=17)
         a = simulate(k, init, cfg)
         b = simulate(k, init, cfg)
         np.testing.assert_array_equal(a.states, b.states)
 
-    def test_record_stride(self):
-        k = zero_kernels(1)
-        init = ParticleEnsemble(np.array([[0.0]]))
-        cfg = SimConfig(n_particles=1, dim=1, t_final=1.0, dt=0.1, record_stride=5)
-        run = simulate(k, init, cfg)
-        np.testing.assert_allclose(run.times, [0.0, 0.5, 1.0])
-
     def test_blowup_carries_step_and_partial(self):
         k = linear_drift_kernels(1, rate=40.0)
-        init = ParticleEnsemble(np.array([[1.0]]))
-        cfg = SimConfig(
-            n_particles=1, dim=1, t_final=2.0, dt=0.1, blowup_norm=100.0
-        )
+        init = np.array([[1.0]])
+        cfg = SimConfig(t_final=2.0, dt=0.1, blowup_norm=100.0)
         with pytest.raises(BlowUpError) as err:
             simulate(k, init, cfg)
         assert err.value.step_index >= 1
@@ -161,8 +167,8 @@ class TestSimulate:
     def test_individual_noise_statistics(self):
         # additive individual noise: terminal variance ~ sigma^2 T
         k = constant_individual_kernels(1, 0.5)
-        init = ParticleEnsemble(np.zeros((2000, 1)))
-        cfg = SimConfig(n_particles=2000, dim=1, t_final=1.0, dt=0.05, master_seed=3)
+        init = np.zeros((2000, 1))
+        cfg = SimConfig(t_final=1.0, dt=0.05, master_seed=3)
         run = simulate(k, init, cfg)
         var = run.states[-1].var()
         assert var == pytest.approx(0.25, rel=0.1)
@@ -185,8 +191,8 @@ class TestMeanVelocityConservation:
     )
     def test_pathwise_conservation(self, kernel):
         rng = np.random.default_rng(13)
-        init = ParticleEnsemble(rng.normal(size=(16, 2)))
-        cfg = SimConfig(n_particles=16, dim=2, t_final=1.0, dt=0.01, master_seed=4)
+        init = rng.normal(size=(16, 2))
+        cfg = SimConfig(t_final=1.0, dt=0.01, master_seed=4)
         run = simulate(kernel, init, cfg)
         v_bar = run.states[:, :, 1].mean(axis=1)
         assert np.max(np.abs(v_bar - v_bar[0])) <= 1e-12
@@ -194,11 +200,8 @@ class TestMeanVelocityConservation:
     def test_heun_also_conserves(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
         rng = np.random.default_rng(14)
-        init = ParticleEnsemble(rng.normal(size=(8, 2)))
-        cfg = SimConfig(
-            n_particles=8, dim=2, t_final=1.0, dt=0.01, master_seed=4,
-            scheme="heun_stratonovich",
-        )
+        init = rng.normal(size=(8, 2))
+        cfg = SimConfig(t_final=1.0, dt=0.01, master_seed=4, scheme="heun_stratonovich")
         run = simulate(kernel, init, cfg)
         v_bar = run.states[:, :, 1].mean(axis=1)
         assert np.max(np.abs(v_bar - v_bar[0])) <= 1e-12
@@ -208,11 +211,11 @@ class TestMomentStability:
     def test_second_moment_bounded_and_dt_stable(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.4, phi_gamma=1.0)
         rng = np.random.default_rng(23)
-        init = ParticleEnsemble(rng.normal(size=(32, 2)))
-        m2_0 = np.mean(np.sum(init.states**2, axis=1))
+        init = rng.normal(size=(32, 2))
+        m2_0 = np.mean(np.sum(init**2, axis=1))
         sups = []
         for dt in (0.02, 0.01):
-            cfg = SimConfig(n_particles=32, dim=2, t_final=1.0, dt=dt, master_seed=6)
+            cfg = SimConfig(t_final=1.0, dt=dt, master_seed=6)
             run = simulate(kernel, init, cfg)
             m2 = np.mean(np.sum(run.states**2, axis=2), axis=1)
             sups.append(m2.max())
@@ -224,11 +227,11 @@ class TestMomentStability:
         # (1/N) sum E|X_t - X_s|^4 / |t - s|^2 bounded over dyadic pairs
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.4, phi_gamma=1.0)
         rng = np.random.default_rng(29)
-        init = ParticleEnsemble(rng.normal(size=(16, 2)))
+        init = rng.normal(size=(16, 2))
         acc = None
         seeds = range(8)
         for seed in seeds:
-            cfg = SimConfig(n_particles=16, dim=2, t_final=1.0, dt=1.0 / 64, master_seed=seed)
+            cfg = SimConfig(t_final=1.0, dt=1.0 / 64, master_seed=seed)
             run = simulate(kernel, init, cfg)
             diffs = []
             for lag in (1, 2, 4, 8, 16, 32, 64):
@@ -248,29 +251,26 @@ def coupled_runs(k, init, cfg, keep):
     The subsystem sees the big system's common increments and, through
     ``particle_ids``, the individual increments of its retained identities.
     """
-    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, cfg.dim)
+    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
     big = simulate(k, init, cfg, noise=noise)
     keep = np.asarray(keep)
-    small_cfg = replace(cfg, n_particles=keep.size)
-    small = simulate(
-        k, ParticleEnsemble(init.states[keep]), small_cfg, noise=noise, particle_ids=keep
-    )
+    small = simulate(k, init[keep], cfg, noise=noise, particle_ids=keep)
     return big, small
 
 
 class TestCoupledPair:
     def test_full_subsample_identical(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.3, phi_gamma=1.0)
-        init = ParticleEnsemble(np.random.default_rng(1).normal(size=(8, 2)))
-        cfg = SimConfig(n_particles=8, dim=2, t_final=0.5, dt=0.05, master_seed=2)
+        init = np.random.default_rng(1).normal(size=(8, 2))
+        cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=2)
         big, small = coupled_runs(kernel, init, cfg, np.arange(8))
         np.testing.assert_array_equal(big.states, small.states)
 
     def test_no_interaction_shared_particles_coincide(self):
         # no drift, no common noise: individual noise only, addressed by id
         kernel = constant_individual_kernels(2, 0.8)
-        init = ParticleEnsemble(np.random.default_rng(2).normal(size=(6, 2)))
-        cfg = SimConfig(n_particles=6, dim=2, t_final=0.5, dt=0.05, master_seed=9)
+        init = np.random.default_rng(2).normal(size=(6, 2))
+        cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=9)
         keep = np.array([1, 3, 4])
         big, small = coupled_runs(kernel, init, cfg, keep)
         np.testing.assert_array_equal(big.states[:, keep, :], small.states)
@@ -280,8 +280,8 @@ class TestCoupledPair:
         kernel = cucker_smale_kernels(
             CuckerSmaleParams(half_dim=1, lam=1e-300, gamma=0.0)
         )
-        init = ParticleEnsemble(np.random.default_rng(3).normal(size=(4, 2)))
-        cfg = SimConfig(n_particles=4, dim=2, t_final=0.5, dt=0.05, master_seed=12)
+        init = np.random.default_rng(3).normal(size=(4, 2))
+        cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=12)
         keep = np.array([0, 2])
         big, small = coupled_runs(kernel, init, cfg, keep)
         np.testing.assert_allclose(big.states[:, keep, :], small.states, atol=1e-12)
@@ -289,8 +289,8 @@ class TestCoupledPair:
     def test_coupled_distance_shrinks_with_n(self):
         kernel = constant_common_kernels(1, 1.0)
         rng = np.random.default_rng(31)
-        init = ParticleEnsemble(rng.normal(size=(16, 1)))
-        cfg = SimConfig(n_particles=16, dim=1, t_final=0.2, dt=0.05, master_seed=7)
+        init = rng.normal(size=(16, 1))
+        cfg = SimConfig(t_final=0.2, dt=0.05, master_seed=7)
         big, small = coupled_runs(kernel, init, cfg, np.arange(8))
         # additive common noise translates everyone identically, so the
         # coupled paths stay at the initial offset
@@ -300,8 +300,8 @@ class TestCoupledPair:
 
     def test_csv_round_trip_header(self, tmp_path):
         kernel = zero_kernels(2)
-        init = ParticleEnsemble(np.array([[1.5, -0.25]]))
-        cfg = SimConfig(n_particles=1, dim=2, t_final=0.2, dt=0.1, master_seed=0)
+        init = np.array([[1.5, -0.25]])
+        cfg = SimConfig(t_final=0.2, dt=0.1, master_seed=0)
         run = simulate(kernel, init, cfg)
         _write_trajectory_csvs([0], [(run.times, run.states, 0.0)], tmp_path)
         lines = (tmp_path / "run_0.csv").read_text().strip().splitlines()

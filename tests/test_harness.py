@@ -391,8 +391,14 @@ class TestBenchmarkBindings:
             assert callable(getattr(transport, name))
 
     def test_bench_configs_parse(self):
-        for path in sorted((BENCH / "configs").glob("*.cfg")):
-            assert parse_config(path.read_text()).kind
+        """Every benchmark config parses and builds its kernel and time grid."""
+        paths = sorted((BENCH / "configs").glob("*.cfg"))
+        assert paths
+        for path in paths:
+            values = parse_config(path.read_text()).values
+            kernel = build_kernel(values)
+            assert kernel.dim == harness.state_dim(values), path.name
+            assert harness.build_sim_config(values).steps > 0, path.name
 
 
 class TestImportBudget:

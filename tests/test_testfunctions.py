@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from meanflock.testfunctions import (
-    CylinderFunction,
-    bump,
-    constant,
-    coordinate,
-    gaussian,
-    velocity_bump,
-)
+from meanflock.testfunctions import CylinderFunction, bump, velocity_bump
 
-from helpers import fd_gradient, fd_jacobian, rel_close
+from helpers import constant, coordinate, fd_gradient, fd_jacobian, gaussian, rel_close
 
 
 @pytest.mark.parametrize(
