@@ -18,6 +18,7 @@ from typing import Any, Callable, Optional
 from .dynamics import SimConfig
 from .errors import ConfigError
 from .kernels import CuckerSmaleParams, KernelSet, Truncation
+from .testfunctions import bump
 
 EXPERIMENT_KINDS = (
     "simulate",
@@ -247,7 +248,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if values["t_final"] <= 0:
         raise ConfigError("field 't_final' must be positive")
     _guarded(SimConfig, ("t_final", "dt"), values, given)
-    for name in ("n_particles", "wasserstein_p"):
+    _guarded(bump, ("tf_center", "tf_radius"), values, given)
+    for name in ("n_particles", "wasserstein_p", "n_checkpoints"):
         if values[name] < 1:
             raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):

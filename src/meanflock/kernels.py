@@ -7,7 +7,10 @@ path for its mean-field sums, plus the individual-noise coefficient
 * fused: ``field(atoms, weights, queries, factor) -> (drift, common)``
   gives B[mu] + factor S1[mu] and C[mu] at once (``factor`` None: no
   correction). The Cucker-Smale builder supplies it, as weighted matrix
-  products over one (m, n) distance table;
+  products over (m, n) pair tables: one position-distance table that the
+  weights overwrite in place, none for a weight whose exponent is 0 (it is
+  one (n,) row shared by every query), and a few more with a truncation
+  or when C is needed at atoms that are not the queries;
 * pointwise: the pair drift ``b(x, y)``, the common-noise coefficient
   ``c(x, y)`` (scalar driving noise) and its directional derivative
   ``dc(x, y, ex, ey) = grad_x c(x,y) ex + grad_y c(x,y) ey``, summed over
@@ -41,6 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .transport import _squared_distances
 
 S1_CONVENTIONS = ("half_both", "paper_literal")
 
@@ -152,18 +156,20 @@ def _pointwise_field(k: KernelSet, atoms, weights, queries, factor):
 # ---------------------------------------------------------------------------
 
 
-def _rational_weight(amplitude: float, exponent: float, r_sq: np.ndarray) -> np.ndarray:
-    """amplitude / (1 + r^2)^exponent with fast paths for small integer powers."""
-    if amplitude == 0.0:
-        return np.zeros(np.shape(r_sq))
-    if exponent == 0.0:
-        return np.full(np.shape(r_sq), amplitude)
-    base = 1.0 + r_sq
+def _rational_weight(
+    amplitude: float, exponent: float, r_sq: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """amplitude / (1 + r^2)^exponent, computed in ``out`` when given (it may
+    be ``r_sq`` itself), with fast paths for small integer powers."""
+    base = np.add(r_sq, 1.0, out=np.empty(np.shape(r_sq)) if out is None else out)
     if exponent == 1.0:
-        return amplitude / base
+        return np.divide(amplitude, base, out=base)
     if exponent == 2.0:
-        return amplitude / (base * base)
-    return amplitude * base ** (-exponent)
+        base *= base
+        return np.divide(amplitude, base, out=base)
+    np.power(base, -exponent, out=base)
+    base *= amplitude
+    return base
 
 
 @dataclass(frozen=True)
@@ -182,22 +188,26 @@ class Truncation:
 
     def chi_both(self, s: np.ndarray):
         """(chi(s), chi'(s)); the quintic is evaluated on the band entries only."""
-        u = np.asarray((s - self.radius) / self.margin)
-        chi = np.where(u >= 1.0, 0.0, 1.0)
-        cp = np.zeros(u.shape)
-        band = (u > 0.0) & (u < 1.0)
+        u = np.subtract(s, self.radius, out=np.empty(np.shape(s)))
+        u /= self.margin
+        band = u > 0.0
+        band &= u < 1.0
         ub = u[band]
+        # chi is 1 below the band and 0 beyond it; it takes u's table
+        chi = np.subtract(1.0, u >= 1.0, out=u)
         chi[band] = 1.0 - ub * ub * ub * (10.0 + ub * (-15.0 + 6.0 * ub))
+        cp = np.zeros(chi.shape)
         one_m = 1.0 - ub
         cp[band] = (-30.0 / self.margin) * ub * ub * one_m * one_m
         return chi, cp
 
-    def chi_ratio(self, v: np.ndarray):
-        """(chi(s), chi'(s)/s) at s = |v|, the two scalars of the Jacobian."""
-        s = np.sqrt(np.einsum("...k,...k->...", v, v))
-        chi, cp = self.chi_both(s)
+    def chi_ratio(self, s: np.ndarray):
+        """(chi(s), chi'(s)/s) at speeds s = |v|, the two scalars of the
+        Jacobian J_R(v) = chi I + (chi'/s) v v^T."""
+        chi, ratio = self.chi_both(s)
         # chi' vanishes identically for s <= radius, so the ratio is safe
-        return chi, np.where(s > 0, cp / np.where(s > 0, s, 1.0), 0.0)
+        np.divide(ratio, s, out=ratio, where=s > 0)
+        return chi, ratio
 
 
 @dataclass(frozen=True)
@@ -230,9 +240,6 @@ class CuckerSmaleParams:
     def psi(self, r_sq: np.ndarray) -> np.ndarray:
         return _rational_weight(self.lam, self.gamma, r_sq)
 
-    def phi(self, r_sq: np.ndarray) -> np.ndarray:
-        return _rational_weight(self.phi_lam, self.phi_gamma, r_sq)
-
     def psi_inf(self, window: float) -> float:
         """inf of psi over |r| <= window (psi decreases in |r|)."""
         return float(self.psi(np.asarray(window) ** 2))
@@ -243,7 +250,18 @@ class CuckerSmaleParams:
 
 def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     """Flocking KernelSet over R^{2d} with b = (v, psi(x-y)(w-v)) and
-    c = (0, phi(x-y) R(w-v)), supplied as one fused ``field``."""
+    c = (0, phi(x-y) R(w-v)), supplied as one fused ``field``.
+
+    Pair tables: the position distances are one (m, n) table, which the
+    weight w_j psi overwrites in place; w_j phi takes a second table only
+    when both weights depend on the pair. A weight whose exponent is 0 does
+    not, and is one (n,) row shared by every query, so with both exponents
+    0 a call builds no pair table. A truncation adds the speed table
+    |v_j - v_q|, turned into chi and chi'/s, and scratch tables for u . du
+    in S1. Queries that are not the atoms need C at the atoms as well,
+    which costs (n, n) tables unless phi is a row and there is no
+    truncation. No state is kept between calls.
+    """
     d = p.half_dim
     dim = 2 * d
 
@@ -254,56 +272,93 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     trunc = p.truncation
 
     # Every pair term is a scalar weight times a velocity difference, so
-    # each mean-field sum is a matrix product over the (m, n) weight table,
-    # sum_j W_qj (v_j - v_q) = (W @ V)_q - (W 1)_q v_q.
-
-    def sq_dist(xq, xa):
-        r = xq[:, None, :] - xa[None, :, :]
-        return np.einsum("mnk,mnk->mn", r, r)
+    # each mean-field sum is a matrix product over the (m, n) weight table
+    # or the (n,) weight row, sum_j W_qj (v_j - v_q) = (W @ V)_q - (W 1)_q v_q.
 
     def pair_sum(weight, va, vq):
         """sum_j weight_qj (va_j - vq_q) for every query q."""
-        return weight @ va - weight.sum(axis=1)[:, None] * vq
+        return weight @ va - weight.sum(axis=-1)[..., None] * vq
 
-    def noise_weights(r_sq, vq, va, weights):
-        """(w_j phi, w_j phi chi, chi'/s, u = v_j - v_q) on the pair table;
-        without a truncation chi = 1 and the last two are None."""
-        w_phi = weights * p.phi(r_sq)
+    def pair_weight(amplitude, exponent, weights, r_sq, out):
+        """w_j amplitude / (1 + r_qj^2)^exponent computed in ``out``; a shared
+        (n,) row when the exponent is 0."""
+        if exponent == 0.0:
+            return weights * amplitude
+        w = _rational_weight(amplitude, exponent, r_sq, out=out)
+        w *= weights
+        return w
+
+    def pair_weights(xq, xa, weights):
+        """(w_j psi, w_j phi) at the pairs; psi overwrites the distances."""
+        pair_psi, pair_phi = p.gamma != 0.0, has_noise and p.phi_gamma != 0.0
+        r_sq = _squared_distances(xq, xa) if pair_psi or pair_phi else None
+        w_phi = None
+        if has_noise:
+            out = None if pair_psi else r_sq
+            w_phi = pair_weight(p.phi_lam, p.phi_gamma, weights, r_sq, out)
+        return pair_weight(p.lam, p.gamma, weights, r_sq, r_sq), w_phi
+
+    def noise_weights(w_phi, vq, va):
+        """(w_phi chi, chi'/s) at s = |v_j - v_q|; without a truncation chi = 1
+        and the ratio is None."""
         if trunc is None:
-            return w_phi, w_phi, None, None
-        u = va[None, :, :] - vq[:, None, :]
-        chi, ratio = trunc.chi_ratio(u)
-        return w_phi, w_phi * chi, ratio, u
+            return w_phi, None
+        s = _squared_distances(vq, va)
+        chi, ratio = trunc.chi_ratio(np.sqrt(s, out=s))
+        return np.multiply(chi, w_phi, out=chi), ratio
+
+    def u_dot_du(vq, va, cq, ca, out):
+        """sum_k (v_j - v_q)_k (C_v(y_j) - C_v(q))_k in ``out``, one coordinate
+        at a time."""
+        u, du = np.empty_like(out), None
+        for k in range(d):
+            np.subtract(va[None, :, k], vq[:, None, k], out=u)
+            if k == 0:
+                np.subtract(ca[None, :, 0], cq[:, None, 0], out=out)
+                out *= u
+            else:
+                du = np.subtract(ca[None, :, k], cq[:, None, k], out=du)
+                du *= u
+                out += du
+        return out
 
     def field(atoms, weights, queries, factor):
         """(B[mu] + factor S1[mu], C[mu]) at the queries; factor None skips S1."""
         xq, vq = split(queries)
         xa, va = split(atoms)
-        r_sq = sq_dist(xq, xa)
+        w_psi, w_phi = pair_weights(xq, xa, weights)
         drift = np.empty(queries.shape)
         drift[:, :d] = vq * weights.sum()
-        drift[:, d:] = pair_sum(weights * p.psi(r_sq), va, vq)
+        drift[:, d:] = pair_sum(w_psi, va, vq)
+        del w_psi  # free the table before the noise builds its own
         if not has_noise:
             return drift, None
-        w_phi, w_c, ratio, u = noise_weights(r_sq, vq, va, weights)
+        # C[mu] at the atoms, whose tables are freed before the queries'
+        # are built; the stepper queries the atoms themselves
+        ca = None
+        if factor is not None and queries is not atoms:
+            r_sq = _squared_distances(xa, xa) if p.phi_gamma != 0.0 else None
+            w_phi_a = pair_weight(p.phi_lam, p.phi_gamma, weights, r_sq, r_sq)
+            ca = pair_sum(noise_weights(w_phi_a, va, va)[0], va, va)
+            del r_sq, w_phi_a
+        w_c, ratio = noise_weights(w_phi, vq, va)
         cq = pair_sum(w_c, va, vq)
         common = np.zeros(queries.shape)
         common[:, d:] = cq
         if factor is None:
             return drift, common
-        # C[mu] at the atoms; the stepper queries the atoms themselves
-        if queries is atoms:
+        if ca is None:
             ca = cq
-        else:
-            ca = pair_sum(noise_weights(sq_dist(xa, xa), va, va, weights)[1], va, va)
         # S1 = factor sum_j w_j dc(q, y_j, C(q), C(y_j)). C has no position
         # block, so dr = 0 and dc's phi' term (r . dr) vanishes exactly; what
         # is left is phi J_R(u) du = phi chi du + phi chi'/s (u . du) u with
-        # du = C_v(y_j) - C_v(q).
+        # u = v_j - v_q and du = C_v(y_j) - C_v(q).
         s1 = pair_sum(w_c, ca, cq)
         if ratio is not None:
-            du = ca[None, :, :] - cq[:, None, :]
-            s1 += pair_sum(w_phi * ratio * np.einsum("mnk,mnk->mn", u, du), va, vq)
+            ratio *= w_phi
+            # w_c is spent: its table takes u . du
+            ratio *= u_dot_du(vq, va, cq, ca, out=w_c)
+            s1 += pair_sum(ratio, va, vq)
         drift[:, d:] += factor * s1
         return drift, common
 

@@ -40,6 +40,8 @@ def _quintic_profile(u: np.ndarray):
 
 def bump(center, radius: float, dim: int | None = None) -> TestFunction:
     """Compactly supported C^2 bump: psi(x) = P(|x - c|^2 / R^2)."""
+    if not radius > 0:
+        raise ValueError("test-function radius must be positive")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if dim is not None and center.size == 1 and dim > 1:
         center = np.full(dim, center[0])

@@ -140,6 +140,11 @@ REJECTED = {
         "cauchy", "model = zero\nsizes = 8, 4\nwasserstein_p = 0.5", "field 'wasserstein_p'"
     ),
     "dim": ("simulate", "model = zero\ndim = 0", "field 'dim'"),
+    "tf-radius": ("weakform", "model = zero\nn_seeds = 16\ntf_radius = 0", "field 'tf_radius'"),
+    "n-checkpoints": (
+        "weakform", "model = cucker-smale\nphi_lambda = 0.4\nn_seeds = 16\nn_checkpoints = 0",
+        "field 'n_checkpoints'",
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestCuckerSmaleBuilder:
     def test_truncation_identity_then_zero(self):
         t = Truncation(radius=1.0, margin=1.0)
         v = np.array([[0.7], [-0.5], [2.0], [5.0]])
-        chi, ratio = t.chi_ratio(v)
+        chi, ratio = t.chi_ratio(np.abs(v[:, 0]))
         np.testing.assert_array_equal(chi, [1.0, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(ratio, np.zeros(4))
         np.testing.assert_array_equal(truncate(t, v), [[0.7], [-0.5], [0.0], [0.0]])
@@ -223,7 +224,7 @@ class TestCuckerSmaleBuilder:
             if abs(s - 1.0) < 1e-3 or abs(s - 1.5) < 1e-3:
                 continue  # kink-free everywhere, but FD degrades at band edges
             in_band += 1.0 < s < 1.5
-            chi, ratio = t.chi_ratio(v)
+            chi, ratio = t.chi_ratio(s)
             jac = chi * np.eye(2) + ratio * np.outer(v, v)
             assert rel_close(jac, fd_jacobian(lambda u: truncate(t, u), v), 1e-4, floor=1e-6)
         assert in_band >= 5
@@ -353,14 +354,13 @@ FIELD_TRUNC = Truncation(radius=0.8, margin=1.0)
 def _field_kernels():
     """(kernel, its pointwise reference, convention)."""
     cs = dict(half_dim=1, lam=1.1, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
+    tr = dict(half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3, truncation=FIELD_TRUNC)
 
-    def both(params):
+    def both(**params):
+        params = CuckerSmaleParams(**params)
         return cucker_smale_kernels(params), cucker_smale_reference(params)
 
-    plain, plain_ref = both(CuckerSmaleParams(**cs))
-    truncated = both(CuckerSmaleParams(
-        half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3, truncation=FIELD_TRUNC,
-    ))
+    plain, plain_ref = both(**cs)
     # non-constant sigma on a fused kernel, so S2 is not zero
     d = diag_individual_kernels(2, rate=0.5)
     diag = dict(sigma=d.sigma, grad_sigma=d.grad_sigma)
@@ -368,8 +368,16 @@ def _field_kernels():
     return [
         (plain, plain_ref, "half_both"),
         (plain, plain_ref, "paper_literal"),
-        (*truncated, "half_both"),
-        (*both(CuckerSmaleParams(**{**cs, "phi_lam": 0.0})), "half_both"),
+        (*both(**tr), "half_both"),
+        (*both(**{**cs, "phi_lam": 0.0}), "half_both"),
+        # an exponent of 0 makes that weight one row shared by every query;
+        # phi_gamma = 0 is the setting of every benchmark config
+        (*both(**{**cs, "phi_gamma": 0.0}), "half_both"),
+        (*both(**{**tr, "phi_gamma": 0.0}), "half_both"),
+        (*both(**{**cs, "gamma": 0.0}), "half_both"),
+        (*both(**{**cs, "gamma": 0.0, "phi_gamma": 0.0}), "paper_literal"),
+        (*both(**{**cs, "gamma": 2.0, "phi_gamma": 2.0}), "half_both"),
+        (*both(**{**tr, "gamma": 2.0, "phi_gamma": 0.0}), "half_both"),
         (with_velocity_noise(plain, 0.3), with_velocity_noise(plain_ref, 0.3), "half_both"),
         (replace(plain, **diag), replace(plain_ref, **diag), "half_both"),
         (linear, linear, "half_both"),
@@ -377,18 +385,21 @@ def _field_kernels():
 
 
 def _field_cases(rng):
-    """(kernel, reference, convention, include_correction, atoms, weights, queries)."""
-    for kernel, ref, convention in _field_kernels():
+    """(kernel, reference, convention, include_correction, atoms, weights, queries),
+    with the queries apart from the atoms and at the atoms themselves."""
+    kernels = _field_kernels()
+    for kernel, ref, convention in kernels:
         atoms = rng.normal(size=(6, kernel.dim))
         w = rng.uniform(0.5, 1.0, size=6)
-        queries = rng.normal(size=(4, kernel.dim))
-        for correct in (True, False):
-            yield kernel, ref, convention, correct, atoms, w / w.sum(), queries
-    plain, plain_ref, _ = _field_kernels()[0]
-    # large enough that the products go through BLAS
+        for queries in (rng.normal(size=(4, kernel.dim)), atoms):
+            for correct in (True, False):
+                yield kernel, ref, convention, correct, atoms, w / w.sum(), queries
+    # large enough that the products go through BLAS: phi a table, then a row
     w = rng.uniform(0.5, 1.0, size=300)
-    atoms, queries = rng.normal(size=(300, 2)), rng.normal(size=(200, 2))
-    yield plain, plain_ref, "half_both", True, atoms, w / w.sum(), queries
+    atoms = rng.normal(size=(300, 2))
+    for kernel, ref, _ in (kernels[0], kernels[4]):
+        for queries in (rng.normal(size=(200, 2)), atoms):
+            yield kernel, ref, "half_both", True, atoms, w / w.sum(), queries
 
 
 def test_field_drift_diffusion_matches_pointwise_ops():
@@ -426,7 +437,7 @@ def test_cucker_smale_field_calls_no_pointwise_closure():
     # a kernel carries one evaluation path: the fused field and the
     # pointwise closures exclude each other
     fused = [kernel for kernel, _, _ in _field_kernels() if kernel.field is not None]
-    assert len(fused) == 6
+    assert len(fused) == 12
     for kernel in fused:
         assert (kernel.b, kernel.c, kernel.dc) == (None, None, None)
     ref = REGISTERED["cucker-smale"]
@@ -434,6 +445,8 @@ def test_cucker_smale_field_calls_no_pointwise_closure():
     for closures in (dict(c=ref.c, dc=ref.dc), dict(b=ref.b), dict(dc=ref.dc)):
         with pytest.raises(ValueError, match="fused field"):
             KernelSet(dim=2, field=field, **closures)
+
+
 def test_queries_at_atoms_shortcut_changes_no_bit():
     # the stepper passes the atoms themselves as queries; the characteristics
     # solver passes other arrays holding the same values. The transport
@@ -448,3 +461,56 @@ def test_queries_at_atoms_shortcut_changes_no_bit():
                 copy = field_drift_diffusion(kernel, x, w, x.copy(), convention)
                 for a, b in zip(same, copy):
                     np.testing.assert_array_equal(a, b)
+
+
+def test_field_keeps_inputs_and_returns_fresh_arrays():
+    # the fused field works in place on its own tables only: the inputs keep
+    # every bit, and no result aliases an input or an earlier result
+    rng = np.random.default_rng(17)
+    for kernel, _, convention in _field_kernels():
+        atoms = rng.normal(size=(40, kernel.dim))
+        w = rng.uniform(0.5, 1.0, size=40)
+        w /= w.sum()
+        for queries in (atoms, rng.normal(size=(25, kernel.dim))):
+            inputs = (atoms, w, queries)
+            saved = [a.tobytes() for a in inputs]
+            before = field_drift_diffusion(kernel, atoms, w, queries, convention)
+            after = field_drift_diffusion(kernel, atoms, w, queries, convention)
+            assert [a.tobytes() for a in inputs] == saved
+            results = [r for r in after if r is not None]
+            others = [*inputs, *(r for r in before if r is not None)]
+            for i, r in enumerate(results):
+                for other in others + results[i + 1:]:
+                    assert not np.shares_memory(r, other)
+
+
+# Peak traced bytes of one call at N = 256, in (m, n) float tables. A
+# truncation-free half_dim 1 field keeps the one distance table, which the
+# weights overwrite; the truncated half_dim 2 field (benchmark flocking
+# settings) adds the speed table, chi, chi'/s and two scratch tables for
+# u . du, and builds C at the atoms before the queries' tables when the
+# queries are not the atoms. The margins above the tables cover numpy's
+# iterator buffers.
+PEAK_TABLES = [
+    (dict(half_dim=1, phi_lam=0.5), "atoms", 1.5),
+    (dict(half_dim=1, phi_lam=0.5), "apart", 1.5),
+    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "atoms", 4.5),
+    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "apart", 4.5),
+]
+
+
+@pytest.mark.parametrize("params, queries, tables", PEAK_TABLES)
+def test_field_peak_memory_in_pair_tables(params, queries, tables):
+    n = 256
+    kernel = cucker_smale_kernels(CuckerSmaleParams(**params))
+    x = np.random.default_rng(3).normal(size=(n, kernel.dim))
+    q = x if queries == "atoms" else x + 0.01
+    w = np.full(n, 1.0 / n)
+    field_drift_diffusion(kernel, x, w, q)
+    tracemalloc.start()
+    try:
+        field_drift_diffusion(kernel, x, w, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * n * 8) <= tables

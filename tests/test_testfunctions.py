@@ -41,6 +41,14 @@ def test_bump_support_and_range():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_bump_needs_positive_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        bump(0.0, radius)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        velocity_bump(0.0, radius, 1)
+
+
 def test_bump_c2_boundary():
     tf = bump(0.0, 1.0, dim=1)
     eps = 1e-7
