@@ -4,64 +4,57 @@ Simulation (Ito and Stratonovich discretizations), exact Wasserstein
 metrics, frozen-field characteristics, and Monte-Carlo diagnostics for
 flocking decay, weak-form martingale structure, Cauchy-in-N convergence,
 and conditional propagation of chaos.
+
+``import meanflock`` loads no submodule: each public name is imported from
+its module the first time it is read (PEP 562), so a process loads only the
+layers it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .characteristics import (
-    FrozenField,
-    evolve_transport,
-    pushforward,
-    solve_characteristics,
-    transport_residual,
-)
-from .diagnostics import DiagnosticsReport
-from .dynamics import (
-    NoisePath,
-    SimConfig,
-    TrajectoryRecord,
-    simulate,
-)
-from .kernels import (
-    CuckerSmaleParams,
-    KernelSet,
-    Truncation,
-    cucker_smale_kernels,
-    eval_S2,
-)
-from .testfunctions import CylinderFunction, TestFunction
-from .transport import (
-    EmpiricalMeasure,
-    MeasurePath,
-    moments,
-    support_radius,
-    wasserstein,
-    wasserstein_path,
-)
+_EXPORTS = {
+    "characteristics": (
+        "FrozenField",
+        "evolve_transport",
+        "pushforward",
+        "solve_characteristics",
+        "transport_residual",
+    ),
+    "diagnostics": ("DiagnosticsReport",),
+    "dynamics": ("NoisePath", "SimConfig", "TrajectoryRecord", "simulate"),
+    "kernels": (
+        "CuckerSmaleParams",
+        "KernelSet",
+        "Truncation",
+        "cucker_smale_kernels",
+        "eval_S2",
+    ),
+    "testfunctions": ("CylinderFunction", "TestFunction"),
+    "transport": (
+        "EmpiricalMeasure",
+        "MeasurePath",
+        "moments",
+        "support_radius",
+        "wasserstein",
+        "wasserstein_path",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "CuckerSmaleParams",
-    "CylinderFunction",
-    "DiagnosticsReport",
-    "EmpiricalMeasure",
-    "FrozenField",
-    "KernelSet",
-    "MeasurePath",
-    "NoisePath",
-    "SimConfig",
-    "TestFunction",
-    "TrajectoryRecord",
-    "Truncation",
-    "cucker_smale_kernels",
-    "eval_S2",
-    "evolve_transport",
-    "moments",
-    "pushforward",
-    "simulate",
-    "solve_characteristics",
-    "support_radius",
-    "transport_residual",
-    "wasserstein",
-    "wasserstein_path",
-]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

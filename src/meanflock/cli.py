@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config, schema_lines
-from .harness import list_models, run_from_path
+from .config import ConfigError, list_models, load_config, schema_lines
 
 
 def main(argv=None) -> int:
@@ -35,6 +34,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
+        # the run stack is imported only to run: validate and models never load it
+        from .harness import run_from_path
+
         return run_from_path(args.config, output_dir=args.output_dir)
 
     if args.command == "models":

@@ -11,7 +11,6 @@ building that object, so each bound is written once.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -146,7 +145,8 @@ SCHEMA: dict[str, Key] = {
         # Monte-Carlo ensemble
         Key("seeds", "int_list", help="explicit master seeds"),
         Key("n_seeds", "int",
-            help="derive seeds master_seed .. master_seed+n-1; at least 1, weakform at least 16"),
+            help="derive seeds master_seed .. master_seed+n-1; at least 1, cauchy at least 2, "
+                 "weakform at least 16"),
         # diagnostics knobs
         Key("rate_tolerance", "float", default=0.25, help="flocking rate slack"),
         Key("fit_start_fraction", "float", default=0.1),
@@ -157,7 +157,7 @@ SCHEMA: dict[str, Key] = {
         Key("tf_center", "float", default=0.0, help="test-function center"),
         Key("tf_radius", "float", default=2.0, help="test-function radius/width"),
         Key("sizes", "int_list",
-            help="cauchy sizes: at least two, each half the one before, the last >= 1"),
+            help="cauchy sizes: at least three, each half the one before, the last >= 1"),
         Key("wasserstein_p", "float", default=2.0),
         Key("n_list", "int_list",
             help="chaos system sizes: at least two, strictly increasing, the first > 2"),
@@ -197,6 +197,9 @@ class ExperimentConfig:
         return self.values["experiment"]
 
     def sha256(self) -> str:
+        # only a run's manifest needs the hash; validate never loads OpenSSL
+        import hashlib
+
         return hashlib.sha256(self.text.encode()).hexdigest()
 
     def seeds(self) -> list[int]:
@@ -307,11 +310,15 @@ def _check_experiment(values: dict, n_seeds: int) -> None:
     if kind == "weakform" and n_seeds < 16:
         raise ConfigError(f"weakform needs at least 16 seeds, got {n_seeds}")
     if kind == "cauchy":
+        # three sizes give two coupled distances, the fewest a verdict compares;
+        # two seeds give the fewest a standard error is defined for
         sizes = values["sizes"]
-        if len(sizes) < 2 or sizes[-1] < 1 or any(a != 2 * b for a, b in zip(sizes, sizes[1:])):
+        if len(sizes) < 3 or sizes[-1] < 1 or any(a != 2 * b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError(
-                f"sizes must be two or more positive sizes, each half the one before; got {sizes}"
+                f"sizes must be three or more positive sizes, each half the one before; got {sizes}"
             )
+        if n_seeds < 2:
+            raise ConfigError(f"cauchy needs at least 2 seeds, got {n_seeds}")
     if kind == "chaos":
         n_list = values["n_list"]
         increasing = all(a < b for a, b in zip(n_list, n_list[1:]))
@@ -329,6 +336,10 @@ def _check_experiment(values: dict, n_seeds: int) -> None:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
+
+
+def list_models() -> dict[str, str]:
+    return {name: f"{m.doc}; params: {', '.join(m.keys)}" for name, m in MODELS.items()}
 
 
 def schema_lines() -> list[str]:

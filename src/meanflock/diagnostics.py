@@ -34,7 +34,7 @@ import numpy as np
 from .dynamics import NoisePath, SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import CylinderFunction, TestFunction
-from .transport import wasserstein_path
+from .transport import _squared_distances, wasserstein_path
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,14 @@ def energy_series(run: TrajectoryRecord) -> np.ndarray:
 def observed_position_spread(run: TrajectoryRecord) -> float:
     """Largest pairwise position distance seen anywhere in the run."""
     d = run.dim // 2
+    n = run.states.shape[1]
+    sq, diff = np.empty((n, n)), np.empty((n, n))
     worst = 0.0
     for t in range(run.times.size):
         x = run.states[t, :, :d]
-        diff = x[:, None, :] - x[None, :, :]
-        worst = max(worst, float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff)))))
-    return worst
+        worst = max(worst, _squared_distances(x, x, out=sq, diff=diff).max())
+    # sqrt is monotone and correctly rounded: the max of the roots, bitwise
+    return float(np.sqrt(worst))
 
 
 def aggregate_flocking(
@@ -328,7 +330,7 @@ def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> Dia
     # smaller N means a coarser system: the estimate must grow as N shrinks
     for idx in range(len(small_sizes) - 1):
         diffs = samples[:, idx + 1] - samples[:, idx]
-        se_diff = diffs.std(ddof=1) / np.sqrt(n_seeds) if n_seeds > 1 else 0.0
+        se_diff = diffs.std(ddof=1) / np.sqrt(n_seeds)
         report.add_verdict(
             f"decreasing_{small_sizes[idx + 1]}_to_{small_sizes[idx]}",
             float(diffs.mean()),

@@ -101,10 +101,6 @@ def state_dim(values: dict) -> int:
     return 2 * values["half_dim"] if MODELS[values["model"]].position_velocity else values["dim"]
 
 
-def list_models() -> dict[str, str]:
-    return {name: f"{m.doc}; params: {', '.join(m.keys)}" for name, m in MODELS.items()}
-
-
 # ---------------------------------------------------------------------------
 # Initial conditions
 # ---------------------------------------------------------------------------
@@ -411,10 +407,3 @@ def run_from_path(path, output_dir: Optional[str] = None) -> int:
         print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
         return 1
     return run_from_text(text, output_dir=output_dir)
-
-
-def rerun_manifest(manifest_path, output_dir: str) -> int:
-    """Re-execute the config embedded in a manifest into a fresh directory."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return run_from_text(manifest["config_text"], output_dir=output_dir)

@@ -16,9 +16,10 @@ or 4 against 6 atoms) raises :class:`UnsupportedTransportError` rather than
 falling back to a general transportation LP.
 
 All distances are exact up to solver round-off; there is no entropic or
-sliced approximation anywhere in this module. Measures with more than
-``DEFAULT_SUPPORT_CAP`` atoms combined raise :class:`SupportCapError`
-before any solve.
+sliced approximation anywhere in this module. On the assignment route,
+measures with more than ``DEFAULT_SUPPORT_CAP`` atoms combined raise
+:class:`SupportCapError` before any pair table is built; the 1-D closed
+form builds none and takes any size.
 """
 
 from __future__ import annotations
@@ -325,21 +326,22 @@ def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) 
 def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> float:
     """Exact W_p between two finitely supported measures.
 
-    1-D supports take the closed form for any weights; otherwise both
-    measures must be uniform with one atom count dividing the other
-    (:class:`UnsupportedTransportError` if not).
+    1-D supports take the closed form for any weights and sizes; otherwise
+    both measures must be uniform with one atom count dividing the other
+    (:class:`UnsupportedTransportError` if not) and at most
+    ``DEFAULT_SUPPORT_CAP`` atoms combined (:class:`SupportCapError`).
     """
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
     if mu.dim != nu.dim:
         raise DimensionMismatchError("nu", mu.dim, nu.dim)
-    if mu.n + nu.n > DEFAULT_SUPPORT_CAP:
-        raise SupportCapError(mu.n + nu.n, DEFAULT_SUPPORT_CAP)
     if mu.dim == 1:
         cost = _wasserstein_1d(
             mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights, p
         )
     else:
+        if mu.n + nu.n > DEFAULT_SUPPORT_CAP:
+            raise SupportCapError(mu.n + nu.n, DEFAULT_SUPPORT_CAP)
         dist = _pairwise_distances(mu.atoms, nu.atoms)
         cost = _transport_cost(dist, mu.weights, nu.weights, p)
     return float(cost ** (1.0 / p))

@@ -248,6 +248,21 @@ def brute_force_path_wasserstein_uniform(a_states, b_states, p):
     return best ** (1.0 / p)
 
 
+def position_spread_reference(run):
+    """``observed_position_spread`` from an (N, N, d) table and an einsum per time.
+
+    The formula the package used before it kept a running maximum of
+    squared distances in reused buffers; the two must agree bit for bit.
+    """
+    d = run.dim // 2
+    worst = 0.0
+    for t in range(run.times.size):
+        x = run.states[t, :, :d]
+        diff = x[:, None, :] - x[None, :, :]
+        worst = max(worst, float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff)))))
+    return worst
+
+
 def gaussian(center, width: float, dim: int | None = None) -> TestFunction:
     """psi(x) = exp(-|x - c|^2 / (2 w^2)); smooth with bounded derivatives."""
     center = np.atleast_1d(np.asarray(center, dtype=float))

@@ -1,6 +1,7 @@
 """The public API holds only what the package itself runs."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import meanflock
@@ -26,6 +27,16 @@ def test_every_public_name_is_read_in_the_package():
     read = set().union(*map(names_read, modules))
     unread = sorted(set(meanflock.__all__) - read)
     assert not unread, f"in meanflock.__all__ but read nowhere in the package: {unread}"
+
+
+def test_every_public_name_resolves_to_its_module():
+    """The lazy namespace hands out each module's own object, once resolved."""
+    for module, names in meanflock._EXPORTS.items():
+        defining = importlib.import_module(f"meanflock.{module}")
+        for name in names:
+            assert getattr(meanflock, name) is getattr(defining, name), name
+    assert set(meanflock.__all__) == {"__version__"} | set(meanflock._MODULE_OF)
+    assert set(meanflock.__all__) <= set(dir(meanflock))
 
 
 def test_package_imports_no_scipy():

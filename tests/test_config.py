@@ -100,7 +100,11 @@ REJECTED = {
     "chaos-resamples": (
         "chaos", "model = zero\nn_list = 4, 8\nn_resamples = 4", "chaos needs n_resamples >= 32, got 4"
     ),
-    "cauchy-single-size": ("cauchy", "model = zero\nsizes = 8", "sizes must be two or more positive sizes"),
+    "cauchy-single-size": ("cauchy", "model = zero\nsizes = 8", "sizes must be three or more positive sizes"),
+    "cauchy-two-sizes": (
+        "cauchy", "model = zero\nsizes = 8, 4\nn_seeds = 2", "sizes must be three or more positive sizes"
+    ),
+    "cauchy-one-seed": ("cauchy", "model = zero\nsizes = 8, 4, 2", "cauchy needs at least 2 seeds, got 1"),
     "cauchy-not-halving": ("cauchy", "model = zero\nsizes = 8, 3", "each half the one before; got [8, 3]"),
     "cauchy-zero-sizes": ("cauchy", "model = zero\nsizes = 0, 0", "positive sizes"),
     "cauchy-individual": (

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from meanflock.diagnostics import (
     default_checkpoints,
     energy_series,
     mean_velocity_drift,
+    observed_position_spread,
     weakform_single,
 )
 from meanflock.dynamics import SimConfig, simulate
@@ -27,7 +29,7 @@ from meanflock.kernels import (
 from meanflock.testfunctions import CylinderFunction, bump, velocity_bump
 from meanflock.transport import EmpiricalMeasure, wasserstein
 
-from helpers import constant
+from helpers import constant, position_spread_reference
 
 
 def cs_kernel(**kw):
@@ -132,6 +134,25 @@ class TestFlockingRate:
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.3, phi_gamma=1.0)
         runs = run_ensemble(kernel, 8, dict(t_final=0.5, dt=0.01), seeds=[3])
         assert mean_velocity_drift(runs[0]) <= 1e-12
+
+
+class TestPositionSpread:
+    def test_equals_pair_table_reference(self):
+        # up to two squares add the same in any order, so half_dim 1 and 2
+        # (every benchmark config) agree bitwise; einsum sums three squares
+        # in another order, which may move the last bit
+        rng = np.random.default_rng(17)
+        for case in range(90):
+            half_dim = case % 3 + 1
+            n, steps = rng.integers(1, 40), rng.integers(0, 6)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            states = rng.normal(size=(steps + 1, n, 2 * half_dim)) * scale
+            run = SimpleNamespace(times=np.arange(steps + 1.0), states=states, dim=2 * half_dim)
+            got, want = observed_position_spread(run), position_spread_reference(run)
+            if half_dim < 3:
+                assert got == want
+            else:
+                assert abs(got - want) <= np.spacing(want)
 
 
 class TestWeakform:

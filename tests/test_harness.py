@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from meanflock import characteristics, harness
 from meanflock.cli import main
-from meanflock.config import EXPERIMENT_KINDS, MODELS, parse_config
+from meanflock.config import EXPERIMENT_KINDS, MODELS, list_models, parse_config
 from meanflock.errors import (
     BlowUpError,
     ConfigError,
@@ -19,14 +20,7 @@ from meanflock.errors import (
     SupportCapError,
     UnsupportedTransportError,
 )
-from meanflock.harness import (
-    EXPERIMENTS,
-    build_kernel,
-    list_models,
-    rerun_manifest,
-    run_from_text,
-    sample_initial_atoms,
-)
+from meanflock.harness import EXPERIMENTS, build_kernel, run_from_text, sample_initial_atoms
 from meanflock.dynamics import init_rng
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,7 +185,8 @@ output_dir = {tmp_path}
         first = tmp_path / "a"
         second = tmp_path / "b"
         assert run_from_text(transport_check_text(first)) == 0
-        assert rerun_manifest(first / "manifest.json", str(second)) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert run_from_text(manifest["config_text"], output_dir=str(second)) == 0
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
     def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
@@ -402,17 +397,34 @@ class TestBenchmarkBindings:
 
 
 class TestImportBudget:
-    """A run loads the process pool only when it uses it, and never scipy.
+    """Each command loads only the modules it executes, and never scipy.
 
-    Each check runs in a fresh interpreter: this process has scipy loaded.
+    ``validate`` and ``models`` stop short of the run stack; the process pool
+    is loaded only when a run uses it. Each check runs in a fresh
+    interpreter: this process has scipy loaded.
     """
 
     PROBE = (
-        "import json, sys\n"
+        "import sys\n"
         "{body}\n"
-        "print(json.dumps({{'scipy': 'scipy' in sys.modules,\n"
-        "                   'pool': 'concurrent.futures.process' in sys.modules}}))\n"
+        "print(repr({{\n"
+        "    'meanflock': sorted(m for m in sys.modules if m.split('.')[0] == 'meanflock'),\n"
+        "    'json': 'json' in sys.modules,\n"
+        "    '_hashlib': '_hashlib' in sys.modules,\n"
+        "    'scipy': 'scipy' in sys.modules,\n"
+        "    'pool': 'concurrent.futures.process' in sys.modules,\n"
+        "}}))\n"
     )
+
+    EVERY_LAYER = {"meanflock"} | {
+        f"meanflock.{path.stem}"
+        for path in (ROOT / "src" / "meanflock").glob("*.py") if path.stem != "__init__"
+    }
+    VALIDATE_LAYERS = {
+        "meanflock", "meanflock.cli", "meanflock.config", "meanflock.errors",
+        "meanflock.dynamics", "meanflock.kernels", "meanflock.transport",
+        "meanflock.testfunctions",
+    }
 
     def loaded(self, body, cwd):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MFS_THREADS="1")
@@ -421,26 +433,45 @@ class TestImportBudget:
             cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        return json.loads(out.stdout.strip().splitlines()[-1])
+        found = ast.literal_eval(out.stdout.strip().splitlines()[-1])
+        found["meanflock"] = set(found["meanflock"])
+        return found
 
     def run_main(self, argv, cwd):
         return self.loaded(
             f"from meanflock.cli import main\nassert main({argv!r}) in (0, 2)", cwd
         )
 
-    def test_import_cli_loads_neither(self, tmp_path):
-        assert self.loaded("import meanflock.cli", tmp_path) == {"scipy": False, "pool": False}
+    def test_import_package_loads_no_submodule(self, tmp_path):
+        loaded = self.loaded("import meanflock", tmp_path)
+        assert loaded["meanflock"] == {"meanflock"}
+        assert not (loaded["json"] or loaded["_hashlib"] or loaded["scipy"] or loaded["pool"])
 
-    def test_validate_loads_no_scipy(self, tmp_path):
-        cfg = str(BENCH / "configs" / "transport-n256.cfg")
-        assert not self.run_main(["validate", cfg], tmp_path)["scipy"]
+    def test_import_cli_loads_neither(self, tmp_path):
+        loaded = self.loaded("import meanflock.cli", tmp_path)
+        assert not (loaded["scipy"] or loaded["pool"])
+        assert loaded["meanflock"] <= self.VALIDATE_LAYERS
+
+    def test_validate_loads_only_what_it_checks(self, tmp_path):
+        cfg = str(BENCH / "configs" / "cauchy-n256.cfg")
+        loaded = self.run_main(["validate", cfg], tmp_path)
+        assert loaded == {
+            "meanflock": self.VALIDATE_LAYERS, "json": False, "_hashlib": False,
+            "scipy": False, "pool": False,
+        }
+
+    def test_models_loads_no_harness(self, tmp_path):
+        loaded = self.run_main(["models"], tmp_path)
+        assert "meanflock.harness" not in loaded["meanflock"]
 
     def test_transport_check_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(transport_check_text(tmp_path / "ignored", n=16))
         loaded = self.run_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")], tmp_path)
         assert (tmp_path / "out" / "report.json").exists()
-        assert loaded == {"scipy": False, "pool": False}
+        assert not (loaded["scipy"] or loaded["pool"])
+        # a run still loads every layer
+        assert loaded["meanflock"] == self.EVERY_LAYER
 
     def test_cauchy_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -450,7 +481,7 @@ model = cucker-smale
 half_dim = 1
 phi_lambda = 0.5
 phi_gamma = 1.0
-sizes = 8, 4
+sizes = 8, 4, 2
 t_final = 0.125
 dt = 0.0625
 master_seed = 3

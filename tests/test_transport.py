@@ -75,7 +75,7 @@ class TestWasserstein:
             wasserstein(uniform([[0.0]]), uniform([[0.0, 0.0]]), 2)
 
     def test_support_cap(self):
-        # 2049 against 2048 atoms: the cap is checked before any solve
+        # 2049 against 2048 atoms: outside 1-D the cap is checked before any solve
         assert DEFAULT_SUPPORT_CAP == 4096
         rng = np.random.default_rng(1)
         mu = uniform(rng.normal(size=(2049, 2)))
@@ -86,6 +86,15 @@ class TestWasserstein:
         b = uniform_path(rng.normal(size=(2, 2048, 2)))
         with pytest.raises(SupportCapError, match="4097"):
             wasserstein_path(a, b, 2)
+        # 3000 against 2000 atoms in 1-D: the closed form builds no pair table,
+        # so the cap does not apply; replicated to 6000 each, the optimal plan
+        # is the sorted matching
+        a = rng.normal(size=3000)
+        b = rng.normal(size=2000)
+        gap = np.sort(np.repeat(a, 2)) - np.sort(np.repeat(b, 3))
+        for p in (1.0, 2.0):
+            want = np.mean(np.abs(gap) ** p) ** (1.0 / p)
+            assert wasserstein(uniform(a), uniform(b), p) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
