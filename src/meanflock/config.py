@@ -2,48 +2,89 @@
 
 The format is deliberately primitive so configs diff cleanly and every run
 is auditable: one ``key = value`` pair per line, ``#`` comments, no
-sections, no nesting. Unknown keys, bad types, and missing required keys are
-all rejected before any computation starts, with the offending line quoted.
-Value bounds that a library object already guards (the time grid, the
-Cucker-Smale parameters, the truncation, the state dimension) are checked by
-building that object, so each bound is written once.
+sections, no nesting. Unknown keys, bad types, missing required keys and
+keys that the model or the experiment kind does not read are all rejected
+before any computation starts, with the offending line or key quoted.
+
+The value bounds that library objects also enforce (the time grid, the
+Cucker-Smale parameters, the truncation, the state dimension and the
+test-function radius) are written once here, as rule functions that raise
+``ValueError``. ``SimConfig``, ``CuckerSmaleParams``, ``Truncation``,
+``KernelSet`` and ``bump`` call the same functions, and ``parse_config``
+turns their errors into ``ConfigError``s that name the keys given. The
+scheme and S1-convention choices are defined here too, and ``dynamics`` and
+``kernels`` import them. This module imports only ``errors`` and the
+standard library, so ``meanflock validate`` loads no numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+import math
+from collections import namedtuple
+from typing import Any, Callable
 
-from .dynamics import SimConfig
 from .errors import ConfigError
-from .kernels import CuckerSmaleParams, KernelSet, Truncation
-from .testfunctions import bump
 
-EXPERIMENT_KINDS = (
-    "simulate",
-    "flocking",
-    "weakform",
-    "cauchy",
-    "chaos",
-    "comparison",
-    "transport-check",
+SCHEMES = ("euler_ito", "heun_stratonovich")
+S1_CONVENTIONS = ("half_both", "paper_literal")
+
+
+# ---------------------------------------------------------------------------
+# Value rules shared with the library constructors
+# ---------------------------------------------------------------------------
+
+
+def check_time_grid(t_final, dt) -> None:
+    """The grid 0, dt, ..., t_final: a whole number of steps, none only if t_final = 0."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not t_final >= 0:
+        raise ValueError("t_final must be >= 0")
+    steps = t_final / dt
+    whole = math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9
+    if not whole or (round(steps) == 0) != (t_final == 0):
+        raise ValueError("t_final must be an integer multiple of dt")
+
+
+def check_cucker_smale(half_dim, lam, gamma, phi_lam, phi_gamma) -> None:
+    if not half_dim >= 1:
+        raise ValueError("half_dim must be >= 1")
+    if not lam > 0:
+        raise ValueError("psi amplitude lam must be positive")
+    if not gamma >= 0:
+        raise ValueError("psi exponent gamma must be >= 0")
+    if not (phi_lam >= 0 and phi_gamma >= 0):
+        raise ValueError("phi parameters must be >= 0")
+
+
+def check_truncation(radius, margin) -> None:
+    if not (radius > 0 and margin > 0):
+        raise ValueError("truncation radius and margin must be positive")
+
+
+def check_dim(dim) -> None:
+    if not dim >= 1:
+        raise ValueError("kernel dimension must be >= 1")
+
+
+def check_tf_radius(radius) -> None:
+    if not radius > 0:
+        raise ValueError("test-function radius must be positive")
+
+
+# ---------------------------------------------------------------------------
+# Catalogues: models, and the experiment keys each kind reads
+# ---------------------------------------------------------------------------
+
+Model = namedtuple(
+    "Model", "doc keys position_velocity individual_noise required", defaults=(False, False, ())
 )
+Model.__doc__ = """One catalogued kernel model and the model-parameter keys it reads.
 
-
-@dataclass(frozen=True)
-class Model:
-    """One catalogued kernel model and the model-parameter keys it reads.
-
-    For generic models ``keys`` lists the kernel builder's arguments in
-    order. ``position_velocity`` marks the Cucker-Smale family, whose states
-    are (x, v) in R^{2 half_dim}.
-    """
-
-    doc: str
-    keys: tuple
-    position_velocity: bool = False
-    individual_noise: bool = False
-    required: tuple = ()
+For generic models ``keys`` lists the kernel builder's arguments in
+order. ``position_velocity`` marks the Cucker-Smale family, whose states
+are (x, v) in R^{2 half_dim}.
+"""
 
 
 _CS = ("half_dim", "lambda", "gamma", "phi_lambda", "phi_gamma")
@@ -75,6 +116,22 @@ MODELS = {
 
 MODEL_KEYS = frozenset(key for model in MODELS.values() for key in model.keys)
 
+_TF = ("tf_center", "tf_radius")
+
+# the experiment keys each kind reads; every other kind rejects them
+KIND_KEYS = {
+    "simulate": ("n_particles", "write_trajectories"),
+    "flocking": ("n_particles", "rate_tolerance", "fit_start_fraction", "psi_window"),
+    "weakform": ("n_particles", "n_checkpoints", "mean_band", "var_band") + _TF,
+    "cauchy": ("sizes", "wasserstein_p"),
+    "chaos": ("n_list", "ref_n", "n_resamples") + _TF,
+    "comparison": ("n_particles", "radius", "comparison_shift", "wasserstein_p"),
+    "transport-check": ("n_particles", "residual_tolerance"),
+}
+
+EXPERIMENT_KINDS = tuple(KIND_KEYS)
+EXPERIMENT_KEYS = frozenset(key for keys in KIND_KEYS.values() for key in keys)
+
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -98,21 +155,14 @@ _PARSERS = {
 }
 
 
-@dataclass(frozen=True)
-class Key:
-    name: str
-    kind: str
-    default: Any = None
-    required: bool = False
-    choices: Optional[tuple] = None
-    help: str = ""
+Key = namedtuple("Key", "name kind default required choices help", defaults=(None, False, None, ""))
 
 
 SCHEMA: dict[str, Key] = {
     k.name: k
     for k in [
         Key("experiment", "str", required=True, choices=EXPERIMENT_KINDS,
-            help="experiment kind"),
+            help="experiment kind; experiment keys it does not read are rejected"),
         Key("model", "str", required=True,
             help="kernel model name, see `meanflock models`; keys it does not read are rejected"),
         Key("output_dir", "str", required=True, help="artifact directory"),
@@ -131,10 +181,8 @@ SCHEMA: dict[str, Key] = {
         Key("n_particles", "int", default=8),
         Key("t_final", "float", default=1.0),
         Key("dt", "float", default=0.01),
-        Key("scheme", "str", default="euler_ito",
-            choices=("euler_ito", "heun_stratonovich")),
-        Key("s1_convention", "str", default="half_both",
-            choices=("half_both", "paper_literal")),
+        Key("scheme", "str", default="euler_ito", choices=SCHEMES),
+        Key("s1_convention", "str", default="half_both", choices=S1_CONVENTIONS),
         Key("master_seed", "int", default=0),
         Key("blowup_norm", "float", default=1e6),
         # initial conditions
@@ -184,10 +232,12 @@ _COMMON_NOISE_ONLY = ("cauchy", "chaos", "comparison", "transport-check")
 CHAOS_R = 2
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    values: dict
-    text: str
+    """The value of every schema key of one config, and the text it was parsed from."""
+
+    def __init__(self, values: dict, text: str):
+        self.values = values
+        self.text = text
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -245,15 +295,19 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key.name] = key.default
 
     kind = values["experiment"]
+    unread = sorted(key for key in given & EXPERIMENT_KEYS if key not in KIND_KEYS[kind])
+    if unread:
+        raise ConfigError(f"experiment '{kind}' does not read {', '.join(unread)}")
     for needed in _REQUIRED_BY_KIND.get(kind, ()):
         if values.get(needed) is None:
             raise ConfigError(f"experiment '{kind}' requires key '{needed}'")
-    if values["t_final"] <= 0:
+    # a config runs at least one step; the library also takes t_final = 0
+    if not values["t_final"] > 0:
         raise ConfigError("field 't_final' must be positive")
-    _guarded(SimConfig, ("t_final", "dt"), values, given)
-    _guarded(bump, ("tf_center", "tf_radius"), values, given)
+    _checked(check_time_grid, ("t_final", "dt"), values, given)
+    _checked(check_tf_radius, ("tf_radius",), values, given)
     for name in ("n_particles", "wasserstein_p", "n_checkpoints"):
-        if values[name] < 1:
+        if not values[name] >= 1:
             raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):
         raise ConfigError("trunc_radius and trunc_margin must be given together")
@@ -275,21 +329,21 @@ def _check_model(values: dict, given: set) -> None:
         if values[key] is None:
             raise ConfigError(f"model '{name}' requires key '{key}'")
     if model.position_velocity:
-        _guarded(CuckerSmaleParams, _CS, values, given)
+        _checked(check_cucker_smale, _CS, values, given)
     else:
-        _guarded(KernelSet, ("dim",), values, given)
+        _checked(check_dim, ("dim",), values, given)
     if values["trunc_radius"] is not None:
-        _guarded(Truncation, _TRUNC, values, given)
+        _checked(check_truncation, _TRUNC, values, given)
 
 
-def _guarded(build: Callable, keys: tuple, values: dict, given: set) -> None:
-    """Apply the guard of ``build(*values of keys)`` as a config rule.
+def _checked(rule: Callable, keys: tuple, values: dict, given: set) -> None:
+    """Apply ``rule(*values of keys)`` as a config rule.
 
-    Defaults pass every guard, so a rejection is blamed on the keys the
+    Defaults pass every rule, so a rejection is blamed on the keys the
     config gives.
     """
     try:
-        build(*(values[key] for key in keys))
+        rule(*(values[key] for key in keys))
     except ValueError as exc:
         named = [key for key in keys if key in given] or list(keys)
         label = "field" if len(named) == 1 else "fields"

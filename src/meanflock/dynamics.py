@@ -25,11 +25,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import SCHEMES, check_time_grid
 from .errors import BlowUpError
 from .kernels import KernelSet, field_drift_diffusion
 from .transport import MeasurePath
-
-SCHEMES = ("euler_ito", "heun_stratonovich")
 
 # SeedSequence spawn-key tags keeping the noise, init and resample streams apart
 _STREAM_COMMON = 0
@@ -98,15 +97,9 @@ class SimConfig:
     blowup_norm: float = 1e6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be >= 0")
+        check_time_grid(self.t_final, self.dt)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("t_final must be an integer multiple of dt")
 
     @property
     def steps(self) -> int:

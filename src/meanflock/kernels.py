@@ -43,10 +43,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import S1_CONVENTIONS, check_cucker_smale, check_dim, check_truncation
 from .errors import DimensionMismatchError
 from .transport import _squared_distances
-
-S1_CONVENTIONS = ("half_both", "paper_literal")
 
 
 def _s1_factor(convention: str) -> float:
@@ -78,8 +77,7 @@ class KernelSet:
     field: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("kernel dimension must be >= 1")
+        check_dim(self.dim)
         if self.field is not None and any(f is not None for f in (self.b, self.c, self.dc)):
             raise ValueError("kernel with a fused field takes no pointwise b, c or dc")
         if self.c is not None and self.dc is None:
@@ -183,8 +181,7 @@ class Truncation:
     margin: float
 
     def __post_init__(self):
-        if self.radius <= 0 or self.margin <= 0:
-            raise ValueError("truncation radius and margin must be positive")
+        check_truncation(self.radius, self.margin)
 
     def chi_both(self, s: np.ndarray):
         """(chi(s), chi'(s)); the quintic is evaluated on the band entries only."""
@@ -228,14 +225,7 @@ class CuckerSmaleParams:
     truncation: Optional[Truncation] = None
 
     def __post_init__(self):
-        if self.half_dim < 1:
-            raise ValueError("half_dim must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("psi amplitude lam must be positive")
-        if self.gamma < 0:
-            raise ValueError("psi exponent gamma must be >= 0")
-        if self.phi_lam < 0 or self.phi_gamma < 0:
-            raise ValueError("phi parameters must be >= 0")
+        check_cucker_smale(self.half_dim, self.lam, self.gamma, self.phi_lam, self.phi_gamma)
 
     def psi(self, r_sq: np.ndarray) -> np.ndarray:
         return _rational_weight(self.lam, self.gamma, r_sq)

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .config import check_tf_radius
+
 
 @dataclass(frozen=True)
 class TestFunction:
@@ -40,8 +42,7 @@ def _quintic_profile(u: np.ndarray):
 
 def bump(center, radius: float, dim: int | None = None) -> TestFunction:
     """Compactly supported C^2 bump: psi(x) = P(|x - c|^2 / R^2)."""
-    if not radius > 0:
-        raise ValueError("test-function radius must be positive")
+    check_tf_radius(radius)
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if dim is not None and center.size == 1 and dim > 1:
         center = np.full(dim, center[0])

@@ -1,10 +1,15 @@
+import math
 import re
 
 import pytest
 
+from meanflock import config, dynamics, kernels
 from meanflock.cli import main
 from meanflock.config import parse_config, schema_lines
+from meanflock.dynamics import SimConfig
 from meanflock.errors import ConfigError
+from meanflock.kernels import CuckerSmaleParams, KernelSet, Truncation
+from meanflock.testfunctions import bump
 
 BASE = """
 experiment = transport-check
@@ -130,9 +135,31 @@ REJECTED = {
         "simulate", "model = cucker-smale-truncated", "model 'cucker-smale-truncated' requires key 'trunc_radius'"
     ),
     "no-seeds": ("simulate", "model = zero\nn_seeds = 0", "at least one seed"),
+    "unread-flocking": (
+        "flocking", "model = cucker-smale\nsizes = 8, 4, 2\nn_list = 4, 8\nradius = 3\n"
+        "residual_tolerance = 1e-9",
+        "experiment 'flocking' does not read n_list, radius, residual_tolerance, sizes",
+    ),
+    "unread-cauchy": (
+        "cauchy", "model = zero\nsizes = 8, 4, 2\nn_seeds = 2\nn_particles = 99",
+        "experiment 'cauchy' does not read n_particles",
+    ),
+    "unread-chaos": (
+        "chaos", "model = zero\nn_list = 4, 8\nwasserstein_p = 2", "experiment 'chaos' does not read wasserstein_p"
+    ),
+    "unread-tf": ("simulate", "model = zero\ntf_radius = 1", "experiment 'simulate' does not read tf_radius"),
     "record-stride": ("simulate", "model = zero\nrecord_stride = 1", "unknown key 'record_stride'"),
-    # bounds a library object already guards, applied by parse_config
+    # value bounds, most of them shared with the library constructors (config.check_*)
     "grid": ("simulate", "model = zero\nt_final = 1\ndt = 0.3", "fields 't_final', 'dt'"),
+    "t-final-zero": ("simulate", "model = zero\nt_final = 0", "field 't_final' must be positive"),
+    "t-final-inf": (
+        "simulate", "model = zero\nt_final = inf", "field 't_final': t_final must be an integer multiple"
+    ),
+    "grid-no-step": (
+        "simulate", "model = zero\nt_final = 1e-12\ndt = 1", "t_final must be an integer multiple of dt"
+    ),
+    "dt-nan": ("simulate", "model = zero\ndt = nan", "field 'dt': dt must be positive"),
+    "lambda-nan": ("simulate", "model = cucker-smale\nlambda = nan", "field 'lambda': psi amplitude"),
     "half-dim": ("simulate", "model = cucker-smale\nhalf_dim = 0", "field 'half_dim'"),
     "lambda": ("simulate", "model = cucker-smale\nlambda = -1", "field 'lambda'"),
     "n-particles": ("simulate", "model = zero\nn_particles = 0", "field 'n_particles'"),
@@ -176,3 +203,52 @@ def test_defaults_are_not_explicit_model_keys():
 def test_chaos_ref_n_defaults_to_eight_times_largest():
     text = BASE.replace("transport-check", "chaos") + "n_list = 4, 8\n"
     assert parse_config(text)["ref_n"] == 64
+
+
+# each bound that a library constructor enforces, written once in config:
+# (bad library call, experiment kind, config lines breaking the same bound)
+SHARED_RULES = {
+    "dt": (lambda: SimConfig(t_final=1.0, dt=-0.5), "simulate", "model = zero\ndt = -0.5"),
+    "grid-multiple": (lambda: SimConfig(t_final=1.0, dt=0.3), "simulate", "model = zero\ndt = 0.3"),
+    "half-dim": (lambda: CuckerSmaleParams(half_dim=0), "simulate", "model = cucker-smale\nhalf_dim = 0"),
+    "lambda": (lambda: CuckerSmaleParams(1, lam=0.0), "simulate", "model = cucker-smale\nlambda = 0"),
+    "gamma": (lambda: CuckerSmaleParams(1, gamma=-1.0), "simulate", "model = cucker-smale\ngamma = -1"),
+    "phi": (
+        lambda: CuckerSmaleParams(1, phi_gamma=-1.0), "simulate", "model = cucker-smale\nphi_gamma = -1"
+    ),
+    "truncation": (
+        lambda: Truncation(1.0, 0.0), "simulate",
+        "model = cucker-smale-truncated\ntrunc_radius = 1\ntrunc_margin = 0",
+    ),
+    "dim": (lambda: KernelSet(dim=0), "simulate", "model = zero\ndim = 0"),
+    "tf-radius": (lambda: bump(0.0, -1.0), "weakform", "model = zero\nn_seeds = 16\ntf_radius = -1"),
+}
+
+
+@pytest.mark.parametrize("build, kind, lines", SHARED_RULES.values(), ids=SHARED_RULES.keys())
+def test_library_and_config_share_each_rule(build, kind, lines):
+    with pytest.raises(ValueError) as library:
+        build()
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"experiment = {kind}\noutput_dir = out\n{lines}\n")
+    assert str(parsed.value).endswith(f": {library.value}")
+
+
+def test_choices_are_defined_once():
+    assert dynamics.SCHEMES is config.SCHEMES
+    assert kernels.S1_CONVENTIONS is config.S1_CONVENTIONS
+    assert config.SCHEMA["scheme"].choices is config.SCHEMES
+    assert config.SCHEMA["s1_convention"].choices is config.S1_CONVENTIONS
+
+
+def test_time_grid_has_no_step_only_at_t_final_zero():
+    # configs reject t_final = 0 (REJECTED above); the library takes it
+    assert SimConfig(t_final=0.0, dt=0.1).steps == 0
+    for t_final, dt in ((1e-12, 1.0), (1.0, math.inf), (math.inf, 0.1)):
+        with pytest.raises(ValueError, match="integer multiple"):
+            SimConfig(t_final=t_final, dt=dt)
+
+
+def test_kind_key_table_covers_the_schema():
+    assert not config.EXPERIMENT_KEYS & config.MODEL_KEYS
+    assert config.EXPERIMENT_KEYS <= set(config.SCHEMA)

@@ -399,9 +399,9 @@ class TestBenchmarkBindings:
 class TestImportBudget:
     """Each command loads only the modules it executes, and never scipy.
 
-    ``validate`` and ``models`` stop short of the run stack; the process pool
-    is loaded only when a run uses it. Each check runs in a fresh
-    interpreter: this process has scipy loaded.
+    ``validate`` and ``models`` load neither the run stack nor numpy nor
+    ``dataclasses``; the process pool is loaded only when a run uses it.
+    Each check runs in a fresh interpreter: this process has scipy loaded.
     """
 
     PROBE = (
@@ -412,6 +412,8 @@ class TestImportBudget:
         "    'json': 'json' in sys.modules,\n"
         "    '_hashlib': '_hashlib' in sys.modules,\n"
         "    'scipy': 'scipy' in sys.modules,\n"
+        "    'numpy': 'numpy' in sys.modules,\n"
+        "    'dataclasses': 'dataclasses' in sys.modules,\n"
         "    'pool': 'concurrent.futures.process' in sys.modules,\n"
         "}}))\n"
     )
@@ -420,10 +422,10 @@ class TestImportBudget:
         f"meanflock.{path.stem}"
         for path in (ROOT / "src" / "meanflock").glob("*.py") if path.stem != "__init__"
     }
-    VALIDATE_LAYERS = {
-        "meanflock", "meanflock.cli", "meanflock.config", "meanflock.errors",
-        "meanflock.dynamics", "meanflock.kernels", "meanflock.transport",
-        "meanflock.testfunctions",
+    VALIDATE_LAYERS = {"meanflock", "meanflock.cli", "meanflock.config", "meanflock.errors"}
+    VALIDATE_LOADS = {
+        "meanflock": VALIDATE_LAYERS, "json": False, "_hashlib": False, "scipy": False,
+        "numpy": False, "dataclasses": False, "pool": False,
     }
 
     def loaded(self, body, cwd):
@@ -444,25 +446,17 @@ class TestImportBudget:
 
     def test_import_package_loads_no_submodule(self, tmp_path):
         loaded = self.loaded("import meanflock", tmp_path)
-        assert loaded["meanflock"] == {"meanflock"}
-        assert not (loaded["json"] or loaded["_hashlib"] or loaded["scipy"] or loaded["pool"])
+        assert loaded == dict(self.VALIDATE_LOADS, meanflock={"meanflock"})
 
     def test_import_cli_loads_neither(self, tmp_path):
-        loaded = self.loaded("import meanflock.cli", tmp_path)
-        assert not (loaded["scipy"] or loaded["pool"])
-        assert loaded["meanflock"] <= self.VALIDATE_LAYERS
+        assert self.loaded("import meanflock.cli", tmp_path) == self.VALIDATE_LOADS
 
     def test_validate_loads_only_what_it_checks(self, tmp_path):
         cfg = str(BENCH / "configs" / "cauchy-n256.cfg")
-        loaded = self.run_main(["validate", cfg], tmp_path)
-        assert loaded == {
-            "meanflock": self.VALIDATE_LAYERS, "json": False, "_hashlib": False,
-            "scipy": False, "pool": False,
-        }
+        assert self.run_main(["validate", cfg], tmp_path) == self.VALIDATE_LOADS
 
     def test_models_loads_no_harness(self, tmp_path):
-        loaded = self.run_main(["models"], tmp_path)
-        assert "meanflock.harness" not in loaded["meanflock"]
+        assert self.run_main(["models"], tmp_path) == self.VALIDATE_LOADS
 
     def test_transport_check_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "t.cfg"
