@@ -15,13 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "characteristics": (
-        "FrozenField",
-        "evolve_transport",
-        "pushforward",
-        "solve_characteristics",
-        "transport_residual",
-    ),
+    "characteristics": ("pushforward", "solve_characteristics", "transport_residual"),
     "diagnostics": ("DiagnosticsReport",),
     "dynamics": ("NoisePath", "SimConfig", "TrajectoryRecord", "simulate"),
     "kernels": (

@@ -1,102 +1,65 @@
 """Frozen-field stochastic characteristics and transport-form checks.
 
-Given a recorded measure path and the common-noise increments that produced
-it, the characteristic of a start point x solves the same Euler recursion as
-the particle system, but with the mean-field coefficients evaluated against
-the frozen path instead of the evolving ensemble. The solver advances with
-the particle stepper's own ``dynamics._euler_step``, so pushing the initial
-measure through its own frozen field reproduces the recorded run bit for
-bit: the discrete transport identity holds by construction.
+A simulated run (``dynamics.TrajectoryRecord``) carries its measure path,
+its kernel, its time grid and the noise that drove it. The characteristic
+of a start point x solves the same Euler recursion as the particle system,
+under the run's common-noise increments, but with the mean-field
+coefficients evaluated against the run's recorded measures instead of the
+evolving ensemble. The solver advances with the particle stepper's own
+``dynamics._euler_step``, so pushing the initial measure through its own
+frozen field reproduces the recorded run bit for bit: the discrete
+transport identity holds by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NoisePath, SimConfig, TrajectoryRecord, _euler_step, simulate
+from .dynamics import SimConfig, TrajectoryRecord, _euler_step, simulate
 from .errors import BlowUpError
 from .kernels import KernelSet
 from .transport import EmpiricalMeasure, MeasurePath, support_radius, wasserstein
 
 
-@dataclass(frozen=True)
-class FrozenField:
-    """A measure path treated as exogenous input to the characteristics SDE."""
+def solve_characteristics(run: TrajectoryRecord, x0) -> np.ndarray:
+    """Euler-Ito characteristics in the frozen field of ``run``.
 
-    kernel: KernelSet
-    field_path: MeasurePath
-    common_increments: np.ndarray
-    dt: float
-    s1_convention: str = "half_both"
-    blowup_norm: float = 1e6
-
-    def __post_init__(self):
-        if self.kernel.sigma is not None:
-            raise ValueError("characteristics are defined for common noise only (sigma = 0)")
-        inc = np.asarray(self.common_increments, dtype=float)
-        if self.field_path.n_times != inc.size + 1:
-            raise ValueError(
-                "field path must hold one measure per noise grid point "
-                f"(got {self.field_path.n_times} measures, {inc.size} increments)"
-            )
-        object.__setattr__(self, "common_increments", inc)
-
-    @property
-    def steps(self) -> int:
-        return self.common_increments.size
-
-    @classmethod
-    def from_run(cls, run: TrajectoryRecord) -> "FrozenField":
-        """Freeze a recorded run at every step of its grid."""
-        return cls(
-            kernel=run.kernel,
-            field_path=run.measure_path(),
-            common_increments=run.noise.common_increments[: run.config.steps],
-            dt=run.config.dt,
-            s1_convention=run.config.s1_convention,
-            blowup_norm=run.config.blowup_norm,
-        )
-
-
-def solve_characteristics(f: FrozenField, x0) -> np.ndarray:
-    """Euler-Ito characteristics from one or many start points.
-
-    Each step is the particle stepper's ``_euler_step`` with the frozen
-    measure of that step as atoms and the current points as queries.
-    Returns the full path array of shape (steps + 1, m, d) for a batch of m
-    starts (a single (d,) start is promoted to m = 1).
+    Each step is the particle stepper's ``_euler_step`` with the run's
+    measure at that step as atoms, the current points as queries and the
+    run's common-noise increment. Returns the full path array of shape
+    (steps + 1, m, d) for a batch of m starts (a single (d,) start is
+    promoted to m = 1).
     """
+    k, cfg = run.kernel, run.config
+    if k.sigma is not None:
+        raise ValueError("characteristics are defined for common noise only (sigma = 0)")
     x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
-    if single:
+    if x0.ndim == 1:
         x0 = x0[None, :]
-    k = f.kernel
     if x0.shape[-1] != k.dim:
         raise ValueError(f"start points have dimension {x0.shape[-1]}, kernel wants {k.dim}")
-    atoms_path = f.field_path.states
-    weights = f.field_path.weights
-    out = np.empty((f.steps + 1,) + x0.shape)
+    steps = run.times.size - 1
+    dbeta = run.noise.common_increments[:steps]
+    out = np.empty((steps + 1,) + x0.shape)
     out[0] = x0
     current = x0
-    for step in range(f.steps):
+    for step in range(steps):
         current = _euler_step(
-            k, atoms_path[step], weights, current, f.dt, f.common_increments[step],
-            None, f.s1_convention,
+            k, run.states[step], run.weights, current, cfg.dt, dbeta[step],
+            None, cfg.s1_convention,
         )
         max_norm = float(np.max(np.linalg.norm(current, axis=-1)))
-        if not np.isfinite(max_norm) or max_norm > f.blowup_norm:
-            raise BlowUpError(step, max_norm)
+        if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
+            raise BlowUpError(step, max_norm, seed=cfg.master_seed)
         out[step + 1] = current
     return out
 
 
-def pushforward(f: FrozenField, init: EmpiricalMeasure) -> MeasurePath:
-    """Push an initial measure through the frozen characteristic flow."""
-    paths = solve_characteristics(f, init.atoms)
-    return MeasurePath(f.field_path.times, paths, init.weights)
+def pushforward(run: TrajectoryRecord, init: EmpiricalMeasure) -> MeasurePath:
+    """Push an initial measure through the frozen characteristic flow of ``run``."""
+    return MeasurePath(run.times, solve_characteristics(run, init.atoms), init.weights)
 
 
 def transport_residual(run: TrajectoryRecord) -> float:
@@ -109,26 +72,9 @@ def transport_residual(run: TrajectoryRecord) -> float:
     bit, which it does for every common-noise-only run, because the
     characteristics recursion reuses the stepper arithmetic.
     """
-    original = run.measure_path()
-    replay = pushforward(FrozenField.from_run(run), original.measure_at(0))
-    gap = np.sum((original.states - replay.states) ** 2, axis=-1) @ original.weights
+    replay = pushforward(run, run.measure_at(0))
+    gap = np.sum((run.states - replay.states) ** 2, axis=-1) @ run.weights
     return float(np.sqrt(np.max(gap)))
-
-
-def evolve_transport(
-    k: KernelSet,
-    init: EmpiricalMeasure,
-    cfg: SimConfig,
-    noise: Optional[NoisePath] = None,
-) -> MeasurePath:
-    """Transport-form solution for a weighted initial measure.
-
-    The atoms follow the self-consistent field of their own weighted
-    empirical measure; for uniform weights this is the plain particle system.
-    """
-    if k.sigma is not None:
-        raise ValueError("transport form needs sigma = 0")
-    return simulate(k, init.atoms, cfg, noise=noise, weights=init.weights).measure_path()
 
 
 def _stopped_sup_cost(
@@ -163,15 +109,16 @@ def comparison_seed(
 ) -> list[tuple[float, bool]]:
     """Stopped sup costs of ``init_a`` against each of ``inits_b`` for one seed.
 
-    All transport-form solutions share the common noise of
-    ``cfg.master_seed``; the path of ``init_a`` is simulated once.
+    Each initial measure evolves in the transport form: its atoms follow the
+    field of their own weighted empirical measure, all under the common
+    noise of ``cfg.master_seed``. The path of ``init_a`` is simulated once.
     """
-    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
-    path_a = evolve_transport(k, init_a, cfg, noise=noise)
-    return [
-        _stopped_sup_cost(path_a, evolve_transport(k, init_b, cfg, noise=noise), radius, p)
-        for init_b in inits_b
+    if k.sigma is not None:
+        raise ValueError("transport form needs sigma = 0")
+    path_a, *paths_b = [
+        simulate(k, init.atoms, cfg, weights=init.weights) for init in (init_a, *inits_b)
     ]
+    return [_stopped_sup_cost(path_a, path_b, radius, p) for path_b in paths_b]
 
 
 def comparison_summary(

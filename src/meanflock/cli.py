@@ -1,12 +1,15 @@
 """Command-line entry point.
 
 Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 configuration or
-runtime error.
+runtime error, or a standard output closed before everything was written
+(``meanflock validate cfg --schema | head -1``), which exits without a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, list_models, load_config, schema_lines
@@ -32,7 +35,19 @@ def main(argv=None) -> int:
     val_p.add_argument("--schema", action="store_true", help="also print the schema")
 
     args = parser.parse_args(argv)
+    try:
+        code = _dispatch(args)
+        # a closed pipe shows on this flush, not in the interpreter's exit flush
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python `signal` docs advise: send what is still buffered to
+        # devnull, so the interpreter's exit flush raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
+
+def _dispatch(args) -> int:
     if args.command == "run":
         # the run stack is imported only to run: validate and models never load it
         from .harness import run_from_path

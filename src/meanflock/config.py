@@ -114,7 +114,19 @@ MODELS = {
     "constant-individual": Model("sigma(x) = sigma_scale * I", _SIGMA, individual_noise=True),
 }
 
-MODEL_KEYS = frozenset(key for model in MODELS.values() for key in model.keys)
+# the initial-condition scales each family reads, keyed by Model.position_velocity
+INIT_KEYS = {
+    True: ("init_position_scale", "init_velocity_scale"),
+    False: ("init_scale",),
+}
+
+
+def _keys_read(model: Model) -> tuple:
+    """The model-parameter and initial-condition keys a model reads."""
+    return model.keys + INIT_KEYS[model.position_velocity]
+
+
+MODEL_KEYS = frozenset(key for model in MODELS.values() for key in _keys_read(model))
 
 _TF = ("tf_center", "tf_radius")
 
@@ -187,8 +199,8 @@ SCHEMA: dict[str, Key] = {
         Key("blowup_norm", "float", default=1e6),
         # initial conditions
         Key("init_kind", "str", default="gaussian", choices=("gaussian", "uniform")),
-        Key("init_position_scale", "float", default=1.0),
-        Key("init_velocity_scale", "float", default=1.0),
+        Key("init_position_scale", "float", default=1.0, help="for position-velocity models"),
+        Key("init_velocity_scale", "float", default=1.0, help="for position-velocity models"),
         Key("init_scale", "float", default=1.0, help="scale for generic-model states"),
         # Monte-Carlo ensemble
         Key("seeds", "int_list", help="explicit master seeds"),
@@ -322,7 +334,7 @@ def _check_model(values: dict, given: set) -> None:
     model = MODELS.get(name)
     if model is None:
         raise ConfigError(f"unknown model '{name}'; available: {', '.join(sorted(MODELS))}")
-    unread = sorted(key for key in given & MODEL_KEYS if key not in model.keys)
+    unread = sorted(key for key in given & MODEL_KEYS if key not in _keys_read(model))
     if unread:
         raise ConfigError(f"model '{name}' does not read {', '.join(unread)}")
     for key in model.required:

@@ -26,12 +26,12 @@ reproduce reports bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import NoisePath, SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
+from .dynamics import SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import CylinderFunction, TestFunction
 from .transport import _squared_distances, wasserstein_path
@@ -231,7 +231,7 @@ def weakform_single(
                 w * np.einsum("nik,njk,nij->n", sig, sig, hess)
             )
             sig_grad = np.einsum("nij,ni->nj", sig, grad)
-            qv_inc[t] += (1.0 / run.n_particles) * np.sum(
+            qv_inc[t] += (1.0 / run.n_atoms) * np.sum(
                 w * np.einsum("nj,nj->n", sig_grad, sig_grad)
             )
         gen[t] = gen_t
@@ -298,19 +298,16 @@ def cauchy_single(
     base_atoms: np.ndarray,
     sizes: Sequence[int],
     cfg: SimConfig,
-    seed: int,
     p: float,
 ) -> np.ndarray:
-    """Coupled path distances W_p^p(mu^N, mu^{2N}) for one master seed."""
-    run_cfg = replace(cfg, master_seed=int(seed))
-    noise = NoisePath(run_cfg.master_seed, run_cfg.dt, run_cfg.steps, k.dim)
-    # nested prefixes of one atom draw under one noise: particle i is the
+    """Coupled path distances W_p^p(mu^N, mu^{2N}) under ``cfg.master_seed``."""
+    # nested prefixes of one atom draw under one seed: particle i is the
     # same particle, driven by the same increments, in every size
-    paths = {n: simulate(k, base_atoms[:n], run_cfg, noise=noise).measure_path() for n in sizes}
+    runs = {n: simulate(k, base_atoms[:n], cfg) for n in sizes}
     out = np.empty(len(sizes) - 1)
     for idx in range(len(sizes) - 1):
         big, small = sizes[idx], sizes[idx + 1]
-        out[idx] = wasserstein_path(paths[small], paths[big], p=p) ** p
+        out[idx] = wasserstein_path(runs[small], runs[big], p=p) ** p
     return out
 
 
@@ -351,16 +348,17 @@ def chaos_beta_path(
     phis: Sequence[CylinderFunction],
     n_list: Sequence[int],
     cfg: SimConfig,
-    beta_seed: int,
     ref_n: int,
     n_resamples: int,
 ) -> np.ndarray:
-    """|E-hat[prod phi | beta] - prod <phi, mu_ref>| for each N at one beta."""
-    r = len(phis)
-    run_cfg = replace(cfg, master_seed=int(beta_seed))
-    noise = NoisePath(run_cfg.master_seed, run_cfg.dt, run_cfg.steps, k.dim)
+    """|E-hat[prod phi | beta] - prod <phi, mu_ref>| for each N at one beta.
 
-    ref_run = simulate(k, sampler(init_rng(beta_seed), ref_n), run_cfg, noise=noise)
+    The beta path, the reference draw and the resamples all come from
+    ``cfg.master_seed``.
+    """
+    r = len(phis)
+    beta_seed = cfg.master_seed
+    ref_run = simulate(k, sampler(init_rng(beta_seed), ref_n), cfg)
     ref_paths = np.swapaxes(ref_run.states, 0, 1)  # (n_ref, times, d)
     ref_marginals = [
         float(np.mean(phi.apply_path(ref_run.times, ref_paths))) for phi in phis
@@ -373,7 +371,7 @@ def chaos_beta_path(
     for s in range(n_resamples):
         atoms_block = sampler(resample_rng(beta_seed, s), n_max)
         for n_idx, n in enumerate(n_list):
-            run = simulate(k, atoms_block[:n], run_cfg, noise=noise)
+            run = simulate(k, atoms_block[:n], cfg)
             lead = np.swapaxes(run.states[:, :r, :], 0, 1)  # (r, times, d)
             vals = [
                 phi.apply_path(run.times, lead[i]) for i, phi in enumerate(phis)

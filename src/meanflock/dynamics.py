@@ -9,13 +9,16 @@ is right.
 
 Noise is addressed, not streamed: the increment of particle ``i`` at step
 ``k`` is a pure function of ``(master_seed, i, k)`` through per-particle
-Philox streams, so a particle keeps the same noise when embedded in systems
-of different sizes. Coupled-size experiments rely on exactly this.
+Philox streams. ``simulate`` derives the noise from ``cfg.master_seed`` and
+drives row i of its states with particle i's stream, so two runs under one
+seed share the common noise, and a run on a prefix of the states sees the
+increments its particles see in the full run. The Cauchy and chaos
+experiments couple sizes this way.
 
 A trajectory's inputs are the kernel, the (N, d) array of initial states and
 a time grid (``SimConfig``); N and d are read from the states, and every
 grid step is recorded. The Euler-Ito update is one function,
-``_euler_step``, which the frozen-field characteristics solver calls too.
+``_euler_step``, which the characteristics solver calls too.
 """
 
 from __future__ import annotations
@@ -106,27 +109,18 @@ class SimConfig:
         return int(round(self.t_final / self.dt))
 
 
-@dataclass
-class TrajectoryRecord:
-    """Recorded trajectory plus everything needed to replay or freeze it."""
+@dataclass(frozen=True)
+class TrajectoryRecord(MeasurePath):
+    """One simulated run: its measure path and what produced it.
 
-    times: np.ndarray
-    states: np.ndarray  # (steps + 1, n, d)
-    weights: np.ndarray
+    The path's times, states (steps + 1, N, d) and weights are the record;
+    ``config``, ``kernel`` and ``noise`` are what the characteristics replay
+    reads to freeze the run's field.
+    """
+
     config: SimConfig
     kernel: KernelSet
     noise: NoisePath
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
-    def measure_path(self) -> MeasurePath:
-        return MeasurePath(self.times, self.states, self.weights)
 
 
 def _sigma_increment(k: KernelSet, states: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -192,18 +186,15 @@ def simulate(
     k: KernelSet,
     states: np.ndarray,
     cfg: SimConfig,
-    noise: Optional[NoisePath] = None,
-    particle_ids: Optional[Sequence[int]] = None,
     weights: Optional[np.ndarray] = None,
 ) -> TrajectoryRecord:
     """Integrate the particle system from ``states`` at t = 0; record every step.
 
     ``states`` is the finite (N, d) array of initial states, with d the
-    kernel dimension. ``noise`` and ``particle_ids`` exist for coupled runs:
-    passing the noise of a larger system together with the identities of the
-    retained particles drives the subsystem with exactly the increments those
-    particles see in the large system. ``weights`` generalizes the empirical
-    measure away from uniform; the default is the uniform 1/N measure.
+    kernel dimension. Row i is driven by particle i's increments of the
+    ``NoisePath`` of ``cfg.master_seed``. ``weights`` generalizes the
+    empirical measure away from uniform; the default is the uniform 1/N
+    measure.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[0] < 1:
@@ -212,18 +203,12 @@ def simulate(
         raise ValueError("particle states must be finite")
     k.check_point(states, "states")
     n = states.shape[0]
-    if noise is None:
-        noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
-    if noise.steps < cfg.steps or noise.dt != cfg.dt or noise.dim != k.dim:
-        raise ValueError("noise path incompatible with config grid or kernel dimension")
-    ids = np.arange(n) if particle_ids is None else np.asarray(particle_ids, int)
-    if ids.shape != (n,):
-        raise ValueError("particle_ids must list one identity per particle")
+    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
     w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float)
 
     db_all = None
     if k.sigma is not None:
-        db_all = noise.individual_matrix(ids)
+        db_all = noise.individual_matrix(range(n))
 
     times = cfg.dt * np.arange(cfg.steps + 1)
     path = np.empty((cfg.steps + 1, n, k.dim))

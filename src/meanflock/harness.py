@@ -8,9 +8,9 @@ through ``config.parse_config``, which checks every input rule; nothing here
 validates again.
 
 A run's inputs are an (N, d) array of initial states, drawn from the
-config's init block by ``sample_initial_atoms``, and the time grid that
-``build_sim_config`` reads from the config; ``simulate`` takes N and d from
-the states and records every step.
+config's init block by ``sample_initial_atoms``, and the time grid and seed
+that ``build_sim_config`` reads from the config; ``simulate`` takes N and d
+from the states, derives its noise from the seed and records every step.
 
 Every experiment is reproducible from its manifest: the manifest embeds the
 exact config text, the explicit seed list, and the config hash. Reports hold
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import comparison_seed, comparison_summary, transport_residual
-from .config import CHAOS_R, MODELS, ExperimentConfig, parse_config
+from .config import CHAOS_R, INIT_KEYS, MODELS, ExperimentConfig, parse_config
 from .diagnostics import (
     DiagnosticsReport,
     aggregate_cauchy,
@@ -107,15 +107,14 @@ def state_dim(values: dict) -> int:
 
 
 def sample_initial_atoms(values: dict, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n i.i.d. initial states following the config's init block."""
+    """Draw n i.i.d. initial states following the config's init block.
+
+    Each scale the model family reads (``INIT_KEYS``) covers an equal block
+    of coordinates: positions then velocities, or the whole generic state.
+    """
     dim = state_dim(values)
-    if MODELS[values["model"]].position_velocity:
-        d = values["half_dim"]
-        scales = np.concatenate(
-            [np.full(d, values["init_position_scale"]), np.full(d, values["init_velocity_scale"])]
-        )
-    else:
-        scales = np.full(dim, values["init_scale"])
+    keys = INIT_KEYS[MODELS[values["model"]].position_velocity]
+    scales = np.repeat([values[key] for key in keys], dim // len(keys))
     if values["init_kind"] == "gaussian":
         return rng.standard_normal((n, dim)) * scales
     return rng.uniform(-1.0, 1.0, size=(n, dim)) * scales
@@ -183,7 +182,7 @@ def _build_cylinder_functions(values: dict) -> list[CylinderFunction]:
 def _simulate_worker(args):
     values, seed = args
     run = _simulate_for_seed(values, seed)
-    final = run.measure_path().measure_at(run.times.size - 1)
+    final = run.measure_at(-1)
     return run.times, run.states, float(moments(final, 2.0))
 
 
@@ -209,7 +208,7 @@ def _cauchy_worker(args):
     sizes = values["sizes"]
     base_atoms = sample_initial_atoms(values, init_rng(seed), sizes[0])
     return cauchy_single(
-        build_kernel(values), base_atoms, sizes, build_sim_config(values), seed,
+        build_kernel(values), base_atoms, sizes, build_sim_config(values, seed=seed),
         values["wasserstein_p"],
     )
 
@@ -219,7 +218,7 @@ def _chaos_worker(args):
     sampler = partial(sample_initial_atoms, values)
     return chaos_beta_path(
         build_kernel(values), sampler, _build_cylinder_functions(values), values["n_list"],
-        build_sim_config(values), beta_seed, values["ref_n"], values["n_resamples"],
+        build_sim_config(values, seed=beta_seed), values["ref_n"], values["n_resamples"],
     )
 
 

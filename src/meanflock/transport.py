@@ -364,7 +364,8 @@ def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:
     """Exact W_p on path space under the sup-norm ground distance.
 
     The ground cost between two trajectories is their sup-over-time
-    distance. The transport problem over these costs is solved as an
+    distance on the grid both paths must share (``path_sup_distances``
+    checks it). The transport problem over these costs is solved as an
     assignment, which needs uniform weights where one atom count divides
     the other (the Cauchy-in-N coupling of N against 2N atoms); any other
     pair raises :class:`UnsupportedTransportError`, whatever the dimension.
@@ -373,8 +374,6 @@ def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:
         raise ValueError("Wasserstein order p must be >= 1")
     if mu.dim != nu.dim:
         raise DimensionMismatchError("nu", mu.dim, nu.dim)
-    if mu.times.shape != nu.times.shape or not np.array_equal(mu.times, nu.times):
-        raise ValueError("measure paths must share an identical time grid")
     if mu.n_atoms + nu.n_atoms > DEFAULT_SUPPORT_CAP:
         raise SupportCapError(mu.n_atoms + nu.n_atoms, DEFAULT_SUPPORT_CAP)
     cost = _transport_cost(path_sup_distances(mu, nu), mu.weights, nu.weights, p)

@@ -6,10 +6,8 @@ import pytest
 import meanflock.characteristics as characteristics
 import meanflock.dynamics as dynamics
 from meanflock.characteristics import (
-    FrozenField,
     comparison_seed,
     comparison_summary,
-    evolve_transport,
     pushforward,
     solve_characteristics,
     transport_residual,
@@ -43,23 +41,20 @@ def make_run(kernel, n=4, seed=11, t_final=0.5, dt=0.01, scheme="euler_ito"):
 class TestSolveCharacteristics:
     def test_reproduces_own_particle_exactly(self):
         run = make_run(noisy_cs(), n=1)
-        frozen = FrozenField.from_run(run)
-        path = solve_characteristics(frozen, run.states[0, 0])
+        path = solve_characteristics(run, run.states[0, 0])
         np.testing.assert_array_equal(path[:, 0, :], run.states[:, 0, :])
 
     def test_zero_kernel_constant_path(self):
         run = make_run(zero_kernels(2), n=3)
-        frozen = FrozenField.from_run(run)
         x0 = np.array([0.25, -1.0])
-        path = solve_characteristics(frozen, x0)
+        path = solve_characteristics(run, x0)
         np.testing.assert_array_equal(path, np.broadcast_to(x0, path.shape))
 
     def test_constant_drift_affine_path(self):
         k = constant_drift_kernels(2, [2.0, -1.0])
         run = make_run(k, n=2, t_final=1.0, dt=0.25)
-        frozen = FrozenField.from_run(run)
         x0 = np.zeros(2)
-        path = solve_characteristics(frozen, x0)
+        path = solve_characteristics(run, x0)
         expected = np.outer(run.times, [2.0, -1.0])
         np.testing.assert_allclose(path[:, 0, :], expected, atol=1e-12)
 
@@ -67,24 +62,13 @@ class TestSolveCharacteristics:
         k = constant_individual_kernels(1, 0.3)
         run = make_run(k, n=2)
         with pytest.raises(ValueError, match="common"):
-            FrozenField.from_run(run)
-
-    def test_grid_mismatch_rejected(self):
-        run = make_run(noisy_cs(), n=2)
-        with pytest.raises(ValueError, match="grid"):
-            FrozenField(
-                kernel=run.kernel,
-                field_path=run.measure_path(),
-                common_increments=run.noise.common_increments[:-5],
-                dt=run.config.dt,
-            )
+            solve_characteristics(run, run.states[0])
 
 
 class TestPushforward:
     def test_transport_identity(self):
         run = make_run(noisy_cs(), n=5)
-        frozen = FrozenField.from_run(run)
-        replay = pushforward(frozen, run.measure_path().measure_at(0))
+        replay = pushforward(run, run.measure_at(0))
         np.testing.assert_array_equal(replay.states, run.states)
 
     def test_replay_steps_with_the_stepper_update(self):
@@ -93,21 +77,19 @@ class TestPushforward:
 
     def test_single_atom(self):
         run = make_run(noisy_cs(), n=3)
-        frozen = FrozenField.from_run(run)
         mu0 = EmpiricalMeasure.uniform(np.array([[0.1, 0.2]]))
-        path = pushforward(frozen, mu0)
+        path = pushforward(run, mu0)
         assert path.n_atoms == 1
-        direct = solve_characteristics(frozen, np.array([0.1, 0.2]))
+        direct = solve_characteristics(run, np.array([0.1, 0.2]))
         np.testing.assert_array_equal(path.states, direct)
 
     def test_weights_preserved(self):
         run = make_run(noisy_cs(), n=3)
-        frozen = FrozenField.from_run(run)
         mu0 = EmpiricalMeasure(
             np.random.default_rng(0).normal(size=(4, 2)),
             np.array([0.1, 0.2, 0.3, 0.4]),
         )
-        path = pushforward(frozen, mu0)
+        path = pushforward(run, mu0)
         np.testing.assert_array_equal(path.weights, mu0.weights)
 
 
@@ -140,8 +122,8 @@ class TestTransportResidual:
         run = make_run(noisy_cs(), n=4)
         exact = characteristics.pushforward
 
-        def nudged(frozen, init):
-            path = exact(frozen, init)
+        def nudged(run, init):
+            path = exact(run, init)
             states = path.states.copy()
             states[-1, 2, 0] += 1e-9
             return MeasurePath(path.times, states, path.weights)
@@ -163,7 +145,7 @@ class TestEvolveTransport:
         rng = np.random.default_rng(8)
         atoms = rng.normal(size=(4, 2))
         cfg = SimConfig(t_final=0.3, dt=0.01, master_seed=5)
-        path = evolve_transport(kernel, EmpiricalMeasure.uniform(atoms), cfg)
+        path = simulate(kernel, atoms, cfg, weights=np.full(4, 0.25))
         run = simulate(kernel, atoms, cfg)
         np.testing.assert_array_equal(path.states, run.states)
 
@@ -174,11 +156,9 @@ class TestEvolveTransport:
         base = np.array([[0.0, 1.0], [1.0, -1.0]])
         cfg3 = SimConfig(t_final=0.2, dt=0.01, master_seed=6)
         tripled = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
-        uniform_path = evolve_transport(kernel, EmpiricalMeasure.uniform(tripled), cfg3)
+        uniform_path = simulate(kernel, tripled, cfg3)
         cfg2 = SimConfig(t_final=0.2, dt=0.01, master_seed=6)
-        weighted_path = evolve_transport(
-            kernel, EmpiricalMeasure(base, np.array([2.0 / 3.0, 1.0 / 3.0])), cfg2
-        )
+        weighted_path = simulate(kernel, base, cfg2, weights=np.array([2.0 / 3.0, 1.0 / 3.0]))
         np.testing.assert_allclose(
             uniform_path.states[:, [0, 2], :], weighted_path.states, atol=1e-12
         )
@@ -240,10 +220,9 @@ class TestFlowRegularity:
             acc = 0.0
             for seed in range(4):
                 run = make_run(kernel, n=6, seed=seed)
-                frozen = FrozenField.from_run(run)
                 x = np.array([0.5, 0.5])
                 starts = np.stack([x, x + [offset, 0.0]])
-                paths = solve_characteristics(frozen, starts)
+                paths = solve_characteristics(run, starts)
                 gap = np.max(np.sum((paths[:, 0] - paths[:, 1]) ** 2, axis=-1))
                 acc += gap / offset**2
             ratios.append(acc / 4)
@@ -266,8 +245,7 @@ class TestFlowRegularity:
             acc = 0.0
             for seed in range(4):
                 run = make_run(kernel, n=6, seed=seed, dt=dt)
-                frozen = FrozenField.from_run(run)
-                paths = solve_characteristics(frozen, grid)
+                paths = solve_characteristics(run, grid)
                 acc += np.max(np.sum(paths**2, axis=-1) ** 2)
             sups.append(acc / 4)
         assert all(np.isfinite(s) for s in sups)

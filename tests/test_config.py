@@ -131,6 +131,13 @@ REJECTED = {
         "model 'cucker-smale' does not read trunc_margin, trunc_radius",
     ),
     "unread-phi": ("simulate", "model = zero\nphi_lambda = 0.3", "model 'zero' does not read phi_lambda"),
+    "unread-init-generic": (
+        "simulate", "model = zero\ninit_velocity_scale = 5\ninit_position_scale = 3",
+        "model 'zero' does not read init_position_scale, init_velocity_scale",
+    ),
+    "unread-init-cs": (
+        "simulate", "model = cucker-smale\ninit_scale = 5", "model 'cucker-smale' does not read init_scale"
+    ),
     "truncated-needs-radius": (
         "simulate", "model = cucker-smale-truncated", "model 'cucker-smale-truncated' requires key 'trunc_radius'"
     ),

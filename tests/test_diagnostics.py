@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -211,7 +212,9 @@ class TestCauchy:
         base = rng.normal(size=(8, 1))
         cfg = SimConfig(t_final=0.25, dt=0.05)
         sizes = [8, 4, 2]
-        samples = np.stack([cauchy_single(kernel, base, sizes, cfg, seed, 2.0) for seed in (0, 1)])
+        samples = np.stack([
+            cauchy_single(kernel, base, sizes, replace(cfg, master_seed=seed), 2.0) for seed in (0, 1)
+        ])
         report = aggregate_cauchy(samples, sizes, 2.0)
         w42 = wasserstein(
             EmpiricalMeasure.uniform(base[:4]), EmpiricalMeasure.uniform(base[:8]), 2
@@ -234,7 +237,10 @@ class TestChaos:
 
     def _report(self, phis, n_list, cfg, beta_seeds, ref_n, n_resamples):
         per_beta = np.stack([
-            chaos_beta_path(zero_kernels(2), self._sampler, phis, n_list, cfg, seed, ref_n, n_resamples)
+            chaos_beta_path(
+                zero_kernels(2), self._sampler, phis, n_list, replace(cfg, master_seed=seed),
+                ref_n, n_resamples,
+            )
             for seed in beta_seeds
         ])
         return aggregate_chaos(per_beta, n_list, len(phis), ref_n, n_resamples)

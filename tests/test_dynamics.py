@@ -92,18 +92,6 @@ class TestSteps:
         out = one_step(k, [[1.0]], 0.1, "heun_stratonovich")
         np.testing.assert_allclose(out, [[1.105]])
 
-    def test_step_beyond_noise_rejected(self):
-        k = zero_kernels(1)
-        cfg = SimConfig(t_final=0.3, dt=0.1)
-        with pytest.raises(ValueError, match="noise path"):
-            simulate(k, np.zeros((1, 1)), cfg, noise=NoisePath(0, 0.1, 2, 1))
-
-    def test_noise_of_other_dimension_rejected(self):
-        k = constant_individual_kernels(2, 0.5)
-        cfg = SimConfig(t_final=0.1, dt=0.1)
-        with pytest.raises(ValueError, match="noise path"):
-            simulate(k, np.zeros((1, 2)), cfg, noise=NoisePath(0, 0.1, 1, 1))
-
 
 class TestInitialStates:
     @pytest.mark.parametrize(
@@ -122,7 +110,7 @@ class TestInitialStates:
 
     def test_size_and_dimension_read_from_states(self):
         run = simulate(zero_kernels(3), np.ones((5, 3)), SimConfig(t_final=0.2, dt=0.1))
-        assert (run.n_particles, run.dim) == (5, 3)
+        assert (run.n_atoms, run.dim) == (5, 3)
         np.testing.assert_array_equal(run.times, [0.0, 0.1, 0.2])
         np.testing.assert_array_equal(run.states, np.ones((3, 5, 3)))
 
@@ -245,17 +233,14 @@ class TestMomentStability:
         assert ratios.max() <= 500.0
 
 
-def coupled_runs(k, init, cfg, keep):
-    """The full system and the subsystem of particles ``keep`` on shared noise.
+def coupled_runs(k, init, cfg, n):
+    """The full system and the subsystem of its first ``n`` particles.
 
-    The subsystem sees the big system's common increments and, through
-    ``particle_ids``, the individual increments of its retained identities.
+    Both runs derive their noise from ``cfg.master_seed``, so the subsystem
+    sees the full system's common increments and the individual increments
+    of its particles.
     """
-    noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
-    big = simulate(k, init, cfg, noise=noise)
-    keep = np.asarray(keep)
-    small = simulate(k, init[keep], cfg, noise=noise, particle_ids=keep)
-    return big, small
+    return simulate(k, init, cfg), simulate(k, init[:n], cfg)
 
 
 class TestCoupledPair:
@@ -263,7 +248,7 @@ class TestCoupledPair:
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.3, phi_gamma=1.0)
         init = np.random.default_rng(1).normal(size=(8, 2))
         cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=2)
-        big, small = coupled_runs(kernel, init, cfg, np.arange(8))
+        big, small = coupled_runs(kernel, init, cfg, 8)
         np.testing.assert_array_equal(big.states, small.states)
 
     def test_no_interaction_shared_particles_coincide(self):
@@ -271,9 +256,21 @@ class TestCoupledPair:
         kernel = constant_individual_kernels(2, 0.8)
         init = np.random.default_rng(2).normal(size=(6, 2))
         cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=9)
-        keep = np.array([1, 3, 4])
-        big, small = coupled_runs(kernel, init, cfg, keep)
-        np.testing.assert_array_equal(big.states[:, keep, :], small.states)
+        big, small = coupled_runs(kernel, init, cfg, 3)
+        np.testing.assert_array_equal(big.states[:, :3, :], small.states)
+
+    def test_prefix_run_shares_the_noise_of_its_particles(self):
+        # the Cauchy coupling: a run on the first half of the states draws
+        # the same common increments and the same per-particle blocks
+        kernel = constant_individual_kernels(2, 0.8)
+        init = np.random.default_rng(5).normal(size=(8, 2))
+        cfg = SimConfig(t_final=0.3, dt=0.05, master_seed=4)
+        big, small = coupled_runs(kernel, init, cfg, 4)
+        np.testing.assert_array_equal(big.noise.common_increments, small.noise.common_increments)
+        np.testing.assert_array_equal(
+            big.noise.individual_matrix(range(4)), small.noise.individual_matrix(range(4))
+        )
+        assert big.noise.master_seed == small.noise.master_seed == cfg.master_seed
 
     def test_free_flight_decoupled(self):
         # vanishing alignment weight: every particle flies independently
@@ -282,16 +279,15 @@ class TestCoupledPair:
         )
         init = np.random.default_rng(3).normal(size=(4, 2))
         cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=12)
-        keep = np.array([0, 2])
-        big, small = coupled_runs(kernel, init, cfg, keep)
-        np.testing.assert_allclose(big.states[:, keep, :], small.states, atol=1e-12)
+        big, small = coupled_runs(kernel, init, cfg, 2)
+        np.testing.assert_allclose(big.states[:, :2, :], small.states, atol=1e-12)
 
     def test_coupled_distance_shrinks_with_n(self):
         kernel = constant_common_kernels(1, 1.0)
         rng = np.random.default_rng(31)
         init = rng.normal(size=(16, 1))
         cfg = SimConfig(t_final=0.2, dt=0.05, master_seed=7)
-        big, small = coupled_runs(kernel, init, cfg, np.arange(8))
+        big, small = coupled_runs(kernel, init, cfg, 8)
         # additive common noise translates everyone identically, so the
         # coupled paths stay at the initial offset
         np.testing.assert_allclose(

@@ -502,3 +502,21 @@ output_dir = {tmp_path / "out"}
 """)
         assert not self.run_main(["run", str(cfg)], tmp_path)["scipy"]
         assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the read end is closed before the child writes, so its first flush
+    # meets a broken pipe every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    cfg = str(BENCH / "configs" / "cauchy-n256.cfg")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "meanflock.cli", "validate", cfg, "--schema"],
+            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
