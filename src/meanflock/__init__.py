@@ -1,9 +1,10 @@
 """Mean-field stochastic particle systems with common and individual noise.
 
 Simulation (Ito and Stratonovich discretizations), exact Wasserstein
-metrics, frozen-field characteristics, and Monte-Carlo diagnostics for
-flocking decay, weak-form martingale structure, Cauchy-in-N convergence,
-and conditional propagation of chaos.
+metrics, the frozen-field characteristics replay, and Monte-Carlo
+diagnostics for flocking decay, weak-form martingale structure, Cauchy-in-N
+convergence, stability under one common noise, and conditional propagation
+of chaos.
 
 ``import meanflock`` loads no submodule: each public name is imported from
 its module the first time it is read (PEP 562), so a process loads only the
@@ -15,7 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "characteristics": ("pushforward", "solve_characteristics", "transport_residual"),
+    "characteristics": ("solve_characteristics", "transport_residual"),
     "diagnostics": ("DiagnosticsReport",),
     "dynamics": ("NoisePath", "SimConfig", "TrajectoryRecord", "simulate"),
     "kernels": (

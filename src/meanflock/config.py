@@ -371,6 +371,11 @@ def _check_experiment(values: dict, n_seeds: int) -> None:
         raise ConfigError(
             f"experiment '{kind}' requires a model without individual noise, got '{name}'"
         )
+    # the characteristics replay steps with the Euler-Ito update only
+    if kind == "transport-check" and values["scheme"] != "euler_ito":
+        raise ConfigError(
+            f"experiment 'transport-check' requires scheme euler_ito, got '{values['scheme']}'"
+        )
     if kind == "flocking" and not model.position_velocity:
         raise ConfigError(f"experiment 'flocking' requires a cucker-smale model, got '{name}'")
     if kind == "weakform" and n_seeds < 16:

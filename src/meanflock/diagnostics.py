@@ -13,10 +13,14 @@ this module holds the numerics of both halves:
   matches its quadratic-variation estimator,
 * cauchy: ``cauchy_single`` per seed, ``aggregate_cauchy`` checks that
   E[W_p^p(mu^N, mu^{2N})] decreases in N under the shared-noise coupling,
+* comparison: ``comparison_seed`` per seed (stopped sup W_p^p of measures
+  started ``COMPARISON_SHIFTS`` apart under one common noise),
+  ``aggregate_comparison`` checks that its ratio to the initial W_p^p
+  survives halving the shift,
 * chaos: ``chaos_beta_path`` per common-noise path, ``aggregate_chaos``
   checks that the conditional gap to factorized moments decreases in N,
-* ``aggregate_simulate``, ``aggregate_transport`` and
-  ``aggregate_comparison`` report the remaining kinds.
+* ``aggregate_simulate`` reports moments and ``aggregate_transport``
+  checks the residual of ``characteristics.transport_residual``.
 
 Input rules (ensemble sizes, size ladders, sigma = 0) are checked once, by
 ``config.parse_config``; the functions here assume valid inputs. Every
@@ -34,7 +38,9 @@ import numpy as np
 from .dynamics import SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import CylinderFunction, TestFunction
-from .transport import _squared_distances, wasserstein_path
+from .transport import (
+    EmpiricalMeasure, _squared_distances, support_radius, wasserstein, wasserstein_path
+)
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,7 @@ def aggregate_flocking(
     times: np.ndarray,
     energies: np.ndarray,
     spreads: Sequence[float],
+    drifts: Sequence[float],
     params: CuckerSmaleParams,
     window: Optional[float] = None,
     fit_start_fraction: float = 0.1,
@@ -127,10 +134,10 @@ def aggregate_flocking(
 ) -> DiagnosticsReport:
     """Fit the decay rate of E[E_t] and compare with the theoretical bound.
 
-    ``energies`` holds one E_t series per run; ``spreads`` the per-run
-    observed position ranges. The bound r* = 2 (psi_m - 4 ||phi||_inf^2)
-    uses psi_m = inf psi over ``window`` when given, otherwise over the
-    observed spread. When psi_m <= 4 ||phi||_inf^2 the bound does not apply
+    ``energies`` holds one E_t series per run; ``spreads`` and ``drifts`` the
+    per-run observed position ranges and mean-velocity drifts. The bound
+    r* = 2 (psi_m - 4 ||phi||_inf^2) uses psi_m = inf psi over ``window``
+    when given, otherwise over the observed spread. When psi_m <= 4 ||phi||_inf^2 the bound does not apply
     and the report carries a note instead of a verdict.
     """
     n_runs = energies.shape[0]
@@ -155,6 +162,7 @@ def aggregate_flocking(
             "rate_bound": float(rate_bound),
             "window": float(window),
             "n_runs": n_runs,
+            "max_mean_velocity_drift": float(max(drifts)),
         }
     )
     if psi_m <= 4.0 * phi_sup**2:
@@ -338,6 +346,99 @@ def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> Dia
 
 
 # ---------------------------------------------------------------------------
+# Stability under one common noise (comparison)
+# ---------------------------------------------------------------------------
+
+# labels and relative sizes of the initial shifts a comparison runs
+COMPARISON_SHIFTS = {"full": 1.0, "half": 0.5}
+
+
+def _stopped_sup_cost(
+    path_a: TrajectoryRecord, path_b: TrajectoryRecord, radius: float, p: float
+) -> tuple[float, bool]:
+    """(sup_{t <= tau_R} W_p^p(mu_t, nu_t), whether tau_R was reached).
+
+    tau_R is the first grid time at which the joint support radius (the max
+    of the two measures' support radii) exceeds ``radius``; exceedance at
+    time zero makes the supremum empty, reported as 0.
+    """
+    worst = 0.0
+    for t in range(path_a.n_times):
+        mu_t = path_a.measure_at(t)
+        nu_t = path_b.measure_at(t)
+        hit = max(support_radius(mu_t), support_radius(nu_t)) > radius
+        if hit and t == 0:
+            return 0.0, True
+        worst = max(worst, wasserstein(mu_t, nu_t, p) ** p)
+        if hit:
+            return worst, True
+    return worst, False
+
+
+def comparison_seed(
+    k: KernelSet,
+    init_a: EmpiricalMeasure,
+    inits_b: Sequence[EmpiricalMeasure],
+    cfg: SimConfig,
+    radius: float,
+    p: float = 2.0,
+) -> list[tuple[float, bool]]:
+    """Stopped sup costs of ``init_a`` against each of ``inits_b`` for one seed.
+
+    Each initial measure evolves in the transport form: its atoms follow the
+    field of their own weighted empirical measure, all under the common
+    noise of ``cfg.master_seed``. The path of ``init_a`` is simulated once.
+    """
+    if k.sigma is not None:
+        raise ValueError("transport form needs sigma = 0")
+    path_a, *paths_b = [
+        simulate(k, init.atoms, cfg, weights=init.weights) for init in (init_a, *inits_b)
+    ]
+    return [_stopped_sup_cost(path_a, path_b, radius, p) for path_b in paths_b]
+
+
+def aggregate_comparison(
+    initial_costs: Sequence[float], per_seed: Sequence[list], radius: float, p: float
+) -> DiagnosticsReport:
+    """Estimates of E[sup_{t <= tau_R} W_p^p] per shift, and the halving verdict.
+
+    Entry i of ``initial_costs`` (W_p^p of the initial measures) and of each
+    ``comparison_seed`` row in ``per_seed`` belongs to the i-th
+    ``COMPARISON_SHIFTS`` label. Each shift's headline number is the ratio of
+    its estimate to its initial cost; halving the shift must keep that ratio.
+    """
+    report = DiagnosticsReport(name="comparison")
+    n_seeds = len(per_seed)
+    ratios = {}
+    for i, (label, initial_cost) in enumerate(zip(COMPARISON_SHIFTS, initial_costs)):
+        sups = np.array([row[i][0] for row in per_seed])
+        estimate = float(np.mean(sups))
+        stderr = float(np.std(sups, ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0
+        degenerate = initial_cost == 0.0
+        ratios[label] = 0.0 if degenerate else estimate / initial_cost
+        summary = {
+            "initial_cost": initial_cost,
+            "estimate": estimate,
+            "stderr": stderr,
+            "ratio": ratios[label],
+            "degenerate_initial_distance": degenerate,
+            "stopped_runs": sum(row[i][1] for row in per_seed),
+            "n_seeds": n_seeds,
+            "p": p,
+            "radius": radius,
+        }
+        for key, val in summary.items():
+            report.metrics[f"{label}_{key}"] = float(val)
+    full, half = ratios["full"], ratios["half"]
+    if full > 0:
+        rel = half / full
+        report.add_verdict("ratio_stable_under_halving", float(rel), 1.5, bool(0.5 <= rel <= 1.5))
+    else:
+        report.notes.append("initial distance degenerate; stability check skipped")
+    return report
+
+
+# ---------------------------------------------------------------------------
 # Conditional propagation of chaos
 # ---------------------------------------------------------------------------
 
@@ -360,9 +461,7 @@ def chaos_beta_path(
     beta_seed = cfg.master_seed
     ref_run = simulate(k, sampler(init_rng(beta_seed), ref_n), cfg)
     ref_paths = np.swapaxes(ref_run.states, 0, 1)  # (n_ref, times, d)
-    ref_marginals = [
-        float(np.mean(phi.apply_path(ref_run.times, ref_paths))) for phi in phis
-    ]
+    ref_marginals = [float(np.mean(phi.apply_path(ref_paths))) for phi in phis]
     target = float(np.prod(ref_marginals))
 
     n_max = max(n_list)
@@ -373,9 +472,7 @@ def chaos_beta_path(
         for n_idx, n in enumerate(n_list):
             run = simulate(k, atoms_block[:n], cfg)
             lead = np.swapaxes(run.states[:, :r, :], 0, 1)  # (r, times, d)
-            vals = [
-                phi.apply_path(run.times, lead[i]) for i, phi in enumerate(phis)
-            ]
+            vals = [phi.apply_path(lead[i]) for i, phi in enumerate(phis)]
             products[n_idx, s] = float(np.prod(vals))
     for n_idx in range(len(n_list)):
         gaps[n_idx] = abs(products[n_idx].mean() - target)
@@ -421,24 +518,19 @@ def aggregate_chaos(
 
 
 # ---------------------------------------------------------------------------
-# Simulation, transport identity, comparison
+# Simulation and transport identity
 # ---------------------------------------------------------------------------
 
 
-def aggregate_simulate(
-    seeds: Sequence[int], runs: Sequence[tuple], blowup_norm: float
-) -> DiagnosticsReport:
-    """Final second moment and a finiteness verdict per (times, states, m2) run."""
+def aggregate_simulate(seeds: Sequence[int], runs: Sequence[tuple]) -> DiagnosticsReport:
+    """Final second moment of each (times, states, m2) run; no verdicts.
+
+    ``simulate`` raises on a non-finite state, so every run here is finite.
+    """
     report = DiagnosticsReport(name="simulate")
     report.metrics["n_runs"] = len(seeds)
-    for seed, (_, states, m2) in zip(seeds, runs):
+    for seed, (_, _, m2) in zip(seeds, runs):
         report.metrics[f"final_second_moment_seed={seed}"] = m2
-        report.add_verdict(
-            f"finite_states_seed={seed}",
-            float(np.max(np.abs(states))),
-            blowup_norm,
-            bool(np.all(np.isfinite(states))),
-        )
     return report
 
 
@@ -452,20 +544,4 @@ def aggregate_transport(
         report.add_verdict(
             f"transport_identity_seed={seed}", float(res), tolerance, res <= tolerance
         )
-    return report
-
-
-def aggregate_comparison(summaries: dict, blowup_norm: float) -> DiagnosticsReport:
-    """Ratio verdicts from the "full" and "half" shift comparison summaries."""
-    report = DiagnosticsReport(name="comparison")
-    for label, summary in summaries.items():
-        for key, val in summary.items():
-            report.metrics[f"{label}_{key}"] = float(val)
-    full, half = summaries["full"]["ratio"], summaries["half"]["ratio"]
-    report.add_verdict("ratio_finite", full, blowup_norm, bool(np.isfinite(full)))
-    if full > 0:
-        rel = half / full
-        report.add_verdict("ratio_stable_under_halving", float(rel), 1.5, bool(0.5 <= rel <= 1.5))
-    else:
-        report.notes.append("initial distance degenerate; stability check skipped")
     return report

@@ -24,14 +24,14 @@ grid step is recorded. The Euler-Ito update is one function,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .config import SCHEMES, check_time_grid
 from .errors import BlowUpError
 from .kernels import KernelSet, field_drift_diffusion
-from .transport import MeasurePath
+from .transport import MeasurePath, check_weights
 
 # SeedSequence spawn-key tags keeping the noise, init and resample streams apart
 _STREAM_COMMON = 0
@@ -58,9 +58,9 @@ class NoisePath:
     """Discretized driving noise for one master seed.
 
     ``common_increments[k]`` is the shared Delta beta_k ~ N(0, dt).
-    ``individual_matrix(ids)[a, k]`` is Delta B^i_k in R^d for particle
-    i = ids[a], reproducible from ``(master_seed, i, k)`` alone; streams are
-    materialized lazily per particle and cached.
+    ``individual(n)[i, k]`` is Delta B^i_k in R^d for particle i,
+    reproducible from ``(master_seed, i, k)`` alone, so a block for n
+    particles is a prefix of the block for more.
     """
 
     def __init__(self, master_seed: int, dt: float, steps: int, dim: int):
@@ -73,19 +73,16 @@ class NoisePath:
         scale = np.sqrt(dt)
         rng = seeded_rng(self.master_seed, _STREAM_COMMON)
         self.common_increments = scale * rng.standard_normal(steps)
-        self._individual_cache: dict[int, np.ndarray] = {}
 
-    def _particle_block(self, i: int) -> np.ndarray:
-        block = self._individual_cache.get(i)
-        if block is None:
-            rng = seeded_rng(self.master_seed, _STREAM_INDIVIDUAL, i)
-            block = np.sqrt(self.dt) * rng.standard_normal((self.steps, self.dim))
-            self._individual_cache[i] = block
-        return block
-
-    def individual_matrix(self, particle_ids: Sequence[int]) -> np.ndarray:
-        """(n, steps, d) block for a list of particle identities."""
-        return np.stack([self._particle_block(int(i)) for i in particle_ids])
+    def individual(self, n: int) -> np.ndarray:
+        """(n, steps, d) increments of particles 0..n-1, row i from particle i's stream."""
+        out = np.empty((n, self.steps, self.dim))
+        for i in range(n):
+            out[i] = seeded_rng(self.master_seed, _STREAM_INDIVIDUAL, i).standard_normal(
+                (self.steps, self.dim)
+            )
+        out *= np.sqrt(self.dt)
+        return out
 
 
 @dataclass(frozen=True)
@@ -193,8 +190,9 @@ def simulate(
     ``states`` is the finite (N, d) array of initial states, with d the
     kernel dimension. Row i is driven by particle i's increments of the
     ``NoisePath`` of ``cfg.master_seed``. ``weights`` generalizes the
-    empirical measure away from uniform; the default is the uniform 1/N
-    measure.
+    empirical measure away from uniform: N positive weights summing to 1,
+    checked as ``transport.EmpiricalMeasure`` checks them. The default is
+    the uniform 1/N measure.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[0] < 1:
@@ -204,11 +202,11 @@ def simulate(
     k.check_point(states, "states")
     n = states.shape[0]
     noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float)
+    w = np.full(n, 1.0 / n) if weights is None else check_weights(weights, n)
 
     db_all = None
     if k.sigma is not None:
-        db_all = noise.individual_matrix(range(n))
+        db_all = noise.individual(n)
 
     times = cfg.dt * np.arange(cfg.steps + 1)
     path = np.empty((cfg.steps + 1, n, k.dim))

@@ -1,11 +1,14 @@
 """Experiment orchestration: configs in, reports and manifests out.
 
-Every experiment kind is one per-seed worker plus one aggregate, listed in
-``EXPERIMENTS``. ``execute`` maps the worker over the config's seeds with
-``map_jobs`` and hands the results, in seed order, to the aggregate, so
+Every experiment kind is one per-seed function plus one aggregate in
+``diagnostics`` (transport-check's per-seed function is
+``characteristics.transport_residual``); this module only turns config
+values into their arguments. ``EXPERIMENTS`` pairs a worker per kind with a
+report function. ``execute`` maps the worker over the config's seeds with
+``map_jobs`` and hands the results, in seed order, to the report, so
 parallel and serial execution agree exactly. Configs reach ``execute`` only
-through ``config.parse_config``, which checks every input rule; nothing here
-validates again.
+through ``config.parse_config``, which checks every input rule; nothing
+here validates again.
 
 A run's inputs are an (N, d) array of initial states, drawn from the
 config's init block by ``sample_initial_atoms``, and the time grid and seed
@@ -33,9 +36,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .characteristics import comparison_seed, comparison_summary, transport_residual
+from .characteristics import transport_residual
 from .config import CHAOS_R, INIT_KEYS, MODELS, ExperimentConfig, parse_config
 from .diagnostics import (
+    COMPARISON_SHIFTS,
     DiagnosticsReport,
     aggregate_cauchy,
     aggregate_chaos,
@@ -46,6 +50,7 @@ from .diagnostics import (
     aggregate_weakform,
     cauchy_single,
     chaos_beta_path,
+    comparison_seed,
     default_checkpoints,
     energy_series,
     mean_velocity_drift,
@@ -138,11 +143,8 @@ def _simulate_for_seed(values: dict, seed: int):
     return simulate(build_kernel(values), atoms, build_sim_config(values, seed=seed))
 
 
-_COMPARISON_FACTORS = {"full": 1.0, "half": 0.5}
-
-
 def _comparison_inits(values: dict) -> tuple[EmpiricalMeasure, list[EmpiricalMeasure]]:
-    """Initial measure a and its shifted copies b, one per _COMPARISON_FACTORS entry."""
+    """Initial measure a and its shifted copies b, one per ``COMPARISON_SHIFTS`` entry."""
     rng = init_rng(values["master_seed"])
     atoms = sample_initial_atoms(values, rng, values["n_particles"])
     # per-atom perturbation: uniform translations are exactly preserved
@@ -151,7 +153,7 @@ def _comparison_inits(values: dict) -> tuple[EmpiricalMeasure, list[EmpiricalMea
     delta /= np.sqrt(np.mean(np.sum(delta**2, axis=1)))
     return EmpiricalMeasure.uniform(atoms), [
         EmpiricalMeasure.uniform(atoms + factor * values["comparison_shift"] * delta)
-        for factor in _COMPARISON_FACTORS.values()
+        for factor in COMPARISON_SHIFTS.values()
     ]
 
 
@@ -163,14 +165,12 @@ def _bump(values: dict, center: float, radius: float):
 
 
 def _build_cylinder_functions(values: dict) -> list[CylinderFunction]:
-    # CHAOS_R = 2 bounded path observables at distinct grid times
-    t_final = values["t_final"]
-    steps = int(round(t_final / values["dt"]))
-    t_late = round(0.75 * steps) * values["dt"]
+    # CHAOS_R = 2 bounded path observables at distinct grid steps
+    steps = build_sim_config(values).steps
     center, radius = values["tf_center"], values["tf_radius"]
     return [
-        CylinderFunction(_bump(values, center, radius), t_final),
-        CylinderFunction(_bump(values, center, 1.2 * radius), t_late),
+        CylinderFunction(_bump(values, center, radius), steps),
+        CylinderFunction(_bump(values, center, 1.2 * radius), round(0.75 * steps)),
     ]
 
 
@@ -237,27 +237,26 @@ def _transport_check_worker(args):
 
 
 # ---------------------------------------------------------------------------
-# Aggregates: (values, seeds, per-seed results in seed order) -> report
+# Reports: (values, seeds, per-seed results in seed order) -> aggregate
 # ---------------------------------------------------------------------------
 
 
 def _simulate_report(values, seeds, results):
-    return aggregate_simulate(seeds, results, values["blowup_norm"])
+    return aggregate_simulate(seeds, results)
 
 
 def _flocking_report(values, seeds, results):
     energies, spreads, drifts, times = zip(*results)
-    report = aggregate_flocking(
+    return aggregate_flocking(
         times[0],
         np.stack(energies),
         spreads,
+        drifts,
         _cs_params(values),
         window=values["psi_window"],
         fit_start_fraction=values["fit_start_fraction"],
         rate_tolerance=values["rate_tolerance"],
     )
-    report.metrics["max_mean_velocity_drift"] = float(max(drifts))
-    return report
 
 
 def _weakform_report(values, seeds, results):
@@ -279,13 +278,9 @@ def _chaos_report(values, seeds, results):
 
 def _comparison_report(values, seeds, results):
     init_a, inits_b = _comparison_inits(values)
-    p, radius = values["wasserstein_p"], values["radius"]
-    summaries = {}
-    for i, (label, init_b) in enumerate(zip(_COMPARISON_FACTORS, inits_b)):
-        initial_cost = wasserstein(init_a, init_b, p) ** p
-        per_seed = [result[i] for result in results]
-        summaries[label] = comparison_summary(initial_cost, per_seed, radius, p)
-    return aggregate_comparison(summaries, values["blowup_norm"])
+    p = values["wasserstein_p"]
+    initial_costs = [wasserstein(init_a, init_b, p) ** p for init_b in inits_b]
+    return aggregate_comparison(initial_costs, results, values["radius"], p)
 
 
 def _transport_report(values, seeds, results):

@@ -104,17 +104,11 @@ def velocity_bump(v_center, radius: float, half_dim: int) -> TestFunction:
 
 @dataclass(frozen=True)
 class CylinderFunction:
-    """Bounded path functional phi(x) = f(x_t) for a fixed grid time t."""
+    """Bounded path functional phi(x) = f(x_k) at a fixed grid step k."""
 
     fn: TestFunction
-    t: float
+    index: int
 
-    def time_index(self, times: np.ndarray) -> int:
-        idx = int(np.argmin(np.abs(times - self.t)))
-        if abs(times[idx] - self.t) > 1e-9:
-            raise ValueError(f"cylinder time {self.t} not on the trajectory grid")
-        return idx
-
-    def apply_path(self, times: np.ndarray, path: np.ndarray) -> np.ndarray:
-        """Evaluate on (..., times, d) trajectories at the cylinder time."""
-        return self.fn.eval(path[..., self.time_index(times), :])
+    def apply_path(self, path: np.ndarray) -> np.ndarray:
+        """Evaluate on (..., times, d) trajectories at grid step ``index``."""
+        return self.fn.eval(path[..., self.index, :])

@@ -40,6 +40,18 @@ DEFAULT_SUPPORT_CAP = 4096
 _WEIGHT_TOL = 1e-12
 
 
+def check_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as a float array, if they are n positive weights summing to 1."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise DimensionMismatchError("weights", n, weights.size)
+    if np.any(weights <= 0):
+        raise ValueError("measure weights must be positive")
+    if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
+    return weights
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Weighted point cloud sum_j w_j * delta_{y_j} with weights summing to 1."""
@@ -53,15 +65,9 @@ class EmpiricalMeasure:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.shape[0] == 0:
             raise EmptyMeasureError("measure needs a (n, d) atom array with n >= 1")
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.shape != (atoms.shape[0],):
-            raise DimensionMismatchError("weights", atoms.shape[0], weights.size)
+        weights = check_weights(self.weights, atoms.shape[0])
         if not np.all(np.isfinite(atoms)):
             raise ValueError("measure atoms must be finite")
-        if np.any(weights <= 0):
-            raise ValueError("measure weights must be positive")
-        if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 

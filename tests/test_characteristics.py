@@ -1,17 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import meanflock.characteristics as characteristics
 import meanflock.dynamics as dynamics
-from meanflock.characteristics import (
-    comparison_seed,
-    comparison_summary,
-    pushforward,
-    solve_characteristics,
-    transport_residual,
-)
+from meanflock.characteristics import solve_characteristics, transport_residual
 from meanflock.dynamics import SimConfig, simulate
 from meanflock.kernels import (
     CuckerSmaleParams,
@@ -22,7 +14,6 @@ from meanflock.kernels import (
     cucker_smale_kernels,
     zero_kernels,
 )
-from meanflock.transport import EmpiricalMeasure, MeasurePath, wasserstein
 
 
 def noisy_cs():
@@ -64,33 +55,43 @@ class TestSolveCharacteristics:
         with pytest.raises(ValueError, match="common"):
             solve_characteristics(run, run.states[0])
 
+    def test_requires_euler_ito_run(self):
+        # the replay steps with the Euler-Ito update: a Heun run cannot reproduce
+        run = make_run(noisy_cs(), n=4, scheme="heun_stratonovich")
+        with pytest.raises(ValueError, match="euler_ito"):
+            solve_characteristics(run, run.states[0])
+
 
 class TestPushforward:
+    """The initial atoms pushed through the run's own frozen field."""
+
     def test_transport_identity(self):
         run = make_run(noisy_cs(), n=5)
-        replay = pushforward(run, run.measure_at(0))
-        np.testing.assert_array_equal(replay.states, run.states)
+        replay = solve_characteristics(run, run.states[0])
+        np.testing.assert_array_equal(replay, run.states)
 
     def test_replay_steps_with_the_stepper_update(self):
         # the identity above is exact because both loops call one update
         assert characteristics._euler_step is dynamics._euler_step
 
     def test_single_atom(self):
+        # each start moves alone in the frozen field: a batch is its rows
         run = make_run(noisy_cs(), n=3)
-        mu0 = EmpiricalMeasure.uniform(np.array([[0.1, 0.2]]))
-        path = pushforward(run, mu0)
-        assert path.n_atoms == 1
-        direct = solve_characteristics(run, np.array([0.1, 0.2]))
-        np.testing.assert_array_equal(path.states, direct)
+        starts = np.random.default_rng(0).normal(size=(4, 2))
+        batch = solve_characteristics(run, starts)
+        for j, x0 in enumerate(starts):
+            np.testing.assert_allclose(
+                batch[:, j], solve_characteristics(run, x0)[:, 0], rtol=1e-13, atol=1e-15
+            )
 
     def test_weights_preserved(self):
-        run = make_run(noisy_cs(), n=3)
-        mu0 = EmpiricalMeasure(
-            np.random.default_rng(0).normal(size=(4, 2)),
-            np.array([0.1, 0.2, 0.3, 0.4]),
-        )
-        path = pushforward(run, mu0)
-        np.testing.assert_array_equal(path.weights, mu0.weights)
+        # a weighted run replays under its own weights, bit for bit
+        kernel = noisy_cs()
+        atoms = np.random.default_rng(0).normal(size=(4, 2))
+        cfg = SimConfig(t_final=0.3, dt=0.01, master_seed=3)
+        run = simulate(kernel, atoms, cfg, weights=np.array([0.1, 0.2, 0.3, 0.4]))
+        np.testing.assert_array_equal(solve_characteristics(run, run.states[0]), run.states)
+        assert transport_residual(run) == 0.0
 
 
 class TestTransportResidual:
@@ -120,15 +121,14 @@ class TestTransportResidual:
 
     def test_nudged_replay_residual_positive(self, monkeypatch):
         run = make_run(noisy_cs(), n=4)
-        exact = characteristics.pushforward
+        exact = characteristics.solve_characteristics
 
-        def nudged(run, init):
-            path = exact(run, init)
-            states = path.states.copy()
+        def nudged(run, x0):
+            states = exact(run, x0)
             states[-1, 2, 0] += 1e-9
-            return MeasurePath(path.times, states, path.weights)
+            return states
 
-        monkeypatch.setattr(characteristics, "pushforward", nudged)
+        monkeypatch.setattr(characteristics, "solve_characteristics", nudged)
         # one of four atoms off by 1e-9: sqrt(1/4) * 1e-9
         assert transport_residual(run) == pytest.approx(0.5e-9, rel=1e-6)
 
@@ -162,53 +162,6 @@ class TestEvolveTransport:
         np.testing.assert_allclose(
             uniform_path.states[:, [0, 2], :], weighted_path.states, atol=1e-12
         )
-
-
-class TestComparisonExperiment:
-    def setup_method(self):
-        self.kernel = cucker_smale_kernels(
-            CuckerSmaleParams(
-                half_dim=1, lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0,
-            )
-        )
-        rng = np.random.default_rng(4)
-        self.atoms = rng.uniform(-1, 1, size=(8, 2))
-        self.cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=0)
-
-    def test_identical_inits_zero_and_flagged(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
-        per_seed = [comparison_seed(self.kernel, mu, [mu], self.cfg, 50.0)[0]]
-        assert per_seed == [(0.0, False)]
-        out = comparison_summary(0.0, per_seed, 50.0)
-        assert out["estimate"] == 0.0
-        assert out["ratio"] == 0.0
-        assert out["degenerate_initial_distance"]
-
-    def test_small_radius_stops_immediately(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
-        nu = EmpiricalMeasure.uniform(self.atoms + 0.2)
-        per_seed = comparison_seed(self.kernel, mu, [nu, nu], self.cfg, 1e-6)
-        assert per_seed == [(0.0, True), (0.0, True)]
-        out = comparison_summary(wasserstein(mu, nu, 2) ** 2, per_seed, 1e-6)
-        assert out["estimate"] == 0.0
-        assert out["stopped_runs"] == 2
-
-    def test_ratio_finite_positive(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
-        nu = EmpiricalMeasure.uniform(self.atoms + 0.1)
-        per_seed = [
-            comparison_seed(self.kernel, mu, [nu], replace(self.cfg, master_seed=seed), 50.0)[0]
-            for seed in range(8)
-        ]
-        out = comparison_summary(wasserstein(mu, nu, 2) ** 2, per_seed, 50.0)
-        assert np.isfinite(out["ratio"])
-        assert out["ratio"] > 0
-        assert out["stderr"] > 0
-
-    def test_individual_noise_rejected(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
-        with pytest.raises(ValueError, match="sigma"):
-            comparison_seed(constant_individual_kernels(2, 0.1), mu, [mu], self.cfg, 50.0)
 
 
 class TestFlowRegularity:

@@ -125,6 +125,10 @@ REJECTED = {
     "transport-individual": (
         "transport-check", "model = cucker-smale-individual", "'transport-check' requires a model without"
     ),
+    "transport-heun": (
+        "transport-check", "model = cucker-smale\nscheme = heun_stratonovich",
+        "experiment 'transport-check' requires scheme euler_ito, got 'heun_stratonovich'",
+    ),
     "flocking-generic": ("flocking", "model = zero", "experiment 'flocking' requires a cucker-smale model"),
     "unread-trunc": (
         "simulate", "model = cucker-smale\ntrunc_radius = 1\ntrunc_margin = 1",

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from meanflock.diagnostics import (
+    COMPARISON_SHIFTS,
     DiagnosticsReport,
     aggregate_cauchy,
     aggregate_chaos,
+    aggregate_comparison,
     aggregate_weakform,
     cauchy_single,
     chaos_beta_path,
+    comparison_seed,
     default_checkpoints,
     energy_series,
     mean_velocity_drift,
@@ -231,6 +234,69 @@ class TestCauchy:
         assert_rejected(tmp_path, capsys, body, "without individual noise")
 
 
+class TestComparisonExperiment:
+    def setup_method(self):
+        self.kernel = cucker_smale_kernels(
+            CuckerSmaleParams(
+                half_dim=1, lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0,
+            )
+        )
+        rng = np.random.default_rng(4)
+        self.atoms = rng.uniform(-1, 1, size=(8, 2))
+        self.cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=0)
+
+    def shifted(self, shift):
+        # one measure per COMPARISON_SHIFTS label, in its order
+        return [
+            EmpiricalMeasure.uniform(self.atoms + factor * shift)
+            for factor in COMPARISON_SHIFTS.values()
+        ]
+
+    def test_identical_inits_zero_and_flagged(self):
+        mu = EmpiricalMeasure.uniform(self.atoms)
+        per_seed = [comparison_seed(self.kernel, mu, [mu, mu], self.cfg, 50.0)]
+        assert per_seed == [[(0.0, False), (0.0, False)]]
+        report = aggregate_comparison([0.0, 0.0], per_seed, 50.0, 2.0)
+        assert report.metrics["full_estimate"] == 0.0
+        assert report.metrics["full_ratio"] == 0.0
+        assert report.metrics["full_degenerate_initial_distance"] == 1.0
+        assert report.verdicts == []
+        assert report.notes == ["initial distance degenerate; stability check skipped"]
+
+    def test_small_radius_stops_immediately(self):
+        mu = EmpiricalMeasure.uniform(self.atoms)
+        inits = self.shifted(0.2)
+        per_seed = [
+            comparison_seed(self.kernel, mu, inits, replace(self.cfg, master_seed=seed), 1e-6)
+            for seed in (0, 1)
+        ]
+        assert per_seed == [[(0.0, True), (0.0, True)]] * 2
+        costs = [wasserstein(mu, nu, 2) ** 2 for nu in inits]
+        report = aggregate_comparison(costs, per_seed, 1e-6, 2.0)
+        for label in COMPARISON_SHIFTS:
+            assert report.metrics[f"{label}_estimate"] == 0.0
+            assert report.metrics[f"{label}_stopped_runs"] == 2.0
+
+    def test_ratio_finite_positive(self):
+        mu = EmpiricalMeasure.uniform(self.atoms)
+        inits = self.shifted(0.1)
+        per_seed = [
+            comparison_seed(self.kernel, mu, inits, replace(self.cfg, master_seed=seed), 50.0)
+            for seed in range(8)
+        ]
+        costs = [wasserstein(mu, nu, 2) ** 2 for nu in inits]
+        report = aggregate_comparison(costs, per_seed, 50.0, 2.0)
+        assert np.isfinite(report.metrics["full_ratio"])
+        assert report.metrics["full_ratio"] > 0
+        assert report.metrics["full_stderr"] > 0
+        assert [v.check for v in report.verdicts] == ["ratio_stable_under_halving"]
+
+    def test_individual_noise_rejected(self):
+        mu = EmpiricalMeasure.uniform(self.atoms)
+        with pytest.raises(ValueError, match="sigma"):
+            comparison_seed(constant_individual_kernels(2, 0.1), mu, [mu], self.cfg, 50.0)
+
+
 class TestChaos:
     def _sampler(self, rng, n):
         return rng.uniform(-1.0, 1.0, size=(n, 2))
@@ -250,8 +316,8 @@ class TestChaos:
         # pure Monte-Carlo noise
         cfg = SimConfig(t_final=0.125, dt=0.0625)
         phis = [
-            CylinderFunction(bump(0.0, 1.5, dim=2), 0.125),
-            CylinderFunction(bump(0.5, 1.5, dim=2), 0.0625),
+            CylinderFunction(bump(0.0, 1.5, dim=2), 2),
+            CylinderFunction(bump(0.5, 1.5, dim=2), 1),
         ]
         report = self._report(phis, [8, 16], cfg, [0, 1], ref_n=64, n_resamples=48)
         for n in (8, 16):
@@ -259,7 +325,7 @@ class TestChaos:
 
     def test_single_marginal(self):
         cfg = SimConfig(t_final=0.125, dt=0.0625)
-        phis = [CylinderFunction(bump(0.0, 1.5, dim=2), 0.125)]
+        phis = [CylinderFunction(bump(0.0, 1.5, dim=2), 2)]
         report = self._report(phis, [4, 8], cfg, [0], ref_n=64, n_resamples=32)
         assert report.metrics["r"] == 1
         assert len(report.verdicts) == 1

@@ -29,19 +29,20 @@ class TestNoisePath:
         a = NoisePath(123, 0.01, 50, 2)
         b = NoisePath(123, 0.01, 50, 2)
         np.testing.assert_array_equal(a.common_increments, b.common_increments)
-        np.testing.assert_array_equal(a.individual_matrix([3]), b.individual_matrix([3]))
+        np.testing.assert_array_equal(a.individual(4), b.individual(4))
 
     def test_particle_identity_independent_of_others(self):
-        # particle 5's increments must not depend on which set it is drawn with
+        # particle 5's increments must not depend on how many are drawn with it
         noise = NoisePath(7, 0.01, 20, 2)
-        block_small = noise.individual_matrix([5])
-        noise2 = NoisePath(7, 0.01, 20, 2)
-        block_big = noise2.individual_matrix(range(10))
-        np.testing.assert_array_equal(block_small[0], block_big[5])
+        block_small = noise.individual(6)
+        block_big = NoisePath(7, 0.01, 20, 2).individual(10)
+        assert block_small.shape == (6, 20, 2) and block_big.shape == (10, 20, 2)
+        np.testing.assert_array_equal(block_small[5], block_big[5])
+        np.testing.assert_array_equal(block_small, block_big[:6])
 
     def test_distinct_particles_distinct_noise(self):
         noise = NoisePath(7, 0.01, 20, 2)
-        first = noise.individual_matrix([0, 1])[:, 0]
+        first = noise.individual(2)[:, 0]
         assert not np.array_equal(first[0], first[1])
 
     def test_common_increment_statistics(self):
@@ -113,6 +114,20 @@ class TestInitialStates:
         assert (run.n_atoms, run.dim) == (5, 3)
         np.testing.assert_array_equal(run.times, [0.0, 0.1, 0.2])
         np.testing.assert_array_equal(run.states, np.ones((3, 5, 3)))
+
+    @pytest.mark.parametrize(
+        "weights, error, message",
+        [
+            ([0.5] * 4, ValueError, r"weights sum to .*2\.0.*, expected 1"),
+            ([-1.0, 1.0, 0.5, 0.5], ValueError, "measure weights must be positive"),
+            ([0.5, 0.5], DimensionMismatchError, "weights"),
+        ],
+        ids=["sum-2", "negative", "length"],
+    )
+    def test_weights_checked_like_a_measure(self, weights, error, message):
+        states = np.random.default_rng(0).normal(size=(4, 2))
+        with pytest.raises(error, match=message):
+            simulate(cs_kernel(), states, SimConfig(t_final=0.1, dt=0.1), weights=weights)
 
 
 class TestSimulate:
@@ -268,7 +283,7 @@ class TestCoupledPair:
         big, small = coupled_runs(kernel, init, cfg, 4)
         np.testing.assert_array_equal(big.noise.common_increments, small.noise.common_increments)
         np.testing.assert_array_equal(
-            big.noise.individual_matrix(range(4)), small.noise.individual_matrix(range(4))
+            big.noise.individual(4), small.noise.individual(4)
         )
         assert big.noise.master_seed == small.noise.master_seed == cfg.master_seed
 

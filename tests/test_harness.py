@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanflock import characteristics, harness
+from meanflock import characteristics, diagnostics, harness
 from meanflock.cli import main
 from meanflock.config import EXPERIMENT_KINDS, MODELS, list_models, parse_config
 from meanflock.errors import (
@@ -131,6 +131,12 @@ output_dir = {tmp_path}
             csv = tmp_path / f"run_{seed}.csv"
             assert csv.exists()
             assert csv.read_text().splitlines()[0] == "t,particle,coord_0,coord_1"
+        # a blow-up raises in simulate, so a finished run has nothing to certify
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verdicts"] == []
+        assert sorted(report["metrics"]) == [
+            "final_second_moment_seed=1", "final_second_moment_seed=2", "n_runs"
+        ]
 
     def test_failing_verdict_exit_2(self, tmp_path):
         # an impossible decay-rate demand forces a failing verdict
@@ -307,18 +313,22 @@ output_dir = {tmp_path}
 """
         assert run_from_text(text) == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert "full_ratio" in report["metrics"]
-        assert "half_ratio" in report["metrics"]
+        metrics = report["metrics"]
+        assert len(metrics) == 18
+        assert metrics["full_initial_cost"] == pytest.approx(0.07586854982041394, rel=1e-12)
+        assert metrics["full_ratio"] == pytest.approx(1.0, rel=1e-12)
+        assert metrics["half_ratio"] == pytest.approx(1.0, rel=1e-12)
+        assert [v["check"] for v in report["verdicts"]] == ["ratio_stable_under_halving"]
 
     def test_comparison_simulates_each_path_once(self, tmp_path, monkeypatch):
         calls = []
-        original = characteristics.simulate
+        original = diagnostics.simulate
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(characteristics, "simulate", counting)
+        monkeypatch.setattr(diagnostics, "simulate", counting)
         monkeypatch.setenv("MFS_THREADS", "1")
         text = f"""
 experiment = comparison
@@ -361,16 +371,38 @@ output_dir = {tmp_path}
         assert report["metrics"]["ref_n"] == 32
         assert report["metrics"]["r"] == 2
 
+    def test_chaos_cylinder_steps_off_the_rounded_horizon(self, tmp_path):
+        # t_final is a multiple of dt within the grid tolerance but not
+        # exactly: the cylinder functions take grid steps, not times
+        text = f"""
+experiment = chaos
+model = zero
+dim = 1
+n_list = 4, 8
+n_resamples = 32
+t_final = 8.000000002
+dt = 4
+master_seed = 5
+output_dir = {tmp_path}
+"""
+        assert run_from_text(text) in (0, 2)
+        assert json.loads((tmp_path / "report.json").read_text())["metrics"]["r"] == 2
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
 
 class TestBenchmarkBindings:
     """The benchmark patches these names; a rename must fail here, not in bench/."""
 
     def test_tracing_finds_every_binding(self):
-        from meanflock import diagnostics, dynamics, transport
+        from meanflock import dynamics, transport
 
-        spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_tracing()
         original = dynamics.field_drift_diffusion
         with tracing.installed(tracing.Tracer("t")):
             assert dynamics.field_drift_diffusion.__wrapped__ is original
@@ -384,6 +416,42 @@ class TestBenchmarkBindings:
         assert callable(characteristics.transport_residual)
         for name in ("wasserstein", "wasserstein_path", "path_sup_distances"):
             assert callable(getattr(transport, name))
+
+    def test_traced_runs_count_closed_forms(self, tmp_path, monkeypatch):
+        """Runs through the tracer's wrappers and labelers, in this process."""
+        tracing = load_tracing()
+        monkeypatch.setenv("MFS_THREADS", "1")
+        seeds, steps = 2, 20
+        transport_text = transport_check_text(tmp_path / "t", n=8) + f"n_seeds = {seeds}\n"
+        cauchy_text = f"""
+experiment = cauchy
+model = cucker-smale
+phi_lambda = 0.5
+phi_gamma = 1.0
+sizes = 8, 4, 2
+t_final = 0.25
+dt = 0.0625
+n_seeds = {seeds}
+output_dir = {tmp_path / "c"}
+"""
+        counts = {}
+        for name, text in (("transport", transport_text), ("cauchy", cauchy_text)):
+            tracer = tracing.Tracer(name)
+            with tracing.installed(tracer):
+                harness.execute(parse_config(text))
+            counts[name] = tracing.layer_metrics(tracer.spans)
+        fdd = "kernels.field_drift_diffusion.calls"
+        # the stepper and the replay each evaluate the field once per step
+        assert counts["transport"][fdd] == 2 * steps * seeds
+        assert counts["transport"]["dynamics.simulate.calls"] == seeds
+        assert counts["transport"]["characteristics.solve_characteristics.calls"] == seeds
+        sizes, cauchy_steps = 3, 4
+        assert counts["cauchy"][fdd] == sizes * cauchy_steps * seeds
+        path_calls = sum(
+            counts["cauchy"][f"transport.wasserstein_path.{route}.calls"]
+            for route in ("matched", "assignment", "lp")
+        )
+        assert path_calls == (sizes - 1) * seeds
 
     def test_bench_configs_parse(self):
         """Every benchmark config parses and builds its kernel and time grid."""

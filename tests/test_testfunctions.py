@@ -78,14 +78,18 @@ def test_constant_function():
 
 def test_cylinder_on_grid():
     tf = coordinate(0, 1)
-    cyl = CylinderFunction(tf, 0.5)
+    cyl = CylinderFunction(tf, 5)
     times = np.linspace(0.0, 1.0, 11)
     path = times[:, None] ** 2
-    assert cyl.apply_path(times, path) == pytest.approx(0.25)
+    assert cyl.apply_path(path) == pytest.approx(0.25)
+    # (..., times, d) batches of paths take the same step
+    paths = np.stack([path, 2.0 * path])
+    np.testing.assert_allclose(cyl.apply_path(paths), [0.25, 0.5])
 
 
 def test_cylinder_off_grid_rejected():
-    cyl = CylinderFunction(coordinate(0, 1), 0.123)
+    # a step past the last grid step of the path
+    cyl = CylinderFunction(coordinate(0, 1), 11)
     times = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match="grid"):
-        cyl.apply_path(times, times[:, None])
+    with pytest.raises(IndexError):
+        cyl.apply_path(times[:, None])
