@@ -1,58 +1,42 @@
 """Frozen-field replay of a simulated run along its stochastic characteristics.
 
 A simulated run (``dynamics.TrajectoryRecord``) carries its measure path,
-its kernel, its time grid and the noise that drove it. The characteristic
-of a start point x solves the same Euler recursion as the particle system,
-under the run's common-noise increments, but with the mean-field
-coefficients evaluated against the run's recorded measures instead of the
-evolving ensemble. The solver advances with the particle stepper's own
-``dynamics._euler_step``, so replaying the run's initial atoms through its
-own frozen field reproduces the recorded run bit for bit: the discrete
-transport identity holds by construction.
+kernel, time grid and noise. The characteristic of a start point x solves
+the particle system's Euler recursion under the run's common-noise
+increments, with the mean field of the run's recorded measures in place of
+the evolving ensemble. The replay is the run's own loop,
+``dynamics._integrate``, handed the recorded states as frozen measures, so
+replaying the initial atoms reproduces the run bit for bit: the discrete
+transport identity holds by construction. This module keeps only the
+replay's rules and the residual that checks it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TrajectoryRecord, _euler_step
-from .errors import BlowUpError
+from .dynamics import TrajectoryRecord, _integrate
 
 
 def solve_characteristics(run: TrajectoryRecord, x0) -> np.ndarray:
     """Euler-Ito characteristics in the frozen field of ``run``.
 
-    Each step is the particle stepper's ``_euler_step`` with the run's
-    measure at that step as atoms, the current points as queries and the
-    run's common-noise increment. Returns the full path array of shape
-    (steps + 1, m, d) for a batch of m starts (a single (d,) start is
-    promoted to m = 1). The run must be a common-noise-only Euler-Ito run.
+    Each step moves the current points in the field of the run's measure at
+    that step, under the run's common-noise increment. Returns the full path
+    array of shape (steps + 1, m, d) for a batch of m starts (a single (d,)
+    start is promoted to m = 1). The run must be a common-noise-only
+    Euler-Ito run. A replay that leaves the run's norm bound raises
+    ``BlowUpError`` with the run's seed and the replayed states so far.
     """
     k, cfg = run.kernel, run.config
     if k.sigma is not None:
         raise ValueError("characteristics are defined for common noise only (sigma = 0)")
     if cfg.scheme != "euler_ito":
         raise ValueError(f"characteristics replay euler_ito runs only, got scheme {cfg.scheme!r}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[None, :]
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != k.dim:
         raise ValueError(f"start points have dimension {x0.shape[-1]}, kernel wants {k.dim}")
-    steps = run.times.size - 1
-    dbeta = run.noise.common_increments[:steps]
-    out = np.empty((steps + 1,) + x0.shape)
-    out[0] = x0
-    current = x0
-    for step in range(steps):
-        current = _euler_step(
-            k, run.states[step], run.weights, current, cfg.dt, dbeta[step],
-            None, cfg.s1_convention,
-        )
-        max_norm = float(np.max(np.linalg.norm(current, axis=-1)))
-        if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
-            raise BlowUpError(step, max_norm, seed=cfg.master_seed)
-        out[step + 1] = current
-    return out
+    return _integrate(k, x0, run.weights, cfg, run.noise, frozen=run.states)
 
 
 def transport_residual(run: TrajectoryRecord) -> float:
@@ -63,7 +47,7 @@ def transport_residual(run: TrajectoryRecord) -> float:
     coupling bounds W2(mu_t, mu~_t) from above and needs no transport solve,
     so it has no support cap. It is exactly 0 when the replay reproduces the
     run bit for bit, which it does for every common-noise-only run, because
-    the characteristics recursion reuses the stepper arithmetic.
+    the replay runs the stepper's own loop.
     """
     replay = solve_characteristics(run, run.states[0])
     gap = np.sum((run.states - replay) ** 2, axis=-1) @ run.weights

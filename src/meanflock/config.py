@@ -228,7 +228,7 @@ SCHEMA: dict[str, Key] = {
             help="offset applied to the second initial measure"),
         Key("residual_tolerance", "float", default=1e-10,
             help="transport identity threshold"),
-        Key("write_trajectories", "bool", help="force CSV dumps on or off"),
+        Key("write_trajectories", "bool", default=True, help="write one CSV per seed"),
     ]
 }
 

@@ -433,8 +433,11 @@ def aggregate_comparison(
     if full > 0:
         rel = half / full
         report.add_verdict("ratio_stable_under_halving", float(rel), 1.5, bool(0.5 <= rel <= 1.5))
-    else:
+    elif report.metrics["full_degenerate_initial_distance"]:
         report.notes.append("initial distance degenerate; stability check skipped")
+    else:
+        # a seed's sup holds the positive initial cost unless it stopped at t = 0
+        report.notes.append("every seed stopped at t = 0; stability check skipped")
     return report
 
 

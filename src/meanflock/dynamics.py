@@ -2,10 +2,10 @@
 
 Two schemes are provided. ``euler_ito`` integrates the Ito form, whose drift
 carries the corrective field S[mu]; it is the primary scheme. The
-``heun_stratonovich`` predictor-corrector integrates the circle form without
-any corrective drift and exists to cross-validate S[mu]: both schemes must
-converge to the same law as dt shrinks, and they only do when the correction
-is right.
+``heun_stratonovich`` scheme, the trapezoid built on an uncorrected Euler
+predictor, integrates the circle form without any corrective drift and
+exists to cross-validate S[mu]: both schemes must converge to the same law
+as dt shrinks, and they only do when the correction is right.
 
 Noise is addressed, not streamed: the increment of particle ``i`` at step
 ``k`` is a pure function of ``(master_seed, i, k)`` through per-particle
@@ -17,8 +17,9 @@ experiments couple sizes this way.
 
 A trajectory's inputs are the kernel, the (N, d) array of initial states and
 a time grid (``SimConfig``); N and d are read from the states, and every
-grid step is recorded. The Euler-Ito update is one function,
-``_euler_step``, which the characteristics solver calls too.
+grid step is recorded. One loop, ``_integrate``, steps both schemes,
+records the path and checks for blow-up; ``simulate`` runs it on the
+evolving measure and the characteristics replay on a run's recorded one.
 """
 
 from __future__ import annotations
@@ -120,63 +121,64 @@ class TrajectoryRecord(MeasurePath):
     noise: NoisePath
 
 
-def _sigma_increment(k: KernelSet, states: np.ndarray, db: np.ndarray) -> np.ndarray:
-    return np.einsum("nij,nj->ni", k.sigma(states), db)
-
-
 def _euler_step(
     k: KernelSet,
     atoms: np.ndarray,
     weights: np.ndarray,
     queries: np.ndarray,
-    dt: float,
+    cfg: SimConfig,
     dbeta: float,
     db: Optional[np.ndarray],
-    s1_convention: str,
+    include_correction: bool = True,
 ) -> np.ndarray:
-    """One Euler-Ito step of ``queries`` in the field of the measure (atoms, weights).
+    """One Euler step of ``queries`` in the field of the measure (atoms, weights).
 
-    The stepper passes its states as both atoms and queries; the
-    characteristics solver passes the frozen measure of the step as atoms.
+    With the Ito correction S[mu] in the drift this is the Euler-Ito update;
+    without it, the uncorrected step that Heun's scheme is built on.
     """
     drift, common = field_drift_diffusion(
-        k, atoms, weights, queries, s1_convention=s1_convention
+        k, atoms, weights, queries, cfg.s1_convention, include_correction
     )
-    new = queries + dt * drift
+    new = queries + cfg.dt * drift
     if common is not None:
         new = new + dbeta * common
     if k.sigma is not None:
-        new = new + _sigma_increment(k, queries, db)
+        new = new + np.einsum("nij,nj->ni", k.sigma(queries), db)
     return new
 
 
-def _heun_step(
+def _integrate(
     k: KernelSet,
-    states: np.ndarray,
+    x0: np.ndarray,
     weights: np.ndarray,
-    dt: float,
-    dbeta: float,
-    db: Optional[np.ndarray],
+    cfg: SimConfig,
+    noise: NoisePath,
+    db: Optional[np.ndarray] = None,
+    frozen: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    drift0, common0 = field_drift_diffusion(
-        k, states, weights, states, include_correction=False
-    )
-    pred = states + dt * drift0
-    if common0 is not None:
-        pred = pred + dbeta * common0
-    sig0 = None
-    if k.sigma is not None:
-        sig0 = _sigma_increment(k, states, db)
-        pred = pred + sig0
-    drift1, common1 = field_drift_diffusion(
-        k, pred, weights, pred, include_correction=False
-    )
-    new = states + 0.5 * dt * (drift0 + drift1)
-    if common0 is not None:
-        new = new + 0.5 * dbeta * (common0 + common1)
-    if k.sigma is not None:
-        new = new + 0.5 * (sig0 + _sigma_increment(k, pred, db))
-    return new
+    """The one time loop: the (steps + 1, m, d) path of the (m, d) points ``x0``.
+
+    The field at step k is that of the measure (path[k], weights), or of
+    (frozen[k], weights) on an Euler-Ito replay; ``db`` is the (m, steps, d)
+    block of individual increments, or None. Heun's step is the trapezoid
+    0.5 * (x + E(E(x))) of the uncorrected Euler step E, both stages under
+    the same increments. A state beyond ``cfg.blowup_norm`` or non-finite
+    raises ``BlowUpError`` with the states recorded so far.
+    """
+    path = np.empty((cfg.steps + 1,) + x0.shape)
+    path[0] = x = x0
+    for step in range(cfg.steps):
+        dw = noise.common_increments[step], None if db is None else db[:, step, :]
+        if cfg.scheme == "euler_ito":
+            x = _euler_step(k, x if frozen is None else frozen[step], weights, x, cfg, *dw)
+        else:
+            pred = _euler_step(k, x, weights, x, cfg, *dw, include_correction=False)
+            x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, include_correction=False))
+        max_norm = float(np.max(np.linalg.norm(x, axis=-1)))
+        if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
+            raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=path[: step + 1])
+        path[step + 1] = x
+    return path
 
 
 def simulate(
@@ -203,26 +205,6 @@ def simulate(
     n = states.shape[0]
     noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
     w = np.full(n, 1.0 / n) if weights is None else check_weights(weights, n)
-
-    db_all = None
-    if k.sigma is not None:
-        db_all = noise.individual(n)
-
-    times = cfg.dt * np.arange(cfg.steps + 1)
-    path = np.empty((cfg.steps + 1, n, k.dim))
-    path[0] = states
-    for step in range(cfg.steps):
-        dbeta = noise.common_increments[step]
-        db = None if db_all is None else db_all[:, step, :]
-        if cfg.scheme == "euler_ito":
-            states = _euler_step(k, states, w, states, cfg.dt, dbeta, db, cfg.s1_convention)
-        else:
-            states = _heun_step(k, states, w, cfg.dt, dbeta, db)
-        max_norm = float(np.max(np.linalg.norm(states, axis=-1)))
-        if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
-            partial = TrajectoryRecord(
-                times[: step + 1].copy(), path[: step + 1].copy(), w, cfg, k, noise
-            )
-            raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=partial)
-        path[step + 1] = states
-    return TrajectoryRecord(times, path, w, cfg, k, noise)
+    db = None if k.sigma is None else noise.individual(n)
+    path = _integrate(k, states, w, cfg, noise, db=db)
+    return TrajectoryRecord(cfg.dt * np.arange(cfg.steps + 1), path, w, cfg, k, noise)

@@ -71,8 +71,9 @@ class BlowUpError(MeanflockError):
     """A simulated state left the configured norm bound or became non-finite.
 
     ``seed`` is the master seed of the failing run when the raiser knows it.
-    ``partial`` holds the trajectory recorded up to the failing step when the
-    simulator had one to attach; it is not pickled.
+    ``partial`` holds the states recorded before the failing step, an array
+    of shape (step_index + 1, m, d) from the stepping loop that the particle
+    run and the characteristics replay share; it is not pickled.
     """
 
     def __init__(self, step_index: int, max_norm: float, seed=None, partial=None):

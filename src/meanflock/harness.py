@@ -333,8 +333,7 @@ def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> Diagnos
     worker, aggregate = EXPERIMENTS[cfg.kind]
     seeds = cfg.seeds()
     results = map_jobs(worker, [(cfg.values, seed) for seed in seeds])
-    writes_csv = cfg.kind == "simulate" and cfg["write_trajectories"] is not False
-    if writes_csv and output_dir is not None:
+    if cfg.kind == "simulate" and cfg["write_trajectories"] and output_dir is not None:
         _write_trajectory_csvs(seeds, results, output_dir)
     return aggregate(cfg.values, seeds, results)
 

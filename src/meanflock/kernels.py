@@ -183,8 +183,10 @@ class Truncation:
     def __post_init__(self):
         check_truncation(self.radius, self.margin)
 
-    def chi_both(self, s: np.ndarray):
-        """(chi(s), chi'(s)); the quintic is evaluated on the band entries only."""
+    def chi_ratio(self, s: np.ndarray):
+        """(chi(s), chi'(s)/s) at speeds s = |v|, the two scalars of the
+        Jacobian J_R(v) = chi I + (chi'/s) v v^T; the quintic is evaluated
+        on the band entries only."""
         u = np.subtract(s, self.radius, out=np.empty(np.shape(s)))
         u /= self.margin
         band = u > 0.0
@@ -193,17 +195,10 @@ class Truncation:
         # chi is 1 below the band and 0 beyond it; it takes u's table
         chi = np.subtract(1.0, u >= 1.0, out=u)
         chi[band] = 1.0 - ub * ub * ub * (10.0 + ub * (-15.0 + 6.0 * ub))
-        cp = np.zeros(chi.shape)
+        # chi' vanishes off the band, and s > radius > 0 on it
+        ratio = np.zeros(chi.shape)
         one_m = 1.0 - ub
-        cp[band] = (-30.0 / self.margin) * ub * ub * one_m * one_m
-        return chi, cp
-
-    def chi_ratio(self, s: np.ndarray):
-        """(chi(s), chi'(s)/s) at speeds s = |v|, the two scalars of the
-        Jacobian J_R(v) = chi I + (chi'/s) v v^T."""
-        chi, ratio = self.chi_both(s)
-        # chi' vanishes identically for s <= radius, so the ratio is safe
-        np.divide(ratio, s, out=ratio, where=s > 0)
+        ratio[band] = (-30.0 / self.margin) * ub * ub * one_m * one_m / s[band]
         return chi, ratio
 
 

@@ -48,7 +48,7 @@ def check_weights(weights, n: int) -> np.ndarray:
     if np.any(weights <= 0):
         raise ValueError("measure weights must be positive")
     if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
+        raise ValueError(f"weights sum to {float(weights.sum())!r}, expected 1")
     return weights
 
 

@@ -53,8 +53,9 @@ def rel_close(a, b, rtol, floor=1e-8):
 def chi_both_whole_table(radius, margin, s):
     """Truncation (chi, chi') with the quintic evaluated over the whole table.
 
-    The formula ``Truncation.chi_both`` used before it restricted the quintic
-    to the transition band; the band-only form must match it bit for bit.
+    The formula ``Truncation.chi_ratio`` applied before it restricted the
+    quintic to the transition band; its chi and chi'/s must match the
+    band-only form bit for bit.
     """
     u = (s - radius) / margin
     inside = (u > 0.0) & (u < 1.0)

@@ -5,6 +5,7 @@ import meanflock.characteristics as characteristics
 import meanflock.dynamics as dynamics
 from meanflock.characteristics import solve_characteristics, transport_residual
 from meanflock.dynamics import SimConfig, simulate
+from meanflock.errors import BlowUpError
 from meanflock.kernels import (
     CuckerSmaleParams,
     Truncation,
@@ -55,6 +56,20 @@ class TestSolveCharacteristics:
         with pytest.raises(ValueError, match="common"):
             solve_characteristics(run, run.states[0])
 
+    def test_replay_blowup_carries_step_seed_and_partial(self):
+        # the run stays in the norm bound; a start near it leaves it: the
+        # replay moves by 0.1 a step, 4.55 -> 4.95 after four steps, then 5.05
+        k = constant_drift_kernels(1, [1.0])
+        cfg = SimConfig(t_final=1.0, dt=0.1, master_seed=7, blowup_norm=5.0)
+        run = simulate(k, np.zeros((2, 1)), cfg)
+        with pytest.raises(BlowUpError) as err:
+            solve_characteristics(run, [4.55])
+        assert err.value.step_index == 4
+        assert err.value.seed == 7 and "seed=7" in str(err.value)
+        partial = err.value.partial
+        assert partial.shape == (err.value.step_index + 1, 1, 1)
+        np.testing.assert_allclose(partial[:, 0, 0], 4.55 + 0.1 * np.arange(5), rtol=1e-14)
+
     def test_requires_euler_ito_run(self):
         # the replay steps with the Euler-Ito update: a Heun run cannot reproduce
         run = make_run(noisy_cs(), n=4, scheme="heun_stratonovich")
@@ -70,9 +85,20 @@ class TestPushforward:
         replay = solve_characteristics(run, run.states[0])
         np.testing.assert_array_equal(replay, run.states)
 
-    def test_replay_steps_with_the_stepper_update(self):
-        # the identity above is exact because both loops call one update
-        assert characteristics._euler_step is dynamics._euler_step
+    def test_replay_steps_with_the_stepper_update(self, monkeypatch):
+        # the identity above is exact because the run and its replay share one
+        # loop; the replay hands it the run's recorded states as frozen measures
+        assert characteristics._integrate is dynamics._integrate
+        run = make_run(noisy_cs(), n=3)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["frozen"])
+            return dynamics._integrate(*args, **kwargs)
+
+        monkeypatch.setattr(characteristics, "_integrate", spy)
+        solve_characteristics(run, run.states[0])
+        assert len(seen) == 1 and seen[0] is run.states
 
     def test_single_atom(self):
         # each start moves alone in the frozen field: a batch is its rows

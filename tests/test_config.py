@@ -91,6 +91,10 @@ def test_schema_lines_cover_all_keys():
     text = "\n".join(schema_lines())
     for key in ("experiment", "sizes", "n_list", "tf_radius"):
         assert key in text
+    # an unset write_trajectories writes CSVs, and the schema says so
+    assert "write_trajectories (bool)  default=True" in text
+    text = "experiment = simulate\nmodel = zero\noutput_dir = out\n"
+    assert parse_config(text)["write_trajectories"] is True
 
 
 REJECTED = {

@@ -276,6 +276,10 @@ class TestComparisonExperiment:
         for label in COMPARISON_SHIFTS:
             assert report.metrics[f"{label}_estimate"] == 0.0
             assert report.metrics[f"{label}_stopped_runs"] == 2.0
+        assert report.metrics["full_initial_cost"] > 0
+        assert report.metrics["full_degenerate_initial_distance"] == 0.0
+        assert report.verdicts == []
+        assert report.notes == ["every seed stopped at t = 0; stability check skipped"]
 
     def test_ratio_finite_positive(self):
         mu = EmpiricalMeasure.uniform(self.atoms)

@@ -11,6 +11,8 @@ from meanflock.kernels import (
     constant_drift_kernels,
     constant_individual_kernels,
     cucker_smale_kernels,
+    diag_individual_kernels,
+    linear_common_kernels,
     linear_drift_kernels,
     zero_kernels,
 )
@@ -89,9 +91,19 @@ class TestSteps:
         np.testing.assert_allclose(out, [[0.0, 0.5], [1.0, 1.5]])
 
     def test_heun_trapezoidal_ode(self):
-        k = linear_drift_kernels(1)
-        out = one_step(k, [[1.0]], 0.1, "heun_stratonovich")
-        np.testing.assert_allclose(out, [[1.105]])
+        # one coefficient f(x) = x against its increment h: Heun's step is the
+        # trapezoid x + h (f(x) + f(p)) / 2 at the Euler predictor p = x + h f(x)
+        x, dt = 1.0, 0.1
+        noise = NoisePath(0, dt, 1, 1)
+        cases = [
+            (linear_drift_kernels(1), dt),
+            (linear_common_kernels(1), noise.common_increments[0]),
+            (diag_individual_kernels(1), noise.individual(1)[0, 0, 0]),
+        ]
+        for kernel, h in cases:
+            want = x + 0.5 * h * (x + (x + h * x))
+            out = one_step(kernel, [[x]], dt, "heun_stratonovich")
+            np.testing.assert_allclose(out, [[want]], rtol=1e-15)
 
 
 class TestInitialStates:
@@ -118,7 +130,7 @@ class TestInitialStates:
     @pytest.mark.parametrize(
         "weights, error, message",
         [
-            ([0.5] * 4, ValueError, r"weights sum to .*2\.0.*, expected 1"),
+            ([0.5] * 4, ValueError, r"^weights sum to 2\.0, expected 1$"),
             ([-1.0, 1.0, 0.5, 0.5], ValueError, "measure weights must be positive"),
             ([0.5, 0.5], DimensionMismatchError, "weights"),
         ],
@@ -162,10 +174,12 @@ class TestSimulate:
         cfg = SimConfig(t_final=2.0, dt=0.1, blowup_norm=100.0)
         with pytest.raises(BlowUpError) as err:
             simulate(k, init, cfg)
-        assert err.value.step_index >= 1
+        # each step multiplies by 1 + 40 * 0.1 = 5: 1, 5, 25, then 125 > 100
+        assert err.value.step_index == 2
         assert "seed=0" in str(err.value)
-        assert err.value.partial is not None
-        assert err.value.partial.states.shape[0] >= 1
+        partial = err.value.partial
+        assert partial.shape[0] == err.value.step_index + 1
+        np.testing.assert_array_equal(partial, [[[1.0]], [[5.0]], [[25.0]]])
 
     def test_individual_noise_statistics(self):
         # additive individual noise: terminal variance ~ sigma^2 T

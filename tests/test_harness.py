@@ -138,6 +138,17 @@ output_dir = {tmp_path}
             "final_second_moment_seed=1", "final_second_moment_seed=2", "n_runs"
         ]
 
+    def test_write_trajectories_false_writes_no_csv(self, tmp_path):
+        text = f"""
+experiment = simulate
+model = zero
+write_trajectories = false
+output_dir = {tmp_path}
+"""
+        assert run_from_text(text) == 0
+        assert not list(tmp_path.glob("*.csv"))
+        assert (tmp_path / "report.json").exists()
+
     def test_failing_verdict_exit_2(self, tmp_path):
         # an impossible decay-rate demand forces a failing verdict
         text = f"""

@@ -206,7 +206,9 @@ class TestCuckerSmaleBuilder:
         u = (s - radius) / margin
         assert np.any(u == 0.0) and np.any(u == 1.0) and np.any((u > 0) & (u < 1))
         for table in (s, s.reshape(-1, 5), s[7]):
-            got, want = t.chi_both(table), chi_both_whole_table(radius, margin, table)
+            chi, cp = chi_both_whole_table(radius, margin, table)
+            ratio = np.divide(cp, table, out=np.zeros(np.shape(cp)), where=table > 0)
+            got, want = t.chi_ratio(table), (chi, ratio)
             for a, b in zip(got, want):
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
