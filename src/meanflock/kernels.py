@@ -6,11 +6,11 @@ path for its mean-field sums, plus the individual-noise coefficient
 
 * fused: ``field(atoms, weights, queries, factor) -> (drift, common)``
   gives B[mu] + factor S1[mu] and C[mu] at once (``factor`` None: no
-  correction). The Cucker-Smale builder supplies it, as weighted matrix
-  products over (m, n) pair tables: one position-distance table that the
-  weights overwrite in place, none for a weight whose exponent is 0 (it is
-  one (n,) row shared by every query), and a few more with a truncation
-  or when C is needed at atoms that are not the queries;
+  correction). The Cucker-Smale builder supplies it, as products of
+  unweighted (m, n) pair tables with the weighted atoms: one distance
+  table that psi overwrites in place, none for a weight whose exponent is
+  0 (it is one (n,) row shared by every query), and a few more with a
+  truncation or when C is needed at atoms that are not the queries;
 * pointwise: the pair drift ``b(x, y)``, the common-noise coefficient
   ``c(x, y)`` (scalar driving noise) and its directional derivative
   ``dc(x, y, ex, ey) = grad_x c(x,y) ex + grad_y c(x,y) ey``, summed over
@@ -45,7 +45,7 @@ import numpy as np
 
 from .config import S1_CONVENTIONS, check_cucker_smale, check_dim, check_truncation
 from .errors import DimensionMismatchError
-from .transport import _squared_distances
+from .transport import _difference_factors, _squared_distances
 
 
 def _s1_factor(convention: str) -> float:
@@ -237,11 +237,12 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     """Flocking KernelSet over R^{2d} with b = (v, psi(x-y)(w-v)) and
     c = (0, phi(x-y) R(w-v)), supplied as one fused ``field``.
 
-    Pair tables: the position distances are one (m, n) table, which the
-    weight w_j psi overwrites in place; w_j phi takes a second table only
-    when both weights depend on the pair. A weight whose exponent is 0 does
-    not, and is one (n,) row shared by every query, so with both exponents
-    0 a call builds no pair table. A truncation adds the speed table
+    Pair tables: the position distances are one (m, n) table, which psi
+    overwrites in place; phi takes a second table only when both weights
+    depend on the pair. A weight whose exponent is 0 does not, and is one
+    (n,) row shared by every query, so with both exponents 0 a call builds
+    no pair table. The tables stay unweighted: the measure weights ride in
+    the matrix product that sums them. A truncation adds the speed table
     |v_j - v_q|, turned into chi and chi'/s, and scratch tables for u . du
     in S1. Queries that are not the atoms need C at the atoms as well,
     which costs (n, n) tables unless phi is a row and there is no
@@ -257,52 +258,53 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     trunc = p.truncation
 
     # Every pair term is a scalar weight times a velocity difference, so
-    # each mean-field sum is a matrix product over the (m, n) weight table
-    # or the (n,) weight row, sum_j W_qj (v_j - v_q) = (W @ V)_q - (W 1)_q v_q.
+    # each mean-field sum is one matrix product over the (m, n) table or
+    # the (n,) row W: sum_j w_j W_qj (v_j - v_q) = (W @ wV)_q - (W @ w)_q v_q.
 
-    def pair_sum(weight, va, vq):
-        """sum_j weight_qj (va_j - vq_q) for every query q."""
-        return weight @ va - weight.sum(axis=-1)[..., None] * vq
+    def pair_sum(table, wva, vq, out=None):
+        """sum_j w_j table_qj (va_j - vq_q) per query q, from the one product
+        table @ [w va | w], written to ``out`` when given."""
+        prod = table @ wva
+        return np.subtract(prod[..., :d], prod[..., d:] * vq, out=out)
 
-    def pair_weight(amplitude, exponent, weights, r_sq, out):
-        """w_j amplitude / (1 + r_qj^2)^exponent computed in ``out``; a shared
+    def pair_table(amplitude, exponent, n, r_sq, out):
+        """amplitude / (1 + r_qj^2)^exponent computed in ``out``; a shared
         (n,) row when the exponent is 0."""
         if exponent == 0.0:
-            return weights * amplitude
-        w = _rational_weight(amplitude, exponent, r_sq, out=out)
-        w *= weights
-        return w
+            return np.full(n, amplitude)
+        return _rational_weight(amplitude, exponent, r_sq, out=out)
 
-    def pair_weights(xq, xa, weights):
-        """(w_j psi, w_j phi) at the pairs; psi overwrites the distances."""
+    def pair_tables(xq, xa):
+        """(psi, phi) at the pairs; psi overwrites the distances."""
         pair_psi, pair_phi = p.gamma != 0.0, has_noise and p.phi_gamma != 0.0
         r_sq = _squared_distances(xq, xa) if pair_psi or pair_phi else None
-        w_phi = None
+        n, phi = xa.shape[0], None
         if has_noise:
             out = None if pair_psi else r_sq
-            w_phi = pair_weight(p.phi_lam, p.phi_gamma, weights, r_sq, out)
-        return pair_weight(p.lam, p.gamma, weights, r_sq, r_sq), w_phi
+            phi = pair_table(p.phi_lam, p.phi_gamma, n, r_sq, out)
+        return pair_table(p.lam, p.gamma, n, r_sq, r_sq), phi
 
-    def noise_weights(w_phi, vq, va):
-        """(w_phi chi, chi'/s) at s = |v_j - v_q|; without a truncation chi = 1
+    def noise_tables(phi, vq, va):
+        """(phi chi, chi'/s) at s = |v_j - v_q|; without a truncation chi = 1
         and the ratio is None."""
         if trunc is None:
-            return w_phi, None
+            return phi, None
         s = _squared_distances(vq, va)
         chi, ratio = trunc.chi_ratio(np.sqrt(s, out=s))
-        return np.multiply(chi, w_phi, out=chi), ratio
+        return np.multiply(chi, phi, out=chi), ratio
 
     def u_dot_du(vq, va, cq, ca, out):
-        """sum_k (v_j - v_q)_k (C_v(y_j) - C_v(q))_k in ``out``, one coordinate
-        at a time."""
+        """u . du = sum_k (v_q - v_j)_k (C_v(q) - C_v(y_j))_k in ``out``, one
+        coordinate at a time; negating both factors keeps each product."""
+        (lu, ru), (ldu, rdu) = _difference_factors(vq, va), _difference_factors(cq, ca)
         u, du = np.empty_like(out), None
         for k in range(d):
-            np.subtract(va[None, :, k], vq[:, None, k], out=u)
+            np.matmul(lu[k], ru[k], out=u)
             if k == 0:
-                np.subtract(ca[None, :, 0], cq[:, None, 0], out=out)
+                np.matmul(ldu[0], rdu[0], out=out)
                 out *= u
             else:
-                du = np.subtract(ca[None, :, k], cq[:, None, k], out=du)
+                du = np.matmul(ldu[k], rdu[k], out=du)
                 du *= u
                 out += du
         return out
@@ -311,11 +313,14 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
         """(B[mu] + factor S1[mu], C[mu]) at the queries; factor None skips S1."""
         xq, vq = split(queries)
         xa, va = split(atoms)
-        w_psi, w_phi = pair_weights(xq, xa, weights)
+        psi, phi = pair_tables(xq, xa)
         drift = np.empty(queries.shape)
         drift[:, :d] = vq * weights.sum()
-        drift[:, d:] = pair_sum(w_psi, va, vq)
-        del w_psi  # free the table before the noise builds its own
+        wva = np.empty((weights.size, d + 1))
+        np.multiply(va, weights[:, None], out=wva[:, :d])
+        wva[:, d] = weights
+        pair_sum(psi, wva, vq, out=drift[:, d:])
+        del psi  # free the table before the noise builds its own
         if not has_noise:
             return drift, None
         # C[mu] at the atoms, whose tables are freed before the queries'
@@ -323,13 +328,12 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
         ca = None
         if factor is not None and queries is not atoms:
             r_sq = _squared_distances(xa, xa) if p.phi_gamma != 0.0 else None
-            w_phi_a = pair_weight(p.phi_lam, p.phi_gamma, weights, r_sq, r_sq)
-            ca = pair_sum(noise_weights(w_phi_a, va, va)[0], va, va)
-            del r_sq, w_phi_a
-        w_c, ratio = noise_weights(w_phi, vq, va)
-        cq = pair_sum(w_c, va, vq)
+            phi_a = pair_table(p.phi_lam, p.phi_gamma, xa.shape[0], r_sq, r_sq)
+            ca = pair_sum(noise_tables(phi_a, va, va)[0], wva, va)
+            del r_sq, phi_a
+        phi_chi, ratio = noise_tables(phi, vq, va)
         common = np.zeros(queries.shape)
-        common[:, d:] = cq
+        cq = pair_sum(phi_chi, wva, vq, out=common[:, d:])
         if factor is None:
             return drift, common
         if ca is None:
@@ -338,12 +342,14 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
         # block, so dr = 0 and dc's phi' term (r . dr) vanishes exactly; what
         # is left is phi J_R(u) du = phi chi du + phi chi'/s (u . du) u with
         # u = v_j - v_q and du = C_v(y_j) - C_v(q).
-        s1 = pair_sum(w_c, ca, cq)
+        wca = wva.copy()
+        np.multiply(ca, weights[:, None], out=wca[:, :d])
+        s1 = pair_sum(phi_chi, wca, cq)
         if ratio is not None:
-            ratio *= w_phi
-            # w_c is spent: its table takes u . du
-            ratio *= u_dot_du(vq, va, cq, ca, out=w_c)
-            s1 += pair_sum(ratio, va, vq)
+            ratio *= phi
+            # phi chi is spent: its table takes u . du
+            ratio *= u_dot_du(vq, va, cq, ca, out=phi_chi)
+            s1 += pair_sum(ratio, wva, vq)
         drift[:, d:] += factor * s1
         return drift, common
 

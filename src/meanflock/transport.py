@@ -149,26 +149,46 @@ def _is_uniform(weights: np.ndarray) -> bool:
     return bool(np.max(np.abs(weights - 1.0 / weights.size)) <= _WEIGHT_TOL)
 
 
+def _difference_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) with lhs[k] @ rhs[k] = [a_k, -1] @ [1; b_k] the (n, m)
+    table a_ik - b_jk, written by BLAS at contiguous speed."""
+    lhs = np.empty((a.shape[1], a.shape[0], 2))
+    lhs[..., 0], lhs[..., 1] = a.T, -1.0
+    rhs = np.empty((b.shape[1], 2, b.shape[0]))
+    rhs[:, 0], rhs[:, 1] = 1.0, b.T
+    return lhs, rhs
+
+
 def _squared_distances(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, diff: np.ndarray | None = None
 ) -> np.ndarray:
     """(n, m) squared Euclidean distances, added one coordinate at a time.
 
+    Both products in an entry of a ``_difference_factors`` table, a_ik * 1
+    and -1 * b_jk, are exact, and a sum of two exact terms rounds once in
+    any order, with or without FMA. So each table is the broadcast
+    a_ik - b_jk bit for bit under any BLAS, up to the sign of a zero, which
+    squaring removes. The expansion |a|^2 - 2 a.b + |b|^2 is not exact:
+    its cancellation error grows with |a|^2, and flocks drift far from the
+    origin.
+
     ``out`` and ``diff`` are optional (n, m) buffers, for callers in a loop.
     """
-    out = np.subtract.outer(a[:, 0], b[:, 0], out=out)
+    lhs, rhs = _difference_factors(a, b)
+    out = np.matmul(lhs[0], rhs[0], out=out)
     out *= out
     if diff is None and a.shape[1] > 1:
         diff = np.empty_like(out)
     for k in range(1, a.shape[1]):
-        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        np.matmul(lhs[k], rhs[k], out=diff)
         diff *= diff
         out += diff
     return out
 
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(_squared_distances(a, b))
+    dist = _squared_distances(a, b)
+    return np.sqrt(dist, out=dist)
 
 
 def _cumulative_weights(weights: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ implementations they check can never leak in.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 from scipy import sparse
@@ -247,6 +248,34 @@ def brute_force_path_wasserstein_uniform(a_states, b_states, p):
         )
         best = min(best, np.mean(dist**p))
     return best ** (1.0 / p)
+
+
+def peak_traced_bytes(f):
+    """Peak bytes numpy and Python allocate during one call of ``f``, after
+    a warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def squared_distances_broadcast(a, b):
+    """(n, m) squared distances sum_k (a_ik - b_jk)^2 from broadcast
+    differences, added one coordinate at a time in the package's order.
+
+    ``transport._squared_distances`` builds each difference table as a
+    matrix product instead; the two must agree bit for bit.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, None, k] - b[None, :, k]
+        out += diff * diff
+    return out
 
 
 def position_spread_reference(run):

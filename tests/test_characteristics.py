@@ -136,6 +136,24 @@ class TestTransportResidual:
             run = make_run(kernel, n=n, t_final=t_final)
             assert transport_residual(run) == 0.0
 
+    def test_weighted_run_residual_zero_at_benchmark_size(self):
+        # the weights ride in the field's matrix product; the replay must
+        # still repeat the stepper's bits with 256 unequal weights
+        truncated = cucker_smale_kernels(
+            CuckerSmaleParams(
+                half_dim=2, lam=0.8, gamma=0.5, phi_lam=0.4, phi_gamma=0.3,
+                truncation=Truncation(radius=1.0, margin=1.0),
+            )
+        )
+        row_phi = cucker_smale_kernels(CuckerSmaleParams(half_dim=1, phi_lam=0.5))
+        rng = np.random.default_rng(256)
+        weights = rng.uniform(0.5, 2.0, size=256)
+        weights /= weights.sum()
+        cfg = SimConfig(t_final=0.04, dt=0.01, master_seed=4)
+        for kernel in (noisy_cs(), row_phi, truncated):
+            run = simulate(kernel, rng.normal(size=(256, kernel.dim)), cfg, weights=weights)
+            assert transport_residual(run) == 0.0
+
     def test_zero_kernel_residual_exactly_zero(self):
         run = make_run(zero_kernels(2), n=3)
         assert transport_residual(run) == 0.0

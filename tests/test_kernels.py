@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from helpers import (
     mean_field_B,
     mean_field_C,
     mean_field_S,
+    peak_traced_bytes,
     rel_close,
     truncate,
 )
@@ -457,12 +457,13 @@ def test_queries_at_atoms_shortcut_changes_no_bit():
     for kernel, _, _ in _field_kernels():
         for n in (7, 300):
             x = rng.normal(size=(n, kernel.dim))
-            w = np.full(n, 1.0 / n)
-            for convention in S1_CONVENTIONS:
-                same = field_drift_diffusion(kernel, x, w, x, convention)
-                copy = field_drift_diffusion(kernel, x, w, x.copy(), convention)
-                for a, b in zip(same, copy):
-                    np.testing.assert_array_equal(a, b)
+            unequal = rng.uniform(0.5, 2.0, size=n)
+            for w in (np.full(n, 1.0 / n), unequal / unequal.sum()):
+                for convention in S1_CONVENTIONS:
+                    same = field_drift_diffusion(kernel, x, w, x, convention)
+                    copy = field_drift_diffusion(kernel, x, w, x.copy(), convention)
+                    for a, b in zip(same, copy):
+                        np.testing.assert_array_equal(a, b)
 
 
 def test_field_keeps_inputs_and_returns_fresh_arrays():
@@ -486,13 +487,14 @@ def test_field_keeps_inputs_and_returns_fresh_arrays():
                     assert not np.shares_memory(r, other)
 
 
-# Peak traced bytes of one call at N = 256, in (m, n) float tables. A
-# truncation-free half_dim 1 field keeps the one distance table, which the
-# weights overwrite; the truncated half_dim 2 field (benchmark flocking
+# Peak traced bytes of one call at N = 256, in (m, n) float tables. The
+# tables are unweighted: the weights ride in the matrix product that sums
+# them. A truncation-free half_dim 1 field keeps the one distance table,
+# which psi overwrites; the truncated half_dim 2 field (benchmark flocking
 # settings) adds the speed table, chi, chi'/s and two scratch tables for
 # u . du, and builds C at the atoms before the queries' tables when the
 # queries are not the atoms. The margins above the tables cover numpy's
-# iterator buffers.
+# iterator buffers and the O(n) operands of the products.
 PEAK_TABLES = [
     (dict(half_dim=1, phi_lam=0.5), "atoms", 1.5),
     (dict(half_dim=1, phi_lam=0.5), "apart", 1.5),
@@ -508,11 +510,5 @@ def test_field_peak_memory_in_pair_tables(params, queries, tables):
     x = np.random.default_rng(3).normal(size=(n, kernel.dim))
     q = x if queries == "atoms" else x + 0.01
     w = np.full(n, 1.0 / n)
-    field_drift_diffusion(kernel, x, w, q)
-    tracemalloc.start()
-    try:
-        field_drift_diffusion(kernel, x, w, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(lambda: field_drift_diffusion(kernel, x, w, q))
     assert peak / (n * n * 8) <= tables

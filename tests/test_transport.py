@@ -11,6 +11,7 @@ from meanflock.transport import (
     _assignment,
     _assignment_cost,
     _pairwise_distances,
+    _squared_distances,
     moments,
     path_sup_distances,
     support_radius,
@@ -21,6 +22,8 @@ from meanflock.transport import (
 from helpers import (
     brute_force_path_wasserstein_uniform,
     brute_force_wasserstein_uniform,
+    peak_traced_bytes,
+    squared_distances_broadcast,
     transport_lp_cost,
 )
 
@@ -251,6 +254,66 @@ def test_path_sup_distances_match_per_step_roots():
     b = uniform_path(rng.normal(size=(7, 18, 3)))
     want = np.max([_pairwise_distances(a.states[t], b.states[t]) for t in range(7)], axis=0)
     assert np.array_equal(path_sup_distances(a, b), want)
+
+
+def spread_magnitudes(rng, n, dim):
+    """n points whose coordinates range over magnitudes 1e-8 to 1e8."""
+    return rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_squared_distances_equal_broadcast_bitwise(dim):
+    # every difference table is an exact matrix product: the squared
+    # distances equal the broadcast formula bit for bit, for repeated points,
+    # signed zeros, mixed magnitudes, m != n and sizes past BLAS's blocking
+    rng = np.random.default_rng(dim)
+    a = spread_magnitudes(rng, 40, dim)
+    a[5], a[7], a[8] = a[3], 0.0, -0.0
+    a[9, 0] = -0.0
+    b = np.concatenate([spread_magnitudes(rng, 20, dim), a[:4], a[7:10]])
+    wide = np.concatenate([a, rng.normal(size=a.shape)], axis=1)
+    big_a, big_b = spread_magnitudes(rng, 300, dim), spread_magnitudes(rng, 200, dim) + 1e4
+    for x, y in ((a, b), (b, a), (a, a), (wide[:, :dim], b), (big_a, big_b)):
+        want = squared_distances_broadcast(x, y).tobytes()
+        assert _squared_distances(x, y).tobytes() == want
+        # buffers holding NaN: nothing of their old contents may leak in
+        out, diff = np.full((2, x.shape[0], y.shape[0]), np.nan)
+        got = _squared_distances(x, y, out=out, diff=diff)
+        assert got is out and got.tobytes() == want
+
+
+def test_path_sup_distances_equal_broadcast_bitwise():
+    # 21 steps of 128 against 256 trajectories, drifting far from the origin
+    rng = np.random.default_rng(21)
+    drift = np.linspace(0.0, 1e6, 21)[:, None, None]
+    a = uniform_path(rng.normal(size=(21, 128, 2)).cumsum(axis=0) + drift)
+    b = uniform_path(rng.normal(size=(21, 256, 2)).cumsum(axis=0) + drift)
+    sq = [squared_distances_broadcast(a.states[t], b.states[t]) for t in range(21)]
+    assert path_sup_distances(a, b).tobytes() == np.sqrt(np.max(sq, axis=0)).tobytes()
+
+
+@pytest.mark.parametrize("dim, tables", [(1, 1), (2, 2)])
+def test_pairwise_distances_root_in_place(dim, tables):
+    # the root overwrites the squared distances, so one dimension needs one
+    # (n, m) table and each further one a table for its differences
+    n, m = 128, 256
+    rng = np.random.default_rng(dim)
+    a, b = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+    assert np.array_equal(_pairwise_distances(a, b), np.sqrt(squared_distances_broadcast(a, b)))
+    peak = peak_traced_bytes(lambda: _pairwise_distances(a, b))
+    assert peak <= 8 * (tables * n * m + 8 * dim * (n + m))
+
+
+@pytest.mark.parametrize("steps", [2, 21])
+def test_path_sup_distances_peak_memory(steps):
+    # the running maximum, one squared-distance table and one coordinate's
+    # differences, plus O(n + m) factors: nothing is allocated per step
+    n, m, dim = 128, 256, 2
+    rng = np.random.default_rng(steps)
+    a = uniform_path(rng.normal(size=(steps, n, dim)))
+    b = uniform_path(rng.normal(size=(steps, m, dim)))
+    peak = peak_traced_bytes(lambda: path_sup_distances(a, b))
+    assert peak <= 8 * (3 * n * m + 8 * dim * (n + m))
 
 
 def assert_assignment_matches_scipy(dist, k, p):
