@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TrajectoryRecord, _integrate
+from .dynamics import TrajectoryRecord, _integrate, check_states
 
 
 def solve_characteristics(run: TrajectoryRecord, x0) -> np.ndarray:
@@ -23,9 +23,9 @@ def solve_characteristics(run: TrajectoryRecord, x0) -> np.ndarray:
 
     Each step moves the current points in the field of the run's measure at
     that step, under the run's common-noise increment. Returns the full path
-    array of shape (steps + 1, m, d) for a batch of m starts (a single (d,)
-    start is promoted to m = 1). The run must be a common-noise-only
-    Euler-Ito run. A replay that leaves the run's norm bound raises
+    array of shape (steps + 1, m, d) for m starts, checked as ``simulate``
+    checks states (a single (d,) start is promoted to m = 1). The run must be
+    a common-noise-only Euler-Ito run. A replay that leaves the run's norm bound raises
     ``BlowUpError`` with the run's seed and the replayed states so far.
     """
     k, cfg = run.kernel, run.config
@@ -33,9 +33,7 @@ def solve_characteristics(run: TrajectoryRecord, x0) -> np.ndarray:
         raise ValueError("characteristics are defined for common noise only (sigma = 0)")
     if cfg.scheme != "euler_ito":
         raise ValueError(f"characteristics replay euler_ito runs only, got scheme {cfg.scheme!r}")
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if x0.shape[-1] != k.dim:
-        raise ValueError(f"start points have dimension {x0.shape[-1]}, kernel wants {k.dim}")
+    x0 = check_states(k, np.atleast_2d(x0), "x0")
     return _integrate(k, x0, run.weights, cfg, run.noise, frozen=run.states)
 
 

@@ -12,9 +12,10 @@ test-function radius) are written once here, as rule functions that raise
 ``ValueError``. ``SimConfig``, ``CuckerSmaleParams``, ``Truncation``,
 ``KernelSet`` and ``bump`` call the same functions, and ``parse_config``
 turns their errors into ``ConfigError``s that name the keys given. The
-scheme and S1-convention choices are defined here too, and ``dynamics`` and
-``kernels`` import them. This module imports only ``errors`` and the
-standard library, so ``meanflock validate`` loads no numpy.
+scheme and S1-convention choices are defined here too, each convention
+mapped to its factor on s1, and ``dynamics`` imports them. This module
+imports only ``errors`` and the standard library, so ``meanflock validate``
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Callable
 from .errors import ConfigError
 
 SCHEMES = ("euler_ito", "heun_stratonovich")
-S1_CONVENTIONS = ("half_both", "paper_literal")
+S1_CONVENTIONS = {"half_both": 0.5, "paper_literal": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ def parse_config(text: str) -> ExperimentConfig:
             ) from exc
         if key.choices is not None and value not in key.choices:
             raise ConfigError(
-                f"line {lineno}: field '{name}' must be one of {key.choices}, got {value!r}"
+                f"line {lineno}: field '{name}' must be one of {tuple(key.choices)}, got {value!r}"
             )
         values[name] = value
 

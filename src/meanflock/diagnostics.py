@@ -100,6 +100,16 @@ class DiagnosticsReport:
 # ---------------------------------------------------------------------------
 
 
+def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over axis 0 and its standard error std(ddof=1) / sqrt(n); zeros
+    from a single sample."""
+    n = samples.shape[0]
+    mean = samples.mean(axis=0)
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    return mean, samples.std(axis=0, ddof=1) / np.sqrt(n)
+
+
 def energy_series(run: TrajectoryRecord) -> np.ndarray:
     """Velocity variance E_t at every recorded time of one run."""
     d = run.dim // 2
@@ -142,12 +152,7 @@ def aggregate_flocking(
     """
     n_runs = energies.shape[0]
     report = DiagnosticsReport(name="flocking")
-    mean_energy = energies.mean(axis=0)
-    se_energy = (
-        energies.std(axis=0, ddof=1) / np.sqrt(n_runs)
-        if n_runs > 1
-        else np.zeros_like(mean_energy)
-    )
+    mean_energy, se_energy = _mean_stderr(energies)
     report.add_series("mean_velocity_variance", times, mean_energy, se_energy)
 
     if window is None:
@@ -220,9 +225,7 @@ def weakform_single(
     qv_inc = np.zeros(n_steps)
     for t in range(n_steps):
         x = states[t]
-        drift, common = field_drift_diffusion(
-            k, x, w, x, s1_convention=cfg.s1_convention
-        )
+        drift, common = field_drift_diffusion(k, x, w, x, cfg.s1_factor)
         grad = psi.grad(x)
         hess = psi.hess(x)
         gen_t = np.sum(w * np.einsum("nd,nd->n", drift, grad))
@@ -265,11 +268,9 @@ def aggregate_weakform(
     m = np.stack([mq[0] for mq in per_run])
     qv = np.stack([mq[1] for mq in per_run])
     n_runs = m.shape[0]
-    mean_m = m.mean(axis=0)
-    se_m = m.std(axis=0, ddof=1) / np.sqrt(n_runs)
+    mean_m, se_m = _mean_stderr(m)
     var_m = m.var(axis=0, ddof=1)
-    mean_qv = qv.mean(axis=0)
-    se_qv = qv.std(axis=0, ddof=1) / np.sqrt(n_runs)
+    mean_qv, se_qv = _mean_stderr(qv)
     # standard error of the sample variance from the fourth central moment
     centered = m - mean_m
     m4 = np.mean(centered**4, axis=0)
@@ -322,8 +323,7 @@ def cauchy_single(
 def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> DiagnosticsReport:
     """Verdicts from per-seed coupled distances (one row per seed)."""
     n_seeds = samples.shape[0]
-    means = samples.mean(axis=0)
-    ses = samples.std(axis=0, ddof=1) / np.sqrt(n_seeds)
+    means, ses = _mean_stderr(samples)
     report = DiagnosticsReport(name="cauchy")
     small_sizes = list(sizes[1:])
     report.metrics["n_seeds"] = n_seeds
@@ -334,13 +334,12 @@ def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> Dia
     report.add_series("coupled_distance", small_sizes, means, ses)
     # smaller N means a coarser system: the estimate must grow as N shrinks
     for idx in range(len(small_sizes) - 1):
-        diffs = samples[:, idx + 1] - samples[:, idx]
-        se_diff = diffs.std(ddof=1) / np.sqrt(n_seeds)
+        diff, se_diff = _mean_stderr(samples[:, idx + 1] - samples[:, idx])
         report.add_verdict(
             f"decreasing_{small_sizes[idx + 1]}_to_{small_sizes[idx]}",
-            float(diffs.mean()),
+            float(diff),
             float(-se_diff),
-            bool(diffs.mean() >= -se_diff),
+            bool(diff >= -se_diff),
         )
     return report
 
@@ -412,8 +411,7 @@ def aggregate_comparison(
     ratios = {}
     for i, (label, initial_cost) in enumerate(zip(COMPARISON_SHIFTS, initial_costs)):
         sups = np.array([row[i][0] for row in per_seed])
-        estimate = float(np.mean(sups))
-        stderr = float(np.std(sups, ddof=1) / np.sqrt(n_seeds)) if n_seeds > 1 else 0.0
+        estimate, stderr = map(float, _mean_stderr(sups))
         degenerate = initial_cost == 0.0
         ratios[label] = 0.0 if degenerate else estimate / initial_cost
         summary = {
@@ -468,7 +466,6 @@ def chaos_beta_path(
     target = float(np.prod(ref_marginals))
 
     n_max = max(n_list)
-    gaps = np.empty(len(n_list))
     products = np.empty((len(n_list), n_resamples))
     for s in range(n_resamples):
         atoms_block = sampler(resample_rng(beta_seed, s), n_max)
@@ -477,9 +474,7 @@ def chaos_beta_path(
             lead = np.swapaxes(run.states[:, :r, :], 0, 1)  # (r, times, d)
             vals = [phi.apply_path(lead[i]) for i, phi in enumerate(phis)]
             products[n_idx, s] = float(np.prod(vals))
-    for n_idx in range(len(n_list)):
-        gaps[n_idx] = abs(products[n_idx].mean() - target)
-    return gaps
+    return np.abs(products.mean(axis=1) - target)
 
 
 def aggregate_chaos(
@@ -491,12 +486,7 @@ def aggregate_chaos(
 ) -> DiagnosticsReport:
     """Verdicts from per-beta-path conditional gaps (one row per beta)."""
     n_beta = per_beta.shape[0]
-    deltas = per_beta.mean(axis=0)
-    ses = (
-        per_beta.std(axis=0, ddof=1) / np.sqrt(n_beta)
-        if n_beta > 1
-        else np.zeros_like(deltas)
-    )
+    deltas, ses = _mean_stderr(per_beta)
     report = DiagnosticsReport(name="chaos")
     report.metrics.update(
         {

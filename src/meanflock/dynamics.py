@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import SCHEMES, check_time_grid
+from .config import S1_CONVENTIONS, SCHEMES, check_time_grid
 from .errors import BlowUpError
 from .kernels import KernelSet, field_drift_diffusion
 from .transport import MeasurePath, check_weights
@@ -88,7 +88,8 @@ class NoisePath:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time grid, scheme and reproducibility knobs for one trajectory."""
+    """Time grid, scheme and reproducibility knobs for one trajectory; ``s1_factor``
+    is the factor on s1 in the Ito correction S1 that ``s1_convention`` names."""
 
     t_final: float
     dt: float
@@ -101,10 +102,17 @@ class SimConfig:
         check_time_grid(self.t_final, self.dt)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        if self.s1_convention not in S1_CONVENTIONS:
+            name, choices = self.s1_convention, tuple(S1_CONVENTIONS)
+            raise ValueError(f"unknown s1 convention {name!r}, expected one of {choices}")
 
     @property
     def steps(self) -> int:
         return int(round(self.t_final / self.dt))
+
+    @property
+    def s1_factor(self) -> float:
+        return S1_CONVENTIONS[self.s1_convention]
 
 
 @dataclass(frozen=True)
@@ -129,22 +137,30 @@ def _euler_step(
     cfg: SimConfig,
     dbeta: float,
     db: Optional[np.ndarray],
-    include_correction: bool = True,
+    factor: Optional[float],
 ) -> np.ndarray:
     """One Euler step of ``queries`` in the field of the measure (atoms, weights).
 
-    With the Ito correction S[mu] in the drift this is the Euler-Ito update;
-    without it, the uncorrected step that Heun's scheme is built on.
+    With ``factor`` = ``cfg.s1_factor`` the drift carries the Ito correction
+    S[mu]: the Euler-Ito update; with None, the uncorrected step of Heun's scheme.
     """
-    drift, common = field_drift_diffusion(
-        k, atoms, weights, queries, cfg.s1_convention, include_correction
-    )
+    drift, common = field_drift_diffusion(k, atoms, weights, queries, factor)
     new = queries + cfg.dt * drift
     if common is not None:
         new = new + dbeta * common
     if k.sigma is not None:
         new = new + np.einsum("nij,nj->ni", k.sigma(queries), db)
     return new
+
+
+def check_states(k: KernelSet, states, argument: str) -> np.ndarray:
+    """``states`` as floats, if a finite (m, d) array, m >= 1, d the kernel dimension."""
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[0] < 1:
+        raise ValueError(f"{argument} must be a (m, d) array with m >= 1")
+    if not np.all(np.isfinite(states)):
+        raise ValueError(f"{argument} must be finite")
+    return k.check_point(states, argument)
 
 
 def _integrate(
@@ -170,10 +186,11 @@ def _integrate(
     for step in range(cfg.steps):
         dw = noise.common_increments[step], None if db is None else db[:, step, :]
         if cfg.scheme == "euler_ito":
-            x = _euler_step(k, x if frozen is None else frozen[step], weights, x, cfg, *dw)
+            atoms = x if frozen is None else frozen[step]
+            x = _euler_step(k, atoms, weights, x, cfg, *dw, cfg.s1_factor)
         else:
-            pred = _euler_step(k, x, weights, x, cfg, *dw, include_correction=False)
-            x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, include_correction=False))
+            pred = _euler_step(k, x, weights, x, cfg, *dw, None)
+            x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, None))
         max_norm = float(np.max(np.linalg.norm(x, axis=-1)))
         if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
             raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=path[: step + 1])
@@ -196,12 +213,7 @@ def simulate(
     checked as ``transport.EmpiricalMeasure`` checks them. The default is
     the uniform 1/N measure.
     """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[0] < 1:
-        raise ValueError("states must be a (n, d) array with n >= 1")
-    if not np.all(np.isfinite(states)):
-        raise ValueError("particle states must be finite")
-    k.check_point(states, "states")
+    states = check_states(k, states, "states")
     n = states.shape[0]
     noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
     w = np.full(n, 1.0 / n) if weights is None else check_weights(weights, n)

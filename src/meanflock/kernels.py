@@ -23,9 +23,10 @@ The corrective drift converting circle (Stratonovich) dynamics to their Ito
 form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))`` and
 ``S2(x) = 1/2 Tr(grad sigma sigma^T)``; averaged over the measure, s1 is the
 derivative of c along the common field, S1[mu](q) = 1/2 sum_j w_j
-dc(q, y_j, C[mu](q), C[mu](y_j)). ``s1_convention="paper_literal"`` drops
-the 1/2 on s1 entirely; it exists so the integrator cross-validation can
-demonstrate that this variant is wrong.
+dc(q, y_j, C[mu](q), C[mu](y_j)). The field takes the factor on s1 as a
+number, which ``SimConfig.s1_factor`` resolves from the run's convention:
+1/2, or 1 under ``paper_literal``, a variant that exists so the integrator
+cross-validation can demonstrate that it is wrong.
 
 :func:`field_drift_diffusion` is the one evaluator the stepper and the
 characteristics solver call. On the Cucker-Smale field the direction of dc
@@ -43,15 +44,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import S1_CONVENTIONS, check_cucker_smale, check_dim, check_truncation
+from .config import check_cucker_smale, check_dim, check_truncation
 from .errors import DimensionMismatchError
 from .transport import _difference_factors, _squared_distances
-
-
-def _s1_factor(convention: str) -> float:
-    if convention not in S1_CONVENTIONS:
-        raise ValueError(f"unknown s1 convention {convention!r}, expected one of {S1_CONVENTIONS}")
-    return 0.5 if convention == "half_both" else 1.0
 
 
 @dataclass(frozen=True)
@@ -105,24 +100,23 @@ def field_drift_diffusion(
     atoms: np.ndarray,
     weights: np.ndarray,
     queries: np.ndarray,
-    s1_convention: str = "half_both",
-    include_correction: bool = True,
+    factor: Optional[float],
 ):
     """Batched mean-field fields against an atom cloud.
 
     Returns ``(drift, common_diff)`` evaluated at every query point, where
-    drift is B[mu] plus, when ``include_correction``, the Ito correction
-    S[mu] = S1[mu] + S2, and ``common_diff`` is C[mu] (None when the kernel
+    drift is B[mu] plus the Ito correction S[mu] = S1[mu] + S2, with
+    ``factor`` (a run's ``SimConfig.s1_factor``) on s1, or neither S1 nor S2
+    when ``factor`` is None; ``common_diff`` is C[mu] (None when the kernel
     carries no common noise). This is the single evaluation path shared by
     the particle stepper and the frozen-field characteristics solver, which
     is what makes the discrete transport identity exact.
     """
-    factor = _s1_factor(s1_convention) if include_correction else None
     if k.field is not None:
         drift, common = k.field(atoms, weights, queries, factor)
     else:
         drift, common = _pointwise_field(k, atoms, weights, queries, factor)
-    if k.sigma is not None and include_correction:
+    if k.sigma is not None and factor is not None:
         drift += eval_S2(k, queries)
     return drift, common
 

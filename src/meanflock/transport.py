@@ -103,15 +103,13 @@ class MeasurePath:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         if states.ndim != 3:
             raise ValueError("states must have shape (times, atoms, dim)")
         if times.shape != (states.shape[0],):
             raise ValueError("times and states lengths differ")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        if weights.shape != (states.shape[1],):
-            raise DimensionMismatchError("weights", states.shape[1], weights.size)
+        weights = check_weights(self.weights, states.shape[1])
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)

@@ -251,7 +251,9 @@ def test_library_and_config_share_each_rule(build, kind, lines):
 
 def test_choices_are_defined_once():
     assert dynamics.SCHEMES is config.SCHEMES
-    assert kernels.S1_CONVENTIONS is config.S1_CONVENTIONS
+    assert dynamics.S1_CONVENTIONS is config.S1_CONVENTIONS
+    # the field takes SimConfig's factor, not a convention name
+    assert not hasattr(kernels, "S1_CONVENTIONS")
     assert config.SCHEMA["scheme"].choices is config.SCHEMES
     assert config.SCHEMA["s1_convention"].choices is config.S1_CONVENTIONS
 

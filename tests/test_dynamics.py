@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from meanflock.characteristics import solve_characteristics
+from meanflock.config import SCHEMES
 from meanflock.dynamics import NoisePath, SimConfig, simulate
 from meanflock.errors import BlowUpError, DimensionMismatchError
 from meanflock.harness import _write_trajectory_csvs
@@ -16,6 +18,8 @@ from meanflock.kernels import (
     linear_drift_kernels,
     zero_kernels,
 )
+
+from helpers import S1_FACTORS
 
 
 def cs_kernel(**kw):
@@ -70,6 +74,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="scheme"):
             SimConfig(t_final=1.0, dt=0.1, scheme="milstein")
 
+    def test_unknown_convention(self):
+        # checked when the config is built, under either scheme, not at a field call
+        for scheme in SCHEMES:
+            with pytest.raises(ValueError, match="convention"):
+                SimConfig(1.0, 0.1, scheme=scheme, s1_convention="both")
+
+    def test_s1_factor_per_convention(self):
+        for convention, factor in S1_FACTORS.items():
+            assert SimConfig(1.0, 0.1, s1_convention=convention).s1_factor == factor
+
 
 class TestSteps:
     def test_zero_kernel_identity(self):
@@ -106,20 +120,36 @@ class TestSteps:
             np.testing.assert_allclose(out, [[want]], rtol=1e-15)
 
 
+def replay(k, starts, cfg):
+    """The characteristics of ``starts`` in the frozen field of a two-particle run."""
+    return solve_characteristics(simulate(k, np.ones((2, k.dim)), cfg), starts)
+
+
+# id -> (states, error, message) of start states that simulate rejects
+REJECTED_STARTS = {
+    "empty": (np.zeros((0, 2)), ValueError, "m >= 1"),
+    "flat": (np.zeros(3), ValueError, "m >= 1"),
+    "nan": (np.array([[0.0, np.nan]]), ValueError, "finite"),
+    "kernel-dim": (np.zeros((2, 3)), DimensionMismatchError, "dimension"),
+    "3d": (np.zeros((2, 3, 2)), ValueError, "m >= 1"),
+}
+# the replay promotes a single (d,) start to m = 1, so its flat start of the
+# wrong length is a dimension error
+REPLAY_REJECTED = {**REJECTED_STARTS, "flat": (np.zeros(3), DimensionMismatchError, "dimension")}
+
+
 class TestInitialStates:
     @pytest.mark.parametrize(
-        "states, error",
-        [
-            (np.zeros((0, 1)), ValueError),
-            (np.zeros(3), ValueError),
-            (np.array([[np.nan]]), ValueError),
-            (np.zeros((2, 2)), DimensionMismatchError),
-        ],
-        ids=["empty", "flat", "nan", "kernel-dim"],
+        "entry, states, error, message",
+        [pytest.param(simulate, *case, id=name) for name, case in REJECTED_STARTS.items()]
+        + [pytest.param(replay, *case, id=f"replay-{name}")
+           for name, case in REPLAY_REJECTED.items()],
     )
-    def test_rejected(self, states, error):
-        with pytest.raises(error):
-            simulate(zero_kernels(1), states, SimConfig(t_final=0.1, dt=0.1))
+    def test_rejected(self, entry, states, error, message):
+        # simulate and the characteristics replay share one check, which runs
+        # before any step
+        with pytest.raises(error, match=message):
+            entry(cs_kernel(phi_lam=0.5), states, SimConfig(t_final=0.1, dt=0.1))
 
     def test_size_and_dimension_read_from_states(self):
         run = simulate(zero_kernels(3), np.ones((5, 3)), SimConfig(t_final=0.2, dt=0.1))

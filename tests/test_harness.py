@@ -445,8 +445,35 @@ dt = 0.0625
 n_seeds = {seeds}
 output_dir = {tmp_path / "c"}
 """
+        # every field_drift_diffusion call site runs under the labeler, which
+        # binds the S1 factor by position: Heun's two uncorrected stages, and
+        # weakform_single's field at each recorded step
+        grid_steps = 4  # t_final / dt, as in cauchy_text
+        grid = """
+model = cucker-smale
+phi_lambda = 0.5
+t_final = 0.25
+dt = 0.0625
+"""
+        heun_text = f"""
+experiment = simulate
+scheme = heun_stratonovich
+n_particles = 8
+n_seeds = {seeds}
+output_dir = {tmp_path / "h"}
+{grid}"""
+        weakform_seeds = 16
+        weakform_text = f"""
+experiment = weakform
+n_particles = 4
+n_seeds = {weakform_seeds}
+output_dir = {tmp_path / "w"}
+{grid}"""
         counts = {}
-        for name, text in (("transport", transport_text), ("cauchy", cauchy_text)):
+        for name, text in (
+            ("transport", transport_text), ("cauchy", cauchy_text),
+            ("heun", heun_text), ("weakform", weakform_text),
+        ):
             tracer = tracing.Tracer(name)
             with tracing.installed(tracer):
                 harness.execute(parse_config(text))
@@ -456,13 +483,17 @@ output_dir = {tmp_path / "c"}
         assert counts["transport"][fdd] == 2 * steps * seeds
         assert counts["transport"]["dynamics.simulate.calls"] == seeds
         assert counts["transport"]["characteristics.solve_characteristics.calls"] == seeds
-        sizes, cauchy_steps = 3, 4
-        assert counts["cauchy"][fdd] == sizes * cauchy_steps * seeds
+        sizes = 3
+        assert counts["cauchy"][fdd] == sizes * grid_steps * seeds
         path_calls = sum(
             counts["cauchy"][f"transport.wasserstein_path.{route}.calls"]
             for route in ("matched", "assignment", "lp")
         )
         assert path_calls == (sizes - 1) * seeds
+        # two field calls per step: Heun's two stages; weakform's run and its
+        # generator
+        assert counts["heun"][fdd] == 2 * grid_steps * seeds == 16
+        assert counts["weakform"][fdd] == 2 * grid_steps * weakform_seeds == 128
 
     def test_bench_configs_parse(self):
         """Every benchmark config parses and builds its kernel and time grid."""

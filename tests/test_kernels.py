@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meanflock.config import S1_CONVENTIONS
 from meanflock.errors import DimensionMismatchError
 from meanflock.kernels import (
-    S1_CONVENTIONS,
     CuckerSmaleParams,
     KernelSet,
     Truncation,
@@ -34,6 +34,10 @@ from helpers import (
     rel_close,
     truncate,
 )
+
+
+# the S1 factor of the default convention
+HALF = S1_CONVENTIONS["half_both"]
 
 
 def constant_phi_kernel(phi0):
@@ -70,13 +74,6 @@ class TestEvalS1:
         lit = eval_s1(k, x, y, z, s1_convention="paper_literal")
         np.testing.assert_allclose(lit, 2.0 * half)
 
-    def test_unknown_convention(self):
-        x = np.zeros((2, 2))
-        w = np.full(2, 0.5)
-        for k in (linear_common_kernels(2), cucker_smale_kernels(CuckerSmaleParams(half_dim=1))):
-            with pytest.raises(ValueError, match="convention"):
-                field_drift_diffusion(k, x, w, x, s1_convention="both")
-
     def test_dimension_error_names_argument(self):
         k = linear_common_kernels(2)
         with pytest.raises(DimensionMismatchError, match="'y'"):
@@ -103,7 +100,7 @@ class TestMeanFields:
     def test_cs_alignment_field(self):
         k = cucker_smale_kernels(CuckerSmaleParams(half_dim=1, lam=1.0, gamma=0.0))
         drift, common = field_drift_diffusion(
-            k, np.array([[0.0, 0.0], [0.0, 2.0]]), np.full(2, 0.5), np.zeros((1, 2))
+            k, np.array([[0.0, 0.0], [0.0, 2.0]]), np.full(2, 0.5), np.zeros((1, 2)), HALF
         )
         np.testing.assert_allclose(drift, [[0.0, 1.0]])
         assert common is None
@@ -165,12 +162,10 @@ class TestMeanFields:
         w = rng.uniform(0.5, 1.0, size=6)
         w /= w.sum()
         x = np.array([[0.4, 0.1]])
-        for correct in (True, False):
-            a = field_drift_diffusion(k, atoms, w, x, include_correction=correct)
-            b = field_drift_diffusion(
-                k, np.repeat(atoms, 2, axis=0), np.repeat(w / 2.0, 2), x,
-                include_correction=correct,
-            )
+        for factor in (HALF, None):
+            a = field_drift_diffusion(k, atoms, w, x, factor)
+            doubled = np.repeat(atoms, 2, axis=0), np.repeat(w / 2.0, 2)
+            b = field_drift_diffusion(k, *doubled, x, factor)
             for fa, fb in zip(a, b):
                 np.testing.assert_allclose(fa, fb, rtol=0, atol=1e-14)
 
@@ -254,10 +249,12 @@ class TestCuckerSmaleBuilder:
                 atoms = rng.uniform(-10, 10, size=(n, 2))
                 w = rng.uniform(0.1, 1.0, size=n)
                 queries = rng.uniform(-10, 10, size=(30, 2))
-                _, common = field_drift_diffusion(k, atoms, w / w.sum(), queries)
+                _, common = field_drift_diffusion(k, atoms, w / w.sum(), queries, HALF)
                 assert np.all(np.linalg.norm(common, axis=1) <= bound + 1e-12)
         # at the radius R(u) = u, so one atom gives |C| = phi_lam * radius
-        _, common = field_drift_diffusion(k, np.zeros((1, 2)), np.ones(1), np.array([[0.0, -2.0]]))
+        _, common = field_drift_diffusion(
+            k, np.zeros((1, 2)), np.ones(1), np.array([[0.0, -2.0]]), HALF
+        )
         np.testing.assert_array_equal(common, [[0.0, 1.0]])
 
 
@@ -387,32 +384,35 @@ def _field_kernels():
 
 
 def _field_cases(rng):
-    """(kernel, reference, convention, include_correction, atoms, weights, queries),
-    with the queries apart from the atoms and at the atoms themselves."""
+    """(kernel, reference, convention, factor, atoms, weights, queries), with
+    the queries apart from the atoms and at the atoms themselves. ``factor``
+    is the convention's S1 factor, or None for no correction; the oracle
+    reads the convention through its own map."""
     kernels = _field_kernels()
     for kernel, ref, convention in kernels:
         atoms = rng.normal(size=(6, kernel.dim))
         w = rng.uniform(0.5, 1.0, size=6)
         for queries in (rng.normal(size=(4, kernel.dim)), atoms):
             for correct in (True, False):
-                yield kernel, ref, convention, correct, atoms, w / w.sum(), queries
+                factor = S1_CONVENTIONS[convention] if correct else None
+                yield kernel, ref, convention, factor, atoms, w / w.sum(), queries
     # large enough that the products go through BLAS: phi a table, then a row
     w = rng.uniform(0.5, 1.0, size=300)
     atoms = rng.normal(size=(300, 2))
     for kernel, ref, _ in (kernels[0], kernels[4]):
         for queries in (rng.normal(size=(200, 2)), atoms):
-            yield kernel, ref, "half_both", True, atoms, w / w.sum(), queries
+            yield kernel, ref, "half_both", HALF, atoms, w / w.sum(), queries
 
 
 def test_field_drift_diffusion_matches_pointwise_ops():
     rng = np.random.default_rng(9)
     band = np.zeros(3, int)  # truncated pairs below, inside and beyond the band
     edges = [FIELD_TRUNC.radius, FIELD_TRUNC.radius + FIELD_TRUNC.margin]
-    for kernel, ref, convention, correct, atoms, w, queries in _field_cases(rng):
+    for kernel, ref, convention, factor, atoms, w, queries in _field_cases(rng):
         mu = EmpiricalMeasure(atoms, w)
-        drift, common = field_drift_diffusion(kernel, atoms, w, queries, convention, correct)
+        drift, common = field_drift_diffusion(kernel, atoms, w, queries, factor)
         want = mean_field_B(ref, mu, queries)
-        if correct:
+        if factor is not None:
             want = want + mean_field_S(ref, mu, queries, convention)
         np.testing.assert_allclose(drift, want, rtol=0, atol=1e-13)
         if ref.c is None:
@@ -422,7 +422,7 @@ def test_field_drift_diffusion_matches_pointwise_ops():
         if kernel.dim == 4:
             s = np.linalg.norm(atoms[None, :, 2:] - queries[:, None, 2:], axis=-1)
             band += np.bincount(np.digitize(s.ravel(), edges), minlength=3)
-        if not correct or atoms.shape[0] > 6:
+        if factor is None or atoms.shape[0] > 6:
             continue
         # S1 is the average of s1 over every atom pair
         s_q = mean_field_S(ref, mu, queries, convention) - eval_S2(ref, queries)
@@ -459,9 +459,9 @@ def test_queries_at_atoms_shortcut_changes_no_bit():
             x = rng.normal(size=(n, kernel.dim))
             unequal = rng.uniform(0.5, 2.0, size=n)
             for w in (np.full(n, 1.0 / n), unequal / unequal.sum()):
-                for convention in S1_CONVENTIONS:
-                    same = field_drift_diffusion(kernel, x, w, x, convention)
-                    copy = field_drift_diffusion(kernel, x, w, x.copy(), convention)
+                for factor in S1_CONVENTIONS.values():
+                    same = field_drift_diffusion(kernel, x, w, x, factor)
+                    copy = field_drift_diffusion(kernel, x, w, x.copy(), factor)
                     for a, b in zip(same, copy):
                         np.testing.assert_array_equal(a, b)
 
@@ -477,8 +477,9 @@ def test_field_keeps_inputs_and_returns_fresh_arrays():
         for queries in (atoms, rng.normal(size=(25, kernel.dim))):
             inputs = (atoms, w, queries)
             saved = [a.tobytes() for a in inputs]
-            before = field_drift_diffusion(kernel, atoms, w, queries, convention)
-            after = field_drift_diffusion(kernel, atoms, w, queries, convention)
+            factor = S1_CONVENTIONS[convention]
+            before = field_drift_diffusion(kernel, atoms, w, queries, factor)
+            after = field_drift_diffusion(kernel, atoms, w, queries, factor)
             assert [a.tobytes() for a in inputs] == saved
             results = [r for r in after if r is not None]
             others = [*inputs, *(r for r in before if r is not None)]
@@ -510,5 +511,5 @@ def test_field_peak_memory_in_pair_tables(params, queries, tables):
     x = np.random.default_rng(3).normal(size=(n, kernel.dim))
     q = x if queries == "atoms" else x + 0.01
     w = np.full(n, 1.0 / n)
-    peak = peak_traced_bytes(lambda: field_drift_diffusion(kernel, x, w, q))
+    peak = peak_traced_bytes(lambda: field_drift_diffusion(kernel, x, w, q, HALF))
     assert peak / (n * n * 8) <= tables

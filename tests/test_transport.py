@@ -55,6 +55,11 @@ class TestMeasureValidation:
         with pytest.raises(ValueError, match="increasing"):
             MeasurePath(np.array([0.0, 0.0]), np.zeros((2, 1, 1)), np.array([1.0]))
 
+    def test_path_weights_checked_like_a_measure(self):
+        # when the path is built, not when a distance is first asked of it
+        with pytest.raises(ValueError, match="measure weights must be positive"):
+            MeasurePath(np.array([0.0, 1.0]), np.zeros((2, 2, 1)), np.array([2.0, -1.0]))
+
 
 class TestWasserstein:
     def test_two_diracs(self):
