@@ -58,7 +58,7 @@ from .diagnostics import (
     weakform_single,
 )
 from .dynamics import SimConfig, init_rng, simulate
-from .errors import ConfigError, MeanflockError
+from .errors import BlowUpError, ConfigError, MeanflockError
 from .kernels import (
     GENERIC_KERNELS,
     CuckerSmaleParams,
@@ -311,16 +311,25 @@ def worker_count() -> int:
         raise ConfigError(f"MFS_THREADS must be an integer, got {raw!r}")
 
 
+def _pool_size(n_jobs: int, workers: Optional[int] = None) -> int:
+    """The workers that ``map_jobs`` runs for n_jobs jobs: at most one per job."""
+    workers = worker_count() if workers is None else max(1, workers)
+    return max(1, min(workers, n_jobs))
+
+
 def map_jobs(fn: Callable, jobs: list, workers: Optional[int] = None) -> list:
     """Apply fn over jobs, in order, optionally across processes.
 
     Results are collected in job order, so the aggregate is identical for
-    any worker count. The process pool (and with it ``multiprocessing``) is
-    imported only when more than one worker runs more than one job; a serial
-    run never loads it.
+    any worker count. The pool is capped at the job count, since under fork
+    every worker is started at once and a worker without a job is wasted.
+    The process pool (and with it ``multiprocessing``) is imported only when
+    more than one worker runs; a serial run never loads it. Under
+    ``meanflock run`` the workers fork after ``cli.main`` has frozen the
+    import graph, so their collections skip it too.
     """
-    workers = worker_count() if workers is None else max(1, workers)
-    if workers == 1 or len(jobs) <= 1:
+    workers = _pool_size(len(jobs), workers)
+    if workers == 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -360,37 +369,61 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_json(path: Path, record: dict) -> None:
+    _atomic_write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def _error_record(exc: MeanflockError) -> dict:
+    """What a failed run's manifest says about its error.
+
+    A non-finite blow-up norm is written as the string "inf" or "nan", which
+    keeps the manifest strict JSON.
+    """
+    record = {"class": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, BlowUpError):
+        norm = exc.max_norm if np.isfinite(exc.max_norm) else repr(exc.max_norm)
+        record.update(seed=exc.seed, step_index=exc.step_index, max_norm=norm)
+    return record
+
+
 def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
-    """Parse, execute, persist; returns the CLI exit code."""
+    """Parse, execute, persist; returns the CLI exit code.
+
+    A run that raises a package error still writes ``manifest.json``, with
+    ``status: "error"`` and the error's record, but no ``report.json``; a
+    run that finishes writes both, with ``status: "ok"``.
+    """
     started = time.monotonic()
     try:
         cfg = parse_config(text)
+        # the workers map_jobs will run; a bad MFS_THREADS fails here, before any output
+        workers = _pool_size(len(cfg.seeds()))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(output_dir if output_dir is not None else cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        report = execute(cfg, output_dir=out_dir)
-    except MeanflockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _atomic_write_text(
-        out_dir / "report.json", json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    )
     manifest = {
         "code_version": __version__,
         "config_sha256": cfg.sha256(),
         "config_text": cfg.text,
         "experiment": cfg.kind,
         "seeds": cfg.seeds(),
-        "threads": worker_count(),
-        "wall_time_seconds": time.monotonic() - started,
+        "threads": workers,
     }
-    _atomic_write_text(
-        out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
-    return 0 if report.all_pass() else 2
+    try:
+        report = execute(cfg, output_dir=out_dir)
+    except MeanflockError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        manifest.update(status="error", error=_error_record(exc))
+        code = 1
+    else:
+        _write_json(out_dir / "report.json", report.to_json_dict())
+        manifest["status"] = "ok"
+        code = 0 if report.all_pass() else 2
+    manifest["wall_time_seconds"] = time.monotonic() - started
+    _write_json(out_dir / "manifest.json", manifest)
+    return code
 
 
 def run_from_path(path, output_dir: Optional[str] = None) -> int:

@@ -254,6 +254,51 @@ class TestMeanVelocityConservation:
         assert np.max(np.abs(v_bar - v_bar[0])) <= 1e-12
 
 
+class TestStrongOrder:
+    """Pathwise error against the constant-weight flock's closed form.
+
+    With gamma = 0 and phi_gamma = 0 the mean velocity v_bar is conserved
+    and u_i = v_i - v_bar solves du = -lam u dt - phi u o d beta, so
+    v_i(T) = v_bar + u_i(0) exp(-lam T - phi beta_T) exactly, with beta_T the
+    sum of the run's own common increments. The error is linear in u(0), so
+    the slopes depend on the noise seeds only.
+    """
+
+    LAM, PHI, T = 1.0, 0.8, 0.5
+    DTS = (0.02, 0.005, 0.00125)
+    EULER_BAND = (0.3, 0.8)
+    HEUN_BAND = (0.75, 1.5)
+
+    def slope(self, scheme, convention="half_both"):
+        kernel = cs_kernel(lam=self.LAM, gamma=0.0, phi_lam=self.PHI, phi_gamma=0.0)
+        init = np.random.default_rng(5).normal(size=(16, 2))
+        u0 = init[:, 1] - init[:, 1].mean()
+        errors = []
+        for dt in self.DTS:
+            squares = []
+            for seed in range(16):
+                cfg = SimConfig(self.T, dt, scheme=scheme, master_seed=seed,
+                                s1_convention=convention)
+                run = simulate(kernel, init, cfg)
+                beta_t = run.noise.common_increments.sum()
+                exact = init[:, 1].mean() + u0 * np.exp(-self.LAM * self.T - self.PHI * beta_t)
+                squares.append(np.mean((run.states[-1, :, 1] - exact) ** 2))
+            errors.append(np.sqrt(np.mean(squares)))
+        return np.polyfit(np.log(self.DTS), np.log(errors), 1)[0]
+
+    def test_euler_ito_has_order_one_half(self):
+        low, high = self.EULER_BAND
+        assert low < self.slope("euler_ito") < high
+
+    def test_heun_has_order_one(self):
+        low, high = self.HEUN_BAND
+        assert low < self.slope("heun_stratonovich") < high
+
+    def test_paper_literal_fails_the_euler_band(self):
+        # the doubled correction is an O(1) drift error: the error stalls
+        assert self.slope("euler_ito", "paper_literal") < self.EULER_BAND[0]
+
+
 class TestMomentStability:
     def test_second_moment_bounded_and_dt_stable(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.4, phi_gamma=1.0)

@@ -105,6 +105,7 @@ class TestRun:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seeds"] == [7]
         assert manifest["config_sha256"]
+        assert (manifest["status"], manifest["threads"]) == ("ok", 1)
 
     def test_invalid_config_exit_1(self, tmp_path, capsys):
         code = run_from_text("experiment = simulate\nmodel = zero\n"
@@ -185,6 +186,95 @@ output_dir = {tmp_path}
         err = capsys.readouterr().err
         assert "blow-up" in err
         assert "seed=" in err
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["status"], manifest["threads"]) == ("error", 2)
+        assert manifest["error"]["class"] == "BlowUpError"
+        assert manifest["error"]["seed"] in manifest["seeds"]
+        assert not (tmp_path / "report.json").exists()
+
+    def test_failed_run_writes_a_manifest(self, tmp_path, capsys):
+        # the bound lies below the start states' norms, so the first step exceeds it
+        text = f"""
+experiment = flocking
+model = cucker-smale
+half_dim = 1
+n_particles = 4
+t_final = 0.5
+dt = 0.01
+master_seed = 4
+blowup_norm = 0.5
+output_dir = {tmp_path}
+"""
+        assert run_from_text(text) == 1
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert message.startswith("state blow-up at step 0 of seed=4")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        error = manifest["error"]
+        assert error.pop("max_norm") > 0.5
+        assert error == {
+            "class": "BlowUpError", "message": message, "seed": 4, "step_index": 0,
+        }
+        assert manifest["config_text"] == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    def test_non_finite_blowup_manifest_is_strict_json(self, tmp_path):
+        # the fourth step overflows the state to inf, under a bound near the float maximum
+        text = f"""
+experiment = simulate
+model = linear-drift
+dim = 1
+drift_value = 1e308
+n_particles = 1
+t_final = 2.0
+dt = 0.5
+blowup_norm = 1.7e308
+output_dir = {tmp_path}
+"""
+        with np.errstate(over="ignore"):
+            assert run_from_text(text) == 1
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+        assert manifest["error"]["max_norm"] == "inf"
+
+    @pytest.mark.parametrize(
+        "threads, n_seeds, pools",
+        [("4", 2, [2]), ("2", 3, [2]), ("4", 1, []), ("1", 3, [])],
+        ids=["4-workers-2-seeds", "2-workers-3-seeds", "one-seed", "serial"],
+    )
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch, threads, n_seeds, pools):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("MFS_THREADS", threads)
+        assert run_from_text(transport_check_text(tmp_path) + f"n_seeds = {n_seeds}\n") == 0
+        assert started == pools
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["threads"] == (pools[0] if pools else 1)
+
+    def test_bad_worker_count_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MFS_THREADS", "two")
+        assert run_from_text(transport_check_text(tmp_path / "out")) == 1
+        assert "MFS_THREADS must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "error",
@@ -511,11 +601,13 @@ class TestImportBudget:
 
     ``validate`` and ``models`` load neither the run stack nor numpy nor
     ``dataclasses``; the process pool is loaded only when a run uses it.
+    Once its modules are loaded, each command freezes them out of the
+    cyclic collector, which stays enabled; importing the package does not.
     Each check runs in a fresh interpreter: this process has scipy loaded.
     """
 
     PROBE = (
-        "import sys\n"
+        "import gc, sys\n"
         "{body}\n"
         "print(repr({{\n"
         "    'meanflock': sorted(m for m in sys.modules if m.split('.')[0] == 'meanflock'),\n"
@@ -525,6 +617,8 @@ class TestImportBudget:
         "    'numpy': 'numpy' in sys.modules,\n"
         "    'dataclasses': 'dataclasses' in sys.modules,\n"
         "    'pool': 'concurrent.futures.process' in sys.modules,\n"
+        "    'gc_enabled': gc.isenabled(),\n"
+        "    'frozen': gc.get_freeze_count() > 0,\n"
         "}}))\n"
     )
 
@@ -533,10 +627,12 @@ class TestImportBudget:
         for path in (ROOT / "src" / "meanflock").glob("*.py") if path.stem != "__init__"
     }
     VALIDATE_LAYERS = {"meanflock", "meanflock.cli", "meanflock.config", "meanflock.errors"}
-    VALIDATE_LOADS = {
+    IMPORT_LOADS = {
         "meanflock": VALIDATE_LAYERS, "json": False, "_hashlib": False, "scipy": False,
-        "numpy": False, "dataclasses": False, "pool": False,
+        "numpy": False, "dataclasses": False, "pool": False, "gc_enabled": True,
+        "frozen": False,
     }
+    VALIDATE_LOADS = dict(IMPORT_LOADS, frozen=True)
 
     def loaded(self, body, cwd):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MFS_THREADS="1")
@@ -549,17 +645,17 @@ class TestImportBudget:
         found["meanflock"] = set(found["meanflock"])
         return found
 
-    def run_main(self, argv, cwd):
+    def run_main(self, argv, cwd, after=""):
         return self.loaded(
-            f"from meanflock.cli import main\nassert main({argv!r}) in (0, 2)", cwd
+            f"from meanflock.cli import main\nassert main({argv!r}) in (0, 2)\n{after}", cwd
         )
 
     def test_import_package_loads_no_submodule(self, tmp_path):
         loaded = self.loaded("import meanflock", tmp_path)
-        assert loaded == dict(self.VALIDATE_LOADS, meanflock={"meanflock"})
+        assert loaded == dict(self.IMPORT_LOADS, meanflock={"meanflock"})
 
     def test_import_cli_loads_neither(self, tmp_path):
-        assert self.loaded("import meanflock.cli", tmp_path) == self.VALIDATE_LOADS
+        assert self.loaded("import meanflock.cli", tmp_path) == self.IMPORT_LOADS
 
     def test_validate_loads_only_what_it_checks(self, tmp_path):
         cfg = str(BENCH / "configs" / "cauchy-n256.cfg")
@@ -571,9 +667,20 @@ class TestImportBudget:
     def test_transport_check_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(transport_check_text(tmp_path / "ignored", n=16))
-        loaded = self.run_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")], tmp_path)
-        assert (tmp_path / "out" / "report.json").exists()
+        # the library entry point, run after the freeze in the same
+        # interpreter, writes the same report
+        library = (
+            "from meanflock.harness import run_from_text\n"
+            f"assert run_from_text(open({str(cfg)!r}).read(), {str(tmp_path / 'lib')!r}) == 0"
+        )
+        loaded = self.run_main(
+            ["run", str(cfg), "--output-dir", str(tmp_path / "out")], tmp_path, library
+        )
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert report == (tmp_path / "lib" / "report.json").read_bytes()
+        assert json.loads(report)["metrics"] == {"residual_seed=7": 0.0}
         assert not (loaded["scipy"] or loaded["pool"])
+        assert loaded["gc_enabled"] and loaded["frozen"]
         # a run still loads every layer
         assert loaded["meanflock"] == self.EVERY_LAYER
 
