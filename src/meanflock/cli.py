@@ -11,10 +11,13 @@ graph lives until the process exits, so the cyclic collector has nothing to
 find in it; frozen, it is skipped by every later collection, by the
 interpreter's final passes at exit and in the pool workers that a run forks
 afterwards. Refcounting, module teardown and the exit flush are unchanged.
-In-process callers of ``main`` get the same freeze: whatever is alive, or
-cyclic garbage not yet collected, at the call is never collected as a cycle
-afterwards. ``harness.run_from_text``, the library entry point, does not
-freeze.
+In-process callers of ``main`` get the same freeze: whatever is alive at
+the call is never collected as a cycle afterwards. When objects are already
+frozen, as on a repeated call, ``main`` runs one full collection before it
+freezes, so the cyclic garbage of the call before (the closures that
+``json.dumps`` builds for the report and manifest) is freed rather than
+frozen; a single call collects nothing extra. ``harness.run_from_text``,
+the library entry point, does not freeze.
 """
 
 from __future__ import annotations
@@ -67,15 +70,22 @@ def main(argv=None) -> int:
     return code
 
 
+def _freeze() -> None:
+    # a repeated call first collects the cyclic garbage its last call left
+    if gc.get_freeze_count():
+        gc.collect()
+    gc.freeze()
+
+
 def _dispatch(args) -> int:
     if args.command == "run":
         # the run stack is imported only to run: validate and models never load it
         from .harness import run_from_path
 
-        gc.freeze()
+        _freeze()
         return run_from_path(args.config, output_dir=args.output_dir)
 
-    gc.freeze()
+    _freeze()
     if args.command == "models":
         for name, doc in sorted(list_models().items()):
             print(f"{name}\n    {doc}")

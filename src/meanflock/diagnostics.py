@@ -30,7 +30,6 @@ reproduce reports bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,12 +42,13 @@ from .transport import (
 )
 
 
-@dataclass(frozen=True)
 class Verdict:
-    check: str
-    value: float
-    tolerance: float
-    passed: bool
+    """One check of a report: its value, the tolerance it is held to, and the outcome."""
+
+    __slots__ = ("check", "value", "tolerance", "passed")
+
+    def __init__(self, check: str, value: float, tolerance: float, passed: bool):
+        self.check, self.value, self.tolerance, self.passed = check, value, tolerance, passed
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,15 +59,15 @@ class Verdict:
         }
 
 
-@dataclass
 class DiagnosticsReport:
     """Named metrics, per-time series, and tolerance-cited verdicts."""
 
-    name: str
-    metrics: dict = field(default_factory=dict)
-    series: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    __slots__ = ("name", "metrics", "series", "verdicts", "notes")
+
+    def __init__(self, name: str, metrics: Optional[dict] = None):
+        self.name = name
+        self.metrics = {} if metrics is None else metrics
+        self.series, self.verdicts, self.notes = [], [], []
 
     def add_series(self, name: str, times, values, stderr=None):
         entry = {

@@ -24,7 +24,6 @@ evolving measure and the characteristics replay on a run's recorded one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,25 +85,23 @@ class NoisePath:
         return out
 
 
-@dataclass(frozen=True)
 class SimConfig:
     """Time grid, scheme and reproducibility knobs for one trajectory; ``s1_factor``
-    is the factor on s1 in the Ito correction S1 that ``s1_convention`` names."""
+    is the factor on s1 in the Ito correction S1 that ``s1_convention`` names.
+    The constructor checks the grid, the scheme and the convention."""
 
-    t_final: float
-    dt: float
-    scheme: str = "euler_ito"
-    master_seed: int = 0
-    s1_convention: str = "half_both"
-    blowup_norm: float = 1e6
+    __slots__ = ("t_final", "dt", "scheme", "master_seed", "s1_convention", "blowup_norm")
 
-    def __post_init__(self):
-        check_time_grid(self.t_final, self.dt)
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.s1_convention not in S1_CONVENTIONS:
-            name, choices = self.s1_convention, tuple(S1_CONVENTIONS)
+    def __init__(self, t_final: float, dt: float, scheme: str = "euler_ito", master_seed: int = 0,
+                 s1_convention: str = "half_both", blowup_norm: float = 1e6):
+        check_time_grid(t_final, dt)
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        if s1_convention not in S1_CONVENTIONS:
+            name, choices = s1_convention, tuple(S1_CONVENTIONS)
             raise ValueError(f"unknown s1 convention {name!r}, expected one of {choices}")
+        self.t_final, self.dt, self.scheme, self.master_seed = t_final, dt, scheme, master_seed
+        self.s1_convention, self.blowup_norm = s1_convention, blowup_norm
 
     @property
     def steps(self) -> int:
@@ -115,18 +112,20 @@ class SimConfig:
         return S1_CONVENTIONS[self.s1_convention]
 
 
-@dataclass(frozen=True)
 class TrajectoryRecord(MeasurePath):
     """One simulated run: its measure path and what produced it.
 
-    The path's times, states (steps + 1, N, d) and weights are the record;
-    ``config``, ``kernel`` and ``noise`` are what the characteristics replay
-    reads to freeze the run's field.
+    The path's times, states (steps + 1, N, d) and weights are the record,
+    checked as a ``MeasurePath``; ``config``, ``kernel`` and ``noise`` are
+    what the characteristics replay reads to freeze the run's field.
     """
 
-    config: SimConfig
-    kernel: KernelSet
-    noise: NoisePath
+    __slots__ = ("config", "kernel", "noise")
+
+    def __init__(self, times, states, weights, config: SimConfig, kernel: KernelSet,
+                 noise: NoisePath):
+        super().__init__(times, states, weights)
+        self.config, self.kernel, self.noise = config, kernel, noise
 
 
 def _euler_step(
@@ -192,6 +191,10 @@ def _integrate(
             pred = _euler_step(k, x, weights, x, cfg, *dw, None)
             x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, None))
         max_norm = float(np.max(np.linalg.norm(x, axis=-1)))
+        if not np.isfinite(max_norm) and np.all(np.isfinite(x)):
+            # the norm squares x, which overflows above ~1e154: scale x first
+            scale = float(np.max(np.abs(x)))
+            max_norm = scale * float(np.max(np.linalg.norm(x / scale, axis=-1)))
         if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
             raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=path[: step + 1])
         path[step + 1] = x

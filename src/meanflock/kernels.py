@@ -39,7 +39,6 @@ to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +48,6 @@ from .errors import DimensionMismatchError
 from .transport import _difference_factors, _squared_distances
 
 
-@dataclass(frozen=True)
 class KernelSet:
     """Coefficients of one interacting-particle model over R^dim.
 
@@ -59,26 +57,24 @@ class KernelSet:
     let the simulator skip that work, and ``c`` needs its directional
     derivative ``dc``. ``sigma`` set to None means no individual noise;
     otherwise ``grad_sigma`` is required, and S2 is added outside either
-    path. Derivatives are analytic by contract, finite differences are
-    reserved for test oracles.
+    path. The constructor checks these rules. Derivatives are analytic by
+    contract, finite differences are reserved for test oracles.
     """
 
-    dim: int
-    b: Optional[Callable] = None
-    c: Optional[Callable] = None
-    dc: Optional[Callable] = None
-    sigma: Optional[Callable] = None
-    grad_sigma: Optional[Callable] = None
-    field: Optional[Callable] = None
+    __slots__ = ("dim", "b", "c", "dc", "sigma", "grad_sigma", "field")
 
-    def __post_init__(self):
-        check_dim(self.dim)
-        if self.field is not None and any(f is not None for f in (self.b, self.c, self.dc)):
+    def __init__(self, dim: int, b: Optional[Callable] = None, c: Optional[Callable] = None,
+                 dc: Optional[Callable] = None, sigma: Optional[Callable] = None,
+                 grad_sigma: Optional[Callable] = None, field: Optional[Callable] = None):
+        check_dim(dim)
+        if field is not None and any(f is not None for f in (b, c, dc)):
             raise ValueError("kernel with a fused field takes no pointwise b, c or dc")
-        if self.c is not None and self.dc is None:
+        if c is not None and dc is None:
             raise ValueError("kernel with common noise needs dc")
-        if self.sigma is not None and self.grad_sigma is None:
+        if sigma is not None and grad_sigma is None:
             raise ValueError("kernel with individual noise needs grad_sigma")
+        self.dim, self.b, self.c, self.dc = dim, b, c, dc
+        self.sigma, self.grad_sigma, self.field = sigma, grad_sigma, field
 
     def check_point(self, x: np.ndarray, argument: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -164,18 +160,18 @@ def _rational_weight(
     return base
 
 
-@dataclass(frozen=True)
 class Truncation:
     """C^2 velocity truncation: R(v) = v * chi(|v|), chi quintic smoothstep.
 
-    chi is 1 on [0, radius], 0 beyond radius + margin.
+    chi is 1 on [0, radius], 0 beyond radius + margin; the constructor
+    checks that radius and margin are positive.
     """
 
-    radius: float
-    margin: float
+    __slots__ = ("radius", "margin")
 
-    def __post_init__(self):
-        check_truncation(self.radius, self.margin)
+    def __init__(self, radius: float, margin: float):
+        check_truncation(radius, margin)
+        self.radius, self.margin = radius, margin
 
     def chi_ratio(self, s: np.ndarray):
         """(chi(s), chi'(s)/s) at speeds s = |v|, the two scalars of the
@@ -196,25 +192,22 @@ class Truncation:
         return chi, ratio
 
 
-@dataclass(frozen=True)
 class CuckerSmaleParams:
     """Parameters of the flocking kernels over states (x, v) in R^{2 half_dim}.
 
     The alignment weight is psi(r) = lam / (1 + |r|^2)^gamma and the
     common-noise weight phi has the same rational form with (phi_lam,
     phi_gamma). A positive phi_lam switches on the noisy-interaction term
-    phi(x - y) R(w - v) circle d beta.
+    phi(x - y) R(w - v) circle d beta. The constructor checks the values.
     """
 
-    half_dim: int
-    lam: float = 1.0
-    gamma: float = 1.0
-    phi_lam: float = 0.0
-    phi_gamma: float = 0.0
-    truncation: Optional[Truncation] = None
+    __slots__ = ("half_dim", "lam", "gamma", "phi_lam", "phi_gamma", "truncation")
 
-    def __post_init__(self):
-        check_cucker_smale(self.half_dim, self.lam, self.gamma, self.phi_lam, self.phi_gamma)
+    def __init__(self, half_dim: int, lam: float = 1.0, gamma: float = 1.0, phi_lam: float = 0.0,
+                 phi_gamma: float = 0.0, truncation: Optional[Truncation] = None):
+        check_cucker_smale(half_dim, lam, gamma, phi_lam, phi_gamma)
+        self.half_dim, self.lam, self.gamma = half_dim, lam, gamma
+        self.phi_lam, self.phi_gamma, self.truncation = phi_lam, phi_gamma, truncation
 
     def psi(self, r_sq: np.ndarray) -> np.ndarray:
         return _rational_weight(self.lam, self.gamma, r_sq)
@@ -368,7 +361,7 @@ def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
     d = base.dim // 2
     diag = np.zeros((base.dim, base.dim))
     diag[d:, d:] = sigma_v * np.eye(d)
-    return replace(base, **_constant_sigma(diag))
+    return KernelSet(base.dim, base.b, base.c, base.dc, field=base.field, **_constant_sigma(diag))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ with the squared radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,13 +16,13 @@ import numpy as np
 from .config import check_tf_radius
 
 
-@dataclass(frozen=True)
 class TestFunction:
     """Scalar observable with vectorized value, gradient and Hessian."""
 
-    eval: Callable
-    grad: Callable
-    hess: Callable
+    __slots__ = ("eval", "grad", "hess")
+
+    def __init__(self, eval: Callable, grad: Callable, hess: Callable):
+        self.eval, self.grad, self.hess = eval, grad, hess
 
 
 def _quintic_profile(u: np.ndarray):
@@ -102,12 +101,13 @@ def velocity_bump(v_center, radius: float, half_dim: int) -> TestFunction:
     return TestFunction(eval=eval_, grad=grad, hess=hess)
 
 
-@dataclass(frozen=True)
 class CylinderFunction:
     """Bounded path functional phi(x) = f(x_k) at a fixed grid step k."""
 
-    fn: TestFunction
-    index: int
+    __slots__ = ("fn", "index")
+
+    def __init__(self, fn: TestFunction, index: int):
+        self.fn, self.index = fn, index
 
     def apply_path(self, path: np.ndarray) -> np.ndarray:
         """Evaluate on (..., times, d) trajectories at grid step ``index``."""

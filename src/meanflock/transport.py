@@ -24,8 +24,6 @@ form builds none and takes any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -52,24 +50,22 @@ def check_weights(weights, n: int) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted point cloud sum_j w_j * delta_{y_j} with weights summing to 1."""
+    """Weighted point cloud sum_j w_j * delta_{y_j} with weights summing to 1;
+    the constructor checks the atoms and the weights."""
 
-    atoms: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("atoms", "weights")
 
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
+    def __init__(self, atoms, weights):
+        atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.shape[0] == 0:
             raise EmptyMeasureError("measure needs a (n, d) atom array with n >= 1")
-        weights = check_weights(self.weights, atoms.shape[0])
+        self.weights = check_weights(weights, atoms.shape[0])
         if not np.all(np.isfinite(atoms)):
             raise ValueError("measure atoms must be finite")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        self.atoms = atoms
 
     @classmethod
     def uniform(cls, atoms) -> "EmpiricalMeasure":
@@ -88,31 +84,27 @@ class EmpiricalMeasure:
         return self.atoms.shape[1]
 
 
-@dataclass(frozen=True)
 class MeasurePath:
     """Time-indexed empirical measures with a fixed atom count and weights.
 
     ``states[t, j]`` is atom j at time ``times[t]``; the index j is a stable
-    trajectory label, which is what path-space distances match on.
+    trajectory label, which is what path-space distances match on. The
+    constructor checks the shapes, the time order and the weights.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("times", "states", "weights")
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
+    def __init__(self, times, states, weights):
+        times = np.asarray(times, dtype=float)
+        states = np.asarray(states, dtype=float)
         if states.ndim != 3:
             raise ValueError("states must have shape (times, atoms, dim)")
         if times.shape != (states.shape[0],):
             raise ValueError("times and states lengths differ")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        weights = check_weights(self.weights, states.shape[1])
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "weights", weights)
+        self.weights = check_weights(weights, states.shape[1])
+        self.times, self.states = times, states
 
     @property
     def n_times(self) -> int:

@@ -13,11 +13,17 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from meanflock.dynamics import SimConfig
 from meanflock.errors import DimensionMismatchError, EmptyMeasureError
 from meanflock.kernels import KernelSet, eval_S2
 from meanflock.testfunctions import TestFunction
 
 S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
+
+
+def reseeded(cfg: SimConfig, seed: int) -> SimConfig:
+    """``cfg`` under another master seed."""
+    return SimConfig(cfg.t_final, cfg.dt, cfg.scheme, seed, cfg.s1_convention, cfg.blowup_norm)
 
 
 def fd_jacobian(f, x, h=1e-5):

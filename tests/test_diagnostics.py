@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,7 +32,7 @@ from meanflock.kernels import (
 from meanflock.testfunctions import CylinderFunction, bump, velocity_bump
 from meanflock.transport import EmpiricalMeasure, wasserstein
 
-from helpers import constant, position_spread_reference
+from helpers import constant, position_spread_reference, reseeded
 
 
 def cs_kernel(**kw):
@@ -216,7 +215,7 @@ class TestCauchy:
         cfg = SimConfig(t_final=0.25, dt=0.05)
         sizes = [8, 4, 2]
         samples = np.stack([
-            cauchy_single(kernel, base, sizes, replace(cfg, master_seed=seed), 2.0) for seed in (0, 1)
+            cauchy_single(kernel, base, sizes, reseeded(cfg, seed), 2.0) for seed in (0, 1)
         ])
         report = aggregate_cauchy(samples, sizes, 2.0)
         w42 = wasserstein(
@@ -267,7 +266,7 @@ class TestComparisonExperiment:
         mu = EmpiricalMeasure.uniform(self.atoms)
         inits = self.shifted(0.2)
         per_seed = [
-            comparison_seed(self.kernel, mu, inits, replace(self.cfg, master_seed=seed), 1e-6)
+            comparison_seed(self.kernel, mu, inits, reseeded(self.cfg, seed), 1e-6)
             for seed in (0, 1)
         ]
         assert per_seed == [[(0.0, True), (0.0, True)]] * 2
@@ -285,7 +284,7 @@ class TestComparisonExperiment:
         mu = EmpiricalMeasure.uniform(self.atoms)
         inits = self.shifted(0.1)
         per_seed = [
-            comparison_seed(self.kernel, mu, inits, replace(self.cfg, master_seed=seed), 50.0)
+            comparison_seed(self.kernel, mu, inits, reseeded(self.cfg, seed), 50.0)
             for seed in range(8)
         ]
         costs = [wasserstein(mu, nu, 2) ** 2 for nu in inits]
@@ -308,7 +307,7 @@ class TestChaos:
     def _report(self, phis, n_list, cfg, beta_seeds, ref_n, n_resamples):
         per_beta = np.stack([
             chaos_beta_path(
-                zero_kernels(2), self._sampler, phis, n_list, replace(cfg, master_seed=seed),
+                zero_kernels(2), self._sampler, phis, n_list, reseeded(cfg, seed),
                 ref_n, n_resamples,
             )
             for seed in beta_seeds

@@ -211,6 +211,21 @@ class TestSimulate:
         assert partial.shape[0] == err.value.step_index + 1
         np.testing.assert_array_equal(partial, [[[1.0]], [[5.0]], [[25.0]]])
 
+    def test_finite_state_beyond_squares_is_no_blowup(self):
+        # one step takes every coordinate to 1e299: finite and below
+        # blowup_norm, though its square overflows
+        k = linear_drift_kernels(2, rate=1e300)
+        init = np.ones((3, 2))
+        with np.errstate(over="ignore"):
+            run = simulate(k, init, SimConfig(t_final=0.1, dt=0.1, blowup_norm=1e308))
+            # the next step overflows the state itself
+            with pytest.raises(BlowUpError) as err:
+                simulate(k, init, SimConfig(t_final=0.2, dt=0.1, blowup_norm=1e308))
+        np.testing.assert_array_equal(run.states[-1], np.full((3, 2), 1e299))
+        assert err.value.step_index == 1
+        assert not np.isfinite(err.value.max_norm)
+        np.testing.assert_array_equal(err.value.partial, run.states)
+
     def test_individual_noise_statistics(self):
         # additive individual noise: terminal variance ~ sigma^2 T
         k = constant_individual_kernels(1, 0.5)

@@ -599,8 +599,9 @@ output_dir = {tmp_path / "w"}
 class TestImportBudget:
     """Each command loads only the modules it executes, and never scipy.
 
-    ``validate`` and ``models`` load neither the run stack nor numpy nor
-    ``dataclasses``; the process pool is loaded only when a run uses it.
+    ``validate`` and ``models`` load neither the run stack nor numpy, no
+    command loads ``dataclasses``, and the process pool is loaded only when
+    a run uses it.
     Once its modules are loaded, each command freezes them out of the
     cyclic collector, which stays enabled; importing the package does not.
     Each check runs in a fresh interpreter: this process has scipy loaded.
@@ -679,10 +680,25 @@ class TestImportBudget:
         report = (tmp_path / "out" / "report.json").read_bytes()
         assert report == (tmp_path / "lib" / "report.json").read_bytes()
         assert json.loads(report)["metrics"] == {"residual_seed=7": 0.0}
-        assert not (loaded["scipy"] or loaded["pool"])
+        assert not (loaded["scipy"] or loaded["pool"] or loaded["dataclasses"])
         assert loaded["gc_enabled"] and loaded["frozen"]
         # a run still loads every layer
         assert loaded["meanflock"] == self.EVERY_LAYER
+
+    def test_repeated_runs_freeze_no_more_objects(self, tmp_path):
+        # a repeated call collects the previous call's cyclic garbage and
+        # then freezes, so only the first two calls grow the count
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(transport_check_text(tmp_path / "out", n=16))
+        argv = ["run", str(cfg)]
+        repeat = (
+            "counts = [gc.get_freeze_count()]\n"
+            "for _ in range(2):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "    counts.append(gc.get_freeze_count())\n"
+            "assert counts[2] == counts[1], counts"
+        )
+        assert self.run_main(argv, tmp_path, repeat)["frozen"]
 
     def test_cauchy_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -699,7 +715,8 @@ master_seed = 3
 n_seeds = 2
 output_dir = {tmp_path / "out"}
 """)
-        assert not self.run_main(["run", str(cfg)], tmp_path)["scipy"]
+        loaded = self.run_main(["run", str(cfg)], tmp_path)
+        assert not (loaded["scipy"] or loaded["dataclasses"])
         assert (tmp_path / "out" / "report.json").exists()
 
     def test_comparison_run_loads_no_scipy(self, tmp_path):
@@ -717,7 +734,8 @@ master_seed = 3
 n_seeds = 2
 output_dir = {tmp_path / "out"}
 """)
-        assert not self.run_main(["run", str(cfg)], tmp_path)["scipy"]
+        loaded = self.run_main(["run", str(cfg)], tmp_path)
+        assert not (loaded["scipy"] or loaded["dataclasses"])
         assert (tmp_path / "out" / "report.json").exists()
 
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,7 +360,8 @@ def _field_kernels():
     plain, plain_ref = both(**cs)
     # non-constant sigma on a fused kernel, so S2 is not zero
     d = diag_individual_kernels(2, rate=0.5)
-    diag = dict(sigma=d.sigma, grad_sigma=d.grad_sigma)
+    noisy = KernelSet(plain.dim, field=plain.field, sigma=d.sigma, grad_sigma=d.grad_sigma)
+    noisy_ref = KernelSet(plain_ref.dim, plain_ref.b, plain_ref.c, plain_ref.dc, d.sigma, d.grad_sigma)
     linear = linear_common_kernels(2, rate=0.7)
     return [
         (plain, plain_ref, "half_both"),
@@ -378,7 +377,7 @@ def _field_kernels():
         (*both(**{**cs, "gamma": 2.0, "phi_gamma": 2.0}), "half_both"),
         (*both(**{**tr, "gamma": 2.0, "phi_gamma": 0.0}), "half_both"),
         (with_velocity_noise(plain, 0.3), with_velocity_noise(plain_ref, 0.3), "half_both"),
-        (replace(plain, **diag), replace(plain_ref, **diag), "half_both"),
+        (noisy, noisy_ref, "half_both"),
         (linear, linear, "half_both"),
     ]
 
