@@ -5,6 +5,11 @@ runtime error, or a standard output closed before everything was written
 (``meanflock validate cfg --schema | head -1``), which exits without a
 traceback.
 
+``run`` and ``validate`` read their config file here, once, as UTF-8; a
+file that cannot be read or decoded prints ``error: cannot read config
+<path>: <reason>`` and exits 1 for both. ``run`` hands the text to ``harness.run_from_text`` and
+``validate`` to ``config.parse_config``.
+
 Once a command's modules are imported (the run stack for ``run``, ``config``
 for ``validate`` and ``models``), ``main`` calls ``gc.freeze()``. The import
 graph lives until the process exits, so the cyclic collector has nothing to
@@ -27,7 +32,7 @@ import gc
 import os
 import sys
 
-from .config import ConfigError, list_models, load_config, schema_lines
+from .config import ConfigError, list_models, parse_config, schema_lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,36 +83,38 @@ def _freeze() -> None:
 
 
 def _dispatch(args) -> int:
-    if args.command == "run":
-        # the run stack is imported only to run: validate and models never load it
-        from .harness import run_from_path
-
-        _freeze()
-        return run_from_path(args.config, output_dir=args.output_dir)
-
-    _freeze()
     if args.command == "models":
+        _freeze()
         for name, doc in sorted(list_models().items()):
             print(f"{name}\n    {doc}")
         return 0
 
-    if args.command == "validate":
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
-            return 1
-        print(f"valid: experiment={cfg.kind} seeds={cfg.seeds()}")
-        if args.schema:
-            print("\nschema:")
-            for line in schema_lines():
-                print("  " + line)
-        return 0
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+        return 1
 
-    return 1
+    if args.command == "run":
+        # the run stack is imported only to run: validate and models never load it
+        from .harness import run_from_text
+
+        _freeze()
+        return run_from_text(text, output_dir=args.output_dir)
+
+    _freeze()
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
+    print(f"valid: experiment={cfg.kind} seeds={cfg.seeds()}")
+    if args.schema:
+        print("\nschema:")
+        for line in schema_lines():
+            print("  " + line)
+    return 0
 
 
 if __name__ == "__main__":

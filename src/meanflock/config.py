@@ -252,9 +252,6 @@ class ExperimentConfig:
         self.values = values
         self.text = text
 
-    def __getitem__(self, key: str):
-        return self.values[key]
-
     @property
     def kind(self) -> str:
         return self.values["experiment"]
@@ -266,12 +263,11 @@ class ExperimentConfig:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
     def seeds(self) -> list[int]:
-        if self.values.get("seeds") is not None:
+        """``seeds``, else ``n_seeds`` (default 1) consecutive seeds from ``master_seed``."""
+        if self.values["seeds"] is not None:
             return list(self.values["seeds"])
-        if self.values.get("n_seeds") is not None:
-            base = self.values["master_seed"]
-            return [base + i for i in range(self.values["n_seeds"])]
-        return [self.values["master_seed"]]
+        base, n_seeds = self.values["master_seed"], self.values["n_seeds"]
+        return list(range(base, base + (1 if n_seeds is None else n_seeds)))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -324,6 +320,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):
         raise ConfigError("trunc_radius and trunc_margin must be given together")
+    # a repeated or ignored seed would count one run as two independent samples
+    if values["seeds"] is not None and values["n_seeds"] is not None:
+        raise ConfigError("give 'seeds' or 'n_seeds', not both")
+    if values["seeds"] is not None and len(set(values["seeds"])) < len(values["seeds"]):
+        raise ConfigError(f"field 'seeds' repeats a seed: {values['seeds']}")
     cfg = ExperimentConfig(values=values, text=text)
     _check_model(values, given)
     _check_experiment(values, len(cfg.seeds()))
@@ -403,11 +404,6 @@ def _check_experiment(values: dict, n_seeds: int) -> None:
             values["ref_n"] = 8 * n_list[-1]
         if values["ref_n"] <= n_list[-1]:
             raise ConfigError(f"ref_n must exceed every size in n_list, got {values['ref_n']}")
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 def list_models() -> dict[str, str]:

@@ -42,25 +42,13 @@ from .transport import (
 )
 
 
-class Verdict:
-    """One check of a report: its value, the tolerance it is held to, and the outcome."""
-
-    __slots__ = ("check", "value", "tolerance", "passed")
-
-    def __init__(self, check: str, value: float, tolerance: float, passed: bool):
-        self.check, self.value, self.tolerance, self.passed = check, value, tolerance, passed
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "value": float(self.value),
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-        }
-
-
 class DiagnosticsReport:
-    """Named metrics, per-time series, and tolerance-cited verdicts."""
+    """Named metrics, per-time series, and tolerance-cited verdicts.
+
+    Each verdict is the record ``report.json`` holds for it: its ``check``
+    name, its ``value``, the ``tolerance`` it is held to, and whether it
+    passed (``pass``).
+    """
 
     __slots__ = ("name", "metrics", "series", "verdicts", "notes")
 
@@ -80,17 +68,20 @@ class DiagnosticsReport:
         self.series.append(entry)
 
     def add_verdict(self, check: str, value: float, tolerance: float, passed: bool):
-        self.verdicts.append(Verdict(check, float(value), float(tolerance), bool(passed)))
+        self.verdicts.append(
+            {"check": check, "value": float(value), "tolerance": float(tolerance),
+             "pass": bool(passed)}
+        )
 
     def all_pass(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        return all(v["pass"] for v in self.verdicts)
 
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
             "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
             "series": self.series,
-            "verdicts": [v.to_json_dict() for v in self.verdicts],
+            "verdicts": self.verdicts,
             "notes": list(self.notes),
         }
 

@@ -190,9 +190,10 @@ def _integrate(
         else:
             pred = _euler_step(k, x, weights, x, cfg, *dw, None)
             x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, None))
-        max_norm = float(np.max(np.linalg.norm(x, axis=-1)))
+        # the norm squares x, which overflows above ~1e154: then scale x first
+        with np.errstate(over="ignore"):
+            max_norm = float(np.max(np.linalg.norm(x, axis=-1)))
         if not np.isfinite(max_norm) and np.all(np.isfinite(x)):
-            # the norm squares x, which overflows above ~1e154: scale x first
             scale = float(np.max(np.abs(x)))
             max_norm = scale * float(np.max(np.linalg.norm(x / scale, axis=-1)))
         if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:

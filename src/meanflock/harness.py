@@ -15,17 +15,22 @@ config's init block by ``sample_initial_atoms``, and the time grid and seed
 that ``build_sim_config`` reads from the config; ``simulate`` takes N and d
 from the states, derives its noise from the seed and records every step.
 
-Every experiment is reproducible from its manifest: the manifest embeds the
-exact config text, the explicit seed list, and the config hash. Reports hold
-only deterministic content (no wall times), so re-running a manifest
-reproduces ``report.json`` byte for byte regardless of the worker count.
-Workers rebuild kernels from the plain config mapping, which keeps them
-picklable. ``MFS_THREADS`` caps the worker count.
+``run_from_text`` is the library entry point: it takes a config's text
+(``meanflock run`` reads the file) and writes ``report.json`` and
+``manifest.json``, both strict JSON, with every non-finite float written as
+the string "inf", "-inf" or "nan". Every experiment is reproducible from its
+manifest: the manifest embeds the exact config text, the explicit seed list,
+and the config hash. Reports hold only deterministic content (no wall
+times), so re-running a manifest reproduces ``report.json`` byte for byte
+regardless of the worker count. Workers rebuild kernels from the plain
+config mapping, which keeps them picklable. ``_pool_size`` reads
+``MFS_THREADS`` (default 1) and caps it at the seed count.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -303,21 +308,18 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 
-def worker_count() -> int:
+def _pool_size(n_jobs: int) -> int:
+    """The workers that ``map_jobs`` runs for n_jobs jobs: ``MFS_THREADS``
+    (default 1), at most one per job and at least one."""
     raw = os.environ.get("MFS_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ConfigError(f"MFS_THREADS must be an integer, got {raw!r}")
-
-
-def _pool_size(n_jobs: int, workers: Optional[int] = None) -> int:
-    """The workers that ``map_jobs`` runs for n_jobs jobs: at most one per job."""
-    workers = worker_count() if workers is None else max(1, workers)
     return max(1, min(workers, n_jobs))
 
 
-def map_jobs(fn: Callable, jobs: list, workers: Optional[int] = None) -> list:
+def map_jobs(fn: Callable, jobs: list) -> list:
     """Apply fn over jobs, in order, optionally across processes.
 
     Results are collected in job order, so the aggregate is identical for
@@ -328,7 +330,7 @@ def map_jobs(fn: Callable, jobs: list, workers: Optional[int] = None) -> list:
     ``meanflock run`` the workers fork after ``cli.main`` has frozen the
     import graph, so their collections skip it too.
     """
-    workers = _pool_size(len(jobs), workers)
+    workers = _pool_size(len(jobs))
     if workers == 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
@@ -342,7 +344,7 @@ def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> Diagnos
     worker, aggregate = EXPERIMENTS[cfg.kind]
     seeds = cfg.seeds()
     results = map_jobs(worker, [(cfg.values, seed) for seed in seeds])
-    if cfg.kind == "simulate" and cfg["write_trajectories"] and output_dir is not None:
+    if cfg.kind == "simulate" and cfg.values["write_trajectories"] and output_dir is not None:
         _write_trajectory_csvs(seeds, results, output_dir)
     return aggregate(cfg.values, seeds, results)
 
@@ -369,20 +371,27 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, record: dict) -> None:
-    _atomic_write_text(path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(_strict(record), sort_keys=True, indent=2, allow_nan=False)
+    _atomic_write_text(path, text + "\n")
 
 
 def _error_record(exc: MeanflockError) -> dict:
-    """What a failed run's manifest says about its error.
-
-    A non-finite blow-up norm is written as the string "inf" or "nan", which
-    keeps the manifest strict JSON.
-    """
+    """What a failed run's manifest says about its error."""
     record = {"class": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, BlowUpError):
-        norm = exc.max_norm if np.isfinite(exc.max_norm) else repr(exc.max_norm)
-        record.update(seed=exc.seed, step_index=exc.step_index, max_norm=norm)
+        record.update(seed=exc.seed, step_index=exc.step_index, max_norm=exc.max_norm)
     return record
 
 
@@ -401,7 +410,7 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out_dir = Path(output_dir if output_dir is not None else cfg["output_dir"])
+    out_dir = Path(output_dir if output_dir is not None else cfg.values["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "code_version": __version__,
@@ -424,12 +433,3 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     manifest["wall_time_seconds"] = time.monotonic() - started
     _write_json(out_dir / "manifest.json", manifest)
     return code
-
-
-def run_from_path(path, output_dir: Optional[str] = None) -> int:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config {path}: {exc}", file=sys.stderr)
-        return 1
-    return run_from_text(text, output_dir=output_dir)

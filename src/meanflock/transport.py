@@ -131,8 +131,9 @@ def moments(mu: EmpiricalMeasure, q: float) -> float:
     """q-th absolute moment sum_j w_j ||y_j||^q."""
     if q < 1:
         raise ValueError("moment order q must be >= 1")
-    norms = np.linalg.norm(mu.atoms, axis=1)
-    return float(np.sum(mu.weights * norms**q))
+    # a moment that overflows is inf, which reports write as "inf"
+    with np.errstate(over="ignore"):
+        return float(np.sum(mu.weights * np.linalg.norm(mu.atoms, axis=1) ** q))
 
 
 def _is_uniform(weights: np.ndarray) -> bool:

@@ -7,7 +7,9 @@ implementations they check can never leak in.
 """
 
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +26,15 @@ S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
 def reseeded(cfg: SimConfig, seed: int) -> SimConfig:
     """``cfg`` under another master seed."""
     return SimConfig(cfg.t_final, cfg.dt, cfg.scheme, seed, cfg.s1_convention, cfg.blowup_norm)
+
+
+def read_json_strict(path):
+    """A run artifact's JSON; the non-strict constants NaN and (-)Infinity raise."""
+
+    def refuse(constant):
+        raise ValueError(f"{path} is not strict JSON: {constant}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def fd_jacobian(f, x, h=1e-5):

@@ -22,14 +22,14 @@ phi_lambda = 0.4
 def test_parse_minimal():
     cfg = parse_config(BASE)
     assert cfg.kind == "transport-check"
-    assert cfg["model"] == "cucker-smale"
-    assert cfg["dt"] == 0.01  # default
+    assert cfg.values["model"] == "cucker-smale"
+    assert cfg.values["dt"] == 0.01  # default
     assert cfg.seeds() == [0]
 
 
 def test_comments_and_blanks_ignored():
     cfg = parse_config("# header\n\n" + BASE + "\nn_particles = 4  # inline\n")
-    assert cfg["n_particles"] == 4
+    assert cfg.values["n_particles"] == 4
 
 
 def test_unknown_key_cites_line():
@@ -94,7 +94,7 @@ def test_schema_lines_cover_all_keys():
     # an unset write_trajectories writes CSVs, and the schema says so
     assert "write_trajectories (bool)  default=True" in text
     text = "experiment = simulate\nmodel = zero\noutput_dir = out\n"
-    assert parse_config(text)["write_trajectories"] is True
+    assert parse_config(text).values["write_trajectories"] is True
 
 
 REJECTED = {
@@ -150,6 +150,11 @@ REJECTED = {
         "simulate", "model = cucker-smale-truncated", "model 'cucker-smale-truncated' requires key 'trunc_radius'"
     ),
     "no-seeds": ("simulate", "model = zero\nn_seeds = 0", "at least one seed"),
+    # one run counted twice would fake an independent sample
+    "repeated-seed": ("simulate", "model = zero\nseeds = 3, 3", "field 'seeds' repeats a seed: [3, 3]"),
+    "seeds-and-n-seeds": (
+        "simulate", "model = zero\nseeds = 3, 5\nn_seeds = 4", "give 'seeds' or 'n_seeds', not both"
+    ),
     "unread-flocking": (
         "flocking", "model = cucker-smale\nsizes = 8, 4, 2\nn_list = 4, 8\nradius = 3\n"
         "residual_tolerance = 1e-9",
@@ -212,12 +217,12 @@ def test_defaults_are_not_explicit_model_keys():
     # dim, sigma_scale etc. have defaults; only keys written in the file count
     assert parse_config(BASE).values["dim"] == 1
     assert parse_config(BASE.replace("cucker-smale", "cucker-smale-truncated")
-                        + "trunc_radius = 1\ntrunc_margin = 1\n")["trunc_radius"] == 1.0
+                        + "trunc_radius = 1\ntrunc_margin = 1\n").values["trunc_radius"] == 1.0
 
 
 def test_chaos_ref_n_defaults_to_eight_times_largest():
     text = BASE.replace("transport-check", "chaos") + "n_list = 4, 8\n"
-    assert parse_config(text)["ref_n"] == 64
+    assert parse_config(text).values["ref_n"] == 64
 
 
 # each bound that a library constructor enforces, written once in config:

@@ -292,7 +292,7 @@ class TestComparisonExperiment:
         assert np.isfinite(report.metrics["full_ratio"])
         assert report.metrics["full_ratio"] > 0
         assert report.metrics["full_stderr"] > 0
-        assert [v.check for v in report.verdicts] == ["ratio_stable_under_halving"]
+        assert [v["check"] for v in report.verdicts] == ["ratio_stable_under_halving"]
 
     def test_individual_noise_rejected(self):
         mu = EmpiricalMeasure.uniform(self.atoms)

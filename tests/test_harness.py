@@ -1,10 +1,10 @@
 import ast
 import importlib.util
-import json
 import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,8 @@ from meanflock.errors import (
 )
 from meanflock.harness import EXPERIMENTS, build_kernel, run_from_text, sample_initial_atoms
 from meanflock.dynamics import init_rng
+
+from helpers import read_json_strict
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -98,11 +100,11 @@ class TestRun:
     def test_transport_check_passes(self, tmp_path):
         code = run_from_text(transport_check_text(tmp_path))
         assert code == 0
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = read_json_strict(tmp_path / "report.json")
         assert report["name"] == "transport-check"
         assert all(v["pass"] for v in report["verdicts"])
         assert all("tolerance" in v for v in report["verdicts"])
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["seeds"] == [7]
         assert manifest["config_sha256"]
         assert (manifest["status"], manifest["threads"]) == ("ok", 1)
@@ -133,7 +135,7 @@ output_dir = {tmp_path}
             assert csv.exists()
             assert csv.read_text().splitlines()[0] == "t,particle,coord_0,coord_1"
         # a blow-up raises in simulate, so a finished run has nothing to certify
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = read_json_strict(tmp_path / "report.json")
         assert report["verdicts"] == []
         assert sorted(report["metrics"]) == [
             "final_second_moment_seed=1", "final_second_moment_seed=2", "n_runs"
@@ -186,7 +188,7 @@ output_dir = {tmp_path}
         err = capsys.readouterr().err
         assert "blow-up" in err
         assert "seed=" in err
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "manifest.json")
         assert (manifest["status"], manifest["threads"]) == ("error", 2)
         assert manifest["error"]["class"] == "BlowUpError"
         assert manifest["error"]["seed"] in manifest["seeds"]
@@ -208,7 +210,7 @@ output_dir = {tmp_path}
         assert run_from_text(text) == 1
         message = capsys.readouterr().err.strip().removeprefix("error: ")
         assert message.startswith("state blow-up at step 0 of seed=4")
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["status"] == "error"
         error = manifest["error"]
         assert error.pop("max_norm") > 0.5
@@ -233,12 +235,32 @@ output_dir = {tmp_path}
 """
         with np.errstate(over="ignore"):
             assert run_from_text(text) == 1
-
-        def refuse(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
-        manifest = json.loads((tmp_path / "manifest.json").read_text(), parse_constant=refuse)
+        manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["error"]["max_norm"] == "inf"
+
+    # finite states whose squares overflow: the run finishes, with an infinite moment
+    OVERFLOWING_MOMENT = """
+experiment = simulate
+model = linear-drift
+dim = 1
+drift_value = 1e300
+n_particles = 4
+t_final = 0.1
+dt = 0.1
+blowup_norm = 1e308
+output_dir = {out}
+"""
+
+    def test_non_finite_metric_report_is_strict_json(self, tmp_path):
+        assert run_from_text(self.OVERFLOWING_MOMENT.format(out=tmp_path)) == 0
+        report = read_json_strict(tmp_path / "report.json")
+        assert report["metrics"]["final_second_moment_seed=0"] == "inf"
+
+    def test_handled_overflow_warns_nothing(self, tmp_path):
+        # the blow-up norm falls back to a scaled norm, the moment is written as "inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_from_text(self.OVERFLOWING_MOMENT.format(out=tmp_path)) == 0
 
     @pytest.mark.parametrize(
         "threads, n_seeds, pools",
@@ -267,7 +289,7 @@ output_dir = {tmp_path}
         monkeypatch.setenv("MFS_THREADS", threads)
         assert run_from_text(transport_check_text(tmp_path) + f"n_seeds = {n_seeds}\n") == 0
         assert started == pools
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["threads"] == (pools[0] if pools else 1)
 
     def test_bad_worker_count_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
@@ -292,7 +314,7 @@ output_dir = {tmp_path}
         first = tmp_path / "a"
         second = tmp_path / "b"
         assert run_from_text(transport_check_text(first)) == 0
-        manifest = json.loads((first / "manifest.json").read_text())
+        manifest = read_json_strict(first / "manifest.json")
         assert run_from_text(manifest["config_text"], output_dir=str(second)) == 0
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
@@ -344,8 +366,21 @@ class TestCli:
         assert not (tmp_path / "ignored").exists()
 
     def test_missing_config_file(self, capsys):
-        assert main(["run", "/nonexistent/exp.cfg"]) == 1
-        assert "cannot read" in capsys.readouterr().err
+        errors = []
+        for command in ("run", "validate"):
+            assert main([command, "/nonexistent/exp.cfg"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: cannot read config /nonexistent/exp.cfg: ")
+        assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("experiment = simulate\nmodel = zero  # café\n".encode("latin-1"))
+        for command in ("run", "validate"):
+            assert main([command, str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec")
 
 
 class TestExperimentsSmallScale:
@@ -366,7 +401,7 @@ tf_radius = 2.0
 output_dir = {tmp_path}
 """
         assert run_from_text(text) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = read_json_strict(tmp_path / "report.json")
         assert len(report["verdicts"]) == 16  # 8 checkpoints x 2 checks
 
     def test_cauchy_kind(self, tmp_path):
@@ -390,7 +425,7 @@ output_dir = {tmp_path}
 """
         code = run_from_text(text)
         assert code in (0, 2)  # tiny ensemble: verdict may fluctuate
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = read_json_strict(tmp_path / "report.json")
         assert "distance_N=8" in report["metrics"]
 
     def test_comparison_kind(self, tmp_path):
@@ -413,7 +448,7 @@ n_seeds = 6
 output_dir = {tmp_path}
 """
         assert run_from_text(text) == 0
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = read_json_strict(tmp_path / "report.json")
         metrics = report["metrics"]
         assert len(metrics) == 18
         assert metrics["full_initial_cost"] == pytest.approx(0.07586854982041394, rel=1e-12)
@@ -468,7 +503,7 @@ output_dir = {tmp_path}
 """
         code = run_from_text(text)
         assert code in (0, 2)
-        report = json.loads((tmp_path / "report.json").read_text())
+        report = read_json_strict(tmp_path / "report.json")
         assert report["metrics"]["ref_n"] == 32
         assert report["metrics"]["r"] == 2
 
@@ -487,7 +522,7 @@ master_seed = 5
 output_dir = {tmp_path}
 """
         assert run_from_text(text) in (0, 2)
-        assert json.loads((tmp_path / "report.json").read_text())["metrics"]["r"] == 2
+        assert read_json_strict(tmp_path / "report.json")["metrics"]["r"] == 2
 
 
 def load_tracing():
@@ -679,7 +714,9 @@ class TestImportBudget:
         )
         report = (tmp_path / "out" / "report.json").read_bytes()
         assert report == (tmp_path / "lib" / "report.json").read_bytes()
-        assert json.loads(report)["metrics"] == {"residual_seed=7": 0.0}
+        assert read_json_strict(tmp_path / "out" / "report.json")["metrics"] == {
+            "residual_seed=7": 0.0
+        }
         assert not (loaded["scipy"] or loaded["pool"] or loaded["dataclasses"])
         assert loaded["gc_enabled"] and loaded["frozen"]
         # a run still loads every layer

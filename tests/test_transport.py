@@ -38,6 +38,14 @@ def uniform_path(states):
     return MeasurePath(np.arange(states.shape[0], dtype=float), states, np.full(n, 1.0 / n))
 
 
+# both distances with a builder of their inputs from (n, d) atoms: the
+# measure itself, or a path that holds it at one time
+DISTANCES = {
+    "wasserstein": (wasserstein, uniform),
+    "wasserstein_path": (wasserstein_path, lambda atoms: uniform_path([atoms])),
+}
+
+
 class TestMeasureValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
@@ -78,9 +86,10 @@ class TestWasserstein:
         mu = uniform(rng.normal(size=(5, 3)))
         assert wasserstein(mu, mu, p=2) <= 1e-12
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("distance, build", DISTANCES.values(), ids=DISTANCES.keys())
+    def test_dimension_mismatch(self, distance, build):
         with pytest.raises(DimensionMismatchError):
-            wasserstein(uniform([[0.0]]), uniform([[0.0, 0.0]]), 2)
+            distance(build([[0.0]]), build([[0.0, 0.0]]), 2)
 
     def test_support_cap(self):
         # 2049 against 2048 atoms: outside 1-D the cap is checked before any solve
@@ -104,9 +113,10 @@ class TestWasserstein:
             want = np.mean(np.abs(gap) ** p) ** (1.0 / p)
             assert wasserstein(uniform(a), uniform(b), p) == pytest.approx(want, rel=1e-14, abs=0)
 
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            wasserstein(uniform([[0.0]]), uniform([[1.0]]), p=0.5)
+    @pytest.mark.parametrize("distance, build", DISTANCES.values(), ids=DISTANCES.keys())
+    def test_invalid_order(self, distance, build):
+        with pytest.raises(ValueError, match="order p must be >= 1"):
+            distance(build([[0.0]]), build([[1.0]]), p=0.5)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_assignment_equals_brute_force(self, p):
