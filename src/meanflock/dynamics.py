@@ -190,13 +190,12 @@ def _integrate(
         else:
             pred = _euler_step(k, x, weights, x, cfg, *dw, None)
             x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, None))
-        # the norm squares x, which overflows above ~1e154: then scale x first
-        with np.errstate(over="ignore"):
-            max_norm = float(np.max(np.linalg.norm(x, axis=-1)))
-        if not np.isfinite(max_norm) and np.all(np.isfinite(x)):
-            scale = float(np.max(np.abs(x)))
-            max_norm = scale * float(np.max(np.linalg.norm(x / scale, axis=-1)))
-        if not np.isfinite(max_norm) or max_norm > cfg.blowup_norm:
+        # hypot never squares, so the norm overflows only beyond the largest
+        # double, and NaN fails the comparison; initial=0.0 makes a
+        # one-coordinate norm |x|, not the signed coordinate a reduction may
+        # start from
+        max_norm = float(np.max(np.hypot.reduce(x, axis=-1, initial=0.0)))
+        if not max_norm <= cfg.blowup_norm:
             raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=path[: step + 1])
         path[step + 1] = x
     return path

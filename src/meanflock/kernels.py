@@ -1,26 +1,25 @@
 """Interaction kernels, their Ito corrective terms, and mean-field fields.
 
-A :class:`KernelSet` describes one model through exactly one evaluation
-path for its mean-field sums, plus the individual-noise coefficient
-``sigma(x)`` and its derivative:
+A :class:`KernelSet` describes one model through one contract: the fused
+``field(atoms, weights, queries, factor) -> (drift, common)`` gives
+B[mu] + factor S1[mu] and C[mu] at the queries at once (``factor`` None:
+no correction; ``common`` None: no common noise), and the individual-noise
+coefficient ``sigma(x)`` comes with its derivative ``grad_sigma(x)[..., i,
+l, k] = d sigma_{i,l} / d x_k``.
 
-* fused: ``field(atoms, weights, queries, factor) -> (drift, common)``
-  gives B[mu] + factor S1[mu] and C[mu] at once (``factor`` None: no
-  correction). The Cucker-Smale builder supplies it, as products of
-  unweighted (m, n) pair tables with the weighted atoms: one distance
-  table that psi overwrites in place, none for a weight whose exponent is
-  0 (it is one (n,) row shared by every query), and a few more with a
-  truncation or when C is needed at atoms that are not the queries;
-* pointwise: the pair drift ``b(x, y)``, the common-noise coefficient
-  ``c(x, y)`` (scalar driving noise) and its directional derivative
-  ``dc(x, y, ex, ey) = grad_x c(x,y) ex + grad_y c(x,y) ey``, summed over
-  pair tables. The generic test kernels supply these; every closure
-  broadcasts over leading axes like ``c`` does over two arguments.
-
-``grad_sigma(x)[..., i, l, k] = d sigma_{i,l} / d x_k`` either way.
+The Cucker-Smale builder computes its field as products of unweighted
+(m, n) pair tables with the weighted atoms: one distance table that psi
+overwrites in place, none for a weight whose exponent is 0 (it is one (n,)
+row shared by every query), and a few more with a truncation or when C is
+needed at atoms that are not the queries. The generic test kernels have
+closed forms in the total weight W = sum_j w_j: B = b0 W (constant drift),
+B = rate q W (linear drift), C = c0 W with S1 = 0 (constant common noise),
+and C = rate q W with S1 = factor rate C W (linear common noise); the zero
+and individual-noise models share one zero field.
 
 The corrective drift converting circle (Stratonovich) dynamics to their Ito
-form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))`` and
+form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))``, with dc
+the directional derivative of the common-noise pair coefficient c, and
 ``S2(x) = 1/2 Tr(grad sigma sigma^T)``; averaged over the measure, s1 is the
 derivative of c along the common field, S1[mu](q) = 1/2 sum_j w_j
 dc(q, y_j, C[mu](q), C[mu](y_j)). The field takes the factor on s1 as a
@@ -32,9 +31,9 @@ cross-validation can demonstrate that it is wrong.
 characteristics solver call. On the Cucker-Smale field the direction of dc
 is (C[mu](q), C[mu](y_j)); its C has no position block, so the position
 part dr of that direction is 0 and dc's phi' term, which carries r . dr,
-vanishes exactly. Pointwise references of the Cucker-Smale coefficients and
-of the mean-field integrals live with the tests, which hold the fused field
-to them.
+vanishes exactly. The pointwise b, c and dc of every model and the
+mean-field sums over them live with the tests, which hold each field to
+them.
 """
 
 from __future__ import annotations
@@ -51,30 +50,29 @@ from .transport import _difference_factors, _squared_distances
 class KernelSet:
     """Coefficients of one interacting-particle model over R^dim.
 
-    A kernel carries one evaluation path (see the module docstring): either
-    the fused ``field`` or the pointwise ``b``/``c``/``dc``, never both.
-    On the pointwise path ``b``/``c`` set to None mean identically zero and
-    let the simulator skip that work, and ``c`` needs its directional
-    derivative ``dc``. ``sigma`` set to None means no individual noise;
-    otherwise ``grad_sigma`` is required, and S2 is added outside either
-    path. The constructor checks these rules. Derivatives are analytic by
-    contract, finite differences are reserved for test oracles.
+    ``field`` is the model's fused mean-field evaluation (see the module
+    docstring) and is required; it returns fresh arrays, since S2 is added
+    to its drift in place. ``sigma`` set to None means no individual noise;
+    otherwise ``grad_sigma`` is required. The constructor checks these
+    rules. Derivatives are analytic by contract, finite differences are
+    reserved for test oracles.
     """
 
-    __slots__ = ("dim", "b", "c", "dc", "sigma", "grad_sigma", "field")
+    __slots__ = ("dim", "field", "sigma", "grad_sigma")
 
-    def __init__(self, dim: int, b: Optional[Callable] = None, c: Optional[Callable] = None,
-                 dc: Optional[Callable] = None, sigma: Optional[Callable] = None,
-                 grad_sigma: Optional[Callable] = None, field: Optional[Callable] = None):
+    # Read only by the benchmark tracer (bench/tracing.py), which sizes a
+    # common-noise Jacobian when a kernel's c is not None; no field builds one.
+    c = None
+
+    def __init__(self, dim: int, field: Callable, sigma: Optional[Callable] = None,
+                 grad_sigma: Optional[Callable] = None):
         check_dim(dim)
-        if field is not None and any(f is not None for f in (b, c, dc)):
-            raise ValueError("kernel with a fused field takes no pointwise b, c or dc")
-        if c is not None and dc is None:
-            raise ValueError("kernel with common noise needs dc")
+        if field is None:
+            raise ValueError("kernel needs a field")
         if sigma is not None and grad_sigma is None:
             raise ValueError("kernel with individual noise needs grad_sigma")
-        self.dim, self.b, self.c, self.dc = dim, b, c, dc
-        self.sigma, self.grad_sigma, self.field = sigma, grad_sigma, field
+        self.dim, self.field = dim, field
+        self.sigma, self.grad_sigma = sigma, grad_sigma
 
     def check_point(self, x: np.ndarray, argument: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -101,41 +99,16 @@ def field_drift_diffusion(
     """Batched mean-field fields against an atom cloud.
 
     Returns ``(drift, common_diff)`` evaluated at every query point, where
-    drift is B[mu] plus the Ito correction S[mu] = S1[mu] + S2, with
-    ``factor`` (a run's ``SimConfig.s1_factor``) on s1, or neither S1 nor S2
-    when ``factor`` is None; ``common_diff`` is C[mu] (None when the kernel
-    carries no common noise). This is the single evaluation path shared by
-    the particle stepper and the frozen-field characteristics solver, which
-    is what makes the discrete transport identity exact.
+    drift is B[mu] + factor S1[mu] + S2, with ``factor`` a run's
+    ``SimConfig.s1_factor``, or B[mu] alone when ``factor`` is None;
+    ``common_diff`` is C[mu] (None when the kernel carries no common noise).
+    This is the single evaluation path shared by the particle stepper and
+    the frozen-field characteristics solver, which is what makes the
+    discrete transport identity exact.
     """
-    if k.field is not None:
-        drift, common = k.field(atoms, weights, queries, factor)
-    else:
-        drift, common = _pointwise_field(k, atoms, weights, queries, factor)
+    drift, common = k.field(atoms, weights, queries, factor)
     if k.sigma is not None and factor is not None:
         drift += eval_S2(k, queries)
-    return drift, common
-
-
-def _pointwise_field(k: KernelSet, atoms, weights, queries, factor):
-    """B[mu] + factor S1[mu] and C[mu] as weighted sums of pair tables."""
-    m = queries.shape[0]
-    drift = np.zeros((m, k.dim))
-    q = queries[:, None, :]
-    a = atoms[None, :, :]
-    if k.b is not None:
-        drift += np.einsum("j,mjd->md", weights, k.b(q, a))
-    common = None
-    if k.c is not None:
-        common = np.einsum("j,mjd->md", weights, k.c(q, a))
-        if factor is not None:
-            # C[mu] at the atoms; the stepper queries the atoms themselves
-            if queries is atoms:
-                c_atoms = common
-            else:
-                c_atoms = np.einsum("j,mjd->md", weights, k.c(atoms[:, None, :], a))
-            s1 = k.dc(q, a, common[:, None, :], c_atoms[None, :, :])
-            drift += factor * np.einsum("j,mjd->md", weights, s1)
     return drift, common
 
 
@@ -361,7 +334,7 @@ def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
     d = base.dim // 2
     diag = np.zeros((base.dim, base.dim))
     diag[d:, d:] = sigma_v * np.eye(d)
-    return KernelSet(base.dim, base.b, base.c, base.dc, field=base.field, **_constant_sigma(diag))
+    return KernelSet(base.dim, base.field, **_constant_sigma(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -369,56 +342,57 @@ def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
 # ---------------------------------------------------------------------------
 
 
+def _zero_field(atoms, weights, queries, factor):
+    return np.zeros(queries.shape), None
+
+
 def zero_kernels(dim: int) -> KernelSet:
-    return KernelSet(dim=dim)
+    return KernelSet(dim, _zero_field)
 
 
 def constant_drift_kernels(dim: int, drift) -> KernelSet:
+    """b(x, y) = drift, so B[mu] = drift W."""
     b0 = np.broadcast_to(np.asarray(drift, dtype=float), (dim,))
 
-    def b(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return np.broadcast_to(b0, shape)
+    def field(atoms, weights, queries, factor):
+        return np.full(queries.shape, b0 * weights.sum()), None
 
-    return KernelSet(dim=dim, b=b)
+    return KernelSet(dim, field)
 
 
 def linear_drift_kernels(dim: int, rate: float = 1.0) -> KernelSet:
-    """b(x, y) = rate * x; the classical exponential-growth test drift."""
+    """b(x, y) = rate * x, the classical exponential-growth test drift:
+    B[mu](q) = rate q W."""
 
-    def b(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return rate * np.broadcast_to(x, shape)
+    def field(atoms, weights, queries, factor):
+        return rate * queries * weights.sum(), None
 
-    return KernelSet(dim=dim, b=b)
+    return KernelSet(dim, field)
 
 
 def constant_common_kernels(dim: int, value) -> KernelSet:
-    """c(x, y) = value, additive common noise; all corrective terms vanish."""
+    """c(x, y) = value, additive common noise: C[mu] = value W, and every
+    corrective term vanishes."""
     c0 = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
 
-    def c(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return np.broadcast_to(c0, shape)
+    def field(atoms, weights, queries, factor):
+        return np.zeros(queries.shape), np.full(queries.shape, c0 * weights.sum())
 
-    def dc(x, y, ex, ey):
-        return np.zeros(np.broadcast_shapes(x.shape, y.shape, ex.shape, ey.shape))
-
-    return KernelSet(dim=dim, c=c, dc=dc)
+    return KernelSet(dim, field)
 
 
 def linear_common_kernels(dim: int, rate: float = 1.0) -> KernelSet:
-    """c(x, y) = rate * x, a geometric common noise; s1(x, y, z) = rate^2 x / 2."""
+    """c(x, y) = rate * x, a geometric common noise: C[mu](q) = rate q W,
+    and dc(x, y, ex, ey) = rate ex gives S1[mu](q) = factor rate C[mu](q) W."""
 
-    def c(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return rate * np.broadcast_to(x, shape)
+    def field(atoms, weights, queries, factor):
+        total = weights.sum()
+        common = rate * queries * total
+        if factor is None:
+            return np.zeros(queries.shape), common
+        return factor * rate * common * total, common
 
-    def dc(x, y, ex, ey):
-        shape = np.broadcast_shapes(x.shape, y.shape, ex.shape, ey.shape)
-        return rate * np.broadcast_to(ex, shape)
-
-    return KernelSet(dim=dim, c=c, dc=dc)
+    return KernelSet(dim, field)
 
 
 def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:
@@ -436,12 +410,12 @@ def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         out[..., idx, idx, idx] = rate
         return out
 
-    return KernelSet(dim=dim, sigma=sigma, grad_sigma=grad_sigma)
+    return KernelSet(dim, _zero_field, sigma, grad_sigma)
 
 
 def constant_individual_kernels(dim: int, scale: float = 1.0) -> KernelSet:
     """sigma(x) = scale * I, additive individual noise."""
-    return KernelSet(dim=dim, **_constant_sigma(scale * np.eye(dim)))
+    return KernelSet(dim, _zero_field, **_constant_sigma(scale * np.eye(dim)))
 
 
 # builders of the generic test kernels, keyed by model name

@@ -1,9 +1,11 @@
 """Independent oracles shared by the test modules.
 
 Finite differences, exhaustive enumeration, the general transportation LP,
-pointwise references of the fused Cucker-Smale field and the test functions
-only tests evaluate live here, away from the package, so the
-implementations they check can never leak in.
+the test functions only tests evaluate, and the pointwise references of
+every model live here, away from the package, so the implementations they
+check can never leak in. The package evaluates each model through its fused
+``field`` only; its pair coefficients b, c and dc, and the mean-field sums
+over them, are written out here and only here.
 """
 
 import itertools
@@ -17,7 +19,12 @@ from scipy.optimize import linprog
 
 from meanflock.dynamics import SimConfig
 from meanflock.errors import DimensionMismatchError, EmptyMeasureError
-from meanflock.kernels import KernelSet, eval_S2
+from meanflock.kernels import (
+    KernelSet,
+    constant_individual_kernels,
+    diag_individual_kernels,
+    eval_S2,
+)
 from meanflock.testfunctions import TestFunction
 
 S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
@@ -91,12 +98,89 @@ def truncate(truncation, v):
     return v * chi_both_whole_table(truncation.radius, truncation.margin, s)[0][..., None]
 
 
+class PointwiseReference:
+    """Pointwise coefficients of one model over R^dim, one pair at a time.
+
+    ``b(x, y)`` is the pair drift, ``c(x, y)`` the common-noise coefficient
+    and ``dc(x, y, ex, ey) = grad_x c ex + grad_y c ey`` its directional
+    derivative; each broadcasts over leading axes, and None means
+    identically zero. ``sigma`` and ``grad_sigma`` are the individual noise
+    as a ``KernelSet`` carries it, so ``eval_S2`` reads either.
+    """
+
+    __slots__ = ("dim", "b", "c", "dc", "sigma", "grad_sigma")
+    check_point = KernelSet.check_point
+
+    def __init__(self, dim, b=None, c=None, dc=None, sigma=None, grad_sigma=None):
+        self.dim, self.b, self.c, self.dc = dim, b, c, dc
+        self.sigma, self.grad_sigma = sigma, grad_sigma
+
+
+def with_sigma(ref, kernel):
+    """``ref`` with the individual noise of ``kernel``."""
+    return PointwiseReference(ref.dim, ref.b, ref.c, ref.dc, kernel.sigma, kernel.grad_sigma)
+
+
+def _pair_shape(*args):
+    return np.broadcast_shapes(*(a.shape for a in args))
+
+
+def constant_drift_reference(dim, drift):
+    b0 = np.broadcast_to(np.asarray(drift, dtype=float), (dim,))
+    return PointwiseReference(dim, b=lambda x, y: np.broadcast_to(b0, _pair_shape(x, y)))
+
+
+def linear_drift_reference(dim, rate=1.0):
+    return PointwiseReference(dim, b=lambda x, y: rate * np.broadcast_to(x, _pair_shape(x, y)))
+
+
+def constant_common_reference(dim, value):
+    c0 = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
+    return PointwiseReference(
+        dim,
+        c=lambda x, y: np.broadcast_to(c0, _pair_shape(x, y)),
+        dc=lambda x, y, ex, ey: np.zeros(_pair_shape(x, y, ex, ey)),
+    )
+
+
+def linear_common_reference(dim, rate=1.0):
+    """c(x, y) = rate x, so dc(x, y, ex, ey) = rate ex and s1 = rate^2 x / 2."""
+    return PointwiseReference(
+        dim,
+        c=lambda x, y: rate * np.broadcast_to(x, _pair_shape(x, y)),
+        dc=lambda x, y, ex, ey: rate * np.broadcast_to(ex, _pair_shape(x, y, ex, ey)),
+    )
+
+
+def diag_individual_reference(dim, rate=1.0):
+    """No interaction; sigma(x) = rate diag(x) is the package's."""
+    return with_sigma(PointwiseReference(dim), diag_individual_kernels(dim, rate))
+
+
+def constant_individual_reference(dim, scale=1.0):
+    """No interaction; sigma(x) = scale I is the package's."""
+    return with_sigma(PointwiseReference(dim), constant_individual_kernels(dim, scale))
+
+
+# pointwise references of the generic kernels, keyed as GENERIC_KERNELS and
+# taking the same arguments
+GENERIC_REFERENCES = {
+    "zero": PointwiseReference,
+    "constant-drift": constant_drift_reference,
+    "linear-drift": linear_drift_reference,
+    "linear-common": linear_common_reference,
+    "constant-common": constant_common_reference,
+    "diag-individual": diag_individual_reference,
+    "constant-individual": constant_individual_reference,
+}
+
+
 def _rational(amplitude, exponent, r_sq):
     return amplitude * (1.0 + r_sq) ** (-exponent)
 
 
 def cucker_smale_reference(p):
-    """Pointwise b, c and dc of ``cucker_smale_kernels(p)``.
+    """Pointwise reference of ``cucker_smale_kernels(p)``.
 
     b = (v, psi(x-y)(w-v)), c = (0, phi(x-y) R(w-v)) and dc the derivative
     of c along (ex, ey), each one pair at a time; the fused field must agree
@@ -163,11 +247,11 @@ def cucker_smale_reference(p):
         return out
 
     noisy = p.phi_lam > 0.0
-    return KernelSet(dim=dim, b=b, c=c if noisy else None, dc=dc if noisy else None)
+    return PointwiseReference(dim, b, c if noisy else None, dc if noisy else None)
 
 
 def eval_s1(k, x, y, z, s1_convention="half_both"):
-    """Stratonovich-to-Ito corrective kernel s1(x, y, z) of a pointwise kernel."""
+    """Stratonovich-to-Ito corrective kernel s1(x, y, z) of a pointwise reference."""
     factor = S1_FACTORS[s1_convention]
     x = k.check_point(x, "x")
     y = k.check_point(y, "y")
@@ -185,7 +269,7 @@ def _require_atoms(mu, k):
 
 
 def mean_field_B(k, mu, x):
-    """Drift field B[mu](x) = sum_j w_j b(x, y_j) of a pointwise kernel."""
+    """Drift field B[mu](x) = sum_j w_j b(x, y_j) of a pointwise reference."""
     _require_atoms(mu, k)
     x = k.check_point(x, "x")
     if k.b is None:
@@ -194,7 +278,7 @@ def mean_field_B(k, mu, x):
 
 
 def mean_field_C(k, mu, x):
-    """Common-noise field C[mu](x) = sum_j w_j c(x, y_j) of a pointwise kernel."""
+    """Common-noise field C[mu](x) = sum_j w_j c(x, y_j) of a pointwise reference."""
     _require_atoms(mu, k)
     x = k.check_point(x, "x")
     if k.c is None:
@@ -203,7 +287,7 @@ def mean_field_C(k, mu, x):
 
 
 def mean_field_S(k, mu, x, s1_convention="half_both"):
-    """Full corrective field S[mu](x) = S1[mu](x) + S2(x) of a pointwise kernel.
+    """Full corrective field S[mu](x) = S1[mu](x) + S2(x) of a pointwise reference.
 
     The double integral S1[mu](x) = sum_{j,l} w_j w_l s1(x, y_j, y_l)
     factorizes through C[mu]: S1[mu](x) = factor sum_j w_j

@@ -8,7 +8,7 @@ from meanflock.cli import main
 from meanflock.config import parse_config, schema_lines
 from meanflock.dynamics import SimConfig
 from meanflock.errors import ConfigError
-from meanflock.kernels import CuckerSmaleParams, KernelSet, Truncation
+from meanflock.kernels import CuckerSmaleParams, Truncation, zero_kernels
 from meanflock.testfunctions import bump
 
 BASE = """
@@ -240,7 +240,7 @@ SHARED_RULES = {
         lambda: Truncation(1.0, 0.0), "simulate",
         "model = cucker-smale-truncated\ntrunc_radius = 1\ntrunc_margin = 0",
     ),
-    "dim": (lambda: KernelSet(dim=0), "simulate", "model = zero\ndim = 0"),
+    "dim": (lambda: zero_kernels(0), "simulate", "model = zero\ndim = 0"),
     "tf-radius": (lambda: bump(0.0, -1.0), "weakform", "model = zero\nn_seeds = 16\ntf_radius = -1"),
 }
 

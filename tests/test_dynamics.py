@@ -211,6 +211,17 @@ class TestSimulate:
         assert partial.shape[0] == err.value.step_index + 1
         np.testing.assert_array_equal(partial, [[[1.0]], [[5.0]], [[25.0]]])
 
+    def test_negative_one_coordinate_state_blows_up(self):
+        # the norm of a one-coordinate state is |x|, not the signed coordinate
+        k = constant_drift_kernels(1, [-400.0])
+        cfg = SimConfig(t_final=1.0, dt=0.25, blowup_norm=150.0)
+        with pytest.raises(BlowUpError) as err:
+            simulate(k, np.zeros((2, 1)), cfg)
+        # each step moves both particles by -100: 0, -100, then -200
+        assert err.value.step_index == 1
+        assert err.value.max_norm == 200.0
+        np.testing.assert_array_equal(err.value.partial, [[[0.0]] * 2, [[-100.0]] * 2])
+
     def test_finite_state_beyond_squares_is_no_blowup(self):
         # one step takes every coordinate to 1e299: finite and below
         # blowup_norm, though its square overflows

@@ -2,35 +2,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanflock.config import S1_CONVENTIONS
+from meanflock.config import MODELS, S1_CONVENTIONS, parse_config
 from meanflock.errors import DimensionMismatchError
+from meanflock.harness import build_kernel
 from meanflock.kernels import (
+    GENERIC_KERNELS,
     CuckerSmaleParams,
     KernelSet,
     Truncation,
-    constant_common_kernels,
-    constant_drift_kernels,
     cucker_smale_kernels,
     diag_individual_kernels,
     eval_S2,
     field_drift_diffusion,
-    linear_common_kernels,
     with_velocity_noise,
-    zero_kernels,
 )
 from meanflock.transport import EmpiricalMeasure
 
 from helpers import (
+    GENERIC_REFERENCES,
+    PointwiseReference,
     chi_both_whole_table,
+    constant_common_reference,
+    constant_drift_reference,
     cucker_smale_reference,
+    diag_individual_reference,
     eval_s1,
     fd_jacobian,
+    linear_common_reference,
     mean_field_B,
     mean_field_C,
     mean_field_S,
     peak_traced_bytes,
     rel_close,
     truncate,
+    with_sigma,
 )
 
 
@@ -53,27 +58,27 @@ class TestEvalS1:
         np.testing.assert_allclose(out, [0.0, 2.0], atol=1e-14)
 
     def test_constant_c_vanishes(self):
-        k = constant_common_kernels(2, [0.3, -1.2])
+        k = constant_common_reference(2, [0.3, -1.2])
         rng = np.random.default_rng(1)
         x, y, z = rng.normal(size=(3, 2))
         np.testing.assert_array_equal(eval_s1(k, x, y, z), np.zeros(2))
 
     def test_linear_c(self):
-        k = linear_common_kernels(1)
+        k = linear_common_reference(1)
         out = eval_s1(k, np.array([3.0]), np.array([0.5]), np.array([-2.0]))
         np.testing.assert_allclose(out, [1.5])
 
     def test_paper_literal_doubles_single_sided_term(self):
         # for c(x, y) = x the second term vanishes, so the literal variant
         # is exactly twice the derived one
-        k = linear_common_kernels(1)
+        k = linear_common_reference(1)
         x, y, z = np.array([3.0]), np.array([1.0]), np.array([2.0])
         half = eval_s1(k, x, y, z, s1_convention="half_both")
         lit = eval_s1(k, x, y, z, s1_convention="paper_literal")
         np.testing.assert_allclose(lit, 2.0 * half)
 
     def test_dimension_error_names_argument(self):
-        k = linear_common_kernels(2)
+        k = linear_common_reference(2)
         with pytest.raises(DimensionMismatchError, match="'y'"):
             eval_s1(k, np.zeros(2), np.zeros(3), np.zeros(2))
 
@@ -104,19 +109,19 @@ class TestMeanFields:
         assert common is None
 
     def test_single_atom_is_exact(self):
-        k = constant_drift_kernels(2, [0.5, -1.0])
+        k = constant_drift_reference(2, [0.5, -1.0])
         mu = EmpiricalMeasure.uniform([[4.0, 4.0]])
         np.testing.assert_array_equal(
             mean_field_B(k, mu, np.array([1.0, 1.0])), [0.5, -1.0]
         )
 
     def test_zero_drift(self):
-        k = zero_kernels(2)
+        k = PointwiseReference(2)
         mu = EmpiricalMeasure.uniform([[1.0, 2.0], [0.0, 1.0]])
         np.testing.assert_array_equal(mean_field_B(k, mu, np.zeros(2)), np.zeros(2))
 
     def test_zero_noise_gives_zero_s(self):
-        k = zero_kernels(2)
+        k = PointwiseReference(2)
         mu = EmpiricalMeasure.uniform([[1.0, 2.0]])
         np.testing.assert_array_equal(mean_field_S(k, mu, np.zeros(2)), np.zeros(2))
 
@@ -279,8 +284,8 @@ def test_cs_interaction_antisymmetry(states):
 
 TRUNC = Truncation(radius=2.0, margin=1.0)
 
-# pointwise kernels whose dc and grad_sigma are checked by finite differences:
-# the Cucker-Smale references the fused field is held to, and generic kernels
+# pointwise references whose dc and grad_sigma are checked by finite
+# differences; the kernels' fields are held to them below
 REGISTERED = {
     "cucker-smale": cucker_smale_reference(
         CuckerSmaleParams(half_dim=1, lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
@@ -290,9 +295,9 @@ REGISTERED = {
             half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3, truncation=TRUNC,
         )
     ),
-    "linear-common": linear_common_kernels(2, rate=0.7),
-    "constant-common": constant_common_kernels(3, [0.3, -1.2, 0.5]),
-    "diag-individual": diag_individual_kernels(3, rate=0.5),
+    "linear-common": linear_common_reference(2, rate=0.7),
+    "constant-common": constant_common_reference(3, [0.3, -1.2, 0.5]),
+    "diag-individual": diag_individual_reference(3, rate=0.5),
 }
 
 
@@ -347,6 +352,18 @@ def test_dc_broadcasts_like_c():
 
 FIELD_TRUNC = Truncation(radius=0.8, margin=1.0)
 
+# arguments of each generic builder and its reference in the field cases; a
+# dimension below 4 keeps them out of the truncation band count
+GENERIC_ARGS = {
+    "zero": (2,),
+    "constant-drift": (3, [0.5, -1.0, 2.0]),
+    "linear-drift": (2, 0.7),
+    "linear-common": (2, 0.7),
+    "constant-common": (3, [0.3, -1.2, 0.5]),
+    "diag-individual": (2, 0.5),
+    "constant-individual": (1, 0.8),
+}
+
 
 def _field_kernels():
     """(kernel, its pointwise reference, convention)."""
@@ -357,12 +374,15 @@ def _field_kernels():
         params = CuckerSmaleParams(**params)
         return cucker_smale_kernels(params), cucker_smale_reference(params)
 
+    def generic(name, convention="half_both"):
+        args = GENERIC_ARGS[name]
+        return GENERIC_KERNELS[name](*args), GENERIC_REFERENCES[name](*args), convention
+
     plain, plain_ref = both(**cs)
     # non-constant sigma on a fused kernel, so S2 is not zero
     d = diag_individual_kernels(2, rate=0.5)
-    noisy = KernelSet(plain.dim, field=plain.field, sigma=d.sigma, grad_sigma=d.grad_sigma)
-    noisy_ref = KernelSet(plain_ref.dim, plain_ref.b, plain_ref.c, plain_ref.dc, d.sigma, d.grad_sigma)
-    linear = linear_common_kernels(2, rate=0.7)
+    noisy = KernelSet(plain.dim, plain.field, d.sigma, d.grad_sigma)
+    velocity = with_velocity_noise(plain, 0.3)
     return [
         (plain, plain_ref, "half_both"),
         (plain, plain_ref, "paper_literal"),
@@ -376,9 +396,10 @@ def _field_kernels():
         (*both(**{**cs, "gamma": 0.0, "phi_gamma": 0.0}), "paper_literal"),
         (*both(**{**cs, "gamma": 2.0, "phi_gamma": 2.0}), "half_both"),
         (*both(**{**tr, "gamma": 2.0, "phi_gamma": 0.0}), "half_both"),
-        (with_velocity_noise(plain, 0.3), with_velocity_noise(plain_ref, 0.3), "half_both"),
-        (noisy, noisy_ref, "half_both"),
-        (linear, linear, "half_both"),
+        (velocity, with_sigma(plain_ref, velocity), "half_both"),
+        (noisy, with_sigma(plain_ref, d), "half_both"),
+        *(generic(name) for name in GENERIC_ARGS),
+        generic("linear-common", "paper_literal"),
     ]
 
 
@@ -434,18 +455,26 @@ def test_field_drift_diffusion_matches_pointwise_ops():
     assert band.min() > 0, band
 
 
-def test_cucker_smale_field_calls_no_pointwise_closure():
-    # a kernel carries one evaluation path: the fused field and the
-    # pointwise closures exclude each other
-    fused = [kernel for kernel, _, _ in _field_kernels() if kernel.field is not None]
-    assert len(fused) == 12
-    for kernel in fused:
-        assert (kernel.b, kernel.c, kernel.dc) == (None, None, None)
-    ref = REGISTERED["cucker-smale"]
-    field = fused[0].field
-    for closures in (dict(c=ref.c, dc=ref.dc), dict(b=ref.b), dict(dc=ref.dc)):
-        with pytest.raises(ValueError, match="fused field"):
-            KernelSet(dim=2, field=field, **closures)
+def test_kernel_needs_a_field():
+    assert KernelSet.__slots__ == ("dim", "field", "sigma", "grad_sigma")
+    with pytest.raises(ValueError, match="^kernel needs a field$"):
+        KernelSet(2, None)
+    # the dimension rule is checked first
+    with pytest.raises(ValueError, match="dimension"):
+        KernelSet(0, None)
+
+
+def test_every_model_builds_a_field_held_to_a_reference():
+    # each catalogued model, built from the schema defaults plus the keys it
+    # requires, is evaluated through its field; the field cases above hold
+    # every generic field, and the Cucker-Smale family's, to a reference
+    for name, model in MODELS.items():
+        required = "".join(f"{key} = 1\n" for key in model.required)
+        text = f"experiment = simulate\nmodel = {name}\noutput_dir = out\n{required}"
+        kernel = build_kernel(parse_config(text).values)
+        assert callable(kernel.field), name
+        assert model.position_velocity or name in GENERIC_ARGS, name
+    assert set(GENERIC_ARGS) == set(GENERIC_KERNELS) == set(GENERIC_REFERENCES)
 
 
 def test_queries_at_atoms_shortcut_changes_no_bit():
