@@ -134,12 +134,12 @@ _TF = ("tf_center", "tf_radius")
 # the experiment keys each kind reads; every other kind rejects them
 KIND_KEYS = {
     "simulate": ("n_particles", "write_trajectories"),
-    "flocking": ("n_particles", "rate_tolerance", "fit_start_fraction", "psi_window"),
-    "weakform": ("n_particles", "n_checkpoints", "mean_band", "var_band") + _TF,
+    "flocking": ("n_particles",),
+    "weakform": ("n_particles",) + _TF,
     "cauchy": ("sizes", "wasserstein_p"),
     "chaos": ("n_list", "ref_n", "n_resamples") + _TF,
     "comparison": ("n_particles", "radius", "comparison_shift", "wasserstein_p"),
-    "transport-check": ("n_particles", "residual_tolerance"),
+    "transport-check": ("n_particles",),
 }
 
 EXPERIMENT_KINDS = tuple(KIND_KEYS)
@@ -208,13 +208,7 @@ SCHEMA: dict[str, Key] = {
         Key("n_seeds", "int",
             help="derive seeds master_seed .. master_seed+n-1; at least 1, cauchy at least 2, "
                  "weakform at least 16"),
-        # diagnostics knobs
-        Key("rate_tolerance", "float", default=0.25, help="flocking rate slack"),
-        Key("fit_start_fraction", "float", default=0.1),
-        Key("psi_window", "float", help="compact width for psi_m; observed if absent"),
-        Key("n_checkpoints", "int", default=8),
-        Key("mean_band", "float", default=4.0, help="martingale-mean band in SEs"),
-        Key("var_band", "float", default=5.0, help="variance-match band in SEs"),
+        # experiment inputs; a verdict's slack, bands and checkpoints are diagnostics constants
         Key("tf_center", "float", default=0.0, help="test-function center"),
         Key("tf_radius", "float", default=2.0, help="test-function radius/width"),
         Key("sizes", "int_list",
@@ -224,11 +218,9 @@ SCHEMA: dict[str, Key] = {
             help="chaos system sizes: at least two, strictly increasing, the first > 2"),
         Key("ref_n", "int", help="chaos reference size > max(n_list) (default 8x largest)"),
         Key("n_resamples", "int", default=64, help="chaos initial resamples per beta path, >= 32"),
-        Key("radius", "float", default=50.0, help="stopping radius for comparison"),
+        Key("radius", "float", default=50.0, help="stopping radius for comparison, > 0"),
         Key("comparison_shift", "float", default=0.5,
-            help="offset applied to the second initial measure"),
-        Key("residual_tolerance", "float", default=1e-10,
-            help="transport identity threshold"),
+            help="offset applied to the second initial measure; finite and nonzero"),
         Key("write_trajectories", "bool", default=True, help="write one CSV per seed"),
     ]
 }
@@ -315,7 +307,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("field 't_final' must be positive")
     _checked(check_time_grid, ("t_final", "dt"), values, given)
     _checked(check_tf_radius, ("tf_radius",), values, given)
-    for name in ("n_particles", "wasserstein_p", "n_checkpoints"):
+    for name in ("n_particles", "wasserstein_p"):
         if not values[name] >= 1:
             raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):
@@ -378,6 +370,13 @@ def _check_experiment(values: dict, n_seeds: int) -> None:
         raise ConfigError(
             f"experiment 'transport-check' requires scheme euler_ito, got '{values['scheme']}'"
         )
+    if kind == "comparison":
+        # a run stopped at t = 0, or two start measures at one point, leaves no ratio to judge
+        radius, shift = values["radius"], values["comparison_shift"]
+        if not radius > 0:
+            raise ConfigError(f"field 'radius' must be positive, got {radius}")
+        if shift == 0 or not math.isfinite(shift):
+            raise ConfigError(f"field 'comparison_shift' must be finite and nonzero, got {shift}")
     if kind == "flocking" and not model.position_velocity:
         raise ConfigError(f"experiment 'flocking' requires a cucker-smale model, got '{name}'")
     if kind == "weakform" and n_seeds < 16:

@@ -24,8 +24,11 @@ this module holds the numerics of both halves:
 
 Input rules (ensemble sizes, size ladders, sigma = 0) are checked once, by
 ``config.parse_config``; the functions here assume valid inputs. Every
-verdict is a pure function of the inputs and the cited tolerance, so reruns
-reproduce reports bitwise.
+verdict is a pure function of the inputs and of this module's constants, so
+reruns reproduce reports bitwise and no config can loosen a verdict until it
+cannot fail: ``FLOCKING_RATE_SLACK`` (0.25), ``FLOCKING_FIT_START`` (0.1),
+``WEAKFORM_MEAN_BAND`` (4.0), ``WEAKFORM_VAR_BAND`` (5.0),
+``WEAKFORM_CHECKPOINTS`` (8) and ``TRANSPORT_TOLERANCE`` (1e-10).
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ from .testfunctions import CylinderFunction, TestFunction
 from .transport import (
     EmpiricalMeasure, _squared_distances, support_radius, wasserstein, wasserstein_path
 )
+
+FLOCKING_RATE_SLACK = 0.25
+FLOCKING_FIT_START = 0.1
+WEAKFORM_MEAN_BAND = 4.0
+WEAKFORM_VAR_BAND = 5.0
+WEAKFORM_CHECKPOINTS = 8
+TRANSPORT_TOLERANCE = 1e-10
 
 
 class DiagnosticsReport:
@@ -129,25 +139,22 @@ def aggregate_flocking(
     spreads: Sequence[float],
     drifts: Sequence[float],
     params: CuckerSmaleParams,
-    window: Optional[float] = None,
-    fit_start_fraction: float = 0.1,
-    rate_tolerance: float = 0.25,
 ) -> DiagnosticsReport:
     """Fit the decay rate of E[E_t] and compare with the theoretical bound.
 
     ``energies`` holds one E_t series per run; ``spreads`` and ``drifts`` the
     per-run observed position ranges and mean-velocity drifts. The bound
-    r* = 2 (psi_m - 4 ||phi||_inf^2) uses psi_m = inf psi over ``window``
-    when given, otherwise over the observed spread. When psi_m <= 4 ||phi||_inf^2 the bound does not apply
-    and the report carries a note instead of a verdict.
+    r* = 2 (psi_m - 4 ||phi||_inf^2) uses psi_m = inf psi over the largest
+    observed spread; the rate fitted from ``FLOCKING_FIT_START`` (0.1) T on
+    must reach (1 - ``FLOCKING_RATE_SLACK``) r* = 0.75 r*. When psi_m <= 4
+    ||phi||_inf^2 the bound does not apply and the report carries a note.
     """
     n_runs = energies.shape[0]
     report = DiagnosticsReport(name="flocking")
     mean_energy, se_energy = _mean_stderr(energies)
     report.add_series("mean_velocity_variance", times, mean_energy, se_energy)
 
-    if window is None:
-        window = max(spreads)
+    window = max(spreads)
     psi_m = params.psi_inf(window)
     phi_sup = params.phi_sup()
     rate_bound = 2.0 * (psi_m - 4.0 * phi_sup**2)
@@ -166,15 +173,15 @@ def aggregate_flocking(
         return report
 
     t_end = times[-1]
-    mask = (times >= fit_start_fraction * t_end) & (mean_energy > 0)
+    mask = (times >= FLOCKING_FIT_START * t_end) & (mean_energy > 0)
     if mask.sum() < 2:
         report.notes.append("bound not applicable: too few positive-energy samples")
         return report
     slope, _ = np.polyfit(times[mask], np.log(mean_energy[mask]), 1)
     fitted_rate = float(-slope)
     report.metrics["fitted_rate"] = fitted_rate
-    report.metrics["fit_window_start"] = float(fit_start_fraction * t_end)
-    threshold = rate_bound * (1.0 - rate_tolerance)
+    report.metrics["fit_window_start"] = float(FLOCKING_FIT_START * t_end)
+    threshold = rate_bound * (1.0 - FLOCKING_RATE_SLACK)
     report.add_verdict(
         "fitted_decay_rate_ge_bound",
         fitted_rate,
@@ -243,19 +250,18 @@ def weakform_single(
     return martingale[checkpoint_indices], qv_cum[checkpoint_indices]
 
 
-def default_checkpoints(n_steps: int, count: int = 8) -> np.ndarray:
-    """Equispaced recorded indices, excluding t = 0, ending at the horizon."""
-    count = min(count, n_steps)
+def default_checkpoints(n_steps: int) -> np.ndarray:
+    """``WEAKFORM_CHECKPOINTS`` (8) equispaced recorded indices, excluding
+    t = 0 and ending at the horizon; every step when there are fewer."""
+    count = min(WEAKFORM_CHECKPOINTS, n_steps)
     return np.unique(np.round(np.linspace(1, n_steps, count)).astype(int))
 
 
 def aggregate_weakform(
-    per_run: Sequence[tuple[np.ndarray, np.ndarray]],
-    times: np.ndarray,
-    mean_band: float = 4.0,
-    var_band: float = 5.0,
+    per_run: Sequence[tuple[np.ndarray, np.ndarray]], times: np.ndarray
 ) -> DiagnosticsReport:
-    """Combine per-run (M, QV) samples into mean/variance verdicts."""
+    """Combine per-run (M, QV) samples into mean/variance verdicts, held to
+    ``WEAKFORM_MEAN_BAND`` (4.0) and ``WEAKFORM_VAR_BAND`` (5.0) standard errors."""
     m = np.stack([mq[0] for mq in per_run])
     qv = np.stack([mq[1] for mq in per_run])
     n_runs = m.shape[0]
@@ -273,14 +279,14 @@ def aggregate_weakform(
     report.add_series("martingale_variance", times, var_m)
     report.add_series("quadratic_variation_mean", times, mean_qv, se_qv)
     for idx, t in enumerate(times):
-        tol_mean = mean_band * se_m[idx]
+        tol_mean = WEAKFORM_MEAN_BAND * se_m[idx]
         report.add_verdict(
             f"martingale_mean_t={t:g}",
             float(abs(mean_m[idx])),
             float(tol_mean),
             bool(abs(mean_m[idx]) <= tol_mean),
         )
-        tol_var = var_band * float(np.sqrt(se_var[idx] ** 2 + se_qv[idx] ** 2))
+        tol_var = WEAKFORM_VAR_BAND * float(np.sqrt(se_var[idx] ** 2 + se_qv[idx] ** 2))
         gap = float(abs(var_m[idx] - mean_qv[idx]))
         report.add_verdict(
             f"variance_matches_qv_t={t:g}", gap, tol_var, bool(gap <= tol_var)
@@ -518,14 +524,12 @@ def aggregate_simulate(seeds: Sequence[int], runs: Sequence[tuple]) -> Diagnosti
     return report
 
 
-def aggregate_transport(
-    seeds: Sequence[int], residuals: Sequence[float], tolerance: float
-) -> DiagnosticsReport:
-    """One transport-identity verdict per seed's residual."""
+def aggregate_transport(seeds: Sequence[int], residuals: Sequence[float]) -> DiagnosticsReport:
+    """One transport-identity verdict per seed's residual, which passes at
+    most ``TRANSPORT_TOLERANCE`` (1e-10)."""
     report = DiagnosticsReport(name="transport-check")
     for seed, res in zip(seeds, residuals):
         report.metrics[f"residual_seed={seed}"] = float(res)
-        report.add_verdict(
-            f"transport_identity_seed={seed}", float(res), tolerance, res <= tolerance
-        )
+        passed = res <= TRANSPORT_TOLERANCE
+        report.add_verdict(f"transport_identity_seed={seed}", res, TRANSPORT_TOLERANCE, passed)
     return report

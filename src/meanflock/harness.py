@@ -201,7 +201,7 @@ def _weakform_worker(args):
     values, seed = args
     run = _simulate_for_seed(values, seed)
     psi = _bump(values, values["tf_center"], values["tf_radius"])
-    checkpoints = default_checkpoints(run.config.steps, values["n_checkpoints"])
+    checkpoints = default_checkpoints(run.config.steps)
     m, qv = weakform_single(run, psi, checkpoints)
     return m, qv, run.times[checkpoints]
 
@@ -252,23 +252,11 @@ def _simulate_report(values, seeds, results):
 
 def _flocking_report(values, seeds, results):
     energies, spreads, drifts, times = zip(*results)
-    return aggregate_flocking(
-        times[0],
-        np.stack(energies),
-        spreads,
-        drifts,
-        _cs_params(values),
-        window=values["psi_window"],
-        fit_start_fraction=values["fit_start_fraction"],
-        rate_tolerance=values["rate_tolerance"],
-    )
+    return aggregate_flocking(times[0], np.stack(energies), spreads, drifts, _cs_params(values))
 
 
 def _weakform_report(values, seeds, results):
-    per_run = [(m, qv) for m, qv, _ in results]
-    return aggregate_weakform(
-        per_run, results[0][2], mean_band=values["mean_band"], var_band=values["var_band"]
-    )
+    return aggregate_weakform([(m, qv) for m, qv, _ in results], results[0][2])
 
 
 def _cauchy_report(values, seeds, results):
@@ -289,7 +277,7 @@ def _comparison_report(values, seeds, results):
 
 
 def _transport_report(values, seeds, results):
-    return aggregate_transport(seeds, results, values["residual_tolerance"])
+    return aggregate_transport(seeds, results)
 
 
 EXPERIMENTS = {
@@ -387,7 +375,7 @@ def _write_json(path: Path, record: dict) -> None:
     _atomic_write_text(path, text + "\n")
 
 
-def _error_record(exc: MeanflockError) -> dict:
+def _error_record(exc: Exception) -> dict:
     """What a failed run's manifest says about its error."""
     record = {"class": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, BlowUpError):
@@ -398,9 +386,11 @@ def _error_record(exc: MeanflockError) -> dict:
 def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     """Parse, execute, persist; returns the CLI exit code.
 
-    A run that raises a package error still writes ``manifest.json``, with
+    A run that raises any ``Exception`` still writes ``manifest.json``, with
     ``status: "error"`` and the error's record, but no ``report.json``; a
-    run that finishes writes both, with ``status: "ok"``.
+    run that finishes writes both, with ``status: "ok"``. A package error
+    (``MeanflockError``) is printed and returns 1; any other error is
+    raised again once the manifest is written, so it keeps its traceback.
     """
     started = time.monotonic()
     try:
@@ -422,14 +412,15 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     }
     try:
         report = execute(cfg, output_dir=out_dir)
-    except MeanflockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
         manifest.update(status="error", error=_error_record(exc))
-        code = 1
-    else:
-        _write_json(out_dir / "report.json", report.to_json_dict())
-        manifest["status"] = "ok"
-        code = 0 if report.all_pass() else 2
-    manifest["wall_time_seconds"] = time.monotonic() - started
+        manifest["wall_time_seconds"] = time.monotonic() - started
+        _write_json(out_dir / "manifest.json", manifest)
+        if not isinstance(exc, MeanflockError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _write_json(out_dir / "report.json", report.to_json_dict())
+    manifest.update(status="ok", wall_time_seconds=time.monotonic() - started)
     _write_json(out_dir / "manifest.json", manifest)
-    return code
+    return 0 if report.all_pass() else 2

@@ -156,9 +156,8 @@ REJECTED = {
         "simulate", "model = zero\nseeds = 3, 5\nn_seeds = 4", "give 'seeds' or 'n_seeds', not both"
     ),
     "unread-flocking": (
-        "flocking", "model = cucker-smale\nsizes = 8, 4, 2\nn_list = 4, 8\nradius = 3\n"
-        "residual_tolerance = 1e-9",
-        "experiment 'flocking' does not read n_list, radius, residual_tolerance, sizes",
+        "flocking", "model = cucker-smale\nsizes = 8, 4, 2\nn_list = 4, 8\nradius = 3",
+        "experiment 'flocking' does not read n_list, radius, sizes",
     ),
     "unread-cauchy": (
         "cauchy", "model = zero\nsizes = 8, 4, 2\nn_seeds = 2\nn_particles = 99",
@@ -169,6 +168,23 @@ REJECTED = {
     ),
     "unread-tf": ("simulate", "model = zero\ntf_radius = 1", "experiment 'simulate' does not read tf_radius"),
     "record-stride": ("simulate", "model = zero\nrecord_stride = 1", "unknown key 'record_stride'"),
+    # a verdict's slack, band and checkpoints are diagnostics constants, not config keys
+    "rate-tolerance": ("flocking", "model = cucker-smale\nrate_tolerance = -50", "unknown key 'rate_tolerance'"),
+    "fit-start-fraction": (
+        "flocking", "model = cucker-smale\nfit_start_fraction = 0.5", "unknown key 'fit_start_fraction'"
+    ),
+    "psi-window": ("flocking", "model = cucker-smale\npsi_window = 1", "unknown key 'psi_window'"),
+    "mean-band": ("weakform", "model = zero\nn_seeds = 16\nmean_band = 1e9", "unknown key 'mean_band'"),
+    "var-band": ("weakform", "model = zero\nn_seeds = 16\nvar_band = 1e9", "unknown key 'var_band'"),
+    "n-checkpoints": ("weakform", "model = zero\nn_seeds = 16\nn_checkpoints = 4", "unknown key 'n_checkpoints'"),
+    "residual-tolerance": (
+        "transport-check", "model = cucker-smale\nresidual_tolerance = 1e9", "unknown key 'residual_tolerance'"
+    ),
+    # either stops every seed at t = 0 or starts both measures at one point: no verdict forms
+    "comparison-radius": ("comparison", "model = zero\nradius = 0", "field 'radius' must be positive, got 0.0"),
+    "comparison-shift": (
+        "comparison", "model = zero\ncomparison_shift = 0", "field 'comparison_shift' must be finite and nonzero"
+    ),
     # value bounds, most of them shared with the library constructors (config.check_*)
     "grid": ("simulate", "model = zero\nt_final = 1\ndt = 0.3", "fields 't_final', 'dt'"),
     "t-final-zero": ("simulate", "model = zero\nt_final = 0", "field 't_final' must be positive"),
@@ -192,10 +208,6 @@ REJECTED = {
     ),
     "dim": ("simulate", "model = zero\ndim = 0", "field 'dim'"),
     "tf-radius": ("weakform", "model = zero\nn_seeds = 16\ntf_radius = 0", "field 'tf_radius'"),
-    "n-checkpoints": (
-        "weakform", "model = cucker-smale\nphi_lambda = 0.4\nn_seeds = 16\nn_checkpoints = 0",
-        "field 'n_checkpoints'",
-    ),
 }
 
 
@@ -274,3 +286,9 @@ def test_time_grid_has_no_step_only_at_t_final_zero():
 def test_kind_key_table_covers_the_schema():
     assert not config.EXPERIMENT_KEYS & config.MODEL_KEYS
     assert config.EXPERIMENT_KEYS <= set(config.SCHEMA)
+    # every other key is read by every run: a key left in SCHEMA but dropped
+    # from KIND_KEYS would be accepted and ignored by every kind
+    assert set(config.SCHEMA) - config.EXPERIMENT_KEYS - config.MODEL_KEYS == {
+        "blowup_norm", "dt", "experiment", "init_kind", "master_seed", "model", "n_seeds",
+        "output_dir", "s1_convention", "scheme", "seeds", "t_final",
+    }

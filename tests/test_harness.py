@@ -152,8 +152,11 @@ output_dir = {tmp_path}
         assert not list(tmp_path.glob("*.csv"))
         assert (tmp_path / "report.json").exists()
 
-    def test_failing_verdict_exit_2(self, tmp_path):
-        # an impossible decay-rate demand forces a failing verdict
+    def test_failing_verdict_exit_2(self, tmp_path, monkeypatch):
+        # a velocity variance that never decays fits rate 0, below the
+        # threshold 0.75 * 2 psi_m = 1.5 of a constant psi = 1 with phi = 0
+        monkeypatch.setenv("MFS_THREADS", "1")
+        monkeypatch.setattr(harness, "energy_series", lambda run: np.ones(run.times.size))
         text = f"""
 experiment = flocking
 model = cucker-smale
@@ -165,10 +168,13 @@ t_final = 0.5
 dt = 0.01
 master_seed = 3
 n_seeds = 2
-rate_tolerance = -50.0
 output_dir = {tmp_path}
 """
         assert run_from_text(text) == 2
+        [verdict] = read_json_strict(tmp_path / "report.json")["verdicts"]
+        assert verdict == {
+            "check": "fitted_decay_rate_ge_bound", "value": 0.0, "tolerance": 1.5, "pass": False,
+        }
 
     def test_blowup_exit_1(self, tmp_path, capsys, monkeypatch):
         text = f"""
@@ -218,6 +224,29 @@ output_dir = {tmp_path}
             "class": "BlowUpError", "message": message, "seed": 4, "step_index": 0,
         }
         assert manifest["config_text"] == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    def test_foreign_error_writes_a_manifest_and_keeps_its_traceback(self, tmp_path):
+        # the states grow to about 1e290, under the blow-up norm, so their
+        # squared distances overflow and the transport solver raises a
+        # ValueError, which is not a package error
+        text = f"""
+experiment = cauchy
+model = linear-drift
+dim = 2
+drift_value = 1e30
+sizes = 8, 4, 2
+t_final = 1
+dt = 0.1
+blowup_norm = 1e300
+n_seeds = 2
+output_dir = {tmp_path}
+"""
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite") as raised:
+            run_from_text(text)
+        manifest = read_json_strict(tmp_path / "manifest.json")
+        assert manifest["status"] == "error"
+        assert manifest["error"] == {"class": "ValueError", "message": str(raised.value)}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_non_finite_blowup_manifest_is_strict_json(self, tmp_path):
