@@ -24,7 +24,6 @@ _EXPORTS = {
         "KernelSet",
         "Truncation",
         "cucker_smale_kernels",
-        "eval_S2",
     ),
     "testfunctions": ("CylinderFunction", "TestFunction"),
     "transport": (

@@ -312,6 +312,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):
         raise ConfigError("trunc_radius and trunc_margin must be given together")
+    # numpy's SeedSequence takes no negative entropy
+    if values["master_seed"] < 0:
+        raise ConfigError(f"field 'master_seed' must be >= 0, got {values['master_seed']}")
+    if values["seeds"] is not None and any(seed < 0 for seed in values["seeds"]):
+        raise ConfigError(f"field 'seeds' must be >= 0, got {values['seeds']}")
     # a repeated or ignored seed would count one run as two independent samples
     if values["seeds"] is not None and values["n_seeds"] is not None:
         raise ConfigError("give 'seeds' or 'n_seeds', not both")

@@ -41,7 +41,7 @@ from .dynamics import SimConfig, TrajectoryRecord, init_rng, resample_rng, simul
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import CylinderFunction, TestFunction
 from .transport import (
-    EmpiricalMeasure, _squared_distances, support_radius, wasserstein, wasserstein_path
+    EmpiricalMeasure, _sup_distances, support_radius, wasserstein, wasserstein_path
 )
 
 FLOCKING_RATE_SLACK = 0.25
@@ -122,15 +122,8 @@ def energy_series(run: TrajectoryRecord) -> np.ndarray:
 
 def observed_position_spread(run: TrajectoryRecord) -> float:
     """Largest pairwise position distance seen anywhere in the run."""
-    d = run.dim // 2
-    n = run.states.shape[1]
-    sq, diff = np.empty((n, n)), np.empty((n, n))
-    worst = 0.0
-    for t in range(run.times.size):
-        x = run.states[t, :, :d]
-        worst = max(worst, _squared_distances(x, x, out=sq, diff=diff).max())
-    # sqrt is monotone and correctly rounded: the max of the roots, bitwise
-    return float(np.sqrt(worst))
+    x = run.states[:, :, : run.dim // 2]
+    return float(_sup_distances(x, x).max())
 
 
 def aggregate_flocking(

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .config import S1_CONVENTIONS, SCHEMES, check_time_grid
-from .errors import BlowUpError
+from .errors import BlowUpError, DimensionMismatchError
 from .kernels import KernelSet, field_drift_diffusion
 from .transport import MeasurePath, check_weights
 
@@ -153,13 +153,17 @@ def _euler_step(
 
 
 def check_states(k: KernelSet, states, argument: str) -> np.ndarray:
-    """``states`` as floats, if a finite (m, d) array, m >= 1, d the kernel dimension."""
+    """``states`` as floats, if a finite (m, d) array, m >= 1, d the kernel
+    dimension; a wrong d raises ``DimensionMismatchError`` naming ``argument``.
+    The one state check of the run and the characteristics replay."""
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[0] < 1:
         raise ValueError(f"{argument} must be a (m, d) array with m >= 1")
     if not np.all(np.isfinite(states)):
         raise ValueError(f"{argument} must be finite")
-    return k.check_point(states, argument)
+    if states.shape[1] != k.dim:
+        raise DimensionMismatchError(argument, k.dim, states.shape[1])
+    return states
 
 
 def _integrate(

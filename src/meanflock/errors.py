@@ -67,6 +67,21 @@ class UnsupportedTransportError(MeanflockError):
         )
 
 
+class NonFiniteCostError(MeanflockError):
+    """A transport cost matrix has non-finite entries.
+
+    Finite states far apart can have a squared distance, or its p-th power,
+    that overflows; no exact solver route takes such a matrix.
+    """
+
+    def __init__(self, shape: tuple):
+        super().__init__(shape)
+        self.shape = shape
+
+    def __str__(self):
+        return f"transport cost matrix of shape {self.shape} has non-finite entries"
+
+
 class BlowUpError(MeanflockError):
     """A simulated state left the configured norm bound or became non-finite.
 

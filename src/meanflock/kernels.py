@@ -1,11 +1,10 @@
 """Interaction kernels, their Ito corrective terms, and mean-field fields.
 
 A :class:`KernelSet` describes one model through one contract: the fused
-``field(atoms, weights, queries, factor) -> (drift, common)`` gives
-B[mu] + factor S1[mu] and C[mu] at the queries at once (``factor`` None:
-no correction; ``common`` None: no common noise), and the individual-noise
-coefficient ``sigma(x)`` comes with its derivative ``grad_sigma(x)[..., i,
-l, k] = d sigma_{i,l} / d x_k``.
+``field(atoms, weights, queries, factor) -> (drift, common)`` gives the Ito
+drift B[mu] + factor S1[mu] + S2 and C[mu] at the queries at once
+(``factor`` None: the uncorrected drift B[mu]; ``common`` None: no common
+noise), and ``sigma(x)`` is the individual-noise coefficient, or None.
 
 The Cucker-Smale builder computes its field as products of unweighted
 (m, n) pair tables with the weighted atoms: one distance table that psi
@@ -14,26 +13,29 @@ row shared by every query), and a few more with a truncation or when C is
 needed at atoms that are not the queries. The generic test kernels have
 closed forms in the total weight W = sum_j w_j: B = b0 W (constant drift),
 B = rate q W (linear drift), C = c0 W with S1 = 0 (constant common noise),
-and C = rate q W with S1 = factor rate C W (linear common noise); the zero
-and individual-noise models share one zero field.
+C = rate q W with S1 = factor rate C W (linear common noise), and
+S2 = rate^2 q / 2 (diagonal individual noise); the zero and
+constant-individual models share one zero field.
 
 The corrective drift converting circle (Stratonovich) dynamics to their Ito
 form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))``, with dc
 the directional derivative of the common-noise pair coefficient c, and
-``S2(x) = 1/2 Tr(grad sigma sigma^T)``; averaged over the measure, s1 is the
-derivative of c along the common field, S1[mu](q) = 1/2 sum_j w_j
-dc(q, y_j, C[mu](q), C[mu](y_j)). The field takes the factor on s1 as a
-number, which ``SimConfig.s1_factor`` resolves from the run's convention:
-1/2, or 1 under ``paper_literal``, a variant that exists so the integrator
-cross-validation can demonstrate that it is wrong.
+``S2(x) = 1/2 Tr(grad sigma sigma^T)`` (Kloeden & Platen, Numerical
+Solution of SDEs, 1992, section 4.9), which vanishes for a constant sigma;
+averaged over the measure, s1 is the derivative of c along the common
+field, S1[mu](q) = 1/2 sum_j w_j dc(q, y_j, C[mu](q), C[mu](y_j)). The
+field takes the factor on s1 as a number, which ``SimConfig.s1_factor``
+resolves from the run's convention: 1/2, or 1 under ``paper_literal``, a
+variant that exists so the integrator cross-validation can demonstrate
+that it is wrong.
 
 :func:`field_drift_diffusion` is the one evaluator the stepper and the
 characteristics solver call. On the Cucker-Smale field the direction of dc
 is (C[mu](q), C[mu](y_j)); its C has no position block, so the position
 part dr of that direction is 0 and dc's phi' term, which carries r . dr,
-vanishes exactly. The pointwise b, c and dc of every model and the
-mean-field sums over them live with the tests, which hold each field to
-them.
+vanishes exactly. The pointwise b, c, dc and grad sigma of every model,
+and the mean-field sums over them, live with the tests, which hold each
+field to them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import check_cucker_smale, check_dim, check_truncation
-from .errors import DimensionMismatchError
 from .transport import _difference_factors, _squared_distances
 
 
@@ -51,42 +52,23 @@ class KernelSet:
     """Coefficients of one interacting-particle model over R^dim.
 
     ``field`` is the model's fused mean-field evaluation (see the module
-    docstring) and is required; it returns fresh arrays, since S2 is added
-    to its drift in place. ``sigma`` set to None means no individual noise;
-    otherwise ``grad_sigma`` is required. The constructor checks these
-    rules. Derivatives are analytic by contract, finite differences are
-    reserved for test oracles.
+    docstring) and is required; with a factor its drift includes every Ito
+    correction, S2 too. ``sigma`` set to None means no individual noise.
+    The constructor checks these rules. Corrections are closed forms by
+    contract, finite differences are reserved for test oracles.
     """
 
-    __slots__ = ("dim", "field", "sigma", "grad_sigma")
+    __slots__ = ("dim", "field", "sigma")
 
     # Read only by the benchmark tracer (bench/tracing.py), which sizes a
     # common-noise Jacobian when a kernel's c is not None; no field builds one.
     c = None
 
-    def __init__(self, dim: int, field: Callable, sigma: Optional[Callable] = None,
-                 grad_sigma: Optional[Callable] = None):
+    def __init__(self, dim: int, field: Callable, sigma: Optional[Callable] = None):
         check_dim(dim)
         if field is None:
             raise ValueError("kernel needs a field")
-        if sigma is not None and grad_sigma is None:
-            raise ValueError("kernel with individual noise needs grad_sigma")
-        self.dim, self.field = dim, field
-        self.sigma, self.grad_sigma = sigma, grad_sigma
-
-    def check_point(self, x: np.ndarray, argument: str) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatchError(argument, self.dim, x.shape[-1])
-        return x
-
-
-def eval_S2(k: KernelSet, x) -> np.ndarray:
-    """Individual-noise corrective drift 1/2 Tr(grad sigma sigma^T) at x."""
-    x = k.check_point(x, "x")
-    if k.sigma is None:
-        return np.zeros(x.shape)
-    return 0.5 * np.einsum("...ilk,...kl->...i", k.grad_sigma(x), k.sigma(x))
+        self.dim, self.field, self.sigma = dim, field, sigma
 
 
 def field_drift_diffusion(
@@ -98,18 +80,15 @@ def field_drift_diffusion(
 ):
     """Batched mean-field fields against an atom cloud.
 
-    Returns ``(drift, common_diff)`` evaluated at every query point, where
-    drift is B[mu] + factor S1[mu] + S2, with ``factor`` a run's
+    Returns ``k.field``'s ``(drift, common_diff)`` at every query point,
+    where drift is B[mu] + factor S1[mu] + S2, with ``factor`` a run's
     ``SimConfig.s1_factor``, or B[mu] alone when ``factor`` is None;
     ``common_diff`` is C[mu] (None when the kernel carries no common noise).
     This is the single evaluation path shared by the particle stepper and
     the frozen-field characteristics solver, which is what makes the
     discrete transport identity exact.
     """
-    drift, common = k.field(atoms, weights, queries, factor)
-    if k.sigma is not None and factor is not None:
-        drift += eval_S2(k, queries)
-    return drift, common
+    return k.field(atoms, weights, queries, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +295,20 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     return KernelSet(dim=dim, field=field)
 
 
-def _constant_sigma(matrix: np.ndarray) -> dict:
-    """KernelSet fields for sigma(x) = matrix at every x (grad sigma = 0)."""
+def _constant_sigma(matrix: np.ndarray) -> Callable:
+    """sigma(x) = matrix at every x, so S2 = 0."""
     dim = matrix.shape[0]
-
-    def sigma(x):
-        return np.broadcast_to(matrix, x.shape[:-1] + (dim, dim))
-
-    def grad_sigma(x):
-        return np.zeros(x.shape[:-1] + (dim, dim, dim))
-
-    return {"sigma": sigma, "grad_sigma": grad_sigma}
+    return lambda x: np.broadcast_to(matrix, x.shape[:-1] + (dim, dim))
 
 
 def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
-    """A position-velocity kernel plus constant individual noise sigma_v on velocities."""
+    """A position-velocity kernel plus constant individual noise sigma_v on
+    velocities; sigma is constant, so S2 = 0 and ``base.field`` is the whole
+    Ito drift."""
     d = base.dim // 2
     diag = np.zeros((base.dim, base.dim))
     diag[d:, d:] = sigma_v * np.eye(d)
-    return KernelSet(base.dim, base.field, **_constant_sigma(diag))
+    return KernelSet(base.dim, base.field, _constant_sigma(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +378,17 @@ def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:
         out[..., idx, idx] = rate * x
         return out
 
-    def grad_sigma(x):
-        out = np.zeros(x.shape[:-1] + (dim, dim, dim))
-        idx = np.arange(dim)
-        out[..., idx, idx, idx] = rate
-        return out
+    def field(atoms, weights, queries, factor):
+        if factor is None:
+            return np.zeros(queries.shape), None
+        return 0.5 * (rate * (rate * queries)), None
 
-    return KernelSet(dim, _zero_field, sigma, grad_sigma)
+    return KernelSet(dim, field, sigma)
 
 
 def constant_individual_kernels(dim: int, scale: float = 1.0) -> KernelSet:
     """sigma(x) = scale * I, additive individual noise."""
-    return KernelSet(dim, _zero_field, **_constant_sigma(scale * np.eye(dim)))
+    return KernelSet(dim, _zero_field, _constant_sigma(scale * np.eye(dim)))
 
 
 # builders of the generic test kernels, keyed by model name

@@ -18,8 +18,9 @@ falling back to a general transportation LP.
 All distances are exact up to solver round-off; there is no entropic or
 sliced approximation anywhere in this module. On the assignment route,
 measures with more than ``DEFAULT_SUPPORT_CAP`` atoms combined raise
-:class:`SupportCapError` before any pair table is built; the 1-D closed
-form builds none and takes any size.
+:class:`SupportCapError` before any pair table is built, and a cost matrix
+that overflows raises :class:`NonFiniteCostError`; the 1-D closed form
+builds none and takes any size.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyMeasureError,
+    NonFiniteCostError,
     SupportCapError,
     UnsupportedTransportError,
 )
@@ -313,9 +315,7 @@ def _assignment_cost(dist: np.ndarray, k: int, p: float) -> float:
     """W_p^p of n uniform atoms (rows of ``dist``) against k*n (columns)."""
     cost = dist**p
     if not np.all(np.isfinite(cost)):
-        raise ValueError(
-            f"transport cost matrix of shape {cost.shape} has non-finite entries"
-        )
+        raise NonFiniteCostError(cost.shape)
     cols = _assignment(cost, k)
     return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / cost.shape[1])
 
@@ -364,17 +364,24 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> f
     return float(cost ** (1.0 / p))
 
 
+def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) sup over the grid of the distances between the rows of the
+    (T, n, d) states ``a`` and the (T, m, d) states ``b``: a running max of
+    squared distances, then one sqrt."""
+    out = np.zeros((a.shape[1], b.shape[1]))
+    sq, diff = np.empty_like(out), np.empty_like(out)
+    for t in range(a.shape[0]):
+        _squared_distances(a[t], b[t], out=sq, diff=diff)
+        np.maximum(out, sq, out=out)
+    # sqrt is monotone and correctly rounded: the max of the roots, bitwise
+    return np.sqrt(out, out=out)
+
+
 def path_sup_distances(mu: MeasurePath, nu: MeasurePath) -> np.ndarray:
     """Matrix of sup-over-time distances between trajectories of two paths."""
     if mu.times.shape != nu.times.shape or not np.array_equal(mu.times, nu.times):
         raise ValueError("measure paths must share an identical time grid")
-    out = np.zeros((mu.n_atoms, nu.n_atoms))
-    sq, diff = np.empty_like(out), np.empty_like(out)
-    for t in range(mu.n_times):
-        _squared_distances(mu.states[t], nu.states[t], out=sq, diff=diff)
-        np.maximum(out, sq, out=out)
-    # sqrt is monotone and correctly rounded: the max of the roots, bitwise
-    return np.sqrt(out, out=out)
+    return _sup_distances(mu.states, nu.states)
 
 
 def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:

@@ -4,8 +4,10 @@ Finite differences, exhaustive enumeration, the general transportation LP,
 the test functions only tests evaluate, and the pointwise references of
 every model live here, away from the package, so the implementations they
 check can never leak in. The package evaluates each model through its fused
-``field`` only; its pair coefficients b, c and dc, and the mean-field sums
-over them, are written out here and only here.
+``field`` only; its pair coefficients b, c and dc, the derivative of its
+individual noise sigma, and the mean-field sums and corrections built from
+them (S1 and S2 = 1/2 Tr(grad sigma sigma^T)) are written out here and only
+here.
 """
 
 import itertools
@@ -19,12 +21,6 @@ from scipy.optimize import linprog
 
 from meanflock.dynamics import SimConfig
 from meanflock.errors import DimensionMismatchError, EmptyMeasureError
-from meanflock.kernels import (
-    KernelSet,
-    constant_individual_kernels,
-    diag_individual_kernels,
-    eval_S2,
-)
 from meanflock.testfunctions import TestFunction
 
 S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
@@ -104,21 +100,45 @@ class PointwiseReference:
     ``b(x, y)`` is the pair drift, ``c(x, y)`` the common-noise coefficient
     and ``dc(x, y, ex, ey) = grad_x c ex + grad_y c ey`` its directional
     derivative; each broadcasts over leading axes, and None means
-    identically zero. ``sigma`` and ``grad_sigma`` are the individual noise
-    as a ``KernelSet`` carries it, so ``eval_S2`` reads either.
+    identically zero. ``sigma(x)`` is the individual noise and
+    ``grad_sigma(x)[..., i, l, k] = d sigma_{i,l} / d x_k`` its derivative,
+    both None without individual noise.
     """
 
     __slots__ = ("dim", "b", "c", "dc", "sigma", "grad_sigma")
-    check_point = KernelSet.check_point
 
     def __init__(self, dim, b=None, c=None, dc=None, sigma=None, grad_sigma=None):
         self.dim, self.b, self.c, self.dc = dim, b, c, dc
         self.sigma, self.grad_sigma = sigma, grad_sigma
 
+    def check_point(self, x, argument):
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.dim:
+            raise DimensionMismatchError(argument, self.dim, x.shape[-1])
+        return x
 
-def with_sigma(ref, kernel):
-    """``ref`` with the individual noise of ``kernel``."""
-    return PointwiseReference(ref.dim, ref.b, ref.c, ref.dc, kernel.sigma, kernel.grad_sigma)
+
+def with_sigma(ref, noise):
+    """``ref`` with the individual noise of the reference ``noise``."""
+    return PointwiseReference(ref.dim, ref.b, ref.c, ref.dc, noise.sigma, noise.grad_sigma)
+
+
+def constant_sigma_reference(matrix):
+    """No interaction; sigma(x) = matrix at every x, so grad sigma = 0."""
+    dim = matrix.shape[0]
+    return PointwiseReference(
+        dim,
+        sigma=lambda x: np.broadcast_to(matrix, x.shape[:-1] + (dim, dim)),
+        grad_sigma=lambda x: np.zeros(x.shape[:-1] + (dim, dim, dim)),
+    )
+
+
+def velocity_noise_reference(ref, sigma_v):
+    """``ref`` over (x, v) plus constant individual noise sigma_v on velocities."""
+    d = ref.dim // 2
+    matrix = np.zeros((ref.dim, ref.dim))
+    matrix[d:, d:] = sigma_v * np.eye(d)
+    return with_sigma(ref, constant_sigma_reference(matrix))
 
 
 def _pair_shape(*args):
@@ -153,13 +173,26 @@ def linear_common_reference(dim, rate=1.0):
 
 
 def diag_individual_reference(dim, rate=1.0):
-    """No interaction; sigma(x) = rate diag(x) is the package's."""
-    return with_sigma(PointwiseReference(dim), diag_individual_kernels(dim, rate))
+    """No interaction; sigma(x) = rate diag(x), so grad sigma has the one
+    entry rate at i = l = k."""
+    idx = np.arange(dim)
+
+    def sigma(x):
+        out = np.zeros(x.shape[:-1] + (dim, dim))
+        out[..., idx, idx] = rate * x
+        return out
+
+    def grad_sigma(x):
+        out = np.zeros(x.shape[:-1] + (dim, dim, dim))
+        out[..., idx, idx, idx] = rate
+        return out
+
+    return PointwiseReference(dim, sigma=sigma, grad_sigma=grad_sigma)
 
 
 def constant_individual_reference(dim, scale=1.0):
-    """No interaction; sigma(x) = scale I is the package's."""
-    return with_sigma(PointwiseReference(dim), constant_individual_kernels(dim, scale))
+    """No interaction; sigma(x) = scale I."""
+    return constant_sigma_reference(scale * np.eye(dim))
 
 
 # pointwise references of the generic kernels, keyed as GENERIC_KERNELS and
@@ -259,6 +292,15 @@ def eval_s1(k, x, y, z, s1_convention="half_both"):
     if k.c is None:
         return np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
     return factor * k.dc(x, y, k.c(x, z), k.c(y, z))
+
+
+def eval_S2(k, x):
+    """Individual-noise corrective drift 1/2 Tr(grad sigma sigma^T) of a
+    pointwise reference at x."""
+    x = k.check_point(x, "x")
+    if k.sigma is None:
+        return np.zeros(x.shape)
+    return 0.5 * np.einsum("...ilk,...kl->...i", k.grad_sigma(x), k.sigma(x))
 
 
 def _require_atoms(mu, k):

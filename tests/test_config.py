@@ -150,6 +150,13 @@ REJECTED = {
         "simulate", "model = cucker-smale-truncated", "model 'cucker-smale-truncated' requires key 'trunc_radius'"
     ),
     "no-seeds": ("simulate", "model = zero\nn_seeds = 0", "at least one seed"),
+    # a negative seed would fail in numpy's SeedSequence, after the output dir is made
+    "negative-master-seed": (
+        "simulate", "model = zero\nmaster_seed = -1", "field 'master_seed' must be >= 0, got -1"
+    ),
+    "negative-seed": (
+        "simulate", "model = zero\nseeds = 3, -2", "field 'seeds' must be >= 0, got [3, -2]"
+    ),
     # one run counted twice would fake an independent sample
     "repeated-seed": ("simulate", "model = zero\nseeds = 3, 3", "field 'seeds' repeats a seed: [3, 3]"),
     "seeds-and-n-seeds": (

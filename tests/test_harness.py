@@ -17,6 +17,7 @@ from meanflock.errors import (
     BlowUpError,
     ConfigError,
     DimensionMismatchError,
+    NonFiniteCostError,
     SupportCapError,
     UnsupportedTransportError,
 )
@@ -226,10 +227,26 @@ output_dir = {tmp_path}
         assert manifest["config_text"] == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
-    def test_foreign_error_writes_a_manifest_and_keeps_its_traceback(self, tmp_path):
+    def test_foreign_error_writes_a_manifest_and_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # an error from outside the package is raised again after the manifest
+        monkeypatch.setenv("MFS_THREADS", "1")
+
+        def worker(job):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setitem(EXPERIMENTS, "simulate", (worker, EXPERIMENTS["simulate"][1]))
+        text = f"experiment = simulate\nmodel = zero\noutput_dir = {tmp_path}\n"
+        with pytest.raises(RuntimeError, match="^worker failed$"):
+            run_from_text(text)
+        manifest = read_json_strict(tmp_path / "manifest.json")
+        assert manifest["status"] == "error"
+        assert manifest["error"] == {"class": "RuntimeError", "message": "worker failed"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    def test_transport_overflow_is_a_package_error(self, tmp_path, capsys):
         # the states grow to about 1e290, under the blow-up norm, so their
-        # squared distances overflow and the transport solver raises a
-        # ValueError, which is not a package error
+        # squared distances overflow and the transport solver refuses the
+        # cost matrix with a typed error
         text = f"""
 experiment = cauchy
 model = linear-drift
@@ -242,11 +259,13 @@ blowup_norm = 1e300
 n_seeds = 2
 output_dir = {tmp_path}
 """
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite") as raised:
-            run_from_text(text)
+        with np.errstate(over="ignore"):
+            assert run_from_text(text) == 1
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert message == "transport cost matrix of shape (4, 8) has non-finite entries"
         manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["status"] == "error"
-        assert manifest["error"] == {"class": "ValueError", "message": str(raised.value)}
+        assert manifest["error"] == {"class": "NonFiniteCostError", "message": message}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_non_finite_blowup_manifest_is_strict_json(self, tmp_path):
@@ -330,7 +349,8 @@ output_dir = {out}
     @pytest.mark.parametrize(
         "error",
         [BlowUpError(3, 12.0, seed=5, partial=lambda: None), SupportCapError(10, 4),
-         DimensionMismatchError("x", 2, 3), UnsupportedTransportError(4, 6)],
+         DimensionMismatchError("x", 2, 3), UnsupportedTransportError(4, 6),
+         NonFiniteCostError((4, 8))],
         ids=lambda e: type(e).__name__,
     )
     def test_errors_survive_pickling(self, error):

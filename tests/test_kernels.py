@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from meanflock.config import MODELS, S1_CONVENTIONS, parse_config
 from meanflock.errors import DimensionMismatchError
-from meanflock.harness import build_kernel
+from meanflock.harness import _cs_params, build_kernel
 from meanflock.kernels import (
     GENERIC_KERNELS,
     CuckerSmaleParams,
@@ -12,7 +12,6 @@ from meanflock.kernels import (
     Truncation,
     cucker_smale_kernels,
     diag_individual_kernels,
-    eval_S2,
     field_drift_diffusion,
     with_velocity_noise,
 )
@@ -24,8 +23,10 @@ from helpers import (
     chi_both_whole_table,
     constant_common_reference,
     constant_drift_reference,
+    constant_individual_reference,
     cucker_smale_reference,
     diag_individual_reference,
+    eval_S2,
     eval_s1,
     fd_jacobian,
     linear_common_reference,
@@ -35,6 +36,7 @@ from helpers import (
     peak_traced_bytes,
     rel_close,
     truncate,
+    velocity_noise_reference,
     with_sigma,
 )
 
@@ -85,17 +87,15 @@ class TestEvalS1:
 
 class TestEvalS2:
     def test_constant_sigma(self):
-        from meanflock.kernels import constant_individual_kernels
-
-        k = constant_individual_kernels(3, 0.7)
+        k = constant_individual_reference(3, 0.7)
         np.testing.assert_array_equal(eval_S2(k, np.ones(3)), np.zeros(3))
 
     def test_linear_sigma_1d(self):
-        k = diag_individual_kernels(1)
+        k = diag_individual_reference(1)
         np.testing.assert_allclose(eval_S2(k, np.array([2.0])), [1.0])
 
     def test_diag_sigma_2d(self):
-        k = diag_individual_kernels(2)
+        k = diag_individual_reference(2)
         np.testing.assert_allclose(eval_S2(k, np.array([3.0, 5.0])), [1.5, 2.5])
 
 
@@ -298,6 +298,7 @@ REGISTERED = {
     "linear-common": linear_common_reference(2, rate=0.7),
     "constant-common": constant_common_reference(3, [0.3, -1.2, 0.5]),
     "diag-individual": diag_individual_reference(3, rate=0.5),
+    "constant-individual": constant_individual_reference(2, scale=0.8),
 }
 
 
@@ -379,9 +380,17 @@ def _field_kernels():
         return GENERIC_KERNELS[name](*args), GENERIC_REFERENCES[name](*args), convention
 
     plain, plain_ref = both(**cs)
-    # non-constant sigma on a fused kernel, so S2 is not zero
-    d = diag_individual_kernels(2, rate=0.5)
-    noisy = KernelSet(plain.dim, plain.field, d.sigma, d.grad_sigma)
+    # non-constant sigma = rate diag(x) on a fused kernel, whose field adds
+    # S2 = rate^2 x / 2 in closed form
+    rate = 0.5
+
+    def noisy_field(atoms, weights, queries, factor):
+        drift, common = plain.field(atoms, weights, queries, factor)
+        if factor is not None:
+            drift += 0.5 * (rate * (rate * queries))
+        return drift, common
+
+    noisy = KernelSet(plain.dim, noisy_field, diag_individual_kernels(plain.dim, rate).sigma)
     velocity = with_velocity_noise(plain, 0.3)
     return [
         (plain, plain_ref, "half_both"),
@@ -396,8 +405,8 @@ def _field_kernels():
         (*both(**{**cs, "gamma": 0.0, "phi_gamma": 0.0}), "paper_literal"),
         (*both(**{**cs, "gamma": 2.0, "phi_gamma": 2.0}), "half_both"),
         (*both(**{**tr, "gamma": 2.0, "phi_gamma": 0.0}), "half_both"),
-        (velocity, with_sigma(plain_ref, velocity), "half_both"),
-        (noisy, with_sigma(plain_ref, d), "half_both"),
+        (velocity, velocity_noise_reference(plain_ref, 0.3), "half_both"),
+        (noisy, with_sigma(plain_ref, diag_individual_reference(plain.dim, rate)), "half_both"),
         *(generic(name) for name in GENERIC_ARGS),
         generic("linear-common", "paper_literal"),
     ]
@@ -456,7 +465,7 @@ def test_field_drift_diffusion_matches_pointwise_ops():
 
 
 def test_kernel_needs_a_field():
-    assert KernelSet.__slots__ == ("dim", "field", "sigma", "grad_sigma")
+    assert KernelSet.__slots__ == ("dim", "field", "sigma")
     with pytest.raises(ValueError, match="^kernel needs a field$"):
         KernelSet(2, None)
     # the dimension rule is checked first
@@ -475,6 +484,56 @@ def test_every_model_builds_a_field_held_to_a_reference():
         assert callable(kernel.field), name
         assert model.position_velocity or name in GENERIC_ARGS, name
     assert set(GENERIC_ARGS) == set(GENERIC_KERNELS) == set(GENERIC_REFERENCES)
+
+
+# values under which every catalogued sigma is non-zero, and the Cucker-Smale
+# model's S1 too
+NOISE_VALUES = {"dim": 3, "half_dim": 1, "phi_lambda": 0.5, "sigma_scale": 0.7}
+
+
+def catalogue_reference(values):
+    """The pointwise reference of a parsed config's model, as ``build_kernel``
+    builds its kernel."""
+    model = MODELS[values["model"]]
+    if not model.position_velocity:
+        return GENERIC_REFERENCES[values["model"]](*(values[key] for key in model.keys))
+    ref = cucker_smale_reference(_cs_params(values))
+    if model.individual_noise:
+        ref = velocity_noise_reference(ref, values["sigma_scale"])
+    return ref
+
+
+@pytest.mark.parametrize("name", [name for name, m in MODELS.items() if m.individual_noise])
+def test_every_sigma_model_adds_its_S2(name):
+    # the corrected drift minus the uncorrected one is factor S1 + S2 of the
+    # reference, whose sigma is the kernel's and whose grad sigma is held to
+    # it by finite differences; so a sigma model whose field left S2 out
+    # fails here. The uncorrected drift of Heun's stages is B alone.
+    model = MODELS[name]
+    keys = [key for key in NOISE_VALUES if key in model.keys]
+    required = [key for key in model.required if key not in keys]
+    lines = [f"{key} = {NOISE_VALUES[key]}" for key in keys] + [f"{key} = 1" for key in required]
+    text = f"experiment = simulate\nmodel = {name}\noutput_dir = out\n" + "\n".join(lines)
+    values = parse_config(text).values
+    kernel, ref = build_kernel(values), catalogue_reference(values)
+    rng = np.random.default_rng(23)
+    atoms = rng.normal(size=(6, kernel.dim))
+    w = rng.uniform(0.5, 1.0, size=6)
+    w /= w.sum()
+    mu = EmpiricalMeasure(atoms, w)
+    for queries in (rng.normal(size=(4, kernel.dim)), atoms):
+        np.testing.assert_array_equal(ref.sigma(queries), kernel.sigma(queries))
+        for x in queries:
+            fd = fd_jacobian(lambda u: kernel.sigma(u).ravel(), x)
+            assert rel_close(ref.grad_sigma(x), fd.reshape((kernel.dim,) * 3), 1e-4, floor=1e-5)
+        corrected, _ = field_drift_diffusion(kernel, atoms, w, queries, HALF)
+        plain, _ = field_drift_diffusion(kernel, atoms, w, queries, None)
+        want = mean_field_S(ref, mu, queries, "half_both")
+        np.testing.assert_allclose(corrected - plain, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(plain, mean_field_B(ref, mu, queries), rtol=0, atol=1e-14)
+    if name == "diag-individual":
+        # sigma_scale diag(x) has S2 = sigma_scale^2 x / 2, non-zero at every query
+        assert np.all(eval_S2(ref, queries) != 0)
 
 
 def test_queries_at_atoms_shortcut_changes_no_bit():

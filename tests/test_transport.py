@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from meanflock.errors import DimensionMismatchError, SupportCapError, UnsupportedTransportError
+from meanflock.errors import (
+    DimensionMismatchError,
+    NonFiniteCostError,
+    SupportCapError,
+    UnsupportedTransportError,
+)
 from meanflock.transport import (
     DEFAULT_SUPPORT_CAP,
     EmpiricalMeasure,
@@ -397,14 +402,14 @@ def test_non_finite_costs_raise():
     for bad in (np.nan, np.inf):
         dist = rng.uniform(size=(4, 8))
         dist[2, 5] = bad
-        with pytest.raises(ValueError, match=r"shape \(4, 8\) has non-finite"):
+        with pytest.raises(NonFiniteCostError, match=r"shape \(4, 8\) has non-finite"):
             _assignment_cost(dist, 2, 2)
         states = rng.normal(size=(3, 8, 2))
         states[1, 3, 0] = bad
-        with pytest.raises(ValueError, match=r"shape \(4, 8\)"):
+        with pytest.raises(NonFiniteCostError, match=r"shape \(4, 8\)"):
             wasserstein_path(uniform_path(rng.normal(size=(3, 4, 2))), uniform_path(states), 2)
     # finite atoms whose cost overflows
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteCostError, match=r"shape \(2, 2\)"):
         wasserstein(uniform([[0.0, 0.0], [1e110, 0.0]]), uniform([[1.0, 1.0], [-1e110, 0.0]]), 3)
 
 
