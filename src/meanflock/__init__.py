@@ -25,7 +25,7 @@ _EXPORTS = {
         "Truncation",
         "cucker_smale_kernels",
     ),
-    "testfunctions": ("CylinderFunction", "TestFunction"),
+    "testfunctions": ("TestFunction",),
     "transport": (
         "EmpiricalMeasure",
         "MeasurePath",

@@ -6,16 +6,18 @@ sections, no nesting. Unknown keys, bad types, missing required keys and
 keys that the model or the experiment kind does not read are all rejected
 before any computation starts, with the offending line or key quoted.
 
-The value bounds that library objects also enforce (the time grid, the
-Cucker-Smale parameters, the truncation, the state dimension and the
-test-function radius) are written once here, as rule functions that raise
-``ValueError``. ``SimConfig``, ``CuckerSmaleParams``, ``Truncation``,
+Every float key must be finite: the parser rejects NaN and +-inf. The value
+bounds that library objects also enforce (the time grid and the blow-up
+norm, the Cucker-Smale parameters, the truncation, the state dimension and
+the test-function radius) are written once here, as rule functions that
+raise ``ValueError``. ``SimConfig``, ``CuckerSmaleParams``, ``Truncation``,
 ``KernelSet`` and ``bump`` call the same functions, and ``parse_config``
 turns their errors into ``ConfigError``s that name the keys given. The
-scheme and S1-convention choices are defined here too, each convention
-mapped to its factor on s1, and ``dynamics`` imports them. This module
-imports only ``errors`` and the standard library, so ``meanflock validate``
-loads no numpy.
+scheme and S1-convention choices (each convention mapped to its factor on
+s1), the assignment solver's ``DEFAULT_SUPPORT_CAP`` and ``state_dim`` are
+defined here too, for ``dynamics``, ``transport`` and ``harness`` to import.
+This module imports only ``errors`` and the standard library, so
+``meanflock validate`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import ConfigError
 
 SCHEMES = ("euler_ito", "heun_stratonovich")
 S1_CONVENTIONS = {"half_both": 0.5, "paper_literal": 1.0}
+# atoms of the two measures an assignment solve takes at most, combined
+DEFAULT_SUPPORT_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +49,11 @@ def check_time_grid(t_final, dt) -> None:
     whole = math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9
     if not whole or (round(steps) == 0) != (t_final == 0):
         raise ValueError("t_final must be an integer multiple of dt")
+
+
+def check_blowup_norm(blowup_norm) -> None:
+    if not blowup_norm > 0:
+        raise ValueError("blowup_norm must be positive")
 
 
 def check_cucker_smale(half_dim, lam, gamma, phi_lam, phi_gamma) -> None:
@@ -127,6 +136,11 @@ def _keys_read(model: Model) -> tuple:
     return model.keys + INIT_KEYS[model.position_velocity]
 
 
+def state_dim(values: dict) -> int:
+    """The state dimension of a config's model: 2 half_dim, or dim."""
+    return 2 * values["half_dim"] if MODELS[values["model"]].position_velocity else values["dim"]
+
+
 MODEL_KEYS = frozenset(key for model in MODELS.values() for key in _keys_read(model))
 
 _TF = ("tf_center", "tf_radius")
@@ -159,9 +173,16 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str.strip,
     "bool": _parse_bool,
     "int_list": _parse_int_list,
@@ -197,7 +218,8 @@ SCHEMA: dict[str, Key] = {
         Key("scheme", "str", default="euler_ito", choices=SCHEMES),
         Key("s1_convention", "str", default="half_both", choices=S1_CONVENTIONS),
         Key("master_seed", "int", default=0),
-        Key("blowup_norm", "float", default=1e6),
+        Key("blowup_norm", "float", default=1e6,
+            help="a run whose largest particle norm exceeds it stops with a blow-up error; > 0"),
         # initial conditions
         Key("init_kind", "str", default="gaussian", choices=("gaussian", "uniform")),
         Key("init_position_scale", "float", default=1.0, help="for position-velocity models"),
@@ -306,6 +328,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not values["t_final"] > 0:
         raise ConfigError("field 't_final' must be positive")
     _checked(check_time_grid, ("t_final", "dt"), values, given)
+    _checked(check_blowup_norm, ("blowup_norm",), values, given)
     _checked(check_tf_radius, ("tf_radius",), values, given)
     for name in ("n_particles", "wasserstein_p"):
         if not values[name] >= 1:
@@ -380,8 +403,13 @@ def _check_experiment(values: dict, n_seeds: int) -> None:
         radius, shift = values["radius"], values["comparison_shift"]
         if not radius > 0:
             raise ConfigError(f"field 'radius' must be positive, got {radius}")
-        if shift == 0 or not math.isfinite(shift):
+        if shift == 0:
             raise ConfigError(f"field 'comparison_shift' must be finite and nonzero, got {shift}")
+        # each step solves n against n atoms; the 1-D closed form has no cap
+        n = values["n_particles"]
+        if state_dim(values) > 1 and 2 * n > DEFAULT_SUPPORT_CAP:
+            raise ConfigError(f"comparison solves {n} against {n} atoms, above the support cap "
+                              f"of {DEFAULT_SUPPORT_CAP} combined")
     if kind == "flocking" and not model.position_velocity:
         raise ConfigError(f"experiment 'flocking' requires a cucker-smale model, got '{name}'")
     if kind == "weakform" and n_seeds < 16:
@@ -394,6 +422,9 @@ def _check_experiment(values: dict, n_seeds: int) -> None:
             raise ConfigError(
                 f"sizes must be three or more positive sizes, each half the one before; got {sizes}"
             )
+        if sizes[0] + sizes[1] > DEFAULT_SUPPORT_CAP:
+            raise ConfigError(f"cauchy solves {sizes[1]} against {sizes[0]} atoms, above the "
+                              f"support cap of {DEFAULT_SUPPORT_CAP} combined")
         if n_seeds < 2:
             raise ConfigError(f"cauchy needs at least 2 seeds, got {n_seeds}")
     if kind == "chaos":

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dynamics import SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
-from .testfunctions import CylinderFunction, TestFunction
+from .testfunctions import TestFunction
 from .transport import (
     EmpiricalMeasure, _sup_distances, support_radius, wasserstein, wasserstein_path
 )
@@ -437,7 +437,7 @@ def aggregate_comparison(
 def chaos_beta_path(
     k: KernelSet,
     sampler: Callable[[np.random.Generator, int], np.ndarray],
-    phis: Sequence[CylinderFunction],
+    phis: Sequence[tuple[TestFunction, int]],
     n_list: Sequence[int],
     cfg: SimConfig,
     ref_n: int,
@@ -445,14 +445,14 @@ def chaos_beta_path(
 ) -> np.ndarray:
     """|E-hat[prod phi | beta] - prod <phi, mu_ref>| for each N at one beta.
 
-    The beta path, the reference draw and the resamples all come from
-    ``cfg.master_seed``.
+    ``phis`` are (test function, grid step) pairs; the i-th is evaluated on
+    particle i's state at its step, so the product runs over the first
+    ``len(phis)`` particles. The beta path, the reference draw and the
+    resamples all come from ``cfg.master_seed``.
     """
-    r = len(phis)
     beta_seed = cfg.master_seed
     ref_run = simulate(k, sampler(init_rng(beta_seed), ref_n), cfg)
-    ref_paths = np.swapaxes(ref_run.states, 0, 1)  # (n_ref, times, d)
-    ref_marginals = [float(np.mean(phi.apply_path(ref_paths))) for phi in phis]
+    ref_marginals = [float(np.mean(fn.eval(ref_run.states[step]))) for fn, step in phis]
     target = float(np.prod(ref_marginals))
 
     n_max = max(n_list)
@@ -461,8 +461,7 @@ def chaos_beta_path(
         atoms_block = sampler(resample_rng(beta_seed, s), n_max)
         for n_idx, n in enumerate(n_list):
             run = simulate(k, atoms_block[:n], cfg)
-            lead = np.swapaxes(run.states[:, :r, :], 0, 1)  # (r, times, d)
-            vals = [phi.apply_path(lead[i]) for i, phi in enumerate(phis)]
+            vals = [fn.eval(run.states[step, i]) for i, (fn, step) in enumerate(phis)]
             products[n_idx, s] = float(np.prod(vals))
     return np.abs(products.mean(axis=1) - target)
 

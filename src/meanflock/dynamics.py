@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import S1_CONVENTIONS, SCHEMES, check_time_grid
+from .config import S1_CONVENTIONS, SCHEMES, check_blowup_norm, check_time_grid
 from .errors import BlowUpError, DimensionMismatchError
 from .kernels import KernelSet, field_drift_diffusion
 from .transport import MeasurePath, check_weights
@@ -88,13 +88,14 @@ class NoisePath:
 class SimConfig:
     """Time grid, scheme and reproducibility knobs for one trajectory; ``s1_factor``
     is the factor on s1 in the Ito correction S1 that ``s1_convention`` names.
-    The constructor checks the grid, the scheme and the convention."""
+    The constructor checks the grid, the blow-up norm, the scheme and the convention."""
 
     __slots__ = ("t_final", "dt", "scheme", "master_seed", "s1_convention", "blowup_norm")
 
     def __init__(self, t_final: float, dt: float, scheme: str = "euler_ito", master_seed: int = 0,
                  s1_convention: str = "half_both", blowup_norm: float = 1e6):
         check_time_grid(t_final, dt)
+        check_blowup_norm(blowup_norm)
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
         if s1_convention not in S1_CONVENTIONS:

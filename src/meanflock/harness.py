@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import transport_residual
-from .config import CHAOS_R, INIT_KEYS, MODELS, ExperimentConfig, parse_config
+from .config import CHAOS_R, INIT_KEYS, MODELS, ExperimentConfig, parse_config, state_dim
 from .diagnostics import (
     COMPARISON_SHIFTS,
     DiagnosticsReport,
@@ -72,7 +72,7 @@ from .kernels import (
     cucker_smale_kernels,
     with_velocity_noise,
 )
-from .testfunctions import CylinderFunction, bump, velocity_bump
+from .testfunctions import TestFunction, bump
 from .transport import EmpiricalMeasure, moments, wasserstein
 
 # ---------------------------------------------------------------------------
@@ -105,10 +105,6 @@ def build_kernel(values: dict) -> KernelSet:
     if model.individual_noise:
         kernel = with_velocity_noise(kernel, values["sigma_scale"])
     return kernel
-
-
-def state_dim(values: dict) -> int:
-    return 2 * values["half_dim"] if MODELS[values["model"]].position_velocity else values["dim"]
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +158,19 @@ def _comparison_inits(values: dict) -> tuple[EmpiricalMeasure, list[EmpiricalMea
     ]
 
 
-def _bump(values: dict, center: float, radius: float):
+def _bump(values: dict, center: float, radius: float) -> TestFunction:
     """Bump test function; on velocities only for position-velocity models."""
-    if MODELS[values["model"]].position_velocity:
-        return velocity_bump(center, radius, values["half_dim"])
-    return bump(center, radius, dim=state_dim(values))
+    start = values["half_dim"] if MODELS[values["model"]].position_velocity else 0
+    return bump(center, radius, state_dim(values), start)
 
 
-def _build_cylinder_functions(values: dict) -> list[CylinderFunction]:
-    # CHAOS_R = 2 bounded path observables at distinct grid steps
+def _build_cylinder_functions(values: dict) -> list[tuple[TestFunction, int]]:
+    # CHAOS_R = 2 bounded path observables: (test function, grid step) pairs
     steps = build_sim_config(values).steps
     center, radius = values["tf_center"], values["tf_radius"]
     return [
-        CylinderFunction(_bump(values, center, radius), steps),
-        CylinderFunction(_bump(values, center, 1.2 * radius), round(0.75 * steps)),
+        (_bump(values, center, radius), steps),
+        (_bump(values, center, 1.2 * radius), round(0.75 * steps)),
     ]
 
 

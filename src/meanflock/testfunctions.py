@@ -1,10 +1,14 @@
 """C^2 test functions with analytic gradients and Hessians.
 
 These pair smooth observables with the derivative data the weak-form
-generator needs. The compactly supported bumps use the quintic profile
-P(u) = 1 - u^3 (10 - 15 u + 6 u^2), which has two vanishing derivatives at
-both ends of [0, 1] and therefore gives C^2 regularity after composition
-with the squared radius.
+generator needs. ``bump`` is the one builder: a compactly supported bump in
+the coordinate block z[..., start:], constant in the coordinates before it,
+so a position-velocity state is tested on its velocities with ``start =
+half_dim``. It uses the quintic profile P(u) = 1 - u^3 (10 - 15 u + 6 u^2),
+which has two vanishing derivatives at both ends of [0, 1] and therefore
+gives C^2 regularity after composition with the squared radius. A bounded
+functional of a path at a fixed time is a bump evaluated on the state at one
+grid step; this module builds no path functionals.
 """
 
 from __future__ import annotations
@@ -39,76 +43,45 @@ def _quintic_profile(u: np.ndarray):
     return val, d1, d2
 
 
-def bump(center, radius: float, dim: int | None = None) -> TestFunction:
-    """Compactly supported C^2 bump: psi(x) = P(|x - c|^2 / R^2)."""
+def bump(center, radius: float, dim: int | None = None, start: int = 0) -> TestFunction:
+    """Compactly supported C^2 bump: psi(z) = P(|z[start:] - c|^2 / R^2).
+
+    psi is constant in z[..., :start], where its gradient and Hessian are
+    exactly 0. A scalar center repeats over the dim - start coordinates of
+    the block.
+    """
     check_tf_radius(radius)
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if dim is not None and center.size == 1 and dim > 1:
-        center = np.full(dim, center[0])
-    d = center.size
+    if dim is not None and center.size == 1 and dim - start > 1:
+        center = np.full(dim - start, center[0])
     r_sq = radius * radius
+    eye = np.eye(center.size)
 
-    def _u(x):
-        diff = x - center
+    def _u(z):
+        diff = z[..., start:] - center
         return np.einsum("...k,...k->...", diff, diff) / r_sq, diff
 
-    def eval_(x):
-        u, _ = _u(np.asarray(x, dtype=float))
-        return _quintic_profile(u)[0]
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        u, diff = _u(x)
-        _, d1, _ = _quintic_profile(u)
-        return d1[..., None] * (2.0 / r_sq) * diff
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        u, diff = _u(x)
-        _, d1, d2 = _quintic_profile(u)
-        outer = diff[..., :, None] * diff[..., None, :]
-        eye = np.eye(d)
-        return (4.0 / r_sq**2) * d2[..., None, None] * outer + (
-            2.0 / r_sq
-        ) * d1[..., None, None] * eye
-
-    return TestFunction(eval=eval_, grad=grad, hess=hess)
-
-
-def velocity_bump(v_center, radius: float, half_dim: int) -> TestFunction:
-    """Bump acting on the velocity block of a position-velocity state."""
-    v_center = np.atleast_1d(np.asarray(v_center, dtype=float))
-    if v_center.size == 1 and half_dim > 1:
-        v_center = np.full(half_dim, v_center[0])
-    inner = bump(v_center, radius)
-    d = half_dim
-
     def eval_(z):
-        return inner.eval(np.asarray(z, dtype=float)[..., d:])
+        u, _ = _u(np.asarray(z, dtype=float))
+        return _quintic_profile(u)[0]
 
     def grad(z):
         z = np.asarray(z, dtype=float)
+        u, diff = _u(z)
+        _, d1, _ = _quintic_profile(u)
         out = np.zeros(z.shape)
-        out[..., d:] = inner.grad(z[..., d:])
+        out[..., start:] = d1[..., None] * (2.0 / r_sq) * diff
         return out
 
     def hess(z):
         z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape + (2 * d,))
-        out[..., d:, d:] = inner.hess(z[..., d:])
+        u, diff = _u(z)
+        _, d1, d2 = _quintic_profile(u)
+        outer = diff[..., :, None] * diff[..., None, :]
+        out = np.zeros(z.shape + z.shape[-1:])
+        out[..., start:, start:] = (4.0 / r_sq**2) * d2[..., None, None] * outer + (
+            2.0 / r_sq
+        ) * d1[..., None, None] * eye
         return out
 
     return TestFunction(eval=eval_, grad=grad, hess=hess)
-
-
-class CylinderFunction:
-    """Bounded path functional phi(x) = f(x_k) at a fixed grid step k."""
-
-    __slots__ = ("fn", "index")
-
-    def __init__(self, fn: TestFunction, index: int):
-        self.fn, self.index = fn, index
-
-    def apply_path(self, path: np.ndarray) -> np.ndarray:
-        """Evaluate on (..., times, d) trajectories at grid step ``index``."""
-        return self.fn.eval(path[..., self.index, :])

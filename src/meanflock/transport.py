@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT_SUPPORT_CAP
 from .errors import (
     DimensionMismatchError,
     EmptyMeasureError,
@@ -34,8 +35,6 @@ from .errors import (
     SupportCapError,
     UnsupportedTransportError,
 )
-
-DEFAULT_SUPPORT_CAP = 4096
 
 _WEIGHT_TOL = 1e-12
 

@@ -195,14 +195,38 @@ REJECTED = {
     # value bounds, most of them shared with the library constructors (config.check_*)
     "grid": ("simulate", "model = zero\nt_final = 1\ndt = 0.3", "fields 't_final', 'dt'"),
     "t-final-zero": ("simulate", "model = zero\nt_final = 0", "field 't_final' must be positive"),
-    "t-final-inf": (
-        "simulate", "model = zero\nt_final = inf", "field 't_final': t_final must be an integer multiple"
-    ),
+    # every float key is finite: NaN and +-inf stop at the parser, which names the field
+    "t-final-inf": ("simulate", "model = zero\nt_final = inf", "field 't_final' expects float: not a finite"),
     "grid-no-step": (
         "simulate", "model = zero\nt_final = 1e-12\ndt = 1", "t_final must be an integer multiple of dt"
     ),
-    "dt-nan": ("simulate", "model = zero\ndt = nan", "field 'dt': dt must be positive"),
-    "lambda-nan": ("simulate", "model = cucker-smale\nlambda = nan", "field 'lambda': psi amplitude"),
+    "dt-nan": ("simulate", "model = zero\ndt = nan", "field 'dt' expects float: not a finite number: 'nan'"),
+    "lambda-nan": ("simulate", "model = cucker-smale\nlambda = nan", "field 'lambda' expects float: not a finite"),
+    # with p = inf every distance reads 0**0 = 1, and the decrease check passes on 0
+    "wasserstein-p-inf": (
+        "cauchy", "model = zero\nsizes = 8, 4, 2\nn_seeds = 2\nwasserstein_p = inf",
+        "field 'wasserstein_p' expects float: not a finite number: 'inf'",
+    ),
+    "init-scale-nan": ("simulate", "model = zero\ninit_scale = nan", "field 'init_scale' expects float"),
+    "init-velocity-scale-inf": (
+        "transport-check", "model = cucker-smale\ninit_velocity_scale = inf",
+        "field 'init_velocity_scale' expects float: not a finite number: 'inf'",
+    ),
+    "tf-center-inf": (
+        "weakform", "model = zero\nn_seeds = 16\ntf_center = inf", "field 'tf_center' expects float"
+    ),
+    # a bad blow-up norm would read as a numerical blow-up at step 0
+    "blowup-norm-zero": ("simulate", "model = zero\nblowup_norm = 0", "field 'blowup_norm': blowup_norm must"),
+    "blowup-norm-negative": ("simulate", "model = zero\nblowup_norm = -1", "blowup_norm must be positive"),
+    # the assignment solver's support cap, checked before any seed is simulated
+    "cauchy-support-cap": (
+        "cauchy", "model = zero\nsizes = 4096, 2048, 1024\nn_seeds = 2",
+        "cauchy solves 2048 against 4096 atoms, above the support cap of 4096 combined",
+    ),
+    "comparison-support-cap": (
+        "comparison", "model = cucker-smale\nn_particles = 2100",
+        "comparison solves 2100 against 2100 atoms, above the support cap of 4096 combined",
+    ),
     "half-dim": ("simulate", "model = cucker-smale\nhalf_dim = 0", "field 'half_dim'"),
     "lambda": ("simulate", "model = cucker-smale\nlambda = -1", "field 'lambda'"),
     "n-particles": ("simulate", "model = zero\nn_particles = 0", "field 'n_particles'"),
@@ -261,6 +285,9 @@ SHARED_RULES = {
     ),
     "dim": (lambda: zero_kernels(0), "simulate", "model = zero\ndim = 0"),
     "tf-radius": (lambda: bump(0.0, -1.0), "weakform", "model = zero\nn_seeds = 16\ntf_radius = -1"),
+    "blowup-norm": (
+        lambda: SimConfig(t_final=1.0, dt=0.5, blowup_norm=0.0), "simulate", "model = zero\nblowup_norm = 0"
+    ),
 }
 
 
@@ -271,6 +298,13 @@ def test_library_and_config_share_each_rule(build, kind, lines):
     with pytest.raises(ConfigError) as parsed:
         parse_config(f"experiment = {kind}\noutput_dir = out\n{lines}\n")
     assert str(parsed.value).endswith(f": {library.value}")
+
+
+def test_one_dimensional_comparison_has_no_support_cap(tmp_path):
+    # the 1-D closed form builds no pair table, so 2 * 2100 atoms above the cap still run
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"experiment = comparison\nmodel = zero\nn_particles = 2100\noutput_dir = {tmp_path}\n")
+    assert main(["validate", str(cfg)]) == 0
 
 
 def test_choices_are_defined_once():

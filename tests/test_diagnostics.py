@@ -29,7 +29,7 @@ from meanflock.kernels import (
     cucker_smale_kernels,
     zero_kernels,
 )
-from meanflock.testfunctions import CylinderFunction, bump, velocity_bump
+from meanflock.testfunctions import bump
 from meanflock.transport import EmpiricalMeasure, wasserstein
 
 from helpers import constant, position_spread_reference, reseeded
@@ -173,7 +173,7 @@ class TestWeakform:
     def test_deterministic_defect_shrinks_linearly(self):
         # no noise: the residual is pure Euler quadrature error, O(dt)
         kernel = cs_kernel(lam=1.0, gamma=1.0)
-        psi = velocity_bump(0.0, 2.0, 1)
+        psi = bump(0.0, 2.0, 2, start=1)
         defects = []
         for dt in (0.02, 0.01, 0.005):
             runs = run_ensemble(kernel, 8, dict(t_final=0.4, dt=dt), seeds=[5])
@@ -188,7 +188,7 @@ class TestWeakform:
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
         runs = run_ensemble(kernel, 6, dict(t_final=0.2, dt=0.01), seeds=[7])
         checks = np.arange(runs[0].config.steps + 1)
-        _, qv = weakform_single(runs[0], velocity_bump(0.0, 2.0, 1), checks)
+        _, qv = weakform_single(runs[0], bump(0.0, 2.0, 2, start=1), checks)
         assert np.all(qv >= 0.0)
         assert np.all(np.diff(qv) >= 0.0)
         # additivity over disjoint intervals: increments sum to the total
@@ -319,8 +319,8 @@ class TestChaos:
         # pure Monte-Carlo noise
         cfg = SimConfig(t_final=0.125, dt=0.0625)
         phis = [
-            CylinderFunction(bump(0.0, 1.5, dim=2), 2),
-            CylinderFunction(bump(0.5, 1.5, dim=2), 1),
+            (bump(0.0, 1.5, dim=2), 2),
+            (bump(0.5, 1.5, dim=2), 1),
         ]
         report = self._report(phis, [8, 16], cfg, [0, 1], ref_n=64, n_resamples=48)
         for n in (8, 16):
@@ -328,7 +328,7 @@ class TestChaos:
 
     def test_single_marginal(self):
         cfg = SimConfig(t_final=0.125, dt=0.0625)
-        phis = [CylinderFunction(bump(0.0, 1.5, dim=2), 2)]
+        phis = [(bump(0.0, 1.5, dim=2), 2)]
         report = self._report(phis, [4, 8], cfg, [0], ref_n=64, n_resamples=32)
         assert report.metrics["r"] == 1
         assert len(report.verdicts) == 1

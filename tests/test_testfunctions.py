@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meanflock.testfunctions import CylinderFunction, bump, velocity_bump
+from meanflock.testfunctions import bump
 
 from helpers import constant, coordinate, fd_gradient, fd_jacobian, gaussian, rel_close
 
@@ -11,8 +11,8 @@ from helpers import constant, coordinate, fd_gradient, fd_jacobian, gaussian, re
     [
         (bump([0.5, -0.5], 1.5), 2),
         (bump(0.0, 2.0, dim=3), 3),
-        (velocity_bump(0.25, 1.0, 1), 2),
-        (velocity_bump([0.0, 0.5], 1.2, 2), 4),
+        (bump(0.25, 1.0, 2, start=1), 2),
+        (bump([0.0, 0.5], 1.2, 4, start=2), 4),
         (gaussian([1.0, 0.0], 0.8), 2),
         (coordinate(1, 3), 3),
     ],
@@ -46,7 +46,7 @@ def test_bump_needs_positive_radius(radius):
     with pytest.raises(ValueError, match="radius must be positive"):
         bump(0.0, radius)
     with pytest.raises(ValueError, match="radius must be positive"):
-        velocity_bump(0.0, radius, 1)
+        bump(0.0, radius, 2, start=1)
 
 
 def test_bump_c2_boundary():
@@ -61,7 +61,7 @@ def test_bump_c2_boundary():
 
 
 def test_velocity_bump_ignores_positions():
-    tf = velocity_bump(0.0, 1.0, 1)
+    tf = bump(0.0, 1.0, 2, start=1)
     z1 = np.array([0.0, 0.3])
     z2 = np.array([100.0, 0.3])
     assert tf.eval(z1) == tf.eval(z2)
@@ -76,20 +76,19 @@ def test_constant_function():
     np.testing.assert_array_equal(tf.grad(x), np.zeros((4, 3)))
 
 
-def test_cylinder_on_grid():
-    tf = coordinate(0, 1)
-    cyl = CylinderFunction(tf, 5)
-    times = np.linspace(0.0, 1.0, 11)
-    path = times[:, None] ** 2
-    assert cyl.apply_path(path) == pytest.approx(0.25)
-    # (..., times, d) batches of paths take the same step
-    paths = np.stack([path, 2.0 * path])
-    np.testing.assert_allclose(cyl.apply_path(paths), [0.25, 0.5])
-
-
-def test_cylinder_off_grid_rejected():
-    # a step past the last grid step of the path
-    cyl = CylinderFunction(coordinate(0, 1), 11)
-    times = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(IndexError):
-        cyl.apply_path(times[:, None])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=["single", "batched", "batched2"])
+def test_block_bump_is_the_bump_of_its_block(d, batch):
+    # on z[..., d:] the bump of the block start = d is the d-dimensional bump
+    # exactly; its gradient and Hessian are exactly 0 elsewhere
+    full, block = bump(0.3, 1.5, 2 * d, start=d), bump(0.3, 1.5, d)
+    z = np.random.default_rng(d).uniform(-1.5, 1.5, size=batch + (2 * d,))
+    v = z[..., d:]
+    np.testing.assert_array_equal(full.eval(z), block.eval(v))
+    grad, hess = full.grad(z), full.hess(z)
+    assert grad.shape == z.shape and hess.shape == z.shape + (2 * d,)
+    np.testing.assert_array_equal(grad[..., d:], block.grad(v))
+    np.testing.assert_array_equal(hess[..., d:, d:], block.hess(v))
+    np.testing.assert_array_equal(grad[..., :d], 0.0)
+    np.testing.assert_array_equal(hess[..., :d, :], 0.0)
+    np.testing.assert_array_equal(hess[..., :, :d], 0.0)
