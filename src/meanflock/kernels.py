@@ -17,6 +17,10 @@ C = rate q W with S1 = factor rate C W (linear common noise), and
 S2 = rate^2 q / 2 (diagonal individual noise); the zero and
 constant-individual models share one zero field.
 
+The truncation R(v) = v chi(|v|) of the Cucker-Smale noise is C^2 because
+chi is the quintic smoothstep of the test functions' bumps, the one
+``testfunctions.quintic``, evaluated on the entries of its band only.
+
 The corrective drift converting circle (Stratonovich) dynamics to their Ito
 form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))``, with dc
 the directional derivative of the common-noise pair coefficient c, and
@@ -45,6 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import check_cucker_smale, check_dim, check_truncation
+from .testfunctions import quintic
 from .transport import _difference_factors, _squared_distances
 
 
@@ -113,7 +118,8 @@ def _rational_weight(
 
 
 class Truncation:
-    """C^2 velocity truncation: R(v) = v * chi(|v|), chi quintic smoothstep.
+    """C^2 velocity truncation: R(v) = v * chi(|v|), chi(s) = P((s - radius) /
+    margin) with P the quintic smoothstep.
 
     chi is 1 on [0, radius], 0 beyond radius + margin; the constructor
     checks that radius and margin are positive.
@@ -133,14 +139,13 @@ class Truncation:
         u /= self.margin
         band = u > 0.0
         band &= u < 1.0
-        ub = u[band]
+        val, d1, _ = quintic(u[band])
         # chi is 1 below the band and 0 beyond it; it takes u's table
         chi = np.subtract(1.0, u >= 1.0, out=u)
-        chi[band] = 1.0 - ub * ub * ub * (10.0 + ub * (-15.0 + 6.0 * ub))
+        chi[band] = val
         # chi' vanishes off the band, and s > radius > 0 on it
         ratio = np.zeros(chi.shape)
-        one_m = 1.0 - ub
-        ratio[band] = (-30.0 / self.margin) * ub * ub * one_m * one_m / s[band]
+        ratio[band] = d1 / self.margin / s[band]
         return chi, ratio
 
 

@@ -4,11 +4,12 @@ These pair smooth observables with the derivative data the weak-form
 generator needs. ``bump`` is the one builder: a compactly supported bump in
 the coordinate block z[..., start:], constant in the coordinates before it,
 so a position-velocity state is tested on its velocities with ``start =
-half_dim``. It uses the quintic profile P(u) = 1 - u^3 (10 - 15 u + 6 u^2),
+half_dim``. Its profile is ``quintic``, P(u) = 1 - u^3 (10 - 15 u + 6 u^2),
 which has two vanishing derivatives at both ends of [0, 1] and therefore
-gives C^2 regularity after composition with the squared radius. A bounded
-functional of a path at a fixed time is a bump evaluated on the state at one
-grid step; this module builds no path functionals.
+gives C^2 regularity after composition with the squared radius; the
+velocity truncation's chi (``kernels.Truncation``) is the same quintic. A
+bounded functional of a path at a fixed time is a bump evaluated on the
+state at one grid step; this module builds no path functionals.
 """
 
 from __future__ import annotations
@@ -29,18 +30,16 @@ class TestFunction:
         self.eval, self.grad, self.hess = eval, grad, hess
 
 
-def _quintic_profile(u: np.ndarray):
-    """P, P', P'' of the decreasing quintic profile on u in [0, 1]."""
-    uc = np.clip(u, 0.0, 1.0)
-    val = 1.0 - uc**3 * (10.0 - 15.0 * uc + 6.0 * uc**2)
-    d1 = -30.0 * uc**2 * (1.0 - uc) ** 2
-    d2 = -60.0 * uc * (1.0 - uc) * (1.0 - 2.0 * uc)
-    outside = (u <= 0.0) | (u >= 1.0)
-    d1 = np.where(outside, 0.0, d1)
-    d2 = np.where(outside, 0.0, d2)
-    val = np.where(u >= 1.0, 0.0, val)
-    val = np.where(u <= 0.0, 1.0, val)
-    return val, d1, d2
+def quintic(u: np.ndarray):
+    """P, P' and P'' of P(u) = 1 - u^3 (10 - 15 u + 6 u^2) at u in (0, 1).
+
+    P falls from 1 to 0, and P' and P'' vanish at both ends, so callers
+    continue it by 1 below the band and 0 above it and stay C^2; they
+    evaluate it on the band entries only.
+    """
+    one_m = 1.0 - u
+    val = 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
+    return val, -30.0 * u * u * one_m * one_m, -60.0 * u * one_m * (1.0 - 2.0 * u)
 
 
 def bump(center, radius: float, dim: int | None = None, start: int = 0) -> TestFunction:
@@ -57,26 +56,29 @@ def bump(center, radius: float, dim: int | None = None, start: int = 0) -> TestF
     r_sq = radius * radius
     eye = np.eye(center.size)
 
-    def _u(z):
+    def profile(z):
+        """(P, P', P'') at u = |z[start:] - c|^2 / R^2, and z[start:] - c."""
         diff = z[..., start:] - center
-        return np.einsum("...k,...k->...", diff, diff) / r_sq, diff
+        u = np.asarray(np.einsum("...k,...k->...", diff, diff) / r_sq)
+        band = (u > 0.0) & (u < 1.0)
+        out = np.where(u >= 1.0, 0.0, 1.0), np.zeros(u.shape), np.zeros(u.shape)
+        for table, part in zip(out, quintic(u[band])):
+            table[band] = part
+        return out, diff
 
     def eval_(z):
-        u, _ = _u(np.asarray(z, dtype=float))
-        return _quintic_profile(u)[0]
+        return profile(np.asarray(z, dtype=float))[0][0]
 
     def grad(z):
         z = np.asarray(z, dtype=float)
-        u, diff = _u(z)
-        _, d1, _ = _quintic_profile(u)
+        (_, d1, _), diff = profile(z)
         out = np.zeros(z.shape)
         out[..., start:] = d1[..., None] * (2.0 / r_sq) * diff
         return out
 
     def hess(z):
         z = np.asarray(z, dtype=float)
-        u, diff = _u(z)
-        _, d1, d2 = _quintic_profile(u)
+        (_, d1, d2), diff = profile(z)
         outer = diff[..., :, None] * diff[..., None, :]
         out = np.zeros(z.shape + z.shape[-1:])
         out[..., start:, start:] = (4.0 / r_sq**2) * d2[..., None, None] * outer + (

@@ -16,11 +16,12 @@ or 4 against 6 atoms) raises :class:`UnsupportedTransportError` rather than
 falling back to a general transportation LP.
 
 All distances are exact up to solver round-off; there is no entropic or
-sliced approximation anywhere in this module. On the assignment route,
-measures with more than ``DEFAULT_SUPPORT_CAP`` atoms combined raise
-:class:`SupportCapError` before any pair table is built, and a cost matrix
-that overflows raises :class:`NonFiniteCostError`; the 1-D closed form
-builds none and takes any size.
+sliced approximation anywhere in this module. ``wasserstein`` and
+``wasserstein_path`` share one checked path (``_exact_distance``). On the
+assignment route, measures with more than ``DEFAULT_SUPPORT_CAP`` atoms
+combined raise :class:`SupportCapError` before any pair table is built, and
+a cost matrix that overflows raises :class:`NonFiniteCostError`; the 1-D
+closed form builds none and takes any size.
 """
 
 from __future__ import annotations
@@ -44,37 +45,37 @@ def check_weights(weights, n: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (n,):
         raise DimensionMismatchError("weights", n, weights.size)
-    if np.any(weights <= 0):
+    # written so that a NaN weight fails both checks
+    if not np.all(weights > 0):
         raise ValueError("measure weights must be positive")
-    if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-        raise ValueError(f"weights sum to {float(weights.sum())!r}, expected 1")
+    total = float(weights.sum())
+    if not abs(total - 1.0) <= _WEIGHT_TOL:
+        raise ValueError(f"weights sum to {total!r}, expected 1")
     return weights
 
 
 class EmpiricalMeasure:
-    """Weighted point cloud sum_j w_j * delta_{y_j} with weights summing to 1;
-    the constructor checks the atoms and the weights."""
+    """Weighted point cloud sum_j w_j * delta_{y_j} with weights summing to 1,
+    each 1/n when ``weights`` is None; the constructor checks the atoms and
+    the weights."""
 
     __slots__ = ("atoms", "weights")
 
-    def __init__(self, atoms, weights):
+    def __init__(self, atoms, weights=None):
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim == 1:
             atoms = atoms[:, None]
         if atoms.ndim != 2 or atoms.shape[0] == 0:
             raise EmptyMeasureError("measure needs a (n, d) atom array with n >= 1")
-        self.weights = check_weights(weights, atoms.shape[0])
+        n = atoms.shape[0]
+        self.weights = check_weights(np.full(n, 1.0 / n) if weights is None else weights, n)
         if not np.all(np.isfinite(atoms)):
             raise ValueError("measure atoms must be finite")
         self.atoms = atoms
 
     @classmethod
     def uniform(cls, atoms) -> "EmpiricalMeasure":
-        atoms = np.asarray(atoms, dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        n = atoms.shape[0]
-        return cls(atoms, np.full(n, 1.0 / n))
+        return cls(atoms)
 
     @property
     def n(self) -> int:
@@ -176,11 +177,6 @@ def _squared_distances(
         diff *= diff
         out += diff
     return out
-
-
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    dist = _squared_distances(a, b)
-    return np.sqrt(dist, out=dist)
 
 
 def _cumulative_weights(weights: np.ndarray) -> np.ndarray:
@@ -310,15 +306,6 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(row4col, kind="stable").reshape(n, k)
 
 
-def _assignment_cost(dist: np.ndarray, k: int, p: float) -> float:
-    """W_p^p of n uniform atoms (rows of ``dist``) against k*n (columns)."""
-    cost = dist**p
-    if not np.all(np.isfinite(cost)):
-        raise NonFiniteCostError(cost.shape)
-    cols = _assignment(cost, k)
-    return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / cost.shape[1])
-
-
 def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) -> float:
     """W_p^p between weights ``wa`` (rows of ``dist``) and ``wb`` (columns).
 
@@ -329,14 +316,42 @@ def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) 
     the m columns: ``_assignment`` treats a row as k copies sharing one
     dual, so no replicated (m, m) table is built. It is exact (successive
     shortest augmenting paths) and, among tied path lengths, ends on a free
-    column, the first in column order.
+    column, the first in column order. A cost that overflows raises
+    :class:`NonFiniteCostError`.
     """
     n, m = dist.shape
     if not (_is_uniform(wa) and _is_uniform(wb) and max(n, m) % min(n, m) == 0):
         raise UnsupportedTransportError(n, m)
     if n > m:
         dist, n, m = np.ascontiguousarray(dist.T), m, n
-    return _assignment_cost(dist, m // n, p)
+    cost = dist**p
+    if not np.all(np.isfinite(cost)):
+        raise NonFiniteCostError(cost.shape)
+    cols = _assignment(cost, m // n)
+    return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / m)
+
+
+def _exact_distance(mu, nu, p: float, ground) -> float:
+    """W_p between two measures, or two measure paths: the one checked path
+    of both public distances.
+
+    The order p >= 1 and equal dimensions are checked first. ``ground(mu,
+    nu)`` builds the (n, m) ground-distance table for ``_transport_cost``,
+    once the support cap is checked; None takes the 1-D closed form on the
+    atoms, which builds no table and takes any size.
+    """
+    if p < 1:
+        raise ValueError("Wasserstein order p must be >= 1")
+    if mu.dim != nu.dim:
+        raise DimensionMismatchError("nu", mu.dim, nu.dim)
+    wa, wb = mu.weights, nu.weights
+    if ground is None:
+        cost = _wasserstein_1d(mu.atoms[:, 0], wa, nu.atoms[:, 0], wb, p)
+    else:
+        if wa.size + wb.size > DEFAULT_SUPPORT_CAP:
+            raise SupportCapError(wa.size + wb.size, DEFAULT_SUPPORT_CAP)
+        cost = _transport_cost(ground(mu, nu), wa, wb, p)
+    return float(cost ** (1.0 / p))
 
 
 def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> float:
@@ -347,20 +362,13 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> f
     (:class:`UnsupportedTransportError` if not) and at most
     ``DEFAULT_SUPPORT_CAP`` atoms combined (:class:`SupportCapError`).
     """
-    if p < 1:
-        raise ValueError("Wasserstein order p must be >= 1")
-    if mu.dim != nu.dim:
-        raise DimensionMismatchError("nu", mu.dim, nu.dim)
-    if mu.dim == 1:
-        cost = _wasserstein_1d(
-            mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights, p
-        )
-    else:
-        if mu.n + nu.n > DEFAULT_SUPPORT_CAP:
-            raise SupportCapError(mu.n + nu.n, DEFAULT_SUPPORT_CAP)
-        dist = _pairwise_distances(mu.atoms, nu.atoms)
-        cost = _transport_cost(dist, mu.weights, nu.weights, p)
-    return float(cost ** (1.0 / p))
+
+    def euclidean(a, b):
+        # the root overwrites the squared distances
+        dist = _squared_distances(a.atoms, b.atoms)
+        return np.sqrt(dist, out=dist)
+
+    return _exact_distance(mu, nu, p, None if mu.dim == 1 else euclidean)
 
 
 def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -393,11 +401,4 @@ def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:
     the other (the Cauchy-in-N coupling of N against 2N atoms); any other
     pair raises :class:`UnsupportedTransportError`, whatever the dimension.
     """
-    if p < 1:
-        raise ValueError("Wasserstein order p must be >= 1")
-    if mu.dim != nu.dim:
-        raise DimensionMismatchError("nu", mu.dim, nu.dim)
-    if mu.n_atoms + nu.n_atoms > DEFAULT_SUPPORT_CAP:
-        raise SupportCapError(mu.n_atoms + nu.n_atoms, DEFAULT_SUPPORT_CAP)
-    cost = _transport_cost(path_sup_distances(mu, nu), mu.weights, nu.weights, p)
-    return float(cost ** (1.0 / p))
+    return _exact_distance(mu, nu, p, path_sup_distances)

@@ -75,7 +75,8 @@ def chi_both_whole_table(radius, margin, s):
     """Truncation (chi, chi') with the quintic evaluated over the whole table.
 
     The formula ``Truncation.chi_ratio`` applied before it restricted the
-    quintic to the transition band; its chi and chi'/s must match the
+    quintic to the transition band, with chi' = P'(u) / margin in the float
+    order of ``testfunctions.quintic``; its chi and chi'/s must match the
     band-only form bit for bit.
     """
     u = (s - radius) / margin
@@ -84,7 +85,7 @@ def chi_both_whole_table(radius, margin, s):
     core = uc * uc * uc * (10.0 + uc * (-15.0 + 6.0 * uc))
     chi = np.where(u >= 1.0, 0.0, np.where(inside, 1.0 - core, 1.0))
     one_m = 1.0 - uc
-    cp = np.where(inside, (-30.0 / margin) * uc * uc * one_m * one_m, 0.0)
+    cp = np.where(inside, -30.0 * uc * uc * one_m * one_m / margin, 0.0)
     return chi, cp
 
 

@@ -75,10 +75,11 @@ def test_truncation_keys_travel_together():
 
 
 def test_seed_list_and_derivation():
-    cfg = parse_config(BASE + "\nseeds = 3, 5, 9\n")
-    assert cfg.seeds() == [3, 5, 9]
-    cfg2 = parse_config(BASE + "\nmaster_seed = 10\nn_seeds = 3\n")
-    assert cfg2.seeds() == [10, 11, 12]
+    # one seed block from master_seed; n_seeds defaults to 1
+    assert parse_config(BASE).seeds() == [0]
+    assert parse_config(BASE + "\nmaster_seed = 7\n").seeds() == [7]
+    cfg = parse_config(BASE + "\nmaster_seed = 10\nn_seeds = 3\n")
+    assert cfg.seeds() == [10, 11, 12]
 
 
 def test_sha_is_stable():
@@ -154,14 +155,8 @@ REJECTED = {
     "negative-master-seed": (
         "simulate", "model = zero\nmaster_seed = -1", "field 'master_seed' must be >= 0, got -1"
     ),
-    "negative-seed": (
-        "simulate", "model = zero\nseeds = 3, -2", "field 'seeds' must be >= 0, got [3, -2]"
-    ),
-    # one run counted twice would fake an independent sample
-    "repeated-seed": ("simulate", "model = zero\nseeds = 3, 3", "field 'seeds' repeats a seed: [3, 3]"),
-    "seeds-and-n-seeds": (
-        "simulate", "model = zero\nseeds = 3, 5\nn_seeds = 4", "give 'seeds' or 'n_seeds', not both"
-    ),
+    # a run's seeds are one block from master_seed: no list can repeat, skip or negate one
+    "seeds": ("simulate", "model = zero\nseeds = 3, 5", "unknown key 'seeds'"),
     "unread-flocking": (
         "flocking", "model = cucker-smale\nsizes = 8, 4, 2\nn_list = 4, 8\nradius = 3",
         "experiment 'flocking' does not read n_list, radius, sizes",
@@ -331,5 +326,5 @@ def test_kind_key_table_covers_the_schema():
     # from KIND_KEYS would be accepted and ignored by every kind
     assert set(config.SCHEMA) - config.EXPERIMENT_KEYS - config.MODEL_KEYS == {
         "blowup_norm", "dt", "experiment", "init_kind", "master_seed", "model", "n_seeds",
-        "output_dir", "s1_convention", "scheme", "seeds", "t_final",
+        "output_dir", "s1_convention", "scheme", "t_final",
     }

@@ -163,8 +163,11 @@ class TestInitialStates:
             ([0.5] * 4, ValueError, r"^weights sum to 2\.0, expected 1$"),
             ([-1.0, 1.0, 0.5, 0.5], ValueError, "measure weights must be positive"),
             ([0.5, 0.5], DimensionMismatchError, "weights"),
+            # NaN compares false both ways: before, the run ended as a blow-up of norm nan
+            ([np.nan, 0.5, 0.25, 0.25], ValueError, "measure weights must be positive"),
+            ([np.inf, 0.5, 0.25, 0.25], ValueError, r"^weights sum to inf, expected 1$"),
         ],
-        ids=["sum-2", "negative", "length"],
+        ids=["sum-2", "negative", "length", "nan", "inf"],
     )
     def test_weights_checked_like_a_measure(self, weights, error, message):
         states = np.random.default_rng(0).normal(size=(4, 2))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from meanflock.testfunctions import bump
+from meanflock.kernels import Truncation
+from meanflock.testfunctions import bump, quintic
 
 from helpers import constant, coordinate, fd_gradient, fd_jacobian, gaussian, rel_close
 
@@ -30,6 +31,35 @@ def test_derivatives_match_finite_differences(tf, dim):
         assert rel_close(tf.hess(x), fd_jacobian(tf.grad, x), 2e-4, floor=1e-5)
         checked += 1
     assert checked >= 10
+
+
+def test_quintic_ends_and_derivatives():
+    # P(0) = 1 and P(1) = 0, with P' and P'' vanishing at both ends
+    ends = quintic(np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(ends, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    # P' and P'' against central differences of P and P' on (0, 1)
+    u, h = np.linspace(0.01, 0.99, 99), 1e-6
+    (val, d1, d2), (lo, dlo, _), (hi, dhi, _) = quintic(u), quintic(u - h), quintic(u + h)
+    assert np.all(np.diff(val) < 0) and np.all((val > 0) & (val < 1))
+    np.testing.assert_allclose(d1, (hi - lo) / (2 * h), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(d2, (dhi - dlo) / (2 * h), rtol=0, atol=1e-7)
+
+
+def test_truncation_and_bump_share_the_quintic():
+    rng = np.random.default_rng(5)
+    radius, margin = 1.25, 0.75
+    s = radius + margin * rng.uniform(0.001, 0.999, size=200)
+    chi, ratio = Truncation(radius, margin).chi_ratio(s)
+    val, d1, _ = quintic((s - radius) / margin)
+    assert chi.tobytes() == val.tobytes()
+    assert ratio.tobytes() == (d1 / margin / s).tobytes()
+    center, tf_radius = np.array([0.5, -0.25]), 1.5
+    z = center + rng.uniform(-1.0, 1.0, size=(200, 2))
+    diff = z - center
+    u = (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) / (tf_radius * tf_radius)
+    assert np.all(u < 1.0)
+    got = bump(center, tf_radius).eval(z)
+    assert got.tobytes() == quintic(u)[0].tobytes()
 
 
 def test_bump_support_and_range():

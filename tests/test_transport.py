@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 
 from meanflock.errors import (
     DimensionMismatchError,
+    EmptyMeasureError,
     NonFiniteCostError,
     SupportCapError,
     UnsupportedTransportError,
@@ -14,9 +15,9 @@ from meanflock.transport import (
     EmpiricalMeasure,
     MeasurePath,
     _assignment,
-    _assignment_cost,
-    _pairwise_distances,
     _squared_distances,
+    _transport_cost,
+    check_weights,
     moments,
     path_sup_distances,
     support_radius,
@@ -35,6 +36,11 @@ from helpers import (
 
 def uniform(atoms):
     return EmpiricalMeasure.uniform(np.asarray(atoms, dtype=float))
+
+
+def distances(a, b):
+    """(n, m) Euclidean distances between the rows of a and b."""
+    return np.sqrt(squared_distances_broadcast(a, b))
 
 
 def uniform_path(states):
@@ -59,6 +65,22 @@ class TestMeasureValidation:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             EmpiricalMeasure(np.zeros((2, 1)), np.array([1.2, -0.2]))
+
+    def test_nan_weights_rejected(self):
+        # NaN compares false, so each check is written to fail on it
+        for weights in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="measure weights must be positive"):
+                check_weights(weights, 2)
+            with pytest.raises(ValueError, match="positive"):
+                EmpiricalMeasure(np.zeros((2, 1)), weights)
+        with pytest.raises(ValueError, match="^weights sum to inf, expected 1$"):
+            check_weights([np.inf, 1.0], 2)
+
+    def test_empty_uniform_measure(self):
+        # the constructor's emptiness check runs before any weight is made
+        for atoms in (np.zeros((0, 2)), np.zeros(0), []):
+            with pytest.raises(EmptyMeasureError, match="n >= 1"):
+                EmpiricalMeasure.uniform(atoms)
 
     def test_atoms_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -147,7 +169,7 @@ class TestWasserstein:
             wb /= wb.sum()
             p = float(rng.choice([1.0, 2.0]))
             fast = wasserstein(EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb), p)
-            lp = transport_lp_cost(_pairwise_distances(a, b), wa, wb, p) ** (1.0 / p)
+            lp = transport_lp_cost(distances(a, b), wa, wb, p) ** (1.0 / p)
             assert fast == pytest.approx(lp, abs=1e-10)
         # equal uniform sizes (every breakpoint coincides), one-atom measures
         # and 150 against 200 atoms with arbitrary weights
@@ -160,7 +182,7 @@ class TestWasserstein:
             wa, wb = wa / wa.sum(), wb / wb.sum()
             for p in (1.0, 2.0, 3.0):
                 fast = wasserstein(EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb), p)
-                lp = transport_lp_cost(_pairwise_distances(a, b), wa, wb, p) ** (1.0 / p)
+                lp = transport_lp_cost(distances(a, b), wa, wb, p) ** (1.0 / p)
                 # HiGHS stops within about 1e-9 of the optimal cost
                 assert fast == pytest.approx(lp, rel=1e-7)
         # 1500 against 2000 uniform atoms: replicated to 6000 each, the optimal
@@ -221,7 +243,7 @@ def test_divisible_sizes_assignment_equals_lp(p):
                 a = rng.normal(size=(n, d))
                 b = rng.normal(size=(k * n, d))
                 lp = transport_lp_cost(
-                    _pairwise_distances(a, b), np.full(n, 1.0 / n), np.full(k * n, 1.0 / (k * n)), p
+                    distances(a, b), np.full(n, 1.0 / n), np.full(k * n, 1.0 / (k * n)), p
                 )
                 got = wasserstein(uniform(a), uniform(b), p)
                 assert got == pytest.approx(lp ** (1.0 / p), rel=1e-9)
@@ -261,7 +283,7 @@ def test_unsupported_pairs_raise():
                          uniform_path(rng.normal(size=(3, 6, 1))), 2)
     # 1-D takes the closed form, whatever the weights and sizes
     a, b = rng.normal(size=(3, 1)), rng.normal(size=(6, 1))
-    want = transport_lp_cost(_pairwise_distances(a, b), weights, np.full(6, 1 / 6), 2) ** 0.5
+    want = transport_lp_cost(distances(a, b), weights, np.full(6, 1 / 6), 2) ** 0.5
     assert wasserstein(EmpiricalMeasure(a, weights), uniform(b), 2) == pytest.approx(want, rel=1e-7)
     a = uniform_path(rng.normal(size=(5, 128, 2)))
     b = uniform_path(rng.normal(size=(5, 256, 2)))
@@ -272,7 +294,7 @@ def test_path_sup_distances_match_per_step_roots():
     rng = np.random.default_rng(14)
     a = uniform_path(rng.normal(size=(7, 9, 3)))
     b = uniform_path(rng.normal(size=(7, 18, 3)))
-    want = np.max([_pairwise_distances(a.states[t], b.states[t]) for t in range(7)], axis=0)
+    want = np.max([distances(a.states[t], b.states[t]) for t in range(7)], axis=0)
     assert np.array_equal(path_sup_distances(a, b), want)
 
 
@@ -312,16 +334,17 @@ def test_path_sup_distances_equal_broadcast_bitwise():
     assert path_sup_distances(a, b).tobytes() == np.sqrt(np.max(sq, axis=0)).tobytes()
 
 
-@pytest.mark.parametrize("dim, tables", [(1, 1), (2, 2)])
-def test_pairwise_distances_root_in_place(dim, tables):
-    # the root overwrites the squared distances, so one dimension needs one
-    # (n, m) table and each further one a table for its differences
+@pytest.mark.parametrize("dim, tables", [(1, 0), (2, 3), (3, 3)])
+def test_wasserstein_peak_memory(dim, tables):
+    # 1-D builds no (n, m) table. Otherwise the root overwrites the squared
+    # distances, whose coordinate differences are freed before their p-th
+    # powers are taken, and the assignment's column reduction copies the
+    # costs once: three tables, whatever the dimension
     n, m = 128, 256
     rng = np.random.default_rng(dim)
-    a, b = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
-    assert np.array_equal(_pairwise_distances(a, b), np.sqrt(squared_distances_broadcast(a, b)))
-    peak = peak_traced_bytes(lambda: _pairwise_distances(a, b))
-    assert peak <= 8 * (tables * n * m + 8 * dim * (n + m))
+    mu, nu = uniform(rng.normal(size=(n, dim))), uniform(rng.normal(size=(m, dim)))
+    peak = peak_traced_bytes(lambda: wasserstein(mu, nu, 2))
+    assert peak <= 8 * (tables * n * m + 16 * (n + m))
 
 
 @pytest.mark.parametrize("steps", [2, 21])
@@ -346,7 +369,8 @@ def assert_assignment_matches_scipy(dist, k, p):
     repeated = np.repeat(dist**p, k, axis=0)
     rows, want_cols = linear_sum_assignment(repeated)
     want = np.sum(repeated[rows, want_cols]) / m
-    assert _assignment_cost(dist, k, p) == pytest.approx(want, rel=1e-12, abs=0)
+    got = _transport_cost(dist, np.full(n, 1.0 / n), np.full(m, 1.0 / m), p)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("rounded", [False, True])
@@ -358,7 +382,7 @@ def test_assignment_matches_scipy(rounded):
         a, b = rng.normal(size=(n, d)), rng.normal(size=(k * n, d))
         if rounded:
             a, b = np.round(a), np.round(b)
-        assert_assignment_matches_scipy(_pairwise_distances(a, b), k, p)
+        assert_assignment_matches_scipy(distances(a, b), k, p)
 
 
 def test_assignment_matches_scipy_cauchy_shapes():
@@ -403,7 +427,7 @@ def test_non_finite_costs_raise():
         dist = rng.uniform(size=(4, 8))
         dist[2, 5] = bad
         with pytest.raises(NonFiniteCostError, match=r"shape \(4, 8\) has non-finite"):
-            _assignment_cost(dist, 2, 2)
+            _transport_cost(dist, np.full(4, 0.25), np.full(8, 0.125), 2)
         states = rng.normal(size=(3, 8, 2))
         states[1, 3, 0] = bad
         with pytest.raises(NonFiniteCostError, match=r"shape \(4, 8\)"):
