@@ -1,7 +1,23 @@
 """Command-line entry point.
 
+The grammar is small enough to parse here, without argparse: its import,
+with the gettext and locale modules it pulls in, took about a tenth of a
+``validate`` process::
+
+    meanflock run CONFIG [--output-dir DIR]
+    meanflock validate CONFIG [--schema]
+    meanflock models
+    meanflock [COMMAND] -h | --help
+
+Flags may come before or after CONFIG, a value may follow its flag as the
+next argument or after ``=`` (``--output-dir=DIR``), a long flag may be
+shortened to any unique prefix (``--out``) and ``--`` ends the flags.
+Help prints to standard output and exits 0.
+
 Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 configuration or
-runtime error, or a standard output closed before everything was written
+runtime error, a command line outside the grammar (a usage line and
+``meanflock: error: <reason>`` on standard error), or a standard output
+closed before everything was written
 (``meanflock validate cfg --schema | head -1``), which exits without a
 traceback.
 
@@ -27,44 +43,64 @@ the library entry point, does not freeze.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 
 from .config import ConfigError, list_models, parse_config, schema_lines
 
+# help for the whole program (None) and for each command; its first line
+# is the usage line of the errors
+_HELP = {
+    None: """usage: meanflock [-h] {run,models,validate} ...
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="meanflock",
-        description="Mean-field particle simulations with common and individual noise",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+Mean-field particle simulations with common and individual noise
 
-    run_p = sub.add_parser("run", help="execute an experiment config")
-    run_p.add_argument("config", help="path to a key = value config file")
-    run_p.add_argument(
-        "--output-dir", default=None, help="override the config's output_dir"
-    )
+  run         execute an experiment config
+  models      list available kernel models
+  validate    check a config without running it
+  -h, --help  show this help message and exit""",
+    "run": """usage: meanflock run [-h] [--output-dir DIR] CONFIG
 
-    sub.add_parser("models", help="list available kernel models")
+execute an experiment config
 
-    val_p = sub.add_parser("validate", help="check a config without running it")
-    val_p.add_argument("config", help="path to a key = value config file")
-    val_p.add_argument("--schema", action="store_true", help="also print the schema")
-    return parser
+  CONFIG            path to a key = value config file
+  --output-dir DIR  override the config's output_dir
+  -h, --help        show this help message and exit""",
+    "models": """usage: meanflock models [-h]
+
+list available kernel models
+
+  -h, --help  show this help message and exit""",
+    "validate": """usage: meanflock validate [-h] [--schema] CONFIG
+
+check a config without running it
+
+  CONFIG      path to a key = value config file
+  --schema    also print the schema
+  -h, --help  show this help message and exit""",
+}
+# the flags of each command, True for a switch and False for a flag that
+# takes a value; every command but models reads one CONFIG
+_FLAGS = {
+    None: {"--help": True},
+    "run": {"--help": True, "--output-dir": False},
+    "models": {"--help": True},
+    "validate": {"--help": True, "--schema": True},
+}
 
 
-# built once: the parser's objects form cycles, so a parser built per call
-# would stay frozen behind each in-process call of main
-_PARSER = _build_parser()
+class _UsageError(Exception):
+    """A command line outside the grammar, with the command it names."""
+
+    def __init__(self, command, reason):
+        super().__init__(reason)
+        self.command = command
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = _dispatch(sys.argv[1:] if argv is None else list(argv))
         # a closed pipe shows on this flush, not in the interpreter's exit flush
         sys.stdout.flush()
     except BrokenPipeError:
@@ -75,6 +111,64 @@ def main(argv=None) -> int:
     return code
 
 
+def _parse(argv: list) -> tuple:
+    """``(command, config, flags)``, or ``(command, None, None)`` for help.
+
+    ``command`` is None for help before a command. ``flags`` maps the full
+    name of each flag given to its value, True for a switch; a repeated
+    flag keeps its last value.
+    """
+    if not argv:
+        raise _UsageError(None, "a command is required")
+    command, *rest = argv
+    if command.startswith("-"):
+        _flag(None, command)  # raises unless it asks for help
+        return None, None, None
+    if command not in _HELP:
+        raise _UsageError(None, f"unknown command {command!r} (choose from run, models, validate)")
+    takes_config = command != "models"
+    config, flags, flags_end = None, {}, False
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--" and not flags_end:
+            flags_end = True
+        elif token.startswith("-") and not flags_end:
+            flag, value = _flag(command, token)
+            if flag == "--help":
+                return command, None, None
+            if value is None:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    raise _UsageError(command, f"{flag} expects a value")
+            flags[flag] = value
+        elif takes_config and config is None:
+            config = token
+        else:
+            raise _UsageError(command, f"unexpected argument {token!r}")
+    if takes_config and config is None:
+        raise _UsageError(command, "CONFIG is required")
+    return command, config, flags
+
+
+def _flag(command, token: str) -> tuple:
+    """``(flag, value)`` for a flag of ``command``: its full name, and True
+    for a switch, else the text after ``=`` or None without one. ``-h`` and
+    every unique prefix of a long flag name it."""
+    name, eq, value = token.partition("=")
+    if name == "-h":
+        name = "--help"
+    known = _FLAGS[command]
+    found = [f for f in known if f.startswith(name)] if name[:2] == "--" else []
+    if len(name) <= 2 or len(found) != 1:
+        raise _UsageError(command, f"unrecognized flag {name!r}")
+    flag = found[0]
+    if not known[flag]:
+        return flag, value if eq else None
+    if eq:
+        raise _UsageError(command, f"{flag} takes no value")
+    return flag, True
+
+
 def _freeze() -> None:
     # a repeated call first collects the cyclic garbage its last call left
     if gc.get_freeze_count():
@@ -82,26 +176,36 @@ def _freeze() -> None:
     gc.freeze()
 
 
-def _dispatch(args) -> int:
-    if args.command == "models":
+def _dispatch(argv: list) -> int:
+    try:
+        command, config, flags = _parse(argv)
+    except _UsageError as exc:
+        usage = _HELP[exc.command].partition("\n")[0]
+        print(f"{usage}\nmeanflock: error: {exc}", file=sys.stderr)
+        return 1
+    if flags is None:
+        print(_HELP[command])
+        return 0
+
+    if command == "models":
         _freeze()
         for name, doc in sorted(list_models().items()):
             print(f"{name}\n    {doc}")
         return 0
 
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(config, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+        print(f"error: cannot read config {config}: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "run":
+    if command == "run":
         # the run stack is imported only to run: validate and models never load it
         from .harness import run_from_text
 
         _freeze()
-        return run_from_text(text, output_dir=args.output_dir)
+        return run_from_text(text, output_dir=flags.get("--output-dir"))
 
     _freeze()
     try:
@@ -110,7 +214,7 @@ def _dispatch(args) -> int:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
     print(f"valid: experiment={cfg.kind} seeds={cfg.seeds()}")
-    if args.schema:
+    if "--schema" in flags:
         print("\nschema:")
         for line in schema_lines():
             print("  " + line)

@@ -220,9 +220,10 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     capacity k rather than on k copies of each row: copies share one dual,
     so a Dijkstra search scans each row at most once per augmentation.
 
-    The duals start from a column reduction, v_j = min_i c_ij, and each row
-    takes up to k of the columns whose minimum it holds (the first in
-    column order). Every further unit of row capacity is then filled by one
+    The duals start from a column reduction, v_j = min_i c_ij. Each column
+    is held by the first row, in row order, that attains its minimum, and
+    each row takes up to k of the columns it holds (the first in column
+    order). Every further unit of row capacity is then filled by one
     augmentation. Each Dijkstra step scans one row against all columns in
     a few vector operations and keeps only the path lengths; the path is
     recovered from the scanned rows once a free column is reached. Among
@@ -235,7 +236,12 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     search may never end.
     """
     n, m = cost.shape
-    holder = cost.argmin(axis=0)
+    v = cost.min(axis=0)
+    # rows written last to first leave the first row attaining each minimum;
+    # one row at a time, because argmin along axis 0 copies the whole table
+    holder = np.empty(m, dtype=np.intp)
+    for i, row in zip(range(n - 1, -1, -1), cost[::-1]):
+        holder[row == v] = i
     order = np.argsort(holder, kind="stable")
     held = holder[order]
     keep = np.arange(m) - np.searchsorted(held, held) < k
@@ -246,7 +252,6 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
         cols_of[i].append(j)
     free_cols = np.sort(order[~keep])
     u = np.zeros(n)
-    v = cost.min(axis=0)
     # per search: d holds the path lengths to the columns, w is v with the
     # columns of scanned rows at -inf, so that no later scan reaches them
     d, w, cand = np.empty(m), np.empty(m), np.empty(m)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from meanflock import characteristics, diagnostics, harness
-from meanflock.cli import main
+from meanflock.cli import _parse, main
 from meanflock.config import EXPERIMENT_KINDS, MODELS, list_models, parse_config
 from meanflock.errors import (
     BlowUpError,
@@ -432,6 +432,77 @@ class TestCli:
             assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec")
 
 
+RUN_USAGE = "usage: meanflock run [-h] [--output-dir DIR] CONFIG"
+VALIDATE_USAGE = "usage: meanflock validate [-h] [--schema] CONFIG"
+TOP_USAGE = "usage: meanflock [-h] {run,models,validate} ..."
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, parsed", [
+        (["run", "a.cfg"], ("run", "a.cfg", {})),
+        (["run", "a.cfg", "--output-dir", "d"], ("run", "a.cfg", {"--output-dir": "d"})),
+        (["run", "--output-dir", "d", "a.cfg"], ("run", "a.cfg", {"--output-dir": "d"})),
+        (["run", "a.cfg", "--output-dir=d"], ("run", "a.cfg", {"--output-dir": "d"})),
+        (["run", "--output-dir=d", "a.cfg"], ("run", "a.cfg", {"--output-dir": "d"})),
+        (["run", "a.cfg", "--out", "d"], ("run", "a.cfg", {"--output-dir": "d"})),
+        (["run", "a.cfg", "--out=d=e"], ("run", "a.cfg", {"--output-dir": "d=e"})),
+        (["run", "a.cfg", "--out", "d", "--out", "e"], ("run", "a.cfg", {"--output-dir": "e"})),
+        (["run", "--", "-a.cfg"], ("run", "-a.cfg", {})),
+        (["validate", "a.cfg"], ("validate", "a.cfg", {})),
+        (["validate", "a.cfg", "--schema"], ("validate", "a.cfg", {"--schema": True})),
+        (["validate", "--schema", "a.cfg"], ("validate", "a.cfg", {"--schema": True})),
+        (["validate", "a.cfg", "--sch"], ("validate", "a.cfg", {"--schema": True})),
+        (["models"], ("models", None, {})),
+    ])
+    def test_accepted_forms(self, argv, parsed):
+        assert _parse(argv) == parsed
+
+    @pytest.mark.parametrize("argv, usage, rows", [
+        (["--help"], TOP_USAGE, ["run execute an experiment config",
+                                 "models list available kernel models",
+                                 "validate check a config without running it"]),
+        (["-h"], TOP_USAGE, []),
+        (["--he"], TOP_USAGE, []),
+        (["run", "--help"], RUN_USAGE, ["CONFIG path to a key = value config file",
+                                        "--output-dir DIR override the config's output_dir"]),
+        (["run", "a.cfg", "-h"], RUN_USAGE, []),
+        (["validate", "a.cfg", "--schema", "--help"], VALIDATE_USAGE,
+         ["CONFIG path to a key = value config file", "--schema also print the schema"]),
+        (["models", "-h"], "usage: meanflock models [-h]", []),
+    ])
+    def test_help(self, argv, usage, rows, capsys):
+        # the commands and flags that each help shows, one per row
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith(usage + "\n")
+        shown = {" ".join(line.split()) for line in out.splitlines()}
+        assert {*rows, "-h, --help show this help message and exit"} <= shown
+
+    @pytest.mark.parametrize("argv, usage, reason", [
+        ([], TOP_USAGE, "a command is required"),
+        (["bogus"], TOP_USAGE, "unknown command 'bogus' (choose from run, models, validate)"),
+        (["--bad", "run"], TOP_USAGE, "unrecognized flag '--bad'"),
+        (["run"], RUN_USAGE, "CONFIG is required"),
+        (["validate", "--schema"], VALIDATE_USAGE, "CONFIG is required"),
+        (["run", "a.cfg", "b.cfg"], RUN_USAGE, "unexpected argument 'b.cfg'"),
+        (["models", "a.cfg"], "usage: meanflock models [-h]", "unexpected argument 'a.cfg'"),
+        (["run", "a.cfg", "--bad"], RUN_USAGE, "unrecognized flag '--bad'"),
+        (["run", "a.cfg", "-x"], RUN_USAGE, "unrecognized flag '-x'"),
+        (["run", "a.cfg", "--output-dir"], RUN_USAGE, "--output-dir expects a value"),
+        (["run", "a.cfg", "--output-dir", "--help"], RUN_USAGE, "--output-dir expects a value"),
+        (["run", "a.cfg", "--schema"], RUN_USAGE, "unrecognized flag '--schema'"),
+        (["validate", "x.cfg", "--output-dir", "d"], VALIDATE_USAGE,
+         "unrecognized flag '--output-dir'"),
+        (["validate", "x.cfg", "--out", "x"], VALIDATE_USAGE, "unrecognized flag '--out'"),
+        (["validate", "x.cfg", "--schema=yes"], VALIDATE_USAGE, "--schema takes no value"),
+        (["--help=yes"], TOP_USAGE, "--help takes no value"),
+    ])
+    def test_usage_errors_exit_1(self, argv, usage, reason, capsys):
+        # 2 means a failed verdict: a typo must not read as a failed claim
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"{usage}\nmeanflock: error: {reason}\n")
+
+
 class TestExperimentsSmallScale:
     def test_weakform_kind(self, tmp_path):
         text = f"""
@@ -684,8 +755,9 @@ class TestImportBudget:
     """Each command loads only the modules it executes, and never scipy.
 
     ``validate`` and ``models`` load neither the run stack nor numpy, no
-    command loads ``dataclasses``, and the process pool is loaded only when
-    a run uses it.
+    command loads ``dataclasses`` or an argument parser (``argparse``, with
+    the ``gettext`` and ``locale`` it pulls in), and the process pool is
+    loaded only when a run uses it.
     Once its modules are loaded, each command freezes them out of the
     cyclic collector, which stays enabled; importing the package does not.
     Each check runs in a fresh interpreter: this process has scipy loaded.
@@ -702,6 +774,9 @@ class TestImportBudget:
         "    'numpy': 'numpy' in sys.modules,\n"
         "    'dataclasses': 'dataclasses' in sys.modules,\n"
         "    'pool': 'concurrent.futures.process' in sys.modules,\n"
+        "    'argparse': 'argparse' in sys.modules,\n"
+        "    'gettext': 'gettext' in sys.modules,\n"
+        "    'locale': 'locale' in sys.modules,\n"
         "    'gc_enabled': gc.isenabled(),\n"
         "    'frozen': gc.get_freeze_count() > 0,\n"
         "}}))\n"
@@ -714,10 +789,12 @@ class TestImportBudget:
     VALIDATE_LAYERS = {"meanflock", "meanflock.cli", "meanflock.config", "meanflock.errors"}
     IMPORT_LOADS = {
         "meanflock": VALIDATE_LAYERS, "json": False, "_hashlib": False, "scipy": False,
-        "numpy": False, "dataclasses": False, "pool": False, "gc_enabled": True,
-        "frozen": False,
+        "numpy": False, "dataclasses": False, "pool": False, "argparse": False,
+        "gettext": False, "locale": False, "gc_enabled": True, "frozen": False,
     }
     VALIDATE_LOADS = dict(IMPORT_LOADS, frozen=True)
+    # loaded by no command
+    NEVER = ("scipy", "dataclasses", "argparse", "gettext", "locale")
 
     def loaded(self, body, cwd):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MFS_THREADS="1")
@@ -766,7 +843,7 @@ class TestImportBudget:
         assert read_json_strict(tmp_path / "out" / "report.json")["metrics"] == {
             "residual_seed=7": 0.0
         }
-        assert not (loaded["scipy"] or loaded["pool"] or loaded["dataclasses"])
+        assert not any(loaded[name] for name in ("pool", *self.NEVER))
         assert loaded["gc_enabled"] and loaded["frozen"]
         # a run still loads every layer
         assert loaded["meanflock"] == self.EVERY_LAYER
@@ -802,7 +879,7 @@ n_seeds = 2
 output_dir = {tmp_path / "out"}
 """)
         loaded = self.run_main(["run", str(cfg)], tmp_path)
-        assert not (loaded["scipy"] or loaded["dataclasses"])
+        assert not any(loaded[name] for name in self.NEVER)
         assert (tmp_path / "out" / "report.json").exists()
 
     def test_comparison_run_loads_no_scipy(self, tmp_path):
@@ -821,7 +898,7 @@ n_seeds = 2
 output_dir = {tmp_path / "out"}
 """)
         loaded = self.run_main(["run", str(cfg)], tmp_path)
-        assert not (loaded["scipy"] or loaded["dataclasses"])
+        assert not any(loaded[name] for name in self.NEVER)
         assert (tmp_path / "out" / "report.json").exists()
 
 
@@ -832,12 +909,15 @@ def test_closed_stdout_exits_quietly(tmp_path):
     os.close(read_end)
     cfg = str(BENCH / "configs" / "cauchy-n256.cfg")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    results = []
     try:
-        out = subprocess.run(
-            [sys.executable, "-m", "meanflock.cli", "validate", cfg, "--schema"],
-            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
-            timeout=120,
-        )
+        for args in (["validate", cfg, "--schema"], ["--help"]):
+            out = subprocess.run(
+                [sys.executable, "-m", "meanflock.cli", *args],
+                cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+            )
+            results.append((out.returncode, out.stderr))
     finally:
         os.close(write_end)
-    assert (out.returncode, out.stderr) == (1, "")
+    assert results == [(1, ""), (1, "")]
