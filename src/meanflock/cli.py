@@ -29,16 +29,19 @@ file that cannot be read or decoded prints ``error: cannot read config
 Once a command's modules are imported (the run stack for ``run``, ``config``
 for ``validate`` and ``models``), ``main`` calls ``gc.freeze()``. The import
 graph lives until the process exits, so the cyclic collector has nothing to
-find in it; frozen, it is skipped by every later collection, by the
-interpreter's final passes at exit and in the pool workers that a run forks
-afterwards. Refcounting, module teardown and the exit flush are unchanged.
-In-process callers of ``main`` get the same freeze: whatever is alive at
-the call is never collected as a cycle afterwards. When objects are already
-frozen, as on a repeated call, ``main`` runs one full collection before it
-freezes, so the cyclic garbage of the call before (the closures that
+find in it; frozen, it is skipped by every later collection, here and in
+the pool workers that a run forks afterwards. In-process callers of
+``main`` get the same freeze: whatever is alive at the call is never
+collected as a cycle afterwards. When objects are already frozen, as on a
+repeated call, ``main`` runs one full collection before it freezes, so
+the cyclic garbage of the call before (the closures that
 ``json.dumps`` builds for the report and manifest) is freed rather than
 frozen; a single call collects nothing extra. ``harness.run_from_text``,
 the library entry point, does not freeze.
+
+The console script and ``python -m meanflock.cli`` end through
+``exit_main``, which skips the interpreter's teardown; ``main`` returns
+its code.
 """
 
 from __future__ import annotations
@@ -109,6 +112,22 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
+
+
+def exit_main() -> None:
+    """Run ``main``, flush both streams and end with its code by
+    ``os._exit``: no module teardown, final collections or atexit hooks.
+
+    Teardown took about 7 ms of a 250 ms ``run``, and a finished command
+    needs none of it: its files are written and closed, and the process
+    pool's ``with`` block has joined every worker. An exception that
+    escapes ``main`` is not caught, so the interpreter prints its traceback
+    and exits as usual.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 def _parse(argv: list) -> tuple:
@@ -222,4 +241,4 @@ def _dispatch(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_main()

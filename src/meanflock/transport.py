@@ -210,6 +210,37 @@ def _wasserstein_1d(xa, wa, xb, wb, p: float) -> float:
     return float(np.sum(np.diff(t, prepend=0.0) * np.abs(qa - qb) ** p))
 
 
+# entries of ``cost`` that the column reduction copies at a time
+_BLOCK = 2048
+
+
+def _column_reduction(cost: np.ndarray, k: int) -> tuple:
+    """Duals v_j = min_i c_ij and the matching they start from: ``(v,
+    row4col, cols_of, free_cols)``, the row of each column (-1 if free),
+    the columns of each row, and the free columns, ascending.
+
+    Each column is held by the first row, in row order, attaining its
+    minimum; each row takes the first k columns it holds. ``argmin`` along
+    axis 0 finds those rows but copies what it reads, so it reads
+    ``_BLOCK`` entries at a time.
+    """
+    n, m = cost.shape
+    v = cost.min(axis=0)
+    holder = np.empty(m, dtype=np.intp)
+    width = max(1, _BLOCK // n)
+    for j in range(0, m, width):
+        holder[j : j + width] = cost[:, j : j + width].argmin(axis=0)
+    order = np.argsort(holder, kind="stable")
+    held = holder[order]
+    keep = np.arange(m) - np.searchsorted(held, held) < k
+    row4col = np.full(m, -1)
+    row4col[order[keep]] = held[keep]
+    cols_of = [[] for _ in range(n)]
+    for j, i in zip(order[keep].tolist(), held[keep].tolist()):
+        cols_of[i].append(j)
+    return v, row4col, cols_of, np.sort(order[~keep])
+
+
 def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     """Columns of each row in a least-cost assignment where every row takes k.
 
@@ -220,89 +251,119 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     capacity k rather than on k copies of each row: copies share one dual,
     so a Dijkstra search scans each row at most once per augmentation.
 
-    The duals start from a column reduction, v_j = min_i c_ij. Each column
-    is held by the first row, in row order, that attains its minimum, and
-    each row takes up to k of the columns it holds (the first in column
-    order). Every further unit of row capacity is then filled by one
-    augmentation. Each Dijkstra step scans one row against all columns in
-    a few vector operations and keeps only the path lengths; the path is
-    recovered from the scanned rows once a free column is reached. Among
-    tied minima a step takes a free column if there is one, the first in
-    column order, which ends the search. Without that rule a constant
-    matrix rescans every matched column: quadratic steps where this takes
-    one per augmentation.
+    The duals start from ``_column_reduction``, and each further unit of
+    row capacity takes one augmentation. There is no augmenting row
+    reduction: on the Cauchy-in-N tables it ran away (361,000 iterations in
+    one solve), and capped it saved augmentations but no time.
+
+    A Dijkstra step scans one row: three vector operations on the path
+    lengths (subtract the column duals, add the row's offset, keep the
+    minimum), one ``argmin``, and k scalar exclusions that shut the row's
+    columns off for the rest of the search. Among tied minima a step takes
+    a free column if there is one, the first in column order, which ends
+    the search; without that rule a constant matrix rescans every matched
+    column. ``argmin`` takes the first minimum, so the free columns are
+    gathered only when the minimum is matched and a lower bound on their
+    least length reaches it: the least, over the scanned rows, of
+    ``floor[i]`` (row i's least reduced cost on the free columns) plus the
+    row's offset, which rounding, being monotone, keeps exact while the
+    floors are current. A stale floor only lies below the current value,
+    as free columns keep their duals and only leave the free set, so the
+    bound stays a bound; a gather that finds no tie recomputes the floor
+    of the row that set it.
+
+    Once a free column is reached, the path is walked back: each column
+    came from the first row, among those scanned before it was reached,
+    whose scan gave its length. dist_row - u is taken once per search, so
+    a hop gathers one column of ``cost``, and the lengths are the same sums,
+    so the same floats. In the dual update every matched column takes the
+    shift of its row in one vector operation; an unscanned row's shift,
+    and a free column's, is 0.0, which leaves v bitwise unchanged.
 
     Every entry of ``cost`` must be finite: with a NaN or an infinity the
     search may never end.
     """
     n, m = cost.shape
-    v = cost.min(axis=0)
-    # rows written last to first leave the first row attaining each minimum;
-    # one row at a time, because argmin along axis 0 copies the whole table
-    holder = np.empty(m, dtype=np.intp)
-    for i, row in zip(range(n - 1, -1, -1), cost[::-1]):
-        holder[row == v] = i
-    order = np.argsort(holder, kind="stable")
-    held = holder[order]
-    keep = np.arange(m) - np.searchsorted(held, held) < k
-    row4col = [-1] * m
-    cols_of = [[] for _ in range(n)]
-    for j, i in zip(order[keep].tolist(), held[keep].tolist()):
-        row4col[j] = i
-        cols_of[i].append(j)
-    free_cols = np.sort(order[~keep])
+    v, row4col, cols_of, free_cols = _column_reduction(cost, k)
+    # floor[i]: the least reduced cost c_ij - v_j of row i on the free columns
+    vfree = v[free_cols]
+    floor = np.full(n, np.inf)
+    for f, vf in zip(free_cols.tolist(), vfree.tolist()):
+        np.minimum(floor, cost[:, f] - vf, out=floor)
     u = np.zeros(n)
     # per search: d holds the path lengths to the columns, w is v with the
     # columns of scanned rows at -inf, so that no later scan reaches them
     d, w, cand = np.empty(m), np.empty(m), np.empty(m)
+    # numpy adds a 0-d array faster than a Python float, which it converts
+    offset = np.empty(())
     dist_row = np.zeros(n)
-    reach, when = [0] * n, [0] * n
+    # shift[-1] stays 0.0: it is the shift of the free columns (row -1)
+    shift = np.zeros(n + 1)
+    reach = [0] * n
+    # the loop runs once per scan: bind what it calls, and give ``out`` as
+    # the tuple numpy would otherwise build on every call
+    subtract, add, minimum = np.subtract, np.add, np.minimum
+    d_out, inf, ninf = (d,), np.inf, -np.inf
     for s in range(n):
         for _ in range(k - len(cols_of[s])):
-            d.fill(np.inf)
+            d.fill(inf)
             np.copyto(w, v)
             for c in cols_of[s]:
-                w[c] = -np.inf
+                w[c] = ninf
             scanned, low, i = [s], 0.0, s
+            free_low, culprit = inf, s
             dist_row[s] = 0.0
             while True:
-                np.subtract(cost[i], w, out=cand)
-                cand += low - u.item(i)
-                np.minimum(d, cand, out=d)
+                off = low - u.item(i)
+                offset[()] = off
+                subtract(cost[i], w, cand)
+                add(cand, offset, cand)
+                minimum(d, cand, out=d_out)
+                bound = floor.item(i) + off
+                if bound < free_low:
+                    free_low, culprit = bound, i
                 j = int(d.argmin())
-                low, i = d.item(j), row4col[j]
-                if i >= 0:
-                    tied = d[free_cols]
-                    f = int(tied.argmin())
-                    if tied.item(f) == low:
-                        j, i = int(free_cols[f]), -1
+                low, i = d.item(j), row4col.item(j)
                 if i < 0:
                     break
+                if free_low <= low:
+                    tied = d[free_cols]
+                    f = int(tied.argmin())
+                    free_low = tied.item(f)
+                    if free_low == low:
+                        j = int(free_cols[f])
+                        break
+                    reduced = cost[culprit, free_cols]
+                    reduced -= vfree
+                    floor[culprit] = minimum.reduce(reduced)
                 for c in cols_of[i]:
-                    w[c], d[c] = -np.inf, np.inf
+                    w[c] = ninf
+                    d[c] = inf
                 # row i was reached through column j, before its own scan
-                reach[i], when[i], dist_row[i] = j, len(scanned), low
+                reach[i] = j
+                dist_row[i] = low
                 scanned.append(i)
-            # walk back from the sink: each column on the path came from the
-            # first row, among those scanned before it was reached, whose
-            # scan gave its length (the same sums, so the same floats)
+            # walk back from the free column j
             rows = np.array(scanned)
+            base = dist_row[rows] - u[rows]
             hops, n_before = [], len(scanned)
             while True:
-                before = rows[:n_before]
-                lengths = (cost[before, j] - v[j]) + (dist_row[before] - u[before])
+                lengths = cost[:, j][rows[:n_before]]
+                offset[()] = v.item(j)
+                subtract(lengths, offset, lengths)
+                add(lengths, base[:n_before], lengths)
                 i = scanned[int(lengths.argmin())]
                 hops.append((i, j))
                 if i == s:
                     break
-                n_before, j = when[i], reach[i]
+                n_before, j = scanned.index(i), reach[i]
             # dual update: reduced costs stay >= 0, and 0 on the new matching
-            shift = low - dist_row[rows]
-            u[rows] += shift
-            for i, delta in zip(scanned, shift.tolist()):
-                for c in cols_of[i]:
-                    v[c] -= delta
-            free_cols = free_cols[free_cols != hops[0][1]]
+            shift[rows] = low - dist_row[rows]
+            u[rows] += shift[rows]
+            v -= shift[row4col]
+            shift[rows] = 0.0
+            kept = free_cols != hops[0][1]
+            free_cols, vfree = free_cols[kept], vfree[kept]
             for i, j in hops:
                 row4col[j] = i
                 cols_of[i].append(j)

@@ -902,6 +902,50 @@ output_dir = {tmp_path / "out"}
         assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_piped_output_complete_after_exit_main(tmp_path, capsys):
+    # the command line ends in os._exit: what main wrote must still reach a
+    # pipe in full, with main's exit code
+    cfg = str(BENCH / "configs" / "cauchy-n256.cfg")
+    assert main(["validate", cfg, "--schema"]) == 0
+    schema = capsys.readouterr().out
+    # Euler steps of 1.9 overshoot the alignment: the fitted decay rate
+    # falls below the flocking bound, so the verdict fails
+    flocking = tmp_path / "f.cfg"
+    flocking.write_text(f"""
+experiment = flocking
+model = cucker-smale
+half_dim = 1
+lambda = 1.0
+gamma = 0.0
+n_particles = 4
+t_final = 19
+dt = 1.9
+master_seed = 3
+n_seeds = 2
+output_dir = {tmp_path / "out"}
+""")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MFS_THREADS="1")
+
+    def python(*args):
+        return subprocess.run(
+            [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    out = python("-m", "meanflock.cli", "validate", cfg, "--schema")
+    assert (out.returncode, out.stdout, out.stderr) == (0, schema, "")
+    out = python("-m", "meanflock.cli", "run", str(flocking))
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "")
+    [verdict] = read_json_strict(tmp_path / "out" / "report.json")["verdicts"]
+    assert verdict["check"] == "fitted_decay_rate_ge_bound" and not verdict["pass"]
+    assert read_json_strict(tmp_path / "out" / "manifest.json")["status"] == "ok"
+    # an exception that escapes main ends the process as usual, traceback and all
+    out = python("-c", "import meanflock.cli as cli; cli.main = lambda: 1 / 0; cli.exit_main()")
+    assert out.returncode == 1
+    assert out.stderr.startswith("Traceback")
+    assert out.stderr.endswith("ZeroDivisionError: division by zero\n")
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # the read end is closed before the child writes, so its first flush
     # meets a broken pipe every time

@@ -360,7 +360,8 @@ def test_path_sup_distances_peak_memory(steps):
 
 
 def assert_assignment_matches_scipy(dist, k, p):
-    """The solver against scipy on the rows repeated k times, at rel 1e-12."""
+    """The solver against scipy on the rows repeated k times, at rel 1e-12;
+    returns the solved cost."""
     n, m = dist.shape
     cols = _assignment(dist**p, k)
     # a bijection of the n*k row copies onto the columns
@@ -371,6 +372,7 @@ def assert_assignment_matches_scipy(dist, k, p):
     want = np.sum(repeated[rows, want_cols]) / m
     got = _transport_cost(dist, np.full(n, 1.0 / n), np.full(m, 1.0 / m), p)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
+    return got
 
 
 @pytest.mark.parametrize("rounded", [False, True])
@@ -386,13 +388,24 @@ def test_assignment_matches_scipy(rounded):
 
 
 def test_assignment_matches_scipy_cauchy_shapes():
-    # sup distances between coupled random walks of N and 2N particles
+    # sup distances between coupled random walks of N and 2N particles. The
+    # row scans and the cost, bit for bit, are pinned: a faster solver must
+    # run the same search, not another one
     rng = np.random.default_rng(32)
-    for n in (32, 64, 128):
+    pinned = {
+        32: (59, "0x1.5c625e9f3c4cep-3"),
+        64: (269, "0x1.25b09b0d4f067p-3"),
+        128: (1111, "0x1.0917b35a2fcf7p-3"),
+    }
+    for n, (scans, cost) in pinned.items():
         steps = rng.normal(scale=0.1, size=(21, 2 * n, 2))
         b = uniform_path(np.cumsum(steps, axis=0))
         a = uniform_path(b.states[:, :n] + rng.normal(scale=0.05, size=(21, n, 2)))
-        assert_assignment_matches_scipy(path_sup_distances(a, b), 2, 2)
+        dist = path_sup_distances(a, b)
+        CountedRows.reads = 0
+        _assignment((dist**2).view(CountedRows), 2)
+        assert CountedRows.reads == scans
+        assert assert_assignment_matches_scipy(dist, 2, 2).hex() == cost
 
 
 class CountedRows(np.ndarray):
