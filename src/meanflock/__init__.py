@@ -30,8 +30,6 @@ _EXPORTS = {
         "EmpiricalMeasure",
         "MeasurePath",
         "moments",
-        "support_radius",
-        "wasserstein",
         "wasserstein_path",
     ),
 }

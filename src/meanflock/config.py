@@ -394,7 +394,7 @@ def _check_experiment(values: dict) -> None:
             raise ConfigError(f"field 'radius' must be positive, got {radius}")
         if shift == 0:
             raise ConfigError(f"field 'comparison_shift' must be finite and nonzero, got {shift}")
-        # each step solves n against n atoms; the 1-D closed form has no cap
+        # the t = 0 pairing solves n against n atoms; the 1-D sort order has no cap
         n = values["n_particles"]
         if state_dim(values) > 1 and 2 * n > DEFAULT_SUPPORT_CAP:
             raise ConfigError(f"comparison solves {n} against {n} atoms, above the support cap "

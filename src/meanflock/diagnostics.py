@@ -13,10 +13,10 @@ this module holds the numerics of both halves:
   matches its quadratic-variation estimator,
 * cauchy: ``cauchy_single`` per seed, ``aggregate_cauchy`` checks that
   E[W_p^p(mu^N, mu^{2N})] decreases in N under the shared-noise coupling,
-* comparison: ``comparison_seed`` per seed (stopped sup W_p^p of measures
-  started ``COMPARISON_SHIFTS`` apart under one common noise),
-  ``aggregate_comparison`` checks that its ratio to the initial W_p^p
-  survives halving the shift,
+* comparison: ``comparison_seed`` per seed (stopped sup ``labelled_cost``
+  of measures started ``COMPARISON_SHIFTS`` apart, paired once at t = 0,
+  under one common noise), ``aggregate_comparison`` checks that its ratio
+  to the initial W_p^p survives halving the shift,
 * chaos: ``chaos_beta_path`` per common-noise path, ``aggregate_chaos``
   checks that the conditional gap to factorized moments decreases in N,
 * ``aggregate_simulate`` reports moments and ``aggregate_transport``
@@ -40,9 +40,7 @@ import numpy as np
 from .dynamics import SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import TestFunction
-from .transport import (
-    EmpiricalMeasure, _sup_distances, support_radius, wasserstein, wasserstein_path
-)
+from .transport import _sup_distances, wasserstein_path
 
 FLOCKING_RATE_SLACK = 0.25
 FLOCKING_FIT_START = 0.1
@@ -342,64 +340,62 @@ def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> Dia
 COMPARISON_SHIFTS = {"full": 1.0, "half": 0.5}
 
 
-def _stopped_sup_cost(
-    path_a: TrajectoryRecord, path_b: TrajectoryRecord, radius: float, p: float
-) -> tuple[float, bool]:
-    """(sup_{t <= tau_R} W_p^p(mu_t, nu_t), whether tau_R was reached).
+def labelled_cost(states_a: np.ndarray, states_b: np.ndarray, p: float):
+    """(1/N) sum_i |X_i - Y_i|^p over paired rows: per time for (T, N, d) paths."""
+    return np.mean(np.linalg.norm(states_a - states_b, axis=-1) ** p, axis=-1)
 
-    tau_R is the first grid time at which the joint support radius (the max
-    of the two measures' support radii) exceeds ``radius``; exceedance at
-    time zero makes the supremum empty, reported as 0.
+
+def _stopped_sup_cost(states_a, states_b, radius: float, p: float) -> tuple[float, bool]:
+    """(sup_{t <= tau_R} ``labelled_cost``, whether tau_R was reached).
+
+    tau_R is the first grid time at which an atom of either path lies
+    farther than ``radius`` from the origin; exceedance at time zero makes
+    the supremum empty, reported as 0.
     """
-    worst = 0.0
-    for t in range(path_a.n_times):
-        mu_t = path_a.measure_at(t)
-        nu_t = path_b.measure_at(t)
-        hit = max(support_radius(mu_t), support_radius(nu_t)) > radius
-        if hit and t == 0:
-            return 0.0, True
-        worst = max(worst, wasserstein(mu_t, nu_t, p) ** p)
-        if hit:
-            return worst, True
-    return worst, False
+    reach = np.linalg.norm(np.concatenate([states_a, states_b], axis=1), axis=-1).max(axis=1)
+    hits = np.flatnonzero(reach > radius)
+    if hits.size and hits[0] == 0:
+        return 0.0, True
+    # the sup runs up to tau_R, inclusive
+    stop = hits[0] + 1 if hits.size else len(reach)
+    return float(labelled_cost(states_a[:stop], states_b[:stop], p).max()), bool(hits.size)
 
 
 def comparison_seed(
-    k: KernelSet,
-    init_a: EmpiricalMeasure,
-    inits_b: Sequence[EmpiricalMeasure],
-    cfg: SimConfig,
-    radius: float,
-    p: float = 2.0,
+    k: KernelSet, atoms_a: np.ndarray, paired_b: Sequence[np.ndarray], cfg: SimConfig,
+    radius: float, p: float = 2.0,
 ) -> list[tuple[float, bool]]:
-    """Stopped sup costs of ``init_a`` against each of ``inits_b`` for one seed.
+    """Stopped sup labelled costs of ``atoms_a`` against each of ``paired_b``.
 
-    Each initial measure evolves in the transport form: its atoms follow the
-    field of their own weighted empirical measure, all under the common
-    noise of ``cfg.master_seed``. The path of ``init_a`` is simulated once.
+    Row i of ``paired_b``'s arrays is atom i's partner in an optimal pairing
+    at t = 0 (``transport.optimal_pairing``). Each uniform measure evolves
+    in the transport form under the common noise of ``cfg.master_seed``, so
+    each pair shares its noise: the synchronous coupling of the stability
+    proof. The path of ``atoms_a`` is simulated once.
     """
     if k.sigma is not None:
         raise ValueError("transport form needs sigma = 0")
-    path_a, *paths_b = [
-        simulate(k, init.atoms, cfg, weights=init.weights) for init in (init_a, *inits_b)
-    ]
+    path_a, *paths_b = [simulate(k, atoms, cfg).states for atoms in (atoms_a, *paired_b)]
     return [_stopped_sup_cost(path_a, path_b, radius, p) for path_b in paths_b]
 
 
 def aggregate_comparison(
-    initial_costs: Sequence[float], per_seed: Sequence[list], radius: float, p: float
+    atoms_a: np.ndarray, paired_b: Sequence[np.ndarray], per_seed: Sequence[list],
+    radius: float, p: float,
 ) -> DiagnosticsReport:
-    """Estimates of E[sup_{t <= tau_R} W_p^p] per shift, and the halving verdict.
+    """Estimates of E[sup_{t <= tau_R} labelled cost], an upper bound on W_p^p,
+    per shift, and the halving verdict.
 
-    Entry i of ``initial_costs`` (W_p^p of the initial measures) and of each
-    ``comparison_seed`` row in ``per_seed`` belongs to the i-th
-    ``COMPARISON_SHIFTS`` label. Each shift's headline number is the ratio of
-    its estimate to its initial cost; halving the shift must keep that ratio.
+    Entry i of ``paired_b`` and of each ``comparison_seed`` row in
+    ``per_seed`` belongs to the i-th ``COMPARISON_SHIFTS`` label. Each
+    shift's headline number is the ratio of its estimate to its initial
+    cost, the labelled cost W_p^p at t = 0; halving the shift must keep it.
     """
     report = DiagnosticsReport(name="comparison")
     n_seeds = len(per_seed)
     ratios = {}
-    for i, (label, initial_cost) in enumerate(zip(COMPARISON_SHIFTS, initial_costs)):
+    for i, (label, b) in enumerate(zip(COMPARISON_SHIFTS, paired_b)):
+        initial_cost = float(labelled_cost(atoms_a, b, p))
         sups = np.array([row[i][0] for row in per_seed])
         estimate, stderr = map(float, _mean_stderr(sups))
         degenerate = initial_cost == 0.0

@@ -6,9 +6,10 @@ Every experiment kind is one per-seed function plus one aggregate in
 values into their arguments. ``EXPERIMENTS`` pairs a worker per kind with a
 report function. ``execute`` maps the worker over the config's seeds with
 ``map_jobs`` and hands the results, in seed order, to the report, so
-parallel and serial execution agree exactly. Configs reach ``execute`` only
-through ``config.parse_config``, which checks every input rule; nothing
-here validates again.
+parallel and serial execution agree exactly; comparison's worker and
+report also take the pairing of its initial atoms, which ``execute`` solves
+once. Configs reach ``execute`` only through ``config.parse_config``, which
+checks every input rule; nothing here validates again.
 
 A run's inputs are an (N, d) array of initial states, drawn from the
 config's init block by ``sample_initial_atoms``, and the time grid and seed
@@ -73,7 +74,7 @@ from .kernels import (
     with_velocity_noise,
 )
 from .testfunctions import TestFunction, bump
-from .transport import EmpiricalMeasure, moments, wasserstein
+from .transport import moments, optimal_pairing
 
 # ---------------------------------------------------------------------------
 # Models
@@ -144,18 +145,18 @@ def _simulate_for_seed(values: dict, seed: int):
     return simulate(build_kernel(values), atoms, build_sim_config(values, seed=seed))
 
 
-def _comparison_inits(values: dict) -> tuple[EmpiricalMeasure, list[EmpiricalMeasure]]:
-    """Initial measure a and its shifted copies b, one per ``COMPARISON_SHIFTS`` entry."""
+def _comparison_pairs(values: dict) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Initial atoms a and, one per ``COMPARISON_SHIFTS`` entry, their shifted
+    copies, each in the order of an optimal pairing with a."""
     rng = init_rng(values["master_seed"])
     atoms = sample_initial_atoms(values, rng, values["n_particles"])
     # per-atom perturbation: uniform translations are exactly preserved
     # by difference kernels and would make the ratio check vacuous
     delta = rng.standard_normal(atoms.shape)
     delta /= np.sqrt(np.mean(np.sum(delta**2, axis=1)))
-    return EmpiricalMeasure.uniform(atoms), [
-        EmpiricalMeasure.uniform(atoms + factor * values["comparison_shift"] * delta)
-        for factor in COMPARISON_SHIFTS.values()
-    ]
+    shifted = [atoms + factor * values["comparison_shift"] * delta
+               for factor in COMPARISON_SHIFTS.values()]
+    return atoms, [b[optimal_pairing(atoms, b, values["wasserstein_p"])] for b in shifted]
 
 
 def _bump(values: dict, center: float, radius: float) -> TestFunction:
@@ -222,11 +223,10 @@ def _chaos_worker(args):
     )
 
 
-def _comparison_worker(args):
+def _comparison_worker(pairs, args):
     values, seed = args
-    init_a, inits_b = _comparison_inits(values)
     return comparison_seed(
-        build_kernel(values), init_a, inits_b, build_sim_config(values, seed=seed),
+        build_kernel(values), *pairs, build_sim_config(values, seed=seed),
         values["radius"], values["wasserstein_p"],
     )
 
@@ -264,11 +264,8 @@ def _chaos_report(values, seeds, results):
     )
 
 
-def _comparison_report(values, seeds, results):
-    init_a, inits_b = _comparison_inits(values)
-    p = values["wasserstein_p"]
-    initial_costs = [wasserstein(init_a, init_b, p) ** p for init_b in inits_b]
-    return aggregate_comparison(initial_costs, results, values["radius"], p)
+def _comparison_report(pairs, values, seeds, results):
+    return aggregate_comparison(*pairs, results, values["radius"], values["wasserstein_p"])
 
 
 def _transport_report(values, seeds, results):
@@ -325,6 +322,10 @@ def map_jobs(fn: Callable, jobs: list) -> list:
 def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> DiagnosticsReport:
     """Run one parsed experiment; simulate runs also write trajectory CSVs."""
     worker, aggregate = EXPERIMENTS[cfg.kind]
+    if cfg.kind == "comparison":
+        # every seed starts from the same measures: pair their atoms once
+        pairs = _comparison_pairs(cfg.values)
+        worker, aggregate = partial(worker, pairs), partial(aggregate, pairs)
     seeds = cfg.seeds()
     results = map_jobs(worker, [(cfg.values, seed) for seed in seeds])
     if cfg.kind == "simulate" and cfg.values["write_trajectories"] and output_dir is not None:

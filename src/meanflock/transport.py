@@ -16,12 +16,13 @@ or 4 against 6 atoms) raises :class:`UnsupportedTransportError` rather than
 falling back to a general transportation LP.
 
 All distances are exact up to solver round-off; there is no entropic or
-sliced approximation anywhere in this module. ``wasserstein`` and
-``wasserstein_path`` share one checked path (``_exact_distance``). On the
+sliced approximation anywhere in this module. ``wasserstein``,
+``wasserstein_path`` and ``optimal_pairing`` (the plan itself, for equal
+atom counts) share one checked path (``_checked_ground``). On the
 assignment route, measures with more than ``DEFAULT_SUPPORT_CAP`` atoms
 combined raise :class:`SupportCapError` before any pair table is built, and
 a cost matrix that overflows raises :class:`NonFiniteCostError`; the 1-D
-closed form builds none and takes any size.
+routes build none and take any size.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class EmpiricalMeasure:
             raise ValueError("measure atoms must be finite")
         self.atoms = atoms
 
-    @classmethod
-    def uniform(cls, atoms) -> "EmpiricalMeasure":
-        return cls(atoms)
-
     @property
     def n(self) -> int:
         return self.atoms.shape[0]
@@ -109,10 +106,6 @@ class MeasurePath:
         self.times, self.states = times, states
 
     @property
-    def n_times(self) -> int:
-        return self.times.size
-
-    @property
     def n_atoms(self) -> int:
         return self.states.shape[1]
 
@@ -122,11 +115,6 @@ class MeasurePath:
 
     def measure_at(self, index: int) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.states[index], self.weights)
-
-
-def support_radius(mu: EmpiricalMeasure) -> float:
-    """Largest Euclidean atom norm; weights are irrelevant."""
-    return float(np.max(np.linalg.norm(mu.atoms, axis=1)))
 
 
 def moments(mu: EmpiricalMeasure, q: float) -> float:
@@ -280,9 +268,12 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     shift of its row in one vector operation; an unscanned row's shift,
     and a free column's, is 0.0, which leaves v bitwise unchanged.
 
-    Every entry of ``cost`` must be finite: with a NaN or an infinity the
-    search may never end.
+    A NaN or an infinity in ``cost``, on which the search may never end,
+    raises :class:`NonFiniteCostError`.
     """
+    # costs are >= 0: the max is finite unless an entry is inf or NaN
+    if not np.isfinite(cost.max()):
+        raise NonFiniteCostError(cost.shape)
     n, m = cost.shape
     v, row4col, cols_of, free_cols = _column_reduction(cost, k)
     # floor[i]: the least reduced cost c_ij - v_j of row i on the free columns
@@ -391,33 +382,29 @@ def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) 
     if n > m:
         dist, n, m = np.ascontiguousarray(dist.T), m, n
     cost = dist**p
-    if not np.all(np.isfinite(cost)):
-        raise NonFiniteCostError(cost.shape)
     cols = _assignment(cost, m // n)
     return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / m)
 
 
-def _exact_distance(mu, nu, p: float, ground) -> float:
-    """W_p between two measures, or two measure paths: the one checked path
-    of both public distances.
-
-    The order p >= 1 and equal dimensions are checked first. ``ground(mu,
-    nu)`` builds the (n, m) ground-distance table for ``_transport_cost``,
-    once the support cap is checked; None takes the 1-D closed form on the
-    atoms, which builds no table and takes any size.
-    """
+def _checked_ground(mu, nu, p: float, ground):
+    """``ground(mu, nu)``, the (n, m) ground-distance table of two measures or
+    measure paths, once p >= 1, equal dimensions and the support cap are
+    checked; None, with no cap, for a 1-D route (``ground`` None)."""
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
     if mu.dim != nu.dim:
         raise DimensionMismatchError("nu", mu.dim, nu.dim)
-    wa, wb = mu.weights, nu.weights
     if ground is None:
-        cost = _wasserstein_1d(mu.atoms[:, 0], wa, nu.atoms[:, 0], wb, p)
-    else:
-        if wa.size + wb.size > DEFAULT_SUPPORT_CAP:
-            raise SupportCapError(wa.size + wb.size, DEFAULT_SUPPORT_CAP)
-        cost = _transport_cost(ground(mu, nu), wa, wb, p)
-    return float(cost ** (1.0 / p))
+        return None
+    if mu.weights.size + nu.weights.size > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(mu.weights.size + nu.weights.size, DEFAULT_SUPPORT_CAP)
+    return ground(mu, nu)
+
+
+def _euclidean(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
+    # the root overwrites the squared distances
+    dist = _squared_distances(mu.atoms, nu.atoms)
+    return np.sqrt(dist, out=dist)
 
 
 def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> float:
@@ -428,13 +415,27 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> f
     (:class:`UnsupportedTransportError` if not) and at most
     ``DEFAULT_SUPPORT_CAP`` atoms combined (:class:`SupportCapError`).
     """
+    dist = _checked_ground(mu, nu, p, None if mu.dim == 1 else _euclidean)
+    if dist is None:
+        cost = _wasserstein_1d(mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights, p)
+    else:
+        cost = _transport_cost(dist, mu.weights, nu.weights, p)
+    return float(cost ** (1.0 / p))
 
-    def euclidean(a, b):
-        # the root overwrites the squared distances
-        dist = _squared_distances(a.atoms, b.atoms)
-        return np.sqrt(dist, out=dist)
 
-    return _exact_distance(mu, nu, p, None if mu.dim == 1 else euclidean)
+def optimal_pairing(a, b, p: float = 2.0) -> np.ndarray:
+    """Permutation pi pairing row i of ``a`` with row pi[i] of ``b`` in an
+    optimal W_p plan of the uniform measures on n rows each: the assignment
+    of ``wasserstein``, under its checks, or in 1-D the monotone
+    rearrangement, optimal for every p >= 1, which builds no table."""
+    mu, nu = EmpiricalMeasure(a), EmpiricalMeasure(b)
+    if mu.n != nu.n:
+        raise ValueError(f"a pairing needs equal atom counts, got {mu.n} and {nu.n}")
+    dist = _checked_ground(mu, nu, p, None if mu.dim == 1 else _euclidean)
+    if dist is None:
+        rank = np.argsort(np.argsort(mu.atoms[:, 0], kind="stable"))
+        return np.argsort(nu.atoms[:, 0], kind="stable")[rank]
+    return _assignment(dist**p, 1)[:, 0]
 
 
 def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -467,4 +468,5 @@ def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:
     the other (the Cauchy-in-N coupling of N against 2N atoms); any other
     pair raises :class:`UnsupportedTransportError`, whatever the dimension.
     """
-    return _exact_distance(mu, nu, p, path_sup_distances)
+    dist = _checked_ground(mu, nu, p, path_sup_distances)
+    return float(_transport_cost(dist, mu.weights, nu.weights, p) ** (1.0 / p))

@@ -296,10 +296,12 @@ def test_library_and_config_share_each_rule(build, kind, lines):
 
 
 def test_one_dimensional_comparison_has_no_support_cap(tmp_path):
-    # the 1-D closed form builds no pair table, so 2 * 2100 atoms above the cap still run
+    # the 1-D sort order builds no pair table, so 2 * 2100 atoms above the cap still run
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"experiment = comparison\nmodel = zero\nn_particles = 2100\noutput_dir = {tmp_path}\n")
+    cfg.write_text(f"experiment = comparison\nmodel = zero\nn_particles = 2100\n"
+                   f"t_final = 0.1\ndt = 0.05\noutput_dir = {tmp_path}\n")
     assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg)]) == 0
 
 
 def test_choices_are_defined_once():

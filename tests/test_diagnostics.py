@@ -4,9 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from meanflock.config import parse_config
 from meanflock.diagnostics import (
     COMPARISON_SHIFTS,
     DiagnosticsReport,
+    _stopped_sup_cost,
     aggregate_cauchy,
     aggregate_chaos,
     aggregate_comparison,
@@ -21,7 +23,7 @@ from meanflock.diagnostics import (
     weakform_single,
 )
 from meanflock.dynamics import SimConfig, simulate
-from meanflock.harness import run_from_text
+from meanflock.harness import _comparison_pairs, build_kernel, build_sim_config, run_from_text
 from meanflock.kernels import (
     CuckerSmaleParams,
     constant_common_kernels,
@@ -30,7 +32,7 @@ from meanflock.kernels import (
     zero_kernels,
 )
 from meanflock.testfunctions import bump
-from meanflock.transport import EmpiricalMeasure, wasserstein
+from meanflock.transport import EmpiricalMeasure, optimal_pairing, wasserstein
 
 from helpers import constant, position_spread_reference, reseeded
 
@@ -219,7 +221,7 @@ class TestCauchy:
         ])
         report = aggregate_cauchy(samples, sizes, 2.0)
         w42 = wasserstein(
-            EmpiricalMeasure.uniform(base[:4]), EmpiricalMeasure.uniform(base[:8]), 2
+            EmpiricalMeasure(base[:4]), EmpiricalMeasure(base[:8]), 2
         )
         assert report.metrics["distance_N=4"] == pytest.approx(w42**2, abs=1e-12)
 
@@ -245,17 +247,15 @@ class TestComparisonExperiment:
         self.cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=0)
 
     def shifted(self, shift):
-        # one measure per COMPARISON_SHIFTS label, in its order
-        return [
-            EmpiricalMeasure.uniform(self.atoms + factor * shift)
-            for factor in COMPARISON_SHIFTS.values()
-        ]
+        # one copy per COMPARISON_SHIFTS label, in its order, paired with self.atoms
+        copies = [self.atoms + factor * shift for factor in COMPARISON_SHIFTS.values()]
+        return [b[optimal_pairing(self.atoms, b)] for b in copies]
 
     def test_identical_inits_zero_and_flagged(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
-        per_seed = [comparison_seed(self.kernel, mu, [mu, mu], self.cfg, 50.0)]
+        a = self.atoms
+        per_seed = [comparison_seed(self.kernel, a, [a, a], self.cfg, 50.0)]
         assert per_seed == [[(0.0, False), (0.0, False)]]
-        report = aggregate_comparison([0.0, 0.0], per_seed, 50.0, 2.0)
+        report = aggregate_comparison(a, [a, a], per_seed, 50.0, 2.0)
         assert report.metrics["full_estimate"] == 0.0
         assert report.metrics["full_ratio"] == 0.0
         assert report.metrics["full_degenerate_initial_distance"] == 1.0
@@ -263,15 +263,13 @@ class TestComparisonExperiment:
         assert report.notes == ["initial distance degenerate; stability check skipped"]
 
     def test_small_radius_stops_immediately(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
         inits = self.shifted(0.2)
         per_seed = [
-            comparison_seed(self.kernel, mu, inits, reseeded(self.cfg, seed), 1e-6)
+            comparison_seed(self.kernel, self.atoms, inits, reseeded(self.cfg, seed), 1e-6)
             for seed in (0, 1)
         ]
         assert per_seed == [[(0.0, True), (0.0, True)]] * 2
-        costs = [wasserstein(mu, nu, 2) ** 2 for nu in inits]
-        report = aggregate_comparison(costs, per_seed, 1e-6, 2.0)
+        report = aggregate_comparison(self.atoms, inits, per_seed, 1e-6, 2.0)
         for label in COMPARISON_SHIFTS:
             assert report.metrics[f"{label}_estimate"] == 0.0
             assert report.metrics[f"{label}_stopped_runs"] == 2.0
@@ -280,24 +278,57 @@ class TestComparisonExperiment:
         assert report.verdicts == []
         assert report.notes == ["every seed stopped at t = 0; stability check skipped"]
 
+    def test_sup_stops_at_tau_r(self):
+        # atom 1 of the second path leaves radius 2 at t = 1: the sup takes
+        # t = 1 but not t = 2, and the first path's atoms count the same
+        a = np.zeros((3, 2, 1))
+        b = np.array([[[1.0], [0.0]], [[1.0], [3.0]], [[9.0], [9.0]]])
+        assert _stopped_sup_cost(a, b, 2.0, 2.0) == (5.0, True)
+        assert _stopped_sup_cost(b, a, 2.0, 1.0) == (2.0, True)
+        assert _stopped_sup_cost(a, b, 10.0, 2.0) == (81.0, False)
+        assert _stopped_sup_cost(a, b, 0.5, 2.0) == (0.0, True)
+
     def test_ratio_finite_positive(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
         inits = self.shifted(0.1)
         per_seed = [
-            comparison_seed(self.kernel, mu, inits, reseeded(self.cfg, seed), 50.0)
+            comparison_seed(self.kernel, self.atoms, inits, reseeded(self.cfg, seed), 50.0)
             for seed in range(8)
         ]
-        costs = [wasserstein(mu, nu, 2) ** 2 for nu in inits]
-        report = aggregate_comparison(costs, per_seed, 50.0, 2.0)
+        report = aggregate_comparison(self.atoms, inits, per_seed, 50.0, 2.0)
         assert np.isfinite(report.metrics["full_ratio"])
         assert report.metrics["full_ratio"] > 0
         assert report.metrics["full_stderr"] > 0
         assert [v["check"] for v in report.verdicts] == ["ratio_stable_under_halving"]
 
     def test_individual_noise_rejected(self):
-        mu = EmpiricalMeasure.uniform(self.atoms)
+        a = self.atoms
         with pytest.raises(ValueError, match="sigma"):
-            comparison_seed(constant_individual_kernels(2, 0.1), mu, [mu], self.cfg, 50.0)
+            comparison_seed(constant_individual_kernels(2, 0.1), a, [a], self.cfg, 50.0)
+
+    @pytest.mark.parametrize("independent, passed, value", [
+        (False, True, 0.9211290171789863), (True, False, 2.2285876763596515),
+    ])
+    def test_halving_verdict_power(self, tmp_path, independent, passed, value):
+        # the proof's coupling passes the [0.5, 1.5] band; an independent
+        # beta for nu (seeds master_seed + n_seeds on) fails it
+        values = parse_config(
+            "experiment = comparison\nmodel = cucker-smale\nhalf_dim = 1\nphi_lambda = 0.5\n"
+            f"n_particles = 64\nt_final = 1\ndt = 0.05\nn_seeds = 8\noutput_dir = {tmp_path}\n"
+        ).values
+        atoms_a, paired_b = _comparison_pairs(values)
+        k, p = build_kernel(values), values["wasserstein_p"]
+        rows = []
+        for seed in range(8):
+            path_a = simulate(k, atoms_a, build_sim_config(values, seed)).states
+            nu_seed = seed + 8 if independent else seed
+            rows.append([
+                _stopped_sup_cost(path_a, simulate(k, b, build_sim_config(values, nu_seed)).states,
+                                  values["radius"], p)
+                for b in paired_b
+            ])
+        verdict, = aggregate_comparison(atoms_a, paired_b, rows, values["radius"], p).verdicts
+        assert verdict["pass"] is passed
+        assert verdict["value"] == pytest.approx(value, rel=1e-9)
 
 
 class TestChaos:

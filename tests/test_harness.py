@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanflock import characteristics, diagnostics, harness
+from meanflock import characteristics, diagnostics, harness, transport
 from meanflock.cli import _parse, main
 from meanflock.config import EXPERIMENT_KINDS, MODELS, list_models, parse_config
 from meanflock.errors import (
@@ -598,6 +598,38 @@ output_dir = {tmp_path}
 """
         assert run_from_text(text) == 0
         assert len(calls) == 3 * 2  # path a, full shift, half shift per seed
+
+    def test_comparison_solves_only_the_initial_pairing(self, tmp_path, monkeypatch):
+        # one assignment per shift at t = 0, whatever the step and seed counts;
+        # no step builds a measure or calls wasserstein
+        solves = []
+        original = transport._assignment
+
+        def counting(*args):
+            solves.append(1)
+            return original(*args)
+
+        def forbidden(*args):
+            raise AssertionError("comparison reached a per-step measure")
+
+        monkeypatch.setattr(transport, "_assignment", counting)
+        monkeypatch.setattr(transport, "wasserstein", forbidden)
+        monkeypatch.setattr(transport.MeasurePath, "measure_at", forbidden)
+        monkeypatch.setenv("MFS_THREADS", "1")
+        for t_final in (0.25, 0.5):
+            solves.clear()
+            text = f"""
+experiment = comparison
+model = cucker-smale
+phi_lambda = 0.4
+n_particles = 4
+t_final = {t_final}
+dt = 0.0625
+n_seeds = 2
+output_dir = {tmp_path}
+"""
+            assert run_from_text(text) in (0, 2)
+            assert len(solves) == len(diagnostics.COMPARISON_SHIFTS)
 
     def test_chaos_kind(self, tmp_path):
         text = f"""

@@ -110,25 +110,25 @@ class TestMeanFields:
 
     def test_single_atom_is_exact(self):
         k = constant_drift_reference(2, [0.5, -1.0])
-        mu = EmpiricalMeasure.uniform([[4.0, 4.0]])
+        mu = EmpiricalMeasure([[4.0, 4.0]])
         np.testing.assert_array_equal(
             mean_field_B(k, mu, np.array([1.0, 1.0])), [0.5, -1.0]
         )
 
     def test_zero_drift(self):
         k = PointwiseReference(2)
-        mu = EmpiricalMeasure.uniform([[1.0, 2.0], [0.0, 1.0]])
+        mu = EmpiricalMeasure([[1.0, 2.0], [0.0, 1.0]])
         np.testing.assert_array_equal(mean_field_B(k, mu, np.zeros(2)), np.zeros(2))
 
     def test_zero_noise_gives_zero_s(self):
         k = PointwiseReference(2)
-        mu = EmpiricalMeasure.uniform([[1.0, 2.0]])
+        mu = EmpiricalMeasure([[1.0, 2.0]])
         np.testing.assert_array_equal(mean_field_S(k, mu, np.zeros(2)), np.zeros(2))
 
     def test_single_atom_s1_collapses(self):
         k = constant_phi_kernel(1.5)
         z = np.array([0.3, -0.7])
-        mu = EmpiricalMeasure.uniform([z])
+        mu = EmpiricalMeasure([z])
         x = np.array([0.1, 0.9])
         np.testing.assert_allclose(
             mean_field_S(k, mu, x), eval_s1(k, x, z, z), atol=1e-15
@@ -138,7 +138,7 @@ class TestMeanFields:
         # S1[mu](x) must equal the plain average of s1 over all atom pairs
         k = constant_phi_kernel(0.8)
         atoms = np.array([[0.0, 0.0], [0.0, 2.0]])
-        mu = EmpiricalMeasure.uniform(atoms)
+        mu = EmpiricalMeasure(atoms)
         x = np.array([0.0, 1.0])
         acc = np.zeros(2)
         for y in atoms:

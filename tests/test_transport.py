@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from meanflock.diagnostics import labelled_cost
 from meanflock.errors import (
     DimensionMismatchError,
     EmptyMeasureError,
@@ -19,8 +20,8 @@ from meanflock.transport import (
     _transport_cost,
     check_weights,
     moments,
+    optimal_pairing,
     path_sup_distances,
-    support_radius,
     wasserstein,
     wasserstein_path,
 )
@@ -35,7 +36,7 @@ from helpers import (
 
 
 def uniform(atoms):
-    return EmpiricalMeasure.uniform(np.asarray(atoms, dtype=float))
+    return EmpiricalMeasure(np.asarray(atoms, dtype=float))
 
 
 def distances(a, b):
@@ -49,11 +50,13 @@ def uniform_path(states):
     return MeasurePath(np.arange(states.shape[0], dtype=float), states, np.full(n, 1.0 / n))
 
 
-# both distances with a builder of their inputs from (n, d) atoms: the
-# measure itself, or a path that holds it at one time
-DISTANCES = {
+# both distances and the pairing, which share their checks, each with what
+# it takes made from (n, d) atoms: the measure itself, a path that holds it
+# at one time, or the atoms
+CHECKED = {
     "wasserstein": (wasserstein, uniform),
     "wasserstein_path": (wasserstein_path, lambda atoms: uniform_path([atoms])),
+    "optimal_pairing": (optimal_pairing, np.asarray),
 }
 
 
@@ -80,7 +83,7 @@ class TestMeasureValidation:
         # the constructor's emptiness check runs before any weight is made
         for atoms in (np.zeros((0, 2)), np.zeros(0), []):
             with pytest.raises(EmptyMeasureError, match="n >= 1"):
-                EmpiricalMeasure.uniform(atoms)
+                EmpiricalMeasure(atoms)
 
     def test_atoms_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -113,7 +116,7 @@ class TestWasserstein:
         mu = uniform(rng.normal(size=(5, 3)))
         assert wasserstein(mu, mu, p=2) <= 1e-12
 
-    @pytest.mark.parametrize("distance, build", DISTANCES.values(), ids=DISTANCES.keys())
+    @pytest.mark.parametrize("distance, build", CHECKED.values(), ids=CHECKED.keys())
     def test_dimension_mismatch(self, distance, build):
         with pytest.raises(DimensionMismatchError):
             distance(build([[0.0]]), build([[0.0, 0.0]]), 2)
@@ -130,6 +133,8 @@ class TestWasserstein:
         b = uniform_path(rng.normal(size=(2, 2048, 2)))
         with pytest.raises(SupportCapError, match="4097"):
             wasserstein_path(a, b, 2)
+        with pytest.raises(SupportCapError, match="4098"):
+            optimal_pairing(rng.normal(size=(2049, 2)), rng.normal(size=(2049, 2)))
         # 3000 against 2000 atoms in 1-D: the closed form builds no pair table,
         # so the cap does not apply; replicated to 6000 each, the optimal plan
         # is the sorted matching
@@ -140,7 +145,7 @@ class TestWasserstein:
             want = np.mean(np.abs(gap) ** p) ** (1.0 / p)
             assert wasserstein(uniform(a), uniform(b), p) == pytest.approx(want, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("distance, build", DISTANCES.values(), ids=DISTANCES.keys())
+    @pytest.mark.parametrize("distance, build", CHECKED.values(), ids=CHECKED.keys())
     def test_invalid_order(self, distance, build):
         with pytest.raises(ValueError, match="order p must be >= 1"):
             distance(build([[0.0]]), build([[1.0]]), p=0.5)
@@ -281,6 +286,9 @@ def test_unsupported_pairs_raise():
     with pytest.raises(UnsupportedTransportError, match="between 4 and 6 atoms"):
         wasserstein_path(uniform_path(rng.normal(size=(3, 4, 1))),
                          uniform_path(rng.normal(size=(3, 6, 1))), 2)
+    for dim in (1, 2):
+        with pytest.raises(ValueError, match="equal atom counts, got 4 and 8"):
+            optimal_pairing(rng.normal(size=(4, dim)), rng.normal(size=(8, dim)))
     # 1-D takes the closed form, whatever the weights and sizes
     a, b = rng.normal(size=(3, 1)), rng.normal(size=(6, 1))
     want = transport_lp_cost(distances(a, b), weights, np.full(6, 1 / 6), 2) ** 0.5
@@ -379,12 +387,22 @@ def assert_assignment_matches_scipy(dist, k, p):
 def test_assignment_matches_scipy(rounded):
     # rounded atoms sit on a small integer grid: many tied costs
     rng = np.random.default_rng(31 + rounded)
+    paired = set()
     for _ in range(150):
         n, k, d, p = (int(x) for x in rng.integers([1, 1, 1, 1], [41, 5, 4, 4]))
         a, b = rng.normal(size=(n, d)), rng.normal(size=(k * n, d))
         if rounded:
             a, b = np.round(a), np.round(b)
-        assert_assignment_matches_scipy(distances(a, b), k, p)
+        cost = assert_assignment_matches_scipy(distances(a, b), k, p)
+        if k == 1:
+            # comparison's t = 0 pairing (the sort order in 1-D): its labelled
+            # cost is the optimum
+            labelled = labelled_cost(a, b[optimal_pairing(a, b, p)], p)
+            assert labelled == pytest.approx(cost, rel=1e-12, abs=0)
+            w = wasserstein(uniform(a), uniform(b), p)
+            assert labelled == pytest.approx(w**p, rel=1e-12, abs=0)
+            paired.add((d, p))
+    assert paired >= {(d, p) for d in (1, 2) for p in (1, 2, 3)}
 
 
 def test_assignment_matches_scipy_cauchy_shapes():
@@ -497,14 +515,6 @@ class TestMoments:
     def test_symmetric_pair(self):
         mu = uniform([[1.0], [-1.0]])
         assert moments(mu, 2) == pytest.approx(1.0)
-
-    def test_support_radius(self):
-        assert support_radius(uniform([[0.0, 0.0]])) == 0.0
-        assert support_radius(uniform([[3.0, 4.0], [0.0, 0.0]])) == 5.0
-        weighted = EmpiricalMeasure(
-            np.array([[3.0, 4.0], [0.0, 0.0]]), np.array([0.01, 0.99])
-        )
-        assert support_radius(weighted) == 5.0
 
 
 class TestWassersteinPath:
