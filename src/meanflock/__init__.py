@@ -26,12 +26,7 @@ _EXPORTS = {
         "cucker_smale_kernels",
     ),
     "testfunctions": ("TestFunction",),
-    "transport": (
-        "EmpiricalMeasure",
-        "MeasurePath",
-        "moments",
-        "wasserstein_path",
-    ),
+    "transport": ("MeasurePath", "moments", "wasserstein_path"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import TrajectoryRecord, _integrate, check_states
+from .dynamics import TrajectoryRecord, _integrate
+from .transport import check_atoms
 
 
 def solve_characteristics(run: TrajectoryRecord, x0) -> np.ndarray:
@@ -33,7 +34,7 @@ def solve_characteristics(run: TrajectoryRecord, x0) -> np.ndarray:
         raise ValueError("characteristics are defined for common noise only (sigma = 0)")
     if cfg.scheme != "euler_ito":
         raise ValueError(f"characteristics replay euler_ito runs only, got scheme {cfg.scheme!r}")
-    x0 = check_states(k, np.atleast_2d(x0), "x0")
+    x0 = check_atoms(np.atleast_2d(x0), k.dim, "x0")
     return _integrate(k, x0, run.weights, cfg, run.noise, frozen=run.states)
 
 

@@ -38,6 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
+from .errors import NonFiniteCostError
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import TestFunction
 from .transport import _sup_distances, wasserstein_path
@@ -341,8 +342,13 @@ COMPARISON_SHIFTS = {"full": 1.0, "half": 0.5}
 
 
 def labelled_cost(states_a: np.ndarray, states_b: np.ndarray, p: float):
-    """(1/N) sum_i |X_i - Y_i|^p over paired rows: per time for (T, N, d) paths."""
-    return np.mean(np.linalg.norm(states_a - states_b, axis=-1) ** p, axis=-1)
+    """(1/N) sum_i |X_i - Y_i|^p over paired rows: per time for (T, N, d) paths.
+
+    A cost that overflows is inf, with no warning; ``aggregate_comparison``
+    refuses it with a typed error.
+    """
+    with np.errstate(over="ignore"):
+        return np.mean(np.linalg.norm(states_a - states_b, axis=-1) ** p, axis=-1)
 
 
 def _stopped_sup_cost(states_a, states_b, radius: float, p: float) -> tuple[float, bool]:
@@ -352,7 +358,10 @@ def _stopped_sup_cost(states_a, states_b, radius: float, p: float) -> tuple[floa
     farther than ``radius`` from the origin; exceedance at time zero makes
     the supremum empty, reported as 0.
     """
-    reach = np.linalg.norm(np.concatenate([states_a, states_b], axis=1), axis=-1).max(axis=1)
+    # hypot never squares, so a state below ``radius`` never reads as beyond
+    # it through an overflowing square; as in the run's blow-up check
+    both = np.concatenate([states_a, states_b], axis=1)
+    reach = np.hypot.reduce(both, axis=-1, initial=0.0).max(axis=1)
     hits = np.flatnonzero(reach > radius)
     if hits.size and hits[0] == 0:
         return 0.0, True
@@ -390,6 +399,8 @@ def aggregate_comparison(
     ``per_seed`` belongs to the i-th ``COMPARISON_SHIFTS`` label. Each
     shift's headline number is the ratio of its estimate to its initial
     cost, the labelled cost W_p^p at t = 0; halving the shift must keep it.
+    An initial cost, estimate or stderr that is not finite raises
+    :class:`NonFiniteCostError`: an overflow is no failed claim.
     """
     report = DiagnosticsReport(name="comparison")
     n_seeds = len(per_seed)
@@ -397,7 +408,11 @@ def aggregate_comparison(
     for i, (label, b) in enumerate(zip(COMPARISON_SHIFTS, paired_b)):
         initial_cost = float(labelled_cost(atoms_a, b, p))
         sups = np.array([row[i][0] for row in per_seed])
-        estimate, stderr = map(float, _mean_stderr(sups))
+        # an infinite sup makes the stderr inf - inf: NaN, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            estimate, stderr = map(float, _mean_stderr(sups))
+        if not np.all(np.isfinite([initial_cost, estimate, stderr])):
+            raise NonFiniteCostError(f"the '{label}' comparison estimate")
         degenerate = initial_cost == 0.0
         ratios[label] = 0.0 if degenerate else estimate / initial_cost
         summary = {

@@ -29,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .config import S1_CONVENTIONS, SCHEMES, check_blowup_norm, check_time_grid
-from .errors import BlowUpError, DimensionMismatchError
+from .errors import BlowUpError
 from .kernels import KernelSet, field_drift_diffusion
-from .transport import MeasurePath, check_weights
+from .transport import MeasurePath, check_atoms
 
 # SeedSequence spawn-key tags keeping the noise, init and resample streams apart
 _STREAM_COMMON = 0
@@ -116,17 +116,19 @@ class SimConfig:
 class TrajectoryRecord(MeasurePath):
     """One simulated run: its measure path and what produced it.
 
-    The path's times, states (steps + 1, N, d) and weights are the record,
-    checked as a ``MeasurePath``; ``config``, ``kernel`` and ``noise`` are
-    what the characteristics replay reads to freeze the run's field.
+    The path's times and states (steps + 1, N, d) are the record, checked
+    as a ``MeasurePath``; ``weights`` are the N weights 1/N of the run's
+    empirical measures, as the field takes them. ``config``, ``kernel`` and
+    ``noise`` are what the characteristics replay reads to freeze the run's
+    field.
     """
 
-    __slots__ = ("config", "kernel", "noise")
+    __slots__ = ("weights", "config", "kernel", "noise")
 
     def __init__(self, times, states, weights, config: SimConfig, kernel: KernelSet,
                  noise: NoisePath):
-        super().__init__(times, states, weights)
-        self.config, self.kernel, self.noise = config, kernel, noise
+        super().__init__(times, states)
+        self.weights, self.config, self.kernel, self.noise = weights, config, kernel, noise
 
 
 def _euler_step(
@@ -151,20 +153,6 @@ def _euler_step(
     if k.sigma is not None:
         new = new + np.einsum("nij,nj->ni", k.sigma(queries), db)
     return new
-
-
-def check_states(k: KernelSet, states, argument: str) -> np.ndarray:
-    """``states`` as floats, if a finite (m, d) array, m >= 1, d the kernel
-    dimension; a wrong d raises ``DimensionMismatchError`` naming ``argument``.
-    The one state check of the run and the characteristics replay."""
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[0] < 1:
-        raise ValueError(f"{argument} must be a (m, d) array with m >= 1")
-    if not np.all(np.isfinite(states)):
-        raise ValueError(f"{argument} must be finite")
-    if states.shape[1] != k.dim:
-        raise DimensionMismatchError(argument, k.dim, states.shape[1])
-    return states
 
 
 def _integrate(
@@ -206,25 +194,18 @@ def _integrate(
     return path
 
 
-def simulate(
-    k: KernelSet,
-    states: np.ndarray,
-    cfg: SimConfig,
-    weights: Optional[np.ndarray] = None,
-) -> TrajectoryRecord:
+def simulate(k: KernelSet, states: np.ndarray, cfg: SimConfig) -> TrajectoryRecord:
     """Integrate the particle system from ``states`` at t = 0; record every step.
 
     ``states`` is the finite (N, d) array of initial states, with d the
-    kernel dimension. Row i is driven by particle i's increments of the
-    ``NoisePath`` of ``cfg.master_seed``. ``weights`` generalizes the
-    empirical measure away from uniform: N positive weights summing to 1,
-    checked as ``transport.EmpiricalMeasure`` checks them. The default is
-    the uniform 1/N measure.
+    kernel dimension (``transport.check_atoms``). Row i is driven by
+    particle i's increments of the ``NoisePath`` of ``cfg.master_seed``,
+    and every particle weighs 1/N in the empirical measure.
     """
-    states = check_states(k, states, "states")
+    states = check_atoms(states, k.dim, "states")
     n = states.shape[0]
     noise = NoisePath(cfg.master_seed, cfg.dt, cfg.steps, k.dim)
-    w = np.full(n, 1.0 / n) if weights is None else check_weights(weights, n)
+    w = np.full(n, 1.0 / n)
     db = None if k.sigma is None else noise.individual(n)
     path = _integrate(k, states, w, cfg, noise, db=db)
     return TrajectoryRecord(cfg.dt * np.arange(cfg.steps + 1), path, w, cfg, k, noise)

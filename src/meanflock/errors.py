@@ -29,10 +29,6 @@ class DimensionMismatchError(MeanflockError):
         return f"argument '{self.argument}' has dimension {self.got}, expected {self.expected}"
 
 
-class EmptyMeasureError(MeanflockError):
-    """A mean-field integral was requested against a measure with no atoms."""
-
-
 class SupportCapError(MeanflockError):
     """Exact transport solver refused an instance above the support cap."""
 
@@ -51,8 +47,8 @@ class SupportCapError(MeanflockError):
 class UnsupportedTransportError(MeanflockError):
     """No exact transport route for this pair of measures outside 1-D.
 
-    Only uniform weights where one atom count divides the other have one;
-    every experiment builds such pairs.
+    Only pairs where one atom count divides the other have one; every
+    experiment builds such pairs.
     """
 
     def __init__(self, n: int, m: int):
@@ -63,23 +59,25 @@ class UnsupportedTransportError(MeanflockError):
     def __str__(self):
         return (
             f"no exact transport route between {self.n} and {self.m} atoms: outside 1-D "
-            "both measures must be uniform and one atom count must divide the other"
+            "one atom count must divide the other"
         )
 
 
 class NonFiniteCostError(MeanflockError):
-    """A transport cost matrix has non-finite entries.
+    """A cost has non-finite entries.
 
     Finite states far apart can have a squared distance, or its p-th power,
-    that overflows; no exact solver route takes such a matrix.
+    that overflows; no exact solver route takes such a transport cost
+    matrix, and no comparison estimate is formed from one. ``what`` names
+    the cost.
     """
 
-    def __init__(self, shape: tuple):
-        super().__init__(shape)
-        self.shape = shape
+    def __init__(self, what: str):
+        super().__init__(what)
+        self.what = what
 
     def __str__(self):
-        return f"transport cost matrix of shape {self.shape} has non-finite entries"
+        return f"{self.what} has non-finite entries"
 
 
 class BlowUpError(MeanflockError):

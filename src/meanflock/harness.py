@@ -183,8 +183,7 @@ def _build_cylinder_functions(values: dict) -> list[tuple[TestFunction, int]]:
 def _simulate_worker(args):
     values, seed = args
     run = _simulate_for_seed(values, seed)
-    final = run.measure_at(-1)
-    return run.times, run.states, float(moments(final, 2.0))
+    return run.times, run.states, moments(run.states[-1], 2.0)
 
 
 def _flocking_worker(args):

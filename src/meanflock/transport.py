@@ -1,28 +1,34 @@
-"""Empirical measures and exact Wasserstein distances on small supports.
+"""Uniform empirical measures and exact Wasserstein distances on small supports.
+
+A measure is the uniform measure (1/n) sum_j delta_{y_j} on the rows of a
+finite (n, d) atom array: the empirical measure of a particle system, whose
+particles all weigh the same. ``check_atoms`` is the one atom check, of a
+run's initial states, of the replay's starts and of every measure this
+module reads.
 
 Two exact solver routes, selected automatically, both in numpy alone:
 
 * one-dimensional supports: the closed form on the merged quantile
-  breakpoints (exact for arbitrary weights),
-* uniform weights where one atom count divides the other: an optimal
-  assignment in which each atom of the smaller support takes m/n atoms of
-  the larger; scaled by m the marginals are integers, so the transportation
-  polytope has integral vertices and its optimum is this assignment. The
-  package solves it itself by shortest augmenting paths (``_assignment``).
+  breakpoints k/n and l/m, for any two sizes,
+* one atom count dividing the other: an optimal assignment in which each
+  atom of the smaller support takes m/n atoms of the larger; scaled by m
+  the marginals are integers, so the transportation polytope has integral
+  vertices and its optimum is this assignment. The package solves it
+  itself by shortest augmenting paths (``_assignment``).
 
-Every pair an experiment builds takes one of them: simulated measures are
-uniform, and Cauchy-in-N sizes halve. Any other pair outside 1-D (weighted,
-or 4 against 6 atoms) raises :class:`UnsupportedTransportError` rather than
-falling back to a general transportation LP.
+Every pair an experiment builds takes one of them: Cauchy-in-N sizes halve.
+Any other pair outside 1-D (4 against 6 atoms) raises
+:class:`UnsupportedTransportError` rather than falling back to a general
+transportation LP.
 
 All distances are exact up to solver round-off; there is no entropic or
-sliced approximation anywhere in this module. ``wasserstein``,
-``wasserstein_path`` and ``optimal_pairing`` (the plan itself, for equal
-atom counts) share one checked path (``_checked_ground``). On the
-assignment route, measures with more than ``DEFAULT_SUPPORT_CAP`` atoms
-combined raise :class:`SupportCapError` before any pair table is built, and
-a cost matrix that overflows raises :class:`NonFiniteCostError`; the 1-D
-routes build none and take any size.
+sliced approximation anywhere in this module. On the assignment route of
+``wasserstein``, ``wasserstein_path`` and ``optimal_pairing`` (the plan
+itself, for equal atom counts), measures with more than
+``DEFAULT_SUPPORT_CAP`` atoms combined raise :class:`SupportCapError`
+before any pair table is built; the 1-D routes build none and take any
+size. On every route a cost that overflows raises
+:class:`NonFiniteCostError`, with no warning.
 """
 
 from __future__ import annotations
@@ -32,68 +38,37 @@ import numpy as np
 from .config import DEFAULT_SUPPORT_CAP
 from .errors import (
     DimensionMismatchError,
-    EmptyMeasureError,
     NonFiniteCostError,
     SupportCapError,
     UnsupportedTransportError,
 )
 
-_WEIGHT_TOL = 1e-12
 
-
-def check_weights(weights, n: int) -> np.ndarray:
-    """``weights`` as a float array, if they are n positive weights summing to 1."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,):
-        raise DimensionMismatchError("weights", n, weights.size)
-    # written so that a NaN weight fails both checks
-    if not np.all(weights > 0):
-        raise ValueError("measure weights must be positive")
-    total = float(weights.sum())
-    if not abs(total - 1.0) <= _WEIGHT_TOL:
-        raise ValueError(f"weights sum to {total!r}, expected 1")
-    return weights
-
-
-class EmpiricalMeasure:
-    """Weighted point cloud sum_j w_j * delta_{y_j} with weights summing to 1,
-    each 1/n when ``weights`` is None; the constructor checks the atoms and
-    the weights."""
-
-    __slots__ = ("atoms", "weights")
-
-    def __init__(self, atoms, weights=None):
-        atoms = np.asarray(atoms, dtype=float)
-        if atoms.ndim == 1:
-            atoms = atoms[:, None]
-        if atoms.ndim != 2 or atoms.shape[0] == 0:
-            raise EmptyMeasureError("measure needs a (n, d) atom array with n >= 1")
-        n = atoms.shape[0]
-        self.weights = check_weights(np.full(n, 1.0 / n) if weights is None else weights, n)
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("measure atoms must be finite")
-        self.atoms = atoms
-
-    @property
-    def n(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
+def check_atoms(atoms, dim: int | None = None, argument: str = "atoms") -> np.ndarray:
+    """``atoms`` as floats, if a finite (m, d) array with m >= 1 and, where
+    ``dim`` is given, d = dim; a wrong d raises ``DimensionMismatchError``
+    naming ``argument``. The one atom check of the package."""
+    atoms = np.asarray(atoms, dtype=float)
+    if atoms.ndim != 2 or atoms.shape[0] < 1:
+        raise ValueError(f"{argument} must be a (m, d) array with m >= 1")
+    if not np.all(np.isfinite(atoms)):
+        raise ValueError(f"{argument} must be finite")
+    if dim is not None and atoms.shape[1] != dim:
+        raise DimensionMismatchError(argument, dim, atoms.shape[1])
+    return atoms
 
 
 class MeasurePath:
-    """Time-indexed empirical measures with a fixed atom count and weights.
+    """Time-indexed uniform measures with a fixed atom count.
 
     ``states[t, j]`` is atom j at time ``times[t]``; the index j is a stable
     trajectory label, which is what path-space distances match on. The
-    constructor checks the shapes, the time order and the weights.
+    constructor checks the shapes and the time order.
     """
 
-    __slots__ = ("times", "states", "weights")
+    __slots__ = ("times", "states")
 
-    def __init__(self, times, states, weights):
+    def __init__(self, times, states):
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         if states.ndim != 3:
@@ -102,7 +77,6 @@ class MeasurePath:
             raise ValueError("times and states lengths differ")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        self.weights = check_weights(weights, states.shape[1])
         self.times, self.states = times, states
 
     @property
@@ -113,21 +87,18 @@ class MeasurePath:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    def measure_at(self, index: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[index], self.weights)
 
-
-def moments(mu: EmpiricalMeasure, q: float) -> float:
-    """q-th absolute moment sum_j w_j ||y_j||^q."""
+def moments(atoms, q: float) -> float:
+    """q-th absolute moment (1/n) sum_j ||y_j||^q of the measure on ``atoms``."""
     if q < 1:
         raise ValueError("moment order q must be >= 1")
-    # a moment that overflows is inf, which reports write as "inf"
+    atoms = check_atoms(atoms)
+    n = atoms.shape[0]
+    # each atom weighs 1/n as in the run's field, to the bit (a mean would
+    # divide the sum instead); a moment that overflows is inf, which
+    # reports write as "inf"
     with np.errstate(over="ignore"):
-        return float(np.sum(mu.weights * np.linalg.norm(mu.atoms, axis=1) ** q))
-
-
-def _is_uniform(weights: np.ndarray) -> bool:
-    return bool(np.max(np.abs(weights - 1.0 / weights.size)) <= _WEIGHT_TOL)
+        return float(np.sum(np.full(n, 1.0 / n) * np.linalg.norm(atoms, axis=1) ** q))
 
 
 def _difference_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,35 +138,34 @@ def _squared_distances(
     return out
 
 
-def _cumulative_weights(weights: np.ndarray) -> np.ndarray:
-    """Running sums of ``weights``; k/n, correctly rounded, when uniform.
+def _wasserstein_1d(xa: np.ndarray, xb: np.ndarray, p: float) -> float:
+    """Exact 1-d W_p^p between the measures on ``xa`` and ``xb`` from the
+    quantile functions on merged breakpoints.
 
-    A running float sum drifts by up to n ulps, so breakpoints that coincide
-    in exact arithmetic (k/n = l/m) would be split by spurious slivers.
-    """
-    n = weights.size
-    return np.arange(1, n + 1) / n if _is_uniform(weights) else np.cumsum(weights)
-
-
-def _wasserstein_1d(xa, wa, xb, wb, p: float) -> float:
-    """Exact 1-d W_p^p from the quantile functions on merged breakpoints.
-
-    Both quantile functions are step functions that jump only at cumulative
-    weights, so on each interval (t_{k-1}, t_k] between consecutive merged
-    breakpoints each is constant, equal to its value at t_k (Peyre & Cuturi,
-    Computational Optimal Transport, arXiv:1803.00567, section 2.6):
+    The quantile functions are step functions, that of ``xa`` jumping at
+    k/n and that of ``xb`` at l/m, so on each interval (t_{k-1}, t_k]
+    between consecutive merged breakpoints each is constant, equal to its
+    value at t_k (Peyre & Cuturi, Computational Optimal Transport,
+    arXiv:1803.00567, section 2.6):
     W_p^p = sum_k (t_k - t_{k-1}) |F_a^{-1}(t_k) - F_b^{-1}(t_k)|^p.
-    Coinciding breakpoints give empty intervals, which add nothing.
+    Each breakpoint is a correctly rounded quotient, so k/n = l/m in exact
+    arithmetic gives one float twice, an empty interval that adds nothing;
+    a running sum of weights would split them by spurious slivers.
+
+    A gap whose p-th power overflows raises :class:`NonFiniteCostError`;
+    on an empty interval it would otherwise read 0 * inf, a NaN.
     """
-    ia = np.argsort(xa, kind="stable")
-    ib = np.argsort(xb, kind="stable")
-    xa, ca = xa[ia], _cumulative_weights(wa[ia])
-    xb, cb = xb[ib], _cumulative_weights(wb[ib])
+    ca = np.arange(1, xa.size + 1) / xa.size
+    cb = np.arange(1, xb.size + 1) / xb.size
     t = np.sort(np.concatenate([ca, cb]))
-    # the two totals may differ in the last bit: clip past-the-end indices
-    qa = xa[np.minimum(np.searchsorted(ca, t), xa.size - 1)]
-    qb = xb[np.minimum(np.searchsorted(cb, t), xb.size - 1)]
-    return float(np.sum(np.diff(t, prepend=0.0) * np.abs(qa - qb) ** p))
+    # both last breakpoints are exactly 1.0: no index runs past the end
+    qa = np.sort(xa)[np.searchsorted(ca, t)]
+    qb = np.sort(xb)[np.searchsorted(cb, t)]
+    with np.errstate(over="ignore"):
+        gaps = np.abs(qa - qb) ** p
+    if not np.isfinite(gaps.max()):
+        raise NonFiniteCostError(f"1-d transport cost of {xa.size} against {xb.size} atoms")
+    return float(np.sum(np.diff(t, prepend=0.0) * gaps))
 
 
 # entries of ``cost`` that the column reduction copies at a time
@@ -273,7 +243,7 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     """
     # costs are >= 0: the max is finite unless an entry is inf or NaN
     if not np.isfinite(cost.max()):
-        raise NonFiniteCostError(cost.shape)
+        raise NonFiniteCostError(f"transport cost matrix of shape {cost.shape}")
     n, m = cost.shape
     v, row4col, cols_of, free_cols = _column_reduction(cost, k)
     # floor[i]: the least reduced cost c_ij - v_j of row i on the free columns
@@ -363,79 +333,93 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(row4col, kind="stable").reshape(n, k)
 
 
-def _transport_cost(dist: np.ndarray, wa: np.ndarray, wb: np.ndarray, p: float) -> float:
-    """W_p^p between weights ``wa`` (rows of ``dist``) and ``wb`` (columns).
+def _assignment_plan(dist: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cost, cols): ``dist``**p with the smaller support as rows, and the
+    columns each row takes in a least-cost assignment.
 
-    Uniform weights where one atom count divides the other are solved as an
-    assignment with the smaller support as rows, so swapping two measures
-    of unequal size gives the same float; any other pair raises
+    The pair needs one atom count dividing the other; any other raises
     :class:`UnsupportedTransportError`. Each of the n rows takes k = m/n of
     the m columns: ``_assignment`` treats a row as k copies sharing one
     dual, so no replicated (m, m) table is built. It is exact (successive
     shortest augmenting paths) and, among tied path lengths, ends on a free
-    column, the first in column order. A cost that overflows raises
-    :class:`NonFiniteCostError`.
+    column, the first in column order. A cost that overflows is inf, which
+    ``_assignment`` refuses with :class:`NonFiniteCostError`.
     """
     n, m = dist.shape
-    if not (_is_uniform(wa) and _is_uniform(wb) and max(n, m) % min(n, m) == 0):
+    if max(n, m) % min(n, m):
         raise UnsupportedTransportError(n, m)
     if n > m:
         dist, n, m = np.ascontiguousarray(dist.T), m, n
-    cost = dist**p
-    cols = _assignment(cost, m // n)
-    return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / m)
+    with np.errstate(over="ignore"):
+        cost = dist**p
+    return cost, _assignment(cost, m // n)
 
 
-def _checked_ground(mu, nu, p: float, ground):
-    """``ground(mu, nu)``, the (n, m) ground-distance table of two measures or
-    measure paths, once p >= 1, equal dimensions and the support cap are
-    checked; None, with no cap, for a 1-D route (``ground`` None)."""
+def _transport_cost(dist: np.ndarray, p: float) -> float:
+    """W_p^p between the measures on the rows and on the columns of the
+    ground-distance table ``dist``, solved by ``_assignment_plan``; swapping
+    two measures of unequal size gives the same float."""
+    cost, cols = _assignment_plan(dist, p)
+    return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / cost.shape[1])
+
+
+def _check_order(p: float) -> None:
     if p < 1:
         raise ValueError("Wasserstein order p must be >= 1")
-    if mu.dim != nu.dim:
-        raise DimensionMismatchError("nu", mu.dim, nu.dim)
-    if ground is None:
-        return None
-    if mu.weights.size + nu.weights.size > DEFAULT_SUPPORT_CAP:
-        raise SupportCapError(mu.weights.size + nu.weights.size, DEFAULT_SUPPORT_CAP)
-    return ground(mu, nu)
 
 
-def _euclidean(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> np.ndarray:
+def _checked_pair(a, b, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The atom arrays ``a`` and ``b``, checked, of one dimension, once p >= 1."""
+    _check_order(p)
+    a = check_atoms(a, argument="a")
+    return a, check_atoms(b, a.shape[1], "b")
+
+
+def _ground(distances, a, b, n: int, m: int) -> np.ndarray:
+    """``distances(a, b)``, the (n, m) ground-distance table, once the
+    support cap is checked. An entry that overflows is inf, with no
+    warning: the solver refuses it with a typed error."""
+    if n + m > DEFAULT_SUPPORT_CAP:
+        raise SupportCapError(n + m, DEFAULT_SUPPORT_CAP)
+    with np.errstate(over="ignore"):
+        return distances(a, b)
+
+
+def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the root overwrites the squared distances
-    dist = _squared_distances(mu.atoms, nu.atoms)
+    dist = _squared_distances(a, b)
     return np.sqrt(dist, out=dist)
 
 
-def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> float:
-    """Exact W_p between two finitely supported measures.
+def wasserstein(a, b, p: float = 2.0) -> float:
+    """Exact W_p between the measures on the (n, d) and (m, d) atom arrays.
 
-    1-D supports take the closed form for any weights and sizes; otherwise
-    both measures must be uniform with one atom count dividing the other
-    (:class:`UnsupportedTransportError` if not) and at most
-    ``DEFAULT_SUPPORT_CAP`` atoms combined (:class:`SupportCapError`).
+    1-D supports take the closed form for any sizes; otherwise one atom
+    count must divide the other (:class:`UnsupportedTransportError` if
+    not), and the two at most ``DEFAULT_SUPPORT_CAP`` atoms combined
+    (:class:`SupportCapError`).
     """
-    dist = _checked_ground(mu, nu, p, None if mu.dim == 1 else _euclidean)
-    if dist is None:
-        cost = _wasserstein_1d(mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights, p)
+    a, b = _checked_pair(a, b, p)
+    if a.shape[1] == 1:
+        cost = _wasserstein_1d(a[:, 0], b[:, 0], p)
     else:
-        cost = _transport_cost(dist, mu.weights, nu.weights, p)
+        cost = _transport_cost(_ground(_euclidean, a, b, a.shape[0], b.shape[0]), p)
     return float(cost ** (1.0 / p))
 
 
 def optimal_pairing(a, b, p: float = 2.0) -> np.ndarray:
     """Permutation pi pairing row i of ``a`` with row pi[i] of ``b`` in an
-    optimal W_p plan of the uniform measures on n rows each: the assignment
-    of ``wasserstein``, under its checks, or in 1-D the monotone
+    optimal W_p plan of the measures on n rows each: the assignment of
+    ``wasserstein``, under its checks, or in 1-D the monotone
     rearrangement, optimal for every p >= 1, which builds no table."""
-    mu, nu = EmpiricalMeasure(a), EmpiricalMeasure(b)
-    if mu.n != nu.n:
-        raise ValueError(f"a pairing needs equal atom counts, got {mu.n} and {nu.n}")
-    dist = _checked_ground(mu, nu, p, None if mu.dim == 1 else _euclidean)
-    if dist is None:
-        rank = np.argsort(np.argsort(mu.atoms[:, 0], kind="stable"))
-        return np.argsort(nu.atoms[:, 0], kind="stable")[rank]
-    return _assignment(dist**p, 1)[:, 0]
+    a, b = _checked_pair(a, b, p)
+    n = a.shape[0]
+    if n != b.shape[0]:
+        raise ValueError(f"a pairing needs equal atom counts, got {n} and {b.shape[0]}")
+    if a.shape[1] == 1:
+        rank = np.argsort(np.argsort(a[:, 0], kind="stable"))
+        return np.argsort(b[:, 0], kind="stable")[rank]
+    return _assignment_plan(_ground(_euclidean, a, b, n, n), p)[1][:, 0]
 
 
 def _sup_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,9 +448,12 @@ def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:
     The ground cost between two trajectories is their sup-over-time
     distance on the grid both paths must share (``path_sup_distances``
     checks it). The transport problem over these costs is solved as an
-    assignment, which needs uniform weights where one atom count divides
-    the other (the Cauchy-in-N coupling of N against 2N atoms); any other
-    pair raises :class:`UnsupportedTransportError`, whatever the dimension.
+    assignment, which needs one atom count dividing the other (the
+    Cauchy-in-N coupling of N against 2N atoms); any other pair raises
+    :class:`UnsupportedTransportError`, whatever the dimension.
     """
-    dist = _checked_ground(mu, nu, p, path_sup_distances)
-    return float(_transport_cost(dist, mu.weights, nu.weights, p) ** (1.0 / p))
+    _check_order(p)
+    if mu.dim != nu.dim:
+        raise DimensionMismatchError("nu", mu.dim, nu.dim)
+    dist = _ground(path_sup_distances, mu, nu, mu.n_atoms, nu.n_atoms)
+    return float(_transport_cost(dist, p) ** (1.0 / p))

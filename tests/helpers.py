@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from meanflock.dynamics import SimConfig
-from meanflock.errors import DimensionMismatchError, EmptyMeasureError
+from meanflock.errors import DimensionMismatchError
 from meanflock.testfunctions import TestFunction
 
 S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
@@ -304,44 +304,45 @@ def eval_S2(k, x):
     return 0.5 * np.einsum("...ilk,...kl->...i", k.grad_sigma(x), k.sigma(x))
 
 
-def _require_atoms(mu, k):
-    if mu.n == 0:
-        raise EmptyMeasureError("mean-field evaluation against an empty measure")
-    if mu.dim != k.dim:
-        raise DimensionMismatchError("mu", k.dim, mu.dim)
+def _require_atoms(k, atoms):
+    if atoms.shape[0] == 0:
+        raise ValueError("mean-field evaluation against an empty measure")
+    if atoms.shape[1] != k.dim:
+        raise DimensionMismatchError("atoms", k.dim, atoms.shape[1])
 
 
-def mean_field_B(k, mu, x):
-    """Drift field B[mu](x) = sum_j w_j b(x, y_j) of a pointwise reference."""
-    _require_atoms(mu, k)
+def mean_field_B(k, atoms, weights, x):
+    """Drift field B[mu](x) = sum_j w_j b(x, y_j) of a pointwise reference,
+    mu = sum_j w_j delta_{y_j} as the package's fields take it."""
+    _require_atoms(k, atoms)
     x = k.check_point(x, "x")
     if k.b is None:
         return np.zeros(x.shape)
-    return np.einsum("j,...jd->...d", mu.weights, k.b(x[..., None, :], mu.atoms))
+    return np.einsum("j,...jd->...d", weights, k.b(x[..., None, :], atoms))
 
 
-def mean_field_C(k, mu, x):
+def mean_field_C(k, atoms, weights, x):
     """Common-noise field C[mu](x) = sum_j w_j c(x, y_j) of a pointwise reference."""
-    _require_atoms(mu, k)
+    _require_atoms(k, atoms)
     x = k.check_point(x, "x")
     if k.c is None:
         return np.zeros(x.shape)
-    return np.einsum("j,...jd->...d", mu.weights, k.c(x[..., None, :], mu.atoms))
+    return np.einsum("j,...jd->...d", weights, k.c(x[..., None, :], atoms))
 
 
-def mean_field_S(k, mu, x, s1_convention="half_both"):
+def mean_field_S(k, atoms, weights, x, s1_convention="half_both"):
     """Full corrective field S[mu](x) = S1[mu](x) + S2(x) of a pointwise reference.
 
     The double integral S1[mu](x) = sum_{j,l} w_j w_l s1(x, y_j, y_l)
     factorizes through C[mu]: S1[mu](x) = factor sum_j w_j
     dc(x, y_j, C[mu](x), C[mu](y_j)).
     """
-    _require_atoms(mu, k)
+    _require_atoms(k, atoms)
     x = k.check_point(x, "x")
     out = eval_S2(k, x)
     if k.c is None:
         return out
-    w, atoms = mu.weights, mu.atoms
+    w = weights
     c_q = np.einsum("j,...jd->...d", w, k.c(x[..., None, :], atoms))
     c_atoms = np.einsum("j,mjd->md", w, k.c(atoms[:, None, :], atoms[None, :, :]))
     s1 = k.dc(x[..., None, :], atoms, c_q[..., None, :], c_atoms)

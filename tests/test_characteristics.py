@@ -110,15 +110,6 @@ class TestPushforward:
                 batch[:, j], solve_characteristics(run, x0)[:, 0], rtol=1e-13, atol=1e-15
             )
 
-    def test_weights_preserved(self):
-        # a weighted run replays under its own weights, bit for bit
-        kernel = noisy_cs()
-        atoms = np.random.default_rng(0).normal(size=(4, 2))
-        cfg = SimConfig(t_final=0.3, dt=0.01, master_seed=3)
-        run = simulate(kernel, atoms, cfg, weights=np.array([0.1, 0.2, 0.3, 0.4]))
-        np.testing.assert_array_equal(solve_characteristics(run, run.states[0]), run.states)
-        assert transport_residual(run) == 0.0
-
 
 class TestTransportResidual:
     def test_common_noise_run_residual_zero(self):
@@ -134,24 +125,6 @@ class TestTransportResidual:
         cases += [(noisy_cs(), 256, 0.04), (truncated, 256, 0.04)]
         for kernel, n, t_final in cases:
             run = make_run(kernel, n=n, t_final=t_final)
-            assert transport_residual(run) == 0.0
-
-    def test_weighted_run_residual_zero_at_benchmark_size(self):
-        # the weights ride in the field's matrix product; the replay must
-        # still repeat the stepper's bits with 256 unequal weights
-        truncated = cucker_smale_kernels(
-            CuckerSmaleParams(
-                half_dim=2, lam=0.8, gamma=0.5, phi_lam=0.4, phi_gamma=0.3,
-                truncation=Truncation(radius=1.0, margin=1.0),
-            )
-        )
-        row_phi = cucker_smale_kernels(CuckerSmaleParams(half_dim=1, phi_lam=0.5))
-        rng = np.random.default_rng(256)
-        weights = rng.uniform(0.5, 2.0, size=256)
-        weights /= weights.sum()
-        cfg = SimConfig(t_final=0.04, dt=0.01, master_seed=4)
-        for kernel in (noisy_cs(), row_phi, truncated):
-            run = simulate(kernel, rng.normal(size=(256, kernel.dim)), cfg, weights=weights)
             assert transport_residual(run) == 0.0
 
     def test_zero_kernel_residual_exactly_zero(self):
@@ -185,26 +158,30 @@ class TestTransportResidual:
 
 class TestEvolveTransport:
     def test_uniform_weights_match_simulate(self):
+        # every particle weighs 1/N, built as np.full(N, 1 / N): the record
+        # holds the weights the run's field took, and stepping under them
+        # repeats the run bit for bit
         kernel = noisy_cs()
-        rng = np.random.default_rng(8)
-        atoms = rng.normal(size=(4, 2))
+        atoms = np.random.default_rng(8).normal(size=(3, 2))
         cfg = SimConfig(t_final=0.3, dt=0.01, master_seed=5)
-        path = simulate(kernel, atoms, cfg, weights=np.full(4, 0.25))
         run = simulate(kernel, atoms, cfg)
-        np.testing.assert_array_equal(path.states, run.states)
+        assert run.weights.tobytes() == np.full(3, 1.0 / 3.0).tobytes()
+        path = dynamics._integrate(kernel, atoms, run.weights, cfg, run.noise)
+        np.testing.assert_array_equal(path, run.states)
 
     def test_weighted_atoms_follow_weighted_field(self):
         # two co-located atoms with weights (2/3, 1/3) must move like a
-        # duplicated uniform triple
+        # duplicated uniform triple under the same common noise
         kernel = noisy_cs()
         base = np.array([[0.0, 1.0], [1.0, -1.0]])
-        cfg3 = SimConfig(t_final=0.2, dt=0.01, master_seed=6)
         tripled = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
-        uniform_path = simulate(kernel, tripled, cfg3)
-        cfg2 = SimConfig(t_final=0.2, dt=0.01, master_seed=6)
-        weighted_path = simulate(kernel, base, cfg2, weights=np.array([2.0 / 3.0, 1.0 / 3.0]))
+        cfg = SimConfig(t_final=0.2, dt=0.01, master_seed=6)
+        uniform_path = simulate(kernel, tripled, cfg)
+        weighted_path = dynamics._integrate(
+            kernel, base, np.array([2.0 / 3.0, 1.0 / 3.0]), cfg, uniform_path.noise
+        )
         np.testing.assert_allclose(
-            uniform_path.states[:, [0, 2], :], weighted_path.states, atol=1e-12
+            uniform_path.states[:, [0, 2], :], weighted_path, atol=1e-12
         )
 
 

@@ -32,7 +32,7 @@ from meanflock.kernels import (
     zero_kernels,
 )
 from meanflock.testfunctions import bump
-from meanflock.transport import EmpiricalMeasure, optimal_pairing, wasserstein
+from meanflock.transport import optimal_pairing, wasserstein
 
 from helpers import constant, position_spread_reference, reseeded
 
@@ -220,9 +220,7 @@ class TestCauchy:
             cauchy_single(kernel, base, sizes, reseeded(cfg, seed), 2.0) for seed in (0, 1)
         ])
         report = aggregate_cauchy(samples, sizes, 2.0)
-        w42 = wasserstein(
-            EmpiricalMeasure(base[:4]), EmpiricalMeasure(base[:8]), 2
-        )
+        w42 = wasserstein(base[:4], base[:8], 2)
         assert report.metrics["distance_N=4"] == pytest.approx(w42**2, abs=1e-12)
 
     def test_degenerate_sizes_rejected(self, tmp_path, capsys):

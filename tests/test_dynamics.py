@@ -157,23 +157,6 @@ class TestInitialStates:
         np.testing.assert_array_equal(run.times, [0.0, 0.1, 0.2])
         np.testing.assert_array_equal(run.states, np.ones((3, 5, 3)))
 
-    @pytest.mark.parametrize(
-        "weights, error, message",
-        [
-            ([0.5] * 4, ValueError, r"^weights sum to 2\.0, expected 1$"),
-            ([-1.0, 1.0, 0.5, 0.5], ValueError, "measure weights must be positive"),
-            ([0.5, 0.5], DimensionMismatchError, "weights"),
-            # NaN compares false both ways: before, the run ended as a blow-up of norm nan
-            ([np.nan, 0.5, 0.25, 0.25], ValueError, "measure weights must be positive"),
-            ([np.inf, 0.5, 0.25, 0.25], ValueError, r"^weights sum to inf, expected 1$"),
-        ],
-        ids=["sum-2", "negative", "length", "nan", "inf"],
-    )
-    def test_weights_checked_like_a_measure(self, weights, error, message):
-        states = np.random.default_rng(0).normal(size=(4, 2))
-        with pytest.raises(error, match=message):
-            simulate(cs_kernel(), states, SimConfig(t_final=0.1, dt=0.1), weights=weights)
-
 
 class TestSimulate:
     def test_single_particle_free_flight(self):

@@ -259,12 +259,40 @@ blowup_norm = 1e300
 n_seeds = 2
 output_dir = {tmp_path}
 """
-        with np.errstate(over="ignore"):
+        # the overflow is handled: it raises the typed error, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run_from_text(text) == 1
         message = capsys.readouterr().err.strip().removeprefix("error: ")
         assert message == "transport cost matrix of shape (4, 8) has non-finite entries"
         manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["status"] == "error"
+        assert manifest["error"] == {"class": "NonFiniteCostError", "message": message}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # |X_i - Y_i|^330 of order-one gaps: the sups are finite, their
+            # squares in the stderr are not
+            "model = cucker-smale\nhalf_dim = 1\nphi_lambda = 0.5\nn_particles = 8\n"
+            "wasserstein_p = 330\ncomparison_shift = 3",
+            # states of about 1e290, under blowup_norm and radius: their
+            # squared gaps overflow
+            "model = linear-drift\ndim = 2\ndrift_value = 1e30\nn_particles = 4\n"
+            "t_final = 1\ndt = 0.1\nblowup_norm = 1e300\nradius = 1e301",
+        ],
+        ids=["stderr", "estimate"],
+    )
+    def test_comparison_overflow_is_a_package_error(self, tmp_path, capsys, body):
+        # an overflowing estimate is no failed claim (exit 2) but a typed error
+        text = f"experiment = comparison\n{body}\nn_seeds = 2\noutput_dir = {tmp_path}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_from_text(text) == 1
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert message == "the 'full' comparison estimate has non-finite entries"
+        manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["error"] == {"class": "NonFiniteCostError", "message": message}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
@@ -350,7 +378,7 @@ output_dir = {out}
         "error",
         [BlowUpError(3, 12.0, seed=5, partial=lambda: None), SupportCapError(10, 4),
          DimensionMismatchError("x", 2, 3), UnsupportedTransportError(4, 6),
-         NonFiniteCostError((4, 8))],
+         NonFiniteCostError("transport cost matrix of shape (4, 8)")],
         ids=lambda e: type(e).__name__,
     )
     def test_errors_survive_pickling(self, error):
@@ -601,7 +629,7 @@ output_dir = {tmp_path}
 
     def test_comparison_solves_only_the_initial_pairing(self, tmp_path, monkeypatch):
         # one assignment per shift at t = 0, whatever the step and seed counts;
-        # no step builds a measure or calls wasserstein
+        # no step calls wasserstein
         solves = []
         original = transport._assignment
 
@@ -610,11 +638,10 @@ output_dir = {tmp_path}
             return original(*args)
 
         def forbidden(*args):
-            raise AssertionError("comparison reached a per-step measure")
+            raise AssertionError("comparison called wasserstein")
 
         monkeypatch.setattr(transport, "_assignment", counting)
         monkeypatch.setattr(transport, "wasserstein", forbidden)
-        monkeypatch.setattr(transport.MeasurePath, "measure_at", forbidden)
         monkeypatch.setenv("MFS_THREADS", "1")
         for t_final in (0.25, 0.5):
             solves.clear()

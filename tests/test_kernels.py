@@ -15,7 +15,7 @@ from meanflock.kernels import (
     field_drift_diffusion,
     with_velocity_noise,
 )
-from meanflock.transport import EmpiricalMeasure
+from meanflock.transport import check_atoms
 
 from helpers import (
     GENERIC_REFERENCES,
@@ -110,71 +110,82 @@ class TestMeanFields:
 
     def test_single_atom_is_exact(self):
         k = constant_drift_reference(2, [0.5, -1.0])
-        mu = EmpiricalMeasure([[4.0, 4.0]])
         np.testing.assert_array_equal(
-            mean_field_B(k, mu, np.array([1.0, 1.0])), [0.5, -1.0]
+            mean_field_B(k, np.array([[4.0, 4.0]]), np.ones(1), np.array([1.0, 1.0])), [0.5, -1.0]
         )
 
     def test_zero_drift(self):
         k = PointwiseReference(2)
-        mu = EmpiricalMeasure([[1.0, 2.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(mean_field_B(k, mu, np.zeros(2)), np.zeros(2))
+        atoms = np.array([[1.0, 2.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(
+            mean_field_B(k, atoms, np.full(2, 0.5), np.zeros(2)), np.zeros(2)
+        )
 
     def test_zero_noise_gives_zero_s(self):
         k = PointwiseReference(2)
-        mu = EmpiricalMeasure([[1.0, 2.0]])
-        np.testing.assert_array_equal(mean_field_S(k, mu, np.zeros(2)), np.zeros(2))
+        atoms = np.array([[1.0, 2.0]])
+        np.testing.assert_array_equal(mean_field_S(k, atoms, np.ones(1), np.zeros(2)), np.zeros(2))
 
     def test_single_atom_s1_collapses(self):
         k = constant_phi_kernel(1.5)
         z = np.array([0.3, -0.7])
-        mu = EmpiricalMeasure([z])
         x = np.array([0.1, 0.9])
         np.testing.assert_allclose(
-            mean_field_S(k, mu, x), eval_s1(k, x, z, z), atol=1e-15
+            mean_field_S(k, z[None], np.ones(1), x), eval_s1(k, x, z, z), atol=1e-15
         )
 
     def test_s1_double_sum_oracle(self):
         # S1[mu](x) must equal the plain average of s1 over all atom pairs
         k = constant_phi_kernel(0.8)
         atoms = np.array([[0.0, 0.0], [0.0, 2.0]])
-        mu = EmpiricalMeasure(atoms)
         x = np.array([0.0, 1.0])
         acc = np.zeros(2)
         for y in atoms:
             for z in atoms:
                 acc += eval_s1(k, x, y, z)
         acc /= 4.0
-        np.testing.assert_allclose(mean_field_S(k, mu, x), acc, atol=1e-14)
+        np.testing.assert_allclose(mean_field_S(k, atoms, np.full(2, 0.5), x), acc, atol=1e-14)
 
     def test_mean_field_c_matches_direct_sum(self):
         k = constant_phi_kernel(0.8)
         atoms = np.random.default_rng(0).normal(size=(5, 2))
         w = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-        mu = EmpiricalMeasure(atoms, w)
         x = np.array([0.2, -0.4])
         direct = sum(wi * k.c(x, yi) for wi, yi in zip(w, atoms))
-        np.testing.assert_allclose(mean_field_C(k, mu, x), direct, atol=1e-15)
+        np.testing.assert_allclose(mean_field_C(k, atoms, w, x), direct, atol=1e-15)
+
+    def test_empty_measure_rejected(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            check_atoms(np.zeros((0, 2)), 2)
 
     def test_atom_duplication_invariance(self):
-        k = cucker_smale_kernels(
-            CuckerSmaleParams(half_dim=1, lam=1.3, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
-        )
+        noisy = CuckerSmaleParams(half_dim=1, lam=1.3, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
+        # the velocity gap of the co-located pair below, 2, lies in the band
+        band = Truncation(radius=0.5, margin=2.0)
+        truncated = CuckerSmaleParams(half_dim=1, lam=1.3, gamma=1.0, phi_lam=0.5,
+                                      phi_gamma=1.0, truncation=band)
         rng = np.random.default_rng(3)
         atoms = rng.normal(size=(6, 2))
         w = rng.uniform(0.5, 1.0, size=6)
         w /= w.sum()
         x = np.array([[0.4, 0.1]])
-        for factor in (HALF, None):
-            a = field_drift_diffusion(k, atoms, w, x, factor)
-            doubled = np.repeat(atoms, 2, axis=0), np.repeat(w / 2.0, 2)
-            b = field_drift_diffusion(k, *doubled, x, factor)
-            for fa, fb in zip(a, b):
-                np.testing.assert_allclose(fa, fb, rtol=0, atol=1e-14)
-
-    def test_empty_measure_rejected(self):
-        with pytest.raises(Exception):
-            EmpiricalMeasure(np.zeros((0, 2)), np.zeros(0))
+        for k in map(cucker_smale_kernels, (noisy, truncated)):
+            for factor in (HALF, None):
+                a = field_drift_diffusion(k, atoms, w, x, factor)
+                doubled = np.repeat(atoms, 2, axis=0), np.repeat(w / 2.0, 2)
+                b = field_drift_diffusion(k, *doubled, x, factor)
+                for fa, fb in zip(a, b):
+                    np.testing.assert_allclose(fa, fb, rtol=0, atol=1e-14)
+            # two co-located atoms of a uniform measure are one atom of twice
+            # the weight: [a, a, b] moves in the field of [a, b] weighted
+            # (2/3, 1/3), at its atoms and elsewhere
+            tripled = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
+            pair, pair_weights = tripled[1:], np.array([2.0 / 3.0, 1.0 / 3.0])
+            for queries in (tripled, x):
+                a = field_drift_diffusion(k, tripled, np.full(3, 1.0 / 3.0), queries, HALF)
+                b = field_drift_diffusion(k, pair, pair_weights, queries, HALF)
+                for fa, fb in zip(a, b):
+                    np.testing.assert_allclose(fa, fb, rtol=0, atol=1e-14)
 
 
 class TestCuckerSmaleBuilder:
@@ -438,23 +449,22 @@ def test_field_drift_diffusion_matches_pointwise_ops():
     band = np.zeros(3, int)  # truncated pairs below, inside and beyond the band
     edges = [FIELD_TRUNC.radius, FIELD_TRUNC.radius + FIELD_TRUNC.margin]
     for kernel, ref, convention, factor, atoms, w, queries in _field_cases(rng):
-        mu = EmpiricalMeasure(atoms, w)
         drift, common = field_drift_diffusion(kernel, atoms, w, queries, factor)
-        want = mean_field_B(ref, mu, queries)
+        want = mean_field_B(ref, atoms, w, queries)
         if factor is not None:
-            want = want + mean_field_S(ref, mu, queries, convention)
+            want = want + mean_field_S(ref, atoms, w, queries, convention)
         np.testing.assert_allclose(drift, want, rtol=0, atol=1e-13)
         if ref.c is None:
             assert common is None
             continue
-        np.testing.assert_allclose(common, mean_field_C(ref, mu, queries), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(common, mean_field_C(ref, atoms, w, queries), rtol=0, atol=1e-14)
         if kernel.dim == 4:
             s = np.linalg.norm(atoms[None, :, 2:] - queries[:, None, 2:], axis=-1)
             band += np.bincount(np.digitize(s.ravel(), edges), minlength=3)
         if factor is None or atoms.shape[0] > 6:
             continue
         # S1 is the average of s1 over every atom pair
-        s_q = mean_field_S(ref, mu, queries, convention) - eval_S2(ref, queries)
+        s_q = mean_field_S(ref, atoms, w, queries, convention) - eval_S2(ref, queries)
         s1 = sum(
             wj * wl * eval_s1(ref, queries, yj, yl, convention)
             for wj, yj in zip(w, atoms)
@@ -520,7 +530,6 @@ def test_every_sigma_model_adds_its_S2(name):
     atoms = rng.normal(size=(6, kernel.dim))
     w = rng.uniform(0.5, 1.0, size=6)
     w /= w.sum()
-    mu = EmpiricalMeasure(atoms, w)
     for queries in (rng.normal(size=(4, kernel.dim)), atoms):
         np.testing.assert_array_equal(ref.sigma(queries), kernel.sigma(queries))
         for x in queries:
@@ -528,9 +537,9 @@ def test_every_sigma_model_adds_its_S2(name):
             assert rel_close(ref.grad_sigma(x), fd.reshape((kernel.dim,) * 3), 1e-4, floor=1e-5)
         corrected, _ = field_drift_diffusion(kernel, atoms, w, queries, HALF)
         plain, _ = field_drift_diffusion(kernel, atoms, w, queries, None)
-        want = mean_field_S(ref, mu, queries, "half_both")
+        want = mean_field_S(ref, atoms, w, queries, "half_both")
         np.testing.assert_allclose(corrected - plain, want, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(plain, mean_field_B(ref, mu, queries), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(plain, mean_field_B(ref, atoms, w, queries), rtol=0, atol=1e-14)
     if name == "diag-individual":
         # sigma_scale diag(x) has S2 = sigma_scale^2 x / 2, non-zero at every query
         assert np.all(eval_S2(ref, queries) != 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,19 +8,16 @@ from scipy.optimize import linear_sum_assignment
 from meanflock.diagnostics import labelled_cost
 from meanflock.errors import (
     DimensionMismatchError,
-    EmptyMeasureError,
     NonFiniteCostError,
     SupportCapError,
     UnsupportedTransportError,
 )
 from meanflock.transport import (
     DEFAULT_SUPPORT_CAP,
-    EmpiricalMeasure,
     MeasurePath,
     _assignment,
     _squared_distances,
     _transport_cost,
-    check_weights,
     moments,
     optimal_pairing,
     path_sup_distances,
@@ -36,7 +35,8 @@ from helpers import (
 
 
 def uniform(atoms):
-    return EmpiricalMeasure(np.asarray(atoms, dtype=float))
+    """The (n, d) atom array of a measure."""
+    return np.asarray(atoms, dtype=float)
 
 
 def distances(a, b):
@@ -46,13 +46,12 @@ def distances(a, b):
 
 def uniform_path(states):
     states = np.asarray(states, dtype=float)
-    n = states.shape[1]
-    return MeasurePath(np.arange(states.shape[0], dtype=float), states, np.full(n, 1.0 / n))
+    return MeasurePath(np.arange(states.shape[0], dtype=float), states)
 
 
 # both distances and the pairing, which share their checks, each with what
-# it takes made from (n, d) atoms: the measure itself, a path that holds it
-# at one time, or the atoms
+# it takes made from (n, d) atoms: the atoms, or a path that holds them at
+# one time
 CHECKED = {
     "wasserstein": (wasserstein, uniform),
     "wasserstein_path": (wasserstein_path, lambda atoms: uniform_path([atoms])),
@@ -60,43 +59,32 @@ CHECKED = {
 }
 
 
+# entry points that read an atom array, each with its call on one array
+ATOM_READERS = (
+    lambda atoms: wasserstein(atoms, [[0.0]], 2),
+    lambda atoms: wasserstein([[0.0]], atoms, 2),
+    lambda atoms: optimal_pairing(atoms, atoms, 2),
+    lambda atoms: moments(atoms, 2),
+)
+
+
 class TestMeasureValidation:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            EmpiricalMeasure(np.zeros((2, 1)), np.array([0.4, 0.4]))
-
-    def test_weights_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            EmpiricalMeasure(np.zeros((2, 1)), np.array([1.2, -0.2]))
-
-    def test_nan_weights_rejected(self):
-        # NaN compares false, so each check is written to fail on it
-        for weights in ([np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]):
-            with pytest.raises(ValueError, match="measure weights must be positive"):
-                check_weights(weights, 2)
-            with pytest.raises(ValueError, match="positive"):
-                EmpiricalMeasure(np.zeros((2, 1)), weights)
-        with pytest.raises(ValueError, match="^weights sum to inf, expected 1$"):
-            check_weights([np.inf, 1.0], 2)
-
     def test_empty_uniform_measure(self):
-        # the constructor's emptiness check runs before any weight is made
-        for atoms in (np.zeros((0, 2)), np.zeros(0), []):
-            with pytest.raises(EmptyMeasureError, match="n >= 1"):
-                EmpiricalMeasure(atoms)
+        # one (m, d) check, m >= 1: a flat array is no atom array
+        for read in ATOM_READERS:
+            for atoms in (np.zeros((0, 1)), np.zeros(0), [], np.zeros(3), np.zeros((2, 1, 1))):
+                with pytest.raises(ValueError, match=r"must be a \(m, d\) array with m >= 1"):
+                    read(atoms)
 
     def test_atoms_must_be_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            EmpiricalMeasure(np.array([[np.nan]]), np.array([1.0]))
+        for read in ATOM_READERS:
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="must be finite"):
+                    read(np.array([[bad]]))
 
     def test_path_times_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            MeasurePath(np.array([0.0, 0.0]), np.zeros((2, 1, 1)), np.array([1.0]))
-
-    def test_path_weights_checked_like_a_measure(self):
-        # when the path is built, not when a distance is first asked of it
-        with pytest.raises(ValueError, match="measure weights must be positive"):
-            MeasurePath(np.array([0.0, 1.0]), np.zeros((2, 2, 1)), np.array([2.0, -1.0]))
+            MeasurePath(np.array([0.0, 0.0]), np.zeros((2, 1, 1)))
 
 
 class TestWasserstein:
@@ -138,8 +126,8 @@ class TestWasserstein:
         # 3000 against 2000 atoms in 1-D: the closed form builds no pair table,
         # so the cap does not apply; replicated to 6000 each, the optimal plan
         # is the sorted matching
-        a = rng.normal(size=3000)
-        b = rng.normal(size=2000)
+        a = rng.normal(size=(3000, 1))
+        b = rng.normal(size=(2000, 1))
         gap = np.sort(np.repeat(a, 2)) - np.sort(np.repeat(b, 3))
         for p in (1.0, 2.0):
             want = np.mean(np.abs(gap) ** p) ** (1.0 / p)
@@ -163,37 +151,21 @@ class TestWasserstein:
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_1d_fast_path_equals_lp(self):
+        # every pair of sizes up to 8, coprime ones such as 3 against 5 and 4
+        # against 7 among them, and 150 against 200: the merged breakpoints
+        # k/n and l/m against the transportation LP
         rng = np.random.default_rng(21)
-        for _ in range(30):
-            n, m = rng.integers(2, 9, size=2)
-            a = rng.normal(size=(n, 1))
-            b = rng.normal(size=(m, 1))
-            wa = rng.uniform(0.2, 1.0, size=n)
-            wa /= wa.sum()
-            wb = rng.uniform(0.2, 1.0, size=m)
-            wb /= wb.sum()
-            p = float(rng.choice([1.0, 2.0]))
-            fast = wasserstein(EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb), p)
-            lp = transport_lp_cost(distances(a, b), wa, wb, p) ** (1.0 / p)
-            assert fast == pytest.approx(lp, abs=1e-10)
-        # equal uniform sizes (every breakpoint coincides), one-atom measures
-        # and 150 against 200 atoms with arbitrary weights
-        for n, m, uniform_weights in ((5, 5, True), (6, 6, False), (1, 4, False),
-                                      (3, 1, False), (1, 1, True), (150, 200, False)):
-            a = rng.normal(size=(n, 1))
-            b = rng.normal(size=(m, 1))
-            wa = np.full(n, 1.0) if uniform_weights else rng.uniform(0.2, 1.0, size=n)
-            wb = np.full(m, 1.0) if uniform_weights else rng.uniform(0.2, 1.0, size=m)
-            wa, wb = wa / wa.sum(), wb / wb.sum()
+        sizes = [(n, m) for n in range(1, 9) for m in range(1, 9)] + [(150, 200)]
+        for n, m in sizes:
+            a, b = rng.normal(size=(n, 1)), rng.normal(size=(m, 1))
             for p in (1.0, 2.0, 3.0):
-                fast = wasserstein(EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb), p)
-                lp = transport_lp_cost(distances(a, b), wa, wb, p) ** (1.0 / p)
+                lp = transport_lp_cost(distances(a, b), np.full(n, 1 / n), np.full(m, 1 / m), p)
                 # HiGHS stops within about 1e-9 of the optimal cost
-                assert fast == pytest.approx(lp, rel=1e-7)
-        # 1500 against 2000 uniform atoms: replicated to 6000 each, the optimal
-        # plan is the sorted matching (the LP has 3e6 variables, too many here)
-        a = rng.normal(size=1500)
-        b = rng.normal(size=2000)
+                assert wasserstein(a, b, p) == pytest.approx(lp ** (1.0 / p), rel=1e-7)
+        # 1500 against 2000 atoms: replicated to 6000 each, the optimal plan
+        # is the sorted matching (the LP has 3e6 variables, too many here)
+        a = rng.normal(size=(1500, 1))
+        b = rng.normal(size=(2000, 1))
         gap = np.sort(np.repeat(a, 4)) - np.sort(np.repeat(b, 3))
         for p in (1.0, 2.0):
             want = np.mean(np.abs(gap) ** p) ** (1.0 / p)
@@ -207,6 +179,13 @@ class TestWasserstein:
         # optimal plan keeps 1/3 at each matched atom and splits the rest
         got = wasserstein(mu, nu, p=1)
         assert got == pytest.approx(1.0 / 6.0, abs=1e-9)
+        # coprime sizes, where no assignment exists: of the quantile levels
+        # (1/3, 2/3] that a holds at 1, b holds (1/3, 2/5] at 0 and (3/5, 2/3]
+        # at 2, so W_1 = 1/15 + 1/15
+        a = uniform([[0.0], [1.0], [2.0]])
+        b = uniform([[0.0], [0.0], [1.0], [2.0], [2.0]])
+        assert wasserstein(a, b, p=1) == pytest.approx(2.0 / 15.0, rel=1e-14)
+        assert wasserstein(b, a, p=1) == pytest.approx(2.0 / 15.0, rel=1e-14)
 
 
 def divisible(sizes):
@@ -254,7 +233,9 @@ def test_divisible_sizes_assignment_equals_lp(p):
                 assert got == pytest.approx(lp ** (1.0 / p), rel=1e-9)
                 pa = uniform_path(rng.normal(size=(3, n, d)))
                 pb = uniform_path(rng.normal(size=(3, k * n, d)))
-                lp = transport_lp_cost(path_sup_distances(pb, pa), pb.weights, pa.weights, p)
+                lp = transport_lp_cost(
+                    path_sup_distances(pb, pa), np.full(k * n, 1.0 / (k * n)), np.full(n, 1.0 / n), p
+                )
                 got = wasserstein_path(pb, pa, p)
                 assert got == pytest.approx(lp ** (1.0 / p), rel=1e-9)
 
@@ -272,27 +253,19 @@ def test_divisible_sizes_symmetric_bitwise():
 
 def test_unsupported_pairs_raise():
     rng = np.random.default_rng(13)
-    weights = np.array([0.5, 0.25, 0.25])
-    pairs = [
-        (uniform(rng.normal(size=(4, 2))), uniform(rng.normal(size=(6, 2))), (4, 6)),
-        (EmpiricalMeasure(rng.normal(size=(3, 2)), weights), uniform(rng.normal(size=(6, 2))),
-         (3, 6)),
-        (EmpiricalMeasure(rng.normal(size=(3, 2)), weights), uniform(rng.normal(size=(3, 2))),
-         (3, 3)),
-    ]
-    for mu, nu, (n, m) in pairs:
-        with pytest.raises(UnsupportedTransportError, match=f"between {n} and {m} atoms"):
-            wasserstein(mu, nu, 2)
+    a, b = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+    with pytest.raises(UnsupportedTransportError, match="between 4 and 6 atoms"):
+        wasserstein(a, b, 2)
     with pytest.raises(UnsupportedTransportError, match="between 4 and 6 atoms"):
         wasserstein_path(uniform_path(rng.normal(size=(3, 4, 1))),
                          uniform_path(rng.normal(size=(3, 6, 1))), 2)
     for dim in (1, 2):
         with pytest.raises(ValueError, match="equal atom counts, got 4 and 8"):
             optimal_pairing(rng.normal(size=(4, dim)), rng.normal(size=(8, dim)))
-    # 1-D takes the closed form, whatever the weights and sizes
-    a, b = rng.normal(size=(3, 1)), rng.normal(size=(6, 1))
-    want = transport_lp_cost(distances(a, b), weights, np.full(6, 1 / 6), 2) ** 0.5
-    assert wasserstein(EmpiricalMeasure(a, weights), uniform(b), 2) == pytest.approx(want, rel=1e-7)
+    # 1-D takes the closed form, whatever the sizes
+    a, b = rng.normal(size=(4, 1)), rng.normal(size=(6, 1))
+    want = transport_lp_cost(distances(a, b), np.full(4, 1 / 4), np.full(6, 1 / 6), 2) ** 0.5
+    assert wasserstein(a, b, 2) == pytest.approx(want, rel=1e-7)
     a = uniform_path(rng.normal(size=(5, 128, 2)))
     b = uniform_path(rng.normal(size=(5, 256, 2)))
     assert wasserstein_path(a, b, 2) > 0
@@ -378,7 +351,7 @@ def assert_assignment_matches_scipy(dist, k, p):
     repeated = np.repeat(dist**p, k, axis=0)
     rows, want_cols = linear_sum_assignment(repeated)
     want = np.sum(repeated[rows, want_cols]) / m
-    got = _transport_cost(dist, np.full(n, 1.0 / n), np.full(m, 1.0 / m), p)
+    got = _transport_cost(dist, p)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
     return got
 
@@ -458,14 +431,27 @@ def test_non_finite_costs_raise():
         dist = rng.uniform(size=(4, 8))
         dist[2, 5] = bad
         with pytest.raises(NonFiniteCostError, match=r"shape \(4, 8\) has non-finite"):
-            _transport_cost(dist, np.full(4, 0.25), np.full(8, 0.125), 2)
+            _transport_cost(dist, 2)
         states = rng.normal(size=(3, 8, 2))
         states[1, 3, 0] = bad
         with pytest.raises(NonFiniteCostError, match=r"shape \(4, 8\)"):
             wasserstein_path(uniform_path(rng.normal(size=(3, 4, 2))), uniform_path(states), 2)
-    # finite atoms whose cost overflows
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteCostError, match=r"shape \(2, 2\)"):
-        wasserstein(uniform([[0.0, 0.0], [1e110, 0.0]]), uniform([[1.0, 1.0], [-1e110, 0.0]]), 3)
+    # finite atoms whose squared distances, or their cubes, overflow: a typed
+    # error, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big, p in ((1e110, 3), (1e160, 2)):
+            a, b = [[0.0, 0.0], [big, 0.0]], [[1.0, 1.0], [-big, 0.0]]
+            for solve in (wasserstein, optimal_pairing):
+                with pytest.raises(NonFiniteCostError, match=r"shape \(2, 2\)"):
+                    solve(a, b, p)
+            with pytest.raises(NonFiniteCostError, match=r"shape \(2, 2\)"):
+                wasserstein_path(uniform_path([a]), uniform_path([b]), p)
+        # in 1-D the gap's power overflows: on the empty interval between
+        # coinciding breakpoints it read 0 * inf, a NaN distance
+        for b in ([[1e200], [2.0]], [[1e200], [2.0], [3.0]]):
+            with pytest.raises(NonFiniteCostError, match=f"of 2 against {len(b)} atoms"):
+                wasserstein([[0.0], [1.0]], b, 2)
 
 
 def assert_triangle(seed, dim):
@@ -547,6 +533,6 @@ class TestWassersteinPath:
 
     def test_mismatched_grids_rejected(self):
         a = uniform_path(np.zeros((3, 2, 1)))
-        b = MeasurePath(np.array([0.0, 0.5, 1.0]), np.zeros((3, 2, 1)), np.full(2, 0.5))
+        b = MeasurePath(np.array([0.0, 0.5, 1.0]), np.zeros((3, 2, 1)))
         with pytest.raises(ValueError, match="grid"):
             wasserstein_path(a, b, 2)
