@@ -22,9 +22,10 @@ closed before everything was written
 traceback.
 
 ``run`` and ``validate`` read their config file here, once, as UTF-8; a
-file that cannot be read or decoded prints ``error: cannot read config
-<path>: <reason>`` and exits 1 for both. ``run`` hands the text to ``harness.run_from_text`` and
-``validate`` to ``config.parse_config``.
+leading byte-order mark is dropped. A file that cannot be read or decoded
+prints ``error: cannot read config <path>: <reason>`` and exits 1 for both.
+``run`` hands the text to ``harness.run_from_text`` and ``validate`` to
+``config.parse_config``.
 
 Once a command's modules are imported (the run stack for ``run``, ``config``
 for ``validate`` and ``models``), ``main`` calls ``gc.freeze()``. The import
@@ -49,48 +50,41 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from collections import namedtuple
 
 from .config import ConfigError, list_models, parse_config, schema_lines
 
-# help for the whole program (None) and for each command; its first line
-# is the usage line of the errors
-_HELP = {
-    None: """usage: meanflock [-h] {run,models,validate} ...
+# each command (None for the program): its description, whether it reads one CONFIG, and
+# its flags besides --help, each mapped to (metavar or None for a switch, help)
+Command = namedtuple("Command", "about takes_config flags")
 
-Mean-field particle simulations with common and individual noise
-
-  run         execute an experiment config
-  models      list available kernel models
-  validate    check a config without running it
-  -h, --help  show this help message and exit""",
-    "run": """usage: meanflock run [-h] [--output-dir DIR] CONFIG
-
-execute an experiment config
-
-  CONFIG            path to a key = value config file
-  --output-dir DIR  override the config's output_dir
-  -h, --help        show this help message and exit""",
-    "models": """usage: meanflock models [-h]
-
-list available kernel models
-
-  -h, --help  show this help message and exit""",
-    "validate": """usage: meanflock validate [-h] [--schema] CONFIG
-
-check a config without running it
-
-  CONFIG      path to a key = value config file
-  --schema    also print the schema
-  -h, --help  show this help message and exit""",
+_COMMANDS = {
+    None: Command("Mean-field particle simulations with common and individual noise", False, {}),
+    "run": Command("execute an experiment config", True,
+                   {"--output-dir": ("DIR", "override the config's output_dir")}),
+    "models": Command("list available kernel models", False, {}),
+    "validate": Command("check a config without running it", True,
+                        {"--schema": (None, "also print the schema")}),
 }
-# the flags of each command, True for a switch and False for a flag that
-# takes a value; every command but models reads one CONFIG
-_FLAGS = {
-    None: {"--help": True},
-    "run": {"--help": True, "--output-dir": False},
-    "models": {"--help": True},
-    "validate": {"--help": True, "--schema": True},
-}
+_NAMES = [name for name in _COMMANDS if name is not None]
+
+
+def _help(command) -> str:
+    """The help text of ``command``; its first line is the usage line of the errors."""
+    about, takes_config, flags = _COMMANDS[command]
+    if command is None:
+        usage = f"usage: meanflock [-h] {{{','.join(_NAMES)}}} ..."
+        rows = [(name, _COMMANDS[name].about) for name in _NAMES]
+    else:
+        rows = [(" ".join(filter(None, (flag, metavar))), text)
+                for flag, (metavar, text) in flags.items()]
+        usage = " ".join([f"usage: meanflock {command} [-h]", *(f"[{label}]" for label, _ in rows)])
+        if takes_config:
+            usage += " CONFIG"
+            rows.insert(0, ("CONFIG", "path to a key = value config file"))
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(label) for label, _ in rows) + 2
+    return "\n".join([usage, "", about, "", *(f"  {label:<{width}}{text}" for label, text in rows)])
 
 
 class _UsageError(Exception):
@@ -143,9 +137,9 @@ def _parse(argv: list) -> tuple:
     if command.startswith("-"):
         _flag(None, command)  # raises unless it asks for help
         return None, None, None
-    if command not in _HELP:
-        raise _UsageError(None, f"unknown command {command!r} (choose from run, models, validate)")
-    takes_config = command != "models"
+    if command not in _NAMES:
+        raise _UsageError(None, f"unknown command {command!r} (choose from {', '.join(_NAMES)})")
+    takes_config = _COMMANDS[command].takes_config
     config, flags, flags_end = None, {}, False
     tokens = iter(rest)
     for token in tokens:
@@ -176,12 +170,12 @@ def _flag(command, token: str) -> tuple:
     name, eq, value = token.partition("=")
     if name == "-h":
         name = "--help"
-    known = _FLAGS[command]
-    found = [f for f in known if f.startswith(name)] if name[:2] == "--" else []
+    flags = _COMMANDS[command].flags
+    found = [f for f in ("--help", *flags) if f.startswith(name)] if name[:2] == "--" else []
     if len(name) <= 2 or len(found) != 1:
         raise _UsageError(command, f"unrecognized flag {name!r}")
     flag = found[0]
-    if not known[flag]:
+    if flag in flags and flags[flag][0] is not None:
         return flag, value if eq else None
     if eq:
         raise _UsageError(command, f"{flag} takes no value")
@@ -199,11 +193,11 @@ def _dispatch(argv: list) -> int:
     try:
         command, config, flags = _parse(argv)
     except _UsageError as exc:
-        usage = _HELP[exc.command].partition("\n")[0]
+        usage = _help(exc.command).partition("\n")[0]
         print(f"{usage}\nmeanflock: error: {exc}", file=sys.stderr)
         return 1
     if flags is None:
-        print(_HELP[command])
+        print(_help(command))
         return 0
 
     if command == "models":
@@ -213,7 +207,7 @@ def _dispatch(argv: list) -> int:
         return 0
 
     try:
-        with open(config, encoding="utf-8") as fh:
+        with open(config, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config {config}: {exc}", file=sys.stderr)

@@ -143,21 +143,29 @@ def state_dim(values: dict) -> int:
 
 MODEL_KEYS = frozenset(key for model in MODELS.values() for key in _keys_read(model))
 
+Kind = namedtuple("Kind", "keys required min_seeds common_noise_only cucker_smale_only schemes",
+                  defaults=((), 1, False, False, SCHEMES))
+Kind.__doc__ = """One experiment kind: the keys it reads (other kinds reject them) and
+requires, its fewest seeds, and whether it runs only without individual noise (its coupling
+or transport form needs sigma = 0), only on Cucker-Smale models, or only under some schemes."""
+
 _TF = ("tf_center", "tf_radius")
 
-# the experiment keys each kind reads; every other kind rejects them
-KIND_KEYS = {
-    "simulate": ("n_particles", "write_trajectories"),
-    "flocking": ("n_particles",),
-    "weakform": ("n_particles",) + _TF,
-    "cauchy": ("sizes", "wasserstein_p"),
-    "chaos": ("n_list", "ref_n", "n_resamples") + _TF,
-    "comparison": ("n_particles", "radius", "comparison_shift", "wasserstein_p"),
-    "transport-check": ("n_particles",),
+KINDS = {
+    "simulate": Kind(("n_particles", "write_trajectories")),
+    "flocking": Kind(("n_particles",), cucker_smale_only=True),
+    "weakform": Kind(("n_particles",) + _TF, min_seeds=16),
+    # two seeds give the fewest a standard error is defined for
+    "cauchy": Kind(("sizes", "wasserstein_p"), ("sizes",), min_seeds=2, common_noise_only=True),
+    "chaos": Kind(("n_list", "ref_n", "n_resamples") + _TF, ("n_list",), common_noise_only=True),
+    "comparison": Kind(("n_particles", "radius", "comparison_shift", "wasserstein_p"),
+                       common_noise_only=True),
+    # the characteristics replay steps with the Euler-Ito update only
+    "transport-check": Kind(("n_particles",), common_noise_only=True, schemes=("euler_ito",)),
 }
 
-EXPERIMENT_KINDS = tuple(KIND_KEYS)
-EXPERIMENT_KEYS = frozenset(key for keys in KIND_KEYS.values() for key in keys)
+EXPERIMENT_KINDS = tuple(KINDS)
+EXPERIMENT_KEYS = frozenset(key for kind in KINDS.values() for key in kind.keys)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -170,7 +178,9 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    if not all(tok.strip() for tok in raw.split(",")):
+        raise ValueError("empty item")
+    return [int(tok) for tok in raw.split(",")]
 
 
 def _parse_float(raw: str) -> float:
@@ -246,14 +256,6 @@ SCHEMA: dict[str, Key] = {
     ]
 }
 
-_REQUIRED_BY_KIND = {
-    "cauchy": ("sizes",),
-    "chaos": ("n_list",),
-}
-
-# kinds whose coupling or transport form is defined for sigma = 0 only
-_COMMON_NOISE_ONLY = ("cauchy", "chaos", "comparison", "transport-check")
-
 # cylinder functions used by the chaos experiment
 CHAOS_R = 2
 
@@ -315,10 +317,10 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key.name] = key.default
 
     kind = values["experiment"]
-    unread = sorted(key for key in given & EXPERIMENT_KEYS if key not in KIND_KEYS[kind])
+    unread = sorted(key for key in given & EXPERIMENT_KEYS if key not in KINDS[kind].keys)
     if unread:
         raise ConfigError(f"experiment '{kind}' does not read {', '.join(unread)}")
-    for needed in _REQUIRED_BY_KIND.get(kind, ()):
+    for needed in KINDS[kind].required:
         if values.get(needed) is None:
             raise ConfigError(f"experiment '{kind}' requires key '{needed}'")
     # a config runs at least one step; the library also takes t_final = 0
@@ -375,18 +377,18 @@ def _checked(rule: Callable, keys: tuple, values: dict, given: set) -> None:
 
 def _check_experiment(values: dict) -> None:
     kind, name, n_seeds = values["experiment"], values["model"], values["n_seeds"]
-    model = MODELS[name]
+    model, rules = MODELS[name], KINDS[kind]
     if n_seeds < 1:
         raise ConfigError("at least one seed is required")
-    if kind in _COMMON_NOISE_ONLY and model.individual_noise:
+    if rules.common_noise_only and model.individual_noise:
         raise ConfigError(
             f"experiment '{kind}' requires a model without individual noise, got '{name}'"
         )
-    # the characteristics replay steps with the Euler-Ito update only
-    if kind == "transport-check" and values["scheme"] != "euler_ito":
-        raise ConfigError(
-            f"experiment 'transport-check' requires scheme euler_ito, got '{values['scheme']}'"
-        )
+    if values["scheme"] not in rules.schemes:
+        raise ConfigError(f"experiment '{kind}' requires scheme {' or '.join(rules.schemes)}, "
+                          f"got '{values['scheme']}'")
+    if rules.cucker_smale_only and not model.position_velocity:
+        raise ConfigError(f"experiment '{kind}' requires a cucker-smale model, got '{name}'")
     if kind == "comparison":
         # a run stopped at t = 0, or two start measures at one point, leaves no ratio to judge
         radius, shift = values["radius"], values["comparison_shift"]
@@ -399,13 +401,8 @@ def _check_experiment(values: dict) -> None:
         if state_dim(values) > 1 and 2 * n > DEFAULT_SUPPORT_CAP:
             raise ConfigError(f"comparison solves {n} against {n} atoms, above the support cap "
                               f"of {DEFAULT_SUPPORT_CAP} combined")
-    if kind == "flocking" and not model.position_velocity:
-        raise ConfigError(f"experiment 'flocking' requires a cucker-smale model, got '{name}'")
-    if kind == "weakform" and n_seeds < 16:
-        raise ConfigError(f"weakform needs at least 16 seeds, got {n_seeds}")
     if kind == "cauchy":
-        # three sizes give two coupled distances, the fewest a verdict compares;
-        # two seeds give the fewest a standard error is defined for
+        # three sizes give two coupled distances, the fewest a verdict compares
         sizes = values["sizes"]
         if len(sizes) < 3 or sizes[-1] < 1 or any(a != 2 * b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError(
@@ -414,8 +411,6 @@ def _check_experiment(values: dict) -> None:
         if sizes[0] + sizes[1] > DEFAULT_SUPPORT_CAP:
             raise ConfigError(f"cauchy solves {sizes[1]} against {sizes[0]} atoms, above the "
                               f"support cap of {DEFAULT_SUPPORT_CAP} combined")
-        if n_seeds < 2:
-            raise ConfigError(f"cauchy needs at least 2 seeds, got {n_seeds}")
     if kind == "chaos":
         n_list = values["n_list"]
         increasing = all(a < b for a, b in zip(n_list, n_list[1:]))
@@ -428,6 +423,9 @@ def _check_experiment(values: dict) -> None:
             values["ref_n"] = 8 * n_list[-1]
         if values["ref_n"] <= n_list[-1]:
             raise ConfigError(f"ref_n must exceed every size in n_list, got {values['ref_n']}")
+    # after the kind's own checks, as a malformed size list is the first thing to mend
+    if n_seeds < rules.min_seeds:
+        raise ConfigError(f"{kind} needs at least {rules.min_seeds} seeds, got {n_seeds}")
 
 
 def list_models() -> dict[str, str]:

@@ -4,44 +4,41 @@
 class MeanflockError(Exception):
     """Base class for all package errors.
 
-    Errors are rebuilt from their constructor arguments alone when pickled,
-    so they cross the process pool intact; attached objects such as
-    ``BlowUpError.partial`` stay in the process that raised them.
+    A subclass declares ``fields``, its constructor arguments in order, which
+    become its attributes, and ``message``, a format over its attributes that
+    is its ``str``. A failed run's manifest records the fields, and a pickled
+    error is rebuilt from them alone, so it crosses the process pool intact;
+    attached objects such as ``BlowUpError.partial`` stay in the process that
+    raised them.
     """
+
+    fields: tuple = ()
+    message = ""
+
+    def __init__(self, *values):
+        super().__init__(*values)
+        vars(self).update(zip(self.fields, values, strict=True))
+
+    def __str__(self):
+        return self.message.format_map(vars(self))
 
     def __reduce__(self):
         return type(self), self.args
 
 
 class DimensionMismatchError(MeanflockError):
-    """An array argument has the wrong spatial dimension.
+    """An array argument, named by ``argument``, has the wrong spatial dimension."""
 
-    Carries the name of the offending argument so callers can report it.
-    """
-
-    def __init__(self, argument: str, expected: int, got: int):
-        super().__init__(argument, expected, got)
-        self.argument = argument
-        self.expected = expected
-        self.got = got
-
-    def __str__(self):
-        return f"argument '{self.argument}' has dimension {self.got}, expected {self.expected}"
+    fields = ("argument", "expected", "got")
+    message = "argument '{argument}' has dimension {got}, expected {expected}"
 
 
 class SupportCapError(MeanflockError):
     """Exact transport solver refused an instance above the support cap."""
 
-    def __init__(self, combined: int, cap: int):
-        super().__init__(combined, cap)
-        self.combined = combined
-        self.cap = cap
-
-    def __str__(self):
-        return (
-            f"combined support size {self.combined} exceeds solver cap {self.cap}; "
-            "subsample the measures before computing exact distances"
-        )
+    fields = ("combined", "cap")
+    message = ("combined support size {combined} exceeds solver cap {cap}; "
+               "subsample the measures before computing exact distances")
 
 
 class UnsupportedTransportError(MeanflockError):
@@ -51,16 +48,9 @@ class UnsupportedTransportError(MeanflockError):
     experiment builds such pairs.
     """
 
-    def __init__(self, n: int, m: int):
-        super().__init__(n, m)
-        self.n = n
-        self.m = m
-
-    def __str__(self):
-        return (
-            f"no exact transport route between {self.n} and {self.m} atoms: outside 1-D "
-            "one atom count must divide the other"
-        )
+    fields = ("n", "m")
+    message = ("no exact transport route between {n} and {m} atoms: outside 1-D "
+               "one atom count must divide the other")
 
 
 class NonFiniteCostError(MeanflockError):
@@ -72,12 +62,8 @@ class NonFiniteCostError(MeanflockError):
     the cost.
     """
 
-    def __init__(self, what: str):
-        super().__init__(what)
-        self.what = what
-
-    def __str__(self):
-        return f"{self.what} has non-finite entries"
+    fields = ("what",)
+    message = "{what} has non-finite entries"
 
 
 class BlowUpError(MeanflockError):
@@ -89,20 +75,17 @@ class BlowUpError(MeanflockError):
     run and the characteristics replay share; it is not pickled.
     """
 
+    fields = ("step_index", "max_norm", "seed")
+    message = "state blow-up at step {step_index}{of_seed}: max particle norm {max_norm:.3e}"
+
     def __init__(self, step_index: int, max_norm: float, seed=None, partial=None):
         super().__init__(step_index, max_norm, seed)
-        self.step_index = step_index
-        self.max_norm = max_norm
-        self.seed = seed
         self.partial = partial
-
-    def __str__(self):
-        seed = "" if self.seed is None else f" of seed={self.seed}"
-        return (
-            f"state blow-up at step {self.step_index}{seed}: "
-            f"max particle norm {self.max_norm:.3e}"
-        )
+        self.of_seed = "" if seed is None else f" of seed={seed}"
 
 
 class ConfigError(MeanflockError):
-    """Invalid experiment configuration; message carries field/line context."""
+    """Invalid experiment configuration; ``reason`` carries field/line context."""
+
+    fields = ("reason",)
+    message = "{reason}"

@@ -64,7 +64,7 @@ from .diagnostics import (
     weakform_single,
 )
 from .dynamics import SimConfig, init_rng, simulate
-from .errors import BlowUpError, ConfigError, MeanflockError
+from .errors import ConfigError, MeanflockError
 from .kernels import (
     GENERIC_KERNELS,
     CuckerSmaleParams,
@@ -371,10 +371,10 @@ def _write_json(path: Path, record: dict) -> None:
 
 
 def _error_record(exc: Exception) -> dict:
-    """What a failed run's manifest says about its error."""
+    """What a failed run's manifest says about its error, with a package error's fields."""
     record = {"class": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, BlowUpError):
-        record.update(seed=exc.seed, step_index=exc.step_index, max_norm=exc.max_norm)
+    if isinstance(exc, MeanflockError):
+        record.update((name, getattr(exc, name)) for name in exc.fields)
     return record
 
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from meanflock import config, dynamics, kernels
+from meanflock import config, dynamics, harness, kernels
 from meanflock.cli import main
 from meanflock.config import parse_config, schema_lines
 from meanflock.dynamics import SimConfig
@@ -117,6 +117,22 @@ REJECTED = {
     "cauchy-one-seed": ("cauchy", "model = zero\nsizes = 8, 4, 2", "cauchy needs at least 2 seeds, got 1"),
     "cauchy-not-halving": ("cauchy", "model = zero\nsizes = 8, 3", "each half the one before; got [8, 3]"),
     "cauchy-zero-sizes": ("cauchy", "model = zero\nsizes = 0, 0", "positive sizes"),
+    # an empty list item is a typo, not a size to drop
+    "sizes-empty-item": (
+        "cauchy", "model = zero\nsizes = 8,,4,2\nn_seeds = 2",
+        "line 4: field 'sizes' expects int_list: empty item",
+    ),
+    "sizes-trailing-comma": (
+        "cauchy", "model = zero\nsizes = 8, 4, 2,\nn_seeds = 2",
+        "line 4: field 'sizes' expects int_list: empty item",
+    ),
+    "sizes-leading-comma": (
+        "cauchy", "model = zero\nsizes = ,8,4,2\nn_seeds = 2",
+        "line 4: field 'sizes' expects int_list: empty item",
+    ),
+    "n-list-empty-item": (
+        "chaos", "model = zero\nn_list = 4,,16", "line 4: field 'n_list' expects int_list: empty item"
+    ),
     "cauchy-individual": (
         "cauchy", "model = cucker-smale-individual\nsizes = 8, 4",
         "experiment 'cauchy' requires a model without individual noise",
@@ -325,8 +341,60 @@ def test_kind_key_table_covers_the_schema():
     assert not config.EXPERIMENT_KEYS & config.MODEL_KEYS
     assert config.EXPERIMENT_KEYS <= set(config.SCHEMA)
     # every other key is read by every run: a key left in SCHEMA but dropped
-    # from KIND_KEYS would be accepted and ignored by every kind
+    # from every KINDS row would be accepted and ignored by every kind
     assert set(config.SCHEMA) - config.EXPERIMENT_KEYS - config.MODEL_KEYS == {
         "blowup_norm", "dt", "experiment", "init_kind", "master_seed", "model", "n_seeds",
         "output_dir", "s1_convention", "scheme", "t_final",
+    }
+
+
+def test_kind_rows_agree_with_the_code():
+    for name, kind in config.KINDS.items():
+        assert set(kind.required) <= set(kind.keys), name
+        assert set(kind.schemes) <= set(config.SCHEMES), name
+        if kind.min_seeds > 1:
+            assert f"{name} at least {kind.min_seeds}" in config.SCHEMA["n_seeds"].help
+    assert set(config.KINDS) == set(harness.EXPERIMENTS)
+
+
+# the whole message of each rule that a KINDS row declares, for its REJECTED case
+KIND_RULE_MESSAGES = {
+    "no-seeds": "at least one seed is required",
+    "weakform-3-seeds": "weakform needs at least 16 seeds, got 3",
+    "cauchy-one-seed": "cauchy needs at least 2 seeds, got 1",
+    "cauchy-individual":
+        "experiment 'cauchy' requires a model without individual noise, got 'cucker-smale-individual'",
+    "chaos-individual":
+        "experiment 'chaos' requires a model without individual noise, got 'diag-individual'",
+    "comparison-individual":
+        "experiment 'comparison' requires a model without individual noise, got 'constant-individual'",
+    "transport-individual": "experiment 'transport-check' requires a model without individual noise, "
+                            "got 'cucker-smale-individual'",
+    "transport-heun": "experiment 'transport-check' requires scheme euler_ito, got 'heun_stratonovich'",
+    "flocking-generic": "experiment 'flocking' requires a cucker-smale model, got 'zero'",
+}
+
+
+@pytest.mark.parametrize("case", KIND_RULE_MESSAGES)
+def test_kind_rule_messages_are_unchanged(case):
+    kind, lines, _ = REJECTED[case]
+    with pytest.raises(ConfigError) as info:
+        parse_config(f"experiment = {kind}\noutput_dir = /tmp/out\n{lines}\n")
+    assert str(info.value) == KIND_RULE_MESSAGES[case]
+
+
+def test_every_kind_rule_has_a_rejected_case():
+    def kinds_rejected(phrase):
+        return {REJECTED[case][0] for case, message in KIND_RULE_MESSAGES.items() if phrase in message}
+
+    rows = config.KINDS.items()
+    assert kinds_rejected("seeds, got") == {name for name, kind in rows if kind.min_seeds > 1}
+    assert kinds_rejected("without individual noise") == {
+        name for name, kind in rows if kind.common_noise_only
+    }
+    assert kinds_rejected("requires scheme") == {
+        name for name, kind in rows if kind.schemes != config.SCHEMES
+    }
+    assert kinds_rejected("cucker-smale model") == {
+        name for name, kind in rows if kind.cucker_smale_only
     }

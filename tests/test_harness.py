@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 import os
 import pickle
 import subprocess
@@ -17,6 +18,7 @@ from meanflock.errors import (
     BlowUpError,
     ConfigError,
     DimensionMismatchError,
+    MeanflockError,
     NonFiniteCostError,
     SupportCapError,
     UnsupportedTransportError,
@@ -267,7 +269,10 @@ output_dir = {tmp_path}
         assert message == "transport cost matrix of shape (4, 8) has non-finite entries"
         manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["status"] == "error"
-        assert manifest["error"] == {"class": "NonFiniteCostError", "message": message}
+        assert manifest["error"] == {
+            "class": "NonFiniteCostError", "message": message,
+            "what": "transport cost matrix of shape (4, 8)",
+        }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     @pytest.mark.parametrize(
@@ -293,7 +298,10 @@ output_dir = {tmp_path}
         message = capsys.readouterr().err.strip().removeprefix("error: ")
         assert message == "the 'full' comparison estimate has non-finite entries"
         manifest = read_json_strict(tmp_path / "manifest.json")
-        assert manifest["error"] == {"class": "NonFiniteCostError", "message": message}
+        assert manifest["error"] == {
+            "class": "NonFiniteCostError", "message": message,
+            "what": "the 'full' comparison estimate",
+        }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_non_finite_blowup_manifest_is_strict_json(self, tmp_path):
@@ -374,18 +382,45 @@ output_dir = {out}
         assert "MFS_THREADS must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "error",
-        [BlowUpError(3, 12.0, seed=5, partial=lambda: None), SupportCapError(10, 4),
-         DimensionMismatchError("x", 2, 3), UnsupportedTransportError(4, 6),
-         NonFiniteCostError("transport cost matrix of shape (4, 8)")],
-        ids=lambda e: type(e).__name__,
-    )
-    def test_errors_survive_pickling(self, error):
+    # each package error built from its declared fields, and its message
+    ERRORS = {
+        BlowUpError: ((3, 12.0, 5), "state blow-up at step 3 of seed=5: max particle norm 1.200e+01"),
+        SupportCapError: ((10, 4), "combined support size 10 exceeds solver cap 4; subsample the "
+                                   "measures before computing exact distances"),
+        DimensionMismatchError: (("x", 2, 3), "argument 'x' has dimension 3, expected 2"),
+        UnsupportedTransportError: ((4, 6), "no exact transport route between 4 and 6 atoms: "
+                                            "outside 1-D one atom count must divide the other"),
+        NonFiniteCostError: (("transport cost matrix of shape (4, 8)",),
+                             "transport cost matrix of shape (4, 8) has non-finite entries"),
+        ConfigError: (("line 2: unknown key 'x'",), "line 2: unknown key 'x'"),
+    }
+
+    def test_every_error_is_listed(self):
+        assert set(self.ERRORS) == set(MeanflockError.__subclasses__())
+
+    @pytest.mark.parametrize("cls", MeanflockError.__subclasses__(), ids=lambda c: c.__name__)
+    def test_errors_survive_pickling(self, cls):
+        values, message = self.ERRORS[cls]
+        error = cls(*values)
+        if cls is BlowUpError:
+            error.partial = np.zeros((4, 2, 2))
         copy = pickle.loads(pickle.dumps(error))
-        assert type(copy) is type(error)
-        assert str(copy) == str(error)
+        assert type(copy) is cls
+        assert str(copy) == str(error) == message
+        for name, value in zip(cls.fields, values, strict=True):
+            assert getattr(copy, name) == getattr(error, name) == value
         assert getattr(copy, "partial", None) is None
+
+    def test_blowup_message_without_a_seed(self):
+        error = BlowUpError(0, float("inf"))
+        assert error.seed is None
+        assert str(pickle.loads(pickle.dumps(error))) == "state blow-up at step 0: max particle norm inf"
+
+    @pytest.mark.parametrize("cls", MeanflockError.__subclasses__(), ids=lambda c: c.__name__)
+    def test_error_record_holds_the_declared_fields(self, cls):
+        values, message = self.ERRORS[cls]
+        record = json.loads(json.dumps(harness._error_record(cls(*values)), allow_nan=False))
+        assert record == {"class": cls.__name__, "message": message, **dict(zip(cls.fields, values))}
 
     def test_rerun_manifest_bitwise(self, tmp_path):
         first = tmp_path / "a"
@@ -451,6 +486,18 @@ class TestCli:
         assert errors[0].startswith("error: cannot read config /nonexistent/exp.cfg: ")
         assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # a UTF-8 file saved with a byte-order mark validates and runs as the text after it
+        text = transport_check_text(tmp_path / "out")
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(text.encode("utf-8-sig"))
+        assert main(["validate", str(cfg)]) == 0
+        assert capsys.readouterr().out == "valid: experiment=transport-check seeds=[7]\n"
+        assert main(["run", str(cfg)]) == 0
+        manifest = read_json_strict(tmp_path / "out" / "manifest.json")
+        assert manifest["config_text"] == text
+        assert manifest["config_sha256"] == parse_config(text).sha256()
+
     def test_undecodable_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes("experiment = simulate\nmodel = zero  # café\n".encode("latin-1"))
@@ -505,6 +552,44 @@ class TestCommandLine:
         assert err == "" and out.startswith(usage + "\n")
         shown = {" ".join(line.split()) for line in out.splitlines()}
         assert {*rows, "-h, --help show this help message and exit"} <= shown
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--help"], f"""{TOP_USAGE}
+
+Mean-field particle simulations with common and individual noise
+
+  run         execute an experiment config
+  models      list available kernel models
+  validate    check a config without running it
+  -h, --help  show this help message and exit
+"""),
+        (["run", "--help"], f"""{RUN_USAGE}
+
+execute an experiment config
+
+  CONFIG            path to a key = value config file
+  --output-dir DIR  override the config's output_dir
+  -h, --help        show this help message and exit
+"""),
+        (["models", "-h"], """usage: meanflock models [-h]
+
+list available kernel models
+
+  -h, --help  show this help message and exit
+"""),
+        (["validate", "--help"], f"""{VALIDATE_USAGE}
+
+check a config without running it
+
+  CONFIG      path to a key = value config file
+  --schema    also print the schema
+  -h, --help  show this help message and exit
+"""),
+    ], ids=["top", "run", "models", "validate"])
+    def test_help_text_is_pinned(self, argv, text, capsys):
+        # every help text is rendered from the command table: the bytes must not drift
+        assert main(argv) == 0
+        assert capsys.readouterr() == (text, "")
 
     @pytest.mark.parametrize("argv, usage, reason", [
         ([], TOP_USAGE, "a command is required"),
