@@ -10,8 +10,9 @@ with the gettext and locale modules it pulls in, took about a tenth of a
     meanflock [COMMAND] -h | --help
 
 Flags may come before or after CONFIG, a value may follow its flag as the
-next argument or after ``=`` (``--output-dir=DIR``), a long flag may be
-shortened to any unique prefix (``--out``) and ``--`` ends the flags.
+next argument or after ``=`` (``--output-dir=DIR``) and may not be empty,
+a long flag may be shortened to any unique prefix (``--out``) and ``--``
+ends the flags.
 Help prints to standard output and exits 0.
 
 Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 configuration or
@@ -27,19 +28,6 @@ prints ``error: cannot read config <path>: <reason>`` and exits 1 for both.
 ``run`` hands the text to ``harness.run_from_text`` and ``validate`` to
 ``config.parse_config``.
 
-Once a command's modules are imported (the run stack for ``run``, ``config``
-for ``validate`` and ``models``), ``main`` calls ``gc.freeze()``. The import
-graph lives until the process exits, so the cyclic collector has nothing to
-find in it; frozen, it is skipped by every later collection, here and in
-the pool workers that a run forks afterwards. In-process callers of
-``main`` get the same freeze: whatever is alive at the call is never
-collected as a cycle afterwards. When objects are already frozen, as on a
-repeated call, ``main`` runs one full collection before it freezes, so
-the cyclic garbage of the call before (the closures that
-``json.dumps`` builds for the report and manifest) is freed rather than
-frozen; a single call collects nothing extra. ``harness.run_from_text``,
-the library entry point, does not freeze.
-
 The console script and ``python -m meanflock.cli`` end through
 ``exit_main``, which skips the interpreter's teardown; ``main`` returns
 its code.
@@ -47,7 +35,6 @@ its code.
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from collections import namedtuple
@@ -150,9 +137,11 @@ def _parse(argv: list) -> tuple:
             if flag == "--help":
                 return command, None, None
             if value is None:
-                value = next(tokens, None)
-                if value is None or value.startswith("-"):
-                    raise _UsageError(command, f"{flag} expects a value")
+                value = next(tokens, "")
+                if value.startswith("-"):
+                    value = ""
+            if value == "":
+                raise _UsageError(command, f"{flag} expects a value")
             flags[flag] = value
         elif takes_config and config is None:
             config = token
@@ -182,13 +171,6 @@ def _flag(command, token: str) -> tuple:
     return flag, True
 
 
-def _freeze() -> None:
-    # a repeated call first collects the cyclic garbage its last call left
-    if gc.get_freeze_count():
-        gc.collect()
-    gc.freeze()
-
-
 def _dispatch(argv: list) -> int:
     try:
         command, config, flags = _parse(argv)
@@ -201,7 +183,6 @@ def _dispatch(argv: list) -> int:
         return 0
 
     if command == "models":
-        _freeze()
         for name, doc in sorted(list_models().items()):
             print(f"{name}\n    {doc}")
         return 0
@@ -217,10 +198,8 @@ def _dispatch(argv: list) -> int:
         # the run stack is imported only to run: validate and models never load it
         from .harness import run_from_text
 
-        _freeze()
         return run_from_text(text, output_dir=flags.get("--output-dir"))
 
-    _freeze()
     try:
         cfg = parse_config(text)
     except ConfigError as exc:

@@ -183,6 +183,12 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",")]
 
 
+def _parse_str(raw: str) -> str:
+    if not raw.strip():
+        raise ValueError("empty value")
+    return raw.strip()
+
+
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -193,7 +199,7 @@ def _parse_float(raw: str) -> float:
 _PARSERS = {
     "int": int,
     "float": _parse_float,
-    "str": str.strip,
+    "str": _parse_str,
     "bool": _parse_bool,
     "int_list": _parse_int_list,
 }

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, TrajectoryRecord, init_rng, resample_rng, simulate
+from .dynamics import SimConfig, TrajectoryRecord, _state_norms, init_rng, resample_rng, simulate
 from .errors import NonFiniteCostError
 from .kernels import CuckerSmaleParams, KernelSet, field_drift_diffusion
 from .testfunctions import TestFunction
@@ -358,10 +358,7 @@ def _stopped_sup_cost(states_a, states_b, radius: float, p: float) -> tuple[floa
     farther than ``radius`` from the origin; exceedance at time zero makes
     the supremum empty, reported as 0.
     """
-    # hypot never squares, so a state below ``radius`` never reads as beyond
-    # it through an overflowing square; as in the run's blow-up check
-    both = np.concatenate([states_a, states_b], axis=1)
-    reach = np.hypot.reduce(both, axis=-1, initial=0.0).max(axis=1)
+    reach = _state_norms(np.concatenate([states_a, states_b], axis=1)).max(axis=1)
     hits = np.flatnonzero(reach > radius)
     if hits.size and hits[0] == 0:
         return 0.0, True

@@ -183,15 +183,24 @@ def _integrate(
         else:
             pred = _euler_step(k, x, weights, x, cfg, *dw, None)
             x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, None))
-        # hypot never squares, so the norm overflows only beyond the largest
-        # double, and NaN fails the comparison; initial=0.0 makes a
-        # one-coordinate norm |x|, not the signed coordinate a reduction may
-        # start from
-        max_norm = float(np.max(np.hypot.reduce(x, axis=-1, initial=0.0)))
+        # NaN fails the comparison
+        max_norm = float(np.max(_state_norms(x)))
         if not max_norm <= cfg.blowup_norm:
             raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=path[: step + 1])
         path[step + 1] = x
     return path
+
+
+def _state_norms(states: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each state, over the last axis.
+
+    hypot never squares, so a norm overflows only beyond the largest double,
+    and then reads inf without a warning. ``initial=0.0`` makes a
+    one-coordinate norm |x|, not the signed coordinate a reduction may start
+    from.
+    """
+    with np.errstate(over="ignore"):
+        return np.hypot.reduce(states, axis=-1, initial=0.0)
 
 
 def simulate(k: KernelSet, states: np.ndarray, cfg: SimConfig) -> TrajectoryRecord:

@@ -180,20 +180,17 @@ def _build_cylinder_functions(values: dict) -> list[tuple[TestFunction, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_worker(args):
-    values, seed = args
+def _simulate_worker(values: dict, seed: int):
     run = _simulate_for_seed(values, seed)
     return run.times, run.states, moments(run.states[-1], 2.0)
 
 
-def _flocking_worker(args):
-    values, seed = args
+def _flocking_worker(values: dict, seed: int):
     run = _simulate_for_seed(values, seed)
     return energy_series(run), observed_position_spread(run), mean_velocity_drift(run), run.times
 
 
-def _weakform_worker(args):
-    values, seed = args
+def _weakform_worker(values: dict, seed: int):
     run = _simulate_for_seed(values, seed)
     psi = _bump(values, values["tf_center"], values["tf_radius"])
     checkpoints = default_checkpoints(run.config.steps)
@@ -201,10 +198,9 @@ def _weakform_worker(args):
     return m, qv, run.times[checkpoints]
 
 
-def _cauchy_worker(args):
+def _cauchy_worker(values: dict, seed: int):
     # initial atoms are redrawn per seed so the expectation averages over
     # both the noise and the nested initial sample
-    values, seed = args
     sizes = values["sizes"]
     base_atoms = sample_initial_atoms(values, init_rng(seed), sizes[0])
     return cauchy_single(
@@ -213,8 +209,7 @@ def _cauchy_worker(args):
     )
 
 
-def _chaos_worker(args):
-    values, beta_seed = args
+def _chaos_worker(values: dict, beta_seed: int):
     sampler = partial(sample_initial_atoms, values)
     return chaos_beta_path(
         build_kernel(values), sampler, _build_cylinder_functions(values), values["n_list"],
@@ -222,16 +217,14 @@ def _chaos_worker(args):
     )
 
 
-def _comparison_worker(pairs, args):
-    values, seed = args
+def _comparison_worker(pairs, values: dict, seed: int):
     return comparison_seed(
         build_kernel(values), *pairs, build_sim_config(values, seed=seed),
         values["radius"], values["wasserstein_p"],
     )
 
 
-def _transport_check_worker(args):
-    values, seed = args
+def _transport_check_worker(values: dict, seed: int):
     return transport_residual(_simulate_for_seed(values, seed))
 
 
@@ -305,9 +298,7 @@ def map_jobs(fn: Callable, jobs: list) -> list:
     any worker count. The pool is capped at the job count, since under fork
     every worker is started at once and a worker without a job is wasted.
     The process pool (and with it ``multiprocessing``) is imported only when
-    more than one worker runs; a serial run never loads it. Under
-    ``meanflock run`` the workers fork after ``cli.main`` has frozen the
-    import graph, so their collections skip it too.
+    more than one worker runs; a serial run never loads it.
     """
     workers = _pool_size(len(jobs))
     if workers == 1:
@@ -326,7 +317,7 @@ def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> Diagnos
         pairs = _comparison_pairs(cfg.values)
         worker, aggregate = partial(worker, pairs), partial(aggregate, pairs)
     seeds = cfg.seeds()
-    results = map_jobs(worker, [(cfg.values, seed) for seed in seeds])
+    results = map_jobs(partial(worker, cfg.values), seeds)
     if cfg.kind == "simulate" and cfg.values["write_trajectories"] and output_dir is not None:
         _write_trajectory_csvs(seeds, results, output_dir)
     return aggregate(cfg.values, seeds, results)
@@ -381,11 +372,14 @@ def _error_record(exc: Exception) -> dict:
 def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     """Parse, execute, persist; returns the CLI exit code.
 
-    A run that raises any ``Exception`` still writes ``manifest.json``, with
+    A ``report.json`` already in the output directory is removed first. A
+    run that raises any ``Exception`` still writes ``manifest.json``, with
     ``status: "error"`` and the error's record, but no ``report.json``; a
     run that finishes writes both, with ``status: "ok"``. A package error
     (``MeanflockError``) is printed and returns 1; any other error is
     raised again once the manifest is written, so it keeps its traceback.
+    An output directory that cannot be made prints
+    ``error: cannot write output to <dir>: <reason>`` and returns 1.
     """
     started = time.monotonic()
     try:
@@ -396,7 +390,13 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(output_dir if output_dir is not None else cfg.values["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's report must not stand beside this run's error
+        (out_dir / "report.json").unlink(missing_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write output to {out_dir}: {exc}", file=sys.stderr)
+        return 1
     manifest = {
         "code_version": __version__,
         "config_sha256": cfg.sha256(),

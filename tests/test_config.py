@@ -133,6 +133,11 @@ REJECTED = {
     "n-list-empty-item": (
         "chaos", "model = zero\nn_list = 4,,16", "line 4: field 'n_list' expects int_list: empty item"
     ),
+    # an empty value is a missing one, not the empty string
+    "model-empty": ("simulate", "model =", "line 3: field 'model' expects str: empty value"),
+    "scheme-empty": (
+        "simulate", "model = zero\nscheme =", "line 4: field 'scheme' expects str: empty value"
+    ),
     "cauchy-individual": (
         "cauchy", "model = cucker-smale-individual\nsizes = 8, 4",
         "experiment 'cauchy' requires a model without individual noise",

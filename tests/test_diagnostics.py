@@ -286,6 +286,11 @@ class TestComparisonExperiment:
         assert _stopped_sup_cost(a, b, 10.0, 2.0) == (81.0, False)
         assert _stopped_sup_cost(a, b, 0.5, 2.0) == (0.0, True)
 
+    def test_overflowing_norm_stops_at_once(self):
+        # each coordinate is finite but the norm is not: beyond any radius, without a warning
+        a = np.full((2, 3, 2), 1.5e308)
+        assert _stopped_sup_cost(a, a, 50.0, 2.0) == (0.0, True)
+
     def test_ratio_finite_positive(self):
         inits = self.shifted(0.1)
         per_seed = [

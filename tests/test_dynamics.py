@@ -197,6 +197,12 @@ class TestSimulate:
         assert partial.shape[0] == err.value.step_index + 1
         np.testing.assert_array_equal(partial, [[[1.0]], [[5.0]], [[25.0]]])
 
+    def test_overflowing_norm_is_a_blowup(self):
+        # each coordinate is finite but the norm is not: a typed error, not a warning
+        with pytest.raises(BlowUpError) as err:
+            simulate(zero_kernels(2), np.full((3, 2), 1.5e308), SimConfig(0.1, 0.05))
+        assert err.value.step_index == 0 and err.value.max_norm == np.inf
+
     def test_negative_one_coordinate_state_blows_up(self):
         # the norm of a one-coordinate state is |x|, not the signed coordinate
         k = constant_drift_kernels(1, [-400.0])

@@ -229,11 +229,21 @@ output_dir = {tmp_path}
         assert manifest["config_text"] == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    def test_failed_run_removes_an_earlier_report(self, tmp_path, capsys):
+        # a passing report from the run before must not read as this run's result
+        text = transport_check_text(tmp_path)
+        assert run_from_text(text) == 0
+        assert (tmp_path / "report.json").exists()
+        assert run_from_text(text + "init_position_scale = 1e7\n") == 1
+        assert "blow-up" in capsys.readouterr().err
+        assert read_json_strict(tmp_path / "manifest.json")["error"]["class"] == "BlowUpError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     def test_foreign_error_writes_a_manifest_and_keeps_its_traceback(self, tmp_path, monkeypatch):
         # an error from outside the package is raised again after the manifest
         monkeypatch.setenv("MFS_THREADS", "1")
 
-        def worker(job):
+        def worker(values, seed):
             raise RuntimeError("worker failed")
 
         monkeypatch.setitem(EXPERIMENTS, "simulate", (worker, EXPERIMENTS["simulate"][1]))
@@ -486,6 +496,28 @@ class TestCli:
         assert errors[0].startswith("error: cannot read config /nonexistent/exp.cfg: ")
         assert errors[0].count("\n") == 1 and errors[0].endswith("\n")
 
+    def test_output_dir_that_cannot_be_made(self, tmp_path, capsys):
+        # a file where the directory should be: a one-line error, not a traceback
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(transport_check_text(blocker))
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output to {blocker}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert blocker.read_text() == ""
+
+    def test_empty_output_dir_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # an empty value is a missing one, not the current directory
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(transport_check_text(""))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 1
+            assert "field 'output_dir' expects str: empty value" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
     def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
         # a UTF-8 file saved with a byte-order mark validates and runs as the text after it
         text = transport_check_text(tmp_path / "out")
@@ -609,6 +641,9 @@ check a config without running it
         (["validate", "x.cfg", "--out", "x"], VALIDATE_USAGE, "unrecognized flag '--out'"),
         (["validate", "x.cfg", "--schema=yes"], VALIDATE_USAGE, "--schema takes no value"),
         (["--help=yes"], TOP_USAGE, "--help takes no value"),
+        (["run", "a.cfg", "--output-dir="], RUN_USAGE, "--output-dir expects a value"),
+        (["run", "a.cfg", "--output-dir", ""], RUN_USAGE, "--output-dir expects a value"),
+        (["run", "--out=", "a.cfg"], RUN_USAGE, "--output-dir expects a value"),
     ])
     def test_usage_errors_exit_1(self, argv, usage, reason, capsys):
         # 2 means a failed verdict: a typo must not read as a failed claim
@@ -901,9 +936,8 @@ class TestImportBudget:
     ``validate`` and ``models`` load neither the run stack nor numpy, no
     command loads ``dataclasses`` or an argument parser (``argparse``, with
     the ``gettext`` and ``locale`` it pulls in), and the process pool is
-    loaded only when a run uses it.
-    Once its modules are loaded, each command freezes them out of the
-    cyclic collector, which stays enabled; importing the package does not.
+    loaded only when a run uses it. No command freezes objects out of the
+    cyclic collector or disables it.
     Each check runs in a fresh interpreter: this process has scipy loaded.
     """
 
@@ -931,12 +965,11 @@ class TestImportBudget:
         for path in (ROOT / "src" / "meanflock").glob("*.py") if path.stem != "__init__"
     }
     VALIDATE_LAYERS = {"meanflock", "meanflock.cli", "meanflock.config", "meanflock.errors"}
-    IMPORT_LOADS = {
+    VALIDATE_LOADS = {
         "meanflock": VALIDATE_LAYERS, "json": False, "_hashlib": False, "scipy": False,
         "numpy": False, "dataclasses": False, "pool": False, "argparse": False,
         "gettext": False, "locale": False, "gc_enabled": True, "frozen": False,
     }
-    VALIDATE_LOADS = dict(IMPORT_LOADS, frozen=True)
     # loaded by no command
     NEVER = ("scipy", "dataclasses", "argparse", "gettext", "locale")
 
@@ -958,10 +991,10 @@ class TestImportBudget:
 
     def test_import_package_loads_no_submodule(self, tmp_path):
         loaded = self.loaded("import meanflock", tmp_path)
-        assert loaded == dict(self.IMPORT_LOADS, meanflock={"meanflock"})
+        assert loaded == dict(self.VALIDATE_LOADS, meanflock={"meanflock"})
 
     def test_import_cli_loads_neither(self, tmp_path):
-        assert self.loaded("import meanflock.cli", tmp_path) == self.IMPORT_LOADS
+        assert self.loaded("import meanflock.cli", tmp_path) == self.VALIDATE_LOADS
 
     def test_validate_loads_only_what_it_checks(self, tmp_path):
         cfg = str(BENCH / "configs" / "cauchy-n256.cfg")
@@ -973,8 +1006,8 @@ class TestImportBudget:
     def test_transport_check_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "t.cfg"
         cfg.write_text(transport_check_text(tmp_path / "ignored", n=16))
-        # the library entry point, run after the freeze in the same
-        # interpreter, writes the same report
+        # the library entry point, run after main in the same interpreter,
+        # writes the same report
         library = (
             "from meanflock.harness import run_from_text\n"
             f"assert run_from_text(open({str(cfg)!r}).read(), {str(tmp_path / 'lib')!r}) == 0"
@@ -988,24 +1021,9 @@ class TestImportBudget:
             "residual_seed=7": 0.0
         }
         assert not any(loaded[name] for name in ("pool", *self.NEVER))
-        assert loaded["gc_enabled"] and loaded["frozen"]
+        assert loaded["gc_enabled"] and not loaded["frozen"]
         # a run still loads every layer
         assert loaded["meanflock"] == self.EVERY_LAYER
-
-    def test_repeated_runs_freeze_no_more_objects(self, tmp_path):
-        # a repeated call collects the previous call's cyclic garbage and
-        # then freezes, so only the first two calls grow the count
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(transport_check_text(tmp_path / "out", n=16))
-        argv = ["run", str(cfg)]
-        repeat = (
-            "counts = [gc.get_freeze_count()]\n"
-            "for _ in range(2):\n"
-            f"    assert main({argv!r}) == 0\n"
-            "    counts.append(gc.get_freeze_count())\n"
-            "assert counts[2] == counts[1], counts"
-        )
-        assert self.run_main(argv, tmp_path, repeat)["frozen"]
 
     def test_cauchy_run_loads_no_scipy(self, tmp_path):
         cfg = tmp_path / "c.cfg"
