@@ -42,14 +42,14 @@ class SupportCapError(MeanflockError):
 
 
 class UnsupportedTransportError(MeanflockError):
-    """No exact transport route for this pair of measures outside 1-D.
+    """No exact transport route for this pair of measures.
 
-    Only pairs where one atom count divides the other have one; every
-    experiment builds such pairs.
+    Only pairs where one atom count divides the other have one, in any
+    dimension; every experiment builds such pairs.
     """
 
     fields = ("n", "m")
-    message = ("no exact transport route between {n} and {m} atoms: outside 1-D "
+    message = ("no exact transport route between {n} and {m} atoms: "
                "one atom count must divide the other")
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 import time
 from functools import partial
@@ -372,14 +373,15 @@ def _error_record(exc: Exception) -> dict:
 def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     """Parse, execute, persist; returns the CLI exit code.
 
-    A ``report.json`` already in the output directory is removed first. A
-    run that raises any ``Exception`` still writes ``manifest.json``, with
+    A ``report.json`` and every ``run_<integer>.csv`` already in the output
+    directory are removed first; other files are left alone. A run that
+    raises any ``Exception`` still writes ``manifest.json``, with
     ``status: "error"`` and the error's record, but no ``report.json``; a
     run that finishes writes both, with ``status: "ok"``. A package error
     (``MeanflockError``) is printed and returns 1; any other error is
     raised again once the manifest is written, so it keeps its traceback.
-    An output directory that cannot be made prints
-    ``error: cannot write output to <dir>: <reason>`` and returns 1.
+    An output directory that is empty or cannot be made prints an
+    ``error:`` line, writes nothing and returns 1.
     """
     started = time.monotonic()
     try:
@@ -389,11 +391,18 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if output_dir == "":
+        # Path("") is the current directory, which was not asked for
+        print("error: cannot write output to an empty directory name", file=sys.stderr)
+        return 1
     out_dir = Path(output_dir if output_dir is not None else cfg.values["output_dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        # an earlier run's report must not stand beside this run's error
+        # an earlier run's report and trajectories must not read as this run's
         (out_dir / "report.json").unlink(missing_ok=True)
+        for old in out_dir.glob("run_*.csv"):
+            if re.fullmatch(r"run_[0-9]+\.csv", old.name):
+                old.unlink()
     except OSError as exc:
         print(f"error: cannot write output to {out_dir}: {exc}", file=sys.stderr)
         return 1

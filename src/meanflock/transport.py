@@ -6,29 +6,26 @@ particles all weigh the same. ``check_atoms`` is the one atom check, of a
 run's initial states, of the replay's starts and of every measure this
 module reads.
 
-Two exact solver routes, selected automatically, both in numpy alone:
+One exact solver route, in numpy alone: one atom count must divide the
+other. Each atom of the smaller support then takes m/n atoms of the
+larger; scaled by m the marginals are integers, so the transportation
+polytope has integral vertices and its optimum is an assignment. The
+package solves it itself by shortest augmenting paths (``_assignment``).
+``wasserstein`` and ``wasserstein_path`` take it in every dimension, and
+``optimal_pairing`` outside 1-D, each through one ground-distance table
+(``_ground``).
 
-* one-dimensional supports: the closed form on the merged quantile
-  breakpoints k/n and l/m, for any two sizes,
-* one atom count dividing the other: an optimal assignment in which each
-  atom of the smaller support takes m/n atoms of the larger; scaled by m
-  the marginals are integers, so the transportation polytope has integral
-  vertices and its optimum is this assignment. The package solves it
-  itself by shortest augmenting paths (``_assignment``).
-
-Every pair an experiment builds takes one of them: Cauchy-in-N sizes halve.
-Any other pair outside 1-D (4 against 6 atoms) raises
-:class:`UnsupportedTransportError` rather than falling back to a general
-transportation LP.
+Every pair an experiment builds has this route: Cauchy-in-N sizes halve,
+and comparison pairs n atoms with n. Any other pair (4 against 6 atoms)
+raises :class:`UnsupportedTransportError` rather than falling back to a
+general transportation LP.
 
 All distances are exact up to solver round-off; there is no entropic or
-sliced approximation anywhere in this module. On the assignment route of
-``wasserstein``, ``wasserstein_path`` and ``optimal_pairing`` (the plan
-itself, for equal atom counts), measures with more than
+sliced approximation anywhere in this module. Measures with more than
 ``DEFAULT_SUPPORT_CAP`` atoms combined raise :class:`SupportCapError`
-before any pair table is built; the 1-D routes build none and take any
-size. On every route a cost that overflows raises
-:class:`NonFiniteCostError`, with no warning.
+before any pair table is built; only ``optimal_pairing`` in 1-D, the
+monotone rearrangement, builds none and has no cap. A cost that
+overflows raises :class:`NonFiniteCostError`, with no warning.
 """
 
 from __future__ import annotations
@@ -136,36 +133,6 @@ def _squared_distances(
         diff *= diff
         out += diff
     return out
-
-
-def _wasserstein_1d(xa: np.ndarray, xb: np.ndarray, p: float) -> float:
-    """Exact 1-d W_p^p between the measures on ``xa`` and ``xb`` from the
-    quantile functions on merged breakpoints.
-
-    The quantile functions are step functions, that of ``xa`` jumping at
-    k/n and that of ``xb`` at l/m, so on each interval (t_{k-1}, t_k]
-    between consecutive merged breakpoints each is constant, equal to its
-    value at t_k (Peyre & Cuturi, Computational Optimal Transport,
-    arXiv:1803.00567, section 2.6):
-    W_p^p = sum_k (t_k - t_{k-1}) |F_a^{-1}(t_k) - F_b^{-1}(t_k)|^p.
-    Each breakpoint is a correctly rounded quotient, so k/n = l/m in exact
-    arithmetic gives one float twice, an empty interval that adds nothing;
-    a running sum of weights would split them by spurious slivers.
-
-    A gap whose p-th power overflows raises :class:`NonFiniteCostError`;
-    on an empty interval it would otherwise read 0 * inf, a NaN.
-    """
-    ca = np.arange(1, xa.size + 1) / xa.size
-    cb = np.arange(1, xb.size + 1) / xb.size
-    t = np.sort(np.concatenate([ca, cb]))
-    # both last breakpoints are exactly 1.0: no index runs past the end
-    qa = np.sort(xa)[np.searchsorted(ca, t)]
-    qb = np.sort(xb)[np.searchsorted(cb, t)]
-    with np.errstate(over="ignore"):
-        gaps = np.abs(qa - qb) ** p
-    if not np.isfinite(gaps.max()):
-        raise NonFiniteCostError(f"1-d transport cost of {xa.size} against {xb.size} atoms")
-    return float(np.sum(np.diff(t, prepend=0.0) * gaps))
 
 
 # entries of ``cost`` that the column reduction copies at a time
@@ -394,17 +361,17 @@ def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def wasserstein(a, b, p: float = 2.0) -> float:
     """Exact W_p between the measures on the (n, d) and (m, d) atom arrays.
 
-    1-D supports take the closed form for any sizes; otherwise one atom
-    count must divide the other (:class:`UnsupportedTransportError` if
-    not), and the two at most ``DEFAULT_SUPPORT_CAP`` atoms combined
-    (:class:`SupportCapError`).
+    One atom count must divide the other (:class:`UnsupportedTransportError`
+    if not), and the two hold at most ``DEFAULT_SUPPORT_CAP`` atoms combined
+    (:class:`SupportCapError`), in 1-D as in any dimension. No experiment
+    calls it: Cauchy-in-N measures paths (``wasserstein_path``) and
+    comparison pairs atoms (``optimal_pairing``). It stays as the library's
+    distance between two atom arrays, which ``bench/tracing.py`` patches by
+    name.
     """
     a, b = _checked_pair(a, b, p)
-    if a.shape[1] == 1:
-        cost = _wasserstein_1d(a[:, 0], b[:, 0], p)
-    else:
-        cost = _transport_cost(_ground(_euclidean, a, b, a.shape[0], b.shape[0]), p)
-    return float(cost ** (1.0 / p))
+    dist = _ground(_euclidean, a, b, a.shape[0], b.shape[0])
+    return float(_transport_cost(dist, p) ** (1.0 / p))
 
 
 def optimal_pairing(a, b, p: float = 2.0) -> np.ndarray:

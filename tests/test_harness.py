@@ -239,6 +239,29 @@ output_dir = {tmp_path}
         assert read_json_strict(tmp_path / "manifest.json")["error"]["class"] == "BlowUpError"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    def test_a_run_removes_earlier_trajectories(self, tmp_path, capsys):
+        # the run_<seed>.csv files of the runs before must not read as this run's
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "run_x.csv").write_text("kept")
+        text = transport_check_text(tmp_path).replace("transport-check", "simulate")
+        assert run_from_text(text + "n_seeds = 3\n") == 0
+        assert run_from_text(text) == 0
+        manifest = read_json_strict(tmp_path / "manifest.json")
+        assert (manifest["status"], manifest["seeds"]) == ("ok", [7])
+        assert sorted(p.name for p in tmp_path.glob("run_*.csv")) == ["run_7.csv", "run_x.csv"]
+        assert run_from_text(text + "init_position_scale = 1e7\n") == 1
+        assert "blow-up" in capsys.readouterr().err
+        assert read_json_strict(tmp_path / "manifest.json")["status"] == "error"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "notes.txt", "run_x.csv"]
+
+    def test_empty_output_dir_argument_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # Path("") is the current directory, which the argument did not name
+        monkeypatch.chdir(tmp_path)
+        text = "experiment = simulate\nmodel = zero\noutput_dir = out\n"
+        assert run_from_text(text, output_dir="") == 1
+        assert capsys.readouterr().err == "error: cannot write output to an empty directory name\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_foreign_error_writes_a_manifest_and_keeps_its_traceback(self, tmp_path, monkeypatch):
         # an error from outside the package is raised again after the manifest
         monkeypatch.setenv("MFS_THREADS", "1")
@@ -399,7 +422,7 @@ output_dir = {out}
                                    "measures before computing exact distances"),
         DimensionMismatchError: (("x", 2, 3), "argument 'x' has dimension 3, expected 2"),
         UnsupportedTransportError: ((4, 6), "no exact transport route between 4 and 6 atoms: "
-                                            "outside 1-D one atom count must divide the other"),
+                                            "one atom count must divide the other"),
         NonFiniteCostError: (("transport cost matrix of shape (4, 8)",),
                              "transport cost matrix of shape (4, 8) has non-finite entries"),
         ConfigError: (("line 2: unknown key 'x'",), "line 2: unknown key 'x'"),

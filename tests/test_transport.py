@@ -110,7 +110,7 @@ class TestWasserstein:
             distance(build([[0.0]]), build([[0.0, 0.0]]), 2)
 
     def test_support_cap(self):
-        # 2049 against 2048 atoms: outside 1-D the cap is checked before any solve
+        # 2049 against 2048 atoms: the cap is checked before any solve
         assert DEFAULT_SUPPORT_CAP == 4096
         rng = np.random.default_rng(1)
         mu = uniform(rng.normal(size=(2049, 2)))
@@ -123,15 +123,9 @@ class TestWasserstein:
             wasserstein_path(a, b, 2)
         with pytest.raises(SupportCapError, match="4098"):
             optimal_pairing(rng.normal(size=(2049, 2)), rng.normal(size=(2049, 2)))
-        # 3000 against 2000 atoms in 1-D: the closed form builds no pair table,
-        # so the cap does not apply; replicated to 6000 each, the optimal plan
-        # is the sorted matching
-        a = rng.normal(size=(3000, 1))
-        b = rng.normal(size=(2000, 1))
-        gap = np.sort(np.repeat(a, 2)) - np.sort(np.repeat(b, 3))
-        for p in (1.0, 2.0):
-            want = np.mean(np.abs(gap) ** p) ** (1.0 / p)
-            assert wasserstein(uniform(a), uniform(b), p) == pytest.approx(want, rel=1e-14, abs=0)
+        # in 1-D as in 2-D
+        with pytest.raises(SupportCapError, match="4097 exceeds solver cap 4096"):
+            wasserstein(rng.normal(size=(2049, 1)), rng.normal(size=(2048, 1)), 2)
 
     @pytest.mark.parametrize("distance, build", CHECKED.values(), ids=CHECKED.keys())
     def test_invalid_order(self, distance, build):
@@ -149,43 +143,6 @@ class TestWasserstein:
             got = wasserstein(uniform(a), uniform(b), p)
             want = brute_force_wasserstein_uniform(a, b, p)
             assert got == pytest.approx(want, abs=1e-10)
-
-    def test_1d_fast_path_equals_lp(self):
-        # every pair of sizes up to 8, coprime ones such as 3 against 5 and 4
-        # against 7 among them, and 150 against 200: the merged breakpoints
-        # k/n and l/m against the transportation LP
-        rng = np.random.default_rng(21)
-        sizes = [(n, m) for n in range(1, 9) for m in range(1, 9)] + [(150, 200)]
-        for n, m in sizes:
-            a, b = rng.normal(size=(n, 1)), rng.normal(size=(m, 1))
-            for p in (1.0, 2.0, 3.0):
-                lp = transport_lp_cost(distances(a, b), np.full(n, 1 / n), np.full(m, 1 / m), p)
-                # HiGHS stops within about 1e-9 of the optimal cost
-                assert wasserstein(a, b, p) == pytest.approx(lp ** (1.0 / p), rel=1e-7)
-        # 1500 against 2000 atoms: replicated to 6000 each, the optimal plan
-        # is the sorted matching (the LP has 3e6 variables, too many here)
-        a = rng.normal(size=(1500, 1))
-        b = rng.normal(size=(2000, 1))
-        gap = np.sort(np.repeat(a, 4)) - np.sort(np.repeat(b, 3))
-        for p in (1.0, 2.0):
-            want = np.mean(np.abs(gap) ** p) ** (1.0 / p)
-            assert wasserstein(uniform(a), uniform(b), p) == pytest.approx(want, rel=1e-14, abs=0)
-        assert wasserstein(uniform(a), uniform(a[::-1]), 2) == 0.0
-
-    def test_unequal_sizes_lp_route(self):
-        # 2 against 3 atoms: in 1-D the closed form solves any sizes
-        mu = uniform([[0.0], [1.0]])
-        nu = uniform([[0.0], [1.0], [0.5]])
-        # optimal plan keeps 1/3 at each matched atom and splits the rest
-        got = wasserstein(mu, nu, p=1)
-        assert got == pytest.approx(1.0 / 6.0, abs=1e-9)
-        # coprime sizes, where no assignment exists: of the quantile levels
-        # (1/3, 2/3] that a holds at 1, b holds (1/3, 2/5] at 0 and (3/5, 2/3]
-        # at 2, so W_1 = 1/15 + 1/15
-        a = uniform([[0.0], [1.0], [2.0]])
-        b = uniform([[0.0], [0.0], [1.0], [2.0], [2.0]])
-        assert wasserstein(a, b, p=1) == pytest.approx(2.0 / 15.0, rel=1e-14)
-        assert wasserstein(b, a, p=1) == pytest.approx(2.0 / 15.0, rel=1e-14)
 
 
 def divisible(sizes):
@@ -213,6 +170,9 @@ def test_symmetry(a, b):
 @settings(max_examples=40, deadline=None)
 @given(POINTS, POINTS)
 def test_symmetry_1d(a, b):
+    # 1-D has the same route and the same divisible pairs as 2-D
+    n, m = divisible([len(a), len(b)])
+    a, b = (a[:n], b[:m]) if len(a) <= len(b) else (a[:m], b[:n])
     mu, nu = uniform([[x] for x, _ in a]), uniform([[x] for x, _ in b])
     assert wasserstein(mu, nu, 2) == pytest.approx(wasserstein(nu, mu, 2), abs=1e-12)
 
@@ -223,7 +183,7 @@ def test_divisible_sizes_assignment_equals_lp(p):
     rng = np.random.default_rng(int(p))
     for n in range(1, 8):
         for k in range(1, 5):
-            for d in (2, 3):
+            for d in (1, 2, 3):
                 a = rng.normal(size=(n, d))
                 b = rng.normal(size=(k * n, d))
                 lp = transport_lp_cost(
@@ -253,19 +213,16 @@ def test_divisible_sizes_symmetric_bitwise():
 
 def test_unsupported_pairs_raise():
     rng = np.random.default_rng(13)
-    a, b = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
-    with pytest.raises(UnsupportedTransportError, match="between 4 and 6 atoms"):
-        wasserstein(a, b, 2)
+    for dim in (1, 2):
+        a, b = rng.normal(size=(4, dim)), rng.normal(size=(6, dim))
+        with pytest.raises(UnsupportedTransportError, match="between 4 and 6 atoms"):
+            wasserstein(a, b, 2)
     with pytest.raises(UnsupportedTransportError, match="between 4 and 6 atoms"):
         wasserstein_path(uniform_path(rng.normal(size=(3, 4, 1))),
                          uniform_path(rng.normal(size=(3, 6, 1))), 2)
     for dim in (1, 2):
         with pytest.raises(ValueError, match="equal atom counts, got 4 and 8"):
             optimal_pairing(rng.normal(size=(4, dim)), rng.normal(size=(8, dim)))
-    # 1-D takes the closed form, whatever the sizes
-    a, b = rng.normal(size=(4, 1)), rng.normal(size=(6, 1))
-    want = transport_lp_cost(distances(a, b), np.full(4, 1 / 4), np.full(6, 1 / 6), 2) ** 0.5
-    assert wasserstein(a, b, 2) == pytest.approx(want, rel=1e-7)
     a = uniform_path(rng.normal(size=(5, 128, 2)))
     b = uniform_path(rng.normal(size=(5, 256, 2)))
     assert wasserstein_path(a, b, 2) > 0
@@ -315,12 +272,12 @@ def test_path_sup_distances_equal_broadcast_bitwise():
     assert path_sup_distances(a, b).tobytes() == np.sqrt(np.max(sq, axis=0)).tobytes()
 
 
-@pytest.mark.parametrize("dim, tables", [(1, 0), (2, 2), (3, 2)])
+@pytest.mark.parametrize("dim, tables", [(1, 2), (2, 2), (3, 2)])
 def test_wasserstein_peak_memory(dim, tables):
-    # 1-D builds no (n, m) table. Otherwise the root overwrites the squared
-    # distances, whose coordinate differences are freed before their p-th
-    # powers are taken, and the assignment finds each column's holder a row
-    # at a time: two tables, whatever the dimension
+    # the root overwrites the squared distances, whose coordinate
+    # differences are freed before their p-th powers are taken, and the
+    # assignment finds each column's holder a row at a time: two tables,
+    # whatever the dimension
     n, m = 128, 256
     rng = np.random.default_rng(dim)
     mu, nu = uniform(rng.normal(size=(n, dim))), uniform(rng.normal(size=(m, dim)))
@@ -447,18 +404,14 @@ def test_non_finite_costs_raise():
                     solve(a, b, p)
             with pytest.raises(NonFiniteCostError, match=r"shape \(2, 2\)"):
                 wasserstein_path(uniform_path([a]), uniform_path([b]), p)
-        # in 1-D the gap's power overflows: on the empty interval between
-        # coinciding breakpoints it read 0 * inf, a NaN distance
-        for b in ([[1e200], [2.0]], [[1e200], [2.0], [3.0]]):
-            with pytest.raises(NonFiniteCostError, match=f"of 2 against {len(b)} atoms"):
-                wasserstein([[0.0], [1.0]], b, 2)
+        # in 1-D too, 2 against 4 atoms: the squared gap of 1e200 overflows
+        with pytest.raises(NonFiniteCostError, match=r"shape \(2, 4\)"):
+            wasserstein([[0.0], [1.0]], [[1e200], [2.0], [3.0], [4.0]], 2)
 
 
 def assert_triangle(seed, dim):
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, 8, size=3)
-    if dim > 1:
-        sizes = rng.permutation(divisible(sizes))
+    sizes = rng.permutation(divisible(rng.integers(1, 8, size=3)))
     mu, nu, rho = (uniform(rng.normal(size=(n, dim))) for n in sizes)
     d_ab = wasserstein(mu, nu, 2)
     d_bc = wasserstein(nu, rho, 2)
@@ -476,6 +429,7 @@ def test_triangle_inequality(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_triangle_inequality_1d(seed):
+    # 1-D too: sizes cut to a divisible chain
     assert_triangle(seed, 1)
 
 
