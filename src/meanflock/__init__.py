@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "characteristics": ("solve_characteristics", "transport_residual"),
-    "diagnostics": ("DiagnosticsReport",),
     "dynamics": ("NoisePath", "SimConfig", "TrajectoryRecord", "simulate"),
     "kernels": (
         "CuckerSmaleParams",

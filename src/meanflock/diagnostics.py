@@ -33,7 +33,7 @@ cannot fail: ``FLOCKING_RATE_SLACK`` (0.25), ``FLOCKING_FIT_START`` (0.1),
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,48 +51,24 @@ WEAKFORM_CHECKPOINTS = 8
 TRANSPORT_TOLERANCE = 1e-10
 
 
-class DiagnosticsReport:
-    """Named metrics, per-time series, and tolerance-cited verdicts.
+def _report(name: str) -> dict:
+    """An empty report: the five keys ``report.json`` holds, in this layout."""
+    return {"name": name, "metrics": {}, "series": [], "verdicts": [], "notes": []}
 
-    Each verdict is the record ``report.json`` holds for it: its ``check``
-    name, its ``value``, the ``tolerance`` it is held to, and whether it
-    passed (``pass``).
-    """
 
-    __slots__ = ("name", "metrics", "series", "verdicts", "notes")
+def _series(name: str, times, values, stderr=None) -> dict:
+    """One series entry of a report, every number a float."""
+    entry = {"name": name, "times": [float(t) for t in times], "values": [float(v) for v in values]}
+    if stderr is not None:
+        entry["stderr"] = [float(s) for s in stderr]
+    return entry
 
-    def __init__(self, name: str, metrics: Optional[dict] = None):
-        self.name = name
-        self.metrics = {} if metrics is None else metrics
-        self.series, self.verdicts, self.notes = [], [], []
 
-    def add_series(self, name: str, times, values, stderr=None):
-        entry = {
-            "name": name,
-            "times": [float(t) for t in times],
-            "values": [float(v) for v in values],
-        }
-        if stderr is not None:
-            entry["stderr"] = [float(s) for s in stderr]
-        self.series.append(entry)
-
-    def add_verdict(self, check: str, value: float, tolerance: float, passed: bool):
-        self.verdicts.append(
-            {"check": check, "value": float(value), "tolerance": float(tolerance),
-             "pass": bool(passed)}
-        )
-
-    def all_pass(self) -> bool:
-        return all(v["pass"] for v in self.verdicts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "metrics": {k: self.metrics[k] for k in sorted(self.metrics)},
-            "series": self.series,
-            "verdicts": self.verdicts,
-            "notes": list(self.notes),
-        }
+def _verdict(check: str, value: float, tolerance: float, passed: bool) -> dict:
+    """One verdict record: its ``check`` name, its ``value``, the ``tolerance``
+    it is held to, and whether it passed (``pass``)."""
+    return {"check": check, "value": float(value), "tolerance": float(tolerance),
+            "pass": bool(passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +107,7 @@ def aggregate_flocking(
     spreads: Sequence[float],
     drifts: Sequence[float],
     params: CuckerSmaleParams,
-) -> DiagnosticsReport:
+) -> dict:
     """Fit the decay rate of E[E_t] and compare with the theoretical bound.
 
     ``energies`` holds one E_t series per run; ``spreads`` and ``drifts`` the
@@ -142,15 +118,15 @@ def aggregate_flocking(
     ||phi||_inf^2 the bound does not apply and the report carries a note.
     """
     n_runs = energies.shape[0]
-    report = DiagnosticsReport(name="flocking")
+    report = _report("flocking")
     mean_energy, se_energy = _mean_stderr(energies)
-    report.add_series("mean_velocity_variance", times, mean_energy, se_energy)
+    report["series"].append(_series("mean_velocity_variance", times, mean_energy, se_energy))
 
     window = max(spreads)
     psi_m = params.psi_inf(window)
     phi_sup = params.phi_sup()
     rate_bound = 2.0 * (psi_m - 4.0 * phi_sup**2)
-    report.metrics.update(
+    report["metrics"].update(
         {
             "psi_m": float(psi_m),
             "phi_sup": float(phi_sup),
@@ -161,24 +137,21 @@ def aggregate_flocking(
         }
     )
     if psi_m <= 4.0 * phi_sup**2:
-        report.notes.append("bound not applicable: psi_m <= 4 ||phi||_inf^2")
+        report["notes"].append("bound not applicable: psi_m <= 4 ||phi||_inf^2")
         return report
 
     t_end = times[-1]
     mask = (times >= FLOCKING_FIT_START * t_end) & (mean_energy > 0)
     if mask.sum() < 2:
-        report.notes.append("bound not applicable: too few positive-energy samples")
+        report["notes"].append("bound not applicable: too few positive-energy samples")
         return report
     slope, _ = np.polyfit(times[mask], np.log(mean_energy[mask]), 1)
     fitted_rate = float(-slope)
-    report.metrics["fitted_rate"] = fitted_rate
-    report.metrics["fit_window_start"] = float(FLOCKING_FIT_START * t_end)
+    report["metrics"]["fitted_rate"] = fitted_rate
+    report["metrics"]["fit_window_start"] = float(FLOCKING_FIT_START * t_end)
     threshold = rate_bound * (1.0 - FLOCKING_RATE_SLACK)
-    report.add_verdict(
-        "fitted_decay_rate_ge_bound",
-        fitted_rate,
-        threshold,
-        fitted_rate >= threshold,
+    report["verdicts"].append(
+        _verdict("fitted_decay_rate_ge_bound", fitted_rate, threshold, fitted_rate >= threshold)
     )
     return report
 
@@ -251,7 +224,7 @@ def default_checkpoints(n_steps: int) -> np.ndarray:
 
 def aggregate_weakform(
     per_run: Sequence[tuple[np.ndarray, np.ndarray]], times: np.ndarray
-) -> DiagnosticsReport:
+) -> dict:
     """Combine per-run (M, QV) samples into mean/variance verdicts, held to
     ``WEAKFORM_MEAN_BAND`` (4.0) and ``WEAKFORM_VAR_BAND`` (5.0) standard errors."""
     m = np.stack([mq[0] for mq in per_run])
@@ -265,24 +238,22 @@ def aggregate_weakform(
     m4 = np.mean(centered**4, axis=0)
     se_var = np.sqrt(np.maximum(m4 - var_m**2 * (n_runs - 3) / (n_runs - 1), 0.0) / n_runs)
 
-    report = DiagnosticsReport(name="weakform")
-    report.metrics["n_runs"] = n_runs
-    report.add_series("martingale_mean", times, mean_m, se_m)
-    report.add_series("martingale_variance", times, var_m)
-    report.add_series("quadratic_variation_mean", times, mean_qv, se_qv)
+    report = _report("weakform")
+    report["metrics"]["n_runs"] = n_runs
+    report["series"] += [
+        _series("martingale_mean", times, mean_m, se_m),
+        _series("martingale_variance", times, var_m),
+        _series("quadratic_variation_mean", times, mean_qv, se_qv),
+    ]
     for idx, t in enumerate(times):
         tol_mean = WEAKFORM_MEAN_BAND * se_m[idx]
-        report.add_verdict(
-            f"martingale_mean_t={t:g}",
-            float(abs(mean_m[idx])),
-            float(tol_mean),
-            bool(abs(mean_m[idx]) <= tol_mean),
-        )
+        mean_gap = abs(mean_m[idx])
         tol_var = WEAKFORM_VAR_BAND * float(np.sqrt(se_var[idx] ** 2 + se_qv[idx] ** 2))
-        gap = float(abs(var_m[idx] - mean_qv[idx]))
-        report.add_verdict(
-            f"variance_matches_qv_t={t:g}", gap, tol_var, bool(gap <= tol_var)
-        )
+        gap = abs(var_m[idx] - mean_qv[idx])
+        report["verdicts"] += [
+            _verdict(f"martingale_mean_t={t:g}", mean_gap, tol_mean, mean_gap <= tol_mean),
+            _verdict(f"variance_matches_qv_t={t:g}", gap, tol_var, gap <= tol_var),
+        ]
     return report
 
 
@@ -309,27 +280,24 @@ def cauchy_single(
     return out
 
 
-def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> DiagnosticsReport:
+def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> dict:
     """Verdicts from per-seed coupled distances (one row per seed)."""
     n_seeds = samples.shape[0]
     means, ses = _mean_stderr(samples)
-    report = DiagnosticsReport(name="cauchy")
+    report = _report("cauchy")
     small_sizes = list(sizes[1:])
-    report.metrics["n_seeds"] = n_seeds
-    report.metrics["p"] = float(p)
+    metrics = report["metrics"]
+    metrics["n_seeds"] = n_seeds
+    metrics["p"] = float(p)
     for n, mean, se in zip(small_sizes, means, ses):
-        report.metrics[f"distance_N={n}"] = float(mean)
-        report.metrics[f"stderr_N={n}"] = float(se)
-    report.add_series("coupled_distance", small_sizes, means, ses)
+        metrics[f"distance_N={n}"] = float(mean)
+        metrics[f"stderr_N={n}"] = float(se)
+    report["series"].append(_series("coupled_distance", small_sizes, means, ses))
     # smaller N means a coarser system: the estimate must grow as N shrinks
     for idx in range(len(small_sizes) - 1):
         diff, se_diff = _mean_stderr(samples[:, idx + 1] - samples[:, idx])
-        report.add_verdict(
-            f"decreasing_{small_sizes[idx + 1]}_to_{small_sizes[idx]}",
-            float(diff),
-            float(-se_diff),
-            bool(diff >= -se_diff),
-        )
+        check = f"decreasing_{small_sizes[idx + 1]}_to_{small_sizes[idx]}"
+        report["verdicts"].append(_verdict(check, diff, -se_diff, diff >= -se_diff))
     return report
 
 
@@ -388,7 +356,7 @@ def comparison_seed(
 def aggregate_comparison(
     atoms_a: np.ndarray, paired_b: Sequence[np.ndarray], per_seed: Sequence[list],
     radius: float, p: float,
-) -> DiagnosticsReport:
+) -> dict:
     """Estimates of E[sup_{t <= tau_R} labelled cost], an upper bound on W_p^p,
     per shift, and the halving verdict.
 
@@ -399,7 +367,7 @@ def aggregate_comparison(
     An initial cost, estimate or stderr that is not finite raises
     :class:`NonFiniteCostError`: an overflow is no failed claim.
     """
-    report = DiagnosticsReport(name="comparison")
+    report = _report("comparison")
     n_seeds = len(per_seed)
     ratios = {}
     for i, (label, b) in enumerate(zip(COMPARISON_SHIFTS, paired_b)):
@@ -424,16 +392,17 @@ def aggregate_comparison(
             "radius": radius,
         }
         for key, val in summary.items():
-            report.metrics[f"{label}_{key}"] = float(val)
+            report["metrics"][f"{label}_{key}"] = float(val)
     full, half = ratios["full"], ratios["half"]
     if full > 0:
         rel = half / full
-        report.add_verdict("ratio_stable_under_halving", float(rel), 1.5, bool(0.5 <= rel <= 1.5))
-    elif report.metrics["full_degenerate_initial_distance"]:
-        report.notes.append("initial distance degenerate; stability check skipped")
+        verdict = _verdict("ratio_stable_under_halving", rel, 1.5, 0.5 <= rel <= 1.5)
+        report["verdicts"].append(verdict)
+    elif report["metrics"]["full_degenerate_initial_distance"]:
+        report["notes"].append("initial distance degenerate; stability check skipped")
     else:
         # a seed's sup holds the positive initial cost unless it stopped at t = 0
-        report.notes.append("every seed stopped at t = 0; stability check skipped")
+        report["notes"].append("every seed stopped at t = 0; stability check skipped")
     return report
 
 
@@ -480,12 +449,13 @@ def aggregate_chaos(
     r: int,
     ref_n: int,
     n_resamples: int,
-) -> DiagnosticsReport:
+) -> dict:
     """Verdicts from per-beta-path conditional gaps (one row per beta)."""
     n_beta = per_beta.shape[0]
     deltas, ses = _mean_stderr(per_beta)
-    report = DiagnosticsReport(name="chaos")
-    report.metrics.update(
+    report = _report("chaos")
+    metrics = report["metrics"]
+    metrics.update(
         {
             "r": int(r),
             "ref_n": int(ref_n),
@@ -494,15 +464,13 @@ def aggregate_chaos(
         }
     )
     for n, delta, se in zip(n_list, deltas, ses):
-        report.metrics[f"delta_N={n}"] = float(delta)
-        report.metrics[f"stderr_N={n}"] = float(se)
-    report.add_series("conditional_gap", n_list, deltas, ses)
+        metrics[f"delta_N={n}"] = float(delta)
+        metrics[f"stderr_N={n}"] = float(se)
+    report["series"].append(_series("conditional_gap", n_list, deltas, ses))
     for idx in range(len(n_list) - 1):
-        report.add_verdict(
-            f"decreasing_{n_list[idx]}_to_{n_list[idx + 1]}",
-            float(deltas[idx + 1]),
-            float(deltas[idx]),
-            bool(deltas[idx + 1] < deltas[idx]),
+        check = f"decreasing_{n_list[idx]}_to_{n_list[idx + 1]}"
+        report["verdicts"].append(
+            _verdict(check, deltas[idx + 1], deltas[idx], deltas[idx + 1] < deltas[idx])
         )
     return report
 
@@ -512,24 +480,26 @@ def aggregate_chaos(
 # ---------------------------------------------------------------------------
 
 
-def aggregate_simulate(seeds: Sequence[int], runs: Sequence[tuple]) -> DiagnosticsReport:
+def aggregate_simulate(seeds: Sequence[int], runs: Sequence[tuple]) -> dict:
     """Final second moment of each (times, states, m2) run; no verdicts.
 
     ``simulate`` raises on a non-finite state, so every run here is finite.
     """
-    report = DiagnosticsReport(name="simulate")
-    report.metrics["n_runs"] = len(seeds)
+    report = _report("simulate")
+    report["metrics"]["n_runs"] = len(seeds)
     for seed, (_, _, m2) in zip(seeds, runs):
-        report.metrics[f"final_second_moment_seed={seed}"] = m2
+        report["metrics"][f"final_second_moment_seed={seed}"] = m2
     return report
 
 
-def aggregate_transport(seeds: Sequence[int], residuals: Sequence[float]) -> DiagnosticsReport:
+def aggregate_transport(seeds: Sequence[int], residuals: Sequence[float]) -> dict:
     """One transport-identity verdict per seed's residual, which passes at
     most ``TRANSPORT_TOLERANCE`` (1e-10)."""
-    report = DiagnosticsReport(name="transport-check")
+    report = _report("transport-check")
     for seed, res in zip(seeds, residuals):
-        report.metrics[f"residual_seed={seed}"] = float(res)
+        report["metrics"][f"residual_seed={seed}"] = float(res)
         passed = res <= TRANSPORT_TOLERANCE
-        report.add_verdict(f"transport_identity_seed={seed}", res, TRANSPORT_TOLERANCE, passed)
+        report["verdicts"].append(
+            _verdict(f"transport_identity_seed={seed}", res, TRANSPORT_TOLERANCE, passed)
+        )
     return report

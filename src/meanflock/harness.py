@@ -47,7 +47,6 @@ from .characteristics import transport_residual
 from .config import CHAOS_R, INIT_KEYS, MODELS, ExperimentConfig, parse_config, state_dim
 from .diagnostics import (
     COMPARISON_SHIFTS,
-    DiagnosticsReport,
     aggregate_cauchy,
     aggregate_chaos,
     aggregate_comparison,
@@ -310,8 +309,9 @@ def map_jobs(fn: Callable, jobs: list) -> list:
         return list(pool.map(fn, jobs))
 
 
-def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> DiagnosticsReport:
-    """Run one parsed experiment; simulate runs also write trajectory CSVs."""
+def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> dict:
+    """Run one parsed experiment into the record ``report.json`` holds; simulate
+    runs also write trajectory CSVs."""
     worker, aggregate = EXPERIMENTS[cfg.kind]
     if cfg.kind == "comparison":
         # every seed starts from the same measures: pair their atoms once
@@ -424,7 +424,7 @@ def run_from_text(text: str, output_dir: Optional[str] = None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_json(out_dir / "report.json", report.to_json_dict())
+    _write_json(out_dir / "report.json", report)
     manifest.update(status="ok", wall_time_seconds=time.monotonic() - started)
     _write_json(out_dir / "manifest.json", manifest)
-    return 0 if report.all_pass() else 2
+    return 0 if all(v["pass"] for v in report["verdicts"]) else 2

@@ -40,6 +40,26 @@ def read_json_strict(path):
     return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
+def read_report(path):
+    """A ``report.json``, read as ``read_json_strict`` does, with its layout checked.
+
+    The top-level keys are exactly name, metrics, series, verdicts and
+    notes; each verdict is exactly check, value, tolerance and a boolean
+    pass; each series has a name and times, values and, if given, stderr of
+    one length.
+    """
+    report = read_json_strict(path)
+    assert set(report) == {"name", "metrics", "series", "verdicts", "notes"}, sorted(report)
+    for verdict in report["verdicts"]:
+        assert set(verdict) == {"check", "value", "tolerance", "pass"}, verdict
+        assert isinstance(verdict["pass"], bool), verdict
+    for series in report["series"]:
+        columns = set(series) - {"name"}
+        assert "name" in series and columns in ({"times", "values"}, {"times", "values", "stderr"})
+        assert len({len(series[key]) for key in columns}) == 1, series["name"]
+    return report
+
+
 def fd_jacobian(f, x, h=1e-5):
     """Central-difference Jacobian of a vector field at one point."""
     x = np.asarray(x, dtype=float)

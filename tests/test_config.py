@@ -98,6 +98,12 @@ def test_schema_lines_cover_all_keys():
     assert parse_config(text).values["write_trajectories"] is True
 
 
+@pytest.mark.parametrize("raw", ["yes", "on", "1"])
+def test_bool_spellings_read_true(raw):
+    text = f"experiment = simulate\nmodel = zero\noutput_dir = out\nwrite_trajectories = {raw}\n"
+    assert parse_config(text).values["write_trajectories"] is True
+
+
 REJECTED = {
     "unknown-model": ("simulate", "model = nonsense", "unknown model 'nonsense'; available: constant-common"),
     "weakform-3-seeds": ("weakform", "model = zero\nn_seeds = 3", "weakform needs at least 16 seeds, got 3"),
@@ -172,6 +178,13 @@ REJECTED = {
         "simulate", "model = cucker-smale-truncated", "model 'cucker-smale-truncated' requires key 'trunc_radius'"
     ),
     "no-seeds": ("simulate", "model = zero\nn_seeds = 0", "at least one seed"),
+    "no-equals": (
+        "simulate", "model = zero\nn_particles 4", "line 4: expected 'key = value', got 'n_particles 4'"
+    ),
+    "bool-maybe": (
+        "simulate", "model = zero\nwrite_trajectories = maybe",
+        "line 4: field 'write_trajectories' expects bool: not a boolean: 'maybe'",
+    ),
     # a negative seed would fail in numpy's SeedSequence, after the output dir is made
     "negative-master-seed": (
         "simulate", "model = zero\nmaster_seed = -1", "field 'master_seed' must be >= 0, got -1"

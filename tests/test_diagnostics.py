@@ -1,4 +1,3 @@
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +6,9 @@ import pytest
 from meanflock.config import parse_config
 from meanflock.diagnostics import (
     COMPARISON_SHIFTS,
-    DiagnosticsReport,
+    _series,
     _stopped_sup_cost,
+    _verdict,
     aggregate_cauchy,
     aggregate_chaos,
     aggregate_comparison,
@@ -23,7 +23,13 @@ from meanflock.diagnostics import (
     weakform_single,
 )
 from meanflock.dynamics import SimConfig, simulate
-from meanflock.harness import _comparison_pairs, build_kernel, build_sim_config, run_from_text
+from meanflock.harness import (
+    _comparison_pairs,
+    _write_json,
+    build_kernel,
+    build_sim_config,
+    run_from_text,
+)
 from meanflock.kernels import (
     CuckerSmaleParams,
     constant_common_kernels,
@@ -34,7 +40,7 @@ from meanflock.kernels import (
 from meanflock.testfunctions import bump
 from meanflock.transport import optimal_pairing, wasserstein
 
-from helpers import constant, position_spread_reference, reseeded
+from helpers import constant, position_spread_reference, read_report, reseeded
 
 
 def cs_kernel(**kw):
@@ -60,7 +66,7 @@ def run_config(tmp_path, body):
     out = tmp_path / "out"
     code = run_from_text(body + f"output_dir = {out}\n")
     report = out / "report.json"
-    return code, json.loads(report.read_text()) if report.exists() else None
+    return code, read_report(report) if report.exists() else None
 
 
 def flocking_config(**keys):
@@ -135,6 +141,16 @@ class TestFlockingRate:
         assert not report["verdicts"]
         assert any("not applicable" in note for note in report["notes"])
 
+    def test_one_step_has_too_few_samples(self, tmp_path):
+        # one step leaves one positive energy in the fit window: no rate to fit
+        code, report = run_config(
+            tmp_path, flocking_config(n_particles=2, t_final=0.01, dt=0.01, master_seed=0)
+        )
+        assert code == 0
+        assert report["verdicts"] == []
+        assert report["notes"] == ["bound not applicable: too few positive-energy samples"]
+        assert "fitted_rate" not in report["metrics"]
+
     def test_mean_velocity_drift_metric(self):
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.3, phi_gamma=1.0)
         runs = run_ensemble(kernel, 8, dict(t_final=0.5, dt=0.01), seeds=[3])
@@ -203,8 +219,8 @@ class TestWeakform:
         psi = bump(0.0, 2.0, dim=1)
         per_run = [weakform_single(run, psi, checks) for run in runs]
         report = aggregate_weakform(per_run, runs[0].times[checks])
-        assert len(report.verdicts) == 16
-        assert report.all_pass()
+        assert len(report["verdicts"]) == 16
+        assert all(v["pass"] for v in report["verdicts"])
 
 
 class TestCauchy:
@@ -221,7 +237,7 @@ class TestCauchy:
         ])
         report = aggregate_cauchy(samples, sizes, 2.0)
         w42 = wasserstein(base[:4], base[:8], 2)
-        assert report.metrics["distance_N=4"] == pytest.approx(w42**2, abs=1e-12)
+        assert report["metrics"]["distance_N=4"] == pytest.approx(w42**2, abs=1e-12)
 
     def test_degenerate_sizes_rejected(self, tmp_path, capsys):
         for sizes in ("4, 4", "4, 3"):
@@ -254,11 +270,11 @@ class TestComparisonExperiment:
         per_seed = [comparison_seed(self.kernel, a, [a, a], self.cfg, 50.0)]
         assert per_seed == [[(0.0, False), (0.0, False)]]
         report = aggregate_comparison(a, [a, a], per_seed, 50.0, 2.0)
-        assert report.metrics["full_estimate"] == 0.0
-        assert report.metrics["full_ratio"] == 0.0
-        assert report.metrics["full_degenerate_initial_distance"] == 1.0
-        assert report.verdicts == []
-        assert report.notes == ["initial distance degenerate; stability check skipped"]
+        assert report["metrics"]["full_estimate"] == 0.0
+        assert report["metrics"]["full_ratio"] == 0.0
+        assert report["metrics"]["full_degenerate_initial_distance"] == 1.0
+        assert report["verdicts"] == []
+        assert report["notes"] == ["initial distance degenerate; stability check skipped"]
 
     def test_small_radius_stops_immediately(self):
         inits = self.shifted(0.2)
@@ -269,12 +285,12 @@ class TestComparisonExperiment:
         assert per_seed == [[(0.0, True), (0.0, True)]] * 2
         report = aggregate_comparison(self.atoms, inits, per_seed, 1e-6, 2.0)
         for label in COMPARISON_SHIFTS:
-            assert report.metrics[f"{label}_estimate"] == 0.0
-            assert report.metrics[f"{label}_stopped_runs"] == 2.0
-        assert report.metrics["full_initial_cost"] > 0
-        assert report.metrics["full_degenerate_initial_distance"] == 0.0
-        assert report.verdicts == []
-        assert report.notes == ["every seed stopped at t = 0; stability check skipped"]
+            assert report["metrics"][f"{label}_estimate"] == 0.0
+            assert report["metrics"][f"{label}_stopped_runs"] == 2.0
+        assert report["metrics"]["full_initial_cost"] > 0
+        assert report["metrics"]["full_degenerate_initial_distance"] == 0.0
+        assert report["verdicts"] == []
+        assert report["notes"] == ["every seed stopped at t = 0; stability check skipped"]
 
     def test_sup_stops_at_tau_r(self):
         # atom 1 of the second path leaves radius 2 at t = 1: the sup takes
@@ -298,10 +314,10 @@ class TestComparisonExperiment:
             for seed in range(8)
         ]
         report = aggregate_comparison(self.atoms, inits, per_seed, 50.0, 2.0)
-        assert np.isfinite(report.metrics["full_ratio"])
-        assert report.metrics["full_ratio"] > 0
-        assert report.metrics["full_stderr"] > 0
-        assert [v["check"] for v in report.verdicts] == ["ratio_stable_under_halving"]
+        assert np.isfinite(report["metrics"]["full_ratio"])
+        assert report["metrics"]["full_ratio"] > 0
+        assert report["metrics"]["full_stderr"] > 0
+        assert [v["check"] for v in report["verdicts"]] == ["ratio_stable_under_halving"]
 
     def test_individual_noise_rejected(self):
         a = self.atoms
@@ -329,7 +345,7 @@ class TestComparisonExperiment:
                                   values["radius"], p)
                 for b in paired_b
             ])
-        verdict, = aggregate_comparison(atoms_a, paired_b, rows, values["radius"], p).verdicts
+        verdict, = aggregate_comparison(atoms_a, paired_b, rows, values["radius"], p)["verdicts"]
         assert verdict["pass"] is passed
         assert verdict["value"] == pytest.approx(value, rel=1e-9)
 
@@ -358,14 +374,14 @@ class TestChaos:
         ]
         report = self._report(phis, [8, 16], cfg, [0, 1], ref_n=64, n_resamples=48)
         for n in (8, 16):
-            assert report.metrics[f"delta_N={n}"] <= 0.12
+            assert report["metrics"][f"delta_N={n}"] <= 0.12
 
     def test_single_marginal(self):
         cfg = SimConfig(t_final=0.125, dt=0.0625)
         phis = [(bump(0.0, 1.5, dim=2), 2)]
         report = self._report(phis, [4, 8], cfg, [0], ref_n=64, n_resamples=32)
-        assert report.metrics["r"] == 1
-        assert len(report.verdicts) == 1
+        assert report["metrics"]["r"] == 1
+        assert len(report["verdicts"]) == 1
 
     def test_too_few_resamples_rejected(self, tmp_path, capsys):
         body = "experiment = chaos\nmodel = zero\nn_list = 4, 8\nn_resamples = 16\n"
@@ -378,17 +394,17 @@ class TestChaos:
 
 class TestReport:
     def test_verdicts_cite_tolerance(self):
-        report = DiagnosticsReport(name="demo")
-        report.add_verdict("check_a", 0.5, 1.0, True)
-        payload = report.to_json_dict()
-        assert payload["verdicts"][0] == {
-            "check": "check_a", "value": 0.5, "tolerance": 1.0, "pass": True
-        }
+        # numpy scalars become the plain float and bool that JSON writes
+        verdict = _verdict("check_a", np.float64(0.5), 1, np.bool_(True))
+        assert verdict == {"check": "check_a", "value": 0.5, "tolerance": 1.0, "pass": True}
+        assert [type(verdict[key]) for key in ("value", "tolerance", "pass")] == [float, float, bool]
 
-    def test_json_dict_is_deterministic(self):
-        report = DiagnosticsReport(name="demo", metrics={"b": 2.0, "a": 1.0})
-        report.add_series("s", [0.0, 1.0], [3.0, 4.0])
-        first = report.to_json_dict()
-        second = report.to_json_dict()
-        assert first == second
-        assert list(first["metrics"]) == ["a", "b"]
+    def test_json_dict_is_deterministic(self, tmp_path):
+        # the file lists metrics in key order, whatever order they were added in
+        report = {"name": "demo", "metrics": {"b": 2.0, "a": 1.0},
+                  "series": [_series("s", [0.0, 1.0], [3.0, 4.0])], "verdicts": [], "notes": []}
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        _write_json(first, report)
+        _write_json(second, report)
+        assert first.read_bytes() == second.read_bytes()
+        assert list(read_report(first)["metrics"]) == ["a", "b"]

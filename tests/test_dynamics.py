@@ -66,6 +66,10 @@ class TestNoisePath:
 
 
 class TestSimConfig:
+    def test_negative_horizon(self):
+        with pytest.raises(ValueError, match="t_final must be >= 0"):
+            SimConfig(t_final=-1.0, dt=0.1)
+
     def test_grid_must_divide(self):
         with pytest.raises(ValueError, match="multiple"):
             SimConfig(t_final=1.0, dt=0.3)

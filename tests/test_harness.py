@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import json
 import os
@@ -26,7 +27,7 @@ from meanflock.errors import (
 from meanflock.harness import EXPERIMENTS, build_kernel, run_from_text, sample_initial_atoms
 from meanflock.dynamics import init_rng
 
-from helpers import read_json_strict
+from helpers import read_json_strict, read_report
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -103,7 +104,7 @@ class TestRun:
     def test_transport_check_passes(self, tmp_path):
         code = run_from_text(transport_check_text(tmp_path))
         assert code == 0
-        report = read_json_strict(tmp_path / "report.json")
+        report = read_report(tmp_path / "report.json")
         assert report["name"] == "transport-check"
         assert all(v["pass"] for v in report["verdicts"])
         assert all("tolerance" in v for v in report["verdicts"])
@@ -138,7 +139,7 @@ output_dir = {tmp_path}
             assert csv.exists()
             assert csv.read_text().splitlines()[0] == "t,particle,coord_0,coord_1"
         # a blow-up raises in simulate, so a finished run has nothing to certify
-        report = read_json_strict(tmp_path / "report.json")
+        report = read_report(tmp_path / "report.json")
         assert report["verdicts"] == []
         assert sorted(report["metrics"]) == [
             "final_second_moment_seed=1", "final_second_moment_seed=2", "n_runs"
@@ -174,7 +175,7 @@ n_seeds = 2
 output_dir = {tmp_path}
 """
         assert run_from_text(text) == 2
-        [verdict] = read_json_strict(tmp_path / "report.json")["verdicts"]
+        [verdict] = read_report(tmp_path / "report.json")["verdicts"]
         assert verdict == {
             "check": "fitted_decay_rate_ge_bound", "value": 0.0, "tolerance": 1.5, "pass": False,
         }
@@ -370,7 +371,7 @@ output_dir = {out}
 
     def test_non_finite_metric_report_is_strict_json(self, tmp_path):
         assert run_from_text(self.OVERFLOWING_MOMENT.format(out=tmp_path)) == 0
-        report = read_json_strict(tmp_path / "report.json")
+        report = read_report(tmp_path / "report.json")
         assert report["metrics"]["final_second_moment_seed=0"] == "inf"
 
     def test_handled_overflow_warns_nothing(self, tmp_path):
@@ -692,7 +693,7 @@ tf_radius = 2.0
 output_dir = {tmp_path}
 """
         assert run_from_text(text) == 0
-        report = read_json_strict(tmp_path / "report.json")
+        report = read_report(tmp_path / "report.json")
         assert len(report["verdicts"]) == 16  # 8 checkpoints x 2 checks
 
     def test_cauchy_kind(self, tmp_path):
@@ -716,7 +717,7 @@ output_dir = {tmp_path}
 """
         code = run_from_text(text)
         assert code in (0, 2)  # tiny ensemble: verdict may fluctuate
-        report = read_json_strict(tmp_path / "report.json")
+        report = read_report(tmp_path / "report.json")
         assert "distance_N=8" in report["metrics"]
 
     def test_comparison_kind(self, tmp_path):
@@ -739,7 +740,7 @@ n_seeds = 6
 output_dir = {tmp_path}
 """
         assert run_from_text(text) == 0
-        report = read_json_strict(tmp_path / "report.json")
+        report = read_report(tmp_path / "report.json")
         metrics = report["metrics"]
         assert len(metrics) == 18
         assert metrics["full_initial_cost"] == pytest.approx(0.07586854982041394, rel=1e-12)
@@ -825,7 +826,7 @@ output_dir = {tmp_path}
 """
         code = run_from_text(text)
         assert code in (0, 2)
-        report = read_json_strict(tmp_path / "report.json")
+        report = read_report(tmp_path / "report.json")
         assert report["metrics"]["ref_n"] == 32
         assert report["metrics"]["r"] == 2
 
@@ -844,7 +845,7 @@ master_seed = 5
 output_dir = {tmp_path}
 """
         assert run_from_text(text) in (0, 2)
-        assert read_json_strict(tmp_path / "report.json")["metrics"]["r"] == 2
+        assert read_report(tmp_path / "report.json")["metrics"]["r"] == 2
 
 
 def load_tracing():
@@ -952,6 +953,33 @@ output_dir = {tmp_path / "w"}
             assert kernel.dim == harness.state_dim(values), path.name
             assert harness.build_sim_config(values).steps > 0, path.name
 
+    # SHA-256 of each benchmark config's report.json; a change that alters a
+    # report on purpose updates its pin and records the old and new hashes
+    REPORT_SHA256 = {
+        "cauchy-n256": "080fd3121a917fa81440ae574e1b4ec0fc18f4a06a9f76af5050f039265b3a30",
+        "chaos-n16": "bf192a099b39ac339a82cdb0c3b4ead1e6231c79a7452850a77f98543f3be7ae",
+        "flocking-n256": "96710148d84b0d065798ed8b76aef1277f7096f2eebf342a4841a1d3d23f5d19",
+        "transport-n256": "179609638b7e5750eaab9c916921b5a84bcc91b702cd4698cc7896bf6e66b64e",
+    }
+
+    def test_bench_reports_pinned(self, tmp_path):
+        """Every benchmark config, run by the command line on one thread,
+        passes and writes a report whose bytes hash to its pin."""
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "MFS_THREADS")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **dict.fromkeys(threads, "1"))
+        hashes = {}
+        for path in sorted((BENCH / "configs").glob("*.cfg")):
+            out_dir = tmp_path / path.stem
+            out = subprocess.run(
+                [sys.executable, "-m", "meanflock.cli", "run", str(path), "--output-dir",
+                 str(out_dir)],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert (out.returncode, out.stderr) == (0, ""), path.name
+            read_report(out_dir / "report.json")
+            hashes[path.stem] = hashlib.sha256((out_dir / "report.json").read_bytes()).hexdigest()
+        assert hashes == self.REPORT_SHA256
+
 
 class TestImportBudget:
     """Each command loads only the modules it executes, and never scipy.
@@ -1040,7 +1068,7 @@ class TestImportBudget:
         )
         report = (tmp_path / "out" / "report.json").read_bytes()
         assert report == (tmp_path / "lib" / "report.json").read_bytes()
-        assert read_json_strict(tmp_path / "out" / "report.json")["metrics"] == {
+        assert read_report(tmp_path / "out" / "report.json")["metrics"] == {
             "residual_seed=7": 0.0
         }
         assert not any(loaded[name] for name in ("pool", *self.NEVER))
@@ -1121,7 +1149,7 @@ output_dir = {tmp_path / "out"}
     assert (out.returncode, out.stdout, out.stderr) == (0, schema, "")
     out = python("-m", "meanflock.cli", "run", str(flocking))
     assert (out.returncode, out.stdout, out.stderr) == (2, "", "")
-    [verdict] = read_json_strict(tmp_path / "out" / "report.json")["verdicts"]
+    [verdict] = read_report(tmp_path / "out" / "report.json")["verdicts"]
     assert verdict["check"] == "fitted_decay_rate_ge_bound" and not verdict["pass"]
     assert read_json_strict(tmp_path / "out" / "manifest.json")["status"] == "ok"
     # an exception that escapes main ends the process as usual, traceback and all

@@ -86,6 +86,14 @@ class TestMeasureValidation:
         with pytest.raises(ValueError, match="increasing"):
             MeasurePath(np.array([0.0, 0.0]), np.zeros((2, 1, 1)))
 
+    def test_path_states_need_three_axes(self):
+        with pytest.raises(ValueError, match=r"states must have shape \(times, atoms, dim\)"):
+            MeasurePath(np.array([0.0, 1.0]), np.zeros((2, 3)))
+
+    def test_path_times_match_states(self):
+        with pytest.raises(ValueError, match="times and states lengths differ"):
+            MeasurePath(np.array([0.0, 1.0, 2.0]), np.zeros((2, 1, 1)))
+
 
 class TestWasserstein:
     def test_two_diracs(self):
@@ -455,6 +463,10 @@ class TestMoments:
     def test_symmetric_pair(self):
         mu = uniform([[1.0], [-1.0]])
         assert moments(mu, 2) == pytest.approx(1.0)
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="moment order q must be >= 1"):
+            moments(uniform([[1.0]]), 0.5)
 
 
 class TestWassersteinPath:
