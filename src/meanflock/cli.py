@@ -39,7 +39,8 @@ import os
 import sys
 from collections import namedtuple
 
-from .config import ConfigError, list_models, parse_config, schema_lines
+from .config import list_models, parse_config, schema_lines
+from .errors import ConfigError
 
 # each command (None for the program): its description, whether it reads one CONFIG, and
 # its flags besides --help, each mapped to (metavar or None for a switch, help)

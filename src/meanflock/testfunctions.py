@@ -57,33 +57,34 @@ def bump(center, radius: float, dim: int | None = None, start: int = 0) -> TestF
     eye = np.eye(center.size)
 
     def profile(z):
-        """(P, P', P'') at u = |z[start:] - c|^2 / R^2, and z[start:] - c."""
+        """(P, P', P'') at u = |z[start:] - c|^2 / R^2, z[start:] - c and the band 0 < u < 1."""
         diff = z[..., start:] - center
         u = np.asarray(np.einsum("...k,...k->...", diff, diff) / r_sq)
         band = (u > 0.0) & (u < 1.0)
         out = np.where(u >= 1.0, 0.0, 1.0), np.zeros(u.shape), np.zeros(u.shape)
         for table, part in zip(out, quintic(u[band])):
             table[band] = part
-        return out, diff
+        return out, diff, band
 
     def eval_(z):
         return profile(np.asarray(z, dtype=float))[0][0]
 
     def grad(z):
         z = np.asarray(z, dtype=float)
-        (_, d1, _), diff = profile(z)
+        (_, d1, _), diff, _ = profile(z)
         out = np.zeros(z.shape)
         out[..., start:] = d1[..., None] * (2.0 / r_sq) * diff
         return out
 
     def hess(z):
         z = np.asarray(z, dtype=float)
-        (_, d1, d2), diff = profile(z)
-        outer = diff[..., :, None] * diff[..., None, :]
+        (_, d1, d2), diff, band = profile(z)
+        # off the band P' = P'' = 0, and the outer product there can overflow
+        diff, d1, d2 = diff[band], d1[band][:, None, None], d2[band][:, None, None]
         out = np.zeros(z.shape + z.shape[-1:])
-        out[..., start:, start:] = (4.0 / r_sq**2) * d2[..., None, None] * outer + (
-            2.0 / r_sq
-        ) * d1[..., None, None] * eye
+        out[..., start:, start:][band] = (4.0 / r_sq**2) * d2 * (
+            diff[:, :, None] * diff[:, None, :]
+        ) + (2.0 / r_sq) * d1 * eye
         return out
 
     return TestFunction(eval=eval_, grad=grad, hess=hess)

@@ -1,42 +1,70 @@
-"""The public API holds only what the package itself runs."""
+"""Every public name is read in the package, through one import path.
+
+``meanflock/__init__.py`` exports nothing: each name is imported from the
+module whose top level defines it.
+"""
 
 import ast
-import importlib
 from pathlib import Path
 
 import meanflock
 
 PACKAGE = Path(meanflock.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def names_read(path):
-    """Names a module loads, each outside the top-level definition of that name."""
+def bound(stmt):
+    """Names a top-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
+DEFINED = {module: set().union(*map(bound, tree.body)) for module, tree in TREES.items()}
+
+
+def names_read(tree):
+    """Names a module loads, each outside the top-level statement that binds it."""
     read = set()
-    for stmt in ast.parse(path.read_text()).body:
-        own = getattr(stmt, "name", None)
+    for stmt in tree.body:
         read |= {
             node.id
             for node in ast.walk(stmt)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own
-        }
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        } - bound(stmt)
     return read
 
 
 def test_every_public_name_is_read_in_the_package():
-    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    read = set().union(*map(names_read, modules))
-    unread = sorted(set(meanflock.__all__) - read)
-    assert not unread, f"in meanflock.__all__ but read nowhere in the package: {unread}"
+    read = set().union(*map(names_read, TREES.values()))
+    public = {
+        f"{module}.{name}"
+        for module, names in DEFINED.items()
+        for name in names - read
+        if not name.startswith("_")
+    }
+    # bench/tracing.py patches this by name; it goes once the bench reads an
+    # in-package profile (ROADMAP items 1 and 2)
+    unread = sorted(public - {"transport.wasserstein"})
+    assert not unread, f"defined but read nowhere in the package: {unread}"
 
 
-def test_every_public_name_resolves_to_its_module():
-    """The lazy namespace hands out each module's own object, once resolved."""
-    for module, names in meanflock._EXPORTS.items():
-        defining = importlib.import_module(f"meanflock.{module}")
-        for name in names:
-            assert getattr(meanflock, name) is getattr(defining, name), name
-    assert set(meanflock.__all__) == {"__version__"} | set(meanflock._MODULE_OF)
-    assert set(meanflock.__all__) <= set(dir(meanflock))
+def test_every_import_names_the_defining_module():
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                source = node.module or "__init__"  # from . import __version__
+                found += [
+                    f"{module}.py:{node.lineno} {alias.name} from {source}"
+                    for alias in node.names
+                    if alias.name not in DEFINED[source]
+                ]
+    assert not found, f"imported through a module that does not define it: {found}"
 
 
 def test_package_imports_no_scipy():

@@ -1041,7 +1041,14 @@ class TestImportBudget:
         )
 
     def test_import_package_loads_no_submodule(self, tmp_path):
-        loaded = self.loaded("import meanflock", tmp_path)
+        # the package binds no name of its own but __version__
+        body = (
+            "import meanflock, types\n"
+            "bare = vars(types.ModuleType('bare')).keys() | {'__builtins__', '__cached__', "
+            "'__file__', '__path__'}\n"
+            "assert vars(meanflock).keys() - bare == {'__version__'}, vars(meanflock).keys()"
+        )
+        loaded = self.loaded(body, tmp_path)
         assert loaded == dict(self.VALIDATE_LOADS, meanflock={"meanflock"})
 
     def test_import_cli_loads_neither(self, tmp_path):

@@ -69,6 +69,9 @@ def test_bump_support_and_range():
     assert tf.eval(np.array([0.999, 0.0])) > 0.0
     vals = tf.eval(np.random.default_rng(0).normal(size=(100, 2)))
     assert np.all((vals >= 0.0) & (vals <= 1.0))
+    # far off the support every derivative is exactly 0, with no overflow
+    far = np.array([1e160, -1e160])
+    assert tf.eval(far) == 0.0 and not tf.grad(far).any() and not tf.hess(far).any()
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0])
