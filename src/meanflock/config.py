@@ -86,14 +86,14 @@ def check_tf_radius(radius) -> None:
 # Catalogues: models, and the experiment keys each kind reads
 # ---------------------------------------------------------------------------
 
-Model = namedtuple(
-    "Model", "doc keys position_velocity individual_noise required", defaults=(False, False, ())
-)
+Model = namedtuple("Model", "doc keys coefficients position_velocity individual_noise required",
+                   defaults=((), False, False, ()))
 Model.__doc__ = """One catalogued kernel model and the model-parameter keys it reads.
 
-For generic models ``keys`` lists the kernel builder's arguments in
-order. ``position_velocity`` marks the Cucker-Smale family, whose states
-are (x, v) in R^{2 half_dim}.
+``position_velocity`` marks the Cucker-Smale family, whose states are
+(x, v) in R^{2 half_dim}. The other models are presets of the affine
+kernel: ``keys`` are ``dim`` and the value keys, and ``coefficients`` names
+the coefficient each value key sets; the others are 0.
 """
 
 
@@ -116,12 +116,15 @@ MODELS = {
         _CS + _TRUNC + ("sigma_scale",), position_velocity=True, individual_noise=True,
     ),
     "zero": Model("all coefficients zero", ("dim",)),
-    "constant-drift": Model("b(x,y) = drift_value in every coordinate", _B),
-    "linear-drift": Model("b(x,y) = drift_value * x", _B),
-    "linear-common": Model("c(x,y) = drift_value * x, geometric common noise", _B),
-    "constant-common": Model("c(x,y) = drift_value per coordinate, additive common noise", _B),
-    "diag-individual": Model("sigma(x) = sigma_scale * diag(x)", _SIGMA, individual_noise=True),
-    "constant-individual": Model("sigma(x) = sigma_scale * I", _SIGMA, individual_noise=True),
+    "constant-drift": Model("b(x,y) = drift_value in every coordinate", _B, ("b0",)),
+    "linear-drift": Model("b(x,y) = drift_value * x", _B, ("bx",)),
+    "linear-common": Model("c(x,y) = drift_value * x, geometric common noise", _B, ("cx",)),
+    "constant-common": Model(
+        "c(x,y) = drift_value per coordinate, additive common noise", _B, ("c0",)),
+    "diag-individual": Model("sigma(x) = sigma_scale * diag(x)", _SIGMA, ("sx",),
+                             individual_noise=True),
+    "constant-individual": Model("sigma(x) = sigma_scale * I", _SIGMA, ("s0",),
+                                 individual_noise=True),
 }
 
 # the initial-condition scales each family reads, keyed by Model.position_velocity

@@ -66,10 +66,10 @@ from .diagnostics import (
 from .dynamics import SimConfig, init_rng, simulate
 from .errors import ConfigError, MeanflockError
 from .kernels import (
-    GENERIC_KERNELS,
     CuckerSmaleParams,
     KernelSet,
     Truncation,
+    affine_kernels,
     cucker_smale_kernels,
     with_velocity_noise,
 )
@@ -95,13 +95,13 @@ def _cs_params(values: dict) -> CuckerSmaleParams:
 
 
 def build_kernel(values: dict) -> KernelSet:
-    """The kernel of a parsed config's model.
-
-    Generic models take their ``MODELS`` keys as positional arguments, in order.
-    """
+    """The kernel of a parsed config's model: Cucker-Smale from its
+    parameters, or the ``affine_kernels`` preset whose ``Model.coefficients``
+    its value keys set."""
     model = MODELS[values["model"]]
     if not model.position_velocity:
-        return GENERIC_KERNELS[values["model"]](*(values[key] for key in model.keys))
+        dim, *value = (values[key] for key in model.keys)
+        return affine_kernels(dim, **dict(zip(model.coefficients, value)))
     kernel = cucker_smale_kernels(_cs_params(values))
     if model.individual_noise:
         kernel = with_velocity_noise(kernel, values["sigma_scale"])

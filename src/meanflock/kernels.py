@@ -10,12 +10,14 @@ The Cucker-Smale builder computes its field as products of unweighted
 (m, n) pair tables with the weighted atoms: one distance table that psi
 overwrites in place, none for a weight whose exponent is 0 (it is one (n,)
 row shared by every query), and a few more with a truncation or when C is
-needed at atoms that are not the queries. The generic test kernels have
-closed forms in the total weight W = sum_j w_j: B = b0 W (constant drift),
-B = rate q W (linear drift), C = c0 W with S1 = 0 (constant common noise),
-C = rate q W with S1 = factor rate C W (linear common noise), and
-S2 = rate^2 q / 2 (diagonal individual noise); the zero and
-constant-individual models share one zero field.
+needed at atoms that are not the queries. The affine model, b(x, y) =
+b0 + bx x, c(x, y) = c0 + cx x + cy y and sigma(x) = s0 I + sx diag(x),
+has O(N) closed forms in the total weight W = sum_j w_j and the weighted
+sum m = sum_j w_j y_j, with no pair table: B = b0 W + bx q W, C = c0 W +
+cx q W + cy m, S1 = factor (cx C(q) W + cy W (c0 W + (cx + cy) m)) and
+S2 = sx (s0 + sx q) / 2 coordinate-wise. The cy term of S1 is
+sum_j w_j cy C(y_j), the part that the y-argument of c, the measure
+derivative, adds on its own.
 
 The truncation R(v) = v chi(|v|) of the Cucker-Smale noise is C^2 because
 chi is the quintic smoothstep of the test functions' bumps, the one
@@ -317,92 +319,50 @@ def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
 
 
 # ---------------------------------------------------------------------------
-# Generic test kernels
+# The affine model
 # ---------------------------------------------------------------------------
 
 
-def _zero_field(atoms, weights, queries, factor):
-    return np.zeros(queries.shape), None
-
-
-def zero_kernels(dim: int) -> KernelSet:
-    return KernelSet(dim, _zero_field)
-
-
-def constant_drift_kernels(dim: int, drift) -> KernelSet:
-    """b(x, y) = drift, so B[mu] = drift W."""
-    b0 = np.broadcast_to(np.asarray(drift, dtype=float), (dim,))
-
-    def field(atoms, weights, queries, factor):
-        return np.full(queries.shape, b0 * weights.sum()), None
-
-    return KernelSet(dim, field)
-
-
-def linear_drift_kernels(dim: int, rate: float = 1.0) -> KernelSet:
-    """b(x, y) = rate * x, the classical exponential-growth test drift:
-    B[mu](q) = rate q W."""
-
-    def field(atoms, weights, queries, factor):
-        return rate * queries * weights.sum(), None
-
-    return KernelSet(dim, field)
-
-
-def constant_common_kernels(dim: int, value) -> KernelSet:
-    """c(x, y) = value, additive common noise: C[mu] = value W, and every
-    corrective term vanishes."""
-    c0 = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
-
-    def field(atoms, weights, queries, factor):
-        return np.zeros(queries.shape), np.full(queries.shape, c0 * weights.sum())
-
-    return KernelSet(dim, field)
-
-
-def linear_common_kernels(dim: int, rate: float = 1.0) -> KernelSet:
-    """c(x, y) = rate * x, a geometric common noise: C[mu](q) = rate q W,
-    and dc(x, y, ex, ey) = rate ex gives S1[mu](q) = factor rate C[mu](q) W."""
+def affine_kernels(dim: int, b0=0.0, bx=0.0, c0=0.0, cx=0.0, cy=0.0, s0=0.0, sx=0.0) -> KernelSet:
+    """The affine model of the module docstring; b0 and c0 are numbers or
+    (dim,) vectors. A zero coefficient's term is not computed, so C is None
+    when c0, cx and cy are 0, and sigma None when s0 and sx are."""
+    check_dim(dim)  # before the coefficients are shaped by it
+    b0, c0 = (np.broadcast_to(np.asarray(v, dtype=float), (dim,)) for v in (b0, c0))
+    has_common = np.any(c0 != 0.0) or cx != 0.0 or cy != 0.0
 
     def field(atoms, weights, queries, factor):
         total = weights.sum()
-        common = rate * queries * total
+        mean = weights @ atoms if cy != 0.0 else None
+        drift = np.full(queries.shape, b0 * total)
+        if bx != 0.0:
+            drift += bx * queries * total
+        common = None
+        if has_common:
+            common = np.full(queries.shape, c0 * total)
+            if cx != 0.0:
+                common += cx * queries * total
+            if cy != 0.0:
+                common += cy * mean
         if factor is None:
-            return np.zeros(queries.shape), common
-        return factor * rate * common * total, common
+            return drift, common
+        if cx != 0.0:
+            drift += factor * cx * common * total
+        if cy != 0.0:
+            # sum_j w_j C[mu](y_j) = W (c0 W + (cx + cy) m)
+            drift += factor * cy * total * (c0 * total + (cx + cy) * mean)
+        if sx != 0.0:
+            drift += 0.5 * (sx * (s0 + sx * queries))
+        return drift, common
 
-    return KernelSet(dim, field)
-
-
-def diag_individual_kernels(dim: int, rate: float = 1.0) -> KernelSet:
-    """sigma(x) = rate * diag(x); S2(x) = rate^2 x / 2."""
+    if sx == 0.0:
+        sigma = None if s0 == 0.0 else _constant_sigma(s0 * np.eye(dim))
+        return KernelSet(dim, field, sigma)
 
     def sigma(x):
         out = np.zeros(x.shape[:-1] + (dim, dim))
         idx = np.arange(dim)
-        out[..., idx, idx] = rate * x
+        out[..., idx, idx] = s0 + sx * x
         return out
 
-    def field(atoms, weights, queries, factor):
-        if factor is None:
-            return np.zeros(queries.shape), None
-        return 0.5 * (rate * (rate * queries)), None
-
     return KernelSet(dim, field, sigma)
-
-
-def constant_individual_kernels(dim: int, scale: float = 1.0) -> KernelSet:
-    """sigma(x) = scale * I, additive individual noise."""
-    return KernelSet(dim, _zero_field, _constant_sigma(scale * np.eye(dim)))
-
-
-# builders of the generic test kernels, keyed by model name
-GENERIC_KERNELS = {
-    "zero": zero_kernels,
-    "constant-drift": constant_drift_kernels,
-    "linear-drift": linear_drift_kernels,
-    "linear-common": linear_common_kernels,
-    "constant-common": constant_common_kernels,
-    "diag-individual": diag_individual_kernels,
-    "constant-individual": constant_individual_kernels,
-}

@@ -3,7 +3,8 @@
 Finite differences, exhaustive enumeration, the general transportation LP,
 the test functions only tests evaluate, and the pointwise references of
 every model live here, away from the package, so the implementations they
-check can never leak in. The package evaluates each model through its fused
+check can never leak in; so do the wrong variants that a verdict test
+must reject. The package evaluates each model through its fused
 ``field`` only; its pair coefficients b, c and dc, the derivative of its
 individual noise sigma, and the mean-field sums and corrections built from
 them (S1 and S2 = 1/2 Tr(grad sigma sigma^T)) are written out here and only
@@ -21,6 +22,7 @@ from scipy.optimize import linprog
 
 from meanflock.dynamics import SimConfig
 from meanflock.errors import DimensionMismatchError
+from meanflock.kernels import KernelSet, affine_kernels
 from meanflock.testfunctions import TestFunction
 
 S1_FACTORS = {"half_both": 0.5, "paper_literal": 1.0}
@@ -166,67 +168,53 @@ def _pair_shape(*args):
     return np.broadcast_shapes(*(a.shape for a in args))
 
 
-def constant_drift_reference(dim, drift):
-    b0 = np.broadcast_to(np.asarray(drift, dtype=float), (dim,))
-    return PointwiseReference(dim, b=lambda x, y: np.broadcast_to(b0, _pair_shape(x, y)))
-
-
-def linear_drift_reference(dim, rate=1.0):
-    return PointwiseReference(dim, b=lambda x, y: rate * np.broadcast_to(x, _pair_shape(x, y)))
-
-
-def constant_common_reference(dim, value):
-    c0 = np.broadcast_to(np.asarray(value, dtype=float), (dim,))
-    return PointwiseReference(
-        dim,
-        c=lambda x, y: np.broadcast_to(c0, _pair_shape(x, y)),
-        dc=lambda x, y, ex, ey: np.zeros(_pair_shape(x, y, ex, ey)),
-    )
-
-
-def linear_common_reference(dim, rate=1.0):
-    """c(x, y) = rate x, so dc(x, y, ex, ey) = rate ex and s1 = rate^2 x / 2."""
-    return PointwiseReference(
-        dim,
-        c=lambda x, y: rate * np.broadcast_to(x, _pair_shape(x, y)),
-        dc=lambda x, y, ex, ey: rate * np.broadcast_to(ex, _pair_shape(x, y, ex, ey)),
-    )
-
-
-def diag_individual_reference(dim, rate=1.0):
-    """No interaction; sigma(x) = rate diag(x), so grad sigma has the one
-    entry rate at i = l = k."""
+def affine_reference(dim, b0=0.0, bx=0.0, c0=0.0, cx=0.0, cy=0.0, s0=0.0, sx=0.0):
+    """The affine model one pair at a time: b(x, y) = b0 + bx x and
+    c(x, y) = c0 + cx x + cy y, so dc(x, y, ex, ey) = cx ex + cy ey, with b0
+    and c0 numbers or (dim,) vectors; sigma(x) = s0 I + sx diag(x), so grad
+    sigma has the one entry sx at i = l = k. c is None when c0, cx and cy
+    are 0, and sigma when s0 and sx are."""
+    b0, c0 = (np.broadcast_to(np.asarray(v, dtype=float), (dim,)) for v in (b0, c0))
     idx = np.arange(dim)
+
+    def b(x, y):
+        return np.broadcast_to(b0 + bx * x, _pair_shape(x, y))
+
+    def c(x, y):
+        return np.broadcast_to(c0 + cx * x + cy * y, _pair_shape(x, y))
+
+    def dc(x, y, ex, ey):
+        return np.broadcast_to(cx * ex + cy * ey, _pair_shape(x, y, ex, ey))
 
     def sigma(x):
         out = np.zeros(x.shape[:-1] + (dim, dim))
-        out[..., idx, idx] = rate * x
+        out[..., idx, idx] = s0 + sx * x
         return out
 
     def grad_sigma(x):
         out = np.zeros(x.shape[:-1] + (dim, dim, dim))
-        out[..., idx, idx, idx] = rate
+        out[..., idx, idx, idx] = sx
         return out
 
-    return PointwiseReference(dim, sigma=sigma, grad_sigma=grad_sigma)
+    common = np.any(c0 != 0.0) or cx != 0.0 or cy != 0.0
+    noise = s0 != 0.0 or sx != 0.0
+    return PointwiseReference(dim, b, c if common else None, dc if common else None,
+                              sigma if noise else None, grad_sigma if noise else None)
 
 
-def constant_individual_reference(dim, scale=1.0):
-    """No interaction; sigma(x) = scale I."""
-    return constant_sigma_reference(scale * np.eye(dim))
+def affine_without_y_derivative(dim, cx, cy):
+    """A wrong variant of ``affine_kernels(dim, cx=cx, cy=cy)``: its S1 keeps
+    the cx term, factor cx C[mu](q) W, and drops the cy term, the part the
+    y-argument of c (the measure derivative) adds on its own."""
+    right = affine_kernels(dim, cx=cx, cy=cy)
 
+    def field(atoms, weights, queries, factor):
+        drift, common = right.field(atoms, weights, queries, None)
+        if factor is not None:
+            drift = drift + factor * cx * common * weights.sum()
+        return drift, common
 
-# pointwise references of the generic kernels, keyed as GENERIC_KERNELS and
-# taking the same arguments
-GENERIC_REFERENCES = {
-    "zero": PointwiseReference,
-    "constant-drift": constant_drift_reference,
-    "linear-drift": linear_drift_reference,
-    "linear-common": linear_common_reference,
-    "constant-common": constant_common_reference,
-    "diag-individual": diag_individual_reference,
-    "constant-individual": constant_individual_reference,
-}
+    return KernelSet(dim, field)
 
 
 def _rational(amplitude, exponent, r_sq):

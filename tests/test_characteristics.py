@@ -9,11 +9,8 @@ from meanflock.errors import BlowUpError
 from meanflock.kernels import (
     CuckerSmaleParams,
     Truncation,
-    constant_common_kernels,
-    constant_drift_kernels,
-    constant_individual_kernels,
+    affine_kernels,
     cucker_smale_kernels,
-    zero_kernels,
 )
 
 
@@ -37,13 +34,13 @@ class TestSolveCharacteristics:
         np.testing.assert_array_equal(path[:, 0, :], run.states[:, 0, :])
 
     def test_zero_kernel_constant_path(self):
-        run = make_run(zero_kernels(2), n=3)
+        run = make_run(affine_kernels(2), n=3)
         x0 = np.array([0.25, -1.0])
         path = solve_characteristics(run, x0)
         np.testing.assert_array_equal(path, np.broadcast_to(x0, path.shape))
 
     def test_constant_drift_affine_path(self):
-        k = constant_drift_kernels(2, [2.0, -1.0])
+        k = affine_kernels(2, b0=[2.0, -1.0])
         run = make_run(k, n=2, t_final=1.0, dt=0.25)
         x0 = np.zeros(2)
         path = solve_characteristics(run, x0)
@@ -51,7 +48,7 @@ class TestSolveCharacteristics:
         np.testing.assert_allclose(path[:, 0, :], expected, atol=1e-12)
 
     def test_requires_common_noise_only(self):
-        k = constant_individual_kernels(1, 0.3)
+        k = affine_kernels(1, s0=0.3)
         run = make_run(k, n=2)
         with pytest.raises(ValueError, match="common"):
             solve_characteristics(run, run.states[0])
@@ -59,7 +56,7 @@ class TestSolveCharacteristics:
     def test_replay_blowup_carries_step_seed_and_partial(self):
         # the run stays in the norm bound; a start near it leaves it: the
         # replay moves by 0.1 a step, 4.55 -> 4.95 after four steps, then 5.05
-        k = constant_drift_kernels(1, [1.0])
+        k = affine_kernels(1, b0=[1.0])
         cfg = SimConfig(t_final=1.0, dt=0.1, master_seed=7, blowup_norm=5.0)
         run = simulate(k, np.zeros((2, 1)), cfg)
         with pytest.raises(BlowUpError) as err:
@@ -128,11 +125,11 @@ class TestTransportResidual:
             assert transport_residual(run) == 0.0
 
     def test_zero_kernel_residual_exactly_zero(self):
-        run = make_run(zero_kernels(2), n=3)
+        run = make_run(affine_kernels(2), n=3)
         assert transport_residual(run) == 0.0
 
     def test_individual_noise_rejected(self):
-        run = make_run(constant_individual_kernels(1, 0.5), n=2)
+        run = make_run(affine_kernels(1, s0=0.5), n=2)
         with pytest.raises(ValueError, match="common"):
             transport_residual(run)
 
@@ -151,7 +148,7 @@ class TestTransportResidual:
 
     def test_no_support_cap(self):
         # 2 x 2100 atoms exceed the transport solvers' support cap of 4096
-        run = make_run(constant_common_kernels(2, [0.3, -0.2]), n=2100, t_final=0.02)
+        run = make_run(affine_kernels(2, c0=[0.3, -0.2]), n=2100, t_final=0.02)
         assert run.config.steps == 2
         assert transport_residual(run) == 0.0
 

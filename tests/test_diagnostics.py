@@ -32,10 +32,8 @@ from meanflock.harness import (
 )
 from meanflock.kernels import (
     CuckerSmaleParams,
-    constant_common_kernels,
-    constant_individual_kernels,
+    affine_kernels,
     cucker_smale_kernels,
-    zero_kernels,
 )
 from meanflock.testfunctions import bump
 from meanflock.transport import optimal_pairing, wasserstein
@@ -85,7 +83,7 @@ def still_energy(atoms):
     """energy_series of a zero-kernel run from ``atoms``; the states stay put."""
     atoms = np.asarray(atoms, dtype=float)
     cfg = SimConfig(t_final=0.03, dt=0.01)
-    energies = energy_series(simulate(zero_kernels(atoms.shape[1]), atoms, cfg))
+    energies = energy_series(simulate(affine_kernels(atoms.shape[1]), atoms, cfg))
     assert energies.shape == (4,) and np.all(energies == energies[0])
     return energies[0]
 
@@ -213,7 +211,7 @@ class TestWeakform:
         assert qv[-1] == pytest.approx(np.sum(np.diff(qv)), rel=1e-12)
 
     def test_martingale_bands_with_individual_noise(self):
-        kernel = constant_individual_kernels(1, 0.4)
+        kernel = affine_kernels(1, s0=0.4)
         runs = run_ensemble(kernel, 16, dict(t_final=0.25, dt=0.0125), seeds=range(24))
         checks = default_checkpoints(runs[0].config.steps)
         psi = bump(0.0, 2.0, dim=1)
@@ -227,7 +225,7 @@ class TestCauchy:
     def test_no_interaction_constant_common_noise_closed_form(self):
         # additive common noise translates all atoms identically: the coupled
         # path distance equals the initial measure distance exactly
-        kernel = constant_common_kernels(1, 1.0)
+        kernel = affine_kernels(1, c0=1.0)
         rng = np.random.default_rng(0)
         base = rng.normal(size=(8, 1))
         cfg = SimConfig(t_final=0.25, dt=0.05)
@@ -322,7 +320,7 @@ class TestComparisonExperiment:
     def test_individual_noise_rejected(self):
         a = self.atoms
         with pytest.raises(ValueError, match="sigma"):
-            comparison_seed(constant_individual_kernels(2, 0.1), a, [a], self.cfg, 50.0)
+            comparison_seed(affine_kernels(2, s0=0.1), a, [a], self.cfg, 50.0)
 
     @pytest.mark.parametrize("independent, passed, value", [
         (False, True, 0.9211290171789863), (True, False, 2.2285876763596515),
@@ -357,7 +355,7 @@ class TestChaos:
     def _report(self, phis, n_list, cfg, beta_seeds, ref_n, n_resamples):
         per_beta = np.stack([
             chaos_beta_path(
-                zero_kernels(2), self._sampler, phis, n_list, reseeded(cfg, seed),
+                affine_kernels(2), self._sampler, phis, n_list, reseeded(cfg, seed),
                 ref_n, n_resamples,
             )
             for seed in beta_seeds

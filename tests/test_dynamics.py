@@ -9,17 +9,11 @@ from meanflock.harness import _write_trajectory_csvs
 from meanflock.kernels import (
     CuckerSmaleParams,
     Truncation,
-    constant_common_kernels,
-    constant_drift_kernels,
-    constant_individual_kernels,
+    affine_kernels,
     cucker_smale_kernels,
-    diag_individual_kernels,
-    linear_common_kernels,
-    linear_drift_kernels,
-    zero_kernels,
 )
 
-from helpers import S1_FACTORS
+from helpers import S1_FACTORS, affine_without_y_derivative
 
 
 def cs_kernel(**kw):
@@ -91,13 +85,13 @@ class TestSimConfig:
 
 class TestSteps:
     def test_zero_kernel_identity(self):
-        k = zero_kernels(2)
+        k = affine_kernels(2)
         states = np.array([[1.0, -2.0], [0.5, 0.0]])
         np.testing.assert_array_equal(one_step(k, states, 0.1), states)
         np.testing.assert_array_equal(one_step(k, states, 0.1, "heun_stratonovich"), states)
 
     def test_constant_drift_translation(self):
-        k = constant_drift_kernels(2, [1.0, -3.0])
+        k = affine_kernels(2, b0=[1.0, -3.0])
         out = one_step(k, np.zeros((3, 2)), 0.1)
         np.testing.assert_allclose(out, np.tile([0.1, -0.3], (3, 1)))
 
@@ -114,9 +108,9 @@ class TestSteps:
         x, dt = 1.0, 0.1
         noise = NoisePath(0, dt, 1, 1)
         cases = [
-            (linear_drift_kernels(1), dt),
-            (linear_common_kernels(1), noise.common_increments[0]),
-            (diag_individual_kernels(1), noise.individual(1)[0, 0, 0]),
+            (affine_kernels(1, bx=1.0), dt),
+            (affine_kernels(1, cx=1.0), noise.common_increments[0]),
+            (affine_kernels(1, sx=1.0), noise.individual(1)[0, 0, 0]),
         ]
         for kernel, h in cases:
             want = x + 0.5 * h * (x + (x + h * x))
@@ -156,7 +150,7 @@ class TestInitialStates:
             entry(cs_kernel(phi_lam=0.5), states, SimConfig(t_final=0.1, dt=0.1))
 
     def test_size_and_dimension_read_from_states(self):
-        run = simulate(zero_kernels(3), np.ones((5, 3)), SimConfig(t_final=0.2, dt=0.1))
+        run = simulate(affine_kernels(3), np.ones((5, 3)), SimConfig(t_final=0.2, dt=0.1))
         assert (run.n_atoms, run.dim) == (5, 3)
         np.testing.assert_array_equal(run.times, [0.0, 0.1, 0.2])
         np.testing.assert_array_equal(run.states, np.ones((3, 5, 3)))
@@ -173,7 +167,7 @@ class TestSimulate:
         np.testing.assert_allclose(run.states[:, 0, 0], 0.75 * run.times, atol=1e-12)
 
     def test_zero_steps(self):
-        k = zero_kernels(1)
+        k = affine_kernels(1)
         init = np.array([[2.0]])
         cfg = SimConfig(t_final=0.0, dt=0.1)
         run = simulate(k, init, cfg)
@@ -189,7 +183,7 @@ class TestSimulate:
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_blowup_carries_step_and_partial(self):
-        k = linear_drift_kernels(1, rate=40.0)
+        k = affine_kernels(1, bx=40.0)
         init = np.array([[1.0]])
         cfg = SimConfig(t_final=2.0, dt=0.1, blowup_norm=100.0)
         with pytest.raises(BlowUpError) as err:
@@ -204,12 +198,12 @@ class TestSimulate:
     def test_overflowing_norm_is_a_blowup(self):
         # each coordinate is finite but the norm is not: a typed error, not a warning
         with pytest.raises(BlowUpError) as err:
-            simulate(zero_kernels(2), np.full((3, 2), 1.5e308), SimConfig(0.1, 0.05))
+            simulate(affine_kernels(2), np.full((3, 2), 1.5e308), SimConfig(0.1, 0.05))
         assert err.value.step_index == 0 and err.value.max_norm == np.inf
 
     def test_negative_one_coordinate_state_blows_up(self):
         # the norm of a one-coordinate state is |x|, not the signed coordinate
-        k = constant_drift_kernels(1, [-400.0])
+        k = affine_kernels(1, b0=[-400.0])
         cfg = SimConfig(t_final=1.0, dt=0.25, blowup_norm=150.0)
         with pytest.raises(BlowUpError) as err:
             simulate(k, np.zeros((2, 1)), cfg)
@@ -221,7 +215,7 @@ class TestSimulate:
     def test_finite_state_beyond_squares_is_no_blowup(self):
         # one step takes every coordinate to 1e299: finite and below
         # blowup_norm, though its square overflows
-        k = linear_drift_kernels(2, rate=1e300)
+        k = affine_kernels(2, bx=1e300)
         init = np.ones((3, 2))
         with np.errstate(over="ignore"):
             run = simulate(k, init, SimConfig(t_final=0.1, dt=0.1, blowup_norm=1e308))
@@ -235,7 +229,7 @@ class TestSimulate:
 
     def test_individual_noise_statistics(self):
         # additive individual noise: terminal variance ~ sigma^2 T
-        k = constant_individual_kernels(1, 0.5)
+        k = affine_kernels(1, s0=0.5)
         init = np.zeros((2000, 1))
         cfg = SimConfig(t_final=1.0, dt=0.05, master_seed=3)
         run = simulate(k, init, cfg)
@@ -277,48 +271,93 @@ class TestMeanVelocityConservation:
 
 
 class TestStrongOrder:
-    """Pathwise error against the constant-weight flock's closed form.
+    """Pathwise error against closed forms in the run's own beta_T, the sum
+    of its common increments.
 
-    With gamma = 0 and phi_gamma = 0 the mean velocity v_bar is conserved
-    and u_i = v_i - v_bar solves du = -lam u dt - phi u o d beta, so
-    v_i(T) = v_bar + u_i(0) exp(-lam T - phi beta_T) exactly, with beta_T the
-    sum of the run's own common increments. The error is linear in u(0), so
-    the slopes depend on the noise seeds only.
+    flock: with gamma = 0 and phi_gamma = 0 the mean velocity v_bar is
+    conserved and u_i = v_i - v_bar solves du = -lam u dt - phi u o d beta,
+    so v_i(T) = v_bar + u_i(0) exp(-lam T - phi beta_T) exactly.
+
+    affine: with b = 0, sigma = 0 and c(x, y) = cx x + cy y in dimension 1,
+    the mean solves dX_bar = (cx + cy) X_bar o d beta and each offset
+    X_i - X_bar solves du = cx u o d beta, so X_i(T) = X_bar(0)
+    exp((cx + cy) beta_T) + (X_i(0) - X_bar(0)) exp(cx beta_T): the affine
+    case of the particle representation of the SPDE (Kurtz & Xiong, Stoch.
+    Proc. Appl. 83, 1999). The cloud sits off the origin, so the cy term of
+    S1, the measure derivative, acts on the mean.
+
+    Each error is linear in the initial states, so the slopes depend on the
+    noise seeds only.
     """
 
     LAM, PHI, T = 1.0, 0.8, 0.5
+    CX, CY = 0.6, -0.9
     DTS = (0.02, 0.005, 0.00125)
     EULER_BAND = (0.3, 0.8)
     HEUN_BAND = (0.75, 1.5)
 
-    def slope(self, scheme, convention="half_both"):
-        kernel = cs_kernel(lam=self.LAM, gamma=0.0, phi_lam=self.PHI, phi_gamma=0.0)
+    def flock(self):
+        """(kernel, initial states, compared coordinate, exact final values)."""
         init = np.random.default_rng(5).normal(size=(16, 2))
-        u0 = init[:, 1] - init[:, 1].mean()
+        v0 = init[:, 1]
+
+        def exact(beta_t):
+            return v0.mean() + (v0 - v0.mean()) * np.exp(-self.LAM * self.T - self.PHI * beta_t)
+
+        kernel = cs_kernel(lam=self.LAM, gamma=0.0, phi_lam=self.PHI, phi_gamma=0.0)
+        return kernel, init, 1, exact
+
+    def affine(self):
+        init = np.random.default_rng(5).normal(size=(16, 1)) + 2.0
+        x0 = init[:, 0]
+
+        def exact(beta_t):
+            mean = x0.mean()
+            return (mean * np.exp((self.CX + self.CY) * beta_t)
+                    + (x0 - mean) * np.exp(self.CX * beta_t))
+
+        return affine_kernels(1, cx=self.CX, cy=self.CY), init, 0, exact
+
+    def slope(self, case, scheme, convention="half_both", kernel=None, seeds=16):
+        """The fitted log-log slope of the rms final error against dt;
+        ``kernel`` replaces the case's own."""
+        own, init, coord, exact = case()
+        kernel = kernel or own
         errors = []
         for dt in self.DTS:
             squares = []
-            for seed in range(16):
+            for seed in range(seeds):
                 cfg = SimConfig(self.T, dt, scheme=scheme, master_seed=seed,
                                 s1_convention=convention)
                 run = simulate(kernel, init, cfg)
-                beta_t = run.noise.common_increments.sum()
-                exact = init[:, 1].mean() + u0 * np.exp(-self.LAM * self.T - self.PHI * beta_t)
-                squares.append(np.mean((run.states[-1, :, 1] - exact) ** 2))
+                want = exact(run.noise.common_increments.sum())
+                squares.append(np.mean((run.states[-1, :, coord] - want) ** 2))
             errors.append(np.sqrt(np.mean(squares)))
         return np.polyfit(np.log(self.DTS), np.log(errors), 1)[0]
 
     def test_euler_ito_has_order_one_half(self):
         low, high = self.EULER_BAND
-        assert low < self.slope("euler_ito") < high
+        for case in (self.flock, self.affine):
+            assert low < self.slope(case, "euler_ito") < high, case.__name__
 
     def test_heun_has_order_one(self):
+        # the affine case reads 0.75 over 16 seeds, at the band's edge, and
+        # 0.90 over 32; six disjoint blocks of 32 seeds read 0.80 to 1.23
         low, high = self.HEUN_BAND
-        assert low < self.slope("heun_stratonovich") < high
+        assert low < self.slope(self.flock, "heun_stratonovich") < high
+        assert low < self.slope(self.affine, "heun_stratonovich", seeds=32) < high
 
     def test_paper_literal_fails_the_euler_band(self):
         # the doubled correction is an O(1) drift error: the error stalls
-        assert self.slope("euler_ito", "paper_literal") < self.EULER_BAND[0]
+        for case in (self.flock, self.affine):
+            slope = self.slope(case, "euler_ito", "paper_literal")
+            assert slope < self.EULER_BAND[0], case.__name__
+
+    def test_dropping_the_measure_derivative_fails_the_euler_band(self):
+        # S1 without its cy term, the y part of S[mu] alone, is an O(1)
+        # drift error on the mean too
+        kernel = affine_without_y_derivative(1, self.CX, self.CY)
+        assert self.slope(self.affine, "euler_ito", kernel=kernel) < self.EULER_BAND[0]
 
 
 class TestMomentStability:
@@ -379,7 +418,7 @@ class TestCoupledPair:
 
     def test_no_interaction_shared_particles_coincide(self):
         # no drift, no common noise: individual noise only, addressed by id
-        kernel = constant_individual_kernels(2, 0.8)
+        kernel = affine_kernels(2, s0=0.8)
         init = np.random.default_rng(2).normal(size=(6, 2))
         cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=9)
         big, small = coupled_runs(kernel, init, cfg, 3)
@@ -388,7 +427,7 @@ class TestCoupledPair:
     def test_prefix_run_shares_the_noise_of_its_particles(self):
         # the Cauchy coupling: a run on the first half of the states draws
         # the same common increments and the same per-particle blocks
-        kernel = constant_individual_kernels(2, 0.8)
+        kernel = affine_kernels(2, s0=0.8)
         init = np.random.default_rng(5).normal(size=(8, 2))
         cfg = SimConfig(t_final=0.3, dt=0.05, master_seed=4)
         big, small = coupled_runs(kernel, init, cfg, 4)
@@ -409,7 +448,7 @@ class TestCoupledPair:
         np.testing.assert_allclose(big.states[:, :2, :], small.states, atol=1e-12)
 
     def test_coupled_distance_shrinks_with_n(self):
-        kernel = constant_common_kernels(1, 1.0)
+        kernel = affine_kernels(1, c0=1.0)
         rng = np.random.default_rng(31)
         init = rng.normal(size=(16, 1))
         cfg = SimConfig(t_final=0.2, dt=0.05, master_seed=7)
@@ -421,7 +460,7 @@ class TestCoupledPair:
         )
 
     def test_csv_round_trip_header(self, tmp_path):
-        kernel = zero_kernels(2)
+        kernel = affine_kernels(2)
         init = np.array([[1.5, -0.25]])
         cfg = SimConfig(t_final=0.2, dt=0.1, master_seed=0)
         run = simulate(kernel, init, cfg)

@@ -6,30 +6,24 @@ from meanflock.config import MODELS, S1_CONVENTIONS, parse_config
 from meanflock.errors import DimensionMismatchError
 from meanflock.harness import _cs_params, build_kernel
 from meanflock.kernels import (
-    GENERIC_KERNELS,
     CuckerSmaleParams,
     KernelSet,
     Truncation,
+    affine_kernels,
     cucker_smale_kernels,
-    diag_individual_kernels,
     field_drift_diffusion,
     with_velocity_noise,
 )
 from meanflock.transport import check_atoms
 
 from helpers import (
-    GENERIC_REFERENCES,
     PointwiseReference,
+    affine_reference,
     chi_both_whole_table,
-    constant_common_reference,
-    constant_drift_reference,
-    constant_individual_reference,
     cucker_smale_reference,
-    diag_individual_reference,
     eval_S2,
     eval_s1,
     fd_jacobian,
-    linear_common_reference,
     mean_field_B,
     mean_field_C,
     mean_field_S,
@@ -60,42 +54,42 @@ class TestEvalS1:
         np.testing.assert_allclose(out, [0.0, 2.0], atol=1e-14)
 
     def test_constant_c_vanishes(self):
-        k = constant_common_reference(2, [0.3, -1.2])
+        k = affine_reference(2, c0=[0.3, -1.2])
         rng = np.random.default_rng(1)
         x, y, z = rng.normal(size=(3, 2))
         np.testing.assert_array_equal(eval_s1(k, x, y, z), np.zeros(2))
 
     def test_linear_c(self):
-        k = linear_common_reference(1)
+        k = affine_reference(1, cx=1.0)
         out = eval_s1(k, np.array([3.0]), np.array([0.5]), np.array([-2.0]))
         np.testing.assert_allclose(out, [1.5])
 
     def test_paper_literal_doubles_single_sided_term(self):
         # for c(x, y) = x the second term vanishes, so the literal variant
         # is exactly twice the derived one
-        k = linear_common_reference(1)
+        k = affine_reference(1, cx=1.0)
         x, y, z = np.array([3.0]), np.array([1.0]), np.array([2.0])
         half = eval_s1(k, x, y, z, s1_convention="half_both")
         lit = eval_s1(k, x, y, z, s1_convention="paper_literal")
         np.testing.assert_allclose(lit, 2.0 * half)
 
     def test_dimension_error_names_argument(self):
-        k = linear_common_reference(2)
+        k = affine_reference(2, cx=1.0)
         with pytest.raises(DimensionMismatchError, match="'y'"):
             eval_s1(k, np.zeros(2), np.zeros(3), np.zeros(2))
 
 
 class TestEvalS2:
     def test_constant_sigma(self):
-        k = constant_individual_reference(3, 0.7)
+        k = affine_reference(3, s0=0.7)
         np.testing.assert_array_equal(eval_S2(k, np.ones(3)), np.zeros(3))
 
     def test_linear_sigma_1d(self):
-        k = diag_individual_reference(1)
+        k = affine_reference(1, sx=1.0)
         np.testing.assert_allclose(eval_S2(k, np.array([2.0])), [1.0])
 
     def test_diag_sigma_2d(self):
-        k = diag_individual_reference(2)
+        k = affine_reference(2, sx=1.0)
         np.testing.assert_allclose(eval_S2(k, np.array([3.0, 5.0])), [1.5, 2.5])
 
 
@@ -109,7 +103,7 @@ class TestMeanFields:
         assert common is None
 
     def test_single_atom_is_exact(self):
-        k = constant_drift_reference(2, [0.5, -1.0])
+        k = affine_reference(2, b0=[0.5, -1.0])
         np.testing.assert_array_equal(
             mean_field_B(k, np.array([[4.0, 4.0]]), np.ones(1), np.array([1.0, 1.0])), [0.5, -1.0]
         )
@@ -295,6 +289,10 @@ def test_cs_interaction_antisymmetry(states):
 
 TRUNC = Truncation(radius=2.0, margin=1.0)
 
+# every coefficient of the affine model non-zero; the cloud's mean m feeds
+# both C's cy term and S1's
+AFFINE = dict(b0=[0.3, -0.2], bx=-0.4, c0=[0.2, -0.5], cx=0.6, cy=-0.9, s0=0.4, sx=0.5)
+
 # pointwise references whose dc and grad_sigma are checked by finite
 # differences; the kernels' fields are held to them below
 REGISTERED = {
@@ -306,10 +304,11 @@ REGISTERED = {
             half_dim=2, lam=0.8, gamma=0.6, phi_lam=0.4, phi_gamma=0.3, truncation=TRUNC,
         )
     ),
-    "linear-common": linear_common_reference(2, rate=0.7),
-    "constant-common": constant_common_reference(3, [0.3, -1.2, 0.5]),
-    "diag-individual": diag_individual_reference(3, rate=0.5),
-    "constant-individual": constant_individual_reference(2, scale=0.8),
+    "linear-common": affine_reference(2, cx=0.7),
+    "constant-common": affine_reference(3, c0=[0.3, -1.2, 0.5]),
+    "diag-individual": affine_reference(3, sx=0.5),
+    "constant-individual": affine_reference(2, s0=0.8),
+    "affine": affine_reference(2, **AFFINE),
 }
 
 
@@ -364,16 +363,19 @@ def test_dc_broadcasts_like_c():
 
 FIELD_TRUNC = Truncation(radius=0.8, margin=1.0)
 
-# arguments of each generic builder and its reference in the field cases; a
-# dimension below 4 keeps them out of the truncation band count
-GENERIC_ARGS = {
-    "zero": (2,),
-    "constant-drift": (3, [0.5, -1.0, 2.0]),
-    "linear-drift": (2, 0.7),
-    "linear-common": (2, 0.7),
-    "constant-common": (3, [0.3, -1.2, 0.5]),
-    "diag-individual": (2, 0.5),
-    "constant-individual": (1, 0.8),
+# (dim, coefficients) of each affine preset in the field cases, keyed by
+# model name. The coefficient a preset's value key sets is written out here,
+# not read from its MODELS row, and ``catalogue_reference`` reads it from
+# here too. A dimension below 4 keeps the cases out of the truncation band
+# count.
+PRESET_ARGS = {
+    "zero": (2, {}),
+    "constant-drift": (3, {"b0": [0.5, -1.0, 2.0]}),
+    "linear-drift": (2, {"bx": 0.7}),
+    "linear-common": (2, {"cx": 0.7}),
+    "constant-common": (3, {"c0": [0.3, -1.2, 0.5]}),
+    "diag-individual": (2, {"sx": 0.5}),
+    "constant-individual": (1, {"s0": 0.8}),
 }
 
 
@@ -386,9 +388,9 @@ def _field_kernels():
         params = CuckerSmaleParams(**params)
         return cucker_smale_kernels(params), cucker_smale_reference(params)
 
-    def generic(name, convention="half_both"):
-        args = GENERIC_ARGS[name]
-        return GENERIC_KERNELS[name](*args), GENERIC_REFERENCES[name](*args), convention
+    def affine(dim, coefficients, convention="half_both"):
+        kernel, ref = affine_kernels(dim, **coefficients), affine_reference(dim, **coefficients)
+        return kernel, ref, convention
 
     plain, plain_ref = both(**cs)
     # non-constant sigma = rate diag(x) on a fused kernel, whose field adds
@@ -401,7 +403,7 @@ def _field_kernels():
             drift += 0.5 * (rate * (rate * queries))
         return drift, common
 
-    noisy = KernelSet(plain.dim, noisy_field, diag_individual_kernels(plain.dim, rate).sigma)
+    noisy = KernelSet(plain.dim, noisy_field, affine_kernels(plain.dim, sx=rate).sigma)
     velocity = with_velocity_noise(plain, 0.3)
     return [
         (plain, plain_ref, "half_both"),
@@ -417,9 +419,11 @@ def _field_kernels():
         (*both(**{**cs, "gamma": 2.0, "phi_gamma": 2.0}), "half_both"),
         (*both(**{**tr, "gamma": 2.0, "phi_gamma": 0.0}), "half_both"),
         (velocity, velocity_noise_reference(plain_ref, 0.3), "half_both"),
-        (noisy, with_sigma(plain_ref, diag_individual_reference(plain.dim, rate)), "half_both"),
-        *(generic(name) for name in GENERIC_ARGS),
-        generic("linear-common", "paper_literal"),
+        (noisy, with_sigma(plain_ref, affine_reference(plain.dim, sx=rate)), "half_both"),
+        *(affine(*args) for args in PRESET_ARGS.values()),
+        affine(*PRESET_ARGS["linear-common"], "paper_literal"),
+        affine(2, AFFINE, "half_both"),
+        affine(2, AFFINE, "paper_literal"),
     ]
 
 
@@ -444,20 +448,28 @@ def _field_cases(rng):
             yield kernel, ref, "half_both", HALF, atoms, w / w.sum(), queries
 
 
+def _assert_field_held(kernel, ref, convention, factor, atoms, w, queries):
+    """The kernel's field against the reference's mean-field sums; returns
+    its C[mu], None when the reference has no common noise."""
+    drift, common = field_drift_diffusion(kernel, atoms, w, queries, factor)
+    want = mean_field_B(ref, atoms, w, queries)
+    if factor is not None:
+        want = want + mean_field_S(ref, atoms, w, queries, convention)
+    np.testing.assert_allclose(drift, want, rtol=0, atol=1e-13)
+    if ref.c is None:
+        assert common is None
+    else:
+        np.testing.assert_allclose(common, mean_field_C(ref, atoms, w, queries), rtol=0, atol=1e-14)
+    return common
+
+
 def test_field_drift_diffusion_matches_pointwise_ops():
     rng = np.random.default_rng(9)
     band = np.zeros(3, int)  # truncated pairs below, inside and beyond the band
     edges = [FIELD_TRUNC.radius, FIELD_TRUNC.radius + FIELD_TRUNC.margin]
     for kernel, ref, convention, factor, atoms, w, queries in _field_cases(rng):
-        drift, common = field_drift_diffusion(kernel, atoms, w, queries, factor)
-        want = mean_field_B(ref, atoms, w, queries)
-        if factor is not None:
-            want = want + mean_field_S(ref, atoms, w, queries, convention)
-        np.testing.assert_allclose(drift, want, rtol=0, atol=1e-13)
-        if ref.c is None:
-            assert common is None
+        if _assert_field_held(kernel, ref, convention, factor, atoms, w, queries) is None:
             continue
-        np.testing.assert_allclose(common, mean_field_C(ref, atoms, w, queries), rtol=0, atol=1e-14)
         if kernel.dim == 4:
             s = np.linalg.norm(atoms[None, :, 2:] - queries[:, None, 2:], axis=-1)
             band += np.bincount(np.digitize(s.ravel(), edges), minlength=3)
@@ -485,15 +497,30 @@ def test_kernel_needs_a_field():
 
 def test_every_model_builds_a_field_held_to_a_reference():
     # each catalogued model, built from the schema defaults plus the keys it
-    # requires, is evaluated through its field; the field cases above hold
-    # every generic field, and the Cucker-Smale family's, to a reference
+    # requires, is evaluated through its field. The field cases above hold
+    # the Cucker-Smale fields and the affine kernel's to a reference; here
+    # each affine preset, its value key at -0.6, is held to the reference of
+    # the coefficient PRESET_ARGS names, so a row setting another one fails
+    rng = np.random.default_rng(31)
     for name, model in MODELS.items():
         required = "".join(f"{key} = 1\n" for key in model.required)
         text = f"experiment = simulate\nmodel = {name}\noutput_dir = out\n{required}"
-        kernel = build_kernel(parse_config(text).values)
+        if not model.position_velocity:
+            text += "dim = 2\n" + "".join(f"{key} = -0.6\n" for key in model.keys[1:])
+        values = parse_config(text).values
+        kernel = build_kernel(values)
         assert callable(kernel.field), name
-        assert model.position_velocity or name in GENERIC_ARGS, name
-    assert set(GENERIC_ARGS) == set(GENERIC_KERNELS) == set(GENERIC_REFERENCES)
+        if model.position_velocity:
+            continue
+        ref = catalogue_reference(values)
+        atoms = rng.normal(size=(5, 2))
+        w = np.full(5, 0.2)
+        for factor in (HALF, None):
+            _assert_field_held(kernel, ref, "half_both", factor, atoms, w, atoms)
+        assert (kernel.sigma is None) == (ref.sigma is None), name
+        if ref.sigma is not None:
+            np.testing.assert_array_equal(kernel.sigma(atoms), ref.sigma(atoms))
+    assert set(PRESET_ARGS) == {name for name, m in MODELS.items() if not m.position_velocity}
 
 
 # values under which every catalogued sigma is non-zero, and the Cucker-Smale
@@ -506,7 +533,8 @@ def catalogue_reference(values):
     builds its kernel."""
     model = MODELS[values["model"]]
     if not model.position_velocity:
-        return GENERIC_REFERENCES[values["model"]](*(values[key] for key in model.keys))
+        dim, *value = (values[key] for key in model.keys)
+        return affine_reference(dim, **dict(zip(PRESET_ARGS[values["model"]][1], value)))
     ref = cucker_smale_reference(_cs_params(values))
     if model.individual_noise:
         ref = velocity_noise_reference(ref, values["sigma_scale"])
@@ -609,3 +637,13 @@ def test_field_peak_memory_in_pair_tables(params, queries, tables):
     w = np.full(n, 1.0 / n)
     peak = peak_traced_bytes(lambda: field_drift_diffusion(kernel, x, w, q, HALF))
     assert peak / (n * n * 8) <= tables
+
+
+def test_affine_field_builds_no_pair_table():
+    # the affine field is closed form in W and m: O(N) memory, no (N, N) table
+    n = 4096
+    kernel = affine_kernels(2, **AFFINE)
+    x = np.random.default_rng(5).normal(size=(n, 2))
+    q, w = x + 0.01, np.full(n, 1.0 / n)
+    peak = peak_traced_bytes(lambda: field_drift_diffusion(kernel, x, w, q, HALF))
+    assert peak < 0.01 * n * n * 8
