@@ -155,7 +155,7 @@ or transport form needs sigma = 0), only on Cucker-Smale models, or only under s
 _TF = ("tf_center", "tf_radius")
 
 KINDS = {
-    "simulate": Kind(("n_particles", "write_trajectories")),
+    "simulate": Kind(("n_particles",)),
     "flocking": Kind(("n_particles",), cucker_smale_only=True),
     "weakform": Kind(("n_particles",) + _TF, min_seeds=16),
     # two seeds give the fewest a standard error is defined for
@@ -169,15 +169,6 @@ KINDS = {
 
 EXPERIMENT_KINDS = tuple(KINDS)
 EXPERIMENT_KEYS = frozenset(key for kind in KINDS.values() for key in kind.keys)
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_int_list(raw: str) -> list[int]:
@@ -203,7 +194,6 @@ _PARSERS = {
     "int": int,
     "float": _parse_float,
     "str": _parse_str,
-    "bool": _parse_bool,
     "int_list": _parse_int_list,
 }
 
@@ -261,7 +251,6 @@ SCHEMA: dict[str, Key] = {
         Key("radius", "float", default=50.0, help="stopping radius for comparison, > 0"),
         Key("comparison_shift", "float", default=0.5,
             help="offset applied to the second initial measure; finite and nonzero"),
-        Key("write_trajectories", "bool", default=True, help="write one CSV per seed"),
     ]
 }
 

@@ -98,7 +98,9 @@ def energy_series(run: TrajectoryRecord) -> np.ndarray:
 def observed_position_spread(run: TrajectoryRecord) -> float:
     """Largest pairwise position distance seen anywhere in the run."""
     x = run.states[:, :, : run.dim // 2]
-    return float(_sup_distances(x, x).max())
+    # positions over about 1e154 apart overflow their squared distance to inf
+    with np.errstate(over="ignore"):
+        return float(_sup_distances(x, x).max())
 
 
 def aggregate_flocking(
@@ -186,29 +188,31 @@ def weakform_single(
     psi_mean = np.array([np.sum(w * psi.eval(states[t])) for t in range(n_steps + 1)])
     gen = np.zeros(n_steps)
     qv_inc = np.zeros(n_steps)
-    for t in range(n_steps):
-        x = states[t]
-        drift, common = field_drift_diffusion(k, x, w, x, cfg.s1_factor)
-        grad = psi.grad(x)
-        hess = psi.hess(x)
-        gen_t = np.sum(w * np.einsum("nd,nd->n", drift, grad))
-        if common is not None:
-            # second-order operator from the common noise: 1/2 C_i C_j d^2_ij
-            gen_t += 0.5 * np.sum(
-                w * np.einsum("ni,nij,nj->n", common, hess, common)
-            )
-            paired = np.sum(w * np.einsum("nd,nd->n", common, grad))
-            qv_inc[t] += paired**2
-        if k.sigma is not None:
-            sig = k.sigma(x)
-            gen_t += 0.5 * np.sum(
-                w * np.einsum("nik,njk,nij->n", sig, sig, hess)
-            )
-            sig_grad = np.einsum("nij,ni->nj", sig, grad)
-            qv_inc[t] += (1.0 / run.n_atoms) * np.sum(
-                w * np.einsum("nj,nj->n", sig_grad, sig_grad)
-            )
-        gen[t] = gen_t
+    # far-apart states overflow the field to inf, with no warning
+    with np.errstate(over="ignore"):
+        for t in range(n_steps):
+            x = states[t]
+            drift, common = field_drift_diffusion(k, x, w, x, cfg.s1_factor)
+            grad = psi.grad(x)
+            hess = psi.hess(x)
+            gen_t = np.sum(w * np.einsum("nd,nd->n", drift, grad))
+            if common is not None:
+                # second-order operator from the common noise: 1/2 C_i C_j d^2_ij
+                gen_t += 0.5 * np.sum(
+                    w * np.einsum("ni,nij,nj->n", common, hess, common)
+                )
+                paired = np.sum(w * np.einsum("nd,nd->n", common, grad))
+                qv_inc[t] += paired**2
+            if k.sigma is not None:
+                sig = k.sigma(x)
+                gen_t += 0.5 * np.sum(
+                    w * np.einsum("nik,njk,nij->n", sig, sig, hess)
+                )
+                sig_grad = np.einsum("nij,ni->nj", sig, grad)
+                qv_inc[t] += (1.0 / run.n_atoms) * np.sum(
+                    w * np.einsum("nj,nj->n", sig_grad, sig_grad)
+                )
+            gen[t] = gen_t
     gen_cum = np.concatenate([[0.0], np.cumsum(gen) * cfg.dt])
     qv_cum = np.concatenate([[0.0], np.cumsum(qv_inc) * cfg.dt])
     martingale = psi_mean - psi_mean[0] - gen_cum
@@ -326,7 +330,8 @@ def _stopped_sup_cost(states_a, states_b, radius: float, p: float) -> tuple[floa
     farther than ``radius`` from the origin; exceedance at time zero makes
     the supremum empty, reported as 0.
     """
-    reach = _state_norms(np.concatenate([states_a, states_b], axis=1)).max(axis=1)
+    with np.errstate(over="ignore"):
+        reach = _state_norms(np.concatenate([states_a, states_b], axis=1)).max(axis=1)
     hits = np.flatnonzero(reach > radius)
     if hits.size and hits[0] == 0:
         return 0.0, True

@@ -171,23 +171,25 @@ def _integrate(
     block of individual increments, or None. Heun's step is the trapezoid
     0.5 * (x + E(E(x))) of the uncorrected Euler step E, both stages under
     the same increments. A state beyond ``cfg.blowup_norm`` or non-finite
-    raises ``BlowUpError`` with the states recorded so far.
+    raises ``BlowUpError`` with the states recorded so far. An overflow in
+    the field or the state is no warning: it reaches the blow-up check as inf.
     """
     path = np.empty((cfg.steps + 1,) + x0.shape)
     path[0] = x = x0
-    for step in range(cfg.steps):
-        dw = noise.common_increments[step], None if db is None else db[:, step, :]
-        if cfg.scheme == "euler_ito":
-            atoms = x if frozen is None else frozen[step]
-            x = _euler_step(k, atoms, weights, x, cfg, *dw, cfg.s1_factor)
-        else:
-            pred = _euler_step(k, x, weights, x, cfg, *dw, None)
-            x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, None))
-        # NaN fails the comparison
-        max_norm = float(np.max(_state_norms(x)))
-        if not max_norm <= cfg.blowup_norm:
-            raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=path[: step + 1])
-        path[step + 1] = x
+    with np.errstate(over="ignore"):
+        for step in range(cfg.steps):
+            dw = noise.common_increments[step], None if db is None else db[:, step, :]
+            if cfg.scheme == "euler_ito":
+                atoms = x if frozen is None else frozen[step]
+                x = _euler_step(k, atoms, weights, x, cfg, *dw, cfg.s1_factor)
+            else:
+                pred = _euler_step(k, x, weights, x, cfg, *dw, None)
+                x = 0.5 * (x + _euler_step(k, pred, weights, pred, cfg, *dw, None))
+            # NaN fails the comparison
+            max_norm = float(np.max(_state_norms(x)))
+            if not max_norm <= cfg.blowup_norm:
+                raise BlowUpError(step, max_norm, seed=cfg.master_seed, partial=path[: step + 1])
+            path[step + 1] = x
     return path
 
 
@@ -195,12 +197,11 @@ def _state_norms(states: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each state, over the last axis.
 
     hypot never squares, so a norm overflows only beyond the largest double,
-    and then reads inf without a warning. ``initial=0.0`` makes a
-    one-coordinate norm |x|, not the signed coordinate a reduction may start
-    from.
+    where it reads inf; callers ignore that overflow. ``initial=0.0`` makes
+    a one-coordinate norm |x|, not the signed coordinate a reduction may
+    start from.
     """
-    with np.errstate(over="ignore"):
-        return np.hypot.reduce(states, axis=-1, initial=0.0)
+    return np.hypot.reduce(states, axis=-1, initial=0.0)
 
 
 def simulate(k: KernelSet, states: np.ndarray, cfg: SimConfig) -> TrajectoryRecord:

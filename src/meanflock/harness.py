@@ -310,8 +310,8 @@ def map_jobs(fn: Callable, jobs: list) -> list:
 
 
 def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> dict:
-    """Run one parsed experiment into the record ``report.json`` holds; simulate
-    runs also write trajectory CSVs."""
+    """Run one parsed experiment into the record ``report.json`` holds; a simulate
+    run given ``output_dir`` also writes ``run_<seed>.csv`` for each seed."""
     worker, aggregate = EXPERIMENTS[cfg.kind]
     if cfg.kind == "comparison":
         # every seed starts from the same measures: pair their atoms once
@@ -319,19 +319,16 @@ def execute(cfg: ExperimentConfig, output_dir: Optional[Path] = None) -> dict:
         worker, aggregate = partial(worker, pairs), partial(aggregate, pairs)
     seeds = cfg.seeds()
     results = map_jobs(partial(worker, cfg.values), seeds)
-    if cfg.kind == "simulate" and cfg.values["write_trajectories"] and output_dir is not None:
+    if cfg.kind == "simulate" and output_dir is not None:
         _write_trajectory_csvs(seeds, results, output_dir)
     return aggregate(cfg.values, seeds, results)
 
 
 def _write_trajectory_csvs(seeds, results, output_dir: Path):
     for seed, (times, states, _) in zip(seeds, results):
-        header = "t,particle," + ",".join(f"coord_{j}" for j in range(states.shape[2]))
-        lines = [header]
-        for t_idx, t in enumerate(times):
-            for p_idx in range(states.shape[1]):
-                coords = ",".join(repr(float(v)) for v in states[t_idx, p_idx])
-                lines.append(f"{float(t)!r},{p_idx},{coords}")
+        lines = ["t,particle," + ",".join(f"coord_{j}" for j in range(states.shape[2]))]
+        for t, frame in zip(times.tolist(), states.tolist()):
+            lines.extend(f"{t!r},{i},{','.join(map(repr, row))}" for i, row in enumerate(frame))
         _atomic_write_text(output_dir / f"run_{seed}.csv", "\n".join(lines) + "\n")
 
 

@@ -92,16 +92,11 @@ def test_schema_lines_cover_all_keys():
     text = "\n".join(schema_lines())
     for key in ("experiment", "sizes", "n_list", "tf_radius"):
         assert key in text
-    # an unset write_trajectories writes CSVs, and the schema says so
-    assert "write_trajectories (bool)  default=True" in text
-    text = "experiment = simulate\nmodel = zero\noutput_dir = out\n"
-    assert parse_config(text).values["write_trajectories"] is True
 
 
-@pytest.mark.parametrize("raw", ["yes", "on", "1"])
-def test_bool_spellings_read_true(raw):
-    text = f"experiment = simulate\nmodel = zero\noutput_dir = out\nwrite_trajectories = {raw}\n"
-    assert parse_config(text).values["write_trajectories"] is True
+def test_every_value_type_is_read_by_a_key():
+    # a parser that no schema key uses is a value type nothing can write
+    assert {key.kind for key in config.SCHEMA.values()} == set(config._PARSERS)
 
 
 REJECTED = {
@@ -181,10 +176,6 @@ REJECTED = {
     "no-equals": (
         "simulate", "model = zero\nn_particles 4", "line 4: expected 'key = value', got 'n_particles 4'"
     ),
-    "bool-maybe": (
-        "simulate", "model = zero\nwrite_trajectories = maybe",
-        "line 4: field 'write_trajectories' expects bool: not a boolean: 'maybe'",
-    ),
     # a negative seed would fail in numpy's SeedSequence, after the output dir is made
     "negative-master-seed": (
         "simulate", "model = zero\nmaster_seed = -1", "field 'master_seed' must be >= 0, got -1"
@@ -204,6 +195,10 @@ REJECTED = {
     ),
     "unread-tf": ("simulate", "model = zero\ntf_radius = 1", "experiment 'simulate' does not read tf_radius"),
     "record-stride": ("simulate", "model = zero\nrecord_stride = 1", "unknown key 'record_stride'"),
+    # simulate always writes its trajectories
+    "write-trajectories": (
+        "simulate", "model = zero\nwrite_trajectories = false", "unknown key 'write_trajectories'"
+    ),
     # a verdict's slack, band and checkpoints are diagnostics constants, not config keys
     "rate-tolerance": ("flocking", "model = cucker-smale\nrate_tolerance = -50", "unknown key 'rate_tolerance'"),
     "fit-start-fraction": (

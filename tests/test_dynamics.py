@@ -217,11 +217,10 @@ class TestSimulate:
         # blowup_norm, though its square overflows
         k = affine_kernels(2, bx=1e300)
         init = np.ones((3, 2))
-        with np.errstate(over="ignore"):
-            run = simulate(k, init, SimConfig(t_final=0.1, dt=0.1, blowup_norm=1e308))
-            # the next step overflows the state itself
-            with pytest.raises(BlowUpError) as err:
-                simulate(k, init, SimConfig(t_final=0.2, dt=0.1, blowup_norm=1e308))
+        run = simulate(k, init, SimConfig(t_final=0.1, dt=0.1, blowup_norm=1e308))
+        # the next step overflows the state itself, with no warning
+        with pytest.raises(BlowUpError) as err:
+            simulate(k, init, SimConfig(t_final=0.2, dt=0.1, blowup_norm=1e308))
         np.testing.assert_array_equal(run.states[-1], np.full((3, 2), 1e299))
         assert err.value.step_index == 1
         assert not np.isfinite(err.value.max_norm)
@@ -336,9 +335,11 @@ class TestStrongOrder:
         return np.polyfit(np.log(self.DTS), np.log(errors), 1)[0]
 
     def test_euler_ito_has_order_one_half(self):
+        # the affine case's disjoint blocks of seeds 0-255 read 0.29 to 0.77
+        # over 16 seeds, and 0.46, 0.48, 0.59 and 0.54 over 64
         low, high = self.EULER_BAND
-        for case in (self.flock, self.affine):
-            assert low < self.slope(case, "euler_ito") < high, case.__name__
+        assert low < self.slope(self.flock, "euler_ito") < high
+        assert low < self.slope(self.affine, "euler_ito", seeds=64) < high
 
     def test_heun_has_order_one(self):
         # the affine case reads 0.75 over 16 seeds, at the band's edge, and
@@ -469,3 +470,14 @@ class TestCoupledPair:
         assert lines[0] == "t,particle,coord_0,coord_1"
         assert lines[1] == "0.0,0,1.5,-0.25"
         assert len(lines) == 1 + 3 * 1
+        # each float is written as its shortest round-trip repr
+        times = np.array([0.0, 0.1])
+        states = np.array([[[-0.0, 1e-300], [0.1, 1e16]], [[1e16, 0.1], [1e-300, -0.0]]])
+        _write_trajectory_csvs([3], [(times, states, 0.0)], tmp_path)
+        assert (tmp_path / "run_3.csv").read_text() == (
+            "t,particle,coord_0,coord_1\n"
+            "0.0,0,-0.0,1e-300\n"
+            "0.0,1,0.1,1e+16\n"
+            "0.1,0,1e+16,0.1\n"
+            "0.1,1,1e-300,-0.0\n"
+        )

@@ -145,17 +145,6 @@ output_dir = {tmp_path}
             "final_second_moment_seed=1", "final_second_moment_seed=2", "n_runs"
         ]
 
-    def test_write_trajectories_false_writes_no_csv(self, tmp_path):
-        text = f"""
-experiment = simulate
-model = zero
-write_trajectories = false
-output_dir = {tmp_path}
-"""
-        assert run_from_text(text) == 0
-        assert not list(tmp_path.glob("*.csv"))
-        assert (tmp_path / "report.json").exists()
-
     def test_failing_verdict_exit_2(self, tmp_path, monkeypatch):
         # a velocity variance that never decays fits rate 0, below the
         # threshold 0.75 * 2 psi_m = 1.5 of a constant psi = 1 with phi = 0
@@ -338,6 +327,24 @@ output_dir = {tmp_path}
         }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # velocities of about 1e160: their squared gaps overflow in the
+            # field and in the weak form's generator
+            "experiment = weakform\nn_seeds = 16\ninit_velocity_scale = 1e160",
+            # positions of about 1e160: their squared gaps overflow in the
+            # field and in the observed position spread
+            "experiment = flocking\nn_seeds = 2\ninit_position_scale = 1e160",
+        ],
+        ids=["weakform", "flocking"],
+    )
+    def test_overflowing_field_warns_nothing(self, tmp_path, capsys, body):
+        text = (f"{body}\nmodel = cucker-smale\nphi_lambda = 0.5\nn_particles = 4\nt_final = 0.1\n"
+                f"dt = 0.05\nblowup_norm = 1e300\noutput_dir = {tmp_path}\n")
+        assert run_from_text(text) == 0
+        assert capsys.readouterr().err == ""
+
     def test_non_finite_blowup_manifest_is_strict_json(self, tmp_path):
         # the fourth step overflows the state to inf, under a bound near the float maximum
         text = f"""
@@ -351,8 +358,8 @@ dt = 0.5
 blowup_norm = 1.7e308
 output_dir = {tmp_path}
 """
-        with np.errstate(over="ignore"):
-            assert run_from_text(text) == 1
+        # the overflow is no warning
+        assert run_from_text(text) == 1
         manifest = read_json_strict(tmp_path / "manifest.json")
         assert manifest["error"]["max_norm"] == "inf"
 
