@@ -8,14 +8,14 @@ before any computation starts, with the offending line or key quoted.
 
 Every float key must be finite: the parser rejects NaN and +-inf. The value
 bounds that library objects also enforce (the time grid and the blow-up
-norm, the Cucker-Smale parameters, the truncation, the state dimension and
-the test-function radius) are written once here, as rule functions that
-raise ``ValueError``. ``SimConfig``, ``CuckerSmaleParams``, ``Truncation``,
-``KernelSet`` and ``bump`` call the same functions, and ``parse_config``
-turns their errors into ``ConfigError``s that name the keys given. The
-scheme and S1-convention choices (each convention mapped to its factor on
-s1), the assignment solver's ``DEFAULT_SUPPORT_CAP`` and ``state_dim`` are
-defined here too, for ``dynamics``, ``transport`` and ``harness`` to import.
+norm, the Cucker-Smale parameters, the truncation and the state dimension)
+are written once here, as rule functions that raise ``ValueError``.
+``SimConfig``, ``CuckerSmaleParams``, ``Truncation`` and ``KernelSet`` call
+the same functions, and ``parse_config`` turns their errors into
+``ConfigError``s that name the keys given. The scheme and S1-convention
+choices (each convention mapped to its factor on s1), the assignment
+solver's ``DEFAULT_SUPPORT_CAP`` and ``state_dim`` are defined here too, for
+``dynamics``, ``transport`` and ``harness`` to import.
 This module imports only ``errors`` and the standard library, so
 ``meanflock validate`` loads no numpy.
 """
@@ -75,11 +75,6 @@ def check_truncation(radius, margin) -> None:
 def check_dim(dim) -> None:
     if not dim >= 1:
         raise ValueError("kernel dimension must be >= 1")
-
-
-def check_tf_radius(radius) -> None:
-    if not radius > 0:
-        raise ValueError("test-function radius must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +144,17 @@ MODEL_KEYS = frozenset(key for model in MODELS.values() for key in _keys_read(mo
 Kind = namedtuple("Kind", "keys required min_seeds common_noise_only cucker_smale_only schemes",
                   defaults=((), 1, False, False, SCHEMES))
 Kind.__doc__ = """One experiment kind: the keys it reads (other kinds reject them) and
-requires, its fewest seeds, and whether it runs only without individual noise (its coupling
-or transport form needs sigma = 0), only on Cucker-Smale models, or only under some schemes."""
-
-_TF = ("tf_center", "tf_radius")
+requires, its fewest seeds, and whether it runs only on Cucker-Smale models, only under some
+schemes, or only without individual noise: comparison and transport-check for their transport
+form, chaos as its resamples would reuse one seed's individual streams."""
 
 KINDS = {
     "simulate": Kind(("n_particles",)),
     "flocking": Kind(("n_particles",), cucker_smale_only=True),
-    "weakform": Kind(("n_particles",) + _TF, min_seeds=16),
+    "weakform": Kind(("n_particles",), min_seeds=16),
     # two seeds give the fewest a standard error is defined for
-    "cauchy": Kind(("sizes", "wasserstein_p"), ("sizes",), min_seeds=2, common_noise_only=True),
-    "chaos": Kind(("n_list", "ref_n", "n_resamples") + _TF, ("n_list",), common_noise_only=True),
+    "cauchy": Kind(("sizes", "wasserstein_p"), ("sizes",), min_seeds=2),
+    "chaos": Kind(("n_list", "ref_n", "n_resamples"), ("n_list",), common_noise_only=True),
     "comparison": Kind(("n_particles", "radius", "comparison_shift", "wasserstein_p"),
                        common_noise_only=True),
     # the characteristics replay steps with the Euler-Ito update only
@@ -238,9 +232,7 @@ SCHEMA: dict[str, Key] = {
         Key("n_seeds", "int", default=1,
             help="run seeds master_seed .. master_seed+n_seeds-1; at least 1, cauchy at least 2, "
                  "weakform at least 16"),
-        # experiment inputs; a verdict's slack, bands and checkpoints are diagnostics constants
-        Key("tf_center", "float", default=0.0, help="test-function center"),
-        Key("tf_radius", "float", default=2.0, help="test-function radius/width"),
+        # experiment inputs; a verdict's slack, bands, checkpoints and test function are constants
         Key("sizes", "int_list",
             help="cauchy sizes: at least three, each half the one before, the last >= 1"),
         Key("wasserstein_p", "float", default=2.0),
@@ -326,7 +318,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("field 't_final' must be positive")
     _checked(check_time_grid, ("t_final", "dt"), values, given)
     _checked(check_blowup_norm, ("blowup_norm",), values, given)
-    _checked(check_tf_radius, ("tf_radius",), values, given)
     for name in ("n_particles", "wasserstein_p"):
         if not values[name] >= 1:
             raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")

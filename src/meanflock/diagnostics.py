@@ -28,7 +28,8 @@ verdict is a pure function of the inputs and of this module's constants, so
 reruns reproduce reports bitwise and no config can loosen a verdict until it
 cannot fail: ``FLOCKING_RATE_SLACK`` (0.25), ``FLOCKING_FIT_START`` (0.1),
 ``WEAKFORM_MEAN_BAND`` (4.0), ``WEAKFORM_VAR_BAND`` (5.0),
-``WEAKFORM_CHECKPOINTS`` (8) and ``TRANSPORT_TOLERANCE`` (1e-10).
+``WEAKFORM_CHECKPOINTS`` (8), ``TRANSPORT_TOLERANCE`` (1e-10) and the test
+functions' ``harness.TF_RADIUS`` (2.0) about the centre 0.
 """
 
 from __future__ import annotations

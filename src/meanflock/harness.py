@@ -25,7 +25,8 @@ and the config hash. Reports hold only deterministic content (no wall
 times), so re-running a manifest reproduces ``report.json`` byte for byte
 regardless of the worker count. Workers rebuild kernels from the plain
 config mapping, which keeps them picklable. ``_pool_size`` reads
-``MFS_THREADS`` (default 1) and caps it at the seed count.
+``MFS_THREADS`` (default 1), rejects any value that is not an integer of at
+least 1 before any output, and caps it at the seed count.
 """
 
 from __future__ import annotations
@@ -159,19 +160,22 @@ def _comparison_pairs(values: dict) -> tuple[np.ndarray, list[np.ndarray]]:
     return atoms, [b[optimal_pairing(atoms, b, values["wasserstein_p"])] for b in shifted]
 
 
-def _bump(values: dict, center: float, radius: float) -> TestFunction:
-    """Bump test function; on velocities only for position-velocity models."""
+# the radius of the verdicts' test functions, all centred at 0 where the particles start
+TF_RADIUS = 2.0
+
+
+def _bump(values: dict, radius: float) -> TestFunction:
+    """Bump test function at 0; on velocities only for position-velocity models."""
     start = values["half_dim"] if MODELS[values["model"]].position_velocity else 0
-    return bump(center, radius, state_dim(values), start)
+    return bump(0.0, radius, state_dim(values), start)
 
 
 def _build_cylinder_functions(values: dict) -> list[tuple[TestFunction, int]]:
     # CHAOS_R = 2 bounded path observables: (test function, grid step) pairs
     steps = build_sim_config(values).steps
-    center, radius = values["tf_center"], values["tf_radius"]
     return [
-        (_bump(values, center, radius), steps),
-        (_bump(values, center, 1.2 * radius), round(0.75 * steps)),
+        (_bump(values, TF_RADIUS), steps),
+        (_bump(values, 1.2 * TF_RADIUS), round(0.75 * steps)),
     ]
 
 
@@ -192,7 +196,7 @@ def _flocking_worker(values: dict, seed: int):
 
 def _weakform_worker(values: dict, seed: int):
     run = _simulate_for_seed(values, seed)
-    psi = _bump(values, values["tf_center"], values["tf_radius"])
+    psi = _bump(values, TF_RADIUS)
     checkpoints = default_checkpoints(run.config.steps)
     m, qv = weakform_single(run, psi, checkpoints)
     return m, qv, run.times[checkpoints]
@@ -282,13 +286,15 @@ EXPERIMENTS = {
 
 def _pool_size(n_jobs: int) -> int:
     """The workers that ``map_jobs`` runs for n_jobs jobs: ``MFS_THREADS``
-    (default 1), at most one per job and at least one."""
+    (default 1), at most one per job."""
     raw = os.environ.get("MFS_THREADS", "1")
     try:
         workers = int(raw)
     except ValueError:
-        raise ConfigError(f"MFS_THREADS must be an integer, got {raw!r}")
-    return max(1, min(workers, n_jobs))
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"MFS_THREADS must be a positive integer, got {raw!r}")
+    return min(workers, n_jobs)
 
 
 def map_jobs(fn: Callable, jobs: list) -> list:
@@ -301,7 +307,7 @@ def map_jobs(fn: Callable, jobs: list) -> list:
     more than one worker runs; a serial run never loads it.
     """
     workers = _pool_size(len(jobs))
-    if workers == 1:
+    if workers <= 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
 

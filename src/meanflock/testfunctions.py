@@ -9,7 +9,8 @@ which has two vanishing derivatives at both ends of [0, 1] and therefore
 gives C^2 regularity after composition with the squared radius; the
 velocity truncation's chi (``kernels.Truncation``) is the same quintic. A
 bounded functional of a path at a fixed time is a bump evaluated on the
-state at one grid step; this module builds no path functionals.
+state at one grid step; this module builds no path functionals. The
+experiments' bumps are centred at 0, with radius ``harness.TF_RADIUS``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-from .config import check_tf_radius
 
 
 class TestFunction:
@@ -49,7 +48,8 @@ def bump(center, radius: float, dim: int | None = None, start: int = 0) -> TestF
     exactly 0. A scalar center repeats over the dim - start coordinates of
     the block.
     """
-    check_tf_radius(radius)
+    if not radius > 0:
+        raise ValueError("test-function radius must be positive")
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if dim is not None and center.size == 1 and dim - start > 1:
         center = np.full(dim - start, center[0])

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -242,9 +243,15 @@ class TestCauchy:
             body = f"experiment = cauchy\nmodel = constant-common\nsizes = {sizes}\n"
             assert_rejected(tmp_path, capsys, body, "each half the one before")
 
-    def test_individual_noise_rejected(self, tmp_path, capsys):
-        body = "experiment = cauchy\nmodel = constant-individual\nsizes = 4, 2\n"
-        assert_rejected(tmp_path, capsys, body, "without individual noise")
+    def test_full_model_runs(self, tmp_path):
+        # particle i has the same individual increments in every size, so the
+        # prefix coupling holds with individual noise too
+        body = ("experiment = cauchy\nmodel = cucker-smale-individual\nphi_lambda = 0.5\n"
+                "sigma_scale = 0.3\nsizes = 64, 32, 16\nn_seeds = 4\n")
+        code, report = run_config(tmp_path, body)
+        assert code == 0
+        distances = [report["metrics"][f"distance_N={n}"] for n in (32, 16)]
+        assert all(math.isfinite(d) and d > 0 for d in distances), distances
 
 
 class TestComparisonExperiment:

@@ -418,10 +418,12 @@ output_dir = {out}
         assert manifest["threads"] == (pools[0] if pools else 1)
 
     def test_bad_worker_count_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MFS_THREADS", "two")
-        assert run_from_text(transport_check_text(tmp_path / "out")) == 1
-        assert "MFS_THREADS must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for threads in ("two", "0", "-1"):
+            monkeypatch.setenv("MFS_THREADS", threads)
+            assert run_from_text(transport_check_text(tmp_path / "out")) == 1
+            err = capsys.readouterr().err
+            assert f"MFS_THREADS must be a positive integer, got '{threads}'" in err
+            assert not (tmp_path / "out").exists()
 
     # each package error built from its declared fields, and its message
     ERRORS = {
@@ -654,6 +656,54 @@ check a config without running it
         assert main(argv) == 0
         assert capsys.readouterr() == (text, "")
 
+    def test_schema_text_is_pinned(self, tmp_path, capsys):
+        # the schema is rendered from config.SCHEMA: adding, removing or
+        # documenting a key is a deliberate edit of this text
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("experiment = simulate\nmodel = zero\noutput_dir = out\n")
+        assert main(["validate", str(cfg), "--schema"]) == 0
+        assert capsys.readouterr() == ("""valid: experiment=simulate seeds=[0]
+
+schema:
+  experiment (str)  required  choices=simulate|flocking|weakform|cauchy|chaos|comparison|\
+transport-check  experiment kind; experiment keys it does not read are rejected
+  model (str)  required  kernel model name, see `meanflock models`; keys it does not read are \
+rejected
+  output_dir (str)  required  artifact directory
+  half_dim (int)  default=1  d for position-velocity models
+  dim (int)  default=1  state dimension for generic models
+  lambda (float)  default=1.0  psi amplitude
+  gamma (float)  default=1.0  psi decay exponent
+  phi_lambda (float)  default=0.0  phi amplitude
+  phi_gamma (float)  default=0.0  phi decay exponent
+  trunc_radius (float)  velocity truncation radius
+  trunc_margin (float)  velocity truncation smoothing margin
+  sigma_scale (float)  default=0.1  individual noise amplitude
+  drift_value (float)  default=1.0  constant/linear kernel coefficient
+  n_particles (int)  default=8
+  t_final (float)  default=1.0
+  dt (float)  default=0.01
+  scheme (str)  default=euler_ito  choices=euler_ito|heun_stratonovich
+  s1_convention (str)  default=half_both  choices=half_both|paper_literal
+  master_seed (int)  default=0
+  blowup_norm (float)  default=1000000.0  a run whose largest particle norm exceeds it stops \
+with a blow-up error; > 0
+  init_kind (str)  default=gaussian  choices=gaussian|uniform
+  init_position_scale (float)  default=1.0  for position-velocity models
+  init_velocity_scale (float)  default=1.0  for position-velocity models
+  init_scale (float)  default=1.0  scale for generic-model states
+  n_seeds (int)  default=1  run seeds master_seed .. master_seed+n_seeds-1; at least 1, cauchy \
+at least 2, weakform at least 16
+  sizes (int_list)  cauchy sizes: at least three, each half the one before, the last >= 1
+  wasserstein_p (float)  default=2.0
+  n_list (int_list)  chaos system sizes: at least two, strictly increasing, the first > 2
+  ref_n (int)  chaos reference size > max(n_list) (default 8x largest)
+  n_resamples (int)  default=64  chaos initial resamples per beta path, >= 32
+  radius (float)  default=50.0  stopping radius for comparison, > 0
+  comparison_shift (float)  default=0.5  offset applied to the second initial measure; finite \
+and nonzero
+""", "")
+
     @pytest.mark.parametrize("argv, usage, reason", [
         ([], TOP_USAGE, "a command is required"),
         (["bogus"], TOP_USAGE, "unknown command 'bogus' (choose from run, models, validate)"),
@@ -696,7 +746,6 @@ t_final = 0.25
 dt = 0.0125
 master_seed = 11
 n_seeds = 24
-tf_radius = 2.0
 output_dir = {tmp_path}
 """
         assert run_from_text(text) == 0
@@ -826,7 +875,6 @@ t_final = 0.25
 dt = 0.0625
 init_kind = uniform
 init_velocity_scale = 1.5
-tf_radius = 0.5
 master_seed = 41
 n_seeds = 2
 output_dir = {tmp_path}
