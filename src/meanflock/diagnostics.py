@@ -127,7 +127,7 @@ def aggregate_flocking(
 
     window = max(spreads)
     psi_m = params.psi_inf(window)
-    phi_sup = params.phi_sup()
+    phi_sup = params.phi_lam
     rate_bound = 2.0 * (psi_m - 4.0 * phi_sup**2)
     report["metrics"].update(
         {

@@ -69,19 +69,18 @@ class NonFiniteCostError(MeanflockError):
 class BlowUpError(MeanflockError):
     """A simulated state left the configured norm bound or became non-finite.
 
-    ``seed`` is the master seed of the failing run when the raiser knows it.
-    ``partial`` holds the states recorded before the failing step, an array
-    of shape (step_index + 1, m, d) from the stepping loop that the particle
-    run and the characteristics replay share; it is not pickled.
+    ``seed`` is the master seed of the failing run. ``partial`` holds the
+    states recorded before the failing step, an array of shape
+    (step_index + 1, m, d) from the stepping loop that the particle run and
+    the characteristics replay share; it is not pickled.
     """
 
     fields = ("step_index", "max_norm", "seed")
-    message = "state blow-up at step {step_index}{of_seed}: max particle norm {max_norm:.3e}"
+    message = "state blow-up at step {step_index} of seed={seed}: max particle norm {max_norm:.3e}"
 
-    def __init__(self, step_index: int, max_norm: float, seed=None, partial=None):
+    def __init__(self, step_index: int, max_norm: float, seed: int, partial=None):
         super().__init__(step_index, max_norm, seed)
         self.partial = partial
-        self.of_seed = "" if seed is None else f" of seed={seed}"
 
 
 class ConfigError(MeanflockError):

@@ -167,7 +167,7 @@ TF_RADIUS = 2.0
 def _bump(values: dict, radius: float) -> TestFunction:
     """Bump test function at 0; on velocities only for position-velocity models."""
     start = values["half_dim"] if MODELS[values["model"]].position_velocity else 0
-    return bump(0.0, radius, state_dim(values), start)
+    return bump(radius, start)
 
 
 def _build_cylinder_functions(values: dict) -> list[tuple[TestFunction, int]]:

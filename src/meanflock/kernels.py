@@ -168,15 +168,9 @@ class CuckerSmaleParams:
         self.half_dim, self.lam, self.gamma = half_dim, lam, gamma
         self.phi_lam, self.phi_gamma, self.truncation = phi_lam, phi_gamma, truncation
 
-    def psi(self, r_sq: np.ndarray) -> np.ndarray:
-        return _rational_weight(self.lam, self.gamma, r_sq)
-
     def psi_inf(self, window: float) -> float:
         """inf of psi over |r| <= window (psi decreases in |r|)."""
-        return float(self.psi(np.asarray(window) ** 2))
-
-    def phi_sup(self) -> float:
-        return self.phi_lam
+        return float(_rational_weight(self.lam, self.gamma, np.asarray(window) ** 2))
 
 
 def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:

@@ -504,3 +504,13 @@ def constant(value: float = 1.0) -> TestFunction:
         return np.zeros(x.shape + (x.shape[-1],))
 
     return TestFunction(eval=eval_, grad=grad, hess=hess)
+
+
+def shifted(tf: TestFunction, center) -> TestFunction:
+    """tf moved to ``center``: its value, gradient and Hessian at z - center."""
+    center = np.asarray(center, dtype=float)
+
+    def at(f):
+        return lambda z: f(np.asarray(z, dtype=float) - center)
+
+    return TestFunction(eval=at(tf.eval), grad=at(tf.grad), hess=at(tf.hess))

@@ -190,7 +190,7 @@ class TestWeakform:
     def test_deterministic_defect_shrinks_linearly(self):
         # no noise: the residual is pure Euler quadrature error, O(dt)
         kernel = cs_kernel(lam=1.0, gamma=1.0)
-        psi = bump(0.0, 2.0, 2, start=1)
+        psi = bump(2.0, start=1)
         defects = []
         for dt in (0.02, 0.01, 0.005):
             runs = run_ensemble(kernel, 8, dict(t_final=0.4, dt=dt), seeds=[5])
@@ -205,7 +205,7 @@ class TestWeakform:
         kernel = cs_kernel(lam=1.0, gamma=1.0, phi_lam=0.5, phi_gamma=1.0)
         runs = run_ensemble(kernel, 6, dict(t_final=0.2, dt=0.01), seeds=[7])
         checks = np.arange(runs[0].config.steps + 1)
-        _, qv = weakform_single(runs[0], bump(0.0, 2.0, 2, start=1), checks)
+        _, qv = weakform_single(runs[0], bump(2.0, start=1), checks)
         assert np.all(qv >= 0.0)
         assert np.all(np.diff(qv) >= 0.0)
         # additivity over disjoint intervals: increments sum to the total
@@ -215,7 +215,7 @@ class TestWeakform:
         kernel = affine_kernels(1, s0=0.4)
         runs = run_ensemble(kernel, 16, dict(t_final=0.25, dt=0.0125), seeds=range(24))
         checks = default_checkpoints(runs[0].config.steps)
-        psi = bump(0.0, 2.0, dim=1)
+        psi = bump(2.0)
         per_run = [weakform_single(run, psi, checks) for run in runs]
         report = aggregate_weakform(per_run, runs[0].times[checks])
         assert len(report["verdicts"]) == 16
@@ -374,8 +374,8 @@ class TestChaos:
         # pure Monte-Carlo noise
         cfg = SimConfig(t_final=0.125, dt=0.0625)
         phis = [
-            (bump(0.0, 1.5, dim=2), 2),
-            (bump(0.5, 1.5, dim=2), 1),
+            (bump(1.5), 2),
+            (bump(1.8), 1),
         ]
         report = self._report(phis, [8, 16], cfg, [0, 1], ref_n=64, n_resamples=48)
         for n in (8, 16):
@@ -383,7 +383,7 @@ class TestChaos:
 
     def test_single_marginal(self):
         cfg = SimConfig(t_final=0.125, dt=0.0625)
-        phis = [(bump(0.0, 1.5, dim=2), 2)]
+        phis = [(bump(1.5), 2)]
         report = self._report(phis, [4, 8], cfg, [0], ref_n=64, n_resamples=32)
         assert report["metrics"]["r"] == 1
         assert len(report["verdicts"]) == 1

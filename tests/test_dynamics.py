@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from meanflock.characteristics import solve_characteristics
 from meanflock.config import SCHEMES
-from meanflock.dynamics import NoisePath, SimConfig, simulate
+from meanflock.dynamics import NoisePath, SimConfig, _state_norms, simulate
 from meanflock.errors import BlowUpError, DimensionMismatchError
 from meanflock.harness import _write_trajectory_csvs
 from meanflock.kernels import (
@@ -225,6 +227,21 @@ class TestSimulate:
         assert err.value.step_index == 1
         assert not np.isfinite(err.value.max_norm)
         np.testing.assert_array_equal(err.value.partial, run.states)
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("stack", [2, 3])
+    def test_state_norms_match_the_hypot_reduction_bitwise(self, d, stack):
+        # every row of d entries drawn from the edge values, then random rows
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324, 1.5]
+        rows = np.concatenate([
+            np.array(list(itertools.product(edges, repeat=d))),
+            np.random.default_rng(d).standard_normal((16, d)),
+        ])
+        states = rows if stack == 2 else rows.reshape(2, -1, d)
+        with np.errstate(over="ignore"):
+            got, want = _state_norms(states), np.hypot.reduce(states, axis=-1, initial=0.0)
+        assert got.shape == states.shape[:-1]
+        assert got.tobytes() == want.tobytes()
 
     def test_individual_noise_statistics(self):
         # additive individual noise: terminal variance ~ sigma^2 T

@@ -14,7 +14,7 @@ import pytest
 
 from meanflock import characteristics, diagnostics, harness, transport
 from meanflock.cli import _parse, main
-from meanflock.config import EXPERIMENT_KINDS, MODELS, list_models, parse_config
+from meanflock.config import CHAOS_R, EXPERIMENT_KINDS, MODELS, list_models, parse_config
 from meanflock.errors import (
     BlowUpError,
     ConfigError,
@@ -453,11 +453,6 @@ output_dir = {out}
         for name, value in zip(cls.fields, values, strict=True):
             assert getattr(copy, name) == getattr(error, name) == value
         assert getattr(copy, "partial", None) is None
-
-    def test_blowup_message_without_a_seed(self):
-        error = BlowUpError(0, float("inf"))
-        assert error.seed is None
-        assert str(pickle.loads(pickle.dumps(error))) == "state blow-up at step 0: max particle norm inf"
 
     @pytest.mark.parametrize("cls", MeanflockError.__subclasses__(), ids=lambda c: c.__name__)
     def test_error_record_holds_the_declared_fields(self, cls):
@@ -902,12 +897,41 @@ output_dir = {tmp_path}
         assert run_from_text(text) in (0, 2)
         assert read_report(tmp_path / "report.json")["metrics"]["r"] == 2
 
+    def test_chaos_builds_r_cylinder_functions(self):
+        # CHAOS_R sets the n_list rule and the report's r; the harness must
+        # build that many bounded path observables
+        values = parse_config("experiment = chaos\nmodel = zero\nn_list = 4, 8\noutput_dir = o\n").values
+        assert len(harness._build_cylinder_functions(values)) == CHAOS_R
+
+
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_module("bench_tracing", BENCH / "tracing.py")
+
+
+def test_sweep_smallest_rows():
+    # the layer sweep at its smallest sizes, one repeat: every row family
+    # present with its keys, and the workload's report at its pin
+    sweep = load_module("sweep", ROOT / "tools" / "sweep.py")
+    block = sweep.measure(field_n=(64,), norms_n=(64,), assignment_n=(32,),
+                          workloads=("transport-n256",), repeats=1)
+    assert set(block) == {"host", "python", "numpy", "commit", "rows"}
+    rows = block["rows"]
+    assert [(r["n"], r["half_dim"], r["truncated"]) for r in rows["field"]] == [
+        (64, 1, False), (64, 1, True), (64, 2, False), (64, 2, True)]
+    assert all(r["us_per_call"] > 0 and r["peak_bytes"] > 0 for r in rows["field"])
+    assert [(r["n"], r["d"]) for r in rows["state_norms"]] == [(64, 2), (64, 4)]
+    assert [(r["n"], r["m"]) for r in rows["assignment"]] == [(32, 64)]
+    assert set(rows["assignment"][0]) == {"n", "m", "ms_per_solve", "cols_sha256"}
+    (workload,) = rows["workloads"]
+    assert workload["workload"] == "transport-n256"
+    assert workload["report_sha256"] == TestBenchmarkBindings.REPORT_SHA256["transport-n256"]
 
 
 class TestBenchmarkBindings:

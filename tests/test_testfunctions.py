@@ -4,16 +4,16 @@ import pytest
 from meanflock.kernels import Truncation
 from meanflock.testfunctions import bump, quintic
 
-from helpers import constant, coordinate, fd_gradient, fd_jacobian, gaussian, rel_close
+from helpers import constant, coordinate, fd_gradient, fd_jacobian, gaussian, rel_close, shifted
 
 
 @pytest.mark.parametrize(
     "tf,dim",
     [
-        (bump([0.5, -0.5], 1.5), 2),
-        (bump(0.0, 2.0, dim=3), 3),
-        (bump(0.25, 1.0, 2, start=1), 2),
-        (bump([0.0, 0.5], 1.2, 4, start=2), 4),
+        (shifted(bump(1.5), [0.5, -0.5]), 2),
+        (bump(2.0), 3),
+        (shifted(bump(1.0, start=1), [0.0, 0.25]), 2),
+        (shifted(bump(1.2, start=2), [0.0, 0.0, 0.0, 0.5]), 4),
         (gaussian([1.0, 0.0], 0.8), 2),
         (coordinate(1, 3), 3),
     ],
@@ -58,12 +58,12 @@ def test_truncation_and_bump_share_the_quintic():
     diff = z - center
     u = (diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]) / (tf_radius * tf_radius)
     assert np.all(u < 1.0)
-    got = bump(center, tf_radius).eval(z)
+    got = bump(tf_radius).eval(diff)
     assert got.tobytes() == quintic(u)[0].tobytes()
 
 
 def test_bump_support_and_range():
-    tf = bump(0.0, 1.0, dim=2)
+    tf = bump(1.0)
     assert tf.eval(np.zeros(2)) == 1.0
     assert tf.eval(np.array([1.5, 0.0])) == 0.0
     assert tf.eval(np.array([0.999, 0.0])) > 0.0
@@ -77,13 +77,13 @@ def test_bump_support_and_range():
 @pytest.mark.parametrize("radius", [0.0, -1.0])
 def test_bump_needs_positive_radius(radius):
     with pytest.raises(ValueError, match="radius must be positive"):
-        bump(0.0, radius)
+        bump(radius)
     with pytest.raises(ValueError, match="radius must be positive"):
-        bump(0.0, radius, 2, start=1)
+        bump(radius, start=1)
 
 
 def test_bump_c2_boundary():
-    tf = bump(0.0, 1.0, dim=1)
+    tf = bump(1.0)
     eps = 1e-7
     inside = tf.grad(np.array([1.0 - eps]))
     outside = tf.grad(np.array([1.0 + eps]))
@@ -94,7 +94,7 @@ def test_bump_c2_boundary():
 
 
 def test_velocity_bump_ignores_positions():
-    tf = bump(0.0, 1.0, 2, start=1)
+    tf = bump(1.0, start=1)
     z1 = np.array([0.0, 0.3])
     z2 = np.array([100.0, 0.3])
     assert tf.eval(z1) == tf.eval(z2)
@@ -113,9 +113,11 @@ def test_constant_function():
 @pytest.mark.parametrize("batch", [(), (5,), (3, 4)], ids=["single", "batched", "batched2"])
 def test_block_bump_is_the_bump_of_its_block(d, batch):
     # on z[..., d:] the bump of the block start = d is the d-dimensional bump
-    # exactly; its gradient and Hessian are exactly 0 elsewhere
-    full, block = bump(0.3, 1.5, 2 * d, start=d), bump(0.3, 1.5, d)
+    # exactly; its gradient and Hessian are exactly 0 elsewhere. The block is
+    # drawn off-centre, so some points lie outside the support
+    full, block = bump(1.5, start=d), bump(1.5)
     z = np.random.default_rng(d).uniform(-1.5, 1.5, size=batch + (2 * d,))
+    z[..., d:] -= 0.3
     v = z[..., d:]
     np.testing.assert_array_equal(full.eval(z), block.eval(v))
     grad, hess = full.grad(z), full.hess(z)
