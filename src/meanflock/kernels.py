@@ -52,7 +52,7 @@ import numpy as np
 
 from .config import check_cucker_smale, check_dim, check_truncation
 from .testfunctions import quintic
-from .transport import _difference_factors, _squared_distances
+from .transport import _squared_distances
 
 
 class KernelSet:
@@ -134,21 +134,19 @@ class Truncation:
         self.radius, self.margin = radius, margin
 
     def chi_ratio(self, s: np.ndarray):
-        """(chi(s), chi'(s)/s) at speeds s = |v|, the two scalars of the
-        Jacobian J_R(v) = chi I + (chi'/s) v v^T; the quintic is evaluated
-        on the band entries only."""
+        """(chi(s), band, chi'(s)/s on the band) at speeds s = |v|, for the
+        Jacobian J_R(v) = chi I + (chi'/s) v v^T. ``band`` holds the flat
+        indices of the entries with radius < s < radius + margin, the only
+        ones where chi' is not 0; the quintic is evaluated there alone."""
         u = np.subtract(s, self.radius, out=np.empty(np.shape(s)))
         u /= self.margin
-        band = u > 0.0
-        band &= u < 1.0
-        val, d1, _ = quintic(u[band])
+        band = np.flatnonzero((u > 0.0) & (u < 1.0))
+        val, d1, _ = quintic(u.take(band))
         # chi is 1 below the band and 0 beyond it; it takes u's table
         chi = np.subtract(1.0, u >= 1.0, out=u)
-        chi[band] = val
-        # chi' vanishes off the band, and s > radius > 0 on it
-        ratio = np.zeros(chi.shape)
-        ratio[band] = d1 / self.margin / s[band]
-        return chi, ratio
+        chi.put(band, val)
+        # s > radius > 0 on the band
+        return chi, band, d1 / self.margin / np.take(s, band)
 
 
 class CuckerSmaleParams:
@@ -183,8 +181,9 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     (n,) row shared by every query, so with both exponents 0 a call builds
     no pair table. The tables stay unweighted: the measure weights ride in
     the matrix product that sums them. A truncation adds the speed table
-    |v_j - v_q|, turned into chi and chi'/s, and scratch tables for u . du
-    in S1. Queries that are not the atoms need C at the atoms as well,
+    |v_j - v_q|, turned into chi; S1's chi'/s term is summed over the pairs
+    of the band where chi' is not 0, gathered by their flat indices.
+    Queries that are not the atoms need C at the atoms as well,
     which costs (n, n) tables unless phi is a row and there is no
     truncation. No state is kept between calls.
     """
@@ -225,29 +224,14 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
         return pair_table(p.lam, p.gamma, n, r_sq, r_sq), phi
 
     def noise_tables(phi, vq, va):
-        """(phi chi, chi'/s) at s = |v_j - v_q|; without a truncation chi = 1
-        and the ratio is None."""
+        """(phi chi, band, chi'/s on the band) at s = |v_j - v_q|, from
+        ``Truncation.chi_ratio``; without a truncation chi = 1 and the band
+        and ratio are None."""
         if trunc is None:
-            return phi, None
+            return phi, None, None
         s = _squared_distances(vq, va)
-        chi, ratio = trunc.chi_ratio(np.sqrt(s, out=s))
-        return np.multiply(chi, phi, out=chi), ratio
-
-    def u_dot_du(vq, va, cq, ca, out):
-        """u . du = sum_k (v_q - v_j)_k (C_v(q) - C_v(y_j))_k in ``out``, one
-        coordinate at a time; negating both factors keeps each product."""
-        (lu, ru), (ldu, rdu) = _difference_factors(vq, va), _difference_factors(cq, ca)
-        u, du = np.empty_like(out), None
-        for k in range(d):
-            np.matmul(lu[k], ru[k], out=u)
-            if k == 0:
-                np.matmul(ldu[0], rdu[0], out=out)
-                out *= u
-            else:
-                du = np.matmul(ldu[k], rdu[k], out=du)
-                du *= u
-                out += du
-        return out
+        chi, band, ratio = trunc.chi_ratio(np.sqrt(s, out=s))
+        return np.multiply(chi, phi, out=chi), band, ratio
 
     def field(atoms, weights, queries, factor):
         """(B[mu] + factor S1[mu], C[mu]) at the queries; factor None skips S1."""
@@ -271,7 +255,7 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
             phi_a = pair_table(p.phi_lam, p.phi_gamma, xa.shape[0], r_sq, r_sq)
             ca = pair_sum(noise_tables(phi_a, va, va)[0], wva, va)
             del r_sq, phi_a
-        phi_chi, ratio = noise_tables(phi, vq, va)
+        phi_chi, band, ratio = noise_tables(phi, vq, va)
         common = np.zeros(queries.shape)
         cq = pair_sum(phi_chi, wva, vq, out=common[:, d:])
         if factor is None:
@@ -285,11 +269,14 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
         wca = wva.copy()
         np.multiply(ca, weights[:, None], out=wca[:, :d])
         s1 = pair_sum(phi_chi, wca, cq)
-        if ratio is not None:
-            ratio *= phi
-            # phi chi is spent: its table takes u . du
-            ratio *= u_dot_du(vq, va, cq, ca, out=phi_chi)
-            s1 += pair_sum(ratio, wva, vq)
+        if band is not None:
+            # chi' is 0 off the band: sum its term over the band pairs (q, j)
+            q, j = np.divmod(band, va.shape[0])
+            u, du = va[j] - vq[q], ca[j] - cq[q]
+            coef = np.broadcast_to(phi, phi_chi.shape)[q, j] * ratio
+            coef *= np.einsum("ij,ij->i", u, du) * weights[j]
+            for k in range(d):
+                s1[:, k] += np.bincount(q, coef * u[:, k], minlength=len(s1))
         drift[:, d:] += factor * s1
         return drift, common
 

@@ -111,6 +111,15 @@ def chi_both_whole_table(radius, margin, s):
     return chi, cp
 
 
+def chi_ratio_table(truncation, s):
+    """``Truncation.chi_ratio`` at s, with the band's chi'/s scattered into a
+    zero table of s's shape: (chi, band, chi'/s at every entry)."""
+    chi, band, ratio = truncation.chi_ratio(s)
+    table = np.zeros(np.shape(s))
+    table.put(band, ratio)
+    return chi, band, table
+
+
 def truncate(truncation, v):
     """R(v) = v chi(|v|), with chi from the whole-table formula."""
     s = np.sqrt(np.einsum("...k,...k->...", v, v))

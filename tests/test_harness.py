@@ -932,6 +932,8 @@ def test_sweep_smallest_rows():
     (workload,) = rows["workloads"]
     assert workload["workload"] == "transport-n256"
     assert workload["report_sha256"] == TestBenchmarkBindings.REPORT_SHA256["transport-n256"]
+    # the full sweep runs the timed workloads and the one that is truncated
+    assert sweep.FULL["workloads"] == ("cauchy-n256", "transport-n256", "flocking-n256")
 
 
 class TestBenchmarkBindings:

@@ -21,6 +21,7 @@ from helpers import (
     _rational,
     affine_reference,
     chi_both_whole_table,
+    chi_ratio_table,
     cucker_smale_reference,
     eval_S2,
     eval_s1,
@@ -195,8 +196,9 @@ class TestCuckerSmaleBuilder:
     def test_truncation_identity_then_zero(self):
         t = Truncation(radius=1.0, margin=1.0)
         v = np.array([[0.7], [-0.5], [2.0], [5.0]])
-        chi, ratio = t.chi_ratio(np.abs(v[:, 0]))
+        chi, band, ratio = chi_ratio_table(t, np.abs(v[:, 0]))
         np.testing.assert_array_equal(chi, [1.0, 1.0, 0.0, 0.0])
+        assert band.size == 0
         np.testing.assert_array_equal(ratio, np.zeros(4))
         np.testing.assert_array_equal(truncate(t, v), [[0.7], [-0.5], [0.0], [0.0]])
 
@@ -212,8 +214,10 @@ class TestCuckerSmaleBuilder:
         for table in (s, s.reshape(-1, 5), s[7]):
             chi, cp = chi_both_whole_table(radius, margin, table)
             ratio = np.divide(cp, table, out=np.zeros(np.shape(cp)), where=table > 0)
-            got, want = t.chi_ratio(table), (chi, ratio)
-            for a, b in zip(got, want):
+            chi_got, band, ratio_got = chi_ratio_table(t, table)
+            inside = (table - radius) / margin
+            assert np.array_equal(band, np.flatnonzero((inside > 0.0) & (inside < 1.0)))
+            for a, b in zip((chi_got, ratio_got), (chi, ratio)):
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
                 assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -230,7 +234,7 @@ class TestCuckerSmaleBuilder:
             if abs(s - 1.0) < 1e-3 or abs(s - 1.5) < 1e-3:
                 continue  # kink-free everywhere, but FD degrades at band edges
             in_band += 1.0 < s < 1.5
-            chi, ratio = t.chi_ratio(s)
+            chi, _, ratio = chi_ratio_table(t, s)
             jac = chi * np.eye(2) + ratio * np.outer(v, v)
             assert rel_close(jac, fd_jacobian(lambda u: truncate(t, u), v), 1e-4, floor=1e-6)
         assert in_band >= 5
@@ -440,11 +444,13 @@ def _field_cases(rng):
             for correct in (True, False):
                 factor = S1_CONVENTIONS[convention] if correct else None
                 yield kernel, ref, convention, factor, atoms, w / w.sum(), queries
-    # large enough that the products go through BLAS: phi a table, then a row
+    # large enough that the products go through BLAS, and that hundreds of
+    # truncated pairs lie in the band: phi a table, then a row, untruncated
+    # and truncated
     w = rng.uniform(0.5, 1.0, size=300)
-    atoms = rng.normal(size=(300, 2))
-    for kernel, ref, _ in (kernels[0], kernels[4]):
-        for queries in (rng.normal(size=(200, 2)), atoms):
+    for kernel, ref, _ in (kernels[0], kernels[4], kernels[2], kernels[5]):
+        atoms = rng.normal(size=(300, kernel.dim))
+        for queries in (rng.normal(size=(200, kernel.dim)), atoms):
             yield kernel, ref, "half_both", HALF, atoms, w / w.sum(), queries
 
 
@@ -616,15 +622,16 @@ def test_field_keeps_inputs_and_returns_fresh_arrays():
 # tables are unweighted: the weights ride in the matrix product that sums
 # them. A truncation-free half_dim 1 field keeps the one distance table,
 # which psi overwrites; the truncated half_dim 2 field (benchmark flocking
-# settings) adds the speed table, chi, chi'/s and two scratch tables for
-# u . du, and builds C at the atoms before the queries' tables when the
-# queries are not the atoms. The margins above the tables cover numpy's
-# iterator buffers and the O(n) operands of the products.
+# settings) adds the speed table, chi and the band's boolean masks, sums
+# S1's chi'/s term over the band pairs alone, and builds C at the atoms
+# before the queries' tables when the queries are not the atoms. The
+# margins above the tables cover numpy's iterator buffers and the O(n)
+# operands of the products.
 PEAK_TABLES = [
     (dict(half_dim=1, phi_lam=0.5), "atoms", 1.5),
     (dict(half_dim=1, phi_lam=0.5), "apart", 1.5),
-    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "atoms", 4.5),
-    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "apart", 4.5),
+    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "atoms", 3.0),
+    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "apart", 3.0),
 ]
 
 

@@ -4,7 +4,16 @@ import pytest
 from meanflock.kernels import Truncation
 from meanflock.testfunctions import bump, quintic
 
-from helpers import constant, coordinate, fd_gradient, fd_jacobian, gaussian, rel_close, shifted
+from helpers import (
+    chi_ratio_table,
+    constant,
+    coordinate,
+    fd_gradient,
+    fd_jacobian,
+    gaussian,
+    rel_close,
+    shifted,
+)
 
 
 @pytest.mark.parametrize(
@@ -49,8 +58,9 @@ def test_truncation_and_bump_share_the_quintic():
     rng = np.random.default_rng(5)
     radius, margin = 1.25, 0.75
     s = radius + margin * rng.uniform(0.001, 0.999, size=200)
-    chi, ratio = Truncation(radius, margin).chi_ratio(s)
+    chi, band, ratio = chi_ratio_table(Truncation(radius, margin), s)
     val, d1, _ = quintic((s - radius) / margin)
+    assert np.array_equal(band, np.arange(s.size))
     assert chi.tobytes() == val.tobytes()
     assert ratio.tobytes() == (d1 / margin / s).tobytes()
     center, tf_radius = np.array([0.5, -0.25]), 1.5

@@ -1,5 +1,5 @@
 """Layer sweep: per-call times of the field, the blow-up check and the exact
-assignment across sizes, and in-process runs of two bench configs.
+assignment across sizes, and in-process runs of three bench configs.
 
     python3 tools/sweep.py OUT
 
@@ -24,7 +24,8 @@ Rows:
   builds, with a hash of the columns;
 - ``workloads``: ``harness.run_from_text`` on ``bench/configs/<name>.cfg``
   (only read) into a temporary directory, median seconds and the
-  ``report.json`` SHA-256.
+  ``report.json`` SHA-256: the two timed workloads, and ``flocking-n256``,
+  the one bench config that runs the truncated field.
 
 Times are medians over repeats; the host's speed can drift between rows,
 so compare blocks row by row, not as totals.
@@ -66,7 +67,7 @@ from meanflock.kernels import (  # noqa: E402
 from meanflock.transport import MeasurePath, _assignment, path_sup_distances  # noqa: E402
 
 FULL = dict(field_n=(64, 256, 1024), norms_n=(64, 256, 1024), assignment_n=(32, 64, 128),
-            workloads=("cauchy-n256", "transport-n256"), repeats=11)
+            workloads=("cauchy-n256", "transport-n256", "flocking-n256"), repeats=11)
 
 
 def _median_s(fn, repeats: int, number: int = 1) -> float:
