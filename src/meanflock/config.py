@@ -146,7 +146,7 @@ Kind = namedtuple("Kind", "keys required min_seeds common_noise_only cucker_smal
 Kind.__doc__ = """One experiment kind: the keys it reads (other kinds reject them) and
 requires, its fewest seeds, and whether it runs only on Cucker-Smale models, only under some
 schemes, or only without individual noise: comparison and transport-check for their transport
-form, chaos as its resamples would reuse one seed's individual streams."""
+form, chaos as its resamples would reuse one seed's individual noise."""
 
 KINDS = {
     "simulate": Kind(("n_particles",)),

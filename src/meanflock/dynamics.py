@@ -7,13 +7,14 @@ predictor, integrates the circle form without any corrective drift and
 exists to cross-validate S[mu]: both schemes must converge to the same law
 as dt shrinks, and they only do when the correction is right.
 
-Noise is addressed, not streamed: the increment of particle ``i`` at step
-``k`` is a pure function of ``(master_seed, i, k)`` through per-particle
-Philox streams. ``simulate`` derives the noise from ``cfg.master_seed`` and
-drives row i of its states with particle i's stream, so two runs under one
-seed share the common noise, and a run on a prefix of the states sees the
-increments its particles see in the full run. The Cauchy and chaos
-experiments couple sizes this way.
+Noise is keyed by stream, not by particle: a block of increments is a pure
+function of ``(master_seed, stream)`` and its shape, drawn in C order from
+one Philox generator, so the n-particle block is a prefix of a larger one
+with the same steps and d (particle i's increments differ between runs with
+different ``steps``). ``simulate`` derives the noise from ``cfg.master_seed``,
+so two runs under one seed share the common noise, and a run on a prefix of
+the states sees the increments its particles see in the full run. The
+Cauchy and chaos experiments couple sizes this way.
 
 A trajectory's inputs are the kernel, the (N, d) array of initial states and
 a time grid (``SimConfig``); N and d are read from the states, and every
@@ -58,14 +59,15 @@ class NoisePath:
     """Discretized driving noise for one master seed.
 
     ``common_increments[k]`` is the shared Delta beta_k ~ N(0, dt).
-    ``individual(n)[i, k]`` is Delta B^i_k in R^d for particle i,
-    reproducible from ``(master_seed, i, k)`` alone, so a block for n
-    particles is a prefix of the block for more.
+    ``individual(n)[i, k]`` is Delta B^i_k in R^d for particle i. Each is
+    determined by ``(master_seed, stream)`` and the block's shape, so a
+    block for n particles is a prefix of the block for more with the same
+    steps and d.
     """
 
     def __init__(self, master_seed: int, dt: float, steps: int, dim: int):
-        if dt <= 0 or steps < 0:
-            raise ValueError("noise path needs dt > 0 and steps >= 0")
+        if not 0 < dt < np.inf or steps < 0:
+            raise ValueError("noise path needs a finite dt > 0 and steps >= 0")
         self.master_seed = int(master_seed)
         self.dt = float(dt)
         self.steps = int(steps)
@@ -75,12 +77,9 @@ class NoisePath:
         self.common_increments = scale * rng.standard_normal(steps)
 
     def individual(self, n: int) -> np.ndarray:
-        """(n, steps, d) increments of particles 0..n-1, row i from particle i's stream."""
-        out = np.empty((n, self.steps, self.dim))
-        for i in range(n):
-            out[i] = seeded_rng(self.master_seed, _STREAM_INDIVIDUAL, i).standard_normal(
-                (self.steps, self.dim)
-            )
+        """(n, steps, d) increments of particles 0..n-1, from the individual stream."""
+        out = seeded_rng(self.master_seed, _STREAM_INDIVIDUAL).standard_normal(
+            (n, self.steps, self.dim))
         out *= np.sqrt(self.dt)
         return out
 
@@ -211,9 +210,9 @@ def simulate(k: KernelSet, states: np.ndarray, cfg: SimConfig) -> TrajectoryReco
     """Integrate the particle system from ``states`` at t = 0; record every step.
 
     ``states`` is the finite (N, d) array of initial states, with d the
-    kernel dimension (``transport.check_atoms``). Row i is driven by
-    particle i's increments of the ``NoisePath`` of ``cfg.master_seed``,
-    and every particle weighs 1/N in the empirical measure.
+    kernel dimension (``transport.check_atoms``). Row i is driven by row i
+    of the individual block of the ``NoisePath`` of ``cfg.master_seed``,
+    keyed by that stream, and every particle weighs 1/N in the empirical measure.
     """
     states = check_atoms(states, k.dim, "states")
     n = states.shape[0]

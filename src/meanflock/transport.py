@@ -213,7 +213,8 @@ def _assignment(cost: np.ndarray, k: int) -> np.ndarray:
         raise NonFiniteCostError(f"transport cost matrix of shape {cost.shape}")
     n, m = cost.shape
     v, row4col, cols_of, free_cols = _column_reduction(cost, k)
-    # floor[i]: the least reduced cost c_ij - v_j of row i on the free columns
+    # floor[i]: the least reduced cost c_ij - v_j of row i on the free columns, read a
+    # column at a time: an (n, free) temporary would take the peak past two tables
     vfree = v[free_cols]
     floor = np.full(n, np.inf)
     for f, vf in zip(free_cols.tolist(), vfree.tolist()):

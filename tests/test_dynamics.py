@@ -56,9 +56,21 @@ class TestNoisePath:
         var = noise.common_increments.var()
         assert var == pytest.approx(dt, rel=0.05)
 
+    def test_individual_increment_statistics(self):
+        # mean 0 and variance dt over the block, and two particles uncorrelated
+        n, steps, dim, dt = 64, 2_000, 2, 0.01
+        block = NoisePath(99, dt, steps, dim).individual(n)
+        assert abs(block.mean()) <= 4.0 * np.sqrt(dt / block.size)
+        assert block.var() == pytest.approx(dt, rel=0.05)
+        corr = np.corrcoef(block[0].ravel(), block[1].ravel())[0, 1]
+        assert abs(corr) <= 4.0 / np.sqrt(steps * dim)
+
     def test_invalid_args(self):
+        for dt in (-0.1, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite dt > 0"):
+                NoisePath(0, dt, 10, 1)
         with pytest.raises(ValueError):
-            NoisePath(0, -0.1, 10, 1)
+            NoisePath(0, 0.1, -1, 1)
 
 
 class TestSimConfig:

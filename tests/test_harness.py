@@ -919,7 +919,7 @@ def test_sweep_smallest_rows():
     # the layer sweep at its smallest sizes, one repeat: every row family
     # present with its keys, and the workload's report at its pin
     sweep = load_module("sweep", ROOT / "tools" / "sweep.py")
-    block = sweep.measure(field_n=(64,), norms_n=(64,), assignment_n=(32,),
+    block = sweep.measure(field_n=(64,), norms_n=(64,), assignment_n=(32,), noise_n=(256,),
                           workloads=("transport-n256",), repeats=1)
     assert set(block) == {"host", "python", "numpy", "commit", "rows"}
     rows = block["rows"]
@@ -929,11 +929,15 @@ def test_sweep_smallest_rows():
     assert [(r["n"], r["d"]) for r in rows["state_norms"]] == [(64, 2), (64, 4)]
     assert [(r["n"], r["m"]) for r in rows["assignment"]] == [(32, 64)]
     assert set(rows["assignment"][0]) == {"n", "m", "ms_per_solve", "cols_sha256"}
+    (noise,) = rows["noise"]
+    assert (noise["n"], noise["steps"], noise["d"]) == (256, 100, 4) and noise["ms_per_call"] > 0
     (workload,) = rows["workloads"]
     assert workload["workload"] == "transport-n256"
     assert workload["report_sha256"] == TestBenchmarkBindings.REPORT_SHA256["transport-n256"]
-    # the full sweep runs the timed workloads and the one that is truncated
-    assert sweep.FULL["workloads"] == ("cauchy-n256", "transport-n256", "flocking-n256")
+    # the full sweep runs the timed workloads, the one that is truncated and
+    # every reference config
+    assert sweep.FULL["workloads"] == ("cauchy-n256", "transport-n256", "flocking-n256",
+                                       *TestBenchmarkBindings.REFERENCE_SHA256)
 
 
 class TestBenchmarkBindings:
@@ -1060,6 +1064,27 @@ output_dir = {tmp_path / "w"}
             read_report(out_dir / "report.json")
             hashes[path.stem] = hashlib.sha256((out_dir / "report.json").read_bytes()).hexdigest()
         assert hashes == self.REPORT_SHA256
+
+    # SHA-256 of the report.json of each reference config in tools/configs/,
+    # one per experiment kind that the bench lacks; pinned the same way
+    REFERENCE_SHA256 = {
+        "weakform-a": "3939443b30d8affb9eeed507207191bf987fae4853ebcc1849694ab4aec94180",
+        "weakform-b": "60add2eddb7cdff257aaf492eb8f617c2bde5f70e083a5b36fec7379a3a04591",
+        "comparison": "0ccc7c282a19230730d5c753c329db0223b0bce89bcd79959b23f40567184cea",
+        "simulate": "7d7ce2066b3374e725c913e13e5bb9b62a2861397f0edce6393c70768b9bfdb3",
+    }
+
+    def test_reference_reports_pinned(self, tmp_path, monkeypatch):
+        """Every reference config, run in this process on the serial path,
+        exits 0 and writes a report whose bytes hash to its pin."""
+        monkeypatch.setenv("MFS_THREADS", "1")
+        hashes = {}
+        for path in sorted((ROOT / "tools" / "configs").glob("*.cfg")):
+            assert run_from_text(path.read_text(), str(tmp_path / path.stem)) == 0, path.name
+            read_report(tmp_path / path.stem / "report.json")
+            hashes[path.stem] = hashlib.sha256(
+                (tmp_path / path.stem / "report.json").read_bytes()).hexdigest()
+        assert hashes == self.REFERENCE_SHA256
 
 
 class TestImportBudget:

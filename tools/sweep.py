@@ -1,5 +1,6 @@
-"""Layer sweep: per-call times of the field, the blow-up check and the exact
-assignment across sizes, and in-process runs of three bench configs.
+"""Layer sweep: per-call times of the field, the blow-up check, the exact
+assignment and the individual noise across sizes, and in-process runs of
+three bench configs and the reference configs in ``tools/configs/``.
 
     python3 tools/sweep.py OUT
 
@@ -22,10 +23,13 @@ Rows:
   N-against-2N sup-distance tables of coupled random walks that
   ``tests/test_transport.py::test_assignment_matches_scipy_cauchy_shapes``
   builds, with a hash of the columns;
-- ``workloads``: ``harness.run_from_text`` on ``bench/configs/<name>.cfg``
-  (only read) into a temporary directory, median seconds and the
-  ``report.json`` SHA-256: the two timed workloads, and ``flocking-n256``,
-  the one bench config that runs the truncated field.
+- ``noise``: ``NoisePath(0, 0.01, 100, 4).individual(N)``, the (N, 100, 4)
+  block of individual increments, with a hash of its bytes;
+- ``workloads``: ``harness.run_from_text`` on ``<name>.cfg`` from
+  ``bench/configs/`` (only read) or ``tools/configs/`` into a temporary
+  directory, median seconds and the ``report.json`` SHA-256: the two timed
+  workloads, ``flocking-n256``, the one bench config that runs the
+  truncated field, and one reference config per kind the bench lacks.
 
 Times are medians over repeats; the host's speed can drift between rows,
 so compare blocks row by row, not as totals.
@@ -56,7 +60,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from meanflock.dynamics import _state_norms  # noqa: E402
+from meanflock.dynamics import NoisePath, _state_norms  # noqa: E402
 from meanflock.harness import run_from_text  # noqa: E402
 from meanflock.kernels import (  # noqa: E402
     CuckerSmaleParams,
@@ -66,8 +70,12 @@ from meanflock.kernels import (  # noqa: E402
 )
 from meanflock.transport import MeasurePath, _assignment, path_sup_distances  # noqa: E402
 
+CONFIG_DIRS = (ROOT / "bench" / "configs", ROOT / "tools" / "configs")
 FULL = dict(field_n=(64, 256, 1024), norms_n=(64, 256, 1024), assignment_n=(32, 64, 128),
-            workloads=("cauchy-n256", "transport-n256", "flocking-n256"), repeats=11)
+            noise_n=(256, 1024, 4096),
+            workloads=("cauchy-n256", "transport-n256", "flocking-n256",
+                       "weakform-a", "weakform-b", "comparison", "simulate"),
+            repeats=11)
 
 
 def _median_s(fn, repeats: int, number: int = 1) -> float:
@@ -131,10 +139,27 @@ def assignment_rows(ns, repeats: int) -> list[dict]:
     return rows
 
 
+def noise_rows(ns, repeats: int) -> list[dict]:
+    noise = NoisePath(0, 0.01, 100, 4)
+    rows = []
+    for n in ns:
+        block = noise.individual(n)
+        rows.append({"n": n, "steps": noise.steps, "d": noise.dim,
+                     "ms_per_call": round(1e3 * _median_s(lambda: noise.individual(n), repeats), 3),
+                     "block_sha256": hashlib.sha256(block.tobytes()).hexdigest()})
+    return rows
+
+
+def _config_text(name: str) -> str:
+    """The text of ``<name>.cfg`` from the one config directory that holds it."""
+    (path,) = [d / f"{name}.cfg" for d in CONFIG_DIRS if (d / f"{name}.cfg").exists()]
+    return path.read_text()
+
+
 def workload_rows(names, repeats: int) -> list[dict]:
     rows = []
     for name in names:
-        text = (ROOT / "bench" / "configs" / f"{name}.cfg").read_text()
+        text = _config_text(name)
         with tempfile.TemporaryDirectory() as out:
             def run():
                 if run_from_text(text, out) != 0:
@@ -154,7 +179,7 @@ def _commit() -> str:
         return "unknown"
 
 
-def measure(field_n, norms_n, assignment_n, workloads, repeats: int) -> dict:
+def measure(field_n, norms_n, assignment_n, noise_n, workloads, repeats: int) -> dict:
     """One block: the host and versions, then every row family."""
     return {
         "host": {"platform": platform.platform(), "machine": platform.machine(),
@@ -166,6 +191,7 @@ def measure(field_n, norms_n, assignment_n, workloads, repeats: int) -> dict:
             "field": field_rows(field_n, repeats),
             "state_norms": norm_rows(norms_n, repeats),
             "assignment": assignment_rows(assignment_n, repeats),
+            "noise": noise_rows(noise_n, repeats),
             "workloads": workload_rows(workloads, repeats),
         },
     }
