@@ -145,8 +145,8 @@ Kind = namedtuple("Kind", "keys required min_seeds common_noise_only cucker_smal
                   defaults=((), 1, False, False, SCHEMES))
 Kind.__doc__ = """One experiment kind: the keys it reads (other kinds reject them) and
 requires, its fewest seeds, and whether it runs only on Cucker-Smale models, only under some
-schemes, or only without individual noise: comparison and transport-check for their transport
-form, chaos as its resamples would reuse one seed's individual noise."""
+schemes, or only without individual noise: chaos as its resamples would reuse one seed's
+B^i, transport-check as only a measure driven by beta alone follows its characteristics."""
 
 KINDS = {
     "simulate": Kind(("n_particles",)),
@@ -155,8 +155,7 @@ KINDS = {
     # two seeds give the fewest a standard error is defined for
     "cauchy": Kind(("sizes", "wasserstein_p"), ("sizes",), min_seeds=2),
     "chaos": Kind(("n_list", "ref_n", "n_resamples"), ("n_list",), common_noise_only=True),
-    "comparison": Kind(("n_particles", "radius", "comparison_shift", "wasserstein_p"),
-                       common_noise_only=True),
+    "comparison": Kind(("n_particles", "radius", "comparison_shift", "wasserstein_p")),
     # the characteristics replay steps with the Euler-Ito update only
     "transport-check": Kind(("n_particles",), common_noise_only=True, schemes=("euler_ito",)),
 }

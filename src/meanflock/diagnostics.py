@@ -15,8 +15,8 @@ this module holds the numerics of both halves:
   E[W_p^p(mu^N, mu^{2N})] decreases in N under the shared-noise coupling,
 * comparison: ``comparison_seed`` per seed (stopped sup ``labelled_cost``
   of measures started ``COMPARISON_SHIFTS`` apart, paired once at t = 0,
-  under one common noise), ``aggregate_comparison`` checks that its ratio
-  to the initial W_p^p survives halving the shift,
+  under one noise), ``aggregate_comparison`` checks that its ratio to the
+  initial W_p^p survives halving the shift,
 * chaos: ``chaos_beta_path`` per common-noise path, ``aggregate_chaos``
   checks that the conditional gap to factorized moments decreases in N,
 * ``aggregate_simulate`` reports moments and ``aggregate_transport``
@@ -79,12 +79,13 @@ def _verdict(check: str, value: float, tolerance: float, passed: bool) -> dict:
 
 def _mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over axis 0 and its standard error std(ddof=1) / sqrt(n); zeros
-    from a single sample."""
+    from a single sample. An overflow reads inf or NaN, with no warning."""
     n = samples.shape[0]
-    mean = samples.mean(axis=0)
-    if n == 1:
-        return mean, np.zeros_like(mean)
-    return mean, samples.std(axis=0, ddof=1) / np.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=0)
+        if n == 1:
+            return mean, np.zeros_like(mean)
+        return mean, samples.std(axis=0, ddof=1) / np.sqrt(n)
 
 
 def energy_series(run: TrajectoryRecord) -> np.ndarray:
@@ -163,7 +164,8 @@ def mean_velocity_drift(run: TrajectoryRecord) -> float:
     """max_t |v_bar(t) - v_bar(0)| over the recorded grid."""
     d = run.dim // 2
     v_bar = np.einsum("j,tjk->tk", run.weights, run.states[:, :, d:])
-    return float(np.max(np.linalg.norm(v_bar - v_bar[0], axis=1)))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.linalg.norm(v_bar - v_bar[0], axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +288,13 @@ def cauchy_single(
 
 
 def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> dict:
-    """Verdicts from per-seed coupled distances (one row per seed)."""
+    """Verdicts from per-seed coupled distances (one row per seed). A mean or stderr
+    that is not finite raises :class:`NonFiniteCostError`, not a verdict."""
     n_seeds = samples.shape[0]
     means, ses = _mean_stderr(samples)
+    paired = [_mean_stderr(samples[:, i + 1] - samples[:, i]) for i in range(len(sizes) - 2)]
+    if not np.isfinite([*means, *ses, *np.ravel(paired)]).all():
+        raise NonFiniteCostError("the cauchy estimate")
     report = _report("cauchy")
     small_sizes = list(sizes[1:])
     metrics = report["metrics"]
@@ -299,8 +305,7 @@ def aggregate_cauchy(samples: np.ndarray, sizes: Sequence[int], p: float) -> dic
         metrics[f"stderr_N={n}"] = float(se)
     report["series"].append(_series("coupled_distance", small_sizes, means, ses))
     # smaller N means a coarser system: the estimate must grow as N shrinks
-    for idx in range(len(small_sizes) - 1):
-        diff, se_diff = _mean_stderr(samples[:, idx + 1] - samples[:, idx])
+    for idx, (diff, se_diff) in enumerate(paired):
         check = f"decreasing_{small_sizes[idx + 1]}_to_{small_sizes[idx]}"
         report["verdicts"].append(_verdict(check, diff, -se_diff, diff >= -se_diff))
     return report
@@ -348,13 +353,10 @@ def comparison_seed(
     """Stopped sup labelled costs of ``atoms_a`` against each of ``paired_b``.
 
     Row i of ``paired_b``'s arrays is atom i's partner in an optimal pairing
-    at t = 0 (``transport.optimal_pairing``). Each uniform measure evolves
-    in the transport form under the common noise of ``cfg.master_seed``, so
-    each pair shares its noise: the synchronous coupling of the stability
-    proof. The path of ``atoms_a`` is simulated once.
+    at t = 0 (``transport.optimal_pairing``). Under ``cfg.master_seed`` each
+    pair shares beta and, by particle label, B^i: the synchronous coupling
+    of the stability proof. The path of ``atoms_a`` is simulated once.
     """
-    if k.sigma is not None:
-        raise ValueError("transport form needs sigma = 0")
     path_a, *paths_b = [simulate(k, atoms, cfg).states for atoms in (atoms_a, *paired_b)]
     return [_stopped_sup_cost(path_a, path_b, radius, p) for path_b in paths_b]
 
@@ -379,9 +381,7 @@ def aggregate_comparison(
     for i, (label, b) in enumerate(zip(COMPARISON_SHIFTS, paired_b)):
         initial_cost = float(labelled_cost(atoms_a, b, p))
         sups = np.array([row[i][0] for row in per_seed])
-        # an infinite sup makes the stderr inf - inf: NaN, refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            estimate, stderr = map(float, _mean_stderr(sups))
+        estimate, stderr = map(float, _mean_stderr(sups))
         if not np.all(np.isfinite([initial_cost, estimate, stderr])):
             raise NonFiniteCostError(f"the '{label}' comparison estimate")
         degenerate = initial_cost == 0.0

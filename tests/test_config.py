@@ -143,9 +143,6 @@ REJECTED = {
     "chaos-individual": (
         "chaos", "model = diag-individual\nn_list = 4, 8", "'chaos' requires a model without individual"
     ),
-    "comparison-individual": (
-        "comparison", "model = constant-individual", "'comparison' requires a model without individual"
-    ),
     "transport-individual": (
         "transport-check", "model = cucker-smale-individual", "'transport-check' requires a model without"
     ),
@@ -384,8 +381,6 @@ KIND_RULE_MESSAGES = {
     "cauchy-one-seed": "cauchy needs at least 2 seeds, got 1",
     "chaos-individual":
         "experiment 'chaos' requires a model without individual noise, got 'diag-individual'",
-    "comparison-individual":
-        "experiment 'comparison' requires a model without individual noise, got 'constant-individual'",
     "transport-individual": "experiment 'transport-check' requires a model without individual noise, "
                             "got 'cucker-smale-individual'",
     "transport-heun": "experiment 'transport-check' requires scheme euler_ito, got 'heun_stratonovich'",

@@ -23,7 +23,7 @@ from meanflock.diagnostics import (
     observed_position_spread,
     weakform_single,
 )
-from meanflock.dynamics import SimConfig, simulate
+from meanflock.dynamics import NoisePath, SimConfig, _integrate, simulate
 from meanflock.harness import (
     _comparison_pairs,
     _write_json,
@@ -324,32 +324,38 @@ class TestComparisonExperiment:
         assert report["metrics"]["full_stderr"] > 0
         assert [v["check"] for v in report["verdicts"]] == ["ratio_stable_under_halving"]
 
-    def test_individual_noise_rejected(self):
-        a = self.atoms
-        with pytest.raises(ValueError, match="sigma"):
-            comparison_seed(affine_kernels(2, s0=0.1), a, [a], self.cfg, 50.0)
-
-    @pytest.mark.parametrize("independent, passed, value", [
-        (False, True, 0.9211290171789863), (True, False, 2.2285876763596515),
+    @pytest.mark.parametrize("independent, passed, value, sigma", [
+        (False, True, 0.9211290171789863, None), (True, False, 2.2285876763596515, None),
+        (False, True, 0.9218274758814555, 0.3), (True, False, 1.9277753737990608, 0.3),
     ])
-    def test_halving_verdict_power(self, tmp_path, independent, passed, value):
-        # the proof's coupling passes the [0.5, 1.5] band; an independent
-        # beta for nu (seeds master_seed + n_seeds on) fails it
+    def test_halving_verdict_power(self, tmp_path, independent, passed, value, sigma):
+        # the proof's coupling passes the [0.5, 1.5] band. It fails when nu
+        # draws from seed + n_seeds: all its noise under common noise alone,
+        # only its B^i (beta still shared) in the full model
+        model = ("cucker-smale" if sigma is None
+                 else f"cucker-smale-individual\nsigma_scale = {sigma}")
         values = parse_config(
-            "experiment = comparison\nmodel = cucker-smale\nhalf_dim = 1\nphi_lambda = 0.5\n"
+            f"experiment = comparison\nmodel = {model}\nhalf_dim = 1\nphi_lambda = 0.5\n"
             f"n_particles = 64\nt_final = 1\ndt = 0.05\nn_seeds = 8\noutput_dir = {tmp_path}\n"
         ).values
         atoms_a, paired_b = _comparison_pairs(values)
         k, p = build_kernel(values), values["wasserstein_p"]
+
+        def nu_path(b, seed):
+            cfg = build_sim_config(values, seed)
+            if not independent:
+                return simulate(k, b, cfg).states
+            if k.sigma is None:
+                return simulate(k, b, build_sim_config(values, seed + 8)).states
+            noise = NoisePath(seed, cfg.dt, cfg.steps, k.dim)
+            db = NoisePath(seed + 8, cfg.dt, cfg.steps, k.dim).individual(len(b))
+            return _integrate(k, b, np.full(len(b), 1.0 / len(b)), cfg, noise, db=db)
+
         rows = []
         for seed in range(8):
             path_a = simulate(k, atoms_a, build_sim_config(values, seed)).states
-            nu_seed = seed + 8 if independent else seed
-            rows.append([
-                _stopped_sup_cost(path_a, simulate(k, b, build_sim_config(values, nu_seed)).states,
-                                  values["radius"], p)
-                for b in paired_b
-            ])
+            rows.append([_stopped_sup_cost(path_a, nu_path(b, seed), values["radius"], p)
+                         for b in paired_b])
         verdict, = aggregate_comparison(atoms_a, paired_b, rows, values["radius"], p)["verdicts"]
         assert verdict["pass"] is passed
         assert verdict["value"] == pytest.approx(value, rel=1e-9)

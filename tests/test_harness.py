@@ -298,6 +298,24 @@ output_dir = {tmp_path}
         }
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    def test_cauchy_overflow_is_a_package_error(self, tmp_path, capsys):
+        # velocities of about 1e80: the coupled distances are finite, their
+        # squared deviations in the stderr are not, and an infinite stderr
+        # must not pass a verdict held to -stderr
+        text = ("experiment = cauchy\nmodel = cucker-smale\nphi_lambda = 0.5\nsizes = 8, 4, 2\n"
+                "n_seeds = 3\ninit_velocity_scale = 1e80\nt_final = 0.1\ndt = 0.05\n"
+                f"blowup_norm = 1e300\noutput_dir = {tmp_path}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_from_text(text) == 1
+        message = capsys.readouterr().err.strip().removeprefix("error: ")
+        assert message == "the cauchy estimate has non-finite entries"
+        manifest = read_json_strict(tmp_path / "manifest.json")
+        assert manifest["error"] == {
+            "class": "NonFiniteCostError", "message": message, "what": "the cauchy estimate",
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -336,8 +354,14 @@ output_dir = {tmp_path}
             # positions of about 1e160: their squared gaps overflow in the
             # field and in the observed position spread
             "experiment = flocking\nn_seeds = 2\ninit_position_scale = 1e160",
+            # velocities of about 1e80: the squared deviations of their
+            # energies overflow in the ensemble stderr
+            "experiment = flocking\nn_seeds = 2\ninit_velocity_scale = 1e80",
+            # velocities of about 1e200: the energies overflow, and so does
+            # the squared norm of the mean-velocity drift
+            "experiment = flocking\nn_seeds = 2\ninit_velocity_scale = 1e200",
         ],
-        ids=["weakform", "flocking"],
+        ids=["weakform", "flocking", "flocking-velocity-1e80", "flocking-velocity-1e200"],
     )
     def test_overflowing_field_warns_nothing(self, tmp_path, capsys, body):
         text = (f"{body}\nmodel = cucker-smale\nphi_lambda = 0.5\nn_particles = 4\nt_final = 0.1\n"
@@ -934,10 +958,10 @@ def test_sweep_smallest_rows():
     (workload,) = rows["workloads"]
     assert workload["workload"] == "transport-n256"
     assert workload["report_sha256"] == TestBenchmarkBindings.REPORT_SHA256["transport-n256"]
-    # the full sweep runs the timed workloads, the one that is truncated and
-    # every reference config
+    # the full sweep runs every bench config, timed or not, and every
+    # reference config
     assert sweep.FULL["workloads"] == ("cauchy-n256", "transport-n256", "flocking-n256",
-                                       *TestBenchmarkBindings.REFERENCE_SHA256)
+                                       "chaos-n16", *TestBenchmarkBindings.REFERENCE_SHA256)
 
 
 class TestBenchmarkBindings:
@@ -1071,6 +1095,7 @@ output_dir = {tmp_path / "w"}
         "weakform-a": "3939443b30d8affb9eeed507207191bf987fae4853ebcc1849694ab4aec94180",
         "weakform-b": "60add2eddb7cdff257aaf492eb8f617c2bde5f70e083a5b36fec7379a3a04591",
         "comparison": "0ccc7c282a19230730d5c753c329db0223b0bce89bcd79959b23f40567184cea",
+        "comparison-full": "85b8bda6197a6a1b4f66f84d042f1476942a17248df5a5c32628049c53fd875e",
         "simulate": "7d7ce2066b3374e725c913e13e5bb9b62a2861397f0edce6393c70768b9bfdb3",
     }
 

@@ -1,6 +1,6 @@
 """Layer sweep: per-call times of the field, the blow-up check, the exact
 assignment and the individual noise across sizes, and in-process runs of
-three bench configs and the reference configs in ``tools/configs/``.
+the bench configs and the reference configs in ``tools/configs/``.
 
     python3 tools/sweep.py OUT
 
@@ -29,7 +29,8 @@ Rows:
   ``bench/configs/`` (only read) or ``tools/configs/`` into a temporary
   directory, median seconds and the ``report.json`` SHA-256: the two timed
   workloads, ``flocking-n256``, the one bench config that runs the
-  truncated field, and one reference config per kind the bench lacks.
+  truncated field, ``chaos-n16``, whose small field calls a batched stepper
+  would merge, and the reference configs of the kinds the bench lacks.
 
 Times are medians over repeats; the host's speed can drift between rows,
 so compare blocks row by row, not as totals.
@@ -73,8 +74,8 @@ from meanflock.transport import MeasurePath, _assignment, path_sup_distances  # 
 CONFIG_DIRS = (ROOT / "bench" / "configs", ROOT / "tools" / "configs")
 FULL = dict(field_n=(64, 256, 1024), norms_n=(64, 256, 1024), assignment_n=(32, 64, 128),
             noise_n=(256, 1024, 4096),
-            workloads=("cauchy-n256", "transport-n256", "flocking-n256",
-                       "weakform-a", "weakform-b", "comparison", "simulate"),
+            workloads=("cauchy-n256", "transport-n256", "flocking-n256", "chaos-n16",
+                       "weakform-a", "weakform-b", "comparison", "comparison-full", "simulate"),
             repeats=11)
 
 
