@@ -8,14 +8,15 @@ before any computation starts, with the offending line or key quoted.
 
 Every float key must be finite: the parser rejects NaN and +-inf. The value
 bounds that library objects also enforce (the time grid and the blow-up
-norm, the Cucker-Smale parameters, the truncation and the state dimension)
-are written once here, as rule functions that raise ``ValueError``.
-``SimConfig``, ``CuckerSmaleParams``, ``Truncation`` and ``KernelSet`` call
-the same functions, and ``parse_config`` turns their errors into
-``ConfigError``s that name the keys given. The scheme and S1-convention
-choices (each convention mapped to its factor on s1), the assignment
-solver's ``DEFAULT_SUPPORT_CAP`` and ``state_dim`` are defined here too, for
-``dynamics``, ``transport`` and ``harness`` to import.
+norm, the Cucker-Smale parameters, the truncation, the state dimension and
+the order of a distance or a moment) are written once here, as rule
+functions that raise ``ValueError``. ``SimConfig``, ``CuckerSmaleParams``,
+``Truncation``, ``KernelSet`` and ``transport`` call the same functions,
+and ``parse_config`` turns their errors into ``ConfigError``s that name the
+keys given. The scheme and S1-convention choices (each convention mapped to
+its factor on s1), the assignment solver's ``DEFAULT_SUPPORT_CAP`` and
+``state_dim`` are defined here too, for ``dynamics``, ``transport`` and
+``harness`` to import.
 This module imports only ``errors`` and the standard library, so
 ``meanflock validate`` loads no numpy.
 """
@@ -75,6 +76,12 @@ def check_truncation(radius, margin) -> None:
 def check_dim(dim) -> None:
     if not dim >= 1:
         raise ValueError("kernel dimension must be >= 1")
+
+
+def check_order(p, name: str = "Wasserstein order p") -> None:
+    """The order of a distance or a moment: finite and >= 1, so NaN fails."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"{name} must be >= 1 and finite, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +324,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("field 't_final' must be positive")
     _checked(check_time_grid, ("t_final", "dt"), values, given)
     _checked(check_blowup_norm, ("blowup_norm",), values, given)
-    for name in ("n_particles", "wasserstein_p"):
-        if not values[name] >= 1:
-            raise ConfigError(f"field '{name}' must be >= 1, got {values[name]}")
+    if not values["n_particles"] >= 1:
+        raise ConfigError(f"field 'n_particles' must be >= 1, got {values['n_particles']}")
+    _checked(check_order, ("wasserstein_p",), values, given)
     if (values.get("trunc_radius") is None) != (values.get("trunc_margin") is None):
         raise ConfigError("trunc_radius and trunc_margin must be given together")
     # numpy's SeedSequence takes no negative entropy

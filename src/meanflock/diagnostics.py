@@ -181,7 +181,8 @@ def weakform_single(
     M_psi(t) = <psi, mu_t> - <psi, mu_0> - sum_k <L[mu] psi, mu> dt with the
     generator L[mu] psi = (B[mu] + S[mu]) . grad psi + A[mu] psi, and QV is
     the discrete quadratic-variation estimator
-    sum_k (<C[mu] . grad psi, mu>^2 + (1/N) <|sigma^T grad psi|^2, mu>) dt.
+    sum_k (<C[mu] . grad psi, mu>^2 + (1/N) <|s * grad psi|^2, mu>) dt, with
+    s the diagonal of sigma (``KernelSet.sigma``) and * the entrywise product.
     """
     k = run.kernel
     cfg = run.config
@@ -207,11 +208,10 @@ def weakform_single(
                 paired = np.sum(w * np.einsum("nd,nd->n", common, grad))
                 qv_inc[t] += paired**2
             if k.sigma is not None:
+                # sigma is diagonal: 1/2 s_i^2 d^2_ii, and |s * grad psi|^2
                 sig = k.sigma(x)
-                gen_t += 0.5 * np.sum(
-                    w * np.einsum("nik,njk,nij->n", sig, sig, hess)
-                )
-                sig_grad = np.einsum("nij,ni->nj", sig, grad)
+                gen_t += 0.5 * np.sum(w * np.einsum("ni,ni,nii->n", sig, sig, hess))
+                sig_grad = sig * grad
                 qv_inc[t] += (1.0 / run.n_atoms) * np.sum(
                     w * np.einsum("nj,nj->n", sig_grad, sig_grad)
                 )

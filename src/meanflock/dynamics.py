@@ -150,7 +150,7 @@ def _euler_step(
     if common is not None:
         new = new + dbeta * common
     if k.sigma is not None:
-        new = new + np.einsum("nij,nj->ni", k.sigma(queries), db)
+        new = new + k.sigma(queries) * db
     return new
 
 

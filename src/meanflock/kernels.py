@@ -4,14 +4,15 @@ A :class:`KernelSet` describes one model through one contract: the fused
 ``field(atoms, weights, queries, factor) -> (drift, common)`` gives the Ito
 drift B[mu] + factor S1[mu] + S2 and C[mu] at the queries at once
 (``factor`` None: the uncorrected drift B[mu]; ``common`` None: no common
-noise), and ``sigma(x)`` is the individual-noise coefficient, or None.
+noise), and ``sigma(x)``, shaped like x, is the diagonal s(x) of the
+individual-noise coefficient, which is diagonal in every model, or None.
 
 The Cucker-Smale builder computes its field as products of unweighted
 (m, n) pair tables with the weighted atoms: one distance table that psi
 overwrites in place, none for a weight whose exponent is 0 (it is one (n,)
 row shared by every query), and a few more with a truncation or when C is
 needed at atoms that are not the queries. The affine model, b(x, y) =
-b0 + bx x, c(x, y) = c0 + cx x + cy y and sigma(x) = s0 I + sx diag(x),
+b0 + bx x, c(x, y) = c0 + cx x + cy y and s(x) = s0 + sx x,
 has O(N) closed forms in the total weight W = sum_j w_j and the weighted
 sum m = sum_j w_j y_j, with no pair table: B = b0 W + bx q W, C = c0 W +
 cx q W + cy m, S1 = factor (cx C(q) W + cy W (c0 W + (cx + cy) m)) and
@@ -27,7 +28,8 @@ The corrective drift converting circle (Stratonovich) dynamics to their Ito
 form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))``, with dc
 the directional derivative of the common-noise pair coefficient c, and
 ``S2(x) = 1/2 Tr(grad sigma sigma^T)`` (Kloeden & Platen, Numerical
-Solution of SDEs, 1992, section 4.9), which vanishes for a constant sigma;
+Solution of SDEs, 1992, section 4.9), which for the diagonal s is
+S2_i = 1/2 s_i d_i s_i and vanishes for a constant sigma;
 averaged over the measure, s1 is the derivative of c along the common
 field, S1[mu](q) = 1/2 sum_j w_j dc(q, y_j, C[mu](q), C[mu](y_j)). The
 field takes the factor on s1 as a number, which ``SimConfig.s1_factor``
@@ -39,9 +41,9 @@ that it is wrong.
 characteristics solver call. On the Cucker-Smale field the direction of dc
 is (C[mu](q), C[mu](y_j)); its C has no position block, so the position
 part dr of that direction is 0 and dc's phi' term, which carries r . dr,
-vanishes exactly. The pointwise b, c, dc and grad sigma of every model,
-and the mean-field sums over them, live with the tests, which hold each
-field to them.
+vanishes exactly. The pointwise b, c, dc, sigma matrix and its gradient
+of every model, and the mean-field sums over them, live with the tests,
+which hold each field to them.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class KernelSet:
 
     ``field`` is the model's fused mean-field evaluation (see the module
     docstring) and is required; with a factor its drift includes every Ito
-    correction, S2 too. ``sigma`` set to None means no individual noise.
+    correction, S2 too. ``sigma(x)`` is the diagonal s(x) of the individual
+    noise, shaped like x; None means no individual noise.
     The constructor checks these rules. Corrections are closed forms by
     contract, finite differences are reserved for test oracles.
     """
@@ -283,19 +286,17 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     return KernelSet(dim=dim, field=field)
 
 
-def _constant_sigma(matrix: np.ndarray) -> Callable:
-    """sigma(x) = matrix at every x, so S2 = 0."""
-    dim = matrix.shape[0]
-    return lambda x: np.broadcast_to(matrix, x.shape[:-1] + (dim, dim))
+def _constant_sigma(diag: np.ndarray) -> Callable:
+    """The diagonal of sigma is ``diag`` at every x, so S2 = 0."""
+    return lambda x: np.broadcast_to(diag, x.shape)
 
 
 def with_velocity_noise(base: KernelSet, sigma_v: float) -> KernelSet:
     """A position-velocity kernel plus constant individual noise sigma_v on
     velocities; sigma is constant, so S2 = 0 and ``base.field`` is the whole
     Ito drift."""
-    d = base.dim // 2
-    diag = np.zeros((base.dim, base.dim))
-    diag[d:, d:] = sigma_v * np.eye(d)
+    diag = np.zeros(base.dim)
+    diag[base.dim // 2:] = sigma_v
     return KernelSet(base.dim, base.field, _constant_sigma(diag))
 
 
@@ -337,13 +338,6 @@ def affine_kernels(dim: int, b0=0.0, bx=0.0, c0=0.0, cx=0.0, cy=0.0, s0=0.0, sx=
         return drift, common
 
     if sx == 0.0:
-        sigma = None if s0 == 0.0 else _constant_sigma(s0 * np.eye(dim))
+        sigma = None if s0 == 0.0 else _constant_sigma(np.full(dim, s0))
         return KernelSet(dim, field, sigma)
-
-    def sigma(x):
-        out = np.zeros(x.shape[:-1] + (dim, dim))
-        idx = np.arange(dim)
-        out[..., idx, idx] = s0 + sx * x
-        return out
-
-    return KernelSet(dim, field, sigma)
+    return KernelSet(dim, field, lambda x: s0 + sx * x)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_SUPPORT_CAP
+from .config import DEFAULT_SUPPORT_CAP, check_order
 from .errors import (
     DimensionMismatchError,
     NonFiniteCostError,
@@ -87,8 +87,7 @@ class MeasurePath:
 
 def moments(atoms, q: float) -> float:
     """q-th absolute moment (1/n) sum_j ||y_j||^q of the measure on ``atoms``."""
-    if q < 1:
-        raise ValueError("moment order q must be >= 1")
+    check_order(q, "moment order q")
     atoms = check_atoms(atoms)
     n = atoms.shape[0]
     # each atom weighs 1/n as in the run's field, to the bit (a mean would
@@ -331,14 +330,10 @@ def _transport_cost(dist: np.ndarray, p: float) -> float:
     return float(np.sum(np.take_along_axis(cost, cols, axis=1).ravel()) / cost.shape[1])
 
 
-def _check_order(p: float) -> None:
-    if p < 1:
-        raise ValueError("Wasserstein order p must be >= 1")
-
-
 def _checked_pair(a, b, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """The atom arrays ``a`` and ``b``, checked, of one dimension, once p >= 1."""
-    _check_order(p)
+    """The atom arrays ``a`` and ``b``, checked, of one dimension, after the
+    order p (``config.check_order``)."""
+    check_order(p)
     a = check_atoms(a, argument="a")
     return a, check_atoms(b, a.shape[1], "b")
 
@@ -420,7 +415,7 @@ def wasserstein_path(mu: MeasurePath, nu: MeasurePath, p: float = 2.0) -> float:
     Cauchy-in-N coupling of N against 2N atoms); any other pair raises
     :class:`UnsupportedTransportError`, whatever the dimension.
     """
-    _check_order(p)
+    check_order(p)
     if mu.dim != nu.dim:
         raise DimensionMismatchError("nu", mu.dim, nu.dim)
     dist = _ground(path_sup_distances, mu, nu, mu.n_atoms, nu.n_atoms)

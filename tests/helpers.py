@@ -5,10 +5,11 @@ the test functions only tests evaluate, and the pointwise references of
 every model live here, away from the package, so the implementations they
 check can never leak in; so do the wrong variants that a verdict test
 must reject. The package evaluates each model through its fused
-``field`` only; its pair coefficients b, c and dc, the derivative of its
-individual noise sigma, and the mean-field sums and corrections built from
-them (S1 and S2 = 1/2 Tr(grad sigma sigma^T)) are written out here and only
-here.
+``field`` and the diagonal of sigma that ``KernelSet.sigma`` returns only;
+its pair coefficients b, c and dc, the (d, d) sigma matrix and its
+derivative, the mean-field sums and corrections built from them (S1 and
+S2 = 1/2 Tr(grad sigma sigma^T)) and the matrix form of the
+individual-noise terms are written out here and only here.
 """
 
 import itertools
@@ -319,6 +320,28 @@ def eval_S2(k, x):
     if k.sigma is None:
         return np.zeros(x.shape)
     return 0.5 * np.einsum("...ilk,...kl->...i", k.grad_sigma(x), k.sigma(x))
+
+
+def diag_matrix(s):
+    """The (..., d, d) matrices with diagonal s and exact zeros elsewhere."""
+    out = np.zeros(s.shape + s.shape[-1:])
+    idx = np.arange(s.shape[-1])
+    out[..., idx, idx] = s
+    return out
+
+
+def weakform_sigma_terms(run, psi, sigma):
+    """Per step of ``run``, the weak form's individual-noise generator term
+    <1/2 Tr(sigma sigma^T hess psi), mu> and QV increment (1/N) <|sigma^T
+    grad psi|^2, mu>, from the (n, d, d) matrices ``sigma(x)`` by the
+    general contractions."""
+    gen, qv = np.zeros(run.config.steps), np.zeros(run.config.steps)
+    for t, x in enumerate(run.states[:-1]):
+        sig, w = sigma(x), run.weights
+        gen[t] = 0.5 * np.sum(w * np.einsum("nik,njk,nij->n", sig, sig, psi.hess(x)))
+        sig_grad = np.einsum("nij,ni->nj", sig, psi.grad(x))
+        qv[t] = (1.0 / run.n_atoms) * np.sum(w * np.einsum("nj,nj->n", sig_grad, sig_grad))
+    return gen, qv
 
 
 def _require_atoms(k, atoms):

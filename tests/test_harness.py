@@ -943,13 +943,19 @@ def test_sweep_smallest_rows():
     # the layer sweep at its smallest sizes, one repeat: every row family
     # present with its keys, and the workload's report at its pin
     sweep = load_module("sweep", ROOT / "tools" / "sweep.py")
-    block = sweep.measure(field_n=(64,), norms_n=(64,), assignment_n=(32,), noise_n=(256,),
-                          workloads=("transport-n256",), repeats=1)
+    block = sweep.measure(field_n=(64,), step_n=(64,), norms_n=(64,), assignment_n=(32,),
+                          noise_n=(256,), workloads=("transport-n256",), repeats=1)
     assert set(block) == {"host", "python", "numpy", "commit", "rows"}
     rows = block["rows"]
     assert [(r["n"], r["half_dim"], r["truncated"]) for r in rows["field"]] == [
         (64, 1, False), (64, 1, True), (64, 2, False), (64, 2, True)]
     assert all(r["us_per_call"] > 0 and r["peak_bytes"] > 0 for r in rows["field"])
+    step_keys = [(r["n"], r["half_dim"], r["sigma"]) for r in rows["step"]]
+    assert step_keys == [(64, 2, 0.0), (64, 2, 0.3)]
+    assert all(set(r) == {"n", "half_dim", "sigma", "us_per_call", "states_sha256"}
+               and r["us_per_call"] > 0 for r in rows["step"])
+    # the individual noise moves the step
+    assert rows["step"][0]["states_sha256"] != rows["step"][1]["states_sha256"]
     assert [(r["n"], r["d"]) for r in rows["state_norms"]] == [(64, 2), (64, 4)]
     assert [(r["n"], r["m"]) for r in rows["assignment"]] == [(32, 64)]
     assert set(rows["assignment"][0]) == {"n", "m", "ms_per_solve", "cols_sha256"}
@@ -958,10 +964,11 @@ def test_sweep_smallest_rows():
     (workload,) = rows["workloads"]
     assert workload["workload"] == "transport-n256"
     assert workload["report_sha256"] == TestBenchmarkBindings.REPORT_SHA256["transport-n256"]
-    # the full sweep runs every bench config, timed or not, and every
-    # reference config
+    # the full sweep runs every bench config, timed or not, every reference
+    # config, and the swept-only full-model weak form
     assert sweep.FULL["workloads"] == ("cauchy-n256", "transport-n256", "flocking-n256",
-                                       "chaos-n16", *TestBenchmarkBindings.REFERENCE_SHA256)
+                                       "chaos-n16", *TestBenchmarkBindings.REFERENCE_SHA256,
+                                       "weakform-full")
 
 
 class TestBenchmarkBindings:
@@ -1098,13 +1105,18 @@ output_dir = {tmp_path / "w"}
         "comparison-full": "85b8bda6197a6a1b4f66f84d042f1476942a17248df5a5c32628049c53fd875e",
         "simulate": "7d7ce2066b3374e725c913e13e5bb9b62a2861397f0edce6393c70768b9bfdb3",
     }
+    # reference configs that only the layer sweep runs, too slow for a pin here
+    SWEPT_ONLY = ("weakform-full",)
 
     def test_reference_reports_pinned(self, tmp_path, monkeypatch):
-        """Every reference config, run in this process on the serial path,
-        exits 0 and writes a report whose bytes hash to its pin."""
+        """Every reference config but the swept-only ones, run in this process
+        on the serial path, exits 0 and writes a report whose bytes hash to
+        its pin."""
         monkeypatch.setenv("MFS_THREADS", "1")
+        paths = sorted((ROOT / "tools" / "configs").glob("*.cfg"))
+        assert {path.stem for path in paths} == {*self.REFERENCE_SHA256, *self.SWEPT_ONLY}
         hashes = {}
-        for path in sorted((ROOT / "tools" / "configs").glob("*.cfg")):
+        for path in (path for path in paths if path.stem not in self.SWEPT_ONLY):
             assert run_from_text(path.read_text(), str(tmp_path / path.stem)) == 0, path.name
             read_report(tmp_path / path.stem / "report.json")
             hashes[path.stem] = hashlib.sha256(

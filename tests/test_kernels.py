@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanflock.config import MODELS, S1_CONVENTIONS, parse_config
+from meanflock.diagnostics import weakform_single
+from meanflock.dynamics import SimConfig, TrajectoryRecord, _euler_step, simulate
 from meanflock.errors import DimensionMismatchError
 from meanflock.harness import _cs_params, build_kernel
 from meanflock.kernels import (
@@ -23,9 +25,11 @@ from helpers import (
     chi_both_whole_table,
     chi_ratio_table,
     cucker_smale_reference,
+    diag_matrix,
     eval_S2,
     eval_s1,
     fd_jacobian,
+    gaussian,
     mean_field_B,
     mean_field_C,
     mean_field_S,
@@ -33,6 +37,7 @@ from helpers import (
     rel_close,
     truncate,
     velocity_noise_reference,
+    weakform_sigma_terms,
     with_sigma,
 )
 
@@ -525,13 +530,23 @@ def test_every_model_builds_a_field_held_to_a_reference():
             _assert_field_held(kernel, ref, "half_both", factor, atoms, w, atoms)
         assert (kernel.sigma is None) == (ref.sigma is None), name
         if ref.sigma is not None:
-            np.testing.assert_array_equal(kernel.sigma(atoms), ref.sigma(atoms))
+            assert_diagonal_of(kernel, ref, atoms)
     assert set(PRESET_ARGS) == {name for name, m in MODELS.items() if not m.position_velocity}
+
+
+def assert_diagonal_of(kernel, ref, x):
+    """The kernel's sigma(x) is shaped like x and, embedded as a diagonal,
+    is the reference's sigma matrix exactly: the same diagonal, and exact
+    zeros off it."""
+    s = kernel.sigma(x)
+    assert s.shape == x.shape
+    np.testing.assert_array_equal(ref.sigma(x), diag_matrix(s))
 
 
 # values under which every catalogued sigma is non-zero, and the Cucker-Smale
 # model's S1 too
 NOISE_VALUES = {"dim": 3, "half_dim": 1, "phi_lambda": 0.5, "sigma_scale": 0.7}
+SIGMA_MODELS = [name for name, m in MODELS.items() if m.individual_noise]
 
 
 def catalogue_reference(values):
@@ -547,27 +562,34 @@ def catalogue_reference(values):
     return ref
 
 
-@pytest.mark.parametrize("name", [name for name, m in MODELS.items() if m.individual_noise])
-def test_every_sigma_model_adds_its_S2(name):
-    # the corrected drift minus the uncorrected one is factor S1 + S2 of the
-    # reference, whose sigma is the kernel's and whose grad sigma is held to
-    # it by finite differences; so a sigma model whose field left S2 out
-    # fails here. The uncorrected drift of Heun's stages is B alone.
+def noise_model(name):
+    """(kernel, pointwise reference) of the catalogued sigma model ``name``
+    under ``NOISE_VALUES``."""
     model = MODELS[name]
     keys = [key for key in NOISE_VALUES if key in model.keys]
     required = [key for key in model.required if key not in keys]
     lines = [f"{key} = {NOISE_VALUES[key]}" for key in keys] + [f"{key} = 1" for key in required]
     text = f"experiment = simulate\nmodel = {name}\noutput_dir = out\n" + "\n".join(lines)
     values = parse_config(text).values
-    kernel, ref = build_kernel(values), catalogue_reference(values)
+    return build_kernel(values), catalogue_reference(values)
+
+
+@pytest.mark.parametrize("name", SIGMA_MODELS)
+def test_every_sigma_model_adds_its_S2(name):
+    # the corrected drift minus the uncorrected one is factor S1 + S2 of the
+    # reference, whose sigma matrix is the kernel's diagonal and whose grad
+    # sigma is held to that diagonal, embedded back into a matrix, by finite
+    # differences; so a sigma model whose field left S2 out fails here. The
+    # uncorrected drift of Heun's stages is B alone.
+    kernel, ref = noise_model(name)
     rng = np.random.default_rng(23)
     atoms = rng.normal(size=(6, kernel.dim))
     w = rng.uniform(0.5, 1.0, size=6)
     w /= w.sum()
     for queries in (rng.normal(size=(4, kernel.dim)), atoms):
-        np.testing.assert_array_equal(ref.sigma(queries), kernel.sigma(queries))
+        assert_diagonal_of(kernel, ref, queries)
         for x in queries:
-            fd = fd_jacobian(lambda u: kernel.sigma(u).ravel(), x)
+            fd = fd_jacobian(lambda u: diag_matrix(kernel.sigma(u)).ravel(), x)
             assert rel_close(ref.grad_sigma(x), fd.reshape((kernel.dim,) * 3), 1e-4, floor=1e-5)
         corrected, _ = field_drift_diffusion(kernel, atoms, w, queries, HALF)
         plain, _ = field_drift_diffusion(kernel, atoms, w, queries, None)
@@ -577,6 +599,37 @@ def test_every_sigma_model_adds_its_S2(name):
     if name == "diag-individual":
         # sigma_scale diag(x) has S2 = sigma_scale^2 x / 2, non-zero at every query
         assert np.all(eval_S2(ref, queries) != 0)
+
+
+@pytest.mark.parametrize("name", SIGMA_MODELS)
+def test_diagonal_sigma_terms_equal_the_matrix_einsums(name):
+    # bit for bit, the stepper's s * dB and the weak form's 1/2 s_i^2 d_ii psi
+    # and |s * grad psi|^2 equal the general contractions over the
+    # reference's sigma matrix, whose off-diagonal zeros add nothing
+    kernel, ref = noise_model(name)
+    cfg = SimConfig(t_final=0.5, dt=0.05, master_seed=3)
+    run = simulate(kernel, np.random.default_rng(29).normal(size=(16, kernel.dim)), cfg)
+    x, w = run.states[-1], run.weights
+    dbeta, db = run.noise.common_increments[-1], run.noise.individual(16)[:, -1]
+    noise_term = np.einsum("nij,nj->ni", ref.sigma(x), db)
+    np.testing.assert_array_equal(kernel.sigma(x) * db, noise_term)
+    drift, common = field_drift_diffusion(kernel, x, w, x, HALF)
+    want = x + cfg.dt * drift
+    if common is not None:
+        want = want + dbeta * common
+    np.testing.assert_array_equal(_euler_step(kernel, x, w, x, cfg, dbeta, db, HALF),
+                                  want + noise_term)
+    # under a zero field the weak form holds the sigma terms alone, exactly
+    zero = KernelSet(kernel.dim, lambda a, wa, q, factor: (np.zeros(q.shape), None), kernel.sigma)
+    sigma_only = TrajectoryRecord(run.times, run.states, w, cfg, zero, run.noise)
+    psi = gaussian(np.full(kernel.dim, 0.3), 1.2)
+    checks = np.arange(1, cfg.steps + 1)
+    m, qv = weakform_single(sigma_only, psi, checks)
+    gen, qv_inc = weakform_sigma_terms(run, psi, ref.sigma)
+    assert np.all(gen != 0) and np.all(qv_inc > 0)
+    psi_mean = np.array([np.sum(w * psi.eval(states)) for states in run.states])
+    np.testing.assert_array_equal(m, (psi_mean - psi_mean[0])[1:] - np.cumsum(gen) * cfg.dt)
+    np.testing.assert_array_equal(qv, np.cumsum(qv_inc) * cfg.dt)
 
 
 def test_queries_at_atoms_shortcut_changes_no_bit():

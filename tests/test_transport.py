@@ -140,6 +140,15 @@ class TestWasserstein:
         with pytest.raises(ValueError, match="order p must be >= 1"):
             distance(build([[0.0]]), build([[1.0]]), p=0.5)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    @pytest.mark.parametrize("a, b", [([[0.0]], [[0.3]]), ([[0.0, 0.0]], [[0.2, 0.1]])],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("distance, build", CHECKED.values(), ids=CHECKED.keys())
+    def test_non_finite_order(self, distance, build, a, b, p):
+        # NaN fails p < 1 too, and inf passed it: one rule refuses both
+        with pytest.raises(ValueError, match="order p must be >= 1 and finite"):
+            distance(build(a), build(b), p=p)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_assignment_equals_brute_force(self, p):
         rng = np.random.default_rng(7)
@@ -467,6 +476,11 @@ class TestMoments:
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError, match="moment order q must be >= 1"):
             moments(uniform([[1.0]]), 0.5)
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf])
+    def test_non_finite_order_rejected(self, q):
+        with pytest.raises(ValueError, match="moment order q must be >= 1 and finite"):
+            moments(uniform([[1.0], [0.5]]), q)
 
 
 class TestWassersteinPath:

@@ -1,6 +1,7 @@
-"""Layer sweep: per-call times of the field, the blow-up check, the exact
-assignment and the individual noise across sizes, and in-process runs of
-the bench configs and the reference configs in ``tools/configs/``.
+"""Layer sweep: per-call times of the field, one time step, the blow-up
+check, the exact assignment and the individual noise across sizes, and
+in-process runs of the bench configs and the reference configs in
+``tools/configs/``.
 
     python3 tools/sweep.py OUT
 
@@ -18,6 +19,10 @@ Rows:
   ``phi_lambda = 0.5``,
   untruncated or truncated (radius 4, margin 1): median us per call and the
   ``tracemalloc`` peak of one call;
+- ``step``: one ``dynamics._euler_step`` at factor 1/2 of the N states in
+  their own field, ``half_dim = 2``, Cucker-Smale with ``phi_lambda = 0.5``
+  alone or with individual noise 0.3 on velocities: median us per call and
+  a hash of the new states;
 - ``state_norms``: ``dynamics._state_norms`` on (N, d) states;
 - ``assignment``: ``transport._assignment(dist**2, 2)`` per solve, on the
   N-against-2N sup-distance tables of coupled random walks that
@@ -30,7 +35,9 @@ Rows:
   directory, median seconds and the ``report.json`` SHA-256: the two timed
   workloads, ``flocking-n256``, the one bench config that runs the
   truncated field, ``chaos-n16``, whose small field calls a batched stepper
-  would merge, and the reference configs of the kinds the bench lacks.
+  would merge, the reference configs of the kinds the bench lacks, and
+  ``weakform-full``, the full model's weak form at 256 particles, too slow
+  for the tier-1 pins.
 
 Times are medians over repeats; the host's speed can drift between rows,
 so compare blocks row by row, not as totals.
@@ -61,21 +68,23 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from meanflock.dynamics import NoisePath, _state_norms  # noqa: E402
+from meanflock.dynamics import NoisePath, SimConfig, _euler_step, _state_norms  # noqa: E402
 from meanflock.harness import run_from_text  # noqa: E402
 from meanflock.kernels import (  # noqa: E402
     CuckerSmaleParams,
     Truncation,
     cucker_smale_kernels,
     field_drift_diffusion,
+    with_velocity_noise,
 )
 from meanflock.transport import MeasurePath, _assignment, path_sup_distances  # noqa: E402
 
 CONFIG_DIRS = (ROOT / "bench" / "configs", ROOT / "tools" / "configs")
-FULL = dict(field_n=(64, 256, 1024), norms_n=(64, 256, 1024), assignment_n=(32, 64, 128),
-            noise_n=(256, 1024, 4096),
+FULL = dict(field_n=(64, 256, 1024), step_n=(64, 256, 1024), norms_n=(64, 256, 1024),
+            assignment_n=(32, 64, 128), noise_n=(256, 1024, 4096),
             workloads=("cauchy-n256", "transport-n256", "flocking-n256", "chaos-n16",
-                       "weakform-a", "weakform-b", "comparison", "comparison-full", "simulate"),
+                       "weakform-a", "weakform-b", "comparison", "comparison-full", "simulate",
+                       "weakform-full"),
             repeats=11)
 
 
@@ -108,6 +117,23 @@ def field_rows(ns, repeats: int) -> list[dict]:
                 rows.append({"n": n, "half_dim": half_dim, "truncated": truncated,
                              "us_per_call": round(1e6 * _median_s(call, repeats), 2),
                              "peak_bytes": peak})
+    return rows
+
+
+def step_rows(ns, repeats: int) -> list[dict]:
+    cfg = SimConfig(t_final=0.01, dt=0.01)
+    noise = NoisePath(0, cfg.dt, 1, 4)
+    plain = cucker_smale_kernels(CuckerSmaleParams(2, phi_lam=0.5))
+    rows = []
+    for n in ns:
+        x = np.random.default_rng(n).standard_normal((n, 4))
+        w = np.full(n, 1.0 / n)
+        dbeta, db = noise.common_increments[0], noise.individual(n)[:, 0]
+        for sigma, k in ((0.0, plain), (0.3, with_velocity_noise(plain, 0.3))):
+            call = lambda: _euler_step(k, x, w, x, cfg, dbeta, db, 0.5)  # noqa: E731
+            rows.append({"n": n, "half_dim": 2, "sigma": sigma,
+                         "us_per_call": round(1e6 * _median_s(call, repeats), 2),
+                         "states_sha256": hashlib.sha256(call().tobytes()).hexdigest()})
     return rows
 
 
@@ -180,7 +206,7 @@ def _commit() -> str:
         return "unknown"
 
 
-def measure(field_n, norms_n, assignment_n, noise_n, workloads, repeats: int) -> dict:
+def measure(field_n, step_n, norms_n, assignment_n, noise_n, workloads, repeats: int) -> dict:
     """One block: the host and versions, then every row family."""
     return {
         "host": {"platform": platform.platform(), "machine": platform.machine(),
@@ -190,6 +216,7 @@ def measure(field_n, norms_n, assignment_n, noise_n, workloads, repeats: int) ->
         "commit": _commit(),
         "rows": {
             "field": field_rows(field_n, repeats),
+            "step": step_rows(step_n, repeats),
             "state_norms": norm_rows(norms_n, repeats),
             "assignment": assignment_rows(assignment_n, repeats),
             "noise": noise_rows(noise_n, repeats),
