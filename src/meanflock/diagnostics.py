@@ -22,7 +22,7 @@ this module holds the numerics of both halves:
 * ``aggregate_simulate`` reports moments and ``aggregate_transport``
   checks the residual of ``characteristics.transport_residual``.
 
-Input rules (ensemble sizes, size ladders, sigma = 0) are checked once, by
+Input rules (ensemble sizes, size ladders, orders) are checked once, by
 ``config.parse_config``; the functions here assume valid inputs. Every
 verdict is a pure function of the inputs and of this module's constants, so
 reruns reproduce reports bitwise and no config can loosen a verdict until it
@@ -119,11 +119,14 @@ def aggregate_flocking(
     r* = 2 (psi_m - 4 ||phi||_inf^2) uses psi_m = inf psi over the largest
     observed spread; the rate fitted from ``FLOCKING_FIT_START`` (0.1) T on
     must reach (1 - ``FLOCKING_RATE_SLACK``) r* = 0.75 r*. When psi_m <= 4
-    ||phi||_inf^2 the bound does not apply and the report carries a note.
+    ||phi||_inf^2 the bound does not apply and the report carries a note; a
+    non-finite mean energy raises :class:`NonFiniteCostError` instead.
     """
     n_runs = energies.shape[0]
     report = _report("flocking")
     mean_energy, se_energy = _mean_stderr(energies)
+    if not np.isfinite(mean_energy).all():
+        raise NonFiniteCostError("the flocking energy estimate")
     report["series"].append(_series("mean_velocity_variance", times, mean_energy, se_energy))
 
     window = max(spreads)

@@ -58,8 +58,8 @@ class NonFiniteCostError(MeanflockError):
 
     Finite states far apart can have a squared distance, or its p-th power,
     that overflows; no exact solver route takes such a transport cost
-    matrix, and no comparison or cauchy estimate is formed from one. ``what``
-    names the cost.
+    matrix, and no comparison, cauchy or flocking estimate is formed from
+    one. ``what`` names the cost.
     """
 
     fields = ("what",)

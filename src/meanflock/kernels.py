@@ -20,9 +20,9 @@ S2 = sx (s0 + sx q) / 2 coordinate-wise. The cy term of S1 is
 sum_j w_j cy C(y_j), the part that the y-argument of c, the measure
 derivative, adds on its own.
 
-The truncation R(v) = v chi(|v|) of the Cucker-Smale noise is C^2 because
-chi is the quintic smoothstep of the test functions' bumps, the one
-``testfunctions.quintic``, evaluated on the entries of its band only.
+The truncation R(v) = v chi(|v|) of the Cucker-Smale noise is C^2: chi is
+the test functions' quintic smoothstep ``testfunctions.quintic``, decided by
+the squared speeds off its band and taken, root and all, on the band only.
 
 The corrective drift converting circle (Stratonovich) dynamics to their Ito
 form is built from ``s1(x, y, z) = 1/2 dc(x, y, c(x,z), c(y,z))``, with dc
@@ -126,8 +126,8 @@ class Truncation:
     """C^2 velocity truncation: R(v) = v * chi(|v|), chi(s) = P((s - radius) /
     margin) with P the quintic smoothstep.
 
-    chi is 1 on [0, radius], 0 beyond radius + margin; the constructor
-    checks that radius and margin are positive.
+    chi is 1 for s^2 <= radius^2 and 0 for s^2 >= (radius + margin)^2; the
+    constructor checks that radius and margin are positive.
     """
 
     __slots__ = ("radius", "margin")
@@ -136,20 +136,20 @@ class Truncation:
         check_truncation(radius, margin)
         self.radius, self.margin = radius, margin
 
-    def chi_ratio(self, s: np.ndarray):
-        """(chi(s), band, chi'(s)/s on the band) at speeds s = |v|, for the
-        Jacobian J_R(v) = chi I + (chi'/s) v v^T. ``band`` holds the flat
-        indices of the entries with radius < s < radius + margin, the only
-        ones where chi' is not 0; the quintic is evaluated there alone."""
-        u = np.subtract(s, self.radius, out=np.empty(np.shape(s)))
-        u /= self.margin
-        band = np.flatnonzero((u > 0.0) & (u < 1.0))
-        val, d1, _ = quintic(u.take(band))
-        # chi is 1 below the band and 0 beyond it; it takes u's table
-        chi = np.subtract(1.0, u >= 1.0, out=u)
+    def chi_ratio(self, s_sq: np.ndarray):
+        """(chi(s), band, chi'(s)/s on the band) at s = |v| from s_sq = |v|^2, which
+        chi overwrites, for the Jacobian J_R(v) = chi I + (chi'/s) v v^T. ``band``
+        holds the flat indices where radius^2 < s_sq < (radius + margin)^2, the
+        only ones where chi' is not 0; s and the quintic are taken there alone."""
+        outer = (self.radius + self.margin) * (self.radius + self.margin)
+        band = np.flatnonzero((s_sq > self.radius * self.radius) & (s_sq < outer))
+        s = np.sqrt(s_sq.take(band))
+        val, d1, _ = quintic((s - self.radius) / self.margin)
+        # chi is 1 below the band and 0 beyond it; it takes the squares' table
+        chi = np.less(s_sq, outer, out=s_sq)
         chi.put(band, val)
         # s > radius > 0 on the band
-        return chi, band, d1 / self.margin / np.take(s, band)
+        return chi, band, d1 / self.margin / s
 
 
 class CuckerSmaleParams:
@@ -183,9 +183,9 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
     depend on the pair. A weight whose exponent is 0 does not, and is one
     (n,) row shared by every query, so with both exponents 0 a call builds
     no pair table. The tables stay unweighted: the measure weights ride in
-    the matrix product that sums them. A truncation adds the speed table
-    |v_j - v_q|, turned into chi; S1's chi'/s term is summed over the pairs
-    of the band where chi' is not 0, gathered by their flat indices.
+    the matrix product that sums them. A truncation adds the squared speeds
+    |v_j - v_q|^2, which chi overwrites; S1's chi'/s term is summed over the
+    band pairs, where chi' is not 0, gathered by their flat indices.
     Queries that are not the atoms need C at the atoms as well,
     which costs (n, n) tables unless phi is a row and there is no
     truncation. No state is kept between calls.
@@ -228,12 +228,11 @@ def cucker_smale_kernels(p: CuckerSmaleParams) -> KernelSet:
 
     def noise_tables(phi, vq, va):
         """(phi chi, band, chi'/s on the band) at s = |v_j - v_q|, from
-        ``Truncation.chi_ratio``; without a truncation chi = 1 and the band
-        and ratio are None."""
+        ``Truncation.chi_ratio`` on the squared speeds, whose table chi takes;
+        without a truncation chi = 1 and the band and ratio are None."""
         if trunc is None:
             return phi, None, None
-        s = _squared_distances(vq, va)
-        chi, band, ratio = trunc.chi_ratio(np.sqrt(s, out=s))
+        chi, band, ratio = trunc.chi_ratio(_squared_distances(vq, va))
         return np.multiply(chi, phi, out=chi), band, ratio
 
     def field(atoms, weights, queries, factor):

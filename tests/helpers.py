@@ -113,9 +113,10 @@ def chi_both_whole_table(radius, margin, s):
 
 
 def chi_ratio_table(truncation, s):
-    """``Truncation.chi_ratio`` at s, with the band's chi'/s scattered into a
-    zero table of s's shape: (chi, band, chi'/s at every entry)."""
-    chi, band, ratio = truncation.chi_ratio(s)
+    """``Truncation.chi_ratio`` at speeds s, squared into a new table, with the
+    band's chi'/s scattered into a zero table of s's shape: (chi, band, chi'/s
+    at every entry)."""
+    chi, band, ratio = truncation.chi_ratio(np.multiply(s, s, out=np.empty(np.shape(s))))
     table = np.zeros(np.shape(s))
     table.put(band, ratio)
     return chi, band, table

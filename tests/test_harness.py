@@ -355,19 +355,48 @@ output_dir = {tmp_path}
             # field and in the observed position spread
             "experiment = flocking\nn_seeds = 2\ninit_position_scale = 1e160",
             # velocities of about 1e80: the squared deviations of their
-            # energies overflow in the ensemble stderr
+            # energies overflow in the ensemble stderr, the energies do not
             "experiment = flocking\nn_seeds = 2\ninit_velocity_scale = 1e80",
-            # velocities of about 1e200: the energies overflow, and so does
-            # the squared norm of the mean-velocity drift
-            "experiment = flocking\nn_seeds = 2\ninit_velocity_scale = 1e200",
         ],
-        ids=["weakform", "flocking", "flocking-velocity-1e80", "flocking-velocity-1e200"],
+        ids=["weakform", "flocking", "flocking-velocity-1e80"],
     )
     def test_overflowing_field_warns_nothing(self, tmp_path, capsys, body):
         text = (f"{body}\nmodel = cucker-smale\nphi_lambda = 0.5\nn_particles = 4\nt_final = 0.1\n"
                 f"dt = 0.05\nblowup_norm = 1e300\noutput_dir = {tmp_path}\n")
         assert run_from_text(text) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # psi is constant and psi_m > 4 phi_lambda^2, so the bound applies:
+            # a fit to log(inf) would read as a failed claim
+            "gamma = 0\nphi_lambda = 0.1",
+            # psi decays over the infinite spread, so the bound would read as
+            # not applicable
+            "phi_lambda = 0.5",
+        ],
+        ids=["gamma-0", "velocity-1e200"],
+    )
+    def test_flocking_overflow_is_a_package_error(self, tmp_path, capsys, body):
+        # velocities of about 1e200: the energies overflow, and so does the
+        # squared norm of the mean-velocity drift; an infinite mean energy is
+        # no verdict (exit 2) and no pass (exit 0) but a typed error
+        text = (f"experiment = flocking\nmodel = cucker-smale\n{body}\nn_seeds = 2\n"
+                "init_velocity_scale = 1e200\nn_particles = 4\nt_final = 0.1\ndt = 0.05\n"
+                f"blowup_norm = 1e300\noutput_dir = {tmp_path}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_from_text(text) == 1
+        message = "the flocking energy estimate has non-finite entries"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = read_json_strict(tmp_path / "manifest.json")
+        assert manifest["status"] == "error"
+        assert manifest["error"] == {
+            "class": "NonFiniteCostError", "message": message,
+            "what": "the flocking energy estimate",
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_non_finite_blowup_manifest_is_strict_json(self, tmp_path):
         # the fourth step overflows the state to inf, under a bound near the float maximum
@@ -947,9 +976,11 @@ def test_sweep_smallest_rows():
                           noise_n=(256,), workloads=("transport-n256",), repeats=1)
     assert set(block) == {"host", "python", "numpy", "commit", "rows"}
     rows = block["rows"]
-    assert [(r["n"], r["half_dim"], r["truncated"]) for r in rows["field"]] == [
-        (64, 1, False), (64, 1, True), (64, 2, False), (64, 2, True)]
-    assert all(r["us_per_call"] > 0 and r["peak_bytes"] > 0 for r in rows["field"])
+    assert [(r["n"], r["half_dim"], r["truncated"], r["factor"]) for r in rows["field"]] == [
+        (64, 1, False, 0.5), (64, 1, False, None), (64, 1, True, 0.5), (64, 1, True, None),
+        (64, 2, False, 0.5), (64, 2, False, None), (64, 2, True, 0.5), (64, 2, True, None)]
+    assert all(set(r) == {"n", "half_dim", "truncated", "factor", "us_per_call", "peak_bytes"}
+               and r["us_per_call"] > 0 and r["peak_bytes"] > 0 for r in rows["field"])
     step_keys = [(r["n"], r["half_dim"], r["sigma"]) for r in rows["step"]]
     assert step_keys == [(64, 2, 0.0), (64, 2, 0.3)]
     assert all(set(r) == {"n", "half_dim", "sigma", "us_per_call", "states_sha256"}

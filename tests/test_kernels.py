@@ -16,7 +16,7 @@ from meanflock.kernels import (
     field_drift_diffusion,
     with_velocity_noise,
 )
-from meanflock.transport import check_atoms
+from meanflock.transport import _squared_distances, check_atoms
 
 from helpers import (
     PointwiseReference,
@@ -226,6 +226,33 @@ class TestCuckerSmaleBuilder:
                 assert a.shape == b.shape
                 assert np.array_equal(a, b)
                 assert np.array_equal(np.signbit(a), np.signbit(b))
+        # squared speeds as the field builds them, from velocity pairs: the
+        # query at 0 meets atoms at speeds radius and radius + margin exactly,
+        # and others inside the band
+        for dim in (1, 2):
+            vq = rng.normal(scale=radius + margin, size=(30, dim))
+            vq[0] = 0.0
+            turn = rng.normal(size=(20, dim))
+            speeds = radius + margin * rng.uniform(size=20)
+            turn *= (speeds / np.linalg.norm(turn, axis=1))[:, None]
+            va = np.concatenate([np.zeros((2, dim)), turn, rng.normal(size=(30, dim))])
+            va[:2, 0] = radius, radius + margin
+            s_sq = _squared_distances(vq, va)
+            s = np.sqrt(s_sq)
+            chi, cp = chi_both_whole_table(radius, margin, s)
+            ratio = np.divide(cp, s, out=np.zeros(s.shape), where=s > 0)
+            inside = (s - radius) / margin
+            assert inside[0, 0] == 0.0 and inside[0, 1] == 1.0
+            chi_got, band, ratio_band = t.chi_ratio(s_sq)
+            assert band.size >= 20
+            assert np.array_equal(band, np.flatnonzero((inside > 0.0) & (inside < 1.0)))
+            ratio_got = np.zeros(s.shape)
+            ratio_got.put(band, ratio_band)
+            for a, b in zip((chi_got, ratio_got), (chi, ratio)):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+            # chi takes the squares' own table
+            assert chi_got is s_sq
 
     def test_truncation_jacobian_matches_fd(self):
         # the fused field's J_R(v) = chi I + (chi'/s) v v^T from chi_ratio,
@@ -675,16 +702,16 @@ def test_field_keeps_inputs_and_returns_fresh_arrays():
 # tables are unweighted: the weights ride in the matrix product that sums
 # them. A truncation-free half_dim 1 field keeps the one distance table,
 # which psi overwrites; the truncated half_dim 2 field (benchmark flocking
-# settings) adds the speed table, chi and the band's boolean masks, sums
-# S1's chi'/s term over the band pairs alone, and builds C at the atoms
-# before the queries' tables when the queries are not the atoms. The
-# margins above the tables cover numpy's iterator buffers and the O(n)
-# operands of the products.
+# settings) adds the squared-speed table, which chi overwrites with no root
+# or u table of its own, and the band's boolean masks, sums S1's chi'/s term
+# over the band pairs alone, and builds C at the atoms before the queries'
+# tables when the queries are not the atoms. The margins above the tables
+# cover numpy's iterator buffers and the O(n) operands of the products.
 PEAK_TABLES = [
     (dict(half_dim=1, phi_lam=0.5), "atoms", 1.5),
     (dict(half_dim=1, phi_lam=0.5), "apart", 1.5),
-    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "atoms", 3.0),
-    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "apart", 3.0),
+    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "atoms", 2.25),
+    (dict(half_dim=2, gamma=0.5, phi_lam=0.1, truncation=Truncation(4.0, 1.0)), "apart", 2.25),
 ]
 
 
